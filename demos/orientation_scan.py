@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from fitslam.fisher import DEFAULT_FOV
 from fitslam.grid import GridSpec, OccupancyGrid, UNKNOWN_P
 from fitslam.infogain import RayCastParams, cast_ray, scan_orientations
 
@@ -22,12 +23,13 @@ occ.p[:, 31:] = UNKNOWN_P     # east half unknown
 # Goal just north of the wall's end: east-facing rays clear the wall and
 # plunge into unknown space, west-facing ones see only mapped free cells.
 goal = spec.cell_to_world(28, 54)
-params = RayCastParams(max_range=4.0)
-scan = scan_orientations(occ, goal, params)
+params = RayCastParams()
+max_range = 4.0
+scan = scan_orientations(occ, goal, params, max_range=max_range)
 
 print(f"goal at ({goal[0]:.2f}, {goal[1]:.2f}), "
       f"{len(scan.directions)} ray directions, "
-      f"fov {math.degrees(params.fov):.0f} deg")
+      f"fov {math.degrees(DEFAULT_FOV):.0f} deg")
 print(f"best orientation: {math.degrees(scan.best_theta):6.1f} deg, "
       f"windowed gain {scan.best_gain:.2f} bits")
 
@@ -41,7 +43,7 @@ for k in range(0, len(scan.directions), step):
 
 # Follow the single best ray and show the degradation chain: deeper unknown
 # cells are less likely to be seen, so their expected entropy drop shrinks.
-best_ray = cast_ray(occ, goal, scan.best_theta, params)
+best_ray = cast_ray(occ, goal, scan.best_theta, params, max_range)
 unknown_cells = [c for c in best_ray.cells if c.gain > 0][:6]
 print(f"\nfirst unknown cells along theta* "
       f"({math.degrees(scan.best_theta):.0f} deg):")

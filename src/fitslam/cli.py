@@ -82,8 +82,6 @@ def _cmd_run(args) -> int:
         delta_theta=(math.radians(args.delta_theta_deg)
                      if args.delta_theta_deg is not None else defaults.delta_theta),
         gamma=args.gamma if args.gamma is not None else defaults.gamma,
-        fov=world.sensors.fov,
-        max_range=world.sensors.max_depth,
     )
     cfg = ExperimentConfig(
         world=world,

@@ -18,6 +18,8 @@ DEFAULT_SIGMA_BEARING = 0.01   # bearing-noise std (unitless, on the unit sphere
 DEFAULT_SIGMA_LANDMARK = 0.05  # m, default landmark position std
 DEFAULT_VOXEL_SIZE = 0.25      # m
 DEFAULT_SENSOR_HEIGHT = 0.3    # m above terrain
+DEFAULT_FOV = math.radians(87.0)  # rad, horizontal camera field of view
+DEFAULT_MAX_DEPTH = 5.0        # m, camera range
 
 _EPS_RANGE = 1e-9
 
@@ -50,8 +52,8 @@ class CameraPose:
 
     rotation: np.ndarray     # (3, 3) orthonormal, det +1
     translation: np.ndarray  # (3,)
-    fov: float = math.radians(87.0)
-    max_depth: float = 5.0
+    fov: float = DEFAULT_FOV
+    max_depth: float = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
@@ -60,8 +62,8 @@ class CameraPose:
     @classmethod
     def from_planar(cls, x: float, y: float, heading: float,
                     height: float = DEFAULT_SENSOR_HEIGHT,
-                    fov: float = math.radians(87.0),
-                    max_depth: float = 5.0) -> "CameraPose":
+                    fov: float = DEFAULT_FOV,
+                    max_depth: float = DEFAULT_MAX_DEPTH) -> "CameraPose":
         """Lift a planar robot pose to a camera looking along the heading."""
         c, s = math.cos(heading), math.sin(heading)
         # Camera axes in world coordinates: z forward, x left of travel, y up.
@@ -117,6 +119,16 @@ def visible(pose: CameraPose, landmark: Landmark) -> bool:
     return angle <= pose.fov / 2 + 1e-12
 
 
+def visible_mask(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
+    """`visible` for each row of an (N, 3) array of world positions."""
+    v_c = positions @ pose.rotation.T + pose.translation
+    norm = np.linalg.norm(v_c, axis=1)
+    ok = (norm > _EPS_RANGE) & (norm <= pose.max_depth) & (v_c[:, 2] > 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_angle = np.clip(v_c[:, 2] / norm, -1.0, 1.0)
+    return ok & (np.arccos(cos_angle) <= pose.fov / 2 + 1e-12)
+
+
 def landmark_fim(pose: CameraPose, landmark: Landmark,
                  sigma_bearing: float = DEFAULT_SIGMA_BEARING) -> np.ndarray:
     """6x6 information matrix of one bearing observation; zero when unseen.
@@ -124,8 +136,7 @@ def landmark_fim(pose: CameraPose, landmark: Landmark,
     Uses the Gauss information form J^T Q~^-1 J where Q~ combines the
     first-order propagation of the landmark covariance through the bearing
     model with isotropic bearing noise. The product form J Q J^T cannot be
-    formed here (J is 3x6), so the standard information form is used; the
-    `fim_form` name records this as the single supported choice.
+    formed here (J is 3x6), so the standard information form is used.
     """
     if not visible(pose, landmark):
         return np.zeros((6, 6))
@@ -141,9 +152,6 @@ def landmark_fim(pose: CameraPose, landmark: Landmark,
     jac = bearing_jacobian(pose, landmark)
     fim = jac.T @ q_inv @ jac
     return 0.5 * (fim + fim.T)
-
-
-fim_form = "gauss_information"  # J^T Q~^-1 J; the printed product form is 3x6-incompatible
 
 
 @dataclass
@@ -180,8 +188,8 @@ def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
 def path_information(waypoints: list, landmarks: list,
                      voxel_size: float = DEFAULT_VOXEL_SIZE,
                      sensor_height: float = DEFAULT_SENSOR_HEIGHT,
-                     fov: float = math.radians(87.0),
-                     max_depth: float = 5.0,
+                     fov: float = DEFAULT_FOV,
+                     max_depth: float = DEFAULT_MAX_DEPTH,
                      sigma_bearing: float = DEFAULT_SIGMA_BEARING) -> PathInformation:
     """Sum FIM traces of visible voxel representatives over the waypoints."""
     reps = voxelize(landmarks, voxel_size)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BinaryTraversabilityGrid, GridSpec, OccupancyGrid
+from .grid import BinaryTraversabilityGrid, GridSpec, OccupancyGrid, shift
 
 # BFS growth order: E, NE, N, NW, W, SW, S, SE in (di, dj) with i along x.
 _NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
@@ -31,6 +31,12 @@ class ExplorationBoundary:
 
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+
+    def mask(self, spec: GridSpec) -> np.ndarray:
+        """Cells of the grid whose centers lie inside the rectangle."""
+        xs, ys = spec.cell_centers()
+        return ((xs >= self.x_min) & (xs <= self.x_max)
+                & (ys >= self.y_min) & (ys <= self.y_max))
 
 
 @dataclass
@@ -72,28 +78,13 @@ def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid,
     """Cells inside the boundary that are Free and touch unknown occupancy."""
     if occ.spec != nav.spec:
         raise ValueError("occupancy and traversability grids must share one GridSpec")
-    spec = occ.spec
     unknown = occ.unknown_mask()
     near_unknown = np.zeros_like(unknown)
     for di, dj in _NEIGHBOR_ORDER:
-        near_unknown |= _shift_bool(unknown, di, dj)
-    xs, ys = spec.cell_centers()
-    inside = ((xs >= boundary.x_min) & (xs <= boundary.x_max)
-              & (ys >= boundary.y_min) & (ys <= boundary.y_max))
-    mask = nav.free_mask() & near_unknown & inside
+        near_unknown |= shift(unknown, di, dj)
+    mask = nav.free_mask() & near_unknown & boundary.mask(occ.spec)
     jj, ii = np.nonzero(mask)
     return {(int(i), int(j)) for i, j in zip(ii, jj)}
-
-
-def _shift_bool(arr: np.ndarray, di: int, dj: int) -> np.ndarray:
-    out = np.zeros_like(arr)
-    h, w = arr.shape
-    src_j = slice(max(0, -dj), h - max(0, dj))
-    dst_j = slice(max(0, dj), h - max(0, -dj))
-    src_i = slice(max(0, -di), w - max(0, di))
-    dst_i = slice(max(0, di), w - max(0, -di))
-    out[dst_j, dst_i] = arr[src_j, src_i]
-    return out
 
 
 def cluster_frontiers(cells: set, spec: GridSpec,

@@ -86,6 +86,19 @@ class GridSpec:
         return np.meshgrid(xs, ys)
 
 
+def shift(arr: np.ndarray, di: int, dj: int) -> np.ndarray:
+    """Copy of a (height, width) array moved by (di, dj) cells, di along x.
+
+    out[j + dj, i + di] = arr[j, i]; cells shifted in from outside the grid
+    are zero (False for a mask).
+    """
+    out = np.zeros_like(arr)
+    h, w = arr.shape
+    out[max(0, dj):h - max(0, -dj), max(0, di):w - max(0, -di)] = \
+        arr[max(0, -dj):h - max(0, dj), max(0, -di):w - max(0, di)]
+    return out
+
+
 def _check_shape(spec: GridSpec, values: np.ndarray) -> None:
     if values.shape != (spec.height, spec.width):
         raise ValueError(f"values shape {values.shape} does not match spec "

@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import simworld
-from .fisher import normalize_infos, path_information
+from .fisher import path_information
 from .frontier import cluster_frontiers, detect_frontiers, mission_complete
 from .grid import FREE
 from .infogain import RayCastParams, scan_many, scan_orientations
@@ -31,7 +31,6 @@ STRATEGIES = ("fit", "greedy", "random")
 # Shared mission time budget: the comparison runs every strategy over the same
 # fixed window of simulated time, like for like.
 DEFAULT_MAX_MISSION_TIME = 1430.0  # simulated seconds
-DEFAULT_MAX_CLUSTER_SIZE = 30
 
 
 class MissionStalled(RuntimeError):
@@ -68,7 +67,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     utility: UtilityParams = field(default_factory=UtilityParams)
     rays: RayCastParams = field(default_factory=RayCastParams)
-    max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE
 
     def __post_init__(self):
         for s in self.strategies:
@@ -76,27 +74,21 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES}")
 
 
-def _scan(state, spec, cell, rays):
-    return scan_orientations(state.occ, spec.cell_to_world(*cell), rays)
-
-
 def _select_fit(candidates, state, world, uparams, rays, spec, planner):
+    sensors = world.config.sensors
     goals = [spec.cell_to_world(*c.cluster.candidate) for c in candidates]
-    for c, scan in zip(candidates, scan_many(state.occ, goals, rays)):
+    scans = scan_many(state.occ, goals, rays, sensors.fov, sensors.max_depth)
+    for c, scan in zip(candidates, scans):
         c.delta_e = scan.best_gain
         c.theta_star = scan.best_theta
     compute_u1(candidates, uparams, spec.resolution)
     short = shortlist(candidates, uparams.shortlist_n, spec)
     for c in short:
         c.path = planner.path_to(c.cluster.candidate)
-        wps = sample_waypoints(c.path, world.config.sensors.max_depth, spec)
+        wps = sample_waypoints(c.path, sensors.max_depth, spec)
         wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
-        c.info = path_information(
-            wps, world.landmarks,
-            fov=world.config.sensors.fov,
-            max_depth=world.config.sensors.max_depth,
-        )
-    normalize_infos([c.info for c in short])
+        c.info = path_information(wps, world.landmarks,
+                                  fov=sensors.fov, max_depth=sensors.max_depth)
     return select_best(short, uparams, spec)
 
 
@@ -107,12 +99,12 @@ def _select_greedy(candidates, spec):
 def run_mission(config: WorldConfig, strategy: str, seed: int,
                 max_mission_time: float = DEFAULT_MAX_MISSION_TIME,
                 utility_params: UtilityParams | None = None,
-                ray_params: RayCastParams | None = None,
-                max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE) -> MissionLog:
+                ray_params: RayCastParams | None = None) -> MissionLog:
     """Run one exploration mission and return its metric log.
 
     The world is rebuilt deterministically from `seed`, so the three
     strategies see bit-identical worlds and differ only in goal selection.
+    Orientation scans use the field of view and range of the world's camera.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -120,6 +112,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     rays = ray_params or RayCastParams()
     world = generate_world(dataclasses.replace(config, seed=seed))
     spec = world.spec
+    sensors = world.config.sensors
     rng = np.random.default_rng(seed * 7919 + 17)  # random strategy's own stream
 
     state = MissionState.initial(world)
@@ -132,7 +125,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         ri, rj = spec.world_to_cell(state.pose[0], state.pose[1])
         nav.state[rj, ri] = FREE  # the robot occupies this cell, so it is navigable
         frontiers = detect_frontiers(state.occ, nav, world.boundary)
-        clusters = cluster_frontiers(frontiers, spec, max_cluster_size, state.blacklist)
+        clusters = cluster_frontiers(frontiers, spec, blacklist=state.blacklist)
         if mission_complete(clusters):
             termination = "stalled" if frontiers else "complete"
             break
@@ -163,8 +156,9 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         if best.path is None:
             best.path = planner.path_to(best.cluster.candidate)
         if best.theta_star is None:
-            scan = _scan(state, spec, best.cluster.candidate, rays)
-            best.theta_star = scan.best_theta
+            best.theta_star = scan_orientations(
+                state.occ, spec.cell_to_world(*best.cluster.candidate), rays,
+                sensors.fov, sensors.max_depth).best_theta
 
         try:
             execute_path(world, state, best.path, best.theta_star, nav=nav)
@@ -237,8 +231,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
             log = run_mission(cfg.world, strategy, seed,
                               max_mission_time=cfg.max_mission_time,
                               utility_params=cfg.utility,
-                              ray_params=cfg.rays,
-                              max_cluster_size=cfg.max_cluster_size)
+                              ray_params=cfg.rays)
             write_metrics_csv(log, out / f"metrics_{strategy}_{seed}.csv")
             logs.append(log)
     write_summary_csv(summarize(logs), out / "summary.csv")

@@ -10,10 +10,11 @@ summed ray gains inside the camera field of view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
 from .grid import OccupancyGrid, UNKNOWN_P
 
 OCCUPIED_THRESHOLD = 0.65  # conventional occupancy cutoff for ray blocking
@@ -24,21 +25,26 @@ ARGMAX_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RayCastParams:
+    """Entropy-gain model of the scan.
+
+    The camera's field of view and range are not part of it: they belong to
+    the sensor, and the scan functions take them as arguments.
+    """
+
     delta_theta: float = math.radians(8.5)  # ray discretization
-    fov: float = math.radians(87.0)         # horizontal camera field of view
-    max_range: float = 5.0                  # m
     gamma: float = 0.9                      # observability degradation per unknown cell
     occupied_threshold: float = OCCUPIED_THRESHOLD
 
     def __post_init__(self):
-        if not 0 < self.delta_theta <= self.fov:
-            raise ValueError("need 0 < delta_theta <= fov")
-        if not 0 < self.fov <= 2 * math.pi:
-            raise ValueError("fov must lie in (0, 2*pi]")
+        if not self.delta_theta > 0:
+            raise ValueError("delta_theta must be > 0")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be > 0")
+
+
+def _check_max_range(max_range: float) -> None:
+    if not max_range > 0:
+        raise ValueError("max_range must be > 0")
 
 
 def cell_entropy(p: float) -> float:
@@ -65,14 +71,15 @@ class RayCast:
 
 
 def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
-             params: RayCastParams) -> RayCast:
+             params: RayCastParams, max_range: float = DEFAULT_MAX_DEPTH) -> RayCast:
     """Walk the grid from origin along theta and tally the entropy gain.
 
     Uses an Amanatides-Woo traversal so every crossed cell is visited exactly
-    once. A cell above the occupied threshold blocks the ray. Only unknown
-    cells carry gain; the degradation count N is the number of unknown cells
-    already traversed.
+    once, up to max_range m. A cell above the occupied threshold blocks the
+    ray. Only unknown cells carry gain; the degradation count N is the number
+    of unknown cells already traversed.
     """
+    _check_max_range(max_range)
     spec = occ.spec
     ox, oy = origin
     if not spec.point_in_bounds(ox, oy):
@@ -100,7 +107,7 @@ def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
     total = 0.0
     n_unknown = 0
     t = 0.0
-    while t <= params.max_range and spec.in_bounds(i, j):
+    while t <= max_range and spec.in_bounds(i, j):
         p = float(occ.p[j, i])
         if p > params.occupied_threshold:
             cells.append(RayCell((i, j), 1.0, p, 0.0))
@@ -148,9 +155,15 @@ class _ScanTemplate:
     the count of unknown cells already traversed, so they come from a table.
     """
 
-    def __init__(self, params: RayCastParams, resolution: float):
+    def __init__(self, params: RayCastParams, fov: float, max_range: float,
+                 resolution: float):
+        if not 0 < fov <= 2 * math.pi:
+            raise ValueError("fov must lie in (0, 2*pi]")
+        if params.delta_theta > fov:
+            raise ValueError("need delta_theta <= fov")
+        _check_max_range(max_range)
         dirs = ray_directions(params.delta_theta)
-        offsets = [_walk_offsets(th, resolution, params.max_range) for th in dirs]
+        offsets = [_walk_offsets(th, resolution, max_range) for th in dirs]
         length = max(len(o) for o in offsets)
         self.directions = dirs
         self.di = np.zeros((len(dirs), length), dtype=int)
@@ -167,7 +180,7 @@ class _ScanTemplate:
         # Window membership, kept in direction order for reproducible sums.
         diff = np.abs(dirs[:, None] - dirs[None, :])
         ang = np.minimum(diff, 2 * math.pi - diff)
-        self.in_window = ang <= params.fov / 2 + 1e-12
+        self.in_window = ang <= fov / 2 + 1e-12
 
     def ray_gains(self, occ: OccupancyGrid, centers_i: np.ndarray,
                   centers_j: np.ndarray, occupied_threshold: float) -> np.ndarray:
@@ -224,15 +237,16 @@ def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
 _TEMPLATE_CACHE: dict = {}
 
 
-def _template(params: RayCastParams, resolution: float) -> _ScanTemplate:
-    key = (params, resolution)
+def _template(params: RayCastParams, fov: float, max_range: float,
+              resolution: float) -> _ScanTemplate:
+    key = (params, fov, max_range, resolution)
     if key not in _TEMPLATE_CACHE:
-        _TEMPLATE_CACHE[key] = _ScanTemplate(params, resolution)
+        _TEMPLATE_CACHE[key] = _ScanTemplate(params, fov, max_range, resolution)
     return _TEMPLATE_CACHE[key]
 
 
-def scan_many(occ: OccupancyGrid, goals: list,
-              params: RayCastParams) -> list:
+def scan_many(occ: OccupancyGrid, goals: list, params: RayCastParams,
+              fov: float = DEFAULT_FOV, max_range: float = DEFAULT_MAX_DEPTH) -> list:
     """Orientation scans for many goal points in one vectorized pass.
 
     Produces exactly the same numbers as scanning each goal alone: every
@@ -240,7 +254,7 @@ def scan_many(occ: OccupancyGrid, goals: list,
     goals are batched.
     """
     spec = occ.spec
-    tmpl = _template(params, spec.resolution)
+    tmpl = _template(params, fov, max_range, spec.resolution)
     centers = [spec.world_to_cell(x, y) for x, y in goals]
     ci = np.array([c[0] for c in centers], dtype=int)
     cj = np.array([c[1] for c in centers], dtype=int)
@@ -260,12 +274,13 @@ def scan_many(occ: OccupancyGrid, goals: list,
     ) for k in range(len(goals))]
 
 
-def scan_orientations(occ: OccupancyGrid, goal: tuple,
-                      params: RayCastParams) -> OrientationScan:
+def scan_orientations(occ: OccupancyGrid, goal: tuple, params: RayCastParams,
+                      fov: float = DEFAULT_FOV,
+                      max_range: float = DEFAULT_MAX_DEPTH) -> OrientationScan:
     """Cast one ray per direction from the goal and pick the best FOV window.
 
     A direction d contributes to the window centered at theta_s when the
-    wrapped angular distance |d - theta_s| <= fov/2. Ties in the windowed gain
-    go to the smallest orientation angle.
+    wrapped angular distance |d - theta_s| <= fov/2. Rays end after max_range
+    m. Ties in the windowed gain go to the smallest orientation angle.
     """
-    return scan_many(occ, [goal], params)[0]
+    return scan_many(occ, [goal], params, fov, max_range)[0]

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .grid import BinaryTraversabilityGrid, FREE
+from .grid import BinaryTraversabilityGrid, shift
 
 SQRT2 = math.sqrt(2.0)
 
@@ -176,23 +176,20 @@ class MultiGoalPlanner:
 def _build_graph(nav: BinaryTraversabilityGrid):
     spec = nav.spec
     free = nav.free_mask()
-    h, w = free.shape
+    w = spec.width
     rows, cols, data = [], [], []
     # Half of the 8 directions; dijkstra(directed=False) covers the reverse.
+    # Edges are emitted direction by direction, each in row-major order of
+    # the source cell: Dijkstra's tie-breaking depends on this order.
     for di, dj, cost in ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (1, -1, SQRT2)):
-        src_j = slice(max(0, -dj), h - max(0, dj))
-        dst_j = slice(max(0, dj), h - max(0, -dj))
-        src_i = slice(max(0, -di), w - max(0, di))
-        dst_i = slice(max(0, di), w - max(0, -di))
-        ok = free[src_j, src_i] & free[dst_j, dst_i]
+        # ok[j, i]: both cell (i, j) and its neighbor (i + di, j + dj) are Free.
+        ok = free & shift(free, -di, -dj)
         if di != 0 and dj != 0:
             # No corner cutting: both touched cardinals closed kills the move.
-            card1 = free[src_j, dst_i]
-            card2 = free[dst_j, src_i]
-            ok = ok & (card1 | card2)
+            ok &= shift(free, -di, 0) | shift(free, 0, -dj)
         jj, ii = np.nonzero(ok)
-        src = (jj + max(0, -dj)) * w + (ii + max(0, -di))
-        dst = (jj + max(0, dj)) * w + (ii + max(0, di))
+        src = jj * w + ii
+        dst = (jj + dj) * w + (ii + di)
         rows.append(src)
         cols.append(dst)
         data.append(np.full(src.shape, cost))

@@ -10,8 +10,10 @@ map corruption.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +40,8 @@ class PathBlockedError(RuntimeError):
 
 @dataclass
 class SensorConfig:
-    fov: float = math.radians(87.0)
-    max_depth: float = 5.0
+    fov: float = fisher.DEFAULT_FOV
+    max_depth: float = fisher.DEFAULT_MAX_DEPTH
     lidar_radius: float = 8.0
     ray_step: float = math.radians(1.5)  # angular spacing of sensing rays
 
@@ -58,8 +60,25 @@ class RobotConfig:
     speed: float = 0.4              # m/s
 
 
+# World JSON key -> (dataclass field, conversion), per section. Keys of
+# `terrain`, `obstacles` and `landmarks` are checked by WorldConfig itself.
+_TOP_KEYS = {"seed": int, "size_m": float, "resolution": float,
+             "terrain": dict, "obstacles": list, "landmarks": dict}
+_SENSOR_KEYS = {"fov_deg": ("fov", lambda v: math.radians(float(v))),
+                "max_depth_m": ("max_depth", float),
+                "lidar_radius_m": ("lidar_radius", float),
+                "ray_step_deg": ("ray_step", lambda v: math.radians(float(v)))}
+_ROBOT_KEYS = {"start_xy_theta": ("start", tuple), "speed": ("speed", float)}
+_TERRAIN_KEYS = ("type", "grade", "n_bumps", "bump_amp", "bump_sigma")
+_TERRAIN_TYPES = ("flat", "ramp", "bumps", "ramp_bumps")
+_OBSTACLE_KEYS = ("x", "y", "w", "h", "height")
+_LANDMARK_KEYS = ("count", "clusters", "points")
+
+
 @dataclass
 class WorldConfig:
+    """A world the simulator can run; construction raises ConfigError otherwise."""
+
     seed: int = 0
     size_m: float = 20.0
     resolution: float = 0.1
@@ -70,35 +89,67 @@ class WorldConfig:
     robot: RobotConfig = field(default_factory=RobotConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
 
+    def __post_init__(self):
+        s = self.sensors
+        for name, value in (("size_m", self.size_m), ("resolution", self.resolution),
+                            ("sensors.fov", s.fov), ("sensors.max_depth", s.max_depth),
+                            ("sensors.lidar_radius", s.lidar_radius),
+                            ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
+            _check_positive(name, value)
+        if s.fov > 2 * math.pi:
+            raise ConfigError("sensors.fov must be at most 360 degrees")
+        if round(self.size_m / self.resolution) < 1:
+            raise ConfigError("size_m must hold at least one cell of the resolution")
+        _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
+        if self.terrain.get("type", "flat") not in _TERRAIN_TYPES:
+            raise ConfigError(f"unknown terrain type {self.terrain['type']!r}")
+        shape = [v for k, v in self.terrain.items() if k != "type"]
+        _check_numbers(shape, len(shape), "terrain")
+        _check_keys(self.landmarks, _LANDMARK_KEYS, "landmarks")
+        counts = [v for k, v in self.landmarks.items() if k != "points"]
+        _check_numbers(counts, len(counts), "landmarks")
+        for p in _check_list(self.landmarks.get("points", []), "landmarks.points"):
+            _check_numbers(p, 3, "landmark point")
+        for ob in _check_list(self.obstacles, "obstacles"):
+            _check_keys(ob, _OBSTACLE_KEYS, "obstacle")
+            missing = [k for k in ("x", "y", "w", "h") if k not in ob]
+            if missing:
+                raise ConfigError(f"obstacle missing {missing[0]!r}: {ob}")
+            _check_numbers(list(ob.values()), len(ob), "obstacle")
+            if ob["w"] <= 0 or ob["h"] <= 0:
+                raise ConfigError(f"obstacle w and h must be > 0: {ob}")
+        sur = self.surrogate
+        _check_numbers([sur.q, sur.kappa, sur.t_lc, sur.l_min], 4, "surrogate")
+        _check_numbers(self.robot.start, 3, "robot.start_xy_theta")
+        sx, sy, _ = self.robot.start
+        if not (self.grid_spec().point_in_bounds(sx, sy) and self.boundary().contains(sx, sy)):
+            raise ConfigError("robot start must lie inside the grid and the exploration boundary")
+        if any(_footprint(ob, sx, sy) for ob in self.obstacles):
+            raise ConfigError("robot start lies inside an obstacle")
+
+    def grid_spec(self) -> GridSpec:
+        n = int(round(self.size_m / self.resolution))
+        return GridSpec(0.0, 0.0, self.resolution, n, n)
+
+    def boundary(self) -> ExplorationBoundary:
+        return ExplorationBoundary(0.0, 0.0, self.size_m, self.size_m)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "WorldConfig":
+        """Parse a world JSON object; any unknown key or bad value is a ConfigError.
+
+        Keys left out take the dataclass defaults.
+        """
         try:
-            sensors = raw.get("sensors", {})
-            robot = raw.get("robot", {})
-            cfg = cls(
-                seed=int(raw.get("seed", 0)),
-                size_m=float(raw.get("size_m", 20.0)),
-                resolution=float(raw.get("resolution", 0.1)),
-                terrain=dict(raw.get("terrain", {"type": "flat"})),
-                obstacles=list(raw.get("obstacles", [])),
-                landmarks=dict(raw.get("landmarks", {"count": 60, "clusters": 5})),
-                sensors=SensorConfig(
-                    fov=math.radians(float(sensors.get("fov_deg", 87.0))),
-                    max_depth=float(sensors.get("max_depth_m", 5.0)),
-                    lidar_radius=float(sensors.get("lidar_radius_m", 8.0)),
-                    ray_step=math.radians(float(sensors.get("ray_step_deg", 1.5))),
-                ),
-                robot=RobotConfig(
-                    start=tuple(robot.get("start_xy_theta", (2.0, 2.0, 0.0))),
-                    speed=float(robot.get("speed", 0.4)),
-                ),
-                surrogate=SurrogateConfig(**raw.get("surrogate", {})),
-            )
+            _check_keys(raw, (*_TOP_KEYS, "sensors", "robot", "surrogate"), "world")
+            kwargs = {k: conv(raw[k]) for k, conv in _TOP_KEYS.items() if k in raw}
+            kwargs["sensors"] = SensorConfig(**_fields(raw.get("sensors", {}),
+                                                       _SENSOR_KEYS, "sensors"))
+            kwargs["robot"] = RobotConfig(**_fields(raw.get("robot", {}), _ROBOT_KEYS, "robot"))
+            kwargs["surrogate"] = SurrogateConfig(**raw.get("surrogate", {}))
         except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"bad world config: {exc}") from exc
-        if cfg.size_m <= 0 or cfg.resolution <= 0:
-            raise ConfigError("size_m and resolution must be > 0")
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "WorldConfig":
@@ -108,6 +159,38 @@ class WorldConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(raw)
+
+
+def _check_keys(raw, allowed, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
+
+
+def _fields(raw, keys: dict, where: str) -> dict:
+    """Dataclass keyword arguments from a JSON section whose keys carry units."""
+    _check_keys(raw, keys, where)
+    return {keys[k][0]: keys[k][1](v) for k, v in raw.items()}
+
+
+def _check_positive(name: str, value) -> None:
+    _check_numbers([value], 1, name)
+    if not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+
+
+def _check_list(values, what: str):
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {values!r}")
+    return values
+
+
+def _check_numbers(values, n: int, what: str) -> None:
+    if not (len(_check_list(values, what)) == n
+            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)):
+        raise ConfigError(f"{what} needs {n} finite numbers, got {values!r}")
 
 
 @dataclass
@@ -122,26 +205,17 @@ class World:
     def terrain_z(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _terrain_z(self.config, np.asarray(x, float), np.asarray(y, float))
 
-    @property
+    @functools.cached_property
     def landmark_positions(self) -> np.ndarray:
-        if not hasattr(self, "_lm_pos"):
-            self._lm_pos = np.array([lm.position for lm in self.landmarks]).reshape(-1, 3)
-        return self._lm_pos
+        return np.array([lm.position for lm in self.landmarks]).reshape(-1, 3)
 
-    @property
+    @functools.cached_property
     def centers(self) -> tuple:
-        if not hasattr(self, "_centers"):
-            self._centers = self.spec.cell_centers()
-        return self._centers
+        return self.spec.cell_centers()
 
-    @property
+    @functools.cached_property
     def boundary_mask(self) -> np.ndarray:
-        if not hasattr(self, "_bmask"):
-            xs, ys = self.centers
-            b = self.boundary
-            self._bmask = ((xs >= b.x_min) & (xs <= b.x_max)
-                           & (ys >= b.y_min) & (ys <= b.y_max))
-        return self._bmask
+        return self.boundary.mask(self.spec)
 
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,40 +233,30 @@ def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         centers = rng.uniform(0.0, config.size_m, size=(n, 2))
         for cx, cy in centers:
             z = z + amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigma ** 2))
-    elif kind not in ("flat", "ramp"):
-        raise ConfigError(f"unknown terrain type {kind!r}")
     for ob in config.obstacles:
-        inside = ((x >= ob["x"]) & (x < ob["x"] + ob["w"])
-                  & (y >= ob["y"]) & (y < ob["y"] + ob["h"]))
         # Rough tops keep thresholding from declaring obstacle roofs navigable.
         rough = 0.08 * np.sin(37.0 * x + 1.3) * np.sin(41.0 * y + 0.7)
-        z = np.where(inside, float(ob.get("height", 1.5)) + rough, z)
+        z = np.where(_footprint(ob, x, y), float(ob.get("height", 1.5)) + rough, z)
     return z
+
+
+def _footprint(ob: dict, x, y):
+    """Whether (x, y), scalars or arrays, lies on the obstacle's half-open rectangle."""
+    return (x >= ob["x"]) & (x < ob["x"] + ob["w"]) & (y >= ob["y"]) & (y < ob["y"] + ob["h"])
 
 
 def generate_world(config: WorldConfig) -> World:
     """Build the deterministic world implied by the config and its seed."""
-    for ob in config.obstacles:
-        for key in ("x", "y", "w", "h"):
-            if key not in ob:
-                raise ConfigError(f"obstacle missing {key!r}: {ob}")
-
-    n = int(round(config.size_m / config.resolution))
-    spec = GridSpec(0.0, 0.0, config.resolution, n, n)
+    spec = config.grid_spec()
     xs, ys = spec.cell_centers()
     elevation = _terrain_z(config, xs, ys)
 
-    occupied = np.zeros((n, n), dtype=bool)
+    occupied = np.zeros((spec.height, spec.width), dtype=bool)
     for ob in config.obstacles:
-        occupied |= ((xs >= ob["x"]) & (xs < ob["x"] + ob["w"])
-                     & (ys >= ob["y"]) & (ys < ob["y"] + ob["h"]))
+        occupied |= _footprint(ob, xs, ys)
 
     landmarks = _place_landmarks(config)
-    boundary = ExplorationBoundary(0.0, 0.0, config.size_m, config.size_m)
-    sx, sy, _ = config.robot.start
-    if not boundary.contains(sx, sy):
-        raise ConfigError("robot start must lie inside the exploration boundary")
-    return World(config, spec, elevation, occupied, landmarks, boundary)
+    return World(config, spec, elevation, occupied, landmarks, config.boundary())
 
 
 def _place_landmarks(config: WorldConfig) -> list:
@@ -225,16 +289,11 @@ def _place_landmarks(config: WorldConfig) -> list:
                 y = cy + rng.normal(0.0, 0.6)
                 x = float(np.clip(x, 0.05, config.size_m - 0.05))
                 y = float(np.clip(y, 0.05, config.size_m - 0.05))
-                if not _inside_obstacle(config, x, y):
+                if not any(_footprint(ob, x, y) for ob in config.obstacles):
                     break
             z = float(_terrain_z(config, np.array(x), np.array(y))) + rng.uniform(0.2, 1.0)
             landmarks.append(Landmark(np.array([x, y, z])))
     return landmarks
-
-
-def _inside_obstacle(config: WorldConfig, x: float, y: float) -> bool:
-    return any(ob["x"] <= x < ob["x"] + ob["w"] and ob["y"] <= y < ob["y"] + ob["h"]
-               for ob in config.obstacles)
 
 
 @dataclass
@@ -263,7 +322,6 @@ class MissionState:
     n_loop_closures: int = 0
     first_seen: dict = field(default_factory=dict)  # landmark idx -> first obs time
     samples: list = field(default_factory=list)
-    trav_params: TraversabilityParams = field(default_factory=TraversabilityParams)
 
     @classmethod
     def initial(cls, world: World) -> "MissionState":
@@ -297,7 +355,8 @@ def sense(world: World, state: MissionState) -> np.ndarray:
     """
     _sense_terrain(world, state)
     _sense_occupancy(world, state)
-    return _visible_landmarks(world, state.pose)
+    pose = _camera_pose(world, state.pose)
+    return np.nonzero(fisher.visible_mask(pose, world.landmark_positions))[0]
 
 
 def _sense_terrain(world: World, state: MissionState) -> None:
@@ -366,23 +425,6 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
         new = touched[~obs[touched]]
         obs[new] = True
         state.unknown_inside -= int(world.boundary_mask.ravel()[new].sum())
-
-
-def _visible_landmarks(world: World, pose: tuple) -> np.ndarray:
-    if not world.landmarks:
-        return np.zeros(0, dtype=int)
-    cfg = world.config.sensors
-    px, py, theta = pose
-    pos = world.landmark_positions
-    d = pos - np.array([px, py, fisher.DEFAULT_SENSOR_HEIGHT])
-    fwd = np.array([math.cos(theta), math.sin(theta), 0.0])
-    depth = d @ fwd
-    norm = np.linalg.norm(d, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_ang = np.where(norm > 0, depth / norm, -1.0)
-    ok = (depth > 0) & (norm <= cfg.max_depth) & (norm > 1e-9)
-    ok &= np.arccos(np.clip(cos_ang, -1.0, 1.0)) <= cfg.fov / 2 + 1e-12
-    return np.nonzero(ok)[0]
 
 
 def _camera_pose(world: World, pose: tuple) -> CameraPose:
@@ -495,8 +537,8 @@ def record_metrics(state: MissionState) -> MetricSample:
 DEFAULT_TRAV_THRESHOLD = 0.3
 
 
-def current_grids(state: MissionState, threshold_value: float = DEFAULT_TRAV_THRESHOLD):
+def current_grids(state: MissionState):
     """Score and threshold the traversability seen so far."""
-    trav = state.stats.score_cells(state.trav_params)
-    nav = traversability.threshold(trav, threshold_value)
+    trav = state.stats.score_cells(TraversabilityParams())
+    nav = traversability.threshold(trav, DEFAULT_TRAV_THRESHOLD)
     return trav, nav

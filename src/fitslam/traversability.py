@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BinaryTraversabilityGrid, BLOCKED, FREE, GridSpec, TraversabilityGrid, UNKNOWN
+from .grid import (BinaryTraversabilityGrid, BLOCKED, FREE, GridSpec, TraversabilityGrid,
+                   UNKNOWN, shift)
 
 
 @dataclass
@@ -107,8 +108,8 @@ class TerrainStatsGrid:
             for di in (-1, 0, 1):
                 if di == 0 and dj == 0:
                     continue
-                nb_z = _shift(mz, di, dj)
-                nb_ok = _shift(has_data.astype(float), di, dj) > 0.5
+                nb_z = shift(mz, di, dj)
+                nb_ok = shift(has_data, di, dj)
                 diff = np.where(nb_ok & has_data, np.abs(mz - nb_z), 0.0)
                 step = np.maximum(step, diff)
         return valid, mz, slope, roughness, step
@@ -122,18 +123,6 @@ class TerrainStatsGrid:
         score = np.minimum(np.minimum(s_slope, s_rough), s_step)
         score = np.where(valid, score, np.nan)
         return TraversabilityGrid(self.spec, score)
-
-
-def _shift(arr: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Shift by (di, dj) cells, padding with zeros (di along x/width axis)."""
-    out = np.zeros_like(arr)
-    h, w = arr.shape
-    src_j = slice(max(0, -dj), h - max(0, dj))
-    dst_j = slice(max(0, dj), h - max(0, -dj))
-    src_i = slice(max(0, -di), w - max(0, di))
-    dst_i = slice(max(0, di), w - max(0, -di))
-    out[dst_j, dst_i] = arr[src_j, src_i]
-    return out
 
 
 def threshold(trav: TraversabilityGrid, t: float) -> BinaryTraversabilityGrid:

@@ -100,18 +100,18 @@ def test_criterion_1_jacobian_vs_finite_differences(capsys):
 
 # -- criterion 2: orientation scan vs brute-force windowed sums --------------
 
-def brute_force_scan(occ, goal, params):
+def brute_force_scan(occ, goal, params, fov, max_range):
     spec = occ.spec
     ci, cj = spec.world_to_cell(*goal)
     origin = spec.cell_to_world(ci, cj)
     dirs = ray_directions(params.delta_theta)
-    gains = [cast_ray(occ, origin, th, params).gain for th in dirs]
+    gains = [cast_ray(occ, origin, th, params, max_range).gain for th in dirs]
     windowed = []
     for ts in dirs:
         total = 0.0
         for th, g in zip(dirs, gains):
             diff = abs(th - ts)
-            if min(diff, 2 * math.pi - diff) <= params.fov / 2 + 1e-12:
+            if min(diff, 2 * math.pi - diff) <= fov / 2 + 1e-12:
                 total += g
         windowed.append(total)
     best = int(np.argmax(np.array(windowed) >= max(windowed) - ARGMAX_TOL))
@@ -120,7 +120,8 @@ def brute_force_scan(occ, goal, params):
 
 def test_criterion_2_orientation_scan_oracle(capsys):
     rng = np.random.default_rng(202)
-    params = RayCastParams(max_range=3.0)
+    params = RayCastParams()
+    fov, max_range = math.radians(87.0), 3.0
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
@@ -128,8 +129,8 @@ def test_criterion_2_orientation_scan_oracle(capsys):
         known = rng.random((64, 64)) < 0.5
         occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()), p=[0.8, 0.2])
         goal = (rng.uniform(0.5, 5.9), rng.uniform(0.5, 5.9))
-        scan = scan_orientations(occ, goal, params)
-        gains, windowed, best_theta = brute_force_scan(occ, goal, params)
+        scan = scan_orientations(occ, goal, params, fov, max_range)
+        gains, windowed, best_theta = brute_force_scan(occ, goal, params, fov, max_range)
         assert scan.best_theta == best_theta, "argmax mismatch vs oracle"
         worst = max(worst,
                     float(np.abs(scan.ray_gains - gains).max()),

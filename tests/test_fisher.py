@@ -15,6 +15,7 @@ from fitslam.fisher import (
     normalize_infos,
     path_information,
     visible,
+    visible_mask,
     voxelize,
 )
 from fitslam.planner import Waypoint
@@ -140,6 +141,51 @@ class TestVisible:
         ang = fov / 2 + 1e-6
         lm = Landmark(np.array([math.sin(ang), 0.0, math.cos(ang)]))
         assert not visible(pose, lm)
+
+
+class TestVisibleMask:
+    def check(self, pose, positions):
+        expected = [visible(pose, Landmark(p)) for p in positions]
+        got = visible_mask(pose, np.asarray(positions, dtype=float))
+        assert got.dtype == bool
+        assert got.tolist() == expected
+        return expected
+
+    def test_matches_scalar_on_random_poses(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(200):
+            pose = random_pose(rng)
+            pose.max_depth = rng.uniform(1.0, 6.0)
+            pose.fov = rng.uniform(0.2, 2.0 * math.pi)
+            seen.update(self.check(pose, rng.normal(scale=3.0, size=(40, 3))))
+        assert seen == {True, False}
+
+    def test_matches_scalar_on_frustum_edges(self):
+        fov = math.radians(87.0)
+        half = fov / 2
+        pose = identity_pose(fov=fov, max_depth=5.0)
+        edges = [
+            [math.sin(half), 0.0, math.cos(half)],         # exactly at fov / 2
+            [0.0, -math.sin(half), math.cos(half)],        # at fov / 2, other axis
+            [math.sin(half + 1e-6), 0.0, math.cos(half + 1e-6)],  # just outside
+            [0.0, 0.0, 5.0],                                # exactly at max_depth
+            [3.0, 0.0, 4.0],                                # at max_depth, off axis
+            [0.0, 0.0, 5.0 + 1e-9],                         # just beyond max_depth
+            [0.0, 0.0, -1.0],                               # behind the camera
+            [1.0, 0.0, 0.0],                                # beside it, depth 0
+            [0.0, 0.0, 0.0],                                # at the camera center
+        ]
+        assert self.check(pose, edges) == [True, True, False, True, True,
+                                           False, False, False, False]
+
+    def test_planar_pose_edges(self):
+        pose = CameraPose.from_planar(0.0, 0.0, 0.0, height=0.0, max_depth=5.0)
+        assert self.check(pose, [[5.0, 0.0, 0.0], [4.0, 3.0, 0.0], [-1.0, 0.0, 0.0]]) \
+            == [True, True, False]
+
+    def test_no_positions(self):
+        assert visible_mask(identity_pose(), np.zeros((0, 3))).shape == (0,)
 
 
 def dense_fim_oracle(pose, landmark, sigma_bearing=0.01):

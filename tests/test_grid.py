@@ -11,6 +11,7 @@ from fitslam.grid import (
     TraversabilityGrid,
     UNKNOWN,
     UNKNOWN_P,
+    shift,
 )
 
 
@@ -151,3 +152,23 @@ class TestRasterParsing:
         text = "3 2 0.1 0 0\n0.5 0.5 0.5\n"
         with pytest.raises(ValueError):
             OccupancyGrid.from_text(text)
+
+
+def pad_shift(arr, di, dj):
+    """Oracle: out[j, i] = arr[j - dj, i - di] read from a zero-padded copy."""
+    h, w = arr.shape
+    padded = np.pad(arr, 1)
+    return padded[1 - dj:1 - dj + h, 1 - di:1 - di + w]
+
+
+class TestShift:
+    @pytest.mark.parametrize("di, dj", [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                                        if (di, dj) != (0, 0)])
+    def test_matches_pad_oracle(self, di, dj):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(5, 7))
+        mask = rng.random((5, 7)) < 0.5
+        for arr in (values, mask):
+            got = shift(arr, di, dj)
+            assert got.dtype == arr.dtype
+            assert np.array_equal(got, pad_shift(arr, di, dj))

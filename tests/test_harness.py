@@ -200,6 +200,25 @@ class TestCli:
                      "--max-time", "1200"])
         assert code == 2
 
+    def test_run_matches_experiment_on_world_sensors(self, tmp_path):
+        # A camera unlike the 87 deg / 5 m default: the orientation scan must
+        # use the world's values whether the mission runs from the CLI or
+        # from run_experiment.
+        raw = {"seed": 3, "size_m": 10.0, "resolution": 0.2,
+               "terrain": {"type": "flat"}, "landmarks": {"count": 15, "clusters": 2},
+               "sensors": {"fov_deg": 60.0, "max_depth_m": 3.0},
+               "robot": {"start_xy_theta": [5.0, 5.0, 0.0], "speed": 0.4}}
+        cfg_path = tmp_path / "w.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(cfg_path), "--strategies", "fit",
+                     "--seeds", "1", "--out", str(tmp_path / "cli"), "--max-time", "400"])
+        assert code in (0, 2)
+        run_experiment(ExperimentConfig(world=WorldConfig.from_dict(raw), strategies=("fit",),
+                                        seeds=(1,), max_mission_time=400.0,
+                                        out_dir=str(tmp_path / "exp")))
+        name = "metrics_fit_1.csv"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "exp" / name).read_bytes()
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

@@ -70,7 +70,7 @@ class TestCastRay:
     def test_occupied_cell_blocks(self):
         occ = unknown_grid(res=0.1)
         occ.p[5, 8] = 0.9  # wall cell (8, 5)
-        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams(max_range=5.0))
+        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams(), max_range=5.0)
         assert ray.cells[-1].cell == (8, 5)
         assert ray.cells[-1].gain == 0.0
         assert len(ray.cells) == 9  # cells 0..8 along the row
@@ -83,8 +83,7 @@ class TestCastRay:
 
     def test_max_range_limits_walk(self):
         occ = unknown_grid(w=60, h=60, res=0.1)
-        params = RayCastParams(max_range=2.0)
-        ray = cast_ray(occ, (0.05, 0.05), 0.0, params)
+        ray = cast_ray(occ, (0.05, 0.05), 0.0, RayCastParams(), max_range=2.0)
         assert len(ray.cells) <= int(2.0 / 0.1) + 1
 
     def test_each_cell_visited_once(self):
@@ -112,19 +111,19 @@ class TestRayDirections:
         assert len(dirs) == 4
 
 
-def brute_force_scan(occ, goal, params):
+def brute_force_scan(occ, goal, params, fov, max_range):
     """Independent windowed-sum evaluation built on cast_ray."""
     spec = occ.spec
     ci, cj = spec.world_to_cell(*goal)
     origin = spec.cell_to_world(ci, cj)
     dirs = ray_directions(params.delta_theta)
-    gains = [cast_ray(occ, origin, th, params).gain for th in dirs]
+    gains = [cast_ray(occ, origin, th, params, max_range).gain for th in dirs]
     windowed = []
     for ts in dirs:
         total = 0.0
         for th, g in zip(dirs, gains):
             diff = abs(th - ts)
-            if min(diff, 2 * math.pi - diff) <= params.fov / 2 + 1e-12:
+            if min(diff, 2 * math.pi - diff) <= fov / 2 + 1e-12:
                 total += g
         windowed.append(total)
     # Same tie rule as the implementation: smallest angle within tolerance
@@ -139,9 +138,9 @@ class TestScanOrientations:
         occ.p[:] = 0.1
         gi, gj = 10, 15
         occ.p[:, gi + 1:] = UNKNOWN_P  # everything strictly east is unknown
-        params = RayCastParams(delta_theta=math.radians(9.0),
-                               fov=math.radians(90.0), max_range=1.0)
-        scan = scan_orientations(occ, occ.spec.cell_to_world(gi, gj), params)
+        params = RayCastParams(delta_theta=math.radians(9.0))
+        scan = scan_orientations(occ, occ.spec.cell_to_world(gi, gj), params,
+                                 fov=math.radians(90.0), max_range=1.0)
         assert scan.best_theta == 0.0
 
     def test_fully_known_map_zero_gain_theta_zero(self):
@@ -153,15 +152,16 @@ class TestScanOrientations:
 
     def test_matches_brute_force_on_random_grids(self):
         rng = np.random.default_rng(40)
-        params = RayCastParams(max_range=2.0)
+        params = RayCastParams()
+        fov, max_range = math.radians(87.0), 2.0
         for _ in range(20):
             occ = unknown_grid(w=32, h=32, res=0.1)
             known = rng.random((32, 32)) < 0.5
             occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()),
                                       p=[0.8, 0.2])
             goal = (rng.uniform(0.4, 2.8), rng.uniform(0.4, 2.8))
-            scan = scan_orientations(occ, goal, params)
-            gains, windowed, best_theta = brute_force_scan(occ, goal, params)
+            scan = scan_orientations(occ, goal, params, fov, max_range)
+            gains, windowed, best_theta = brute_force_scan(occ, goal, params, fov, max_range)
             assert np.allclose(scan.ray_gains, gains, atol=1e-12)
             assert np.allclose(scan.windowed_gains, windowed, atol=1e-12)
             assert scan.best_theta == best_theta
@@ -190,7 +190,12 @@ class TestRayCastParams:
             RayCastParams(gamma=0.0)
         with pytest.raises(ValueError):
             RayCastParams(gamma=1.5)
+        occ = unknown_grid()
         with pytest.raises(ValueError):
-            RayCastParams(max_range=-1.0)
+            scan_orientations(occ, (1.0, 1.0), RayCastParams(), max_range=-1.0)
         with pytest.raises(ValueError):
-            RayCastParams(fov=7.0)
+            cast_ray(occ, (1.0, 1.0), 0.0, RayCastParams(), max_range=-1.0)
+        with pytest.raises(ValueError):
+            scan_orientations(occ, (1.0, 1.0), RayCastParams(), fov=7.0)
+        with pytest.raises(ValueError):
+            scan_orientations(occ, (1.0, 1.0), RayCastParams(delta_theta=0.5), fov=0.4)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import fitslam
-from fitslam import simworld
+from fitslam import fisher, simworld
+from fitslam.cli import main
 from fitslam.grid import FREE, UNKNOWN_P
 from fitslam.planner import Path, plan
 from fitslam.simworld import (
@@ -63,6 +64,46 @@ class TestWorldConfig:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ConfigError):
             WorldConfig.from_dict({"size_m": -5.0})
+
+    @pytest.mark.parametrize("override", [
+        {"sensor": {"fov_deg": 60.0}},                        # typo of "sensors"
+        {"sensors": {"fov": 60.0}},                           # key without its unit
+        {"robot": {"start_xy_theta": [2.0, 2.0, 0.0], "speed": 0.0}},
+        {"robot": {"start_xy_theta": [2.0, 2.0, 0.0], "speed": -1.0}},
+        {"size_m": float("nan")},
+        {"resolution": float("nan")},
+        {"size_m": float("inf")},
+        {"obstacles": [{"x": 3.0, "y": 3.0, "w": 0.0, "h": 1.0}]},
+        {"obstacles": [{"x": 3.0, "y": 3.0, "w": 1.0, "h": -0.5}]},
+        {"obstacles": [{"x": 3.0, "y": 3.0, "w": "1", "h": 1.0}]},
+        # Inside the 8 m boundary but past the 11 x 0.7 = 7.7 m grid.
+        {"resolution": 0.7, "robot": {"start_xy_theta": [7.9, 2.0, 0.0]}},
+        {"robot": {"start_xy_theta": [99.0, 2.0, 0.0]}},
+        {"obstacles": [{"x": 1.5, "y": 1.5, "w": 1.0, "h": 1.0}]},  # covers the start
+        {"terrain": {"type": "ramp", "grade": "steep"}},
+        {"landmarks": {"count": "many"}},
+    ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
+            "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
+            "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
+            "start-outside-boundary", "start-in-obstacle", "terrain-grade-string",
+            "landmark-count-string"])
+    def test_bad_world_rejected(self, override, tmp_path, capsys):
+        raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
+               "landmarks": {"count": 12, "clusters": 2},
+               "robot": {"start_xy_theta": [2.0, 2.0, 0.0], "speed": 0.4}}
+        raw.update(override)
+        with pytest.raises(ConfigError):
+            WorldConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(path), "--strategies", "greedy",
+                     "--seeds", "1", "--out", str(tmp_path / "out"), "--max-time", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+
+    def test_defaults_come_from_dataclasses(self):
+        assert WorldConfig.from_dict({}) == WorldConfig()
 
     def test_presets_all_parse(self):
         for name in fitslam.PRESET_WORLDS:
@@ -172,6 +213,25 @@ class TestSensing:
         state = MissionState.initial(world)
         state.pose = (2.0, 2.0, 0.0)
         assert list(simworld.sense(world, state)) == [0]
+
+    def test_sense_returns_landmarks_fisher_visible_accepts(self):
+        world = generate_world(WorldConfig.from_json(
+            fitslam.preset_world_path("flat_office")))
+        cfg = world.config.sensors
+        state = MissionState.initial(world)
+        rng = np.random.default_rng(9)
+        n_seen = 0
+        for _ in range(60):
+            x, y = rng.uniform(0.0, world.config.size_m, size=2)
+            theta = rng.uniform(-math.pi, math.pi)
+            state.pose = (x, y, theta)
+            pose = fisher.CameraPose.from_planar(x, y, theta, fov=cfg.fov,
+                                                 max_depth=cfg.max_depth)
+            expected = [k for k, lm in enumerate(world.landmarks)
+                        if fisher.visible(pose, lm)]
+            assert simworld.sense(world, state).tolist() == expected
+            n_seen += len(expected)
+        assert n_seen > 0
 
     def test_observed_cell_never_reads_unknown_again(self):
         world = generate_world(tiny_config())
