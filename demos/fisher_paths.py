@@ -11,8 +11,7 @@ import math
 import numpy as np
 
 from fitslam.fisher import (CameraPose, Landmark, bearing, bearing_jacobian,
-                            landmark_fim, normalize_infos, path_information,
-                            visible, voxelize)
+                            landmark_fim, path_information, visible, voxelize)
 from fitslam.planner import Waypoint
 
 rng = np.random.default_rng(9)
@@ -44,16 +43,18 @@ near = [Waypoint(x, 2.0 + (4.0 / 6.0) * x, math.atan2(2.0, 3.0))
 far = [Waypoint(6.0 - 1e-9, y, math.pi / 2)
        for y in np.linspace(0.0, 6.0, 7)]            # hugs the far edge
 
-infos = [path_information(wps, landmarks, fov=FOV, max_depth=DEPTH)
+reps = voxelize(landmarks)
+infos = [path_information(wps, reps, fov=FOV, max_depth=DEPTH)
          for wps in (near, far)]
 print(f"\nvoxel filter: {len(landmarks)} landmarks -> "
-      f"{len(voxelize(landmarks))} representatives")
+      f"{len(reps)} representatives")
 for name, info in zip(("cluster-side", "edge-hugging"), infos):
-    print(f"  {name:13s} raw information {info.raw:10.3f}")
+    print(f"  {name:13s} raw information {info:10.3f}")
 
-normalize_infos(infos)
+# The shared scale select_best puts on a shortlist's information values.
+n_i = 1.0 / (1.0 + max(infos))
 print("after shared-scale normalization:")
 for name, info in zip(("cluster-side", "edge-hugging"), infos):
-    print(f"  {name:13s} normalized {info.value:.4f}")
-ratio = infos[0].raw / max(infos[1].raw, 1e-12)
+    print(f"  {name:13s} normalized {info * n_i:.4f}")
+ratio = infos[0] / max(infos[1], 1e-12)
 print(f"\nthe cluster-side path collects {ratio:.0f}x the information")

@@ -3,14 +3,15 @@
 Each landmark seen from a camera pose contributes a 6x6 information matrix
 built from the bearing observation model: the unit vector to the landmark in
 the camera frame, differentiated with respect to an SE(3) perturbation of the
-pose. Traces of these matrices, summed over path waypoints and occupied
-voxels, score how well a path supports localization.
+pose. Traces of these matrices, summed over path waypoints and the voxel
+representatives of the landmark set (one landmark per occupied voxel, see
+`voxelize`), score how well a path supports localization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,19 +155,6 @@ def landmark_fim(pose: CameraPose, landmark: Landmark,
     return 0.5 * (fim + fim.T)
 
 
-@dataclass
-class PathInformation:
-    """Summed FIM traces along a path's waypoints.
-
-    raw is the unnormalized sum; value is raw rescaled by the shared
-    normalization of the current candidate set (set via normalize_infos).
-    """
-
-    per_waypoint: list
-    raw: float
-    value: float = None
-
-
 def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
     """One representative landmark per occupied voxel.
 
@@ -185,37 +173,22 @@ def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
     return [entry[2] for _, entry in sorted(best.items())]
 
 
-def path_information(waypoints: list, landmarks: list,
-                     voxel_size: float = DEFAULT_VOXEL_SIZE,
-                     sensor_height: float = DEFAULT_SENSOR_HEIGHT,
+def path_information(waypoints: list, reps: list,
                      fov: float = DEFAULT_FOV,
-                     max_depth: float = DEFAULT_MAX_DEPTH,
-                     sigma_bearing: float = DEFAULT_SIGMA_BEARING) -> PathInformation:
-    """Sum FIM traces of visible voxel representatives over the waypoints."""
-    reps = voxelize(landmarks, voxel_size)
-    per_waypoint = []
-    for wp in waypoints:
-        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading,
-                                      height=sensor_height, fov=fov, max_depth=max_depth)
-        total = 0.0
-        for lm in reps:
-            if visible(pose, lm):
-                total += float(np.trace(landmark_fim(pose, lm, sigma_bearing)))
-        per_waypoint.append(total)
-    raw = float(sum(per_waypoint))
-    return PathInformation(per_waypoint=per_waypoint, raw=raw)
+                     max_depth: float = DEFAULT_MAX_DEPTH) -> float:
+    """Sum FIM traces of the visible voxel representatives over the waypoints.
 
-
-def normalize_infos(infos: list) -> None:
-    """Share one scale across a candidate set so values land in [0, 1).
-
-    The normalizer is 1 / (1 + max raw sum), recomputed per decision epoch.
+    `reps` are the landmarks' voxel representatives (`voxelize`); each
+    waypoint sums the traces of the ones inside its camera frustum, in `reps`
+    order, and the result is the raw sum over all waypoints.
     """
-    if not infos:
-        return
-    n_i = 1.0 / (1.0 + max(info.raw for info in infos))
-    for info in infos:
-        info.value = info.raw * n_i
+    positions = np.array([lm.position for lm in reps]).reshape(-1, 3)
+    total = 0.0
+    for wp in waypoints:
+        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, fov=fov, max_depth=max_depth)
+        seen = np.nonzero(visible_mask(pose, positions))[0]
+        total += sum(float(np.trace(landmark_fim(pose, reps[k]))) for k in seen)
+    return total
 
 
 def load_landmarks(path) -> list:

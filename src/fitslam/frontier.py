@@ -57,13 +57,9 @@ class Blacklist:
     re-emit an adjacent copy of a failed goal.
     """
 
-    cells: set = field(default_factory=set)
-    failures: dict = field(default_factory=dict)
     _halo: set = field(default_factory=set)
 
     def add(self, cell: tuple) -> None:
-        self.cells.add(cell)
-        self.failures[cell] = self.failures.get(cell, 0) + 1
         i, j = cell
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):

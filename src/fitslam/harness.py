@@ -33,10 +33,6 @@ STRATEGIES = ("fit", "greedy", "random")
 DEFAULT_MAX_MISSION_TIME = 1430.0  # simulated seconds
 
 
-class MissionStalled(RuntimeError):
-    """Unknown space remains but every candidate goal is blacklisted."""
-
-
 @dataclass
 class MissionLog:
     strategy: str
@@ -72,6 +68,11 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES}")
+        # Every strategy runs the orientation scan, whose window must hold a ray.
+        if self.rays.delta_theta > self.world.sensors.fov:
+            raise ConfigError(
+                f"scan ray step {math.degrees(self.rays.delta_theta):g} deg is wider "
+                f"than the camera field of view {math.degrees(self.world.sensors.fov):g} deg")
 
 
 def _select_fit(candidates, state, world, uparams, rays, spec, planner):
@@ -87,7 +88,7 @@ def _select_fit(candidates, state, world, uparams, rays, spec, planner):
         c.path = planner.path_to(c.cluster.candidate)
         wps = sample_waypoints(c.path, sensors.max_depth, spec)
         wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
-        c.info = path_information(wps, world.landmarks,
+        c.info = path_information(wps, world.voxel_landmarks,
                                   fov=sensors.fov, max_depth=sensors.max_depth)
     return select_best(short, uparams, spec)
 

@@ -210,6 +210,11 @@ class World:
         return np.array([lm.position for lm in self.landmarks]).reshape(-1, 3)
 
     @functools.cached_property
+    def voxel_landmarks(self) -> list:
+        """One representative landmark per occupied voxel (`fisher.voxelize`)."""
+        return fisher.voxelize(self.landmarks)
+
+    @functools.cached_property
     def centers(self) -> tuple:
         return self.spec.cell_centers()
 

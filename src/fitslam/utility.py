@@ -8,11 +8,10 @@ peaks at 1 within the current candidate set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import PathInformation, normalize_infos
 from .frontier import FrontierCluster
 from .planner import Path
 
@@ -48,7 +47,7 @@ class CandidateGoal:
     delta_e: float            # entropy gain at the goal, bits
     theta_star: float         # best arrival orientation, rad
     u1: float = None
-    info: PathInformation = None
+    info: float = None        # raw path information (fisher.path_information)
     u2: float = None
 
     def cell_index(self, spec) -> int:
@@ -89,16 +88,14 @@ def shortlist(candidates: list, n: int, spec) -> list:
 def select_best(shortlisted: list, params: UtilityParams, spec) -> CandidateGoal:
     """Set u2 on the shortlist and return the argmax.
 
-    Path information values are normalized over the shortlist here if the
-    caller has not already done so.
+    Path information is rescaled by the shortlist's shared normalizer
+    1 / (1 + max raw), so its term lands in [0, 1).
     """
     if not shortlisted:
         raise EmptyCandidateSetError("no shortlisted candidates")
-    infos = [c.info for c in shortlisted]
-    if any(info is None for info in infos):
-        raise ValueError("every shortlisted candidate needs PathInformation")
-    if any(info.value is None for info in infos):
-        normalize_infos(infos)
+    if any(c.info is None for c in shortlisted):
+        raise ValueError("every shortlisted candidate needs path information")
+    n_i = 1.0 / (1.0 + max(c.info for c in shortlisted))
     for c in shortlisted:
-        c.u2 = params.beta * c.u1 + (1.0 - params.beta) * c.info.value
+        c.u2 = params.beta * c.u1 + (1.0 - params.beta) * (c.info * n_i)
     return min(shortlisted, key=lambda c: _order_key(c, spec, c.u2))

@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import fitslam
 from fitslam.fisher import (
     CameraPose,
     DegenerateLandmarkError,
     Landmark,
-    PathInformation,
     bearing,
     bearing_jacobian,
     landmark_fim,
     load_landmarks,
-    normalize_infos,
     path_information,
     visible,
     visible_mask,
     voxelize,
 )
 from fitslam.planner import Waypoint
+from fitslam.simworld import WorldConfig, generate_world
 
 
 def identity_pose(**kw):
@@ -280,52 +280,81 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             voxelize([], 0.0)
 
+    def test_world_voxel_landmarks_match_voxelize(self):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
+        reps = voxelize(world.landmarks)
+        assert 0 < len(reps) < len(world.landmarks)
+        assert len(world.voxel_landmarks) == len(reps)
+        assert all(a is b for a, b in zip(world.voxel_landmarks, reps))
+
+
+def path_information_oracle(waypoints, reps, fov=math.radians(87.0), max_depth=5.0):
+    """Every representative at every waypoint, through the scalar frustum test."""
+    per_waypoint = []
+    for wp in waypoints:
+        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, fov=fov, max_depth=max_depth)
+        total = 0.0
+        for lm in reps:
+            if visible(pose, lm):
+                total += float(np.trace(landmark_fim(pose, lm)))
+        per_waypoint.append(total)
+    return float(sum(per_waypoint))
+
 
 class TestPathInformation:
     def test_no_landmarks_zero(self):
         wps = [Waypoint(0.0, 0.0, 0.0)]
-        info = path_information(wps, [])
-        assert info.raw == 0.0
-        normalize_infos([info])
-        assert info.value == 0.0
+        assert path_information(wps, []) == 0.0
 
     def test_single_visible_pair(self):
         wp = Waypoint(0.0, 0.0, 0.0)
         lm = Landmark(np.array([2.0, 0.0, 0.5]))
-        info = path_information([wp], [lm])
         pose = CameraPose.from_planar(0.0, 0.0, 0.0)
         expected = float(np.trace(landmark_fim(pose, lm)))
-        assert info.raw == pytest.approx(expected, rel=1e-12)
-        assert info.per_waypoint == [pytest.approx(expected)]
+        assert expected > 0.0
+        assert path_information([wp], [lm]) == expected
 
     def test_duplicate_landmark_value_unchanged(self):
         wp = Waypoint(0.0, 0.0, 0.0)
         lm = Landmark(np.array([2.0, 0.0, 0.5]))
         dup = Landmark(lm.position.copy())
-        single = path_information([wp], [lm])
-        doubled = path_information([wp], [lm, dup])
-        assert doubled.raw == pytest.approx(single.raw, rel=1e-12)
+        single = path_information([wp], voxelize([lm]))
+        doubled = path_information([wp], voxelize([lm, dup]))
+        assert doubled == single
 
     def test_landmark_out_of_frustum_ignored(self):
         wp = Waypoint(0.0, 0.0, 0.0)  # looking along +x
         behind = Landmark(np.array([-2.0, 0.0, 0.5]))
-        assert path_information([wp], [behind]).raw == 0.0
+        assert path_information([wp], [behind]) == 0.0
 
+    def test_matches_scalar_double_loop(self):
+        rng = np.random.default_rng(21)
+        values = []
+        for _ in range(30):
+            lms = [Landmark(p) for p in rng.uniform([0, 0, 0], [8, 8, 1.5], size=(40, 3))]
+            wps = [Waypoint(*xy, h) for xy, h in zip(rng.uniform(0, 8, size=(6, 2)),
+                                                     rng.uniform(-math.pi, math.pi, 6))]
+            fov, depth = rng.uniform(0.3, 2.5), rng.uniform(1.0, 6.0)
+            reps = voxelize(lms)
+            value = path_information(wps, reps, fov=fov, max_depth=depth)
+            assert value == path_information_oracle(wps, reps, fov=fov, max_depth=depth)
+            values.append(value)
+        assert min(values) == 0.0 < max(values)
 
-class TestNormalizeInfos:
-    def test_shared_scale(self):
-        infos = [PathInformation([], raw=1.0), PathInformation([], raw=3.0)]
-        normalize_infos(infos)
-        assert infos[1].value == pytest.approx(0.75)
-        assert infos[0].value == pytest.approx(0.25)
-
-    def test_values_below_one(self):
-        infos = [PathInformation([], raw=1e6)]
-        normalize_infos(infos)
-        assert 0.0 <= infos[0].value < 1.0
-
-    def test_empty_list_noop(self):
-        normalize_infos([])
+    def test_frustum_edges_match_scalar_double_loop(self):
+        fov, depth = math.radians(87.0), 5.0
+        wps = [Waypoint(1.0, 2.0, h) for h in (0.0, 0.7, math.pi / 2, -2.9)]
+        lms = []
+        for wp in wps:
+            center = np.array([wp.x, wp.y, 0.3])  # the camera of from_planar
+            for angle, dist in ((fov / 2, 3.0), (-fov / 2, 3.0), (0.0, depth),
+                                (fov / 2, depth), (fov / 2 + 1e-6, 3.0), (0.0, depth + 1e-9)):
+                heading = wp.heading + angle
+                lms.append(Landmark(center + dist * np.array(
+                    [math.cos(heading), math.sin(heading), 0.0])))
+        value = path_information(wps, lms, fov=fov, max_depth=depth)
+        assert value == path_information_oracle(wps, lms, fov=fov, max_depth=depth)
+        assert value > 0.0
 
 
 class TestLoadLandmarks:

@@ -18,6 +18,7 @@ from fitslam.harness import (
     summarize,
     write_summary_csv,
 )
+from fitslam.infogain import RayCastParams
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
 
 
@@ -173,6 +174,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(world=tiny_world(), strategies=("teleport",))
 
+    def test_fov_narrower_than_ray_step_rejected(self):
+        # The orientation scan needs delta_theta <= fov; both are known before
+        # any world is generated.
+        with pytest.raises(ConfigError):
+            ExperimentConfig(world=tiny_world(sensors={"fov_deg": 5}))
+        with pytest.raises(ConfigError):
+            ExperimentConfig(world=tiny_world(),
+                             rays=RayCastParams(delta_theta=math.radians(90.0)))
+        ExperimentConfig(world=tiny_world(sensors={"fov_deg": 8.5}),
+                         rays=RayCastParams(delta_theta=math.radians(8.5)))
+
 
 class TestCli:
     def test_parse_seeds(self):
@@ -218,6 +230,25 @@ class TestCli:
                                         out_dir=str(tmp_path / "exp")))
         name = "metrics_fit_1.csv"
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "exp" / name).read_bytes()
+
+    @pytest.mark.parametrize("world, flags", [
+        ({"sensors": {"fov_deg": 5}}, []),
+        (None, ["--delta-theta-deg", "90"]),
+    ], ids=["fov-5-deg", "ray-step-90-deg"])
+    def test_fov_narrower_than_ray_step_exit_one(self, world, flags, tmp_path, capsys):
+        config = "ramp_yard"
+        if world is not None:
+            config = tmp_path / "w.json"
+            config.write_text(json.dumps({
+                "seed": 3, "size_m": 10.0, "resolution": 0.2,
+                "robot": {"start_xy_theta": [5.0, 5.0, 0.0], "speed": 0.4}, **world}))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--strategies", "fit",
+                     "--seeds", "1", "--out", str(out), "--max-time", "10", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fitslam.fisher import PathInformation
 from fitslam.frontier import FrontierCluster
 from fitslam.grid import GridSpec
 from fitslam.utility import (
@@ -18,9 +17,8 @@ SPEC = GridSpec(0.0, 0.0, 0.1, 50, 50)
 
 def make_candidate(cell, rho, delta_e, raw_info=None):
     cluster = FrontierCluster(cells=[cell], candidate=cell)
-    info = PathInformation([], raw=raw_info) if raw_info is not None else None
     return CandidateGoal(cluster=cluster, path=None, rho=rho, delta_e=delta_e,
-                         theta_star=0.0, info=info)
+                         theta_star=0.0, info=raw_info)
 
 
 class TestUtilityParams:
@@ -107,12 +105,11 @@ class TestShortlist:
 
 class TestSelectBest:
     def test_hand_example(self):
-        # u1 = 0.675 / 0.825 with infos 0.2 / 0.9 at beta 0.4:
-        # u2 = 0.39 vs 0.87, second selected.
-        a = make_candidate((1, 1), 2.0, 4.0, raw_info=0.0)
-        b = make_candidate((2, 2), 4.0, 8.0, raw_info=0.0)
+        # u1 = 0.675 / 0.825 with raw infos 2 / 9, normalized by 1 / (1 + 9)
+        # to 0.2 / 0.9, at beta 0.4: u2 = 0.39 vs 0.87, second selected.
+        a = make_candidate((1, 1), 2.0, 4.0, raw_info=2.0)
+        b = make_candidate((2, 2), 4.0, 8.0, raw_info=9.0)
         a.u1, b.u1 = 0.675, 0.825
-        a.info.value, b.info.value = 0.2, 0.9
         best = select_best([a, b], UtilityParams(beta=0.4), SPEC)
         assert a.u2 == pytest.approx(0.39)
         assert b.u2 == pytest.approx(0.87)
@@ -131,12 +128,29 @@ class TestSelectBest:
         assert select_best([a, b], UtilityParams(beta=0.0), SPEC) is b
 
     def test_auto_normalizes_raw_infos(self):
+        # Raw infos 1 / 3 share the scale 1 / (1 + 3): terms 0.25 / 0.75, so
+        # u2 = 0.4 * 0.5 + 0.6 * 0.25 = 0.35 and 0.2 + 0.6 * 0.75 = 0.65.
         a = make_candidate((1, 1), 2.0, 4.0, raw_info=1.0)
         b = make_candidate((2, 2), 4.0, 8.0, raw_info=3.0)
         a.u1 = b.u1 = 0.5
         select_best([a, b], UtilityParams(beta=0.4), SPEC)
-        assert a.info.value == pytest.approx(0.25)
-        assert b.info.value == pytest.approx(0.75)
+        assert a.u2 == pytest.approx(0.35)
+        assert b.u2 == pytest.approx(0.65)
+
+    def test_info_terms_share_one_scale(self):
+        # At beta 0, u2 is the information term alone: raw / (1 + max raw).
+        cands = [make_candidate((i, 0), 2.0, 1.0, raw_info=raw)
+                 for i, raw in enumerate((1.0, 3.0, 0.0))]
+        for c in cands:
+            c.u1 = 0.5
+        select_best(cands, UtilityParams(beta=0.0), SPEC)
+        assert [c.u2 for c in cands] == [pytest.approx(0.25), pytest.approx(0.75), 0.0]
+
+    def test_info_term_below_one(self):
+        a = make_candidate((1, 1), 2.0, 4.0, raw_info=1e6)
+        a.u1 = 0.0
+        select_best([a], UtilityParams(beta=0.0), SPEC)
+        assert 0.0 <= a.u2 < 1.0
 
     def test_missing_info_rejected(self):
         a = make_candidate((1, 1), 2.0, 4.0)
@@ -161,6 +175,6 @@ class TestSelectBest:
                 cands.append(c)
             first = select_best(list(cands), UtilityParams(beta=0.0), SPEC)
             for c in cands:
-                c.info = PathInformation([], raw=c.info.raw * 7.0)
+                c.info *= 7.0
             second = select_best(list(cands), UtilityParams(beta=0.0), SPEC)
             assert first.cluster.candidate == second.cluster.candidate
