@@ -17,7 +17,7 @@ import numpy as np
 
 from . import PRESET_WORLDS, preset_world_path, simworld, traversability
 from .grid import OccupancyGrid
-from .harness import ExperimentConfig, run_experiment, STRATEGIES
+from .harness import DEFAULT_MAX_MISSION_TIME, ExperimentConfig, run_experiment, STRATEGIES
 from .infogain import RayCastParams
 from .simworld import ConfigError, WorldConfig, generate_world
 from .traversability import TerrainStatsGrid
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--full-res", action="store_true",
                      help="run at 0.05 m map resolution instead of the config value")
-    run.add_argument("--max-time", type=float, default=None,
+    run.add_argument("--max-time", type=float, default=DEFAULT_MAX_MISSION_TIME,
                      help="simulated mission time cap in seconds")
     run.add_argument("--alpha", type=float, default=None)
     run.add_argument("--beta", type=float, default=None)
@@ -90,9 +90,8 @@ def _cmd_run(args) -> int:
         out_dir=args.out,
         utility=uparams,
         rays=rays,
+        max_mission_time=args.max_time,
     )
-    if args.max_time is not None:
-        cfg.max_mission_time = args.max_time
     logs = run_experiment(cfg)
     for lg in logs:
         f = lg.final

@@ -23,6 +23,7 @@ DEFAULT_FOV = math.radians(87.0)  # rad, horizontal camera field of view
 DEFAULT_MAX_DEPTH = 5.0        # m, camera range
 
 _EPS_RANGE = 1e-9
+_EYE3 = np.eye(3)
 
 
 class DegenerateLandmarkError(ValueError):
@@ -95,19 +96,25 @@ def _skew(v: np.ndarray) -> np.ndarray:
                      [-v[1], v[0], 0.0]])
 
 
-def bearing_jacobian(pose: CameraPose, landmark: Landmark) -> np.ndarray:
-    """3x6 derivative of the bearing w.r.t. an SE(3) pose perturbation.
+def _bearing_derivatives(pose: CameraPose, landmark: Landmark) -> tuple:
+    """The bearing's derivatives w.r.t. the camera-frame point and the pose.
 
-    Composed of the normalization derivative (1/n) I - v v^T / n^3 and the
-    point derivative R_cw [-I, [v_world]_x].
+    The first is the normalization derivative (1/n) I - v v^T / n^3; the
+    second, the 3x6 Jacobian, composes it with the point derivative
+    R_cw [-I, [v_world]_x] of an SE(3) pose perturbation.
     """
     v_c = pose.to_camera(landmark.position)
     norm = np.linalg.norm(v_c)
     if norm <= _EPS_RANGE:
         raise DegenerateLandmarkError("landmark at the camera center")
-    d_b_d_v = np.eye(3) / norm - np.outer(v_c, v_c) / norm ** 3
-    d_v_d_pose = pose.rotation @ np.hstack([-np.eye(3), _skew(landmark.position)])
-    return d_b_d_v @ d_v_d_pose
+    d_b_d_v = _EYE3 / norm - np.outer(v_c, v_c) / norm ** 3
+    d_v_d_pose = pose.rotation @ np.hstack([-_EYE3, _skew(landmark.position)])
+    return d_b_d_v, d_b_d_v @ d_v_d_pose
+
+
+def bearing_jacobian(pose: CameraPose, landmark: Landmark) -> np.ndarray:
+    """3x6 derivative of the bearing w.r.t. an SE(3) pose perturbation."""
+    return _bearing_derivatives(pose, landmark)[1]
 
 
 def visible(pose: CameraPose, landmark: Landmark) -> bool:
@@ -141,16 +148,13 @@ def landmark_fim(pose: CameraPose, landmark: Landmark,
     """
     if not visible(pose, landmark):
         return np.zeros((6, 6))
-    v_c = pose.to_camera(landmark.position)
-    norm = np.linalg.norm(v_c)
-    d_b_d_v = np.eye(3) / norm - np.outer(v_c, v_c) / norm ** 3
+    d_b_d_v, jac = _bearing_derivatives(pose, landmark)
     d_b_d_w = d_b_d_v @ pose.rotation  # bearing w.r.t. the world-frame point
-    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
+    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * _EYE3
     try:
         q_inv = np.linalg.inv(q)
     except np.linalg.LinAlgError:
-        q_inv = np.linalg.inv(q + 1e-9 * np.eye(3))
-    jac = bearing_jacobian(pose, landmark)
+        q_inv = np.linalg.inv(q + 1e-9 * _EYE3)
     fim = jac.T @ q_inv @ jac
     return 0.5 * (fim + fim.T)
 

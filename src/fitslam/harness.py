@@ -65,6 +65,11 @@ class ExperimentConfig:
     rays: RayCastParams = field(default_factory=RayCastParams)
 
     def __post_init__(self):
+        if not self.strategies or not self.seeds:
+            raise ConfigError("need at least one strategy and one seed")
+        if not (math.isfinite(self.max_mission_time) and self.max_mission_time > 0):
+            raise ConfigError(f"max mission time must be finite and > 0, "
+                              f"got {self.max_mission_time!r}")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES}")

@@ -98,6 +98,10 @@ class WorldConfig:
             _check_positive(name, value)
         if s.fov > 2 * math.pi:
             raise ConfigError("sensors.fov must be at most 360 degrees")
+        # Occupancy rays sample every half cell, the first one half a cell out.
+        if s.max_depth < self.resolution / 2:
+            raise ConfigError(f"sensors.max_depth {s.max_depth!r} is shorter than half "
+                              f"a cell ({self.resolution / 2!r} m)")
         if round(self.size_m / self.resolution) < 1:
             raise ConfigError("size_m must hold at least one cell of the resolution")
         _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
@@ -222,6 +226,10 @@ class World:
     def boundary_mask(self) -> np.ndarray:
         return self.boundary.mask(self.spec)
 
+    @functools.cached_property
+    def boundary_cells(self) -> int:
+        return int(self.boundary_mask.sum())
+
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic terrain height plus obstacle tops, deterministic in the seed."""
@@ -339,7 +347,7 @@ class MissionState:
             stats=TerrainStatsGrid(spec),
             sampled=np.zeros(shape, dtype=bool),
             observed=np.zeros(shape, dtype=bool),
-            unknown_inside=int(world.boundary_mask.sum()),
+            unknown_inside=world.boundary_cells,
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
         )
@@ -374,7 +382,8 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
     xs, ys = world.centers
     win = np.s_[j0:j1, i0:i1]
-    in_range = (xs[win] - px) ** 2 + (ys[win] - py) ** 2 <= r * r
+    # xs and ys come from meshgrid: one row and one column hold every value.
+    in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
     fresh = in_range & ~state.sampled[win]
     if not fresh.any():
         return
@@ -403,18 +412,27 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     i = np.floor((x - spec.origin_x) / spec.resolution).astype(int)
     j = np.floor((y - spec.origin_y) / spec.resolution).astype(int)
     inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
-    hit = np.zeros_like(inside)
-    hit[inside] = world.occupied[j[inside], i[inside]]
-    hit &= inside
+    i = np.clip(i, 0, spec.width - 1)
+    j = np.clip(j, 0, spec.height - 1)
+    hit = world.occupied[j, i] & inside
     # Index of the first hit sample per ray; past it the ray is blocked.
     first_hit = np.where(hit.any(axis=1), hit.argmax(axis=1), ranges.size)
     sample_idx = np.arange(ranges.size)[None, :]
     before_hit = sample_idx < first_hit[:, None]
     at_hit = sample_idx == first_hit[:, None]
 
-    free_lin = np.unique(j[before_hit & inside] * spec.width + i[before_hit & inside])
-    hit_lin = np.unique(j[at_hit & inside] * spec.width + i[at_hit & inside])
-    free_lin = np.setdiff1d(free_lin, hit_lin, assume_unique=True)
+    # Mark the cells in the samples' bounding window; its row-major order is
+    # the grid's, so the marked cells come out sorted and unique. Free cells
+    # are never occupied and hit cells always are, so the two sets are disjoint.
+    i0, j0 = i.min(), j.min()
+    w = i.max() - i0 + 1
+    win_lin = (j - j0) * w + (i - i0)
+    free_mask = np.zeros((j.max() - j0 + 1) * w, dtype=bool)
+    hit_mask = np.zeros_like(free_mask)
+    free_mask[win_lin[before_hit & inside]] = True
+    hit_mask[win_lin[at_hit & inside]] = True
+    free_lin, hit_lin = ((k // w + j0) * spec.width + k % w + i0
+                         for k in (np.flatnonzero(free_mask), np.flatnonzero(hit_mask)))
 
     lo = state.log_odds.ravel()
     lo[free_lin] -= LOG_ODDS_STEP
@@ -527,7 +545,7 @@ def _wrap(a: float) -> float:
 def record_metrics(state: MissionState) -> MetricSample:
     """Append the current (time, covariance trace, coverage) sample."""
     world = state.world
-    pct = 100.0 * state.unknown_inside / world.boundary_mask.sum()
+    pct = 100.0 * state.unknown_inside / world.boundary_cells
     sample = MetricSample(
         t=state.clock,
         trace_cov=float(np.trace(state.cov)),

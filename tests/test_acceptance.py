@@ -243,6 +243,7 @@ def test_criterion_4_entropy_fixed_points(capsys):
 
 # -- criterion 5: covariance monotonicity across a full mission --------------
 
+@pytest.mark.slow
 def test_criterion_5_covariance_monotonicity(capsys, monkeypatch):
     checks = {"measurement": 0, "motion": 0}
     last_exit_trace = [None]
@@ -293,6 +294,7 @@ def experiment(tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_6_strategy_comparison(capsys, experiment):
     _, logs, elapsed = experiment[0]
     rows = {r["strategy"]: r for r in summarize(logs)}
@@ -317,6 +319,7 @@ def test_criterion_6_strategy_comparison(capsys, experiment):
            f"or stalled: {coverage_ok}; {elapsed:.0f} s (< 300 s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_greedy_early_coverage(capsys, experiment):
     _, logs, _ = experiment[0]
     t50 = {}
@@ -331,6 +334,7 @@ def test_criterion_7_greedy_early_coverage(capsys, experiment):
 
 # -- criterion 8: alpha = beta = 1 collapses fit onto greedy -----------------
 
+@pytest.mark.slow
 def test_criterion_8_parameter_collapse(capsys):
     config = WorldConfig.from_json(fitslam.preset_world_path("ramp_yard"))
     collapsed = UtilityParams(alpha=1.0, beta=1.0)
@@ -348,6 +352,7 @@ def test_criterion_8_parameter_collapse(capsys):
 
 # -- criterion 9: byte-identical experiment outputs --------------------------
 
+@pytest.mark.slow
 def test_criterion_9_determinism(capsys, experiment):
     out_a, _, _ = experiment[0]
     out_b, _, _ = experiment[1]

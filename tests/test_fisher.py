@@ -5,6 +5,7 @@ import pytest
 
 import fitslam
 from fitslam.fisher import (
+    DEFAULT_SIGMA_BEARING,
     CameraPose,
     DegenerateLandmarkError,
     Landmark,
@@ -202,7 +203,48 @@ def dense_fim_oracle(pose, landmark, sigma_bearing=0.01):
     return jac.T @ np.linalg.solve(q, jac)
 
 
+def landmark_fim_composed(pose, landmark, sigma_bearing=DEFAULT_SIGMA_BEARING):
+    """Reference FIM that recomputes the bearing derivative via bearing_jacobian."""
+    if not visible(pose, landmark):
+        return np.zeros((6, 6))
+    v_c = pose.to_camera(landmark.position)
+    norm = np.linalg.norm(v_c)
+    d_b_d_v = np.eye(3) / norm - np.outer(v_c, v_c) / norm ** 3
+    d_b_d_w = d_b_d_v @ pose.rotation
+    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
+    try:
+        q_inv = np.linalg.inv(q)
+    except np.linalg.LinAlgError:
+        q_inv = np.linalg.inv(q + 1e-9 * np.eye(3))
+    jac = bearing_jacobian(pose, landmark)
+    fim = jac.T @ q_inv @ jac
+    return 0.5 * (fim + fim.T)
+
+
 class TestLandmarkFim:
+    def test_matches_composed_reference_exactly(self):
+        rng = np.random.default_rng(21)
+        n_visible = 0
+        for k in range(400):
+            if k % 2:
+                pose = random_pose(rng)
+                pose.max_depth = 10.0
+            else:
+                x, y = rng.uniform(0.0, 20.0, size=2)
+                pose = CameraPose.from_planar(x, y, rng.uniform(-math.pi, math.pi))
+            # Mostly ahead of the camera, sometimes anywhere around it.
+            ahead = [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 4.5)]
+            offset = rng.normal(scale=3.0, size=3) if k % 4 == 3 else pose.rotation.T @ ahead
+            center = -pose.rotation.T @ pose.translation
+            a = rng.normal(size=(3, 3))
+            cov = [None, np.zeros((3, 3)), rng.uniform(1e-4, 0.5) * (a @ a.T)][k % 3]
+            lm = Landmark(center + offset, covariance=cov)
+            for sigma in (DEFAULT_SIGMA_BEARING, 1e-3, 0.05, 0.3):
+                assert np.array_equal(landmark_fim(pose, lm, sigma_bearing=sigma),
+                                      landmark_fim_composed(pose, lm, sigma_bearing=sigma))
+            n_visible += visible(pose, lm)
+        assert n_visible > 200
+
     def test_invisible_landmark_contributes_zero(self):
         pose = identity_pose()
         assert np.array_equal(

@@ -250,6 +250,21 @@ class TestCli:
         assert "error:" in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "5..1"],
+        ["--strategies", ","],
+        ["--max-time", "-5"],
+        ["--max-time", "nan"],
+    ], ids=["seeds-empty-range", "strategies-empty", "max-time-negative", "max-time-nan"])
+    def test_empty_or_nonpositive_setting_exit_one(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--config", "flat_office", "--strategies", "greedy",
+                     "--seeds", "1", "--out", str(out), "--max-time", "10", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

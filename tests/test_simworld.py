@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -82,11 +83,16 @@ class TestWorldConfig:
         {"obstacles": [{"x": 1.5, "y": 1.5, "w": 1.0, "h": 1.0}]},  # covers the start
         {"terrain": {"type": "ramp", "grade": "steep"}},
         {"landmarks": {"count": "many"}},
+        # Shorter than the first occupancy ray sample, half a 0.2 m cell out:
+        # no sample at all below a quarter cell, one past the range above it.
+        {"sensors": {"max_depth_m": 0.02}},
+        {"sensors": {"max_depth_m": 0.07}},
     ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
             "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
             "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
             "start-outside-boundary", "start-in-obstacle", "terrain-grade-string",
-            "landmark-count-string"])
+            "landmark-count-string", "depth-below-quarter-cell",
+            "depth-below-half-cell"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
@@ -242,6 +248,98 @@ class TestSensing:
         for _ in range(5):
             simworld.sense(world, state)
         assert not np.any(state.occ.p[observed] == UNKNOWN_P)
+
+
+def sense_occupancy_sorted(world, state):
+    """Reference occupancy update: the cells of the ray samples by np.unique."""
+    spec = world.spec
+    cfg = world.config.sensors
+    px, py, theta = state.pose
+    n_rays = max(2, int(round(cfg.fov / cfg.ray_step)) + 1)
+    angles = theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, n_rays)
+    dr = spec.resolution / 2
+    ranges = np.arange(dr, cfg.max_depth + dr / 2, dr)
+    x = px + np.cos(angles)[:, None] * ranges[None, :]
+    y = py + np.sin(angles)[:, None] * ranges[None, :]
+    i = np.floor((x - spec.origin_x) / spec.resolution).astype(int)
+    j = np.floor((y - spec.origin_y) / spec.resolution).astype(int)
+    inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
+    hit = np.zeros_like(inside)
+    hit[inside] = world.occupied[j[inside], i[inside]]
+    hit &= inside
+    first_hit = np.where(hit.any(axis=1), hit.argmax(axis=1), ranges.size)
+    sample_idx = np.arange(ranges.size)[None, :]
+    before_hit = sample_idx < first_hit[:, None]
+    at_hit = sample_idx == first_hit[:, None]
+
+    free_lin = np.unique(j[before_hit & inside] * spec.width + i[before_hit & inside])
+    hit_lin = np.unique(j[at_hit & inside] * spec.width + i[at_hit & inside])
+    free_lin = np.setdiff1d(free_lin, hit_lin, assume_unique=True)
+
+    lo = state.log_odds.ravel()
+    lo[free_lin] -= simworld.LOG_ODDS_STEP
+    lo[hit_lin] += simworld.LOG_ODDS_STEP
+    touched = np.concatenate([free_lin, hit_lin])
+    if touched.size:
+        p = 1.0 / (1.0 + np.exp(-lo[touched]))
+        p = np.clip(p, simworld.P_CLAMP[0], simworld.P_CLAMP[1])
+        p = np.where(p == UNKNOWN_P, UNKNOWN_P + 1e-9, p)
+        state.occ.p.ravel()[touched] = p
+        obs = state.observed.ravel()
+        new = touched[~obs[touched]]
+        obs[new] = True
+        state.unknown_inside -= int(world.boundary_mask.ravel()[new].sum())
+
+
+# Headings of the 8 grid steps, as execute_path computes them.
+STEP_HEADINGS = [math.atan2(dj, di) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                 if (di, dj) != (0, 0)]
+
+
+def occupancy_oracle_poses(world, rng, n_random=200):
+    """Random cell-centre poses plus the start, grid-edge and wall-facing ones."""
+    spec = world.spec
+    poses = [tuple(world.config.robot.start)]
+    for k in range(n_random):
+        i, j = int(rng.integers(spec.width)), int(rng.integers(spec.height))
+        x, y = spec.cell_to_world(i, j)
+        heading = (STEP_HEADINGS[k % 8] if k % 2 == 0
+                   else float(rng.uniform(-math.pi, math.pi)))
+        poses.append((x, y, heading))
+    last_i, last_j = spec.width - 1, spec.height - 1
+    for i, j, heading in ((0, last_j // 2, math.pi), (last_i, last_j // 2, 0.0),
+                          (last_i // 2, 0, -math.pi / 2), (last_i // 2, last_j, math.pi / 2),
+                          (0, 0, -3 * math.pi / 4), (last_i, last_j, math.pi / 4),
+                          (0, last_j, 3 * math.pi / 4), (last_i, 0, -math.pi / 4)):
+        poses.append((*spec.cell_to_world(i, j), heading))
+    for ob in world.config.obstacles:
+        # Half a metre off each face of the obstacle, looking at its middle.
+        cx, cy = ob["x"] + ob["w"] / 2, ob["y"] + ob["h"] / 2
+        for x, y, heading in ((ob["x"] - 0.5, cy, 0.0), (ob["x"] + ob["w"] + 0.5, cy, math.pi),
+                              (cx, ob["y"] - 0.5, math.pi / 2),
+                              (cx, ob["y"] + ob["h"] + 0.5, -math.pi / 2)):
+            if spec.point_in_bounds(x, y):
+                poses.append((*spec.cell_to_world(*spec.world_to_cell(x, y)), heading))
+    return poses
+
+
+class TestOccupancyOracle:
+    @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
+    def test_matches_sorted_reference(self, preset):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
+        state = MissionState.initial(world)
+        poses = occupancy_oracle_poses(world, np.random.default_rng(11))
+        assert len(poses) > 200
+        for pose in poses:
+            state.pose = pose
+            want = copy.deepcopy(state, {id(world): world})
+            sense_occupancy_sorted(world, want)
+            simworld._sense_occupancy(world, state)
+            assert np.array_equal(state.log_odds, want.log_odds), pose
+            assert np.array_equal(state.occ.p, want.occ.p), pose
+            assert np.array_equal(state.observed, want.observed), pose
+            assert state.unknown_inside == want.unknown_inside, pose
+        assert state.observed.any() and (state.occ.p > 0.9).any()
 
 
 class TestSurrogateCovariance:
