@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .grid import BinaryTraversabilityGrid, GridSpec, OccupancyGrid, shift
 
@@ -80,7 +82,7 @@ def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid,
         near_unknown |= shift(unknown, di, dj)
     mask = nav.free_mask() & near_unknown & boundary.mask(occ.spec)
     jj, ii = np.nonzero(mask)
-    return {(int(i), int(j)) for i, j in zip(ii, jj)}
+    return set(zip(ii.tolist(), jj.tolist()))
 
 
 def cluster_frontiers(cells: set, spec: GridSpec,
@@ -96,44 +98,36 @@ def cluster_frontiers(cells: set, spec: GridSpec,
     if max_cluster_size < 1:
         raise ValueError("max_cluster_size must be >= 1")
     blacklist = blacklist or Blacklist()
-    w, h = spec.width, spec.height
-    # Membership via linear indices in a flat byte table: BFS over tuples in a
-    # set is several times slower at typical frontier sizes.
-    remaining = bytearray(spec.n_cells)
-    for i, j in cells:
-        remaining[j * w + i] = 1
-    seeds = sorted(spec.linear_index(*c) for c in cells)  # row-major order
+    w, h, n = spec.width, spec.height, len(cells)
+    lin = np.fromiter((j * w + i for i, j in cells), dtype=np.intp, count=n)
+    lin.sort()  # node k is the k-th cell in row-major order
+    # Node of every cell on a grid padded by a ring of -1, so neighbors of
+    # edge cells need no bounds test.
+    pw = w + 2
+    padded = (lin // w + 1) * pw + lin % w + 1
+    node = np.full((h + 2) * pw, -1, dtype=np.int32)
+    node[padded] = np.arange(n, dtype=np.int32)
+    nbr = np.stack([node[padded + dj * pw + di] for di, dj in _NEIGHBOR_ORDER], axis=1)
+    # Each row lists its neighbors in _NEIGHBOR_ORDER. scipy's BFS marks a node
+    # when it pushes it and scans a row in stored order, so it visits the
+    # cells in the order of a BFS that tries the neighbors in that order.
+    has = nbr >= 0
+    indptr = np.r_[0, np.cumsum(has.sum(axis=1))]
+    graph = csr_matrix((np.ones(indptr[-1]), nbr[has], indptr), shape=(n, n))
+    todo = np.ones(n, dtype=bool)
     clusters = []
-    for seed in seeds:
-        if not remaining[seed]:
-            continue
-        order = _bfs_component(seed, remaining, w, h)
-        for k in range(0, len(order), max_cluster_size):
-            chunk = [(lin % w, lin // w) for lin in order[k:k + max_cluster_size]]
+    while todo.any():
+        order = breadth_first_order(graph, int(todo.argmax()), directed=True,
+                                    return_predecessors=False)
+        todo[order] = False
+        visited = lin[order]
+        component = list(zip((visited % w).tolist(), (visited // w).tolist()))
+        for k in range(0, len(component), max_cluster_size):
+            chunk = component[k:k + max_cluster_size]
             candidate = chunk[(len(chunk) - 1) // 2]
-            if blacklist.suppresses(candidate):
-                continue
-            clusters.append(FrontierCluster(cells=chunk, candidate=candidate))
+            if not blacklist.suppresses(candidate):
+                clusters.append(FrontierCluster(cells=chunk, candidate=candidate))
     return clusters
-
-
-def _bfs_component(seed: int, remaining: bytearray, w: int, h: int) -> list:
-    """Pop one 8-connected component out of `remaining` in BFS order."""
-    order = [seed]
-    remaining[seed] = 0
-    head = 0
-    while head < len(order):
-        lin = order[head]
-        head += 1
-        i, j = lin % w, lin // w
-        for di, dj in _NEIGHBOR_ORDER:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < w and 0 <= nj < h:
-                nlin = nj * w + ni
-                if remaining[nlin]:
-                    remaining[nlin] = 0
-                    order.append(nlin)
-    return order
 
 
 def mission_complete(clusters: list) -> bool:

@@ -67,17 +67,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.strategies or not self.seeds:
             raise ConfigError("need at least one strategy and one seed")
-        if not (math.isfinite(self.max_mission_time) and self.max_mission_time > 0):
-            raise ConfigError(f"max mission time must be finite and > 0, "
-                              f"got {self.max_mission_time!r}")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES}")
-        # Every strategy runs the orientation scan, whose window must hold a ray.
-        if self.rays.delta_theta > self.world.sensors.fov:
-            raise ConfigError(
-                f"scan ray step {math.degrees(self.rays.delta_theta):g} deg is wider "
-                f"than the camera field of view {math.degrees(self.world.sensors.fov):g} deg")
+        _check_mission_settings(self.world, self.max_mission_time, self.rays)
+
+
+def _check_mission_settings(world: WorldConfig, max_mission_time: float,
+                           rays: RayCastParams) -> None:
+    """Reject a time budget or scan ray step no mission can run with."""
+    if not (math.isfinite(max_mission_time) and max_mission_time > 0):
+        raise ConfigError(f"max mission time must be finite and > 0, "
+                          f"got {max_mission_time!r}")
+    # Every strategy runs the orientation scan, whose window must hold a ray.
+    if rays.delta_theta > world.sensors.fov:
+        raise ConfigError(
+            f"scan ray step {math.degrees(rays.delta_theta):g} deg is wider "
+            f"than the camera field of view {math.degrees(world.sensors.fov):g} deg")
 
 
 def _select_fit(candidates, state, world, uparams, rays, spec, planner):
@@ -116,6 +122,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         raise ConfigError(f"unknown strategy {strategy!r}")
     uparams = utility_params or UtilityParams()
     rays = ray_params or RayCastParams()
+    _check_mission_settings(config, max_mission_time, rays)
     world = generate_world(dataclasses.replace(config, seed=seed))
     spec = world.spec
     sensors = world.config.sensors

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .grid import BinaryTraversabilityGrid, shift
@@ -174,29 +174,28 @@ class MultiGoalPlanner:
 
 
 def _build_graph(nav: BinaryTraversabilityGrid):
+    """Free-cell adjacency as a canonical CSR: sorted columns in each row, no duplicates."""
     spec = nav.spec
     free = nav.free_mask()
-    w = spec.width
-    rows, cols, data = [], [], []
-    # Half of the 8 directions; dijkstra(directed=False) covers the reverse.
-    # Edges are emitted direction by direction, each in row-major order of
-    # the source cell: Dijkstra's tie-breaking depends on this order.
-    for di, dj, cost in ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (1, -1, SQRT2)):
+    w, n = spec.width, spec.n_cells
+    # Half of the 8 directions, dijkstra(directed=False) covers the reverse; in
+    # ascending order of the column offset dj * w + di, so rows come out sorted.
+    steps = ((1, -1, SQRT2), (1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2))
+    oks = []
+    for di, dj, _ in steps:
         # ok[j, i]: both cell (i, j) and its neighbor (i + di, j + dj) are Free.
         ok = free & shift(free, -di, -dj)
         if di != 0 and dj != 0:
             # No corner cutting: both touched cardinals closed kills the move.
             ok &= shift(free, -di, 0) | shift(free, 0, -dj)
-        jj, ii = np.nonzero(ok)
-        src = jj * w + ii
-        dst = (jj + dj) * w + (ii + di)
-        rows.append(src)
-        cols.append(dst)
-        data.append(np.full(src.shape, cost))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    return coo_matrix((data, (rows, cols)), shape=(spec.n_cells, spec.n_cells)).tocsr()
+        oks.append(ok.ravel())
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(sum(ok.astype(np.int32) for ok in oks), out=indptr[1:])
+    edge = np.flatnonzero(np.stack(oks, axis=1))  # 4 * row + step
+    step = edge & 3
+    cols = (edge >> 2) + np.array([dj * w + di for di, dj, _ in steps])[step]
+    costs = np.array([cost for _, _, cost in steps])[step]
+    return csr_matrix((costs, cols.astype(np.int32), indptr), shape=(n, n))
 
 
 def sample_waypoints(path: Path, spacing_m: float, spec) -> list:

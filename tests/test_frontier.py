@@ -48,6 +48,40 @@ def frontier_oracle(occ, nav, boundary):
     return out
 
 
+# BFS growth order: E, NE, N, NW, W, SW, S, SE in (di, dj) with i along x.
+ORACLE_NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
+def cluster_oracle(cells, spec, max_cluster_size, blacklist):
+    """Size-capped clustering by a pure-Python BFS over a byte table."""
+    w, h = spec.width, spec.height
+    remaining = bytearray(spec.n_cells)
+    for i, j in cells:
+        remaining[j * w + i] = 1
+    out = []
+    for seed in sorted(spec.linear_index(*c) for c in cells):
+        if not remaining[seed]:
+            continue
+        order = [seed]
+        remaining[seed] = 0
+        head = 0
+        while head < len(order):
+            lin = order[head]
+            head += 1
+            i, j = lin % w, lin // w
+            for di, dj in ORACLE_NEIGHBOR_ORDER:
+                ni, nj = i + di, j + dj
+                if 0 <= ni < w and 0 <= nj < h and remaining[nj * w + ni]:
+                    remaining[nj * w + ni] = 0
+                    order.append(nj * w + ni)
+        for k in range(0, len(order), max_cluster_size):
+            chunk = [(lin % w, lin // w) for lin in order[k:k + max_cluster_size]]
+            candidate = chunk[(len(chunk) - 1) // 2]
+            if not blacklist.suppresses(candidate):
+                out.append((chunk, candidate))
+    return out
+
+
 class TestDetectFrontiers:
     def test_fully_known_grid_has_none(self):
         _, occ, nav, boundary = build_grids(6, 6)
@@ -162,6 +196,32 @@ class TestClusterFrontiers:
         whole = cluster_frontiers(cells, spec, max_cluster_size=100)
         flat = [c for cl in capped for c in cl.cells]
         assert flat == whole[0].cells
+
+    def test_matches_python_bfs_oracle(self):
+        rng = np.random.default_rng(2024)
+        shapes = [(1, 1), (1, 60), (60, 1), (2, 2), (60, 60)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 61, size=2)) for _ in range(150)]
+        for case, (w, h) in enumerate(shapes):
+            spec = GridSpec(0, 0, 0.1, w, h)
+            density = rng.uniform(0.05, 0.95)
+            mask = rng.random((h, w)) < density
+            if case % 5 == 1:
+                mask[:] = True  # full grid
+            elif case % 5 == 2:
+                mask[:] = False  # empty set
+            elif case % 5 == 3:
+                # every grid edge, plus one full row and one full column
+                mask[[0, -1], :] = mask[:, [0, -1]] = True
+                mask[rng.integers(h), :] = mask[:, rng.integers(w)] = True
+            cells = {(int(i), int(j)) for j, i in zip(*np.nonzero(mask))}
+            blacklist = Blacklist()
+            for i, j in zip(rng.integers(0, w, size=3), rng.integers(0, h, size=3)):
+                if rng.random() < 0.5:
+                    blacklist.add((int(i), int(j)))
+            cap = int(rng.integers(1, 41))
+            got = [(cl.cells, cl.candidate)
+                   for cl in cluster_frontiers(cells, spec, cap, blacklist)]
+            assert got == cluster_oracle(cells, spec, cap, blacklist), (w, h, cap)
 
     def test_bad_cap_rejected(self):
         spec = GridSpec(0, 0, 0.1, 5, 5)

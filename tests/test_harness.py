@@ -81,6 +81,15 @@ class TestRunMission:
         assert a.goal_sequence != b.goal_sequence or \
             [s.trace_cov for s in a.samples] != [s.trace_cov for s in b.samples]
 
+    @pytest.mark.parametrize("max_time", [-5.0, math.nan])
+    def test_bad_time_budget_rejected(self, max_time):
+        with pytest.raises(ConfigError):
+            run_mission(tiny_world(), "greedy", seed=1, max_mission_time=max_time)
+
+    def test_fov_narrower_than_ray_step_rejected(self):
+        with pytest.raises(ConfigError):
+            run_mission(tiny_world(sensors={"fov_deg": 5}), "greedy", seed=1)
+
     def test_time_budget_respected(self):
         log = run_mission(tiny_world(), "random", seed=1, max_mission_time=60.0)
         # The loop stops selecting once the clock passes the budget; only the

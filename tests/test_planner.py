@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
-from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec
+from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
 from fitslam.planner import (
     MultiGoalPlanner,
     NoPathError,
@@ -58,6 +59,24 @@ def dijkstra_oracle(nav, start, goal):
                     dist[(ni, nj)] = cand
                     heapq.heappush(heap, (cand_cost, (ni, nj)))
     return None
+
+
+def coo_graph(nav):
+    """Edge triplets direction by direction, then scipy's sorting COO-to-CSR."""
+    free = nav.free_mask()
+    w = nav.spec.width
+    rows, cols, data = [], [], []
+    for di, dj, cost in ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (1, -1, SQRT2)):
+        ok = free & shift(free, -di, -dj)
+        if di != 0 and dj != 0:
+            ok &= shift(free, -di, 0) | shift(free, 0, -dj)
+        jj, ii = np.nonzero(ok)
+        rows.append(jj * w + ii)
+        cols.append((jj + dj) * w + (ii + di))
+        data.append(np.full(ii.shape, cost))
+    n = nav.spec.n_cells
+    return coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
 
 
 def path_counts(path):
@@ -187,6 +206,34 @@ class TestMultiGoalPlanner:
         mgp.solve((0, 0))
         with pytest.raises(NoPathError):
             mgp.distance_to((2, 2))
+
+
+class TestBuildGraph:
+    def test_matches_coo_reference(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 2)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 41, size=2)) for _ in range(60)]
+        for w, h in shapes:
+            nav = free_grid(w, h)
+            p_free, p_blocked = rng.dirichlet([2.0, 1.0, 1.0])[:2]
+            u = rng.random((h, w))
+            nav.state[u >= p_free] = BLOCKED
+            nav.state[u >= p_free + p_blocked] = UNKNOWN
+            fast = MultiGoalPlanner(nav)
+            ref = coo_graph(nav)
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(fast._graph, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (w, h, attr)
+            free = np.argwhere(nav.state == FREE)
+            if not len(free):
+                continue
+            sj, si = free[rng.integers(len(free))]
+            fast.solve((int(si), int(sj)))
+            slow = MultiGoalPlanner(nav)
+            slow._graph = ref
+            slow.solve((int(si), int(sj)))
+            assert np.array_equal(fast._dist, slow._dist)
+            assert np.array_equal(fast._pred, slow._pred)
 
 
 class TestSampleWaypoints:
