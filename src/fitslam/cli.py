@@ -113,7 +113,7 @@ def _cmd_preview(args) -> int:
     for dx, dy in ((0, 0), (-half, -half), (-half, half), (half, -half), (half, half)):
         px, py = (xs + dx).ravel(), (ys + dy).ravel()
         stats.accumulate(np.column_stack([px, py, world.terrain_z(px, py)]))
-    trav = stats.score_cells(traversability.TraversabilityParams())
+    trav = stats.score_cells()
     nav = traversability.threshold(trav, simworld.DEFAULT_TRAV_THRESHOLD)
 
     print("# true occupancy")

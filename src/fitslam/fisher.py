@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import ConfigError, read_rows
+
 DEFAULT_SIGMA_BEARING = 0.01   # bearing-noise std (unitless, on the unit sphere)
 DEFAULT_SIGMA_LANDMARK = 0.05  # m, default landmark position std
 DEFAULT_VOXEL_SIZE = 0.25      # m
@@ -32,16 +34,18 @@ class DegenerateLandmarkError(ValueError):
 
 @dataclass
 class Landmark:
-    position: np.ndarray            # (3,) world frame
-    covariance: np.ndarray = None   # (3, 3) symmetric PSD
+    position: np.ndarray            # (3,) world frame, finite
+    covariance: np.ndarray = None   # (3, 3) finite, symmetric PSD
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         if self.covariance is None:
             self.covariance = (DEFAULT_SIGMA_LANDMARK ** 2) * np.eye(3)
-        self.covariance = np.asarray(self.covariance, dtype=float).reshape(3, 3)
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-12):
-            raise ValueError("landmark covariance must be symmetric")
+        self.covariance = cov = np.asarray(self.covariance, dtype=float).reshape(3, 3)
+        if not (np.isfinite(self.position).all() and np.isfinite(cov).all()
+                and np.allclose(cov, cov.T, atol=1e-12) and np.linalg.eigvalsh(cov)[0] >= -1e-12):
+            raise ConfigError(f"landmark needs a finite position and a finite symmetric PSD "
+                              f"covariance, got {self.position.tolist()}, {cov.tolist()}")
 
 
 @dataclass
@@ -196,20 +200,18 @@ def path_information(waypoints: list, reps: list,
 
 
 def load_landmarks(path) -> list:
-    """Read landmarks from a text file: `x y z [6 upper-triangular cov entries]`."""
+    """Landmarks from `x y z [6 upper-triangular cov entries]` rows of a text file.
+
+    A bad row or landmark raises ConfigError naming its line.
+    """
     landmarks = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            vals = [float(v) for v in parts]
-            if len(vals) == 3:
-                landmarks.append(Landmark(np.array(vals)))
-            elif len(vals) == 9:
-                a, b, c, d, e, f = vals[3:]
-                cov = np.array([[a, b, c], [b, d, e], [c, e, f]])
-                landmarks.append(Landmark(np.array(vals[:3]), cov))
-            else:
-                raise ValueError(f"landmark line needs 3 or 9 numbers, got {len(vals)}")
+    for lineno, vals in read_rows(path, (3, 9), "landmark"):
+        cov = None
+        if len(vals) == 9:
+            a, b, c, d, e, f = vals[3:]
+            cov = np.array([[a, b, c], [b, d, e], [c, e, f]])
+        try:
+            landmarks.append(Landmark(np.array(vals[:3]), cov))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return landmarks

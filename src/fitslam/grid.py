@@ -1,4 +1,4 @@
-"""Dense 2D grid containers and world <-> cell coordinate transforms.
+"""Dense 2D grid containers, world <-> cell coordinate transforms and text I/O.
 
 Cell indices are (i, j) with i along world x and j along world y. Arrays are
 stored row-major with shape (height, width) and accessed as values[j, i];
@@ -19,6 +19,10 @@ UNKNOWN_P = 0.5
 UNKNOWN = -1
 BLOCKED = 0
 FREE = 1
+
+
+class ConfigError(ValueError):
+    """Malformed world or experiment configuration, or a bad input file."""
 
 
 class OutOfBoundsError(ValueError):
@@ -223,3 +227,26 @@ def _parse_raster(text: str) -> tuple[GridSpec, list[list[str]]]:
     if len(rows) != spec.height or any(len(r) != spec.width for r in rows):
         raise ValueError("raster body does not match header dimensions")
     return spec, rows
+
+
+def read_rows(path, widths: tuple, what: str) -> list:
+    """(line number, values) of each row of a whitespace-separated number file.
+
+    Text after `#` is skipped. A row that is not `widths` finite numbers long
+    raises ConfigError naming its line.
+    """
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
+                continue
+            try:
+                vals = [float(v) for v in parts]
+            except ValueError:
+                vals = []
+            if len(vals) not in widths or not all(map(math.isfinite, vals)):
+                raise ConfigError(f"{path}:{lineno}: a {what} needs {' or '.join(map(str, widths))}"
+                                  f" finite numbers, got {line.strip()!r}")
+            rows.append((lineno, vals))
+    return rows

@@ -33,7 +33,6 @@ class RayCastParams:
 
     delta_theta: float = math.radians(8.5)  # ray discretization
     gamma: float = 0.9                      # observability degradation per unknown cell
-    occupied_threshold: float = OCCUPIED_THRESHOLD
 
     def __post_init__(self):
         if not self.delta_theta > 0:
@@ -109,7 +108,7 @@ def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
     t = 0.0
     while t <= max_range and spec.in_bounds(i, j):
         p = float(occ.p[j, i])
-        if p > params.occupied_threshold:
+        if p > OCCUPIED_THRESHOLD:
             cells.append(RayCell((i, j), 1.0, p, 0.0))
             break
         if p == UNKNOWN_P:
@@ -183,7 +182,7 @@ class _ScanTemplate:
         self.in_window = ang <= fov / 2 + 1e-12
 
     def ray_gains(self, occ: OccupancyGrid, centers_i: np.ndarray,
-                  centers_j: np.ndarray, occupied_threshold: float) -> np.ndarray:
+                  centers_j: np.ndarray) -> np.ndarray:
         """Per-direction ray gains for a batch of scan centers, shape (C, D).
 
         All reductions run along the trailing axis, so results are bitwise
@@ -195,7 +194,7 @@ class _ScanTemplate:
         inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
         alive = self.valid[None] & inside
         p = occ.p[j.clip(0, spec.height - 1), i.clip(0, spec.width - 1)]
-        blocked = (p > occupied_threshold) & alive
+        blocked = (p > OCCUPIED_THRESHOLD) & alive
         # Cells strictly past the first blocked cell are unreachable.
         past_block = np.cumsum(blocked, axis=2) - blocked > 0
         alive &= ~past_block
@@ -258,7 +257,7 @@ def scan_many(occ: OccupancyGrid, goals: list, params: RayCastParams,
     centers = [spec.world_to_cell(x, y) for x, y in goals]
     ci = np.array([c[0] for c in centers], dtype=int)
     cj = np.array([c[1] for c in centers], dtype=int)
-    ray_gains = tmpl.ray_gains(occ, ci, cj, params.occupied_threshold)
+    ray_gains = tmpl.ray_gains(occ, ci, cj)
     windowed = tmpl.windowed_gains(ray_gains)
     # Windows whose real-valued sums tie can differ by float rounding, so the
     # argmax treats anything within the tolerance of the max as tied and takes

@@ -21,17 +21,19 @@ import numpy as np
 from . import fisher, traversability
 from .fisher import CameraPose, Landmark
 from .frontier import Blacklist, ExplorationBoundary
-from .grid import GridSpec, OccupancyGrid, UNKNOWN_P
+from .grid import ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P
 from .planner import Path
-from .traversability import TerrainStatsGrid, TraversabilityParams
+from .traversability import TerrainStatsGrid
 
 LOG_ODDS_STEP = math.log(0.8 / 0.2)  # +- per hit / miss observation
 P_CLAMP = (0.02, 0.98)
 ROTATION_RATE = 1.0  # rad/s
 
-
-class ConfigError(ValueError):
-    """Malformed world or experiment configuration."""
+# The occupancy probabilities a cell can hold. A cell gets only free or only hit
+# marks (see _sense_occupancy), so its log-odds is k repeated +-LOG_ODDS_STEP
+# additions, and P_CLAMP binds from |k| = 3 on: seven rungs, Unknown in the middle.
+_STEPS = np.cumsum(np.full(3, LOG_ODDS_STEP))
+_P_LADDER = np.clip(1.0 / (1.0 + np.exp(-np.r_[-_STEPS[::-1], 0.0, _STEPS])), *P_CLAMP)
 
 
 class PathBlockedError(RuntimeError):
@@ -321,11 +323,8 @@ class MetricSample:
 @dataclass
 class MissionState:
     world: World
-    occ: OccupancyGrid
-    log_odds: np.ndarray
-    stats: TerrainStatsGrid
-    sampled: np.ndarray          # bool, cells whose terrain points are in
-    observed: np.ndarray         # bool, occupancy cells updated at least once
+    occ: OccupancyGrid           # p holds a _P_LADDER rung per cell
+    stats: TerrainStatsGrid      # count > 0 marks the cells whose terrain is in
     unknown_inside: int          # running count of unobserved cells in-boundary
     pose: tuple                  # (x, y, theta) true pose
     cov: np.ndarray              # 6x6 localization covariance
@@ -338,15 +337,10 @@ class MissionState:
 
     @classmethod
     def initial(cls, world: World) -> "MissionState":
-        spec = world.spec
-        shape = (spec.height, spec.width)
         return cls(
             world=world,
-            occ=OccupancyGrid.unknown(spec),
-            log_odds=np.zeros(shape),
-            stats=TerrainStatsGrid(spec),
-            sampled=np.zeros(shape, dtype=bool),
-            observed=np.zeros(shape, dtype=bool),
+            occ=OccupancyGrid.unknown(world.spec),
+            stats=TerrainStatsGrid(world.spec),
             unknown_inside=world.boundary_cells,
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
@@ -384,19 +378,16 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     win = np.s_[j0:j1, i0:i1]
     # xs and ys come from meshgrid: one row and one column hold every value.
     in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
-    fresh = in_range & ~state.sampled[win]
+    fresh = in_range & (state.stats.count[win] == 0)
     if not fresh.any():
         return
     jj, ii = np.nonzero(fresh)
-    cx = xs[win][jj, ii]
-    cy = ys[win][jj, ii]
-    corner_x = cx - 0.5 * spec.resolution
-    corner_y = cy - 0.5 * spec.resolution
+    corner_x = xs[win][jj, ii] - 0.5 * spec.resolution
+    corner_y = ys[win][jj, ii] - 0.5 * spec.resolution
     pts_x = (corner_x[:, None] + _CELL_SAMPLES[None, :, 0] * spec.resolution).ravel()
     pts_y = (corner_y[:, None] + _CELL_SAMPLES[None, :, 1] * spec.resolution).ravel()
     pts_z = world.terrain_z(pts_x, pts_y)
     state.stats.accumulate(np.column_stack([pts_x, pts_y, pts_z]))
-    state.sampled[win][jj, ii] = True
 
 
 def _sense_occupancy(world: World, state: MissionState) -> None:
@@ -421,33 +412,19 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     before_hit = sample_idx < first_hit[:, None]
     at_hit = sample_idx == first_hit[:, None]
 
-    # Mark the cells in the samples' bounding window; its row-major order is
-    # the grid's, so the marked cells come out sorted and unique. Free cells
-    # are never occupied and hit cells always are, so the two sets are disjoint.
+    # Mark the cells in the samples' bounding window, -1 free and +1 hit, and
+    # move each marked cell one rung. Free cells are never occupied and hit
+    # cells always are, so a cell's marks all point the same way.
     i0, j0 = i.min(), j.min()
-    w = i.max() - i0 + 1
-    win_lin = (j - j0) * w + (i - i0)
-    free_mask = np.zeros((j.max() - j0 + 1) * w, dtype=bool)
-    hit_mask = np.zeros_like(free_mask)
-    free_mask[win_lin[before_hit & inside]] = True
-    hit_mask[win_lin[at_hit & inside]] = True
-    free_lin, hit_lin = ((k // w + j0) * spec.width + k % w + i0
-                         for k in (np.flatnonzero(free_mask), np.flatnonzero(hit_mask)))
-
-    lo = state.log_odds.ravel()
-    lo[free_lin] -= LOG_ODDS_STEP
-    lo[hit_lin] += LOG_ODDS_STEP
-    touched = np.concatenate([free_lin, hit_lin])
-    if touched.size:
-        p = 1.0 / (1.0 + np.exp(-lo[touched]))
-        p = np.clip(p, P_CLAMP[0], P_CLAMP[1])
-        # An observed cell must not read as Unknown (exactly 0.5) again.
-        p = np.where(p == UNKNOWN_P, UNKNOWN_P + 1e-9, p)
-        state.occ.p.ravel()[touched] = p
-        obs = state.observed.ravel()
-        new = touched[~obs[touched]]
-        obs[new] = True
-        state.unknown_inside -= int(world.boundary_mask.ravel()[new].sum())
+    mark = np.zeros((j.max() - j0 + 1, i.max() - i0 + 1), dtype=np.int8)
+    mark[j[before_hit & inside] - j0, i[before_hit & inside] - i0] = -1
+    mark[j[at_hit & inside] - j0, i[at_hit & inside] - i0] = 1
+    win = np.s_[j0:j0 + mark.shape[0], i0:i0 + mark.shape[1]]
+    p = state.occ.p[win]
+    touched = mark != 0
+    state.unknown_inside -= int((touched & (p == UNKNOWN_P) & world.boundary_mask[win]).sum())
+    rung = np.searchsorted(_P_LADDER, p[touched]) + mark[touched]
+    p[touched] = _P_LADDER[rung.clip(0, _P_LADDER.size - 1)]
 
 
 def _camera_pose(world: World, pose: tuple) -> CameraPose:
@@ -562,6 +539,6 @@ DEFAULT_TRAV_THRESHOLD = 0.3
 
 def current_grids(state: MissionState):
     """Score and threshold the traversability seen so far."""
-    trav = state.stats.score_cells(TraversabilityParams())
+    trav = state.stats.score_cells()
     nav = traversability.threshold(trav, DEFAULT_TRAV_THRESHOLD)
     return trav, nav

@@ -8,20 +8,15 @@ the three metrics by the minimum so a single hazard dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import (BinaryTraversabilityGrid, BLOCKED, FREE, GridSpec, TraversabilityGrid,
-                   UNKNOWN, shift)
+                   UNKNOWN, read_rows, shift)
 
-
-@dataclass
-class TraversabilityParams:
-    max_slope: float = np.deg2rad(30.0)  # rad
-    max_roughness: float = 0.05          # m, RMS residual to the fitted plane
-    max_step: float = 0.15               # m, elevation jump vs. neighbor cells
-    min_points: int = 5                  # plane fit needs >= 3; margin for noise
+MAX_SLOPE = np.deg2rad(30.0)  # rad
+MAX_ROUGHNESS = 0.05          # m, RMS residual to the fitted plane
+MAX_STEP = 0.15               # m, elevation jump vs. neighbor cells
+MIN_POINTS = 5                # plane fit needs >= 3; margin for noise
 
 
 class TerrainStatsGrid:
@@ -74,15 +69,15 @@ class TerrainStatsGrid:
         np.add.at(self.syz, idx, y * z)
         np.add.at(self.szz, idx, z * z)
 
-    def cell_metrics(self, min_points: int = 5):
+    def cell_metrics(self):
         """Per-cell (valid, mean_z, slope, roughness, step) arrays.
 
-        valid is True where the cell holds at least min_points points. Slope is
+        valid is True where the cell holds at least MIN_POINTS points. Slope is
         the angle between the fitted-plane normal and vertical; roughness is the
         RMS residual; step is the largest elevation difference to the mean of an
         8-neighbor cell that has data (0 when no neighbor has data).
         """
-        valid = self.count >= max(min_points, 1)
+        valid = self.count >= MIN_POINTS
         n = np.where(self.count > 0, self.count, 1.0)
         mx, my, mz = self.sx / n, self.sy / n, self.sz / n
         # Centered second moments.
@@ -114,12 +109,12 @@ class TerrainStatsGrid:
                 step = np.maximum(step, diff)
         return valid, mz, slope, roughness, step
 
-    def score_cells(self, params: TraversabilityParams) -> TraversabilityGrid:
+    def score_cells(self) -> TraversabilityGrid:
         """Score every cell; cells with too few points stay Unknown."""
-        valid, _, slope, roughness, step = self.cell_metrics(params.min_points)
-        s_slope = np.clip(1.0 - slope / params.max_slope, 0.0, 1.0)
-        s_rough = np.clip(1.0 - roughness / params.max_roughness, 0.0, 1.0)
-        s_step = np.clip(1.0 - step / params.max_step, 0.0, 1.0)
+        valid, _, slope, roughness, step = self.cell_metrics()
+        s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)
+        s_rough = np.clip(1.0 - roughness / MAX_ROUGHNESS, 0.0, 1.0)
+        s_step = np.clip(1.0 - step / MAX_STEP, 0.0, 1.0)
         score = np.minimum(np.minimum(s_slope, s_rough), s_step)
         score = np.where(valid, score, np.nan)
         return TraversabilityGrid(self.spec, score)
@@ -135,8 +130,5 @@ def threshold(trav: TraversabilityGrid, t: float) -> BinaryTraversabilityGrid:
 
 
 def load_points(path) -> np.ndarray:
-    """Read terrain points from a whitespace-separated `x y z` text file."""
-    pts = np.loadtxt(path, dtype=float)
-    if pts.size == 0:
-        return np.zeros((0, 3))
-    return np.atleast_2d(pts)
+    """(N, 3) terrain points from an `x y z` text file; a bad row raises ConfigError."""
+    return np.array([vals for _, vals in read_rows(path, (3,), "point")]).reshape(-1, 3)

@@ -18,6 +18,7 @@ from fitslam.fisher import (
     visible_mask,
     voxelize,
 )
+from fitslam.grid import ConfigError
 from fitslam.planner import Waypoint
 from fitslam.simworld import WorldConfig, generate_world
 
@@ -419,6 +420,40 @@ class TestLoadLandmarks:
         f.write_text("1 2 3 4\n")
         with pytest.raises(ValueError):
             load_landmarks(f)
+
+    @pytest.mark.parametrize("body, line", [
+        ("1 2 0.5\n1 2\n", 2),                               # two columns
+        ("1 2 0.5\n\n# c\n1 2 3 4 5 6 7 8\n", 4),            # eight columns
+        ("inf 2 0.5\n", 1),
+        ("1 2 nan\n", 1),
+        ("1 2 3 0.01 0 0 0.02 0 inf\n", 1),                   # non-finite covariance
+        ("1 2 0.5\n1 2 3 -5 0 0 0.02 0 0.03\n", 2),          # eigenvalue -5
+        ("1 2 3 0.01 0.5 0 0.01 0 0.03\n", 1),                # indefinite 2x2 block
+        ("1 2 three\n", 1),
+    ])
+    def test_bad_rows_rejected_with_line_number(self, tmp_path, body, line):
+        f = tmp_path / "lms.txt"
+        f.write_text(body)
+        with pytest.raises(ConfigError, match=f"lms.txt:{line}:"):
+            load_landmarks(f)
+
+
+class TestLandmarkChecks:
+    @pytest.mark.parametrize("position, cov", [
+        ([np.inf, 0.0, 1.0], None),
+        ([0.0, np.nan, 1.0], None),
+        ([0.0, 0.0, 1.0], np.diag([-5.0, 0.01, 0.01])),
+        ([0.0, 0.0, 1.0], np.diag([0.01, 0.01, np.nan])),
+        ([0.0, 0.0, 1.0], [[0.01, 0.0, 0.0], [0.02, 0.01, 0.0], [0.0, 0.0, 0.01]]),
+    ])
+    def test_bad_landmark_rejected(self, position, cov):
+        with pytest.raises(ConfigError):
+            Landmark(np.array(position), cov)
+
+    def test_psd_covariances_accepted(self):
+        a = np.random.default_rng(3).normal(size=(3, 3))
+        for cov in (np.zeros((3, 3)), a @ a.T, np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])):
+            assert np.array_equal(Landmark(np.ones(3), cov).covariance, cov)
 
 
 class TestCameraPoseFromPlanar:

@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 
@@ -240,21 +239,59 @@ class TestSensing:
         assert n_seen > 0
 
     def test_observed_cell_never_reads_unknown_again(self):
-        world = generate_world(tiny_config())
+        world = generate_world(tiny_config(
+            obstacles=[{"x": 4.0, "y": 1.0, "w": 0.6, "h": 2.0}]))
         state = MissionState.initial(world)
         simworld.sense(world, state)
-        observed = state.observed.copy()
-        # Re-observing with opposite evidence may cross 0.5 but not equal it.
-        for _ in range(5):
+        observed = state.occ.p != UNKNOWN_P
+        assert observed.any() and (state.occ.p[observed] > 0.5).any()
+        # Further evidence moves an observed cell away from 0.5, never back to it.
+        for heading in (0.0, 0.0, 0.3, -0.3, 0.0):
+            state.pose = (2.0, 2.0, heading)
             simworld.sense(world, state)
         assert not np.any(state.occ.p[observed] == UNKNOWN_P)
 
+    def test_terrain_counts_are_zero_or_five_and_sensed_once(self):
+        world = generate_world(WorldConfig.from_json(
+            fitslam.preset_world_path("obstacle_ring")))
+        state = MissionState.initial(world)
+        spec = world.spec
+        rng = np.random.default_rng(4)
+        for _ in range(12):
+            x, y = spec.cell_to_world(int(rng.integers(spec.width)),
+                                      int(rng.integers(spec.height)))
+            state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
+            simworld.sense(world, state)
+            counts = state.stats.count
+            assert set(np.unique(counts).tolist()) <= {0.0, 5.0}
+            before = {k: v.copy() for k, v in vars(state.stats).items()
+                      if isinstance(v, np.ndarray)}
+            simworld.sense(world, state)  # same pose: no cell is fresh
+            for k, v in before.items():
+                assert np.array_equal(getattr(state.stats, k), v), k
+        assert (state.stats.count == 5.0).any() and (state.stats.count == 0.0).any()
 
-def sense_occupancy_sorted(world, state):
+
+class OccupancyReference:
+    """The float log-odds occupancy update, kept as the oracle of the rungs.
+
+    It holds its own log-odds, probability and observed arrays and its own
+    count of unobserved cells inside the boundary.
+    """
+
+    def __init__(self, world):
+        shape = (world.spec.height, world.spec.width)
+        self.log_odds = np.zeros(shape)
+        self.p = np.full(shape, UNKNOWN_P)
+        self.observed = np.zeros(shape, dtype=bool)
+        self.unknown_inside = world.boundary_cells
+
+
+def sense_occupancy_sorted(world, pose, ref):
     """Reference occupancy update: the cells of the ray samples by np.unique."""
     spec = world.spec
     cfg = world.config.sensors
-    px, py, theta = state.pose
+    px, py, theta = pose
     n_rays = max(2, int(round(cfg.fov / cfg.ray_step)) + 1)
     angles = theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, n_rays)
     dr = spec.resolution / 2
@@ -276,7 +313,7 @@ def sense_occupancy_sorted(world, state):
     hit_lin = np.unique(j[at_hit & inside] * spec.width + i[at_hit & inside])
     free_lin = np.setdiff1d(free_lin, hit_lin, assume_unique=True)
 
-    lo = state.log_odds.ravel()
+    lo = ref.log_odds.ravel()
     lo[free_lin] -= simworld.LOG_ODDS_STEP
     lo[hit_lin] += simworld.LOG_ODDS_STEP
     touched = np.concatenate([free_lin, hit_lin])
@@ -284,11 +321,11 @@ def sense_occupancy_sorted(world, state):
         p = 1.0 / (1.0 + np.exp(-lo[touched]))
         p = np.clip(p, simworld.P_CLAMP[0], simworld.P_CLAMP[1])
         p = np.where(p == UNKNOWN_P, UNKNOWN_P + 1e-9, p)
-        state.occ.p.ravel()[touched] = p
-        obs = state.observed.ravel()
+        ref.p.ravel()[touched] = p
+        obs = ref.observed.ravel()
         new = touched[~obs[touched]]
         obs[new] = True
-        state.unknown_inside -= int(world.boundary_mask.ravel()[new].sum())
+        ref.unknown_inside -= int(world.boundary_mask.ravel()[new].sum())
 
 
 # Headings of the 8 grid steps, as execute_path computes them.
@@ -323,23 +360,41 @@ def occupancy_oracle_poses(world, rng, n_random=200):
     return poses
 
 
+def log_odds_ladder(k_max=8):
+    """Clamped logistic of 0 and of k = 1..k_max repeated +-LOG_ODDS_STEP additions."""
+    lo = np.zeros(2 * k_max + 1)
+    step = np.zeros(k_max + 1)
+    for k in range(1, k_max + 1):
+        step[k] = step[k - 1] + simworld.LOG_ODDS_STEP
+    lo[k_max:] = step
+    lo[:k_max + 1] = -step[::-1]
+    return np.clip(1.0 / (1.0 + np.exp(-lo)), *simworld.P_CLAMP)
+
+
 class TestOccupancyOracle:
     @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
     def test_matches_sorted_reference(self, preset):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
         state = MissionState.initial(world)
+        ref = OccupancyReference(world)
         poses = occupancy_oracle_poses(world, np.random.default_rng(11))
         assert len(poses) > 200
         for pose in poses:
             state.pose = pose
-            want = copy.deepcopy(state, {id(world): world})
-            sense_occupancy_sorted(world, want)
+            sense_occupancy_sorted(world, pose, ref)
             simworld._sense_occupancy(world, state)
-            assert np.array_equal(state.log_odds, want.log_odds), pose
-            assert np.array_equal(state.occ.p, want.occ.p), pose
-            assert np.array_equal(state.observed, want.observed), pose
-            assert state.unknown_inside == want.unknown_inside, pose
-        assert state.observed.any() and (state.occ.p > 0.9).any()
+            assert np.array_equal(state.occ.p, ref.p), pose
+            assert state.unknown_inside == ref.unknown_inside, pose
+        assert ref.observed.any() and (state.occ.p > 0.9).any()
+        # Some cell was marked often enough to hit each clamp.
+        assert (np.abs(ref.log_odds) > 3 * simworld.LOG_ODDS_STEP).any()
+        assert set(np.unique(state.occ.p).tolist()) <= set(simworld._P_LADDER.tolist())
+
+    def test_ladder_is_clamped_logistic_of_repeated_steps(self):
+        ladder = log_odds_ladder()
+        assert np.array_equal(np.unique(ladder), simworld._P_LADDER)
+        assert simworld._P_LADDER.size == 7 and simworld._P_LADDER[3] == UNKNOWN_P
+        assert np.array_equal(simworld._P_LADDER[[0, -1]], simworld.P_CLAMP)
 
 
 class TestSurrogateCovariance:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fitslam.grid import BLOCKED, FREE, GridSpec, UNKNOWN
+from fitslam import traversability
+from fitslam.grid import BLOCKED, FREE, ConfigError, GridSpec, UNKNOWN
 from fitslam.traversability import (
     TerrainStatsGrid,
-    TraversabilityParams,
     load_points,
     threshold,
 )
@@ -64,8 +64,10 @@ class TestCellMetrics:
         stats = TerrainStatsGrid(one_cell_spec())
         stats.accumulate(np.array([
             [0.1, 0.1, 0.0], [0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.9, 0.9, 0.0],
+            [0.5, 0.5, 0.0],
         ]))
-        _, _, slope, roughness, step = stats.cell_metrics(min_points=4)
+        valid, _, slope, roughness, step = stats.cell_metrics()
+        assert valid[0, 0]
         assert slope[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert roughness[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert step[0, 0] == 0.0
@@ -128,38 +130,36 @@ class TestScoreCells:
         stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 2, 1))
         stats.accumulate(np.column_stack([
             np.linspace(0.1, 0.9, 6), np.full(6, 0.5), np.zeros(6)]))
-        trav = stats.score_cells(TraversabilityParams())
+        trav = stats.score_cells()
         assert trav.score[0, 0] == 1.0
         assert np.isnan(trav.score[0, 1])
 
     def test_too_few_points_is_unknown(self):
         stats = TerrainStatsGrid(one_cell_spec())
         stats.accumulate(np.array([[0.2, 0.2, 0], [0.8, 0.2, 0], [0.5, 0.8, 0]]))
-        trav = stats.score_cells(TraversabilityParams(min_points=5))
+        trav = stats.score_cells()
         assert np.isnan(trav.score[0, 0])
 
     def test_slope_at_limit_scores_zero(self):
-        params = TraversabilityParams(max_slope=math.radians(30.0))
         stats = TerrainStatsGrid(one_cell_spec())
         rng = np.random.default_rng(5)
         xy = rng.uniform(0, 1, size=(50, 2))
-        z = xy[:, 0] * math.tan(params.max_slope)
+        z = xy[:, 0] * math.tan(traversability.MAX_SLOPE)
         stats.accumulate(np.column_stack([xy, z]))
-        trav = stats.score_cells(params)
+        trav = stats.score_cells()
         assert trav.score[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_minimum_of_metric_scores(self):
         # Rough but flat terrain: the roughness term should dominate.
-        params = TraversabilityParams(max_roughness=0.05)
         stats = TerrainStatsGrid(one_cell_spec())
         rng = np.random.default_rng(9)
         xy = rng.uniform(0, 1, size=(200, 2))
         z = rng.normal(0.0, 0.03, 200)
         stats.accumulate(np.column_stack([xy, z]))
-        trav = stats.score_cells(params)
+        trav = stats.score_cells()
         _, _, slope, roughness, _ = stats.cell_metrics()
-        s_slope = 1.0 - slope[0, 0] / params.max_slope
-        s_rough = 1.0 - roughness[0, 0] / params.max_roughness
+        s_slope = 1.0 - slope[0, 0] / traversability.MAX_SLOPE
+        s_rough = 1.0 - roughness[0, 0] / traversability.MAX_ROUGHNESS
         assert s_rough < s_slope
         assert trav.score[0, 0] == pytest.approx(s_rough, abs=1e-9)
 
@@ -167,7 +167,7 @@ class TestScoreCells:
 class TestThreshold:
     def test_unknown_preserved(self):
         stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 2, 2))
-        trav = stats.score_cells(TraversabilityParams())
+        trav = stats.score_cells()
         nav = threshold(trav, 0.5)
         assert np.all(nav.state == UNKNOWN)
 
@@ -182,7 +182,7 @@ class TestThreshold:
 
     def test_threshold_range_checked(self):
         stats = TerrainStatsGrid(one_cell_spec())
-        trav = stats.score_cells(TraversabilityParams())
+        trav = stats.score_cells()
         with pytest.raises(ValueError):
             threshold(trav, 1.5)
 
@@ -199,3 +199,27 @@ class TestLoadPoints:
         f = tmp_path / "one.txt"
         f.write_text("0.5 0.5 0.0\n")
         assert load_points(f).shape == (1, 3)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "points.txt"
+        f.write_text("# x y z\n\n0.5 0.5 0.0  # first\n")
+        assert load_points(f).tolist() == [[0.5, 0.5, 0.0]]
+
+    def test_empty_file_gives_no_points(self, tmp_path):
+        f = tmp_path / "empty.txt"
+        f.write_text("# nothing yet\n")
+        assert load_points(f).shape == (0, 3)
+
+    @pytest.mark.parametrize("body, line", [
+        ("0.1 0.2\n1.0 2.0\n", 1),            # two columns
+        ("0.1 0.2 0.3\n1.0 2.0\n", 2),        # a short row
+        ("0.1 0.2 0.3\n1 2 3 4\n", 2),        # a long row
+        ("0.1 0.2 0.3\n\n1.0 2.0 nan\n", 3),  # nan in z
+        ("inf 0.2 0.3\n", 1),
+        ("0.1 0.2 z\n", 1),                    # not a number
+    ])
+    def test_bad_rows_rejected_with_line_number(self, tmp_path, body, line):
+        f = tmp_path / "points.txt"
+        f.write_text(body)
+        with pytest.raises(ConfigError, match=f"points.txt:{line}:"):
+            load_points(f)
