@@ -9,7 +9,6 @@ set, 1 on configuration or I/O errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -50,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list from fit,greedy,random")
     run.add_argument("--seeds", default="1..10", help="e.g. 1..10 or 3,5,8")
     run.add_argument("--out", default="out", help="output directory")
-    run.add_argument("--full-res", action="store_true",
-                     help="run at 0.05 m map resolution instead of the config value")
     run.add_argument("--max-time", type=float, default=DEFAULT_MAX_MISSION_TIME,
                      help="simulated mission time cap in seconds")
     run.add_argument("--alpha", type=float, default=None)
@@ -69,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     world = _load_world(args.config)
-    if args.full_res:
-        world = dataclasses.replace(world, resolution=0.05)
     uparams = UtilityParams(
         alpha=args.alpha if args.alpha is not None else UtilityParams().alpha,
         beta=args.beta if args.beta is not None else UtilityParams().beta,
@@ -108,11 +103,8 @@ def _cmd_preview(args) -> int:
 
     occ = OccupancyGrid(spec, np.where(world.occupied, 0.98, 0.02))
     stats = TerrainStatsGrid(spec)
-    xs, ys = world.centers
-    half = 0.3 * spec.resolution
-    for dx, dy in ((0, 0), (-half, -half), (-half, half), (half, -half), (half, half)):
-        px, py = (xs + dx).ravel(), (ys + dy).ravel()
-        stats.accumulate(np.column_stack([px, py, world.terrain_z(px, py)]))
+    jj, ii = np.indices(world.occupied.shape).reshape(2, -1)
+    stats.accumulate(simworld.terrain_points(world, jj, ii))
     trav = stats.score_cells()
     nav = traversability.threshold(trav, simworld.DEFAULT_TRAV_THRESHOLD)
 

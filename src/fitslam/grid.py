@@ -152,13 +152,6 @@ class TraversabilityGrid:
     def __post_init__(self):
         _check_shape(self.spec, self.score)
 
-    @classmethod
-    def unknown(cls, spec: GridSpec) -> "TraversabilityGrid":
-        return cls(spec, np.full((spec.height, spec.width), np.nan))
-
-    def copy(self) -> "TraversabilityGrid":
-        return TraversabilityGrid(self.spec, self.score.copy())
-
     def to_text(self) -> str:
         lines = [_header(self.spec)]
         for row in self.score:
@@ -189,9 +182,6 @@ class BinaryTraversabilityGrid:
     @classmethod
     def unknown(cls, spec: GridSpec) -> "BinaryTraversabilityGrid":
         return cls(spec, np.full((spec.height, spec.width), UNKNOWN, dtype=np.int8))
-
-    def copy(self) -> "BinaryTraversabilityGrid":
-        return BinaryTraversabilityGrid(self.spec, self.state.copy())
 
     def free_mask(self) -> np.ndarray:
         return self.state == FREE

@@ -22,7 +22,7 @@ from .frontier import cluster_frontiers, detect_frontiers, mission_complete
 from .grid import FREE
 from .infogain import RayCastParams, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
-from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig,
+from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig, check_int,
                        current_grids, execute_path, generate_world, initial_spin)
 from .utility import CandidateGoal, UtilityParams, compute_u1, select_best, shortlist
 
@@ -70,12 +70,14 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES}")
-        _check_mission_settings(self.world, self.max_mission_time, self.rays)
+        _check_mission_settings(self.world, self.seeds, self.max_mission_time, self.rays)
 
 
-def _check_mission_settings(world: WorldConfig, max_mission_time: float,
+def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: float,
                            rays: RayCastParams) -> None:
-    """Reject a time budget or scan ray step no mission can run with."""
+    """Reject a seed, time budget or scan ray step no mission can run with."""
+    for seed in seeds:
+        check_int("mission seed", seed, 0)
     if not (math.isfinite(max_mission_time) and max_mission_time > 0):
         raise ConfigError(f"max mission time must be finite and > 0, "
                           f"got {max_mission_time!r}")
@@ -122,7 +124,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         raise ConfigError(f"unknown strategy {strategy!r}")
     uparams = utility_params or UtilityParams()
     rays = ray_params or RayCastParams()
-    _check_mission_settings(config, max_mission_time, rays)
+    _check_mission_settings(config, (seed,), max_mission_time, rays)
     world = generate_world(dataclasses.replace(config, seed=seed))
     spec = world.spec
     sensors = world.config.sensors

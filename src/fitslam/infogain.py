@@ -9,6 +9,7 @@ summed ray gains inside the camera field of view.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,15 +234,8 @@ def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
     return offsets
 
 
-_TEMPLATE_CACHE: dict = {}
-
-
-def _template(params: RayCastParams, fov: float, max_range: float,
-              resolution: float) -> _ScanTemplate:
-    key = (params, fov, max_range, resolution)
-    if key not in _TEMPLATE_CACHE:
-        _TEMPLATE_CACHE[key] = _ScanTemplate(params, fov, max_range, resolution)
-    return _TEMPLATE_CACHE[key]
+# Scans with the same (params, fov, max_range, resolution) share one template.
+_template = functools.cache(_ScanTemplate)
 
 
 def scan_many(occ: OccupancyGrid, goals: list, params: RayCastParams,

@@ -62,14 +62,12 @@ class RobotConfig:
     speed: float = 0.4              # m/s
 
 
-# World JSON key -> (dataclass field, conversion), per section. Keys of
-# `terrain`, `obstacles` and `landmarks` are checked by WorldConfig itself.
-_TOP_KEYS = {"seed": int, "size_m": float, "resolution": float,
-             "terrain": dict, "obstacles": list, "landmarks": dict}
-_SENSOR_KEYS = {"fov_deg": ("fov", lambda v: math.radians(float(v))),
-                "max_depth_m": ("max_depth", float),
+# Top-level world JSON keys, and per key of the sections whose keys carry
+# units, its (dataclass field, conversion). WorldConfig checks every value.
+_TOP_KEYS = ("seed", "size_m", "resolution", "terrain", "obstacles", "landmarks")
+_SENSOR_KEYS = {"fov_deg": ("fov", math.radians), "max_depth_m": ("max_depth", float),
                 "lidar_radius_m": ("lidar_radius", float),
-                "ray_step_deg": ("ray_step", lambda v: math.radians(float(v)))}
+                "ray_step_deg": ("ray_step", math.radians)}
 _ROBOT_KEYS = {"start_xy_theta": ("start", tuple), "speed": ("speed", float)}
 _TERRAIN_KEYS = ("type", "grade", "n_bumps", "bump_amp", "bump_sigma")
 _TERRAIN_TYPES = ("flat", "ramp", "bumps", "ramp_bumps")
@@ -93,11 +91,12 @@ class WorldConfig:
 
     def __post_init__(self):
         s = self.sensors
+        check_int("seed", self.seed, 0)
         for name, value in (("size_m", self.size_m), ("resolution", self.resolution),
                             ("sensors.fov", s.fov), ("sensors.max_depth", s.max_depth),
                             ("sensors.lidar_radius", s.lidar_radius),
                             ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
-            _check_positive(name, value)
+            _check_in(name, value, lambda v: v > 0, "> 0")
         if s.fov > 2 * math.pi:
             raise ConfigError("sensors.fov must be at most 360 degrees")
         # Occupancy rays sample every half cell, the first one half a cell out.
@@ -111,9 +110,14 @@ class WorldConfig:
             raise ConfigError(f"unknown terrain type {self.terrain['type']!r}")
         shape = [v for k, v in self.terrain.items() if k != "type"]
         _check_numbers(shape, len(shape), "terrain")
+        if "n_bumps" in self.terrain:
+            check_int("terrain.n_bumps", self.terrain["n_bumps"], 0)
+        if "bump_sigma" in self.terrain:
+            _check_in("terrain.bump_sigma", self.terrain["bump_sigma"], lambda v: v > 0, "> 0")
         _check_keys(self.landmarks, _LANDMARK_KEYS, "landmarks")
-        counts = [v for k, v in self.landmarks.items() if k != "points"]
-        _check_numbers(counts, len(counts), "landmarks")
+        for key, lo in (("count", 0), ("clusters", 1)):
+            if key in self.landmarks:
+                check_int(f"landmarks.{key}", self.landmarks[key], lo)
         for p in _check_list(self.landmarks.get("points", []), "landmarks.points"):
             _check_numbers(p, 3, "landmark point")
         for ob in _check_list(self.obstacles, "obstacles"):
@@ -125,7 +129,10 @@ class WorldConfig:
             if ob["w"] <= 0 or ob["h"] <= 0:
                 raise ConfigError(f"obstacle w and h must be > 0: {ob}")
         sur = self.surrogate
-        _check_numbers([sur.q, sur.kappa, sur.t_lc, sur.l_min], 4, "surrogate")
+        _check_in("surrogate.q", sur.q, lambda v: v >= 0, ">= 0")
+        _check_in("surrogate.kappa", sur.kappa, lambda v: 0 < v <= 1, "in (0, 1]")
+        _check_in("surrogate.t_lc", sur.t_lc, lambda v: v >= 0, ">= 0")
+        check_int("surrogate.l_min", sur.l_min, 1)
         _check_numbers(self.robot.start, 3, "robot.start_xy_theta")
         sx, sy, _ = self.robot.start
         if not (self.grid_spec().point_in_bounds(sx, sy) and self.boundary().contains(sx, sy)):
@@ -148,7 +155,7 @@ class WorldConfig:
         """
         try:
             _check_keys(raw, (*_TOP_KEYS, "sensors", "robot", "surrogate"), "world")
-            kwargs = {k: conv(raw[k]) for k, conv in _TOP_KEYS.items() if k in raw}
+            kwargs = {k: raw[k] for k in _TOP_KEYS if k in raw}
             kwargs["sensors"] = SensorConfig(**_fields(raw.get("sensors", {}),
                                                        _SENSOR_KEYS, "sensors"))
             kwargs["robot"] = RobotConfig(**_fields(raw.get("robot", {}), _ROBOT_KEYS, "robot"))
@@ -176,15 +183,34 @@ def _check_keys(raw, allowed, where: str) -> None:
 
 
 def _fields(raw, keys: dict, where: str) -> dict:
-    """Dataclass keyword arguments from a JSON section whose keys carry units."""
+    """Dataclass keyword arguments from a JSON section whose keys carry units.
+
+    A value that is not a list must be a JSON number before it is converted.
+    """
     _check_keys(raw, keys, where)
+    for k, v in raw.items():
+        if not isinstance(v, list):
+            _check_numbers([v], 1, f"{where}.{k}")
     return {keys[k][0]: keys[k][1](v) for k, v in raw.items()}
 
 
-def _check_positive(name: str, value) -> None:
-    _check_numbers([value], 1, name)
-    if not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
+def _is_number(v) -> bool:
+    """Whether v is a finite number a float can hold; a bool or a string is not."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _check_in(name: str, value, ok, need: str) -> None:
+    if not (_is_number(value) and ok(value)):
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
+def check_int(name: str, value, lo: int) -> None:
+    """Raise ConfigError unless value is an integer >= lo; a bool, a float or a string is not."""
+    _check_in(name, value, lambda v: isinstance(v, numbers.Integral) and v >= lo,
+              f"an integer >= {lo}")
 
 
 def _check_list(values, what: str):
@@ -195,7 +221,7 @@ def _check_list(values, what: str):
 
 def _check_numbers(values, n: int, what: str) -> None:
     if not (len(_check_list(values, what)) == n
-            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)):
+            and all(map(_is_number, values))):
         raise ConfigError(f"{what} needs {n} finite numbers, got {values!r}")
 
 
@@ -242,7 +268,7 @@ def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         z = z + float(t.get("grade", 0.05)) * x
     if kind in ("bumps", "ramp_bumps"):
         rng = np.random.default_rng(config.seed ^ 0x5EED)
-        n = int(t.get("n_bumps", 5))
+        n = t.get("n_bumps", 5)
         amp = float(t.get("bump_amp", 0.3))
         sigma = float(t.get("bump_sigma", 2.5))
         centers = rng.uniform(0.0, config.size_m, size=(n, 2))
@@ -279,8 +305,8 @@ def _place_landmarks(config: WorldConfig) -> list:
     if "points" in lm_cfg:
         return [Landmark(np.asarray(p, float)) for p in lm_cfg["points"]]
     rng = np.random.default_rng(config.seed ^ 0x1A4D)
-    count = int(lm_cfg.get("count", 60))
-    n_clusters = max(1, int(lm_cfg.get("clusters", 5)))
+    count = lm_cfg.get("count", 60)
+    n_clusters = lm_cfg.get("clusters", 5)
 
     centers = []
     for ob in config.obstacles:
@@ -328,11 +354,11 @@ class MissionState:
     unknown_inside: int          # running count of unobserved cells in-boundary
     pose: tuple                  # (x, y, theta) true pose
     cov: np.ndarray              # 6x6 localization covariance
+    first_seen: np.ndarray       # per landmark, the clock at first sight; inf if never seen
     blacklist: Blacklist = field(default_factory=Blacklist)
     clock: float = 0.0
     distance: float = 0.0
     n_loop_closures: int = 0
-    first_seen: dict = field(default_factory=dict)  # landmark idx -> first obs time
     samples: list = field(default_factory=list)
 
     @classmethod
@@ -344,6 +370,7 @@ class MissionState:
             unknown_inside=world.boundary_cells,
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
+            first_seen=np.full(len(world.landmarks), np.inf),
         )
 
 
@@ -382,12 +409,16 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     if not fresh.any():
         return
     jj, ii = np.nonzero(fresh)
-    corner_x = xs[win][jj, ii] - 0.5 * spec.resolution
-    corner_y = ys[win][jj, ii] - 0.5 * spec.resolution
-    pts_x = (corner_x[:, None] + _CELL_SAMPLES[None, :, 0] * spec.resolution).ravel()
-    pts_y = (corner_y[:, None] + _CELL_SAMPLES[None, :, 1] * spec.resolution).ravel()
-    pts_z = world.terrain_z(pts_x, pts_y)
-    state.stats.accumulate(np.column_stack([pts_x, pts_y, pts_z]))
+    state.stats.accumulate(terrain_points(world, jj + j0, ii + i0))
+
+
+def terrain_points(world: World, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
+    """The (5N, 3) lidar returns from cells (ii, jj): per cell, its _CELL_SAMPLES in order."""
+    res = world.spec.resolution
+    xs, ys = world.centers
+    px = ((xs[jj, ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 0] * res).ravel()
+    py = ((ys[jj, ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 1] * res).ravel()
+    return np.column_stack([px, py, world.terrain_z(px, py)])
 
 
 def _sense_occupancy(world: World, state: MissionState) -> None:
@@ -451,16 +482,15 @@ def _measurement_update(world: World, state: MissionState, observed: np.ndarray)
 
 def _loop_closure_check(state: MissionState, observed: np.ndarray) -> None:
     sur = state.world.config.surrogate
-    mature = [int(k) for k in observed
-              if state.first_seen.get(int(k), math.inf) <= state.clock - sur.t_lc]
-    for k in observed:
-        state.first_seen.setdefault(int(k), state.clock)
-    if len(mature) >= sur.l_min:
+    seen = state.first_seen
+    mature = observed[seen[observed] <= state.clock - sur.t_lc]
+    # The clock never runs backwards, so this keeps the first sight.
+    seen[observed] = np.minimum(seen[observed], state.clock)
+    if mature.size >= sur.l_min:
         state.cov = sur.kappa * state.cov
         state.n_loop_closures += 1
         # Reset the triggering landmarks so one revisit closes one loop.
-        for k in mature:
-            state.first_seen[k] = state.clock
+        seen[mature] = state.clock
 
 
 def observe(world: World, state: MissionState) -> None:

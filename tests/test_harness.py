@@ -90,6 +90,12 @@ class TestRunMission:
         with pytest.raises(ConfigError):
             run_mission(tiny_world(sensors={"fov_deg": 5}), "greedy", seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"],
+                             ids=["negative", "float", "bool", "string"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            run_mission(tiny_world(), "greedy", seed=seed)
+
     def test_time_budget_respected(self):
         log = run_mission(tiny_world(), "random", seed=1, max_mission_time=60.0)
         # The loop stops selecting once the clock passes the budget; only the
@@ -183,6 +189,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(world=tiny_world(), strategies=("teleport",))
 
+    @pytest.mark.parametrize("seeds", [(1, -1), (1.5,), (True,), (np.float64(2.0),)],
+                             ids=["negative", "float", "bool", "numpy-float"])
+    def test_bad_seed_rejected(self, seeds):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(world=tiny_world(), seeds=seeds)
+
+    def test_numpy_integer_seeds_accepted(self):
+        assert ExperimentConfig(world=tiny_world(), seeds=(np.int64(2), 0)).seeds[0] == 2
+
     def test_fov_narrower_than_ray_step_rejected(self):
         # The orientation scan needs delta_theta <= fov; both are known before
         # any world is generated.
@@ -264,7 +279,9 @@ class TestCli:
         ["--strategies", ","],
         ["--max-time", "-5"],
         ["--max-time", "nan"],
-    ], ids=["seeds-empty-range", "strategies-empty", "max-time-negative", "max-time-nan"])
+        ["--seeds", "1,-1"],
+    ], ids=["seeds-empty-range", "strategies-empty", "max-time-negative", "max-time-nan",
+            "seeds-negative"])
     def test_empty_or_nonpositive_setting_exit_one(self, flags, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", "flat_office", "--strategies", "greedy",

@@ -21,6 +21,7 @@ from fitslam.simworld import (
     initial_spin,
     observe,
 )
+from fitslam.traversability import TerrainStatsGrid
 
 
 def tiny_config(**overrides):
@@ -86,12 +87,46 @@ class TestWorldConfig:
         # no sample at all below a quarter cell, one past the range above it.
         {"sensors": {"max_depth_m": 0.02}},
         {"sensors": {"max_depth_m": 0.07}},
+        # Integers must be JSON integers: no float, string or bool.
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": True},
+        {"landmarks": {"count": 10.7, "clusters": 2}},
+        {"terrain": {"type": "bumps", "n_bumps": 2.7}},
+        {"surrogate": {"l_min": 2.5}},
+        # Every other number must be a JSON number: no string or bool.
+        {"size_m": "10"},
+        {"sensors": {"fov_deg": "60"}},
+        {"sensors": {"fov_deg": True}},
+        {"robot": {"start_xy_theta": [2.0, 2.0, 0.0], "speed": "0.4"}},
+        {"robot": {"start_xy_theta": [2.0, True, 0.0]}},
+        {"obstacles": [{"x": 3.0, "y": 3.0, "w": 1.0, "h": 1.0, "height": True}]},
+        {"size_m": 10 ** 400},  # a JSON integer no float can hold
+        # Out of range.
+        {"seed": -3},
+        {"terrain": {"type": "bumps", "n_bumps": -2}},
+        {"landmarks": {"count": -5, "clusters": 2}},
+        {"landmarks": {"count": 12, "clusters": 0}},
+        {"surrogate": {"l_min": 0}},
+        {"surrogate": {"kappa": -1}},
+        {"surrogate": {"kappa": 0}},
+        {"surrogate": {"kappa": 1.5}},
+        {"surrogate": {"q": -1}},
+        {"surrogate": {"t_lc": -60}},
+        {"terrain": {"type": "bumps", "bump_sigma": 0.0}},  # numpy divides by zero
+        {"terrain": {"type": "bumps", "bump_sigma": -3.0}},  # acts as 3.0
     ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
             "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
             "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
             "start-outside-boundary", "start-in-obstacle", "terrain-grade-string",
             "landmark-count-string", "depth-below-quarter-cell",
-            "depth-below-half-cell"])
+            "depth-below-half-cell", "seed-float", "seed-string", "seed-bool",
+            "count-float", "n-bumps-float", "l-min-float", "size-string",
+            "fov-string", "fov-bool", "speed-string", "start-bool",
+            "obstacle-height-bool", "size-huge-int", "seed-negative",
+            "n-bumps-negative", "count-negative", "clusters-zero", "l-min-zero",
+            "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
+            "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
@@ -106,6 +141,14 @@ class TestWorldConfig:
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+
+    def test_range_limits_accepted(self):
+        cfg = tiny_config(seed=0, size_m=8, landmarks={"count": 0, "clusters": 1},
+                          terrain={"type": "bumps", "n_bumps": 0},
+                          surrogate={"q": 0, "kappa": 1, "t_lc": 0, "l_min": 1})
+        assert cfg.seed == 0 and cfg.surrogate.kappa == 1
+        assert generate_world(cfg).landmarks == []
+        assert generate_world(tiny_config(seed=np.int64(3))).config.seed == 3
 
     def test_defaults_come_from_dataclasses(self):
         assert WorldConfig.from_dict({}) == WorldConfig()
@@ -250,6 +293,35 @@ class TestSensing:
             state.pose = (2.0, 2.0, heading)
             simworld.sense(world, state)
         assert not np.any(state.occ.p[observed] == UNKNOWN_P)
+
+    def test_terrain_points_are_cell_samples_in_order(self):
+        world = generate_world(tiny_config(terrain={"type": "ramp", "grade": 0.1}))
+        spec = world.spec
+        jj = np.array([0, 3, spec.height - 1, 3])
+        ii = np.array([0, 7, spec.width - 1, 2])
+        pts = simworld.terrain_points(world, jj, ii)
+        assert pts.shape == (5 * jj.size, 3)
+        for k, (j, i) in enumerate(zip(jj, ii)):
+            for s, (fx, fy) in enumerate(simworld._CELL_SAMPLES):
+                x, y, z = pts[5 * k + s]
+                assert spec.world_to_cell(x, y) == (i, j)
+                assert (x, y) == pytest.approx(((i + fx) * spec.resolution,
+                                                (j + fy) * spec.resolution))
+                assert z == world.terrain_z(x, y)
+
+    def test_sense_accumulates_terrain_points_of_sensed_cells(self):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
+        state = MissionState.initial(world)
+        spec = world.spec
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            x, y = spec.cell_to_world(int(rng.integers(spec.width)),
+                                      int(rng.integers(spec.height)))
+            state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
+            simworld.sense(world, state)
+            ref = TerrainStatsGrid(spec)
+            ref.accumulate(simworld.terrain_points(world, *np.nonzero(state.stats.count)))
+            assert np.array_equal(state.stats.moments, ref.moments)
 
     def test_terrain_counts_are_zero_or_five_and_sensed_once(self):
         world = generate_world(WorldConfig.from_json(
@@ -453,6 +525,19 @@ class TestSurrogateCovariance:
         # The contraction multiplies cov by kappa before the measurement
         # update, so the trace drops at least that much.
         assert float(np.trace(state.cov)) < 0.5 * trace_before + 1e-12
+
+    def test_first_seen_keeps_first_sight_clock(self):
+        lms = [[3.0 + 0.1 * k, 2.0, 0.6] for k in range(8)] + [[2.0, 7.0, 0.6]]
+        world = generate_world(tiny_config(landmarks={"points": lms}))
+        state = MissionState.initial(world)
+        state.pose = (2.0, 2.0, 0.0)
+        state.clock = 3.0
+        observe(world, state)
+        seen = np.isfinite(state.first_seen)
+        assert seen[:8].all() and not seen[8]  # the last landmark is behind the robot
+        state.clock = 9.0
+        observe(world, state)
+        assert np.array_equal(state.first_seen[:8], np.full(8, 3.0))
 
     def test_loop_closure_resets_first_seen(self):
         lms = [[3.0 + 0.1 * k, 2.0, 0.6] for k in range(8)]
