@@ -18,8 +18,7 @@ from . import PRESET_WORLDS, preset_world_path, simworld, traversability
 from .grid import OccupancyGrid
 from .harness import DEFAULT_MAX_MISSION_TIME, ExperimentConfig, run_experiment, STRATEGIES
 from .infogain import RayCastParams
-from .simworld import ConfigError, WorldConfig, generate_world
-from .traversability import TerrainStatsGrid
+from .simworld import ConfigError, P_CLAMP, WorldConfig, generate_world
 from .utility import UtilityParams
 
 
@@ -99,13 +98,8 @@ def _cmd_run(args) -> int:
 def _cmd_preview(args) -> int:
     config = _load_world(args.config)
     world = generate_world(config)
-    spec = world.spec
-
-    occ = OccupancyGrid(spec, np.where(world.occupied, 0.98, 0.02))
-    stats = TerrainStatsGrid(spec)
-    jj, ii = np.indices(world.occupied.shape).reshape(2, -1)
-    stats.accumulate(simworld.terrain_points(world, jj, ii))
-    trav = stats.score_cells()
+    occ = OccupancyGrid(world.spec, np.where(world.occupied, P_CLAMP[1], P_CLAMP[0]))
+    trav = world.terrain.score_cells()
     nav = traversability.threshold(trav, simworld.DEFAULT_TRAV_THRESHOLD)
 
     print("# true occupancy")

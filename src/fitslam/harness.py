@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -71,6 +72,12 @@ class ExperimentConfig:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES}")
         _check_mission_settings(self.world, self.seeds, self.max_mission_time, self.rays)
+        # A repeated mission would run again, overwrite its CSV and count twice
+        # in the summary.
+        for what, values in (("strategy", self.strategies), ("seed", self.seeds)):
+            repeated = [v for v, n in Counter(values).items() if n > 1]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]} is given more than once")
 
 
 def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: float,

@@ -247,6 +247,15 @@ class World:
         return fisher.voxelize(self.landmarks)
 
     @functools.cached_property
+    def terrain(self) -> TerrainStatsGrid:
+        """Every cell's moments of its `terrain_points`, the same from any pose. Built in
+        bands to bound the temporaries; a cell's sums add only its own points, in order."""
+        stats = TerrainStatsGrid(self.spec)
+        for band in np.array_split(np.arange(self.spec.height * self.spec.width), 16):
+            stats.accumulate(terrain_points(self, *np.divmod(band, self.spec.width)))
+        return stats
+
+    @functools.cached_property
     def centers(self) -> tuple:
         return self.spec.cell_centers()
 
@@ -350,7 +359,7 @@ class MetricSample:
 class MissionState:
     world: World
     occ: OccupancyGrid           # p holds a _P_LADDER rung per cell
-    stats: TerrainStatsGrid      # count > 0 marks the cells whose terrain is in
+    sensed: np.ndarray           # bool, the cells the lidar has reached
     unknown_inside: int          # running count of unobserved cells in-boundary
     pose: tuple                  # (x, y, theta) true pose
     cov: np.ndarray              # 6x6 localization covariance
@@ -366,7 +375,7 @@ class MissionState:
         return cls(
             world=world,
             occ=OccupancyGrid.unknown(world.spec),
-            stats=TerrainStatsGrid(world.spec),
+            sensed=np.zeros((world.spec.height, world.spec.width), dtype=bool),
             unknown_inside=world.boundary_cells,
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
@@ -382,10 +391,9 @@ _CELL_SAMPLES = np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.8], [0.8, 0.2], [0.8, 
 def sense(world: World, state: MissionState) -> np.ndarray:
     """One sensing step at the current pose.
 
-    Terrain points inside the lidar radius feed the traversability statistics,
-    the camera wedge updates occupancy by ray casting against the true
-    obstacles, and the indices of landmarks inside the camera frustum are
-    returned.
+    Cells inside the lidar radius join the sensed terrain, the camera wedge
+    updates occupancy by ray casting against the true obstacles, and the
+    indices of landmarks inside the camera frustum are returned.
     """
     _sense_terrain(world, state)
     _sense_occupancy(world, state)
@@ -402,14 +410,9 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     j0 = max(0, int((py - r - spec.origin_y) / spec.resolution))
     j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
     xs, ys = world.centers
-    win = np.s_[j0:j1, i0:i1]
     # xs and ys come from meshgrid: one row and one column hold every value.
     in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
-    fresh = in_range & (state.stats.count[win] == 0)
-    if not fresh.any():
-        return
-    jj, ii = np.nonzero(fresh)
-    state.stats.accumulate(terrain_points(world, jj + j0, ii + i0))
+    state.sensed[j0:j1, i0:i1] |= in_range
 
 
 def terrain_points(world: World, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
@@ -569,6 +572,6 @@ DEFAULT_TRAV_THRESHOLD = 0.3
 
 def current_grids(state: MissionState):
     """Score and threshold the traversability seen so far."""
-    trav = state.stats.score_cells()
+    trav = state.world.terrain.score_cells(state.sensed)
     nav = traversability.threshold(trav, DEFAULT_TRAV_THRESHOLD)
     return trav, nav

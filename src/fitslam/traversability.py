@@ -55,15 +55,17 @@ class TerrainStatsGrid:
         for row, v in zip(rows, (1.0, x, y, z, x * x, x * y, y * y, x * z, y * z, z * z)):
             np.add.at(row, cell, v)
 
-    def cell_metrics(self):
+    def cell_metrics(self, sensed=None):
         """Per-cell (valid, mean_z, slope, roughness, step) arrays.
 
-        valid is True where the cell holds at least MIN_POINTS points. Slope is
-        the angle between the fitted-plane normal and vertical; roughness is the
-        RMS residual; step is the largest elevation difference to the mean of an
-        8-neighbor cell that has data (0 when no neighbor has data).
+        valid is True where the cell holds at least MIN_POINTS points and is in the
+        bool `sensed` mask, if one is given. Slope is the angle between the
+        fitted-plane normal and vertical; roughness is the RMS residual; step is the
+        largest elevation difference to the mean of an 8-neighbor cell that has data
+        (a point, and in `sensed`; 0 when no neighbor has data).
         """
-        valid = self.count >= MIN_POINTS
+        has_data = self.count > 0 if sensed is None else (self.count > 0) & sensed
+        valid = (self.count >= MIN_POINTS) & has_data
         n = np.where(self.count > 0, self.count, 1.0)
         mx, my, mz, exx, exy, eyy, exz, eyz, ezz = self.moments[1:] / n
         # Centered second moments.
@@ -84,7 +86,6 @@ class TerrainStatsGrid:
         roughness = np.sqrt(resid_var)
 
         step = np.zeros_like(mz)
-        has_data = self.count > 0
         for dj in (-1, 0, 1):
             for di in (-1, 0, 1):
                 if di == 0 and dj == 0:
@@ -95,9 +96,9 @@ class TerrainStatsGrid:
                 step = np.maximum(step, diff)
         return valid, mz, slope, roughness, step
 
-    def score_cells(self) -> TraversabilityGrid:
-        """Score every cell; cells with too few points stay Unknown."""
-        valid, _, slope, roughness, step = self.cell_metrics()
+    def score_cells(self, sensed=None) -> TraversabilityGrid:
+        """Score every cell; cells with too few points, or not in `sensed`, stay Unknown."""
+        valid, _, slope, roughness, step = self.cell_metrics(sensed)
         s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)
         s_rough = np.clip(1.0 - roughness / MAX_ROUGHNESS, 0.0, 1.0)
         s_step = np.clip(1.0 - step / MAX_STEP, 0.0, 1.0)

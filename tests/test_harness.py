@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -189,11 +190,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(world=tiny_world(), strategies=("teleport",))
 
-    @pytest.mark.parametrize("seeds", [(1, -1), (1.5,), (True,), (np.float64(2.0),)],
-                             ids=["negative", "float", "bool", "numpy-float"])
+    @pytest.mark.parametrize("seeds", [(1, -1), (1.5,), (True,), (np.float64(2.0),),
+                                       (1, 2, 1), (np.int64(3), 3)],
+                             ids=["negative", "float", "bool", "numpy-float", "repeated",
+                                  "repeated-numpy"])
     def test_bad_seed_rejected(self, seeds):
         with pytest.raises(ConfigError):
             ExperimentConfig(world=tiny_world(), seeds=seeds)
+
+    def test_repeated_strategy_rejected(self):
+        with pytest.raises(ConfigError, match="strategy greedy is given more than once"):
+            ExperimentConfig(world=tiny_world(), strategies=("greedy", "random", "greedy"))
 
     def test_numpy_integer_seeds_accepted(self):
         assert ExperimentConfig(world=tiny_world(), seeds=(np.int64(2), 0)).seeds[0] == 2
@@ -280,8 +287,10 @@ class TestCli:
         ["--max-time", "-5"],
         ["--max-time", "nan"],
         ["--seeds", "1,-1"],
+        ["--strategies", "greedy,greedy", "--seeds", "1,1"],
+        ["--seeds", "1,2,1"],
     ], ids=["seeds-empty-range", "strategies-empty", "max-time-negative", "max-time-nan",
-            "seeds-negative"])
+            "seeds-negative", "strategies-and-seeds-repeated", "seeds-repeated"])
     def test_empty_or_nonpositive_setting_exit_one(self, flags, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", "flat_office", "--strategies", "greedy",
@@ -297,6 +306,20 @@ class TestCli:
         code = main(["run", "--config", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    # sha256 of `fitslam world preview` stdout per preset: the only output that
+    # scores every cell of a world.
+    PREVIEW_SHA256 = {
+        "flat_office": "3c04ceeebd660d3bc06f1ee881b9ed450d5225f20b1f648b5404cd3934d05b4f",
+        "obstacle_ring": "d03c29e41f30324231753844d0293e93ca23747c605818ed7c58c45293bfb061",
+        "ramp_yard": "de21e5ce89020a14ad08a308e9cce92dc8b53ef0c095084d6d1c9dc5f2dafafe",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PREVIEW_SHA256))
+    def test_preview_output_pinned(self, preset, capsys):
+        assert main(["world", "preview", "--config", preset]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PREVIEW_SHA256[preset]
 
     def test_preview_rasters_parse(self, capsys):
         code = main(["world", "preview", "--config", "obstacle_ring"])

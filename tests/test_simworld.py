@@ -218,6 +218,20 @@ class TestGenerateWorld:
         assert known.all()
         assert np.allclose(trav.score[known], 1.0)
 
+    @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
+    def test_terrain_holds_five_points_of_every_cell(self, preset):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
+        assert (world.terrain.count == 5).all()
+        assert world.terrain.dropped_points == 0
+        assert world.terrain is world.terrain  # built once per world
+
+    def test_terrain_banded_build_equals_one_shot(self):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
+        one_shot = TerrainStatsGrid(world.spec)
+        jj, ii = np.indices(world.occupied.shape).reshape(2, -1)
+        one_shot.accumulate(simworld.terrain_points(world, jj, ii))
+        assert np.array_equal(world.terrain.moments, one_shot.moments)
+
 
 class TestSensing:
     def test_wall_cells_reach_high_probability(self):
@@ -309,21 +323,7 @@ class TestSensing:
                                                 (j + fy) * spec.resolution))
                 assert z == world.terrain_z(x, y)
 
-    def test_sense_accumulates_terrain_points_of_sensed_cells(self):
-        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
-        state = MissionState.initial(world)
-        spec = world.spec
-        rng = np.random.default_rng(11)
-        for _ in range(4):
-            x, y = spec.cell_to_world(int(rng.integers(spec.width)),
-                                      int(rng.integers(spec.height)))
-            state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
-            simworld.sense(world, state)
-            ref = TerrainStatsGrid(spec)
-            ref.accumulate(simworld.terrain_points(world, *np.nonzero(state.stats.count)))
-            assert np.array_equal(state.stats.moments, ref.moments)
-
-    def test_terrain_counts_are_zero_or_five_and_sensed_once(self):
+    def test_sense_twice_at_a_pose_leaves_sensed_unchanged(self):
         world = generate_world(WorldConfig.from_json(
             fitslam.preset_world_path("obstacle_ring")))
         state = MissionState.initial(world)
@@ -334,14 +334,11 @@ class TestSensing:
                                       int(rng.integers(spec.height)))
             state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
             simworld.sense(world, state)
-            counts = state.stats.count
-            assert set(np.unique(counts).tolist()) <= {0.0, 5.0}
-            before = {k: v.copy() for k, v in vars(state.stats).items()
-                      if isinstance(v, np.ndarray)}
-            simworld.sense(world, state)  # same pose: no cell is fresh
-            for k, v in before.items():
-                assert np.array_equal(getattr(state.stats, k), v), k
-        assert (state.stats.count == 5.0).any() and (state.stats.count == 0.0).any()
+            before = state.sensed.copy()
+            simworld.sense(world, state)
+            assert np.array_equal(state.sensed, before)
+        assert state.sensed.dtype == bool
+        assert state.sensed.any() and not state.sensed.all()
 
 
 class OccupancyReference:
@@ -441,6 +438,46 @@ def log_odds_ladder(k_max=8):
     lo[k_max:] = step
     lo[:k_max + 1] = -step[::-1]
     return np.clip(1.0 / (1.0 + np.exp(-lo)), *simworld.P_CLAMP)
+
+
+def sense_terrain_accumulate(world, pose, ref):
+    """Reference terrain update: accumulate into `ref` the terrain points of the
+    cells within the lidar radius that hold no points yet."""
+    spec = world.spec
+    px, py, _ = pose
+    r = world.config.sensors.lidar_radius
+    i0 = max(0, int((px - r - spec.origin_x) / spec.resolution))
+    i1 = min(spec.width, int((px + r - spec.origin_x) / spec.resolution) + 2)
+    j0 = max(0, int((py - r - spec.origin_y) / spec.resolution))
+    j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
+    xs, ys = world.centers
+    in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
+    fresh = in_range & (ref.count[j0:j1, i0:i1] == 0)
+    jj, ii = np.nonzero(fresh)
+    ref.accumulate(simworld.terrain_points(world, jj + j0, ii + i0))
+
+
+class TestTerrainOracle:
+    @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
+    def test_scores_match_fresh_cell_accumulate(self, preset):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
+        state = MissionState.initial(world)
+        ref = TerrainStatsGrid(world.spec)
+        spec = world.spec
+        rng = np.random.default_rng(5)
+        coverage = []
+        for _ in range(8):
+            x, y = spec.cell_to_world(int(rng.integers(spec.width)),
+                                      int(rng.integers(spec.height)))
+            state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
+            simworld.sense(world, state)
+            sense_terrain_accumulate(world, state.pose, ref)
+            assert np.array_equal(state.sensed, ref.count > 0), state.pose
+            trav, _ = current_grids(state)
+            assert np.array_equal(trav.score, ref.score_cells().score, equal_nan=True)
+            coverage.append(state.sensed.mean())
+        # The first pose leaves cells unsensed, so Unknown cells are compared too.
+        assert 0.0 < coverage[0] < 1.0
 
 
 class TestOccupancyOracle:
