@@ -17,9 +17,9 @@ import numpy as np
 from . import PRESET_WORLDS, preset_world_path, simworld, traversability
 from .grid import OccupancyGrid
 from .harness import DEFAULT_MAX_MISSION_TIME, ExperimentConfig, run_experiment, STRATEGIES
-from .infogain import RayCastParams
+from .infogain import DEFAULT_DELTA_THETA_DEG, DEFAULT_GAMMA, RayCastParams
 from .simworld import ConfigError, P_CLAMP, WorldConfig, generate_world
-from .utility import UtilityParams
+from .utility import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_SHORTLIST_N, UtilityParams
 
 
 def _parse_seeds(text: str) -> tuple:
@@ -50,11 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--max-time", type=float, default=DEFAULT_MAX_MISSION_TIME,
                      help="simulated mission time cap in seconds")
-    run.add_argument("--alpha", type=float, default=None)
-    run.add_argument("--beta", type=float, default=None)
-    run.add_argument("--n-shortlist", type=int, default=None)
-    run.add_argument("--delta-theta-deg", type=float, default=None)
-    run.add_argument("--gamma", type=float, default=None)
+    run.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    run.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    run.add_argument("--n-shortlist", type=int, default=DEFAULT_SHORTLIST_N)
+    run.add_argument("--delta-theta-deg", type=float, default=DEFAULT_DELTA_THETA_DEG)
+    run.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
 
     world = sub.add_parser("world", help="world utilities")
     wsub = world.add_subparsers(dest="world_command", required=True)
@@ -64,26 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    world = _load_world(args.config)
-    uparams = UtilityParams(
-        alpha=args.alpha if args.alpha is not None else UtilityParams().alpha,
-        beta=args.beta if args.beta is not None else UtilityParams().beta,
-        shortlist_n=(args.n_shortlist if args.n_shortlist is not None
-                     else UtilityParams().shortlist_n),
-    )
-    defaults = RayCastParams()
-    rays = RayCastParams(
-        delta_theta=(math.radians(args.delta_theta_deg)
-                     if args.delta_theta_deg is not None else defaults.delta_theta),
-        gamma=args.gamma if args.gamma is not None else defaults.gamma,
-    )
     cfg = ExperimentConfig(
-        world=world,
+        world=_load_world(args.config),
         strategies=tuple(s.strip() for s in args.strategies.split(",") if s.strip()),
         seeds=_parse_seeds(args.seeds),
         out_dir=args.out,
-        utility=uparams,
-        rays=rays,
+        utility=UtilityParams(alpha=args.alpha, beta=args.beta, shortlist_n=args.n_shortlist),
+        rays=RayCastParams(delta_theta=math.radians(args.delta_theta_deg), gamma=args.gamma),
         max_mission_time=args.max_time,
     )
     logs = run_experiment(cfg)

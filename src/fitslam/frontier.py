@@ -72,15 +72,15 @@ class Blacklist:
 
 
 def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid,
-                     boundary: ExplorationBoundary) -> set:
-    """Cells inside the boundary that are Free and touch unknown occupancy."""
+                     inside: np.ndarray) -> set:
+    """Cells in the bool (H, W) mask `inside` that are Free and touch unknown occupancy."""
     if occ.spec != nav.spec:
         raise ValueError("occupancy and traversability grids must share one GridSpec")
     unknown = occ.unknown_mask()
     near_unknown = np.zeros_like(unknown)
     for di, dj in _NEIGHBOR_ORDER:
         near_unknown |= shift(unknown, di, dj)
-    mask = nav.free_mask() & near_unknown & boundary.mask(occ.spec)
+    mask = nav.free_mask() & near_unknown & inside
     jj, ii = np.nonzero(mask)
     return set(zip(ii.tolist(), jj.tolist()))
 

@@ -146,7 +146,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         _, nav = current_grids(state)
         ri, rj = spec.world_to_cell(state.pose[0], state.pose[1])
         nav.state[rj, ri] = FREE  # the robot occupies this cell, so it is navigable
-        frontiers = detect_frontiers(state.occ, nav, world.boundary)
+        frontiers = detect_frontiers(state.occ, nav, world.boundary_mask)
         clusters = cluster_frontiers(frontiers, spec, blacklist=state.blacklist)
         if mission_complete(clusters):
             termination = "stalled" if frontiers else "complete"

@@ -18,6 +18,9 @@ import numpy as np
 from .fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
 from .grid import OccupancyGrid, UNKNOWN_P
 
+DEFAULT_DELTA_THETA_DEG = 8.5
+DEFAULT_GAMMA = 0.9
+
 OCCUPIED_THRESHOLD = 0.65  # conventional occupancy cutoff for ray blocking
 
 # Windowed sums within this distance of the maximum count as tied.
@@ -32,8 +35,8 @@ class RayCastParams:
     the sensor, and the scan functions take them as arguments.
     """
 
-    delta_theta: float = math.radians(8.5)  # ray discretization
-    gamma: float = 0.9                      # observability degradation per unknown cell
+    delta_theta: float = math.radians(DEFAULT_DELTA_THETA_DEG)  # ray discretization
+    gamma: float = DEFAULT_GAMMA  # observability degradation per unknown cell
 
     def __post_init__(self):
         if not self.delta_theta > 0:

@@ -30,14 +30,6 @@ class Path:
     cells: list  # (i, j) from start to goal, consecutive cells 8-adjacent
     length_m: float
 
-    @property
-    def start(self):
-        return self.cells[0]
-
-    @property
-    def goal(self):
-        return self.cells[-1]
-
 
 @dataclass(frozen=True)
 class Waypoint:

@@ -8,6 +8,8 @@ the three metrics by the minimum so a single hazard dominates.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import (BinaryTraversabilityGrid, BLOCKED, FREE, GridSpec, TraversabilityGrid,
@@ -40,6 +42,7 @@ class TerrainStatsGrid:
             return
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"expected (N, 3) points, got {points.shape}")
+        self.__dict__.pop("plane", None)
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
         i = np.floor((x - self.spec.origin_x) / self.spec.resolution).astype(int)
         j = np.floor((y - self.spec.origin_y) / self.spec.resolution).astype(int)
@@ -55,17 +58,9 @@ class TerrainStatsGrid:
         for row, v in zip(rows, (1.0, x, y, z, x * x, x * y, y * y, x * z, y * z, z * z)):
             np.add.at(row, cell, v)
 
-    def cell_metrics(self, sensed=None):
-        """Per-cell (valid, mean_z, slope, roughness, step) arrays.
-
-        valid is True where the cell holds at least MIN_POINTS points and is in the
-        bool `sensed` mask, if one is given. Slope is the angle between the
-        fitted-plane normal and vertical; roughness is the RMS residual; step is the
-        largest elevation difference to the mean of an 8-neighbor cell that has data
-        (a point, and in `sensed`; 0 when no neighbor has data).
-        """
-        has_data = self.count > 0 if sensed is None else (self.count > 0) & sensed
-        valid = (self.count >= MIN_POINTS) & has_data
+    @functools.cached_property
+    def plane(self):
+        """Per-cell plane fit (mean_z, slope, roughness), read-only; `accumulate` drops it."""
         n = np.where(self.count > 0, self.count, 1.0)
         mx, my, mz, exx, exy, eyy, exz, eyz, ezz = self.moments[1:] / n
         # Centered second moments.
@@ -84,7 +79,24 @@ class TerrainStatsGrid:
         slope = np.arctan(np.hypot(a, b))
         resid_var = np.maximum(czz - a * cxz - b * cyz, 0.0)
         roughness = np.sqrt(resid_var)
+        # A copy, so the cache does not keep the whole (9, H, W) quotient alive.
+        plane = (mz.copy(), slope, roughness)
+        for arr in plane:
+            arr.flags.writeable = False
+        return plane
 
+    def cell_metrics(self, sensed=None):
+        """Per-cell (valid, mean_z, slope, roughness, step) arrays.
+
+        valid is True where the cell holds at least MIN_POINTS points and is in the
+        bool `sensed` mask, if one is given. Slope is the angle between the
+        fitted-plane normal and vertical; roughness is the RMS residual; step is the
+        largest elevation difference to the mean of an 8-neighbor cell that has data
+        (a point, and in `sensed`; 0 when no neighbor has data).
+        """
+        has_data = self.count > 0 if sensed is None else (self.count > 0) & sensed
+        valid = (self.count >= MIN_POINTS) & has_data
+        mz, slope, roughness = self.plane
         step = np.zeros_like(mz)
         for dj in (-1, 0, 1):
             for di in (-1, 0, 1):

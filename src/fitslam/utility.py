@@ -14,6 +14,7 @@ import numpy as np
 
 from .frontier import FrontierCluster
 from .planner import Path
+from .simworld import check_int
 
 DEFAULT_ALPHA = 0.35
 DEFAULT_BETA = 0.4
@@ -35,8 +36,7 @@ class UtilityParams:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.shortlist_n < 1:
-            raise ValueError("shortlist_n must be >= 1")
+        check_int("shortlist_n", self.shortlist_n, 1)
 
 
 @dataclass

@@ -84,33 +84,33 @@ def cluster_oracle(cells, spec, max_cluster_size, blacklist):
 
 class TestDetectFrontiers:
     def test_fully_known_grid_has_none(self):
-        _, occ, nav, boundary = build_grids(6, 6)
+        spec, occ, nav, boundary = build_grids(6, 6)
         occ.p[:] = 0.1
         nav.state[:] = FREE
-        assert detect_frontiers(occ, nav, boundary) == set()
+        assert detect_frontiers(occ, nav, boundary.mask(spec)) == set()
 
     def test_fully_unknown_grid_has_none(self):
-        _, occ, nav, boundary = build_grids(6, 6)
-        assert detect_frontiers(occ, nav, boundary) == set()
+        spec, occ, nav, boundary = build_grids(6, 6)
+        assert detect_frontiers(occ, nav, boundary.mask(spec)) == set()
 
     def test_vertical_split_yields_boundary_column(self):
-        _, occ, nav, boundary = build_grids(8, 5)
+        spec, occ, nav, boundary = build_grids(8, 5)
         occ.p[:, :4] = 0.1   # west half known
         nav.state[:, :4] = FREE
-        found = detect_frontiers(occ, nav, boundary)
+        found = detect_frontiers(occ, nav, boundary.mask(spec))
         expected = {(3, j) for j in range(5)}
         assert found == expected
 
     def test_matches_brute_force_oracle_on_random_grids(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            _, occ, nav, boundary = build_grids(16, 12)
+            spec, occ, nav, boundary = build_grids(16, 12)
             occ.p[:] = rng.choice([UNKNOWN_P, 0.1, 0.9], size=occ.p.shape,
                                   p=[0.4, 0.45, 0.15])
             nav.state[:] = rng.choice(
                 [UNKNOWN, FREE, BLOCKED], size=nav.state.shape,
                 p=[0.3, 0.5, 0.2]).astype(np.int8)
-            assert detect_frontiers(occ, nav, boundary) == frontier_oracle(
+            assert detect_frontiers(occ, nav, boundary.mask(spec)) == frontier_oracle(
                 occ, nav, boundary)
 
     def test_boundary_limits_search(self):
@@ -118,14 +118,14 @@ class TestDetectFrontiers:
         occ.p[:, :4] = 0.1
         nav.state[:, :4] = FREE
         tight = ExplorationBoundary(0.0, 0.0, 0.8, 0.35)  # only j=0..2 centers
-        found = detect_frontiers(occ, nav, tight)
+        found = detect_frontiers(occ, nav, tight.mask(spec))
         assert found == {(3, j) for j in range(3)}
 
     def test_mismatched_specs_rejected(self):
-        _, occ, _, boundary = build_grids(6, 6)
+        spec, occ, _, boundary = build_grids(6, 6)
         other = BinaryTraversabilityGrid.unknown(GridSpec(0, 0, 0.1, 5, 6))
         with pytest.raises(ValueError):
-            detect_frontiers(occ, other, boundary)
+            detect_frontiers(occ, other, boundary.mask(spec))
 
 
 class TestClusterFrontiers:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fitslam import cli
 from fitslam.cli import main, _parse_seeds
 from fitslam.grid import (
     BinaryTraversabilityGrid,
@@ -21,6 +22,7 @@ from fitslam.harness import (
 )
 from fitslam.infogain import RayCastParams
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
+from fitslam.utility import UtilityParams
 
 
 def tiny_world(**overrides):
@@ -198,6 +200,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(world=tiny_world(), seeds=seeds)
 
+    @pytest.mark.parametrize("shortlist_n", [2.5, True, np.float64(3.0)],
+                             ids=["float", "bool", "numpy-float"])
+    def test_non_integer_shortlist_rejected(self, shortlist_n):
+        # Unchecked, 2.5 fails a fit mission at its first decision (a float
+        # slice index) and True runs as a shortlist of one.
+        with pytest.raises(ConfigError, match="shortlist_n"):
+            ExperimentConfig(world=tiny_world(), utility=UtilityParams(shortlist_n=shortlist_n))
+
     def test_repeated_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy greedy is given more than once"):
             ExperimentConfig(world=tiny_world(), strategies=("greedy", "random", "greedy"))
@@ -236,6 +246,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "metrics_greedy_1.csv").exists()
         assert "greedy" in capsys.readouterr().out
+
+    def test_run_without_knob_flags_uses_param_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        assert main(["run", "--config", "flat_office", "--out", str(tmp_path)]) == 0
+        # Dataclass == compares delta_theta bit for bit.
+        assert seen[0].utility == UtilityParams()
+        assert seen[0].rays == RayCastParams()
 
     def test_run_stall_exit_two(self, tmp_path):
         code = main(["run", "--config", "obstacle_ring", "--strategies", "greedy",

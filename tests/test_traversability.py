@@ -124,6 +124,47 @@ class TestCellMetrics:
         assert step[1, 1] == 0.0
 
 
+class TestPlaneCache:
+    @staticmethod
+    def stats_with(points):
+        stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 6, 5))
+        stats.accumulate(points)
+        return stats
+
+    def points(self):
+        # 16 cells get points and 14 stay empty; the first 40 points leave most
+        # cells under MIN_POINTS, all 300 make every cell with points valid.
+        rng = np.random.default_rng(11)
+        xy = rng.uniform(0, 4, size=(300, 2))
+        return np.column_stack([xy, 0.2 * xy[:, 0] + rng.normal(0, 0.03, 300)])
+
+    def test_accumulate_after_metrics_refits_the_plane(self):
+        pts = self.points()
+        stats = self.stats_with(pts[:40])
+        stats.cell_metrics()
+        stats.accumulate(pts[40:])
+        fresh = self.stats_with(pts)
+        for got, want in zip(stats.cell_metrics(), fresh.cell_metrics()):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(stats.score_cells().score, fresh.score_cells().score,
+                              equal_nan=True)
+
+    def test_plane_is_computed_once(self):
+        stats = self.stats_with(self.points())
+        assert stats.plane is stats.plane
+
+    def test_plane_arrays_are_read_only(self):
+        for arr in self.stats_with(self.points()).plane:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_plane_arrays_own_their_memory(self):
+        # mean_z is a row of the (9, H, W) moment quotient; a view would keep
+        # the whole quotient alive as long as the cache.
+        for arr in self.stats_with(self.points()).plane:
+            assert arr.base is None
+
+
 class TestScoreCells:
     def test_no_data_cell_is_unknown(self):
         stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 2, 1))
