@@ -3,7 +3,7 @@
 `fitslam run` executes the strategy-comparison experiment; `fitslam world
 preview` dumps a world's grids in the portable text raster format. Exit
 codes: 0 success, 2 when any mission stalls on a fully blacklisted frontier
-set, 1 on configuration or I/O errors.
+set, 1 on a malformed command line or on configuration or I/O errors.
 """
 
 from __future__ import annotations
@@ -36,8 +36,15 @@ def _load_world(arg: str) -> WorldConfig:
     return WorldConfig.from_json(arg)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A malformed command line is bad input like any other: exit 1, not
+        # argparse's 2, which means a mission stalled.
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fitslam")
+    ap = _Parser(prog="fitslam")
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the exploration experiment")
@@ -99,8 +106,8 @@ def _cmd_preview(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "world":

@@ -17,6 +17,7 @@ import numpy as np
 
 from .fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
 from .grid import OccupancyGrid, UNKNOWN_P
+from .simworld import check_number
 
 DEFAULT_DELTA_THETA_DEG = 8.5
 DEFAULT_GAMMA = 0.9
@@ -39,10 +40,8 @@ class RayCastParams:
     gamma: float = DEFAULT_GAMMA  # observability degradation per unknown cell
 
     def __post_init__(self):
-        if not self.delta_theta > 0:
-            raise ValueError("delta_theta must be > 0")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
+        check_number("delta_theta", self.delta_theta, lambda v: v > 0, "> 0")
+        check_number("gamma", self.gamma, lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 def _check_max_range(max_range: float) -> None:
@@ -154,8 +153,13 @@ class _ScanTemplate:
 
     Scan rays always start at a cell center, so the sequence of cell offsets
     each direction visits is fixed for a given resolution; only the occupancy
-    values change per goal. Per-cell gains of unknown cells depend only on
-    the count of unknown cells already traversed, so they come from a table.
+    values change per goal. A ray only needs two facts per cell, whether it
+    is unknown and whether it blocks, so `ray_gains` reads them from an int8
+    class grid padded by `reach` known cells on every side: every ray cell of
+    every center is one flat gather, and a ray that leaves the grid (it
+    cannot come back in) reads only pad cells. Per-cell gains of unknown
+    cells depend only on the count of unknown cells traversed so far, so
+    they come from a table.
     """
 
     def __init__(self, params: RayCastParams, fov: float, max_range: float,
@@ -171,15 +175,16 @@ class _ScanTemplate:
         self.directions = dirs
         self.di = np.zeros((len(dirs), length), dtype=int)
         self.dj = np.zeros((len(dirs), length), dtype=int)
-        self.valid = np.zeros((len(dirs), length), dtype=bool)
+        self.keep = np.zeros((len(dirs), length), dtype=np.int8)  # all bits set on a ray's cells
         for k, off in enumerate(offsets):
             self.di[k, :len(off)] = [o[0] for o in off]
             self.dj[k, :len(off)] = [o[1] for o in off]
-            self.valid[k, :len(off)] = True
-        # gain_table[n] is the entropy drop of the (n+1)-th unknown cell.
-        ns = np.arange(length + 1)
-        self.gain_table = np.array(
-            [1.0 - cell_entropy((1.0 + params.gamma ** int(n)) / 2.0) for n in ns])
+            self.keep[k, :len(off)] = -1
+        self.reach = int(np.abs([self.di, self.dj]).max())
+        # gain_table[n] is the entropy drop of the n-th unknown cell; entry 0
+        # is the zero gain of every other cell.
+        self.gain_table = np.array([0.0] + [
+            1.0 - cell_entropy((1.0 + params.gamma ** n) / 2.0) for n in range(length)])
         # Window membership, kept in direction order for reproducible sums.
         diff = np.abs(dirs[:, None] - dirs[None, :])
         ang = np.minimum(diff, 2 * math.pi - diff)
@@ -192,20 +197,21 @@ class _ScanTemplate:
         All reductions run along the trailing axis, so results are bitwise
         independent of the batch size.
         """
-        spec = occ.spec
-        i = centers_i[:, None, None] + self.di[None]
-        j = centers_j[:, None, None] + self.dj[None]
-        inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
-        alive = self.valid[None] & inside
-        p = occ.p[j.clip(0, spec.height - 1), i.clip(0, spec.width - 1)]
-        blocked = (p > OCCUPIED_THRESHOLD) & alive
-        # Cells strictly past the first blocked cell are unreachable.
-        past_block = np.cumsum(blocked, axis=2) - blocked > 0
-        alive &= ~past_block
-        unknown = (p == UNKNOWN_P) & alive & ~blocked
-        n_before = np.cumsum(unknown, axis=2) - unknown
-        gains = np.where(unknown, self.gain_table[n_before], 0.0)
-        return gains.sum(axis=2)
+        r = self.reach
+        h, w = occ.p.shape
+        # 0 known and passable (pad cells too), 1 unknown, 2 blocking.
+        cls = np.zeros((h + 2 * r, w + 2 * r), dtype=np.int8)
+        cls[r:r + h, r:r + w] = (occ.p == UNKNOWN_P) + 2 * (occ.p > OCCUPIED_THRESHOLD)
+        wp = cls.shape[1]
+        centers = (centers_j + r) * wp + centers_i + r
+        c = cls.ravel()[centers[:, None, None] + (self.di + self.dj * wp)]
+        c &= self.keep
+        blocked = c == 2
+        # A ray reaches no cell past its first blocked cell.
+        stop = np.where(blocked.any(axis=2), blocked.argmax(axis=2), c.shape[2])
+        unknown = (c == 1) & (np.arange(c.shape[2]) < stop[..., None])
+        count = np.cumsum(unknown, axis=2, dtype=np.min_scalar_type(c.shape[2]))
+        return self.gain_table[count * unknown].sum(axis=2)
 
     def windowed_gains(self, ray_gains: np.ndarray) -> np.ndarray:
         """FOV-windowed sums, shape (C, D); trailing-axis reduction only."""

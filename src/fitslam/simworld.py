@@ -96,7 +96,7 @@ class WorldConfig:
                             ("sensors.fov", s.fov), ("sensors.max_depth", s.max_depth),
                             ("sensors.lidar_radius", s.lidar_radius),
                             ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
-            _check_in(name, value, lambda v: v > 0, "> 0")
+            check_number(name, value, lambda v: v > 0, "> 0")
         if s.fov > 2 * math.pi:
             raise ConfigError("sensors.fov must be at most 360 degrees")
         # Occupancy rays sample every half cell, the first one half a cell out.
@@ -113,7 +113,7 @@ class WorldConfig:
         if "n_bumps" in self.terrain:
             check_int("terrain.n_bumps", self.terrain["n_bumps"], 0)
         if "bump_sigma" in self.terrain:
-            _check_in("terrain.bump_sigma", self.terrain["bump_sigma"], lambda v: v > 0, "> 0")
+            check_number("terrain.bump_sigma", self.terrain["bump_sigma"], lambda v: v > 0, "> 0")
         _check_keys(self.landmarks, _LANDMARK_KEYS, "landmarks")
         for key, lo in (("count", 0), ("clusters", 1)):
             if key in self.landmarks:
@@ -129,9 +129,9 @@ class WorldConfig:
             if ob["w"] <= 0 or ob["h"] <= 0:
                 raise ConfigError(f"obstacle w and h must be > 0: {ob}")
         sur = self.surrogate
-        _check_in("surrogate.q", sur.q, lambda v: v >= 0, ">= 0")
-        _check_in("surrogate.kappa", sur.kappa, lambda v: 0 < v <= 1, "in (0, 1]")
-        _check_in("surrogate.t_lc", sur.t_lc, lambda v: v >= 0, ">= 0")
+        check_number("surrogate.q", sur.q, lambda v: v >= 0, ">= 0")
+        check_number("surrogate.kappa", sur.kappa, lambda v: 0 < v <= 1, "in (0, 1]")
+        check_number("surrogate.t_lc", sur.t_lc, lambda v: v >= 0, ">= 0")
         check_int("surrogate.l_min", sur.l_min, 1)
         _check_numbers(self.robot.start, 3, "robot.start_xy_theta")
         sx, sy, _ = self.robot.start
@@ -202,15 +202,16 @@ def _is_number(v) -> bool:
         return False
 
 
-def _check_in(name: str, value, ok, need: str) -> None:
+def check_number(name: str, value, ok, need: str) -> None:
+    """Raise ConfigError unless value is a number (see _is_number) that passes ok."""
     if not (_is_number(value) and ok(value)):
         raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
 def check_int(name: str, value, lo: int) -> None:
     """Raise ConfigError unless value is an integer >= lo; a bool, a float or a string is not."""
-    _check_in(name, value, lambda v: isinstance(v, numbers.Integral) and v >= lo,
-              f"an integer >= {lo}")
+    check_number(name, value, lambda v: isinstance(v, numbers.Integral) and v >= lo,
+                 f"an integer >= {lo}")
 
 
 def _check_list(values, what: str):

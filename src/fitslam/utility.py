@@ -14,7 +14,7 @@ import numpy as np
 
 from .frontier import FrontierCluster
 from .planner import Path
-from .simworld import check_int
+from .simworld import check_int, check_number
 
 DEFAULT_ALPHA = 0.35
 DEFAULT_BETA = 0.4
@@ -32,10 +32,8 @@ class UtilityParams:
     shortlist_n: int = DEFAULT_SHORTLIST_N
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
+        check_number("alpha", self.alpha, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        check_number("beta", self.beta, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         check_int("shortlist_n", self.shortlist_n, 1)
 
 

@@ -208,6 +208,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="shortlist_n"):
             ExperimentConfig(world=tiny_world(), utility=UtilityParams(shortlist_n=shortlist_n))
 
+    @pytest.mark.parametrize("params, name", [
+        (UtilityParams, "alpha"), (UtilityParams, "beta"),
+        (RayCastParams, "gamma"), (RayCastParams, "delta_theta"),
+    ], ids=["alpha", "beta", "gamma", "delta-theta"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_weight_rejected(self, params, name, value):
+        # Unchecked, True and False would run as 1.0 and 0.0; shortlist_n
+        # and every world number already reject a bool.
+        with pytest.raises(ConfigError, match=name):
+            params(**{name: value})
+
     def test_repeated_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy greedy is given more than once"):
             ExperimentConfig(world=tiny_world(), strategies=("greedy", "random", "greedy"))
@@ -316,6 +327,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-shortlist", "2.5"), ("--n-shortlist", "x"), ("--alpha", "x"), ("--beta", "1/2"),
+        ("--max-time", "ten"), ("--delta-theta-deg", "8.5deg"), ("--gamma", ""),
+    ], ids=["n-shortlist-float", "n-shortlist-text", "alpha", "beta", "max-time",
+            "delta-theta-deg", "gamma-empty"])
+    def test_malformed_flag_exit_one(self, flag, value, tmp_path, capsys):
+        # argparse alone would exit 2, the code of a stalled mission.
+        out = tmp_path / "out"
+        code = main(["run", "--config", "flat_office", "--strategies", "greedy",
+                     "--seeds", "1", "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and flag in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
 
     def test_bad_config_exit_one(self, tmp_path, capsys):

@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from fitslam import harness, preset_world_path
+from fitslam.fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
 from fitslam.grid import GridSpec, OccupancyGrid, UNKNOWN_P
 from fitslam.infogain import (
+    OCCUPIED_THRESHOLD,
     RayCastParams,
+    _template,
     cast_ray,
     cell_entropy,
     ray_directions,
     scan_many,
     scan_orientations,
 )
+from fitslam.simworld import _P_LADDER, WorldConfig
 
 
 def unknown_grid(w=20, h=20, res=0.1):
@@ -199,3 +204,67 @@ class TestRayCastParams:
             scan_orientations(occ, (1.0, 1.0), RayCastParams(), fov=7.0)
         with pytest.raises(ValueError):
             scan_orientations(occ, (1.0, 1.0), RayCastParams(delta_theta=0.5), fov=0.4)
+
+
+def reference_ray_gains(tmpl, occ, centers_i, centers_j):
+    """The int64 ray-gain kernel: clipped (C, D, L) cell coordinates, an
+    in-grid mask, and a cumsum mask for the cells past the first block."""
+    spec = occ.spec
+    valid = tmpl.keep != 0
+    gain_table = tmpl.gain_table[1:]  # gain_table[n]: the (n+1)-th unknown cell
+    i = centers_i[:, None, None] + tmpl.di[None]
+    j = centers_j[:, None, None] + tmpl.dj[None]
+    inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
+    alive = valid[None] & inside
+    p = occ.p[j.clip(0, spec.height - 1), i.clip(0, spec.width - 1)]
+    blocked = (p > OCCUPIED_THRESHOLD) & alive
+    # Cells strictly past the first blocked cell are unreachable.
+    past_block = np.cumsum(blocked, axis=2) - blocked > 0
+    alive &= ~past_block
+    unknown = (p == UNKNOWN_P) & alive & ~blocked
+    n_before = np.cumsum(unknown, axis=2) - unknown
+    gains = np.where(unknown, gain_table[n_before], 0.0)
+    return gains.sum(axis=2)
+
+
+def assert_kernel_matches_reference(tmpl, occ, ci, cj, batch):
+    for lo in range(0, len(ci), batch):
+        got = tmpl.ray_gains(occ, ci[lo:lo + batch], cj[lo:lo + batch])
+        want = reference_ray_gains(tmpl, occ, ci[lo:lo + batch], cj[lo:lo + batch])
+        assert got.tobytes() == want.tobytes()
+
+
+class TestRayGainsKernel:
+    """The padded class-grid kernel gives the reference kernel's bytes."""
+
+    @pytest.mark.parametrize("batch", [1, 50])
+    @pytest.mark.parametrize("max_range, res", [(2.0, 0.1), (DEFAULT_MAX_DEPTH, 0.15)])
+    def test_random_grids_with_edge_centers(self, batch, max_range, res):
+        rng = np.random.default_rng(42)
+        tmpl = _template(RayCastParams(), DEFAULT_FOV, max_range, res)
+        w, h = 37, 23  # not square, so a swapped row stride shows
+        # Every edge and corner cell, then random interior cells.
+        edge = [(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)]
+        inner = [(int(rng.integers(1, w - 1)), int(rng.integers(1, h - 1))) for _ in range(60)]
+        ci, cj = np.array(edge + inner).T
+        values = np.r_[_P_LADDER, OCCUPIED_THRESHOLD]
+        for _ in range(4):
+            occ = OccupancyGrid(GridSpec(0.0, 0.0, res, w, h),
+                                rng.choice(values, size=(h, w), p=[.1, .1, .1, .4, .1, .05, .05, .1]))
+            assert set(np.unique(occ.p)) == set(values)
+            assert_kernel_matches_reference(tmpl, occ, ci, cj, batch)
+
+    def test_ramp_yard_mission_snapshots(self, monkeypatch):
+        seen = []
+
+        def spy(occ, goals, params, fov, max_range):
+            cells = np.array([occ.spec.world_to_cell(x, y) for x, y in goals])
+            seen.append((occ.copy(), cells, _template(params, fov, max_range, occ.spec.resolution)))
+            return scan_many(occ, goals, params, fov, max_range)
+
+        monkeypatch.setattr(harness, "scan_many", spy)
+        harness.run_mission(WorldConfig.from_json(preset_world_path("ramp_yard")), "fit", 1,
+                            max_mission_time=200.0)
+        assert len(seen) >= 10
+        for occ, cells, tmpl in seen:
+            assert_kernel_matches_reference(tmpl, occ, cells[:, 0], cells[:, 1], len(cells))
