@@ -12,13 +12,11 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import PRESET_WORLDS, preset_world_path, simworld, traversability
 from .grid import OccupancyGrid
 from .harness import DEFAULT_MAX_MISSION_TIME, ExperimentConfig, run_experiment, STRATEGIES
 from .infogain import DEFAULT_DELTA_THETA_DEG, DEFAULT_GAMMA, RayCastParams
-from .simworld import ConfigError, P_CLAMP, WorldConfig, generate_world
+from .simworld import ConfigError, WorldConfig, generate_world
 from .utility import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_SHORTLIST_N, UtilityParams
 
 
@@ -92,7 +90,7 @@ def _cmd_run(args) -> int:
 def _cmd_preview(args) -> int:
     config = _load_world(args.config)
     world = generate_world(config)
-    occ = OccupancyGrid(world.spec, np.where(world.occupied, P_CLAMP[1], P_CLAMP[0]))
+    occ = OccupancyGrid(world.spec, world.true_p)
     trav = world.terrain.score_cells()
     nav = traversability.threshold(trav, simworld.DEFAULT_TRAV_THRESHOLD)
 

@@ -24,7 +24,8 @@ from .grid import FREE
 from .infogain import RayCastParams, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
 from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig, check_int,
-                       current_grids, execute_path, generate_world, initial_spin)
+                       check_ray_samples, current_grids, execute_path, generate_world,
+                       initial_spin)
 from .utility import CandidateGoal, UtilityParams, compute_u1, select_best, shortlist
 
 STRATEGIES = ("fit", "greedy", "random")
@@ -93,6 +94,8 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
         raise ConfigError(
             f"scan ray step {math.degrees(rays.delta_theta):g} deg is wider "
             f"than the camera field of view {math.degrees(world.sensors.fov):g} deg")
+    check_ray_samples(f"the orientation scan ({math.degrees(rays.delta_theta):g} deg ray step)",
+                      2 * math.pi / rays.delta_theta, world.sensors.max_depth, world.resolution)
 
 
 def _select_fit(candidates, state, world, uparams, rays, spec, planner):

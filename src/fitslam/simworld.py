@@ -25,15 +25,15 @@ from .grid import ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P
 from .planner import Path
 from .traversability import TerrainStatsGrid
 
-LOG_ODDS_STEP = math.log(0.8 / 0.2)  # +- per hit / miss observation
-P_CLAMP = (0.02, 0.98)
+P_CLAMP = (0.02, 0.98)  # occupancy of a cell seen free / seen occupied
 ROTATION_RATE = 1.0  # rad/s
 
-# The occupancy probabilities a cell can hold. A cell gets only free or only hit
-# marks (see _sense_occupancy), so its log-odds is k repeated +-LOG_ODDS_STEP
-# additions, and P_CLAMP binds from |k| = 3 on: seven rungs, Unknown in the middle.
-_STEPS = np.cumsum(np.full(3, LOG_ODDS_STEP))
-_P_LADDER = np.clip(1.0 / (1.0 + np.exp(-np.r_[-_STEPS[::-1], 0.0, _STEPS])), *P_CLAMP)
+# Bounds on the sizes a world config implies, each over 100x what any preset
+# or the defaults use: a config past one fails before anything is allocated.
+MAX_GRID_CELLS = 10 ** 7
+MAX_RAY_SAMPLES = 10 ** 6  # rays x samples of one look, sensing wedge or orientation scan
+MAX_LANDMARKS = 10 ** 4    # bounds landmarks.count and landmarks.clusters
+MAX_BUMPS = 10 ** 3
 
 
 class PathBlockedError(RuntimeError):
@@ -103,21 +103,27 @@ class WorldConfig:
         if s.max_depth < self.resolution / 2:
             raise ConfigError(f"sensors.max_depth {s.max_depth!r} is shorter than half "
                               f"a cell ({self.resolution / 2!r} m)")
-        if round(self.size_m / self.resolution) < 1:
+        side = self.size_m / self.resolution  # inf if the quotient overflows
+        if side * side > MAX_GRID_CELLS:
+            raise ConfigError(f"size_m / resolution makes a grid of {side:.3g} x {side:.3g} "
+                              f"cells; at most {MAX_GRID_CELLS} cells fit")
+        if round(side) < 1:
             raise ConfigError("size_m must hold at least one cell of the resolution")
+        check_ray_samples(f"the sensing wedge ({math.degrees(s.ray_step):g} deg ray step)",
+                          s.fov / s.ray_step + 1, s.max_depth, self.resolution)
         _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
         if self.terrain.get("type", "flat") not in _TERRAIN_TYPES:
             raise ConfigError(f"unknown terrain type {self.terrain['type']!r}")
         shape = [v for k, v in self.terrain.items() if k != "type"]
         _check_numbers(shape, len(shape), "terrain")
         if "n_bumps" in self.terrain:
-            check_int("terrain.n_bumps", self.terrain["n_bumps"], 0)
+            check_int("terrain.n_bumps", self.terrain["n_bumps"], 0, MAX_BUMPS)
         if "bump_sigma" in self.terrain:
             check_number("terrain.bump_sigma", self.terrain["bump_sigma"], lambda v: v > 0, "> 0")
         _check_keys(self.landmarks, _LANDMARK_KEYS, "landmarks")
         for key, lo in (("count", 0), ("clusters", 1)):
             if key in self.landmarks:
-                check_int(f"landmarks.{key}", self.landmarks[key], lo)
+                check_int(f"landmarks.{key}", self.landmarks[key], lo, MAX_LANDMARKS)
         for p in _check_list(self.landmarks.get("points", []), "landmarks.points"):
             _check_numbers(p, 3, "landmark point")
         for ob in _check_list(self.obstacles, "obstacles"):
@@ -169,7 +175,7 @@ class WorldConfig:
         with open(path) as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -208,10 +214,19 @@ def check_number(name: str, value, ok, need: str) -> None:
         raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
-def check_int(name: str, value, lo: int) -> None:
-    """Raise ConfigError unless value is an integer >= lo; a bool, a float or a string is not."""
-    check_number(name, value, lambda v: isinstance(v, numbers.Integral) and v >= lo,
-                 f"an integer >= {lo}")
+def check_int(name: str, value, lo: int, hi=math.inf) -> None:
+    """Raise ConfigError unless value is an integer in [lo, hi]; a bool, float or string is not."""
+    check_number(name, value, lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi,
+                 f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]")
+
+
+def check_ray_samples(what: str, n_rays: float, max_depth: float, resolution: float) -> None:
+    """Raise ConfigError if n_rays rays sampled every half cell out to max_depth, as
+    one look casts them, take more than MAX_RAY_SAMPLES samples."""
+    n = n_rays * 2 * max_depth / resolution
+    if n > MAX_RAY_SAMPLES:
+        raise ConfigError(f"{what} casts {n:.3g} ray samples per look over a {max_depth:g} m "
+                          f"range at {resolution:g} m cells; at most {MAX_RAY_SAMPLES} fit")
 
 
 def _check_list(values, what: str):
@@ -255,6 +270,11 @@ class World:
         for band in np.array_split(np.arange(self.spec.height * self.spec.width), 16):
             stats.accumulate(terrain_points(self, *np.divmod(band, self.spec.width)))
         return stats
+
+    @functools.cached_property
+    def true_p(self) -> np.ndarray:
+        """The occupancy probability every cell shows once seen: P_CLAMP[1] on an obstacle."""
+        return np.where(self.occupied, P_CLAMP[1], P_CLAMP[0])
 
     @functools.cached_property
     def centers(self) -> tuple:
@@ -359,7 +379,7 @@ class MetricSample:
 @dataclass
 class MissionState:
     world: World
-    occ: OccupancyGrid           # p holds a _P_LADDER rung per cell
+    occ: OccupancyGrid           # p is world.true_p where seen, UNKNOWN_P elsewhere
     sensed: np.ndarray           # bool, the cells the lidar has reached
     unknown_inside: int          # running count of unobserved cells in-boundary
     pose: tuple                  # (x, y, theta) true pose
@@ -443,23 +463,18 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     hit = world.occupied[j, i] & inside
     # Index of the first hit sample per ray; past it the ray is blocked.
     first_hit = np.where(hit.any(axis=1), hit.argmax(axis=1), ranges.size)
-    sample_idx = np.arange(ranges.size)[None, :]
-    before_hit = sample_idx < first_hit[:, None]
-    at_hit = sample_idx == first_hit[:, None]
+    seen = (np.arange(ranges.size)[None, :] <= first_hit[:, None]) & inside
 
-    # Mark the cells in the samples' bounding window, -1 free and +1 hit, and
-    # move each marked cell one rung. Free cells are never occupied and hit
-    # cells always are, so a cell's marks all point the same way.
+    # The world is static and the sensor noise-free, so one sight of a cell
+    # shows its truth. Reveal it in every cell a ray reached, through the
+    # samples' bounding window; that is idempotent and order-free.
     i0, j0 = i.min(), j.min()
-    mark = np.zeros((j.max() - j0 + 1, i.max() - i0 + 1), dtype=np.int8)
-    mark[j[before_hit & inside] - j0, i[before_hit & inside] - i0] = -1
-    mark[j[at_hit & inside] - j0, i[at_hit & inside] - i0] = 1
+    mark = np.zeros((j.max() - j0 + 1, i.max() - i0 + 1), dtype=bool)
+    mark[j[seen] - j0, i[seen] - i0] = True
     win = np.s_[j0:j0 + mark.shape[0], i0:i0 + mark.shape[1]]
     p = state.occ.p[win]
-    touched = mark != 0
-    state.unknown_inside -= int((touched & (p == UNKNOWN_P) & world.boundary_mask[win]).sum())
-    rung = np.searchsorted(_P_LADDER, p[touched]) + mark[touched]
-    p[touched] = _P_LADDER[rung.clip(0, _P_LADDER.size - 1)]
+    state.unknown_inside -= int((mark & (p == UNKNOWN_P) & world.boundary_mask[win]).sum())
+    np.copyto(p, world.true_p[win], where=mark)
 
 
 def _camera_pose(world: World, pose: tuple) -> CameraPose:

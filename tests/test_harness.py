@@ -318,8 +318,10 @@ class TestCli:
         ["--seeds", "1,-1"],
         ["--strategies", "greedy,greedy", "--seeds", "1,1"],
         ["--seeds", "1,2,1"],
+        ["--delta-theta-deg", "1e-9"],  # a scan template no machine can hold
     ], ids=["seeds-empty-range", "strategies-empty", "max-time-negative", "max-time-nan",
-            "seeds-negative", "strategies-and-seeds-repeated", "seeds-repeated"])
+            "seeds-negative", "strategies-and-seeds-repeated", "seeds-repeated",
+            "delta-theta-tiny"])
     def test_empty_or_nonpositive_setting_exit_one(self, flags, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", "flat_office", "--strategies", "greedy",

@@ -16,7 +16,7 @@ from fitslam.infogain import (
     scan_many,
     scan_orientations,
 )
-from fitslam.simworld import _P_LADDER, WorldConfig
+from fitslam.simworld import WorldConfig
 
 
 def unknown_grid(w=20, h=20, res=0.1):
@@ -237,6 +237,10 @@ def assert_kernel_matches_reference(tmpl, occ, ci, cj, batch):
 class TestRayGainsKernel:
     """The padded class-grid kernel gives the reference kernel's bytes."""
 
+    # The clamped logistic of 0 and +-1..3 steps of log 4: probabilities
+    # between the clamps, which no mission holds but any grid may.
+    RUNGS = [0.02, 1 / 17, 0.2, UNKNOWN_P, 0.8, 16 / 17, 0.98]
+
     @pytest.mark.parametrize("batch", [1, 50])
     @pytest.mark.parametrize("max_range, res", [(2.0, 0.1), (DEFAULT_MAX_DEPTH, 0.15)])
     def test_random_grids_with_edge_centers(self, batch, max_range, res):
@@ -247,7 +251,7 @@ class TestRayGainsKernel:
         edge = [(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)]
         inner = [(int(rng.integers(1, w - 1)), int(rng.integers(1, h - 1))) for _ in range(60)]
         ci, cj = np.array(edge + inner).T
-        values = np.r_[_P_LADDER, OCCUPIED_THRESHOLD]
+        values = np.r_[self.RUNGS, OCCUPIED_THRESHOLD]
         for _ in range(4):
             occ = OccupancyGrid(GridSpec(0.0, 0.0, res, w, h),
                                 rng.choice(values, size=(h, w), p=[.1, .1, .1, .4, .1, .05, .05, .1]))

@@ -8,6 +8,7 @@ import fitslam
 from fitslam import fisher, simworld
 from fitslam.cli import main
 from fitslam.grid import FREE, UNKNOWN_P
+from fitslam.infogain import OCCUPIED_THRESHOLD
 from fitslam.planner import Path, plan
 from fitslam.simworld import (
     ConfigError,
@@ -57,6 +58,15 @@ class TestWorldConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             WorldConfig.from_json(path)
+
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError):
+            WorldConfig.from_json(path)
+        assert main(["world", "preview", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_bad_surrogate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,6 +125,14 @@ class TestWorldConfig:
         {"surrogate": {"t_lc": -60}},
         {"terrain": {"type": "bumps", "bump_sigma": 0.0}},  # numpy divides by zero
         {"terrain": {"type": "bumps", "bump_sigma": -3.0}},  # acts as 3.0
+        # Sizes no machine can hold, rejected before anything is allocated.
+        {"size_m": 4.0, "resolution": 1e-5},
+        {"resolution": 5e-324},  # size_m / resolution overflows to inf
+        {"sensors": {"ray_step_deg": 1e-9}},
+        {"sensors": {"max_depth_m": 1e12}},
+        {"landmarks": {"count": 10 ** 11, "clusters": 2}},
+        {"landmarks": {"count": 12, "clusters": 10 ** 11}},
+        {"terrain": {"type": "bumps", "n_bumps": 10 ** 11}},
     ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
             "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
             "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
@@ -126,7 +144,9 @@ class TestWorldConfig:
             "obstacle-height-bool", "size-huge-int", "seed-negative",
             "n-bumps-negative", "count-negative", "clusters-zero", "l-min-zero",
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
-            "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative"])
+            "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
+            "resolution-subnormal", "ray-step-tiny", "max-depth-huge", "count-huge",
+            "clusters-huge", "n-bumps-huge"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
@@ -302,7 +322,7 @@ class TestSensing:
         simworld.sense(world, state)
         observed = state.occ.p != UNKNOWN_P
         assert observed.any() and (state.occ.p[observed] > 0.5).any()
-        # Further evidence moves an observed cell away from 0.5, never back to it.
+        # Later looks reveal more cells; none turns a revealed one back to Unknown.
         for heading in (0.0, 0.0, 0.3, -0.3, 0.0):
             state.pose = (2.0, 2.0, heading)
             simworld.sense(world, state)
@@ -341,8 +361,11 @@ class TestSensing:
         assert state.sensed.any() and not state.sensed.all()
 
 
+LOG_ODDS_STEP = math.log(0.8 / 0.2)  # +- per free / hit mark of the reference
+
+
 class OccupancyReference:
-    """The float log-odds occupancy update, kept as the oracle of the rungs.
+    """The float log-odds occupancy update, kept as the oracle of the reveal.
 
     It holds its own log-odds, probability and observed arrays and its own
     count of unobserved cells inside the boundary.
@@ -383,8 +406,8 @@ def sense_occupancy_sorted(world, pose, ref):
     free_lin = np.setdiff1d(free_lin, hit_lin, assume_unique=True)
 
     lo = ref.log_odds.ravel()
-    lo[free_lin] -= simworld.LOG_ODDS_STEP
-    lo[hit_lin] += simworld.LOG_ODDS_STEP
+    lo[free_lin] -= LOG_ODDS_STEP
+    lo[hit_lin] += LOG_ODDS_STEP
     touched = np.concatenate([free_lin, hit_lin])
     if touched.size:
         p = 1.0 / (1.0 + np.exp(-lo[touched]))
@@ -434,7 +457,7 @@ def log_odds_ladder(k_max=8):
     lo = np.zeros(2 * k_max + 1)
     step = np.zeros(k_max + 1)
     for k in range(1, k_max + 1):
-        step[k] = step[k - 1] + simworld.LOG_ODDS_STEP
+        step[k] = step[k - 1] + LOG_ODDS_STEP
     lo[k_max:] = step
     lo[:k_max + 1] = -step[::-1]
     return np.clip(1.0 / (1.0 + np.exp(-lo)), *simworld.P_CLAMP)
@@ -492,18 +515,25 @@ class TestOccupancyOracle:
             state.pose = pose
             sense_occupancy_sorted(world, pose, ref)
             simworld._sense_occupancy(world, state)
-            assert np.array_equal(state.occ.p, ref.p), pose
+            # Every cell the reference has observed shows its truth; the
+            # log-odds class agrees with it.
+            assert np.array_equal(state.occ.p,
+                                  np.where(ref.observed, world.true_p, UNKNOWN_P)), pose
+            assert np.array_equal(state.occ.p > OCCUPIED_THRESHOLD,
+                                  ref.p > OCCUPIED_THRESHOLD), pose
             assert state.unknown_inside == ref.unknown_inside, pose
         assert ref.observed.any() and (state.occ.p > 0.9).any()
         # Some cell was marked often enough to hit each clamp.
-        assert (np.abs(ref.log_odds) > 3 * simworld.LOG_ODDS_STEP).any()
-        assert set(np.unique(state.occ.p).tolist()) <= set(simworld._P_LADDER.tolist())
+        assert (np.abs(ref.log_odds) > 3 * LOG_ODDS_STEP).any()
+        assert set(np.unique(state.occ.p).tolist()) <= {*simworld.P_CLAMP, UNKNOWN_P}
 
     def test_ladder_is_clamped_logistic_of_repeated_steps(self):
-        ladder = log_odds_ladder()
-        assert np.array_equal(np.unique(ladder), simworld._P_LADDER)
-        assert simworld._P_LADDER.size == 7 and simworld._P_LADDER[3] == UNKNOWN_P
-        assert np.array_equal(simworld._P_LADDER[[0, -1]], simworld.P_CLAMP)
+        # The reference's end rungs are the two values a seen cell can show.
+        ladder = np.unique(log_odds_ladder())
+        assert ladder.size == 7 and ladder[3] == UNKNOWN_P
+        assert np.array_equal(ladder[[0, -1]], simworld.P_CLAMP)
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("obstacle_ring")))
+        assert np.unique(world.true_p).tolist() == list(simworld.P_CLAMP)
 
 
 class TestSurrogateCovariance:
