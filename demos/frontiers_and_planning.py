@@ -25,9 +25,8 @@ initial_spin(world, state)
 _, nav = current_grids(state)
 ri, rj = spec.world_to_cell(state.pose[0], state.pose[1])
 nav.state[rj, ri] = FREE  # the robot stands here, so the cell is navigable
-frontiers = detect_frontiers(state.occ, nav, world.boundary_mask)
-clusters = cluster_frontiers(frontiers, spec, max_cluster_size=30,
-                             blacklist=state.blacklist)
+frontiers = detect_frontiers(state.occ, nav)
+clusters = cluster_frontiers(frontiers, spec, max_cluster_size=30)
 print(f"after the initial spin: {len(frontiers)} frontier cells "
       f"in {len(clusters)} clusters (cap 30)")
 

@@ -22,25 +22,6 @@ _NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), 
 DEFAULT_MAX_CLUSTER_SIZE = 30
 
 
-@dataclass(frozen=True)
-class ExplorationBoundary:
-    """Axis-aligned world rectangle limiting the frontier search."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
-    def mask(self, spec: GridSpec) -> np.ndarray:
-        """Cells of the grid whose centers lie inside the rectangle."""
-        xs, ys = spec.cell_centers()
-        return ((xs >= self.x_min) & (xs <= self.x_max)
-                & (ys >= self.y_min) & (ys <= self.y_max))
-
-
 @dataclass
 class FrontierCluster:
     cells: list  # BFS-ordered (i, j) indices, all satisfying the frontier predicate
@@ -71,16 +52,15 @@ class Blacklist:
         return cell in self._halo
 
 
-def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid,
-                     inside: np.ndarray) -> set:
-    """Cells in the bool (H, W) mask `inside` that are Free and touch unknown occupancy."""
+def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid) -> set:
+    """Cells of the grid that are Free and touch unknown occupancy."""
     if occ.spec != nav.spec:
         raise ValueError("occupancy and traversability grids must share one GridSpec")
     unknown = occ.unknown_mask()
     near_unknown = np.zeros_like(unknown)
     for di, dj in _NEIGHBOR_ORDER:
         near_unknown |= shift(unknown, di, dj)
-    mask = nav.free_mask() & near_unknown & inside
+    mask = nav.free_mask() & near_unknown
     jj, ii = np.nonzero(mask)
     return set(zip(ii.tolist(), jj.tolist()))
 

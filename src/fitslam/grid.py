@@ -1,4 +1,5 @@
-"""Dense 2D grid containers, world <-> cell coordinate transforms and text I/O.
+"""Dense 2D grid containers, world <-> cell coordinate transforms, text I/O and
+the number checks every config shares.
 
 Cell indices are (i, j) with i along world x and j along world y. Arrays are
 stored row-major with shape (height, width) and accessed as values[j, i];
@@ -8,6 +9,7 @@ the row-major linear index of a cell is j * width + i.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,3 +242,23 @@ def read_rows(path, widths: tuple, what: str) -> list:
                                   f" finite numbers, got {line.strip()!r}")
             rows.append((lineno, vals))
     return rows
+
+
+def _is_number(v) -> bool:
+    """Whether v is a finite number a float can hold; a bool or a string is not."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def check_number(name: str, value, ok, need: str) -> None:
+    """Raise ConfigError unless value is a number (see _is_number) that passes ok."""
+    if not (_is_number(value) and ok(value)):
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
+def check_int(name: str, value, lo: int, hi=math.inf) -> None:
+    """Raise ConfigError unless value is an integer in [lo, hi]; a bool, float or string is not."""
+    check_number(name, value, lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi,
+                 f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]")

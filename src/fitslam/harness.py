@@ -19,11 +19,11 @@ import numpy as np
 
 from . import simworld
 from .fisher import path_information
-from .frontier import cluster_frontiers, detect_frontiers, mission_complete
-from .grid import FREE
+from .frontier import Blacklist, cluster_frontiers, detect_frontiers, mission_complete
+from .grid import FREE, check_int
 from .infogain import RayCastParams, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
-from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig, check_int,
+from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig,
                        check_ray_samples, current_grids, execute_path, generate_world,
                        initial_spin)
 from .utility import CandidateGoal, UtilityParams, compute_u1, select_best, shortlist
@@ -142,6 +142,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
 
     state = MissionState.initial(world)
     initial_spin(world, state)
+    blacklist = Blacklist()
     goal_sequence = []
     termination = "timeout"
 
@@ -149,8 +150,8 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         _, nav = current_grids(state)
         ri, rj = spec.world_to_cell(state.pose[0], state.pose[1])
         nav.state[rj, ri] = FREE  # the robot occupies this cell, so it is navigable
-        frontiers = detect_frontiers(state.occ, nav, world.boundary_mask)
-        clusters = cluster_frontiers(frontiers, spec, blacklist=state.blacklist)
+        frontiers = detect_frontiers(state.occ, nav)
+        clusters = cluster_frontiers(frontiers, spec, blacklist=blacklist)
         if mission_complete(clusters):
             termination = "stalled" if frontiers else "complete"
             break
@@ -162,7 +163,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
             try:
                 rho = planner.distance_to(cl.candidate)
             except NoPathError:
-                state.blacklist.add(cl.candidate)
+                blacklist.add(cl.candidate)
                 continue
             candidates.append(CandidateGoal(
                 cluster=cl, path=None, rho=rho, delta_e=None, theta_star=None))
@@ -188,11 +189,11 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         try:
             execute_path(world, state, best.path, best.theta_star, nav=nav)
         except PathBlockedError:
-            state.blacklist.add(best.cluster.candidate)
+            blacklist.add(best.cluster.candidate)
             continue
         goal_sequence.append(best.cluster.candidate)
         # A visited goal is excluded from re-selection in later iterations.
-        state.blacklist.add(best.cluster.candidate)
+        blacklist.add(best.cluster.candidate)
 
     return MissionLog(strategy, seed, state.samples, goal_sequence, termination)
 

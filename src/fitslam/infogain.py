@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
-from .grid import OccupancyGrid, UNKNOWN_P
-from .simworld import check_number
+from .grid import OccupancyGrid, UNKNOWN_P, check_number
 
 DEFAULT_DELTA_THETA_DEG = 8.5
 DEFAULT_GAMMA = 0.9

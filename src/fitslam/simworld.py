@@ -13,15 +13,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fisher, traversability
 from .fisher import CameraPose, Landmark
-from .frontier import Blacklist, ExplorationBoundary
-from .grid import ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P
+from .grid import (ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P, _is_number, check_int,
+                   check_number)
 from .planner import Path
 from .traversability import TerrainStatsGrid
 
@@ -34,10 +33,14 @@ MAX_GRID_CELLS = 10 ** 7
 MAX_RAY_SAMPLES = 10 ** 6  # rays x samples of one look, sensing wedge or orientation scan
 MAX_LANDMARKS = 10 ** 4    # bounds landmarks.count and landmarks.clusters
 MAX_BUMPS = 10 ** 3
+# Covariance growth per meter, 1000x the presets'. At 1e14 a mission on a 10 m
+# world already grows the covariance too ill-conditioned for the measurement
+# update to invert.
+MAX_SURROGATE_Q = 1.0
 
 
 class PathBlockedError(RuntimeError):
-    """A path cell turned out non-traversable during execution."""
+    """A path cell is not traversable in the grid the path is driven on."""
 
 
 @dataclass
@@ -135,23 +138,21 @@ class WorldConfig:
             if ob["w"] <= 0 or ob["h"] <= 0:
                 raise ConfigError(f"obstacle w and h must be > 0: {ob}")
         sur = self.surrogate
-        check_number("surrogate.q", sur.q, lambda v: v >= 0, ">= 0")
+        check_number("surrogate.q", sur.q, lambda v: 0 <= v <= MAX_SURROGATE_Q,
+                     f"in [0, {MAX_SURROGATE_Q:g}]")
         check_number("surrogate.kappa", sur.kappa, lambda v: 0 < v <= 1, "in (0, 1]")
         check_number("surrogate.t_lc", sur.t_lc, lambda v: v >= 0, ">= 0")
         check_int("surrogate.l_min", sur.l_min, 1)
         _check_numbers(self.robot.start, 3, "robot.start_xy_theta")
         sx, sy, _ = self.robot.start
-        if not (self.grid_spec().point_in_bounds(sx, sy) and self.boundary().contains(sx, sy)):
-            raise ConfigError("robot start must lie inside the grid and the exploration boundary")
+        if not self.grid_spec().point_in_bounds(sx, sy):
+            raise ConfigError("robot start must lie inside the grid")
         if any(_footprint(ob, sx, sy) for ob in self.obstacles):
             raise ConfigError("robot start lies inside an obstacle")
 
     def grid_spec(self) -> GridSpec:
         n = int(round(self.size_m / self.resolution))
         return GridSpec(0.0, 0.0, self.resolution, n, n)
-
-    def boundary(self) -> ExplorationBoundary:
-        return ExplorationBoundary(0.0, 0.0, self.size_m, self.size_m)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorldConfig":
@@ -200,26 +201,6 @@ def _fields(raw, keys: dict, where: str) -> dict:
     return {keys[k][0]: keys[k][1](v) for k, v in raw.items()}
 
 
-def _is_number(v) -> bool:
-    """Whether v is a finite number a float can hold; a bool or a string is not."""
-    try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def check_number(name: str, value, ok, need: str) -> None:
-    """Raise ConfigError unless value is a number (see _is_number) that passes ok."""
-    if not (_is_number(value) and ok(value)):
-        raise ConfigError(f"{name} must be {need}, got {value!r}")
-
-
-def check_int(name: str, value, lo: int, hi=math.inf) -> None:
-    """Raise ConfigError unless value is an integer in [lo, hi]; a bool, float or string is not."""
-    check_number(name, value, lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi,
-                 f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]")
-
-
 def check_ray_samples(what: str, n_rays: float, max_depth: float, resolution: float) -> None:
     """Raise ConfigError if n_rays rays sampled every half cell out to max_depth, as
     one look casts them, take more than MAX_RAY_SAMPLES samples."""
@@ -248,7 +229,6 @@ class World:
     elevation: np.ndarray      # per-cell terrain height at the cell center
     occupied: np.ndarray       # bool, true-obstacle footprint
     landmarks: list            # Landmark
-    boundary: ExplorationBoundary
 
     def terrain_z(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _terrain_z(self.config, np.asarray(x, float), np.asarray(y, float))
@@ -279,14 +259,6 @@ class World:
     @functools.cached_property
     def centers(self) -> tuple:
         return self.spec.cell_centers()
-
-    @functools.cached_property
-    def boundary_mask(self) -> np.ndarray:
-        return self.boundary.mask(self.spec)
-
-    @functools.cached_property
-    def boundary_cells(self) -> int:
-        return int(self.boundary_mask.sum())
 
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,7 +299,7 @@ def generate_world(config: WorldConfig) -> World:
         occupied |= _footprint(ob, xs, ys)
 
     landmarks = _place_landmarks(config)
-    return World(config, spec, elevation, occupied, landmarks, config.boundary())
+    return World(config, spec, elevation, occupied, landmarks)
 
 
 def _place_landmarks(config: WorldConfig) -> list:
@@ -381,11 +353,10 @@ class MissionState:
     world: World
     occ: OccupancyGrid           # p is world.true_p where seen, UNKNOWN_P elsewhere
     sensed: np.ndarray           # bool, the cells the lidar has reached
-    unknown_inside: int          # running count of unobserved cells in-boundary
+    unknown_inside: int          # running count of the grid's unobserved cells
     pose: tuple                  # (x, y, theta) true pose
     cov: np.ndarray              # 6x6 localization covariance
     first_seen: np.ndarray       # per landmark, the clock at first sight; inf if never seen
-    blacklist: Blacklist = field(default_factory=Blacklist)
     clock: float = 0.0
     distance: float = 0.0
     n_loop_closures: int = 0
@@ -397,7 +368,7 @@ class MissionState:
             world=world,
             occ=OccupancyGrid.unknown(world.spec),
             sensed=np.zeros((world.spec.height, world.spec.width), dtype=bool),
-            unknown_inside=world.boundary_cells,
+            unknown_inside=world.spec.n_cells,
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
             first_seen=np.full(len(world.landmarks), np.inf),
@@ -473,7 +444,7 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     mark[j[seen] - j0, i[seen] - i0] = True
     win = np.s_[j0:j0 + mark.shape[0], i0:i0 + mark.shape[1]]
     p = state.occ.p[win]
-    state.unknown_inside -= int((mark & (p == UNKNOWN_P) & world.boundary_mask[win]).sum())
+    state.unknown_inside -= int((mark & (p == UNKNOWN_P)).sum())
     np.copyto(p, world.true_p[win], where=mark)
 
 
@@ -537,15 +508,17 @@ def execute_path(world: World, state: MissionState, path: Path, theta_star: floa
 
     Each step grows the covariance with distance, senses, folds observed
     landmark information back into the covariance and checks loop closures.
-    A cell found non-traversable in `nav` aborts with PathBlockedError.
+    If a cell the path enters is not Free in `nav`, PathBlockedError is raised
+    before the robot moves.
     """
     spec = world.spec
     sur = world.config.surrogate
     speed = world.config.robot.speed
     cells = path.cells
+    blocked = [cell for cell in cells[1:] if nav is not None and not nav.is_free(*cell)]
+    if blocked:
+        raise PathBlockedError(f"path cell {blocked[0]} is not traversable")
     for prev, cell in zip(cells, cells[1:]):
-        if nav is not None and not nav.is_free(*cell):
-            raise PathBlockedError(f"path cell {cell} is not traversable")
         diagonal = prev[0] != cell[0] and prev[1] != cell[1]
         dd = spec.resolution * (math.sqrt(2.0) if diagonal else 1.0)
         state.cov = state.cov + sur.q * dd * _MOTION_DIRS
@@ -570,8 +543,7 @@ def _wrap(a: float) -> float:
 
 def record_metrics(state: MissionState) -> MetricSample:
     """Append the current (time, covariance trace, coverage) sample."""
-    world = state.world
-    pct = 100.0 * state.unknown_inside / world.boundary_cells
+    pct = 100.0 * state.unknown_inside / state.world.spec.n_cells
     sample = MetricSample(
         t=state.clock,
         trace_cov=float(np.trace(state.cov)),

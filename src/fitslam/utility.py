@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontier import FrontierCluster
+from .grid import check_int, check_number
 from .planner import Path
-from .simworld import check_int, check_number
 
 DEFAULT_ALPHA = 0.35
 DEFAULT_BETA = 0.4

@@ -3,7 +3,6 @@ import pytest
 
 from fitslam.frontier import (
     Blacklist,
-    ExplorationBoundary,
     cluster_frontiers,
     detect_frontiers,
     mission_complete,
@@ -23,20 +22,16 @@ def build_grids(w, h, res=0.1):
     spec = GridSpec(0.0, 0.0, res, w, h)
     occ = OccupancyGrid.unknown(spec)
     nav = BinaryTraversabilityGrid.unknown(spec)
-    boundary = ExplorationBoundary(0.0, 0.0, w * res, h * res)
-    return spec, occ, nav, boundary
+    return spec, occ, nav
 
 
-def frontier_oracle(occ, nav, boundary):
+def frontier_oracle(occ, nav):
     """Brute-force per-cell evaluation of the frontier predicate."""
     spec = occ.spec
     out = set()
     for i in range(spec.width):
         for j in range(spec.height):
             if nav.state[j, i] != FREE:
-                continue
-            x, y = spec.cell_to_world(i, j)
-            if not boundary.contains(x, y):
                 continue
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
@@ -84,48 +79,39 @@ def cluster_oracle(cells, spec, max_cluster_size, blacklist):
 
 class TestDetectFrontiers:
     def test_fully_known_grid_has_none(self):
-        spec, occ, nav, boundary = build_grids(6, 6)
+        _, occ, nav = build_grids(6, 6)
         occ.p[:] = 0.1
         nav.state[:] = FREE
-        assert detect_frontiers(occ, nav, boundary.mask(spec)) == set()
+        assert detect_frontiers(occ, nav) == set()
 
     def test_fully_unknown_grid_has_none(self):
-        spec, occ, nav, boundary = build_grids(6, 6)
-        assert detect_frontiers(occ, nav, boundary.mask(spec)) == set()
+        _, occ, nav = build_grids(6, 6)
+        assert detect_frontiers(occ, nav) == set()
 
     def test_vertical_split_yields_boundary_column(self):
-        spec, occ, nav, boundary = build_grids(8, 5)
+        _, occ, nav = build_grids(8, 5)
         occ.p[:, :4] = 0.1   # west half known
         nav.state[:, :4] = FREE
-        found = detect_frontiers(occ, nav, boundary.mask(spec))
+        found = detect_frontiers(occ, nav)
         expected = {(3, j) for j in range(5)}
         assert found == expected
 
     def test_matches_brute_force_oracle_on_random_grids(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            spec, occ, nav, boundary = build_grids(16, 12)
+            _, occ, nav = build_grids(16, 12)
             occ.p[:] = rng.choice([UNKNOWN_P, 0.1, 0.9], size=occ.p.shape,
                                   p=[0.4, 0.45, 0.15])
             nav.state[:] = rng.choice(
                 [UNKNOWN, FREE, BLOCKED], size=nav.state.shape,
                 p=[0.3, 0.5, 0.2]).astype(np.int8)
-            assert detect_frontiers(occ, nav, boundary.mask(spec)) == frontier_oracle(
-                occ, nav, boundary)
-
-    def test_boundary_limits_search(self):
-        spec, occ, nav, _ = build_grids(8, 8)
-        occ.p[:, :4] = 0.1
-        nav.state[:, :4] = FREE
-        tight = ExplorationBoundary(0.0, 0.0, 0.8, 0.35)  # only j=0..2 centers
-        found = detect_frontiers(occ, nav, tight.mask(spec))
-        assert found == {(3, j) for j in range(3)}
+            assert detect_frontiers(occ, nav) == frontier_oracle(occ, nav)
 
     def test_mismatched_specs_rejected(self):
-        spec, occ, _, boundary = build_grids(6, 6)
+        _, occ, _ = build_grids(6, 6)
         other = BinaryTraversabilityGrid.unknown(GridSpec(0, 0, 0.1, 5, 6))
         with pytest.raises(ValueError):
-            detect_frontiers(occ, other, boundary.mask(spec))
+            detect_frontiers(occ, other)
 
 
 class TestClusterFrontiers:

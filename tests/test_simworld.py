@@ -7,7 +7,9 @@ import pytest
 import fitslam
 from fitslam import fisher, simworld
 from fitslam.cli import main
-from fitslam.grid import FREE, UNKNOWN_P
+from fitslam.frontier import detect_frontiers
+from fitslam.grid import BLOCKED, FREE, UNKNOWN_P, BinaryTraversabilityGrid
+from fitslam.harness import run_mission
 from fitslam.infogain import OCCUPIED_THRESHOLD
 from fitslam.planner import Path, plan
 from fitslam.simworld import (
@@ -87,7 +89,7 @@ class TestWorldConfig:
         {"obstacles": [{"x": 3.0, "y": 3.0, "w": 0.0, "h": 1.0}]},
         {"obstacles": [{"x": 3.0, "y": 3.0, "w": 1.0, "h": -0.5}]},
         {"obstacles": [{"x": 3.0, "y": 3.0, "w": "1", "h": 1.0}]},
-        # Inside the 8 m boundary but past the 11 x 0.7 = 7.7 m grid.
+        # Inside size_m = 8 m but past the 11 x 0.7 = 7.7 m grid.
         {"resolution": 0.7, "robot": {"start_xy_theta": [7.9, 2.0, 0.0]}},
         {"robot": {"start_xy_theta": [99.0, 2.0, 0.0]}},
         {"obstacles": [{"x": 1.5, "y": 1.5, "w": 1.0, "h": 1.0}]},  # covers the start
@@ -133,6 +135,9 @@ class TestWorldConfig:
         {"landmarks": {"count": 10 ** 11, "clusters": 2}},
         {"landmarks": {"count": 12, "clusters": 10 ** 11}},
         {"terrain": {"type": "bumps", "n_bumps": 10 ** 11}},
+        # Covariance growth the measurement update cannot invert.
+        {"surrogate": {"q": 1e50}},
+        {"surrogate": {"q": 1e300}},
     ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
             "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
             "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
@@ -146,7 +151,7 @@ class TestWorldConfig:
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
             "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
             "resolution-subnormal", "ray-step-tiny", "max-depth-huge", "count-huge",
-            "clusters-huge", "n-bumps-huge"])
+            "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
@@ -169,6 +174,13 @@ class TestWorldConfig:
         assert cfg.seed == 0 and cfg.surrogate.kappa == 1
         assert generate_world(cfg).landmarks == []
         assert generate_world(tiny_config(seed=np.int64(3))).config.seed == 3
+
+    def test_q_at_bound_runs_a_mission(self):
+        cfg = WorldConfig.from_dict({"size_m": 10.0, "resolution": 0.2,
+                                     "surrogate": {"q": simworld.MAX_SURROGATE_Q}})
+        for strategy in ("fit", "random"):
+            log = run_mission(cfg, strategy, 1, max_mission_time=100.0)
+            assert log.final.distance > 0 and np.isfinite(log.final.trace_cov)
 
     def test_defaults_come_from_dataclasses(self):
         assert WorldConfig.from_dict({}) == WorldConfig()
@@ -368,7 +380,7 @@ class OccupancyReference:
     """The float log-odds occupancy update, kept as the oracle of the reveal.
 
     It holds its own log-odds, probability and observed arrays and its own
-    count of unobserved cells inside the boundary.
+    count of unobserved cells.
     """
 
     def __init__(self, world):
@@ -376,7 +388,7 @@ class OccupancyReference:
         self.log_odds = np.zeros(shape)
         self.p = np.full(shape, UNKNOWN_P)
         self.observed = np.zeros(shape, dtype=bool)
-        self.unknown_inside = world.boundary_cells
+        self.unknown_inside = world.spec.n_cells
 
 
 def sense_occupancy_sorted(world, pose, ref):
@@ -417,7 +429,7 @@ def sense_occupancy_sorted(world, pose, ref):
         obs = ref.observed.ravel()
         new = touched[~obs[touched]]
         obs[new] = True
-        ref.unknown_inside -= int(world.boundary_mask.ravel()[new].sum())
+        ref.unknown_inside -= int(new.size)
 
 
 # Headings of the 8 grid steps, as execute_path computes them.
@@ -622,6 +634,22 @@ class TestSurrogateCovariance:
 
 
 class TestExecutePath:
+    def test_blocked_path_aborts_before_moving(self):
+        world = generate_world(tiny_config())
+        state = MissionState.initial(world)
+        initial_spin(world, state)
+        i, j = world.spec.world_to_cell(2.0, 2.0)
+        cells = [(i, j), (i + 1, j), (i + 2, j), (i + 3, j)]
+        nav = BinaryTraversabilityGrid(world.spec, np.full(state.occ.p.shape, FREE, np.int8))
+        nav.state[j, i + 2] = BLOCKED  # the third path cell
+        before = (state.pose, state.clock, state.distance, state.cov.copy(),
+                  list(state.samples))
+        with pytest.raises(PathBlockedError):
+            execute_path(world, state, Path(cells, 0.6), 0.0, nav=nav)
+        assert (state.pose, state.clock, state.distance) == before[:3]
+        assert np.array_equal(state.cov, before[3])
+        assert state.samples == before[4]
+
     def test_blocked_cell_aborts(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
@@ -672,10 +700,23 @@ class TestMetrics:
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
         initial_spin(world, state)
-        inside = world.boundary_mask
         unknown = state.occ.unknown_mask()
-        expected = 100.0 * (unknown & inside).sum() / inside.sum()
+        expected = 100.0 * unknown.sum() / unknown.size
         assert state.samples[-1].pct_unexplored == pytest.approx(expected)
+
+    def test_last_row_and_column_are_explored(self):
+        # 3.9 / 0.2 rounds to 20 cells a side, whose last centres lie at
+        # 3.9000000000000004 m, one ulp past size_m.
+        world = generate_world(tiny_config(size_m=3.9, sensors={"max_depth_m": 1.5},
+                                           robot={"start_xy_theta": [3.0, 2.0, 0.0]}))
+        state = MissionState.initial(world)
+        assert state.unknown_inside == 400
+        initial_spin(world, state)
+        unknown = state.occ.unknown_mask()
+        assert unknown[:, -1].any() and not unknown[:, -1].all()
+        assert state.unknown_inside == unknown.sum()
+        _, nav = current_grids(state)
+        assert any(i == 19 for i, _ in detect_frontiers(state.occ, nav))
 
 
 def plan_straight_path(world, start_xy, goal_xy):
