@@ -22,10 +22,11 @@ occ.p[:, 31:] = UNKNOWN_P     # east half unknown
 
 # Goal just north of the wall's end: east-facing rays clear the wall and
 # plunge into unknown space, west-facing ones see only mapped free cells.
-goal = spec.cell_to_world(28, 54)
+cell = (28, 54)
+goal = spec.cell_to_world(*cell)
 params = RayCastParams()
 max_range = 4.0
-scan = scan_orientations(occ, goal, params, max_range=max_range)
+scan = scan_orientations(occ, cell, params, max_range=max_range)
 
 print(f"goal at ({goal[0]:.2f}, {goal[1]:.2f}), "
       f"{len(scan.directions)} ray directions, "

@@ -47,6 +47,6 @@ print("\nscore along y = 20 m (left edge -> right edge):")
 for x in np.arange(2.0, config.size_m - 1.0, 4.0):
     i, j = spec.world_to_cell(float(x), 20.0)
     s = score[j, i]
-    z = world.elevation[j, i]
+    z = world.terrain.plane[0][j, i]  # fitted mean height of the cell's lidar returns
     label = "unsensed" if np.isnan(s) else f"{s:.3f}"
     print(f"  x={x:5.1f} m  elevation={z:5.2f} m  score={label}")

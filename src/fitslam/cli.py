@@ -20,12 +20,23 @@ from .simworld import ConfigError, WorldConfig, generate_world
 from .utility import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_SHORTLIST_N, UtilityParams
 
 
+# The most seeds a `--seeds` range may name, far more missions than a run can finish;
+# it is checked before the range is built.
+MAX_SEEDS = 10 ** 6
+
+
 def _parse_seeds(text: str) -> tuple:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(",") if s)
+    try:
+        if ".." not in text:
+            return tuple(int(s) for s in text.split(",") if s)
+        lo, hi = (int(s) for s in text.split(".."))
+    except ValueError:
+        raise ConfigError(f"--seeds must be LO..HI or a comma list of integers, "
+                          f"got {text!r}") from None
+    if hi - lo + 1 > MAX_SEEDS:
+        raise ConfigError(f"--seeds {text} names {hi - lo + 1} seeds; at most {MAX_SEEDS}")
+    return tuple(range(lo, hi + 1))
 
 
 def _load_world(arg: str) -> WorldConfig:

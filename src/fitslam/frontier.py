@@ -108,8 +108,3 @@ def cluster_frontiers(cells: set, spec: GridSpec,
             if not blacklist.suppresses(candidate):
                 clusters.append(FrontierCluster(cells=chunk, candidate=candidate))
     return clusters
-
-
-def mission_complete(clusters: list) -> bool:
-    """Exploration succeeds once no candidate clusters remain."""
-    return not clusters

@@ -47,8 +47,10 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError(f"resolution must be > 0, got {self.resolution}")
+        if not (self.resolution > 0 and math.isfinite(self.resolution)):
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError(f"origin must be finite, got ({self.origin_x}, {self.origin_y})")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
 
@@ -132,16 +134,11 @@ class OccupancyGrid:
         return self.p == UNKNOWN_P
 
     def to_text(self) -> str:
-        lines = [_header(self.spec)]
-        for row in self.p:
-            lines.append(" ".join(format(v, ".6g") for v in row))
-        return "\n".join(lines) + "\n"
+        return _raster_text(self.spec, self.p, "{:.6g}".format)
 
     @classmethod
     def from_text(cls, text: str) -> "OccupancyGrid":
-        spec, rows = _parse_raster(text)
-        p = np.array([[float(v) for v in row] for row in rows])
-        return cls(spec, p)
+        return cls(*_parse_raster(text, _unit_value, float))
 
 
 @dataclass
@@ -155,16 +152,11 @@ class TraversabilityGrid:
         _check_shape(self.spec, self.score)
 
     def to_text(self) -> str:
-        lines = [_header(self.spec)]
-        for row in self.score:
-            lines.append(" ".join("?" if np.isnan(v) else format(v, ".6g") for v in row))
-        return "\n".join(lines) + "\n"
+        return _raster_text(self.spec, self.score, lambda v: "?" if np.isnan(v) else f"{v:.6g}")
 
     @classmethod
     def from_text(cls, text: str) -> "TraversabilityGrid":
-        spec, rows = _parse_raster(text)
-        score = np.array([[np.nan if v == "?" else float(v) for v in row] for row in rows])
-        return cls(spec, score)
+        return cls(*_parse_raster(text, lambda v: np.nan if v == "?" else _unit_value(v), float))
 
 
 _BINARY_CHARS = {UNKNOWN: "?", FREE: ".", BLOCKED: "#"}
@@ -192,24 +184,37 @@ class BinaryTraversabilityGrid:
         return bool(self.state[j, i] == FREE)
 
     def to_text(self) -> str:
-        lines = [_header(self.spec)]
-        for row in self.state:
-            lines.append(" ".join(_BINARY_CHARS[int(v)] for v in row))
-        return "\n".join(lines) + "\n"
+        return _raster_text(self.spec, self.state, lambda v: _BINARY_CHARS[int(v)])
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryTraversabilityGrid":
-        spec, rows = _parse_raster(text)
-        state = np.array([[_BINARY_STATES[v] for v in row] for row in rows], dtype=np.int8)
-        return cls(spec, state)
+        return cls(*_parse_raster(text, _binary_state, np.int8))
 
 
-def _header(spec: GridSpec) -> str:
-    return (f"{spec.width} {spec.height} {format(spec.resolution, '.6g')} "
-            f"{format(spec.origin_x, '.6g')} {format(spec.origin_y, '.6g')}")
+def _unit_value(token: str) -> float:
+    """A raster value in [0, 1]; NaN, an infinity or any other number is a ValueError."""
+    v = float(token)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"raster value {token!r} is not in [0, 1]")
+    return v
 
 
-def _parse_raster(text: str) -> tuple[GridSpec, list[list[str]]]:
+def _binary_state(token: str) -> int:
+    if token not in _BINARY_STATES:
+        raise ValueError(f"binary raster cell {token!r} is not one of ?, . or #")
+    return _BINARY_STATES[token]
+
+
+def _raster_text(spec: GridSpec, values: np.ndarray, cell) -> str:
+    """A `width height resolution origin_x origin_y` header line, then one line per
+    row of values, each value written by `cell`."""
+    lines = [f"{spec.width} {spec.height} {spec.resolution:.6g} {spec.origin_x:.6g} "
+             f"{spec.origin_y:.6g}", *(" ".join(map(cell, row)) for row in values)]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_raster(text: str, cell, dtype) -> tuple[GridSpec, np.ndarray]:
+    """(spec, values) of a text raster; `cell` parses each value."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty raster")
@@ -218,7 +223,7 @@ def _parse_raster(text: str) -> tuple[GridSpec, list[list[str]]]:
     rows = [ln.split() for ln in lines[1:]]
     if len(rows) != spec.height or any(len(r) != spec.width for r in rows):
         raise ValueError("raster body does not match header dimensions")
-    return spec, rows
+    return spec, np.array([[cell(v) for v in row] for row in rows], dtype=dtype)
 
 
 def read_rows(path, widths: tuple, what: str) -> list:

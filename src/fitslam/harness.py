@@ -19,7 +19,7 @@ import numpy as np
 
 from . import simworld
 from .fisher import path_information
-from .frontier import Blacklist, cluster_frontiers, detect_frontiers, mission_complete
+from .frontier import Blacklist, cluster_frontiers, detect_frontiers
 from .grid import FREE, check_int
 from .infogain import RayCastParams, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
@@ -100,24 +100,24 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
 
 def _select_fit(candidates, state, world, uparams, rays, spec, planner):
     sensors = world.config.sensors
-    goals = [spec.cell_to_world(*c.cluster.candidate) for c in candidates]
-    scans = scan_many(state.occ, goals, rays, sensors.fov, sensors.max_depth)
+    scans = scan_many(state.occ, [c.cell for c in candidates], rays, sensors.fov,
+                      sensors.max_depth)
     for c, scan in zip(candidates, scans):
         c.delta_e = scan.best_gain
         c.theta_star = scan.best_theta
     compute_u1(candidates, uparams, spec.resolution)
-    short = shortlist(candidates, uparams.shortlist_n, spec)
+    short = shortlist(candidates, uparams.shortlist_n)
     for c in short:
-        c.path = planner.path_to(c.cluster.candidate)
+        c.path = planner.path_to(c.cell)
         wps = sample_waypoints(c.path, sensors.max_depth, spec)
         wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
         c.info = path_information(wps, world.voxel_landmarks,
                                   fov=sensors.fov, max_depth=sensors.max_depth)
-    return select_best(short, uparams, spec)
+    return select_best(short, uparams)
 
 
-def _select_greedy(candidates, spec):
-    return min(candidates, key=lambda c: (c.rho, c.cell_index(spec)))
+def _select_greedy(candidates):
+    return min(candidates, key=lambda c: (c.rho, c.cell[1], c.cell[0]))
 
 
 def run_mission(config: WorldConfig, strategy: str, seed: int,
@@ -152,7 +152,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         nav.state[rj, ri] = FREE  # the robot occupies this cell, so it is navigable
         frontiers = detect_frontiers(state.occ, nav)
         clusters = cluster_frontiers(frontiers, spec, blacklist=blacklist)
-        if mission_complete(clusters):
+        if not clusters:
             termination = "stalled" if frontiers else "complete"
             break
 
@@ -165,8 +165,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
             except NoPathError:
                 blacklist.add(cl.candidate)
                 continue
-            candidates.append(CandidateGoal(
-                cluster=cl, path=None, rho=rho, delta_e=None, theta_star=None))
+            candidates.append(CandidateGoal(cl.candidate, rho))
         if not candidates:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.
@@ -176,24 +175,23 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         if strategy == "fit":
             best = _select_fit(candidates, state, world, uparams, rays, spec, planner)
         elif strategy == "greedy":
-            best = _select_greedy(candidates, spec)
+            best = _select_greedy(candidates)
         else:
             best = candidates[int(rng.integers(len(candidates)))]
         if best.path is None:
-            best.path = planner.path_to(best.cluster.candidate)
+            best.path = planner.path_to(best.cell)
         if best.theta_star is None:
-            best.theta_star = scan_orientations(
-                state.occ, spec.cell_to_world(*best.cluster.candidate), rays,
-                sensors.fov, sensors.max_depth).best_theta
+            best.theta_star = scan_orientations(state.occ, best.cell, rays, sensors.fov,
+                                                sensors.max_depth).best_theta
 
         try:
             execute_path(world, state, best.path, best.theta_star, nav=nav)
         except PathBlockedError:
-            blacklist.add(best.cluster.candidate)
+            blacklist.add(best.cell)
             continue
-        goal_sequence.append(best.cluster.candidate)
+        goal_sequence.append(best.cell)
         # A visited goal is excluded from re-selection in later iterations.
-        blacklist.add(best.cluster.candidate)
+        blacklist.add(best.cell)
 
     return MissionLog(strategy, seed, state.samples, goal_sequence, termination)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
-from .grid import OccupancyGrid, UNKNOWN_P, check_number
+from .grid import OccupancyGrid, OutOfBoundsError, UNKNOWN_P, check_number
 
 DEFAULT_DELTA_THETA_DEG = 8.5
 DEFAULT_GAMMA = 0.9
@@ -246,19 +246,25 @@ def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
 _template = functools.cache(_ScanTemplate)
 
 
-def scan_many(occ: OccupancyGrid, goals: list, params: RayCastParams,
+def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams,
               fov: float = DEFAULT_FOV, max_range: float = DEFAULT_MAX_DEPTH) -> list:
-    """Orientation scans for many goal points in one vectorized pass.
+    """Orientation scans from many (i, j) goal cells in one vectorized pass.
 
-    Produces exactly the same numbers as scanning each goal alone: every
+    Produces exactly the same numbers as scanning each cell alone: every
     reduction runs along a per-goal axis, so results do not depend on how
-    goals are batched.
+    goals are batched. A cell outside the grid raises OutOfBoundsError and a
+    non-integer one ValueError, since the padded gather would read past the
+    grid's border or wrap around it.
     """
     spec = occ.spec
     tmpl = _template(params, fov, max_range, spec.resolution)
-    centers = [spec.world_to_cell(x, y) for x, y in goals]
-    ci = np.array([c[0] for c in centers], dtype=int)
-    cj = np.array([c[1] for c in centers], dtype=int)
+    ij = np.asarray(cells)
+    if len(cells) and (ij.dtype.kind not in "iu" or ij.shape != (len(cells), 2)):
+        raise ValueError(f"scan cells must be (i, j) integer pairs, not {ij.dtype} {ij.shape}")
+    ci, cj = ij.reshape(-1, 2).astype(int).T
+    outside = (ci < 0) | (ci >= spec.width) | (cj < 0) | (cj >= spec.height)
+    if outside.any():
+        raise OutOfBoundsError(f"scan cell {cells[int(outside.argmax())]} outside the grid")
     ray_gains = tmpl.ray_gains(occ, ci, cj)
     windowed = tmpl.windowed_gains(ray_gains)
     # Windows whose real-valued sums tie can differ by float rounding, so the
@@ -272,16 +278,16 @@ def scan_many(occ: OccupancyGrid, goals: list, params: RayCastParams,
         windowed_gains=windowed[k],
         best_theta=float(tmpl.directions[best[k]]),
         best_gain=float(windowed[k, best[k]]),
-    ) for k in range(len(goals))]
+    ) for k in range(len(cells))]
 
 
-def scan_orientations(occ: OccupancyGrid, goal: tuple, params: RayCastParams,
+def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
                       fov: float = DEFAULT_FOV,
                       max_range: float = DEFAULT_MAX_DEPTH) -> OrientationScan:
-    """Cast one ray per direction from the goal and pick the best FOV window.
+    """Cast one ray per direction from the goal cell and pick the best FOV window.
 
     A direction d contributes to the window centered at theta_s when the
     wrapped angular distance |d - theta_s| <= fov/2. Rays end after max_range
     m. Ties in the windowed gain go to the smallest orientation angle.
     """
-    return scan_many(occ, [goal], params, fov, max_range)[0]
+    return scan_many(occ, [cell], params, fov, max_range)[0]

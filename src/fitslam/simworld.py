@@ -33,6 +33,9 @@ MAX_GRID_CELLS = 10 ** 7
 MAX_RAY_SAMPLES = 10 ** 6  # rays x samples of one look, sensing wedge or orientation scan
 MAX_LANDMARKS = 10 ** 4    # bounds landmarks.count and landmarks.clusters
 MAX_BUMPS = 10 ** 3
+# Bounds |grade| x size_m, |bump_amp| x n_bumps and each obstacle |height|, in m;
+# the tallest preset terrain is 3.8 m. Far taller terrain overflows the plane fit.
+MAX_TERRAIN_HEIGHT = 10 ** 3
 # Covariance growth per meter, 1000x the presets'. At 1e14 a mission on a 10 m
 # world already grows the covariance too ill-conditioned for the measurement
 # update to invert.
@@ -74,6 +77,8 @@ _SENSOR_KEYS = {"fov_deg": ("fov", math.radians), "max_depth_m": ("max_depth", f
 _ROBOT_KEYS = {"start_xy_theta": ("start", tuple), "speed": ("speed", float)}
 _TERRAIN_KEYS = ("type", "grade", "n_bumps", "bump_amp", "bump_sigma")
 _TERRAIN_TYPES = ("flat", "ramp", "bumps", "ramp_bumps")
+_TERRAIN_DEFAULTS = {"grade": 0.05, "n_bumps": 5, "bump_amp": 0.3, "bump_sigma": 2.5}
+_OBSTACLE_HEIGHT = 1.5
 _OBSTACLE_KEYS = ("x", "y", "w", "h", "height")
 _LANDMARK_KEYS = ("count", "clusters", "points")
 
@@ -137,6 +142,14 @@ class WorldConfig:
             _check_numbers(list(ob.values()), len(ob), "obstacle")
             if ob["w"] <= 0 or ob["h"] <= 0:
                 raise ConfigError(f"obstacle w and h must be > 0: {ob}")
+        t = {**_TERRAIN_DEFAULTS, **self.terrain}
+        heights = {"|terrain.grade| x size_m": abs(t["grade"]) * self.size_m,
+                   "|terrain.bump_amp| x n_bumps": abs(t["bump_amp"]) * t["n_bumps"],
+                   **{f"|obstacles[{k}].height|": abs(ob.get("height", _OBSTACLE_HEIGHT))
+                      for k, ob in enumerate(self.obstacles)}}
+        for what, height in heights.items():
+            if height > MAX_TERRAIN_HEIGHT:
+                raise ConfigError(f"{what} is {height:.3g} m; the limit is {MAX_TERRAIN_HEIGHT} m")
         sur = self.surrogate
         check_number("surrogate.q", sur.q, lambda v: 0 <= v <= MAX_SURROGATE_Q,
                      f"in [0, {MAX_SURROGATE_Q:g}]")
@@ -226,7 +239,6 @@ def _check_numbers(values, n: int, what: str) -> None:
 class World:
     config: WorldConfig
     spec: GridSpec
-    elevation: np.ndarray      # per-cell terrain height at the cell center
     occupied: np.ndarray       # bool, true-obstacle footprint
     landmarks: list            # Landmark
 
@@ -263,23 +275,23 @@ class World:
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic terrain height plus obstacle tops, deterministic in the seed."""
-    t = config.terrain
+    t = {**_TERRAIN_DEFAULTS, **config.terrain}
     kind = t.get("type", "flat")
     z = np.zeros_like(x, dtype=float)
     if kind in ("ramp", "ramp_bumps"):
-        z = z + float(t.get("grade", 0.05)) * x
+        z = z + float(t["grade"]) * x
     if kind in ("bumps", "ramp_bumps"):
         rng = np.random.default_rng(config.seed ^ 0x5EED)
-        n = t.get("n_bumps", 5)
-        amp = float(t.get("bump_amp", 0.3))
-        sigma = float(t.get("bump_sigma", 2.5))
+        n = t["n_bumps"]
+        amp = float(t["bump_amp"])
+        sigma = float(t["bump_sigma"])
         centers = rng.uniform(0.0, config.size_m, size=(n, 2))
         for cx, cy in centers:
             z = z + amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigma ** 2))
     for ob in config.obstacles:
         # Rough tops keep thresholding from declaring obstacle roofs navigable.
         rough = 0.08 * np.sin(37.0 * x + 1.3) * np.sin(41.0 * y + 0.7)
-        z = np.where(_footprint(ob, x, y), float(ob.get("height", 1.5)) + rough, z)
+        z = np.where(_footprint(ob, x, y), float(ob.get("height", _OBSTACLE_HEIGHT)) + rough, z)
     return z
 
 
@@ -292,14 +304,12 @@ def generate_world(config: WorldConfig) -> World:
     """Build the deterministic world implied by the config and its seed."""
     spec = config.grid_spec()
     xs, ys = spec.cell_centers()
-    elevation = _terrain_z(config, xs, ys)
-
     occupied = np.zeros((spec.height, spec.width), dtype=bool)
     for ob in config.obstacles:
         occupied |= _footprint(ob, xs, ys)
 
     landmarks = _place_landmarks(config)
-    return World(config, spec, elevation, occupied, landmarks)
+    return World(config, spec, occupied, landmarks)
 
 
 def _place_landmarks(config: WorldConfig) -> list:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import FrontierCluster
 from .grid import check_int, check_number
 from .planner import Path
 
@@ -39,17 +38,14 @@ class UtilityParams:
 
 @dataclass
 class CandidateGoal:
-    cluster: FrontierCluster
-    path: Path
+    cell: tuple               # (i, j) goal cell
     rho: float                # path length in meters
-    delta_e: float            # entropy gain at the goal, bits
-    theta_star: float         # best arrival orientation, rad
+    path: Path = None
+    delta_e: float = None     # entropy gain at the goal, bits
+    theta_star: float = None  # best arrival orientation, rad
     u1: float = None
     info: float = None        # raw path information (fisher.path_information)
     u2: float = None
-
-    def cell_index(self, spec) -> int:
-        return spec.linear_index(*self.cluster.candidate)
 
 
 def compute_u1(candidates: list, params: UtilityParams, resolution: float) -> None:
@@ -71,19 +67,19 @@ def compute_u1(candidates: list, params: UtilityParams, resolution: float) -> No
         c.u1 = params.alpha * dist_term + (1.0 - params.alpha) * gain_term
 
 
-def _order_key(c: CandidateGoal, spec, score: float):
-    return (-score, c.rho, c.cell_index(spec))
+def _order_key(c: CandidateGoal, score: float):
+    return (-score, c.rho, c.cell[1], c.cell[0])
 
 
-def shortlist(candidates: list, n: int, spec) -> list:
-    """Top-n candidates by u1; ties by smaller rho, then row-major index."""
+def shortlist(candidates: list, n: int) -> list:
+    """Top-n candidates by u1; ties by smaller rho, then row-major cell order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranked = sorted(candidates, key=lambda c: _order_key(c, spec, c.u1))
+    ranked = sorted(candidates, key=lambda c: _order_key(c, c.u1))
     return ranked[:n]
 
 
-def select_best(shortlisted: list, params: UtilityParams, spec) -> CandidateGoal:
+def select_best(shortlisted: list, params: UtilityParams) -> CandidateGoal:
     """Set u2 on the shortlist and return the argmax.
 
     Path information is rescaled by the shortlist's shared normalizer
@@ -96,4 +92,4 @@ def select_best(shortlisted: list, params: UtilityParams, spec) -> CandidateGoal
     n_i = 1.0 / (1.0 + max(c.info for c in shortlisted))
     for c in shortlisted:
         c.u2 = params.beta * c.u1 + (1.0 - params.beta) * (c.info * n_i)
-    return min(shortlisted, key=lambda c: _order_key(c, spec, c.u2))
+    return min(shortlisted, key=lambda c: _order_key(c, c.u2))

@@ -129,7 +129,7 @@ def test_criterion_2_orientation_scan_oracle(capsys):
         known = rng.random((64, 64)) < 0.5
         occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()), p=[0.8, 0.2])
         goal = (rng.uniform(0.5, 5.9), rng.uniform(0.5, 5.9))
-        scan = scan_orientations(occ, goal, params, fov, max_range)
+        scan = scan_orientations(occ, occ.spec.world_to_cell(*goal), params, fov, max_range)
         gains, windowed, best_theta = brute_force_scan(occ, goal, params, fov, max_range)
         assert scan.best_theta == best_theta, "argmax mismatch vs oracle"
         worst = max(worst,

@@ -5,7 +5,6 @@ from fitslam.frontier import (
     Blacklist,
     cluster_frontiers,
     detect_frontiers,
-    mission_complete,
 )
 from fitslam.grid import (
     BLOCKED,
@@ -214,12 +213,3 @@ class TestClusterFrontiers:
         with pytest.raises(ValueError):
             cluster_frontiers(set(), spec, max_cluster_size=0)
 
-
-class TestMissionComplete:
-    def test_empty_list_is_complete(self):
-        assert mission_complete([])
-
-    def test_any_cluster_means_incomplete(self):
-        spec = GridSpec(0, 0, 0.1, 5, 5)
-        clusters = cluster_frontiers({(1, 1)}, spec)
-        assert not mission_complete(clusters)

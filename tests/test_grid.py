@@ -153,6 +153,23 @@ class TestRasterParsing:
         with pytest.raises(ValueError):
             OccupancyGrid.from_text(text)
 
+    @pytest.mark.parametrize("grid, text", [
+        (OccupancyGrid, "3 1 nan 0 0\n0.5 0.5 0.5"),
+        (OccupancyGrid, "3 1 inf 0 0\n0.5 0.5 0.5"),
+        (OccupancyGrid, "3 1 0.1 inf 0\n0.5 0.5 0.5"),
+        (OccupancyGrid, "3 1 0.1 0 -inf\n0.5 0.5 0.5"),
+        (OccupancyGrid, "2 1 0.1 0 0\n7 -3"),
+        (OccupancyGrid, "2 1 0.1 0 0\n0.5 nan"),
+        (TraversabilityGrid, "2 1 0.1 0 0\n? nan"),
+        (TraversabilityGrid, "2 1 0.1 0 0\n0.5 inf"),
+        (BinaryTraversabilityGrid, "2 1 0.1 0 0\n. x"),
+    ], ids=["resolution-nan", "resolution-inf", "origin-x-inf", "origin-y-inf",
+            "occupancy-out-of-range", "occupancy-nan", "score-literal-nan", "score-inf",
+            "binary-unknown-char"])
+    def test_value_the_format_forbids_rejected(self, grid, text):
+        with pytest.raises(ValueError):
+            grid.from_text(text)
+
 
 def pad_shift(arr, di, dj):
     """Oracle: out[j, i] = arr[j - dj, i - di] read from a zero-padded copy."""

@@ -334,8 +334,10 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--n-shortlist", "2.5"), ("--n-shortlist", "x"), ("--alpha", "x"), ("--beta", "1/2"),
         ("--max-time", "ten"), ("--delta-theta-deg", "8.5deg"), ("--gamma", ""),
+        ("--seeds", "1..1000000000000"), ("--seeds", "1..3..5"), ("--seeds", "1,x"),
     ], ids=["n-shortlist-float", "n-shortlist-text", "alpha", "beta", "max-time",
-            "delta-theta-deg", "gamma-empty"])
+            "delta-theta-deg", "gamma-empty", "seeds-range-huge", "seeds-three-bounds",
+            "seeds-not-integer"])
     def test_malformed_flag_exit_one(self, flag, value, tmp_path, capsys):
         # argparse alone would exit 2, the code of a stalled mission.
         out = tmp_path / "out"

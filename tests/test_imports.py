@@ -32,6 +32,13 @@ def test_algorithm_loads_no_simulator(module):
     assert not loaded & {"fitslam.simworld", "fitslam.harness"}
 
 
+def test_goal_selection_loads_no_frontier():
+    # A candidate goal is its cell, so utility needs no frontier cluster.
+    loaded = loaded_after("utility")
+    assert "fitslam.utility" in loaded
+    assert "fitslam.frontier" not in loaded
+
+
 def test_simulator_loads_no_goal_selection():
     loaded = loaded_after("simworld")
     assert "fitslam.simworld" in loaded

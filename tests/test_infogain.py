@@ -5,7 +5,7 @@ import pytest
 
 from fitslam import harness, preset_world_path
 from fitslam.fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
-from fitslam.grid import GridSpec, OccupancyGrid, UNKNOWN_P
+from fitslam.grid import GridSpec, OccupancyGrid, OutOfBoundsError, UNKNOWN_P
 from fitslam.infogain import (
     OCCUPIED_THRESHOLD,
     RayCastParams,
@@ -144,14 +144,14 @@ class TestScanOrientations:
         gi, gj = 10, 15
         occ.p[:, gi + 1:] = UNKNOWN_P  # everything strictly east is unknown
         params = RayCastParams(delta_theta=math.radians(9.0))
-        scan = scan_orientations(occ, occ.spec.cell_to_world(gi, gj), params,
+        scan = scan_orientations(occ, (gi, gj), params,
                                  fov=math.radians(90.0), max_range=1.0)
         assert scan.best_theta == 0.0
 
     def test_fully_known_map_zero_gain_theta_zero(self):
         occ = unknown_grid()
         occ.p[:] = 0.1
-        scan = scan_orientations(occ, (1.0, 1.0), RayCastParams())
+        scan = scan_orientations(occ, (10, 10), RayCastParams())
         assert scan.best_gain == 0.0
         assert scan.best_theta == 0.0
 
@@ -165,7 +165,7 @@ class TestScanOrientations:
             occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()),
                                       p=[0.8, 0.2])
             goal = (rng.uniform(0.4, 2.8), rng.uniform(0.4, 2.8))
-            scan = scan_orientations(occ, goal, params, fov, max_range)
+            scan = scan_orientations(occ, occ.spec.world_to_cell(*goal), params, fov, max_range)
             gains, windowed, best_theta = brute_force_scan(occ, goal, params, fov, max_range)
             assert np.allclose(scan.ray_gains, gains, atol=1e-12)
             assert np.allclose(scan.windowed_gains, windowed, atol=1e-12)
@@ -177,14 +177,40 @@ class TestScanOrientations:
         known = rng.random((40, 40)) < 0.6
         occ.p[known] = 0.1
         goals = [(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5)) for _ in range(12)]
+        cells = [occ.spec.world_to_cell(*goal) for goal in goals]
         params = RayCastParams()
-        batch = scan_many(occ, goals, params)
-        for goal, got in zip(goals, batch):
-            single = scan_orientations(occ, goal, params)
+        batch = scan_many(occ, cells, params)
+        for cell, got in zip(cells, batch):
+            single = scan_orientations(occ, cell, params)
             assert np.array_equal(got.ray_gains, single.ray_gains)
             assert np.array_equal(got.windowed_gains, single.windowed_gains)
             assert got.best_theta == single.best_theta
             assert got.best_gain == single.best_gain
+
+    # The origin lies far below zero, so each of these cells, read as a world
+    # point, would fall inside the grid.
+    OFFSET_SPEC = GridSpec(-120.0, -120.0, 2.4, 100, 100)
+
+    @pytest.mark.parametrize("cell, error", [
+        ((-1, 0), OutOfBoundsError),       # would read the gather's pad cells
+        ((0, 100), OutOfBoundsError),
+        ((-100, -100), OutOfBoundsError),  # past the pad: the flat gather would wrap
+        ((1.0, 1.0), ValueError),          # a world point, not a cell
+    ], ids=["left-of-grid", "above-grid", "beyond-reach", "float-point"])
+    def test_cell_outside_grid_or_not_integer_rejected(self, cell, error):
+        occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
+        with pytest.raises(error):
+            scan_orientations(occ, cell, RayCastParams())
+        with pytest.raises(error):
+            scan_many(occ, [(50, 50), cell], RayCastParams())
+
+    def test_corner_cells_and_integer_arrays_accepted(self):
+        occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
+        cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
+        scans = scan_many(occ, np.array(cells), RayCastParams())
+        for cell, got in zip(cells, scans):
+            assert np.array_equal(got.ray_gains,
+                                  scan_orientations(occ, cell, RayCastParams()).ray_gains)
 
 
 class TestRayCastParams:
@@ -197,13 +223,13 @@ class TestRayCastParams:
             RayCastParams(gamma=1.5)
         occ = unknown_grid()
         with pytest.raises(ValueError):
-            scan_orientations(occ, (1.0, 1.0), RayCastParams(), max_range=-1.0)
+            scan_orientations(occ, (10, 10), RayCastParams(), max_range=-1.0)
         with pytest.raises(ValueError):
             cast_ray(occ, (1.0, 1.0), 0.0, RayCastParams(), max_range=-1.0)
         with pytest.raises(ValueError):
-            scan_orientations(occ, (1.0, 1.0), RayCastParams(), fov=7.0)
+            scan_orientations(occ, (10, 10), RayCastParams(), fov=7.0)
         with pytest.raises(ValueError):
-            scan_orientations(occ, (1.0, 1.0), RayCastParams(delta_theta=0.5), fov=0.4)
+            scan_orientations(occ, (10, 10), RayCastParams(delta_theta=0.5), fov=0.4)
 
 
 def reference_ray_gains(tmpl, occ, centers_i, centers_j):
@@ -261,10 +287,10 @@ class TestRayGainsKernel:
     def test_ramp_yard_mission_snapshots(self, monkeypatch):
         seen = []
 
-        def spy(occ, goals, params, fov, max_range):
-            cells = np.array([occ.spec.world_to_cell(x, y) for x, y in goals])
-            seen.append((occ.copy(), cells, _template(params, fov, max_range, occ.spec.resolution)))
-            return scan_many(occ, goals, params, fov, max_range)
+        def spy(occ, cells, params, fov, max_range):
+            seen.append((occ.copy(), np.array(cells),
+                         _template(params, fov, max_range, occ.spec.resolution)))
+            return scan_many(occ, cells, params, fov, max_range)
 
         monkeypatch.setattr(harness, "scan_many", spy)
         harness.run_mission(WorldConfig.from_json(preset_world_path("ramp_yard")), "fit", 1,

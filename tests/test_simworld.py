@@ -138,6 +138,10 @@ class TestWorldConfig:
         # Covariance growth the measurement update cannot invert.
         {"surrogate": {"q": 1e50}},
         {"surrogate": {"q": 1e300}},
+        # Terrain heights whose squares overflow the plane fit.
+        {"terrain": {"type": "ramp", "grade": 1e160}},
+        {"terrain": {"type": "bumps", "bump_amp": 1e308}},
+        {"obstacles": [{"x": 3.0, "y": 3.0, "w": 1.0, "h": 1.0, "height": 1e308}]},
     ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
             "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
             "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
@@ -151,7 +155,8 @@ class TestWorldConfig:
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
             "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
             "resolution-subnormal", "ray-step-tiny", "max-depth-huge", "count-huge",
-            "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300"])
+            "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300", "grade-huge",
+            "bump-amp-huge", "obstacle-height-huge"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
@@ -182,6 +187,21 @@ class TestWorldConfig:
             log = run_mission(cfg, strategy, 1, max_mission_time=100.0)
             assert log.final.distance > 0 and np.isfinite(log.final.trace_cov)
 
+    @pytest.mark.parametrize("override", [
+        {"terrain": {"type": "ramp", "grade": simworld.MAX_TERRAIN_HEIGHT / 10.0}},
+        {"terrain": {"type": "bumps", "n_bumps": 5,
+                     "bump_amp": -simworld.MAX_TERRAIN_HEIGHT / 5}},
+        {"obstacles": [{"x": 5.0, "y": 5.0, "w": 1.0, "h": 1.0,
+                        "height": simworld.MAX_TERRAIN_HEIGHT}]},
+    ], ids=["grade", "bump-amp", "obstacle-height"])
+    def test_terrain_at_height_bound_runs_a_mission(self, override):
+        # The suite turns a RuntimeWarning into an error, so this fails if
+        # terrain at the bound overflows the plane fit.
+        cfg = WorldConfig.from_dict({"size_m": 10.0, "resolution": 0.2, **override})
+        for strategy in ("fit", "greedy"):
+            log = run_mission(cfg, strategy, 1, max_mission_time=100.0)
+            assert log.termination in ("complete", "stalled", "timeout")
+
     def test_defaults_come_from_dataclasses(self):
         assert WorldConfig.from_dict({}) == WorldConfig()
 
@@ -196,7 +216,8 @@ class TestGenerateWorld:
     def test_same_seed_bit_identical(self):
         a = generate_world(tiny_config())
         b = generate_world(tiny_config())
-        assert np.array_equal(a.elevation, b.elevation)
+        for pa, pb in zip(a.terrain.plane, b.terrain.plane, strict=True):
+            assert np.array_equal(pa, pb)
         assert np.array_equal(a.occupied, b.occupied)
         assert len(a.landmarks) == len(b.landmarks)
         for la, lb in zip(a.landmarks, b.landmarks):

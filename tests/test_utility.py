@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fitslam.frontier import FrontierCluster
 from fitslam.grid import GridSpec
 from fitslam.utility import (
     CandidateGoal,
@@ -16,8 +15,7 @@ SPEC = GridSpec(0.0, 0.0, 0.1, 50, 50)
 
 
 def make_candidate(cell, rho, delta_e, raw_info=None):
-    cluster = FrontierCluster(cells=[cell], candidate=cell)
-    return CandidateGoal(cluster=cluster, path=None, rho=rho, delta_e=delta_e,
+    return CandidateGoal(cell=cell, path=None, rho=rho, delta_e=delta_e,
                          theta_star=0.0, info=raw_info)
 
 
@@ -79,28 +77,35 @@ class TestShortlist:
     def test_fewer_than_n_returns_all(self):
         cands = [make_candidate((i, 0), 1.0 + i, 1.0) for i in range(3)]
         compute_u1(cands, UtilityParams(), SPEC.resolution)
-        assert len(shortlist(cands, 7, SPEC)) == 3
+        assert len(shortlist(cands, 7)) == 3
 
     def test_equal_u1_smaller_rho_first(self):
         a = make_candidate((0, 0), 3.0, 1.0)
         b = make_candidate((1, 0), 2.0, 1.0)
         a.u1 = b.u1 = 0.5
-        assert shortlist([a, b], 2, SPEC)[0] is b
+        assert shortlist([a, b], 2)[0] is b
 
     def test_n_one_is_argmax(self):
         cands = [make_candidate((i, 0), 2.0, g) for i, g in enumerate((1.0, 5.0, 3.0))]
         compute_u1(cands, UtilityParams(alpha=0.0), SPEC.resolution)
-        assert shortlist(cands, 1, SPEC)[0].delta_e == 5.0
+        assert shortlist(cands, 1)[0].delta_e == 5.0
 
     def test_row_major_tiebreak(self):
         a = make_candidate((4, 2), 2.0, 1.0)
         b = make_candidate((3, 2), 2.0, 1.0)
         a.u1 = b.u1 = 0.7
-        assert shortlist([a, b], 2, SPEC)[0] is b
+        assert shortlist([a, b], 2)[0] is b
+
+    def test_row_major_tiebreak_across_rows(self):
+        # The lower row wins even with the larger column: j first, then i.
+        a = make_candidate((0, 3), 2.0, 1.0)
+        b = make_candidate((5, 2), 2.0, 1.0)
+        a.u1 = b.u1 = 0.7
+        assert shortlist([a, b], 2)[0] is b
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
-            shortlist([], 0, SPEC)
+            shortlist([], 0)
 
 
 class TestSelectBest:
@@ -110,7 +115,7 @@ class TestSelectBest:
         a = make_candidate((1, 1), 2.0, 4.0, raw_info=2.0)
         b = make_candidate((2, 2), 4.0, 8.0, raw_info=9.0)
         a.u1, b.u1 = 0.675, 0.825
-        best = select_best([a, b], UtilityParams(beta=0.4), SPEC)
+        best = select_best([a, b], UtilityParams(beta=0.4))
         assert a.u2 == pytest.approx(0.39)
         assert b.u2 == pytest.approx(0.87)
         assert best is b
@@ -119,13 +124,13 @@ class TestSelectBest:
         a = make_candidate((1, 1), 2.0, 4.0, raw_info=10.0)
         b = make_candidate((2, 2), 4.0, 8.0, raw_info=0.0)
         a.u1, b.u1 = 0.9, 0.3
-        assert select_best([a, b], UtilityParams(beta=1.0), SPEC) is a
+        assert select_best([a, b], UtilityParams(beta=1.0)) is a
 
     def test_beta_zero_equals_info_argmax(self):
         a = make_candidate((1, 1), 2.0, 4.0, raw_info=1.0)
         b = make_candidate((2, 2), 4.0, 8.0, raw_info=5.0)
         a.u1, b.u1 = 0.9, 0.3
-        assert select_best([a, b], UtilityParams(beta=0.0), SPEC) is b
+        assert select_best([a, b], UtilityParams(beta=0.0)) is b
 
     def test_auto_normalizes_raw_infos(self):
         # Raw infos 1 / 3 share the scale 1 / (1 + 3): terms 0.25 / 0.75, so
@@ -133,7 +138,7 @@ class TestSelectBest:
         a = make_candidate((1, 1), 2.0, 4.0, raw_info=1.0)
         b = make_candidate((2, 2), 4.0, 8.0, raw_info=3.0)
         a.u1 = b.u1 = 0.5
-        select_best([a, b], UtilityParams(beta=0.4), SPEC)
+        select_best([a, b], UtilityParams(beta=0.4))
         assert a.u2 == pytest.approx(0.35)
         assert b.u2 == pytest.approx(0.65)
 
@@ -143,24 +148,30 @@ class TestSelectBest:
                  for i, raw in enumerate((1.0, 3.0, 0.0))]
         for c in cands:
             c.u1 = 0.5
-        select_best(cands, UtilityParams(beta=0.0), SPEC)
+        select_best(cands, UtilityParams(beta=0.0))
         assert [c.u2 for c in cands] == [pytest.approx(0.25), pytest.approx(0.75), 0.0]
 
     def test_info_term_below_one(self):
         a = make_candidate((1, 1), 2.0, 4.0, raw_info=1e6)
         a.u1 = 0.0
-        select_best([a], UtilityParams(beta=0.0), SPEC)
+        select_best([a], UtilityParams(beta=0.0))
         assert 0.0 <= a.u2 < 1.0
+
+    def test_row_major_tiebreak_across_rows(self):
+        a = make_candidate((0, 3), 2.0, 1.0, raw_info=1.0)
+        b = make_candidate((5, 2), 2.0, 1.0, raw_info=1.0)
+        a.u1 = b.u1 = 0.5
+        assert select_best([a, b], UtilityParams()) is b
 
     def test_missing_info_rejected(self):
         a = make_candidate((1, 1), 2.0, 4.0)
         a.u1 = 0.5
         with pytest.raises(ValueError):
-            select_best([a], UtilityParams(), SPEC)
+            select_best([a], UtilityParams())
 
     def test_empty_shortlist_rejected(self):
         with pytest.raises(EmptyCandidateSetError):
-            select_best([], UtilityParams(), SPEC)
+            select_best([], UtilityParams())
 
     def test_info_ranking_invariant_under_scaling_at_beta_zero(self):
         # The shared normalizer rescales every candidate by the same factor,
@@ -173,8 +184,8 @@ class TestSelectBest:
                                    raw_info=float(rng.uniform(0.1, 50)))
                 c.u1 = float(rng.uniform(0, 1))
                 cands.append(c)
-            first = select_best(list(cands), UtilityParams(beta=0.0), SPEC)
+            first = select_best(list(cands), UtilityParams(beta=0.0))
             for c in cands:
                 c.info *= 7.0
-            second = select_best(list(cands), UtilityParams(beta=0.0), SPEC)
-            assert first.cluster.candidate == second.cluster.candidate
+            second = select_best(list(cands), UtilityParams(beta=0.0))
+            assert first.cell == second.cell
