@@ -8,8 +8,7 @@ a half-explored map.
 """
 
 import fitslam
-from fitslam.frontier import cluster_frontiers, detect_frontiers
-from fitslam.grid import FREE
+from fitslam.frontier import cluster_frontiers, detect_frontiers, frontier_components
 from fitslam.harness import run_mission
 from fitslam.planner import MultiGoalPlanner, NoPathError
 from fitslam.simworld import (MissionState, WorldConfig, current_grids,
@@ -23,23 +22,24 @@ state = MissionState.initial(world)
 initial_spin(world, state)
 
 _, nav = current_grids(state)
-ri, rj = spec.world_to_cell(state.pose[0], state.pose[1])
-nav.state[rj, ri] = FREE  # the robot stands here, so the cell is navigable
 frontiers = detect_frontiers(state.occ, nav)
-clusters = cluster_frontiers(frontiers, spec, max_cluster_size=30)
+candidates = cluster_frontiers(frontiers, spec, max_cluster_size=30)
+# Without a blacklist there is one candidate per chunk, in chunk order.
+sizes = [min(30, len(order) - k) for order in frontier_components(frontiers, spec)
+         for k in range(0, len(order), 30)]
 print(f"after the initial spin: {len(frontiers)} frontier cells "
-      f"in {len(clusters)} clusters (cap 30)")
+      f"in {len(candidates)} clusters (cap 30)")
 
 planner = MultiGoalPlanner(nav)
-planner.solve((ri, rj))
+planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]))
 print(f"{'candidate':>14} {'size':>5} {'path cost':>12}")
-for cl in sorted(clusters, key=lambda c: len(c.cells), reverse=True)[:8]:
+for size, cell in sorted(zip(sizes, candidates), key=lambda sc: sc[0], reverse=True)[:8]:
     try:
-        cost = f"{planner.distance_to(cl.candidate):10.2f} m"
+        cost = f"{planner.distance_to(cell):10.2f} m"
     except NoPathError:
         cost = "unreachable"
-    x, y = spec.cell_to_world(*cl.candidate)
-    print(f"  ({x:5.1f},{y:5.1f}) {len(cl.cells):>5} {cost:>12}")
+    x, y = spec.cell_to_world(*cell)
+    print(f"  ({x:5.1f},{y:5.1f}) {size:>5} {cost:>12}")
 
 log = run_mission(config, "greedy", seed=1, max_mission_time=250.0)
 print(f"\nafter a 250 s greedy mission: {len(log.goal_sequence)} goals "

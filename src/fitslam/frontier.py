@@ -8,8 +8,6 @@ each chunk nominates its median-order cell as a candidate goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
@@ -22,34 +20,22 @@ _NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), 
 DEFAULT_MAX_CLUSTER_SIZE = 30
 
 
-@dataclass
-class FrontierCluster:
-    cells: list  # BFS-ordered (i, j) indices, all satisfying the frontier predicate
-    candidate: tuple  # median-order cell of the list
-
-    def __post_init__(self):
-        assert self.cells, "cluster must be nonempty"
-        assert self.candidate in self.cells
-
-
-@dataclass
 class Blacklist:
-    """Cells designated unreachable; nearby candidates are suppressed too.
+    """Cells designated unreachable, as an (H, W) mask of suppressed cells.
 
     Suppression extends one cell around each entry so grid jitter cannot
     re-emit an adjacent copy of a failed goal.
     """
 
-    _halo: set = field(default_factory=set)
+    def __init__(self, spec: GridSpec):
+        self.mask = np.zeros((spec.height, spec.width), dtype=bool)
 
     def add(self, cell: tuple) -> None:
+        """Suppress the 3x3 window around cell, clipped to the grid."""
         i, j = cell
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                self._halo.add((i + di, j + dj))
-
-    def suppresses(self, cell: tuple) -> bool:
-        return cell in self._halo
+        # Both bounds are clipped at 0: a negative one would count from the
+        # far edge of the grid.
+        self.mask[max(j - 1, 0):max(j + 2, 0), max(i - 1, 0):max(i + 2, 0)] = True
 
 
 def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid) -> set:
@@ -65,19 +51,13 @@ def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid) -> set:
     return set(zip(ii.tolist(), jj.tolist()))
 
 
-def cluster_frontiers(cells: set, spec: GridSpec,
-                      max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE,
-                      blacklist: Blacklist | None = None) -> list:
-    """Group frontier cells into deterministic, size-capped clusters.
+def frontier_components(cells: set, spec: GridSpec) -> list:
+    """Connected components of the frontier cells, as linear-index arrays.
 
     Components are seeded in row-major order and grown breadth-first with the
-    fixed neighbor order; oversized components are split into consecutive
-    chunks of the BFS visitation order. Clusters whose candidate is suppressed
-    by the blacklist are dropped.
+    fixed neighbor order; each array holds its cells' `j * width + i` in visit
+    order.
     """
-    if max_cluster_size < 1:
-        raise ValueError("max_cluster_size must be >= 1")
-    blacklist = blacklist or Blacklist()
     w, h, n = spec.width, spec.height, len(cells)
     lin = np.fromiter((j * w + i for i, j in cells), dtype=np.intp, count=n)
     lin.sort()  # node k is the k-th cell in row-major order
@@ -95,16 +75,35 @@ def cluster_frontiers(cells: set, spec: GridSpec,
     indptr = np.r_[0, np.cumsum(has.sum(axis=1))]
     graph = csr_matrix((np.ones(indptr[-1]), nbr[has], indptr), shape=(n, n))
     todo = np.ones(n, dtype=bool)
-    clusters = []
+    components = []
     while todo.any():
         order = breadth_first_order(graph, int(todo.argmax()), directed=True,
                                     return_predecessors=False)
         todo[order] = False
-        visited = lin[order]
-        component = list(zip((visited % w).tolist(), (visited // w).tolist()))
-        for k in range(0, len(component), max_cluster_size):
-            chunk = component[k:k + max_cluster_size]
-            candidate = chunk[(len(chunk) - 1) // 2]
-            if not blacklist.suppresses(candidate):
-                clusters.append(FrontierCluster(cells=chunk, candidate=candidate))
-    return clusters
+        components.append(lin[order])
+    return components
+
+
+def cluster_frontiers(cells: set, spec: GridSpec,
+                      max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE,
+                      blacklist: Blacklist | None = None) -> list:
+    """Candidate goal cells (i, j) of the deterministic, size-capped clusters.
+
+    Each component's visit order is cut into consecutive chunks of at most
+    `max_cluster_size` cells, and each chunk nominates its median-order cell.
+    Candidates come in component order, then chunk order; those the
+    blacklist suppresses are dropped.
+    """
+    if max_cluster_size < 1:
+        raise ValueError("max_cluster_size must be >= 1")
+    m, w = max_cluster_size, spec.width
+    picks = [np.empty(0, dtype=np.intp)]
+    for order in frontier_components(cells, spec):
+        start = np.arange(0, len(order), m)
+        picks.append(order[start + (np.minimum(m, len(order) - start) - 1) // 2])
+    candidates = np.concatenate(picks)
+    if blacklist is not None:
+        if blacklist.mask.shape != (spec.height, w):
+            raise ValueError("blacklist and frontier cells must share one GridSpec")
+        candidates = candidates[~blacklist.mask.ravel()[candidates]]
+    return list(zip((candidates % w).tolist(), (candidates // w).tolist()))

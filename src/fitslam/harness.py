@@ -20,7 +20,7 @@ import numpy as np
 from . import simworld
 from .fisher import path_information
 from .frontier import Blacklist, cluster_frontiers, detect_frontiers
-from .grid import FREE, check_int
+from .grid import check_int
 from .infogain import RayCastParams, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
 from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig,
@@ -142,30 +142,28 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
 
     state = MissionState.initial(world)
     initial_spin(world, state)
-    blacklist = Blacklist()
+    blacklist = Blacklist(spec)
     goal_sequence = []
     termination = "timeout"
 
     while state.clock < max_mission_time:
         _, nav = current_grids(state)
-        ri, rj = spec.world_to_cell(state.pose[0], state.pose[1])
-        nav.state[rj, ri] = FREE  # the robot occupies this cell, so it is navigable
         frontiers = detect_frontiers(state.occ, nav)
-        clusters = cluster_frontiers(frontiers, spec, blacklist=blacklist)
-        if not clusters:
+        cells = cluster_frontiers(frontiers, spec, blacklist=blacklist)
+        if not cells:
             termination = "stalled" if frontiers else "complete"
             break
 
         planner = MultiGoalPlanner(nav)
-        planner.solve((ri, rj))
+        planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]))
         candidates = []
-        for cl in clusters:
+        for cell in cells:
             try:
-                rho = planner.distance_to(cl.candidate)
+                rho = planner.distance_to(cell)
             except NoPathError:
-                blacklist.add(cl.candidate)
+                blacklist.add(cell)
                 continue
-            candidates.append(CandidateGoal(cl.candidate, rho))
+            candidates.append(CandidateGoal(cell, rho))
         if not candidates:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.

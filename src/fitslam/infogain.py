@@ -87,28 +87,19 @@ def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
         raise ValueError(f"ray origin {origin} outside grid")
     i, j = spec.world_to_cell(ox, oy)
     dx, dy = math.cos(theta), math.sin(theta)
-
-    step_i = 1 if dx > 0 else -1
-    step_j = 1 if dy > 0 else -1
-    # Distance along the ray to the next vertical / horizontal cell border.
+    # Distance along the ray to the first vertical / horizontal cell border.
+    t_max_x = t_max_y = math.inf
     if dx != 0:
-        nx = spec.origin_x + (i + (1 if dx > 0 else 0)) * spec.resolution
-        t_max_x = (nx - ox) / dx
-        t_dx = spec.resolution / abs(dx)
-    else:
-        t_max_x, t_dx = math.inf, math.inf
+        t_max_x = (spec.origin_x + (i + (1 if dx > 0 else 0)) * spec.resolution - ox) / dx
     if dy != 0:
-        ny = spec.origin_y + (j + (1 if dy > 0 else 0)) * spec.resolution
-        t_max_y = (ny - oy) / dy
-        t_dy = spec.resolution / abs(dy)
-    else:
-        t_max_y, t_dy = math.inf, math.inf
+        t_max_y = (spec.origin_y + (j + (1 if dy > 0 else 0)) * spec.resolution - oy) / dy
 
     cells = []
     total = 0.0
     n_unknown = 0
-    t = 0.0
-    while t <= max_range and spec.in_bounds(i, j):
+    for t, i, j in _grid_walk(i, j, dx, dy, t_max_x, t_max_y, spec.resolution):
+        if t > max_range or not spec.in_bounds(i, j):
+            break
         p = float(occ.p[j, i])
         if p > OCCUPIED_THRESHOLD:
             cells.append(RayCell((i, j), 1.0, p, 0.0))
@@ -122,14 +113,6 @@ def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
             obs, posterior, gain = 1.0, p, 0.0
         cells.append(RayCell((i, j), obs, posterior, gain))
         total += gain
-        if t_max_x < t_max_y:
-            t = t_max_x
-            t_max_x += t_dx
-            i += step_i
-        else:
-            t = t_max_y
-            t_max_y += t_dy
-            j += step_j
     return RayCast(cells, total)
 
 
@@ -217,20 +200,21 @@ class _ScanTemplate:
         return np.where(self.in_window[None], ray_gains[:, None, :], 0.0).sum(axis=2)
 
 
-def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
-    """Cell offsets visited by a ray leaving a cell center, in walk order."""
-    dx, dy = math.cos(theta), math.sin(theta)
-    i = j = 0
+def _grid_walk(i: int, j: int, dx: float, dy: float, t_max_x: float, t_max_y: float,
+               resolution: float):
+    """Amanatides-Woo traversal: (t, i, j) of every crossed cell in walk order.
+
+    t is the distance at which the ray enters the cell. The caller gives the
+    distances to the first vertical and horizontal cell border, inf along an
+    axis the ray does not move on.
+    """
     step_i = 1 if dx > 0 else -1
     step_j = 1 if dy > 0 else -1
-    t_max_x = (0.5 * resolution) / abs(dx) if dx != 0 else math.inf
     t_dx = resolution / abs(dx) if dx != 0 else math.inf
-    t_max_y = (0.5 * resolution) / abs(dy) if dy != 0 else math.inf
     t_dy = resolution / abs(dy) if dy != 0 else math.inf
-    offsets = []
     t = 0.0
-    while t <= max_range:
-        offsets.append((i, j))
+    while True:
+        yield t, i, j
         if t_max_x < t_max_y:
             t = t_max_x
             t_max_x += t_dx
@@ -239,7 +223,18 @@ def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
             t = t_max_y
             t_max_y += t_dy
             j += step_j
-    return offsets
+
+
+def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
+    """Cell offsets visited by a ray leaving a cell center, in walk order."""
+    dx, dy = math.cos(theta), math.sin(theta)
+    t_max_x = (0.5 * resolution) / abs(dx) if dx != 0 else math.inf
+    t_max_y = (0.5 * resolution) / abs(dy) if dy != 0 else math.inf
+    offsets = []
+    for t, i, j in _grid_walk(0, 0, dx, dy, t_max_x, t_max_y, resolution):
+        if t > max_range:
+            return offsets
+        offsets.append((i, j))
 
 
 # Scans with the same (params, fov, max_range, resolution) share one template.

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import fisher, traversability
 from .fisher import CameraPose, Landmark
-from .grid import (ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P, _is_number, check_int,
-                   check_number)
+from .grid import (FREE, ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P, _is_number,
+                   check_int, check_number)
 from .planner import Path
 from .traversability import TerrainStatsGrid
 
@@ -569,7 +569,12 @@ DEFAULT_TRAV_THRESHOLD = 0.3
 
 
 def current_grids(state: MissionState):
-    """Score and threshold the traversability seen so far."""
+    """Score and threshold the traversability seen so far.
+
+    The robot's own cell is Free whatever its score: the robot stands on it.
+    """
     trav = state.world.terrain.score_cells(state.sensed)
     nav = traversability.threshold(trav, DEFAULT_TRAV_THRESHOLD)
+    i, j = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
+    nav.state[j, i] = FREE
     return trav, nav

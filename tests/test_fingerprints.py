@@ -28,7 +28,8 @@ def _load_checks():
     ("flat_office", ("fit", "greedy", "random")),
     ("obstacle_ring", ("fit", "greedy", "random")),
     ("ramp_yard", ("greedy",)),
-], ids=["flat_office", "obstacle_ring", "ramp_yard-greedy"])
+    ("ramp_yard", ("fit",)),
+], ids=["flat_office", "obstacle_ring", "ramp_yard-greedy", "ramp_yard-fit"])
 def test_missions_match_recorded_fingerprints(preset, strategies, tmp_path):
     checks = _load_checks()
     recorded = checks.load_recorded()["missions"]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fitslam import harness, preset_world_path
 from fitslam.frontier import (
+    DEFAULT_MAX_CLUSTER_SIZE,
     Blacklist,
     cluster_frontiers,
     detect_frontiers,
+    frontier_components,
 )
 from fitslam.grid import (
     BLOCKED,
@@ -15,6 +18,7 @@ from fitslam.grid import (
     UNKNOWN,
     UNKNOWN_P,
 )
+from fitslam.simworld import WorldConfig
 
 
 def build_grids(w, h, res=0.1):
@@ -46,13 +50,23 @@ def frontier_oracle(occ, nav):
 ORACLE_NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
 
 
-def cluster_oracle(cells, spec, max_cluster_size, blacklist):
-    """Size-capped clustering by a pure-Python BFS over a byte table."""
+def halo(cells):
+    """Every (i, j) within one cell of a blacklisted cell, off-grid ones too."""
+    return {(i + di, j + dj) for i, j in cells for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+
+
+def cluster_oracle(cells, spec, max_cluster_size, blacklisted):
+    """Size-capped clustering by a pure-Python BFS over a byte table.
+
+    Returns every chunk's (i, j) cells and the candidates of the chunks whose
+    median cell is not within one cell of a blacklisted cell.
+    """
     w, h = spec.width, spec.height
+    suppressed = halo(blacklisted)
     remaining = bytearray(spec.n_cells)
     for i, j in cells:
         remaining[j * w + i] = 1
-    out = []
+    chunks, candidates = [], []
     for seed in sorted(spec.linear_index(*c) for c in cells):
         if not remaining[seed]:
             continue
@@ -70,10 +84,31 @@ def cluster_oracle(cells, spec, max_cluster_size, blacklist):
                     order.append(nj * w + ni)
         for k in range(0, len(order), max_cluster_size):
             chunk = [(lin % w, lin // w) for lin in order[k:k + max_cluster_size]]
+            chunks.append(chunk)
             candidate = chunk[(len(chunk) - 1) // 2]
-            if not blacklist.suppresses(candidate):
-                out.append((chunk, candidate))
-    return out
+            if candidate not in suppressed:
+                candidates.append(candidate)
+    return chunks, candidates
+
+
+def components(cells, spec):
+    """frontier_components as lists of (i, j) cells in visit order."""
+    w = spec.width
+    return [[(int(v % w), int(v // w)) for v in order]
+            for order in frontier_components(cells, spec)]
+
+
+def chunks(cells, spec, cap):
+    """Every cluster's cells: the components' visit orders cut every `cap` cells."""
+    return [order[k:k + cap] for order in components(cells, spec)
+            for k in range(0, len(order), cap)]
+
+
+def blacklist_of(spec, cells):
+    bl = Blacklist(spec)
+    for cell in cells:
+        bl.add(cell)
+    return bl
 
 
 class TestDetectFrontiers:
@@ -117,43 +152,44 @@ class TestClusterFrontiers:
     def test_five_collinear_cells_single_cluster(self):
         spec = GridSpec(0, 0, 0.1, 10, 10)
         cells = {(i, 4) for i in range(2, 7)}
-        clusters = cluster_frontiers(cells, spec, max_cluster_size=10)
-        assert len(clusters) == 1
-        assert clusters[0].candidate == (4, 4)  # 3rd of 5 in visit order
+        assert cluster_frontiers(cells, spec, max_cluster_size=10) == [(4, 4)]  # 3rd of 5
 
     def test_five_collinear_cells_cap_two(self):
         spec = GridSpec(0, 0, 0.1, 10, 10)
         cells = {(i, 4) for i in range(2, 7)}
-        clusters = cluster_frontiers(cells, spec, max_cluster_size=2)
-        sizes = sorted(len(c.cells) for c in clusters)
+        sizes = sorted(len(c) for c in chunks(cells, spec, 2))
         assert sizes == [1, 2, 2]
+        assert cluster_frontiers(cells, spec, max_cluster_size=2) == [(2, 4), (4, 4), (6, 4)]
 
     def test_blacklisted_candidate_dropped(self):
         spec = GridSpec(0, 0, 0.1, 10, 10)
-        bl = Blacklist()
-        bl.add((3, 3))
+        bl = blacklist_of(spec, [(3, 3)])
         assert cluster_frontiers({(3, 3)}, spec, blacklist=bl) == []
 
     def test_blacklist_suppresses_adjacent_cell(self):
         spec = GridSpec(0, 0, 0.1, 10, 10)
-        bl = Blacklist()
-        bl.add((3, 3))
+        bl = blacklist_of(spec, [(3, 3)])
         assert cluster_frontiers({(4, 4)}, spec, blacklist=bl) == []
         assert len(cluster_frontiers({(5, 3)}, spec, blacklist=bl)) == 1
+
+    def test_blacklist_of_another_grid_rejected(self):
+        spec = GridSpec(0, 0, 0.1, 10, 10)
+        with pytest.raises(ValueError):
+            cluster_frontiers({(3, 3)}, spec, blacklist=Blacklist(GridSpec(0, 0, 0.1, 10, 9)))
 
     def test_components_partition_matches_connectivity(self):
         rng = np.random.default_rng(33)
         spec = GridSpec(0, 0, 0.1, 20, 20)
         cells = {(int(i), int(j))
                  for i, j in rng.integers(0, 20, size=(120, 2))}
-        clusters = cluster_frontiers(cells, spec, max_cluster_size=10 ** 6)
-        covered = [c for cl in clusters for c in cl.cells]
+        clusters = components(cells, spec)
+        covered = [c for cl in clusters for c in cl]
         assert sorted(covered) == sorted(cells)  # partition, no duplicates
         for cl in clusters:
-            group = set(cl.cells)
+            group = set(cl)
             # every non-seed cell touches an earlier cell of the same cluster
-            for idx, (i, j) in enumerate(cl.cells[1:], start=1):
-                earlier = set(cl.cells[:idx])
+            for idx, (i, j) in enumerate(cl[1:], start=1):
+                earlier = set(cl[:idx])
                 assert any((i + di, j + dj) in earlier
                            for di in (-1, 0, 1) for dj in (-1, 0, 1)
                            if (di, dj) != (0, 0))
@@ -161,7 +197,7 @@ class TestClusterFrontiers:
             for other in clusters:
                 if other is cl:
                     continue
-                for (i, j) in other.cells:
+                for (i, j) in other:
                     assert not any((i + di, j + dj) in group
                                    for di in (-1, 0, 1) for dj in (-1, 0, 1))
 
@@ -169,18 +205,18 @@ class TestClusterFrontiers:
         rng = np.random.default_rng(5)
         spec = GridSpec(0, 0, 0.1, 30, 30)
         cells = {(int(i), int(j)) for i, j in rng.integers(0, 30, size=(200, 2))}
-        a = cluster_frontiers(set(cells), spec, max_cluster_size=7)
-        b = cluster_frontiers(set(cells), spec, max_cluster_size=7)
-        assert [c.cells for c in a] == [c.cells for c in b]
-        assert [c.candidate for c in a] == [c.candidate for c in b]
+        a = frontier_components(set(cells), spec)
+        b = frontier_components(set(cells), spec)
+        assert [c.tolist() for c in a] == [c.tolist() for c in b]
+        assert (cluster_frontiers(set(cells), spec, max_cluster_size=7)
+                == cluster_frontiers(set(cells), spec, max_cluster_size=7))
 
     def test_chunks_preserve_component_visit_order(self):
         spec = GridSpec(0, 0, 0.1, 10, 10)
         cells = {(i, 0) for i in range(7)}
-        capped = cluster_frontiers(cells, spec, max_cluster_size=3)
-        whole = cluster_frontiers(cells, spec, max_cluster_size=100)
-        flat = [c for cl in capped for c in cl.cells]
-        assert flat == whole[0].cells
+        assert components(cells, spec) == [[(i, 0) for i in range(7)]]
+        # chunks [0, 1, 2], [3, 4, 5], [6] of the visit order, medians 1, 4, 6
+        assert cluster_frontiers(cells, spec, max_cluster_size=3) == [(1, 0), (4, 0), (6, 0)]
 
     def test_matches_python_bfs_oracle(self):
         rng = np.random.default_rng(2024)
@@ -199,17 +235,58 @@ class TestClusterFrontiers:
                 mask[[0, -1], :] = mask[:, [0, -1]] = True
                 mask[rng.integers(h), :] = mask[:, rng.integers(w)] = True
             cells = {(int(i), int(j)) for j, i in zip(*np.nonzero(mask))}
-            blacklist = Blacklist()
+            blacklisted = []
             for i, j in zip(rng.integers(0, w, size=3), rng.integers(0, h, size=3)):
                 if rng.random() < 0.5:
-                    blacklist.add((int(i), int(j)))
+                    blacklisted.append((int(i), int(j)))
             cap = int(rng.integers(1, 41))
-            got = [(cl.cells, cl.candidate)
-                   for cl in cluster_frontiers(cells, spec, cap, blacklist)]
-            assert got == cluster_oracle(cells, spec, cap, blacklist), (w, h, cap)
+            want_chunks, want_candidates = cluster_oracle(cells, spec, cap, blacklisted)
+            assert chunks(cells, spec, cap) == want_chunks, (w, h, cap)
+            got = cluster_frontiers(cells, spec, cap, blacklist_of(spec, blacklisted))
+            assert got == want_candidates, (w, h, cap)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("preset, strategy", [("ramp_yard", "greedy"),
+                                                  ("obstacle_ring", "fit")])
+    def test_mission_snapshots_match_oracle(self, preset, strategy, monkeypatch):
+        added, seen = [], []
+        add = Blacklist.add
+
+        def record_add(self, cell):
+            added.append(cell)
+            add(self, cell)
+
+        def spy(cells, spec, max_cluster_size=DEFAULT_MAX_CLUSTER_SIZE, blacklist=None):
+            got = cluster_frontiers(cells, spec, max_cluster_size, blacklist)
+            seen.append((set(cells), spec, max_cluster_size, list(added), got))
+            return got
+
+        monkeypatch.setattr(Blacklist, "add", record_add)
+        monkeypatch.setattr(harness, "cluster_frontiers", spy)
+        harness.run_mission(WorldConfig.from_json(preset_world_path(preset)), strategy, 1)
+        assert len(seen) >= 10 and any(blacklisted for _, _, _, blacklisted, _ in seen)
+        for cells, spec, cap, blacklisted, got in seen:
+            assert got == cluster_oracle(cells, spec, cap, blacklisted)[1]
 
     def test_bad_cap_rejected(self):
         spec = GridSpec(0, 0, 0.1, 5, 5)
         with pytest.raises(ValueError):
             cluster_frontiers(set(), spec, max_cluster_size=0)
 
+
+class TestBlacklist:
+    W, H = 7, 5
+
+    @pytest.mark.parametrize("cell", [
+        (0, 0), (W - 1, H - 1), (W - 1, 0), (0, H - 1),  # corners
+        (3, 0), (3, H - 1), (0, 2), (W - 1, 2),  # one on each edge
+        (3, 2),  # interior
+        (-1, 2), (W, H), (-5, -5), (W + 3, 1),  # off the grid
+    ])
+    def test_mask_is_in_grid_part_of_halo(self, cell):
+        spec = GridSpec(0, 0, 0.1, self.W, self.H)
+        want = np.zeros((self.H, self.W), dtype=bool)
+        for i, j in halo([cell]):
+            if 0 <= i < self.W and 0 <= j < self.H:
+                want[j, i] = True
+        assert np.array_equal(blacklist_of(spec, [cell]).mask, want)

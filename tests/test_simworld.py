@@ -271,6 +271,14 @@ class TestGenerateWorld:
         assert known.all()
         assert np.allclose(trav.score[known], 1.0)
 
+    def test_robot_cell_is_the_only_free_cell_before_sensing(self):
+        world = generate_world(tiny_config())
+        state = MissionState.initial(world)
+        i, j = world.spec.world_to_cell(state.pose[0], state.pose[1])
+        trav, nav = current_grids(state)
+        assert np.isnan(trav.score).all()  # nothing sensed, so nothing scored
+        assert [(int(a), int(b)) for a, b in np.argwhere(nav.state == FREE)] == [(j, i)]
+
     @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
     def test_terrain_holds_five_points_of_every_cell(self, preset):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
