@@ -28,10 +28,10 @@ pose = CameraPose.from_planar(2.0, 2.0, math.pi / 4)
 lm = landmarks[0]
 print(f"camera at (2,2) heading 45 deg; landmark at "
       f"({lm.position[0]:.2f}, {lm.position[1]:.2f}, {lm.position[2]:.2f})")
-print(f"  visible within fov/depth: {visible(pose, lm)}")
+print(f"  visible within fov/depth: {visible(pose, lm.position[None])[0]}")
 b = bearing(pose, lm)
 J = bearing_jacobian(pose, lm)
-F = landmark_fim(pose, lm)
+F = landmark_fim(pose, lm.position[None], lm.covariance[None])[0]
 print(f"  bearing (camera frame): [{b[0]:.3f} {b[1]:.3f} {b[2]:.3f}]")
 print(f"  jacobian is tangent to the bearing: |b^T J| = "
       f"{np.abs(b @ J).max():.2e}")

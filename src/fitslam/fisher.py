@@ -43,7 +43,8 @@ class Landmark:
             self.covariance = (DEFAULT_SIGMA_LANDMARK ** 2) * np.eye(3)
         self.covariance = cov = np.asarray(self.covariance, dtype=float).reshape(3, 3)
         if not (np.isfinite(self.position).all() and np.isfinite(cov).all()
-                and np.allclose(cov, cov.T, atol=1e-12) and np.linalg.eigvalsh(cov)[0] >= -1e-12):
+                and np.allclose(cov, cov.T, rtol=0, atol=1e-12)
+                and np.linalg.eigvalsh(cov)[0] >= -1e-12):
             raise ConfigError(f"landmark needs a finite position and a finite symmetric PSD "
                               f"covariance, got {self.position.tolist()}, {cov.tolist()}")
 
@@ -94,45 +95,32 @@ def bearing(pose: CameraPose, landmark: Landmark) -> np.ndarray:
     return v_c / norm
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
-def _bearing_derivatives(pose: CameraPose, landmark: Landmark) -> tuple:
-    """The bearing's derivatives w.r.t. the camera-frame point and the pose.
-
-    The first is the normalization derivative (1/n) I - v v^T / n^3; the
-    second, the 3x6 Jacobian, composes it with the point derivative
-    R_cw [-I, [v_world]_x] of an SE(3) pose perturbation.
-    """
-    v_c = pose.to_camera(landmark.position)
-    norm = np.linalg.norm(v_c)
-    if norm <= _EPS_RANGE:
+def _bearing_derivatives(pose: CameraPose, positions: np.ndarray) -> tuple:
+    """Per row of (K, 3) world `positions`, the normalization derivative
+    (1/n) I - v v^T / n^3 and the 3x6 Jacobian, its composition with the point
+    derivative R_cw [-I, [p]_x] of an SE(3) pose perturbation. Each row gets the
+    same operations, so the same bits, as in a one-landmark stack."""
+    v_c = (pose.rotation @ positions[:, :, None])[:, :, 0] + pose.translation  # R @ p per row
+    norm = np.sqrt((v_c[:, None, :] @ v_c[:, :, None]).ravel())  # as np.linalg.norm(v)
+    if (norm <= _EPS_RANGE).any():
         raise DegenerateLandmarkError("landmark at the camera center")
-    d_b_d_v = _EYE3 / norm - np.outer(v_c, v_c) / norm ** 3
-    d_v_d_pose = pose.rotation @ np.hstack([-_EYE3, _skew(landmark.position)])
-    return d_b_d_v, d_b_d_v @ d_v_d_pose
+    # A scalar power per row: numpy's array power rounds some cubes differently.
+    cube = np.array([n ** 3 for n in norm.tolist()])[:, None, None]
+    d_b_d_v = _EYE3 / norm[:, None, None] - v_c[:, :, None] * v_c[:, None, :] / cube
+    d_p = np.zeros((len(positions), 3, 6))  # [-I, [p]_x]
+    d_p[:, :, :3] = -_EYE3
+    d_p[:, [2, 0, 1], [4, 5, 3]] = positions
+    d_p[:, [1, 2, 0], [5, 3, 4]] = -positions
+    return d_b_d_v, d_b_d_v @ (pose.rotation @ d_p)
 
 
 def bearing_jacobian(pose: CameraPose, landmark: Landmark) -> np.ndarray:
     """3x6 derivative of the bearing w.r.t. an SE(3) pose perturbation."""
-    return _bearing_derivatives(pose, landmark)[1]
+    return _bearing_derivatives(pose, landmark.position[None])[1][0]
 
 
-def visible(pose: CameraPose, landmark: Landmark) -> bool:
-    """True when the landmark sits inside the camera frustum (inclusive)."""
-    v_c = pose.to_camera(landmark.position)
-    norm = np.linalg.norm(v_c)
-    if norm <= _EPS_RANGE or norm > pose.max_depth or v_c[2] <= 0:
-        return False
-    angle = math.acos(np.clip(v_c[2] / norm, -1.0, 1.0))
-    return angle <= pose.fov / 2 + 1e-12
-
-
-def visible_mask(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
-    """`visible` for each row of an (N, 3) array of world positions."""
+def visible(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
+    """(K,) bool: the rows of (K, 3) world positions inside the camera frustum (inclusive)."""
     v_c = positions @ pose.rotation.T + pose.translation
     norm = np.linalg.norm(v_c, axis=1)
     ok = (norm > _EPS_RANGE) & (norm <= pose.max_depth) & (v_c[:, 2] > 0)
@@ -141,26 +129,34 @@ def visible_mask(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
     return ok & (np.arccos(cos_angle) <= pose.fov / 2 + 1e-12)
 
 
-def landmark_fim(pose: CameraPose, landmark: Landmark,
+def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray,
                  sigma_bearing: float = DEFAULT_SIGMA_BEARING) -> np.ndarray:
-    """6x6 information matrix of one bearing observation; zero when unseen.
+    """(K, 6, 6) information of one bearing observation of each landmark; a row
+    that `visible` rejects is zero.
 
     Uses the Gauss information form J^T Q~^-1 J where Q~ combines the
     first-order propagation of the landmark covariance through the bearing
-    model with isotropic bearing noise. The product form J Q J^T cannot be
-    formed here (J is 3x6), so the standard information form is used.
+    model with isotropic bearing noise (J is 3x6, so J Q J^T cannot be formed).
     """
-    if not visible(pose, landmark):
-        return np.zeros((6, 6))
-    d_b_d_v, jac = _bearing_derivatives(pose, landmark)
+    fims = np.zeros((len(positions), 6, 6))
+    seen = visible(pose, positions)
+    if not seen.any():
+        return fims
+    d_b_d_v, jac = _bearing_derivatives(pose, positions[seen])
     d_b_d_w = d_b_d_v @ pose.rotation  # bearing w.r.t. the world-frame point
-    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * _EYE3
+    q = d_b_d_w @ covariances[seen] @ d_b_d_w.transpose(0, 2, 1) + sigma_bearing ** 2 * _EYE3
     try:
         q_inv = np.linalg.inv(q)
-    except np.linalg.LinAlgError:
-        q_inv = np.linalg.inv(q + 1e-9 * _EYE3)
-    fim = jac.T @ q_inv @ jac
-    return 0.5 * (fim + fim.T)
+    except np.linalg.LinAlgError:  # regularize only the singular matrices
+        q_inv = np.empty_like(q)
+        for k, qk in enumerate(q):
+            try:
+                q_inv[k] = np.linalg.inv(qk)
+            except np.linalg.LinAlgError:
+                q_inv[k] = np.linalg.inv(qk + 1e-9 * _EYE3)
+    fim = jac.transpose(0, 2, 1) @ q_inv @ jac
+    fims[seen] = 0.5 * (fim + fim.transpose(0, 2, 1))
+    return fims
 
 
 def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
@@ -184,18 +180,16 @@ def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
 def path_information(waypoints: list, reps: list,
                      fov: float = DEFAULT_FOV,
                      max_depth: float = DEFAULT_MAX_DEPTH) -> float:
-    """Sum FIM traces of the visible voxel representatives over the waypoints.
-
-    `reps` are the landmarks' voxel representatives (`voxelize`); each
-    waypoint sums the traces of the ones inside its camera frustum, in `reps`
-    order, and the result is the raw sum over all waypoints.
-    """
+    """Sum FIM traces of the visible voxel representatives (`voxelize`) over the
+    waypoints: each waypoint sums its traces in `reps` order, then the waypoints add up."""
     positions = np.array([lm.position for lm in reps]).reshape(-1, 3)
+    covariances = np.array([lm.covariance for lm in reps]).reshape(-1, 3, 3)
     total = 0.0
     for wp in waypoints:
         pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, fov=fov, max_depth=max_depth)
-        seen = np.nonzero(visible_mask(pose, positions))[0]
-        total += sum(float(np.trace(landmark_fim(pose, reps[k]))) for k in seen)
+        fims = landmark_fim(pose, positions, covariances)
+        # An unseen row adds its zero trace, which leaves the sum's bits alone.
+        total += sum(np.trace(fims, axis1=1, axis2=2).tolist())
     return total
 
 

@@ -250,6 +250,10 @@ class World:
         return np.array([lm.position for lm in self.landmarks]).reshape(-1, 3)
 
     @functools.cached_property
+    def landmark_covariances(self) -> np.ndarray:
+        return np.array([lm.covariance for lm in self.landmarks]).reshape(-1, 3, 3)
+
+    @functools.cached_property
     def voxel_landmarks(self) -> list:
         """One representative landmark per occupied voxel (`fisher.voxelize`)."""
         return fisher.voxelize(self.landmarks)
@@ -400,7 +404,7 @@ def sense(world: World, state: MissionState) -> np.ndarray:
     _sense_terrain(world, state)
     _sense_occupancy(world, state)
     pose = _camera_pose(world, state.pose)
-    return np.nonzero(fisher.visible_mask(pose, world.landmark_positions))[0]
+    return np.nonzero(fisher.visible(pose, world.landmark_positions))[0]
 
 
 def _sense_terrain(world: World, state: MissionState) -> None:
@@ -471,9 +475,9 @@ def _measurement_update(world: World, state: MissionState, observed: np.ndarray)
     if observed.size == 0:
         return
     pose = _camera_pose(world, state.pose)
-    info = np.zeros((6, 6))
-    for k in observed:
-        info += fisher.landmark_fim(pose, world.landmarks[int(k)])
+    # numpy sums axis 0 of the stack row by row from zero, in landmark order.
+    info = fisher.landmark_fim(pose, world.landmark_positions[observed],
+                               world.landmark_covariances[observed]).sum(axis=0)
     if not info.any():
         return
     cov = np.linalg.inv(np.linalg.inv(state.cov) + info)

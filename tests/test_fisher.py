@@ -15,7 +15,6 @@ from fitslam.fisher import (
     load_landmarks,
     path_information,
     visible,
-    visible_mask,
     voxelize,
 )
 from fitslam.grid import ConfigError
@@ -25,6 +24,63 @@ from fitslam.simworld import WorldConfig, generate_world
 
 def identity_pose(**kw):
     return CameraPose(np.eye(3), np.zeros(3), **kw)
+
+
+# The scalar one-landmark frustum test and FIM, the references that the
+# stacked kernels `visible` and `landmark_fim` are checked against.
+
+def _skew(v):
+    return np.array([[0.0, -v[2], v[1]],
+                     [v[2], 0.0, -v[0]],
+                     [-v[1], v[0], 0.0]])
+
+
+def bearing_derivatives_reference(pose, landmark):
+    """The normalization derivative (1/n) I - v v^T / n^3 and the 3x6 Jacobian."""
+    v_c = pose.to_camera(landmark.position)
+    norm = np.linalg.norm(v_c)
+    if norm <= 1e-9:
+        raise DegenerateLandmarkError("landmark at the camera center")
+    d_b_d_v = np.eye(3) / norm - np.outer(v_c, v_c) / norm ** 3
+    d_v_d_pose = pose.rotation @ np.hstack([-np.eye(3), _skew(landmark.position)])
+    return d_b_d_v, d_b_d_v @ d_v_d_pose
+
+
+def visible_reference(pose, landmark):
+    """True when the landmark sits inside the camera frustum (inclusive)."""
+    v_c = pose.to_camera(landmark.position)
+    norm = np.linalg.norm(v_c)
+    if norm <= 1e-9 or norm > pose.max_depth or v_c[2] <= 0:
+        return False
+    angle = math.acos(np.clip(v_c[2] / norm, -1.0, 1.0))
+    return angle <= pose.fov / 2 + 1e-12
+
+
+def landmark_fim_reference(pose, landmark, sigma_bearing=DEFAULT_SIGMA_BEARING):
+    """6x6 information matrix of one bearing observation; zero when unseen."""
+    if not visible_reference(pose, landmark):
+        return np.zeros((6, 6))
+    d_b_d_v, jac = bearing_derivatives_reference(pose, landmark)
+    d_b_d_w = d_b_d_v @ pose.rotation
+    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
+    try:
+        q_inv = np.linalg.inv(q)
+    except np.linalg.LinAlgError:
+        q_inv = np.linalg.inv(q + 1e-9 * np.eye(3))
+    fim = jac.T @ q_inv @ jac
+    return 0.5 * (fim + fim.T)
+
+
+def stacked_fim(pose, landmarks, sigma_bearing=DEFAULT_SIGMA_BEARING):
+    """`landmark_fim` over a list of landmarks."""
+    return landmark_fim(pose, np.array([lm.position for lm in landmarks]).reshape(-1, 3),
+                        np.array([lm.covariance for lm in landmarks]).reshape(-1, 3, 3),
+                        sigma_bearing=sigma_bearing)
+
+
+def sees(pose, position):
+    """`visible` for one world position."""
+    return bool(visible(pose, np.array([position], dtype=float))[0])
 
 
 def random_pose(rng):
@@ -116,39 +172,49 @@ class TestBearingJacobian:
         # block is -diag(1,1,0).
         assert np.allclose(jac[:, :3], -np.diag([1.0, 1.0, 0.0]))
 
+    def test_matches_scalar_reference_exactly(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            pose = random_pose(rng)
+            lm = Landmark(rng.normal(scale=3.0, size=3))
+            assert np.array_equal(bearing_jacobian(pose, lm),
+                                  bearing_derivatives_reference(pose, lm)[1])
+
+    def test_landmark_at_camera_center_rejected(self):
+        with pytest.raises(DegenerateLandmarkError):
+            bearing_jacobian(identity_pose(), Landmark(np.zeros(3)))
+
 
 class TestVisible:
     def test_straight_ahead_at_half_depth(self):
         pose = identity_pose(max_depth=5.0)
-        assert visible(pose, Landmark(np.array([0.0, 0.0, 2.5])))
+        assert sees(pose, [0.0, 0.0, 2.5])
 
     def test_behind_camera(self):
         pose = identity_pose()
-        assert not visible(pose, Landmark(np.array([0.0, 0.0, -1.0])))
+        assert not sees(pose, [0.0, 0.0, -1.0])
 
     def test_beyond_max_depth(self):
         pose = identity_pose(max_depth=5.0)
-        assert not visible(pose, Landmark(np.array([0.0, 0.0, 5.01])))
+        assert not sees(pose, [0.0, 0.0, 5.01])
 
     def test_exactly_at_half_fov_inclusive(self):
         fov = math.radians(87.0)
         pose = identity_pose(fov=fov, max_depth=10.0)
         half = fov / 2
-        lm = Landmark(np.array([math.sin(half), 0.0, math.cos(half)]))
-        assert visible(pose, lm)
+        assert sees(pose, [math.sin(half), 0.0, math.cos(half)])
 
     def test_just_outside_fov(self):
         fov = math.radians(87.0)
         pose = identity_pose(fov=fov, max_depth=10.0)
         ang = fov / 2 + 1e-6
-        lm = Landmark(np.array([math.sin(ang), 0.0, math.cos(ang)]))
-        assert not visible(pose, lm)
+        assert not sees(pose, [math.sin(ang), 0.0, math.cos(ang)])
 
 
 class TestVisibleMask:
     def check(self, pose, positions):
-        expected = [visible(pose, Landmark(p)) for p in positions]
-        got = visible_mask(pose, np.asarray(positions, dtype=float))
+        expected = [visible_reference(pose, Landmark(p)) for p in positions]
+        got = visible(pose, np.asarray(positions, dtype=float))
         assert got.dtype == bool
         assert got.tolist() == expected
         return expected
@@ -187,7 +253,7 @@ class TestVisibleMask:
             == [True, True, False]
 
     def test_no_positions(self):
-        assert visible_mask(identity_pose(), np.zeros((0, 3))).shape == (0,)
+        assert visible(identity_pose(), np.zeros((0, 3))).shape == (0,)
 
 
 def dense_fim_oracle(pose, landmark, sigma_bearing=0.01):
@@ -204,22 +270,29 @@ def dense_fim_oracle(pose, landmark, sigma_bearing=0.01):
     return jac.T @ np.linalg.solve(q, jac)
 
 
-def landmark_fim_composed(pose, landmark, sigma_bearing=DEFAULT_SIGMA_BEARING):
-    """Reference FIM that recomputes the bearing derivative via bearing_jacobian."""
-    if not visible(pose, landmark):
-        return np.zeros((6, 6))
-    v_c = pose.to_camera(landmark.position)
-    norm = np.linalg.norm(v_c)
-    d_b_d_v = np.eye(3) / norm - np.outer(v_c, v_c) / norm ** 3
-    d_b_d_w = d_b_d_v @ pose.rotation
-    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
-    try:
-        q_inv = np.linalg.inv(q)
-    except np.linalg.LinAlgError:
-        q_inv = np.linalg.inv(q + 1e-9 * np.eye(3))
-    jac = bearing_jacobian(pose, landmark)
-    fim = jac.T @ q_inv @ jac
-    return 0.5 * (fim + fim.T)
+SIGMAS = (DEFAULT_SIGMA_BEARING, 1e-3, 0.05, 0.3)
+
+
+def random_view(rng, k):
+    """A pose (planar or random 3-D) and a landmark that is mostly ahead of it,
+    with the default, a zero or a random covariance."""
+    if k % 2:
+        pose = random_pose(rng)
+        pose.max_depth = 10.0
+    else:
+        x, y = rng.uniform(0.0, 20.0, size=2)
+        pose = CameraPose.from_planar(x, y, rng.uniform(-math.pi, math.pi))
+    return pose, random_landmark(rng, pose, k)
+
+
+def random_landmark(rng, pose, k):
+    # Mostly ahead of the camera, sometimes anywhere around it.
+    ahead = [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 4.5)]
+    offset = rng.normal(scale=3.0, size=3) if k % 4 == 3 else pose.rotation.T @ ahead
+    center = -pose.rotation.T @ pose.translation
+    a = rng.normal(size=(3, 3))
+    cov = [None, np.zeros((3, 3)), rng.uniform(1e-4, 0.5) * (a @ a.T)][k % 3]
+    return Landmark(center + offset, covariance=cov)
 
 
 class TestLandmarkFim:
@@ -227,36 +300,80 @@ class TestLandmarkFim:
         rng = np.random.default_rng(21)
         n_visible = 0
         for k in range(400):
-            if k % 2:
-                pose = random_pose(rng)
-                pose.max_depth = 10.0
-            else:
-                x, y = rng.uniform(0.0, 20.0, size=2)
-                pose = CameraPose.from_planar(x, y, rng.uniform(-math.pi, math.pi))
-            # Mostly ahead of the camera, sometimes anywhere around it.
-            ahead = [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 4.5)]
-            offset = rng.normal(scale=3.0, size=3) if k % 4 == 3 else pose.rotation.T @ ahead
-            center = -pose.rotation.T @ pose.translation
-            a = rng.normal(size=(3, 3))
-            cov = [None, np.zeros((3, 3)), rng.uniform(1e-4, 0.5) * (a @ a.T)][k % 3]
-            lm = Landmark(center + offset, covariance=cov)
-            for sigma in (DEFAULT_SIGMA_BEARING, 1e-3, 0.05, 0.3):
-                assert np.array_equal(landmark_fim(pose, lm, sigma_bearing=sigma),
-                                      landmark_fim_composed(pose, lm, sigma_bearing=sigma))
-            n_visible += visible(pose, lm)
+            pose, lm = random_view(rng, k)
+            for sigma in SIGMAS:
+                got = stacked_fim(pose, [lm], sigma_bearing=sigma)
+                assert got.shape == (1, 6, 6)
+                assert np.array_equal(got[0], landmark_fim_reference(pose, lm, sigma))
+            n_visible += visible_reference(pose, lm)
         assert n_visible > 200
+
+    def test_stacks_match_reference_row_by_row(self):
+        rng = np.random.default_rng(8)
+        rows = {True: 0, False: 0}
+        for k in range(120):
+            pose, _ = random_view(rng, k)
+            n = (0, 1, 2, 7, 40)[k % 5]
+            lms = [random_landmark(rng, pose, k + m) for m in range(n)]
+            for sigma in SIGMAS:
+                got = stacked_fim(pose, lms, sigma_bearing=sigma)
+                assert got.shape == (n, 6, 6)
+                info = np.zeros((6, 6))
+                for row, lm in zip(got, lms):
+                    want = landmark_fim_reference(pose, lm, sigma)
+                    assert np.array_equal(row, want)
+                    info += want
+                # The axis-0 sum that a look's update takes adds the rows in order.
+                assert np.array_equal(got.sum(axis=0), info)
+            for lm in lms:
+                rows[visible_reference(pose, lm)] += 1
+        assert min(rows.values()) > 200
+
+    def test_singular_q_regularized_per_matrix(self):
+        # With no bearing noise q = D C D^T has rank 2 at most. A zero
+        # covariance makes it exactly zero, which only the regularized inverse
+        # handles; rounding leaves most random covariances' q invertible as is.
+        rng = np.random.default_rng(4)
+        pose = random_pose(rng)
+        pose.max_depth = 10.0
+
+        def q_of(lm):
+            d_b_d_w = bearing_derivatives_reference(pose, lm)[0] @ pose.rotation
+            return d_b_d_w @ lm.covariance @ d_b_d_w.T
+
+        def inverts(q):
+            try:
+                np.linalg.inv(q)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        zero = Landmark(-pose.rotation.T @ (pose.translation - [0.3, -0.2, 3.0]),
+                        covariance=np.zeros((3, 3)))
+        regular = next(lm for lm in (random_landmark(rng, pose, 2) for _ in range(100))
+                       if visible_reference(pose, lm) and inverts(q_of(lm)))
+        assert visible_reference(pose, zero) and not inverts(q_of(zero))
+        for lms in ([zero, regular], [regular, zero]):
+            got = stacked_fim(pose, lms, sigma_bearing=0.0)
+            for row, lm in zip(got, lms):
+                assert np.array_equal(row, landmark_fim_reference(pose, lm, sigma_bearing=0.0))
+        # The regular row would differ if its q were regularized too.
+        jac = bearing_derivatives_reference(pose, regular)[1]
+        fim = jac.T @ np.linalg.inv(q_of(regular) + 1e-9 * np.eye(3)) @ jac
+        assert not np.array_equal(landmark_fim_reference(pose, regular, sigma_bearing=0.0),
+                                  0.5 * (fim + fim.T))
 
     def test_invisible_landmark_contributes_zero(self):
         pose = identity_pose()
         assert np.array_equal(
-            landmark_fim(pose, Landmark(np.array([0.0, 0.0, -2.0]))),
-            np.zeros((6, 6)))
+            stacked_fim(pose, [Landmark(np.array([0.0, 0.0, -2.0]))]),
+            np.zeros((1, 6, 6)))
 
     def test_isotropic_noise_factorization(self):
         pose = identity_pose(max_depth=10.0)
         lm = Landmark(np.array([0.2, -0.1, 3.0]), covariance=np.zeros((3, 3)))
         sigma = 0.05
-        fim = landmark_fim(pose, lm, sigma_bearing=sigma)
+        fim = stacked_fim(pose, [lm], sigma_bearing=sigma)[0]
         jac = bearing_jacobian(pose, lm)
         assert np.allclose(fim, jac.T @ jac / sigma ** 2, atol=1e-9)
 
@@ -267,9 +384,9 @@ class TestLandmarkFim:
             pose = random_pose(rng)
             pose.max_depth = 10.0
             lm = Landmark(rng.normal(scale=3.0, size=3))
-            if not visible(pose, lm):
+            if not sees(pose, lm.position):
                 continue
-            got = float(np.trace(landmark_fim(pose, lm)))
+            got = float(np.trace(stacked_fim(pose, [lm])[0]))
             want = float(np.trace(dense_fim_oracle(pose, lm)))
             assert got == pytest.approx(want, rel=1e-9)
             checked += 1
@@ -280,7 +397,7 @@ class TestLandmarkFim:
         for _ in range(10):
             lm = Landmark(np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                                     rng.uniform(1, 8)]))
-            fim = landmark_fim(pose, lm)
+            fim = stacked_fim(pose, [lm])[0]
             assert np.allclose(fim, fim.T)
             assert np.linalg.eigvalsh(fim).min() > -1e-9
 
@@ -338,8 +455,8 @@ def path_information_oracle(waypoints, reps, fov=math.radians(87.0), max_depth=5
         pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, fov=fov, max_depth=max_depth)
         total = 0.0
         for lm in reps:
-            if visible(pose, lm):
-                total += float(np.trace(landmark_fim(pose, lm)))
+            if visible_reference(pose, lm):
+                total += float(np.trace(landmark_fim_reference(pose, lm)))
         per_waypoint.append(total)
     return float(sum(per_waypoint))
 
@@ -353,7 +470,7 @@ class TestPathInformation:
         wp = Waypoint(0.0, 0.0, 0.0)
         lm = Landmark(np.array([2.0, 0.0, 0.5]))
         pose = CameraPose.from_planar(0.0, 0.0, 0.0)
-        expected = float(np.trace(landmark_fim(pose, lm)))
+        expected = float(np.trace(landmark_fim_reference(pose, lm)))
         assert expected > 0.0
         assert path_information([wp], [lm]) == expected
 
@@ -445,6 +562,8 @@ class TestLandmarkChecks:
         ([0.0, 0.0, 1.0], np.diag([-5.0, 0.01, 0.01])),
         ([0.0, 0.0, 1.0], np.diag([0.01, 0.01, np.nan])),
         ([0.0, 0.0, 1.0], [[0.01, 0.0, 0.0], [0.02, 0.01, 0.0], [0.0, 0.0, 0.01]]),
+        # Off by 9e-7: inside numpy's default relative tolerance, yet not symmetric.
+        ([0.0, 0.0, 1.0], [[1.0, 0.1000009, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ])
     def test_bad_landmark_rejected(self, position, cov):
         with pytest.raises(ConfigError):

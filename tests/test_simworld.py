@@ -25,6 +25,7 @@ from fitslam.simworld import (
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
+from test_fisher import landmark_fim_reference, visible_reference
 
 
 def tiny_config(**overrides):
@@ -351,7 +352,7 @@ class TestSensing:
             pose = fisher.CameraPose.from_planar(x, y, theta, fov=cfg.fov,
                                                  max_depth=cfg.max_depth)
             expected = [k for k, lm in enumerate(world.landmarks)
-                        if fisher.visible(pose, lm)]
+                        if visible_reference(pose, lm)]
             assert simworld.sense(world, state).tolist() == expected
             n_seen += len(expected)
         assert n_seen > 0
@@ -660,6 +661,75 @@ class TestSurrogateCovariance:
         assert state.n_loop_closures == 1
         observe(world, state)  # immediately again: landmarks are young now
         assert state.n_loop_closures == 1
+
+
+def covariance_reference(world, pose, cov, observed):
+    """One look's measurement update from the scalar FIMs summed in landmark order."""
+    if observed.size == 0:
+        return cov
+    cfg = world.config.sensors
+    camera = fisher.CameraPose.from_planar(*pose, fov=cfg.fov, max_depth=cfg.max_depth)
+    info = np.zeros((6, 6))
+    for k in observed:
+        info += landmark_fim_reference(camera, world.landmarks[k])
+    if not info.any():
+        return cov
+    cov = np.linalg.inv(np.linalg.inv(cov) + info)
+    return 0.5 * (cov + cov.T)
+
+
+STEP_DIRS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+
+
+def random_drive(world, rng, n_legs=12, leg_cells=30):
+    """Straight legs from random cells in random 8-neighbour directions, clipped to the grid."""
+    spec = world.spec
+    paths = []
+    for _ in range(n_legs):
+        di, dj = STEP_DIRS[int(rng.integers(8))]
+        cells = [(int(rng.integers(spec.width)), int(rng.integers(spec.height)))]
+        for _ in range(leg_cells):
+            i, j = cells[-1][0] + di, cells[-1][1] + dj
+            if not (0 <= i < spec.width and 0 <= j < spec.height):
+                break
+            cells.append((i, j))
+        paths.append(Path(cells, 0.0))
+    return paths
+
+
+class TestCovarianceOracle:
+    @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
+    def test_random_drives_match_per_landmark_reference(self, preset, monkeypatch):
+        raw = json.loads(fitslam.preset_world_path(preset).read_text())
+        raw["surrogate"]["t_lc"] = 5.0  # loop closures within the drive
+        world = generate_world(WorldConfig.from_dict(raw))
+        state = MissionState.initial(world)
+        kappa = world.config.surrogate.kappa
+        sensed, looks = [], []
+
+        def sense(world, state):
+            sensed.append(simworld_sense(world, state))
+            return sensed[-1]
+
+        def checked_observe(world, state):
+            cov, closures = state.cov.copy(), state.n_loop_closures
+            simworld_observe(world, state)
+            want = covariance_reference(world, state.pose, cov, sensed[-1])
+            if state.n_loop_closures > closures:
+                want = kappa * want
+            assert np.array_equal(state.cov, want), (len(looks), state.pose)
+            looks.append(sensed[-1].size)
+
+        simworld_sense, simworld_observe = simworld.sense, simworld.observe
+        monkeypatch.setattr(simworld, "sense", sense)
+        monkeypatch.setattr(simworld, "observe", checked_observe)
+        initial_spin(world, state)
+        rng = np.random.default_rng(3)
+        for path in random_drive(world, rng):
+            execute_path(world, state, path, float(rng.uniform(-math.pi, math.pi)))
+        # Many looks stack several landmarks, and some close a loop.
+        assert len(looks) > 300 and sum(k > 1 for k in looks) > 40
+        assert state.n_loop_closures > 0
 
 
 class TestExecutePath:
