@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from fitslam.fisher import (CameraPose, Landmark, bearing, bearing_jacobian,
+from fitslam.fisher import (Camera, CameraPose, Landmark, bearing, bearing_jacobian,
                             landmark_fim, path_information, visible, voxelize)
 from fitslam.planner import Waypoint
 
@@ -20,11 +20,10 @@ rng = np.random.default_rng(9)
 landmarks = [Landmark(np.array([3.0, 4.0, 0.8]) + rng.normal(0, 0.4, 3))
              for _ in range(25)]
 
-FOV = math.radians(87.0)
-DEPTH = 5.0
+camera = Camera(fov=math.radians(87.0), max_depth=5.0)
 
 # Single-pose anatomy first: one landmark, one camera.
-pose = CameraPose.from_planar(2.0, 2.0, math.pi / 4)
+pose = CameraPose.from_planar(2.0, 2.0, math.pi / 4, camera)
 lm = landmarks[0]
 print(f"camera at (2,2) heading 45 deg; landmark at "
       f"({lm.position[0]:.2f}, {lm.position[1]:.2f}, {lm.position[2]:.2f})")
@@ -44,8 +43,7 @@ far = [Waypoint(6.0 - 1e-9, y, math.pi / 2)
        for y in np.linspace(0.0, 6.0, 7)]            # hugs the far edge
 
 reps = voxelize(landmarks)
-infos = [path_information(wps, reps, fov=FOV, max_depth=DEPTH)
-         for wps in (near, far)]
+infos = [path_information(wps, reps, camera) for wps in (near, far)]
 print(f"\nvoxel filter: {len(landmarks)} landmarks -> "
       f"{len(reps)} representatives")
 for name, info in zip(("cluster-side", "edge-hugging"), infos):

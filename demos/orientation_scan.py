@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from fitslam.fisher import DEFAULT_FOV
+from fitslam.fisher import Camera
 from fitslam.grid import GridSpec, OccupancyGrid, UNKNOWN_P
 from fitslam.infogain import RayCastParams, cast_ray, scan_orientations
 
@@ -25,12 +25,12 @@ occ.p[:, 31:] = UNKNOWN_P     # east half unknown
 cell = (28, 54)
 goal = spec.cell_to_world(*cell)
 params = RayCastParams()
-max_range = 4.0
-scan = scan_orientations(occ, cell, params, max_range=max_range)
+camera = Camera(max_depth=4.0)  # the default field of view, a shorter range
+scan = scan_orientations(occ, cell, params, camera)
 
 print(f"goal at ({goal[0]:.2f}, {goal[1]:.2f}), "
       f"{len(scan.directions)} ray directions, "
-      f"fov {math.degrees(DEFAULT_FOV):.0f} deg")
+      f"fov {math.degrees(camera.fov):.0f} deg")
 print(f"best orientation: {math.degrees(scan.best_theta):6.1f} deg, "
       f"windowed gain {scan.best_gain:.2f} bits")
 
@@ -44,7 +44,7 @@ for k in range(0, len(scan.directions), step):
 
 # Follow the single best ray and show the degradation chain: deeper unknown
 # cells are less likely to be seen, so their expected entropy drop shrinks.
-best_ray = cast_ray(occ, goal, scan.best_theta, params, max_range)
+best_ray = cast_ray(occ, goal, scan.best_theta, params, camera)
 unknown_cells = [c for c in best_ray.cells if c.gain > 0][:6]
 print(f"\nfirst unknown cells along theta* "
       f"({math.degrees(scan.best_theta):.0f} deg):")

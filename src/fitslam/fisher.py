@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ConfigError, read_rows
+from .grid import ConfigError, check_number, read_rows
 
 DEFAULT_SIGMA_BEARING = 0.01   # bearing-noise std (unitless, on the unit sphere)
 DEFAULT_SIGMA_LANDMARK = 0.05  # m, default landmark position std
 DEFAULT_VOXEL_SIZE = 0.25      # m
 DEFAULT_SENSOR_HEIGHT = 0.3    # m above terrain
-DEFAULT_FOV = math.radians(87.0)  # rad, horizontal camera field of view
-DEFAULT_MAX_DEPTH = 5.0        # m, camera range
 
 _EPS_RANGE = 1e-9
 _EYE3 = np.eye(3)
@@ -49,9 +47,23 @@ class Landmark:
                               f"covariance, got {self.position.tolist()}, {cov.tolist()}")
 
 
+@dataclass(frozen=True)
+class Camera:
+    """The sensing frustum: sensing, the orientation scan and path information
+    all read their field of view and range from one camera."""
+
+    fov: float = math.radians(87.0)  # rad, horizontal field of view
+    max_depth: float = 5.0           # m, range
+
+    def __post_init__(self):
+        check_number("camera fov", self.fov, lambda v: 0 < v <= 2 * math.pi,
+                     "in (0, 2*pi] rad")
+        check_number("camera max_depth", self.max_depth, lambda v: v > 0, "> 0 m")
+
+
 @dataclass
 class CameraPose:
-    """World-to-camera transform plus the sensing frustum.
+    """World-to-camera transform plus the camera it senses with.
 
     rotation maps world vectors into the camera frame; the camera looks along
     its +z axis. v_camera = rotation @ v_world + translation.
@@ -59,18 +71,15 @@ class CameraPose:
 
     rotation: np.ndarray     # (3, 3) orthonormal, det +1
     translation: np.ndarray  # (3,)
-    fov: float = DEFAULT_FOV
-    max_depth: float = DEFAULT_MAX_DEPTH
+    camera: Camera
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
 
     @classmethod
-    def from_planar(cls, x: float, y: float, heading: float,
-                    height: float = DEFAULT_SENSOR_HEIGHT,
-                    fov: float = DEFAULT_FOV,
-                    max_depth: float = DEFAULT_MAX_DEPTH) -> "CameraPose":
+    def from_planar(cls, x: float, y: float, heading: float, camera: Camera,
+                    height: float = DEFAULT_SENSOR_HEIGHT) -> "CameraPose":
         """Lift a planar robot pose to a camera looking along the heading."""
         c, s = math.cos(heading), math.sin(heading)
         # Camera axes in world coordinates: z forward, x left of travel, y up.
@@ -80,7 +89,7 @@ class CameraPose:
         r_wc = np.column_stack([x_axis, y_axis, z_axis])
         r_cw = r_wc.T
         center = np.array([x, y, height])
-        return cls(r_cw, -r_cw @ center, fov=fov, max_depth=max_depth)
+        return cls(r_cw, -r_cw @ center, camera)
 
     def to_camera(self, v_world: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(v_world, dtype=float) + self.translation
@@ -123,10 +132,10 @@ def visible(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
     """(K,) bool: the rows of (K, 3) world positions inside the camera frustum (inclusive)."""
     v_c = positions @ pose.rotation.T + pose.translation
     norm = np.linalg.norm(v_c, axis=1)
-    ok = (norm > _EPS_RANGE) & (norm <= pose.max_depth) & (v_c[:, 2] > 0)
+    ok = (norm > _EPS_RANGE) & (norm <= pose.camera.max_depth) & (v_c[:, 2] > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_angle = np.clip(v_c[:, 2] / norm, -1.0, 1.0)
-    return ok & (np.arccos(cos_angle) <= pose.fov / 2 + 1e-12)
+    return ok & (np.arccos(cos_angle) <= pose.camera.fov / 2 + 1e-12)
 
 
 def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray,
@@ -177,16 +186,15 @@ def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
     return [entry[2] for _, entry in sorted(best.items())]
 
 
-def path_information(waypoints: list, reps: list,
-                     fov: float = DEFAULT_FOV,
-                     max_depth: float = DEFAULT_MAX_DEPTH) -> float:
-    """Sum FIM traces of the visible voxel representatives (`voxelize`) over the
-    waypoints: each waypoint sums its traces in `reps` order, then the waypoints add up."""
+def path_information(waypoints: list, reps: list, camera: Camera) -> float:
+    """Sum FIM traces of the voxel representatives (`voxelize`) that `camera` sees
+    from the waypoints: each waypoint sums its traces in `reps` order, then the
+    waypoints add up."""
     positions = np.array([lm.position for lm in reps]).reshape(-1, 3)
     covariances = np.array([lm.covariance for lm in reps]).reshape(-1, 3, 3)
     total = 0.0
     for wp in waypoints:
-        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, fov=fov, max_depth=max_depth)
+        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, camera)
         fims = landmark_fim(pose, positions, covariances)
         # An unseen row adds its zero trace, which leaves the sum's bits alone.
         total += sum(np.trace(fims, axis1=1, axis2=2).tolist())

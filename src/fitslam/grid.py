@@ -127,9 +127,6 @@ class OccupancyGrid:
     def unknown(cls, spec: GridSpec) -> "OccupancyGrid":
         return cls(spec, np.full((spec.height, spec.width), UNKNOWN_P))
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.spec, self.p.copy())
-
     def unknown_mask(self) -> np.ndarray:
         return self.p == UNKNOWN_P
 

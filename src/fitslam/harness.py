@@ -17,7 +17,6 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import simworld
 from .fisher import path_information
 from .frontier import Blacklist, cluster_frontiers, detect_frontiers
 from .grid import check_int
@@ -90,18 +89,18 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
         raise ConfigError(f"max mission time must be finite and > 0, "
                           f"got {max_mission_time!r}")
     # Every strategy runs the orientation scan, whose window must hold a ray.
-    if rays.delta_theta > world.sensors.fov:
+    camera = world.sensors.camera
+    if rays.delta_theta > camera.fov:
         raise ConfigError(
             f"scan ray step {math.degrees(rays.delta_theta):g} deg is wider "
-            f"than the camera field of view {math.degrees(world.sensors.fov):g} deg")
+            f"than the camera field of view {math.degrees(camera.fov):g} deg")
     check_ray_samples(f"the orientation scan ({math.degrees(rays.delta_theta):g} deg ray step)",
-                      2 * math.pi / rays.delta_theta, world.sensors.max_depth, world.resolution)
+                      2 * math.pi / rays.delta_theta, camera.max_depth, world.resolution)
 
 
 def _select_fit(candidates, state, world, uparams, rays, spec, planner):
-    sensors = world.config.sensors
-    scans = scan_many(state.occ, [c.cell for c in candidates], rays, sensors.fov,
-                      sensors.max_depth)
+    camera = world.config.sensors.camera
+    scans = scan_many(state.occ, [c.cell for c in candidates], rays, camera)
     for c, scan in zip(candidates, scans):
         c.delta_e = scan.best_gain
         c.theta_star = scan.best_theta
@@ -109,10 +108,9 @@ def _select_fit(candidates, state, world, uparams, rays, spec, planner):
     short = shortlist(candidates, uparams.shortlist_n)
     for c in short:
         c.path = planner.path_to(c.cell)
-        wps = sample_waypoints(c.path, sensors.max_depth, spec)
+        wps = sample_waypoints(c.path, camera.max_depth, spec)
         wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
-        c.info = path_information(wps, world.voxel_landmarks,
-                                  fov=sensors.fov, max_depth=sensors.max_depth)
+        c.info = path_information(wps, world.voxel_landmarks, camera)
     return select_best(short, uparams)
 
 
@@ -137,7 +135,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     _check_mission_settings(config, (seed,), max_mission_time, rays)
     world = generate_world(dataclasses.replace(config, seed=seed))
     spec = world.spec
-    sensors = world.config.sensors
+    camera = world.config.sensors.camera
     rng = np.random.default_rng(seed * 7919 + 17)  # random strategy's own stream
 
     state = MissionState.initial(world)
@@ -179,8 +177,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         if best.path is None:
             best.path = planner.path_to(best.cell)
         if best.theta_star is None:
-            best.theta_star = scan_orientations(state.occ, best.cell, rays, sensors.fov,
-                                                sensors.max_depth).best_theta
+            best.theta_star = scan_orientations(state.occ, best.cell, rays, camera).best_theta
 
         try:
             execute_path(world, state, best.path, best.theta_star, nav=nav)

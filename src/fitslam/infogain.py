@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
+from .fisher import Camera
 from .grid import OccupancyGrid, OutOfBoundsError, UNKNOWN_P, check_number
 
 DEFAULT_DELTA_THETA_DEG = 8.5
@@ -32,7 +32,7 @@ class RayCastParams:
     """Entropy-gain model of the scan.
 
     The camera's field of view and range are not part of it: they belong to
-    the sensor, and the scan functions take them as arguments.
+    the sensor's `Camera`, which the scan functions take as an argument.
     """
 
     delta_theta: float = math.radians(DEFAULT_DELTA_THETA_DEG)  # ray discretization
@@ -41,11 +41,6 @@ class RayCastParams:
     def __post_init__(self):
         check_number("delta_theta", self.delta_theta, lambda v: v > 0, "> 0")
         check_number("gamma", self.gamma, lambda v: 0 < v <= 1, "in (0, 1]")
-
-
-def _check_max_range(max_range: float) -> None:
-    if not max_range > 0:
-        raise ValueError("max_range must be > 0")
 
 
 def cell_entropy(p: float) -> float:
@@ -72,15 +67,14 @@ class RayCast:
 
 
 def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
-             params: RayCastParams, max_range: float = DEFAULT_MAX_DEPTH) -> RayCast:
+             params: RayCastParams, camera: Camera) -> RayCast:
     """Walk the grid from origin along theta and tally the entropy gain.
 
     Uses an Amanatides-Woo traversal so every crossed cell is visited exactly
-    once, up to max_range m. A cell above the occupied threshold blocks the
-    ray. Only unknown cells carry gain; the degradation count N is the number
-    of unknown cells already traversed.
+    once, up to the camera's max_depth. A cell above the occupied threshold
+    blocks the ray. Only unknown cells carry gain; the degradation count N is
+    the number of unknown cells already traversed.
     """
-    _check_max_range(max_range)
     spec = occ.spec
     ox, oy = origin
     if not spec.point_in_bounds(ox, oy):
@@ -98,7 +92,7 @@ def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
     total = 0.0
     n_unknown = 0
     for t, i, j in _grid_walk(i, j, dx, dy, t_max_x, t_max_y, spec.resolution):
-        if t > max_range or not spec.in_bounds(i, j):
+        if t > camera.max_depth or not spec.in_bounds(i, j):
             break
         p = float(occ.p[j, i])
         if p > OCCUPIED_THRESHOLD:
@@ -144,15 +138,11 @@ class _ScanTemplate:
     they come from a table.
     """
 
-    def __init__(self, params: RayCastParams, fov: float, max_range: float,
-                 resolution: float):
-        if not 0 < fov <= 2 * math.pi:
-            raise ValueError("fov must lie in (0, 2*pi]")
-        if params.delta_theta > fov:
+    def __init__(self, params: RayCastParams, camera: Camera, resolution: float):
+        if params.delta_theta > camera.fov:
             raise ValueError("need delta_theta <= fov")
-        _check_max_range(max_range)
         dirs = ray_directions(params.delta_theta)
-        offsets = [_walk_offsets(th, resolution, max_range) for th in dirs]
+        offsets = [_walk_offsets(th, resolution, camera.max_depth) for th in dirs]
         length = max(len(o) for o in offsets)
         self.directions = dirs
         self.di = np.zeros((len(dirs), length), dtype=int)
@@ -170,7 +160,7 @@ class _ScanTemplate:
         # Window membership, kept in direction order for reproducible sums.
         diff = np.abs(dirs[:, None] - dirs[None, :])
         ang = np.minimum(diff, 2 * math.pi - diff)
-        self.in_window = ang <= fov / 2 + 1e-12
+        self.in_window = ang <= camera.fov / 2 + 1e-12
 
     def ray_gains(self, occ: OccupancyGrid, centers_i: np.ndarray,
                   centers_j: np.ndarray) -> np.ndarray:
@@ -237,12 +227,11 @@ def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
         offsets.append((i, j))
 
 
-# Scans with the same (params, fov, max_range, resolution) share one template.
+# Scans with the same (params, camera, resolution) share one template.
 _template = functools.cache(_ScanTemplate)
 
 
-def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams,
-              fov: float = DEFAULT_FOV, max_range: float = DEFAULT_MAX_DEPTH) -> list:
+def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams, camera: Camera) -> list:
     """Orientation scans from many (i, j) goal cells in one vectorized pass.
 
     Produces exactly the same numbers as scanning each cell alone: every
@@ -252,7 +241,7 @@ def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams,
     grid's border or wrap around it.
     """
     spec = occ.spec
-    tmpl = _template(params, fov, max_range, spec.resolution)
+    tmpl = _template(params, camera, spec.resolution)
     ij = np.asarray(cells)
     if len(cells) and (ij.dtype.kind not in "iu" or ij.shape != (len(cells), 2)):
         raise ValueError(f"scan cells must be (i, j) integer pairs, not {ij.dtype} {ij.shape}")
@@ -277,12 +266,12 @@ def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams,
 
 
 def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
-                      fov: float = DEFAULT_FOV,
-                      max_range: float = DEFAULT_MAX_DEPTH) -> OrientationScan:
+                      camera: Camera) -> OrientationScan:
     """Cast one ray per direction from the goal cell and pick the best FOV window.
 
     A direction d contributes to the window centered at theta_s when the
-    wrapped angular distance |d - theta_s| <= fov/2. Rays end after max_range
-    m. Ties in the windowed gain go to the smallest orientation angle.
+    wrapped angular distance |d - theta_s| <= camera.fov/2. Rays end after the
+    camera's max_depth. Ties in the windowed gain go to the smallest
+    orientation angle.
     """
-    return scan_many(occ, [cell], params, fov, max_range)[0]
+    return scan_many(occ, [cell], params, camera)[0]

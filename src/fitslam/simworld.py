@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fisher, traversability
-from .fisher import CameraPose, Landmark
+from .fisher import Camera, CameraPose, Landmark
 from .grid import (FREE, ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P, _is_number,
                    check_int, check_number)
 from .planner import Path
@@ -33,6 +33,10 @@ MAX_GRID_CELLS = 10 ** 7
 MAX_RAY_SAMPLES = 10 ** 6  # rays x samples of one look, sensing wedge or orientation scan
 MAX_LANDMARKS = 10 ** 4    # bounds landmarks.count and landmarks.clusters
 MAX_BUMPS = 10 ** 3
+# Bounds sensors.lidar_radius as a multiple of size_m: a radius past the grid's
+# extent senses nothing more, and one near the float maximum overflows the
+# lidar window's cell bounds.
+MAX_LIDAR_REACH = 10 ** 3
 # Bounds |grade| x size_m, |bump_amp| x n_bumps and each obstacle |height|, in m;
 # the tallest preset terrain is 3.8 m. Far taller terrain overflows the plane fit.
 MAX_TERRAIN_HEIGHT = 10 ** 3
@@ -48,8 +52,7 @@ class PathBlockedError(RuntimeError):
 
 @dataclass
 class SensorConfig:
-    fov: float = fisher.DEFAULT_FOV
-    max_depth: float = fisher.DEFAULT_MAX_DEPTH
+    camera: Camera = Camera()
     lidar_radius: float = 8.0
     ray_step: float = math.radians(1.5)  # angular spacing of sensing rays
 
@@ -69,11 +72,13 @@ class RobotConfig:
 
 
 # Top-level world JSON keys, and per key of the sections whose keys carry
-# units, its (dataclass field, conversion). WorldConfig checks every value.
+# units, its (dataclass field, conversion). WorldConfig checks every value;
+# the _CAMERA_FIELDS fill the sensors' Camera, which checks its own.
 _TOP_KEYS = ("seed", "size_m", "resolution", "terrain", "obstacles", "landmarks")
 _SENSOR_KEYS = {"fov_deg": ("fov", math.radians), "max_depth_m": ("max_depth", float),
                 "lidar_radius_m": ("lidar_radius", float),
                 "ray_step_deg": ("ray_step", math.radians)}
+_CAMERA_FIELDS = ("fov", "max_depth")
 _ROBOT_KEYS = {"start_xy_theta": ("start", tuple), "speed": ("speed", float)}
 _TERRAIN_KEYS = ("type", "grade", "n_bumps", "bump_amp", "bump_sigma")
 _TERRAIN_TYPES = ("flat", "ramp", "bumps", "ramp_bumps")
@@ -99,17 +104,17 @@ class WorldConfig:
 
     def __post_init__(self):
         s = self.sensors
+        cam = s.camera
         check_int("seed", self.seed, 0)
         for name, value in (("size_m", self.size_m), ("resolution", self.resolution),
-                            ("sensors.fov", s.fov), ("sensors.max_depth", s.max_depth),
-                            ("sensors.lidar_radius", s.lidar_radius),
                             ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
             check_number(name, value, lambda v: v > 0, "> 0")
-        if s.fov > 2 * math.pi:
-            raise ConfigError("sensors.fov must be at most 360 degrees")
+        check_number("sensors.lidar_radius", s.lidar_radius,
+                     lambda v: 0 < v <= MAX_LIDAR_REACH * self.size_m,
+                     f"> 0 and at most {MAX_LIDAR_REACH} x size_m")
         # Occupancy rays sample every half cell, the first one half a cell out.
-        if s.max_depth < self.resolution / 2:
-            raise ConfigError(f"sensors.max_depth {s.max_depth!r} is shorter than half "
+        if cam.max_depth < self.resolution / 2:
+            raise ConfigError(f"sensors.max_depth {cam.max_depth!r} is shorter than half "
                               f"a cell ({self.resolution / 2!r} m)")
         side = self.size_m / self.resolution  # inf if the quotient overflows
         if side * side > MAX_GRID_CELLS:
@@ -118,7 +123,7 @@ class WorldConfig:
         if round(side) < 1:
             raise ConfigError("size_m must hold at least one cell of the resolution")
         check_ray_samples(f"the sensing wedge ({math.degrees(s.ray_step):g} deg ray step)",
-                          s.fov / s.ray_step + 1, s.max_depth, self.resolution)
+                          cam.fov / s.ray_step + 1, cam.max_depth, self.resolution)
         _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
         if self.terrain.get("type", "flat") not in _TERRAIN_TYPES:
             raise ConfigError(f"unknown terrain type {self.terrain['type']!r}")
@@ -176,8 +181,9 @@ class WorldConfig:
         try:
             _check_keys(raw, (*_TOP_KEYS, "sensors", "robot", "surrogate"), "world")
             kwargs = {k: raw[k] for k in _TOP_KEYS if k in raw}
-            kwargs["sensors"] = SensorConfig(**_fields(raw.get("sensors", {}),
-                                                       _SENSOR_KEYS, "sensors"))
+            sensors = _fields(raw.get("sensors", {}), _SENSOR_KEYS, "sensors")
+            camera = Camera(**{k: sensors.pop(k) for k in _CAMERA_FIELDS if k in sensors})
+            kwargs["sensors"] = SensorConfig(camera, **sensors)
             kwargs["robot"] = RobotConfig(**_fields(raw.get("robot", {}), _ROBOT_KEYS, "robot"))
             kwargs["surrogate"] = SurrogateConfig(**raw.get("surrogate", {}))
         except (TypeError, ValueError, KeyError) as exc:
@@ -403,7 +409,7 @@ def sense(world: World, state: MissionState) -> np.ndarray:
     """
     _sense_terrain(world, state)
     _sense_occupancy(world, state)
-    pose = _camera_pose(world, state.pose)
+    pose = CameraPose.from_planar(*state.pose, world.config.sensors.camera)
     return np.nonzero(fisher.visible(pose, world.landmark_positions))[0]
 
 
@@ -433,11 +439,12 @@ def terrain_points(world: World, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
 def _sense_occupancy(world: World, state: MissionState) -> None:
     spec = world.spec
     cfg = world.config.sensors
+    cam = cfg.camera
     px, py, theta = state.pose
-    n_rays = max(2, int(round(cfg.fov / cfg.ray_step)) + 1)
-    angles = theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, n_rays)
+    n_rays = max(2, int(round(cam.fov / cfg.ray_step)) + 1)
+    angles = theta + np.linspace(-cam.fov / 2, cam.fov / 2, n_rays)
     dr = spec.resolution / 2
-    ranges = np.arange(dr, cfg.max_depth + dr / 2, dr)
+    ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
     x = px + np.cos(angles)[:, None] * ranges[None, :]
     y = py + np.sin(angles)[:, None] * ranges[None, :]
     i = np.floor((x - spec.origin_x) / spec.resolution).astype(int)
@@ -462,19 +469,13 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     np.copyto(p, world.true_p[win], where=mark)
 
 
-def _camera_pose(world: World, pose: tuple) -> CameraPose:
-    cfg = world.config.sensors
-    return CameraPose.from_planar(pose[0], pose[1], pose[2],
-                                  fov=cfg.fov, max_depth=cfg.max_depth)
-
-
 _MOTION_DIRS = np.diag([1.0, 1.0, 0.1, 0.1, 0.1, 1.0])  # translation-dominant noise
 
 
 def _measurement_update(world: World, state: MissionState, observed: np.ndarray) -> None:
     if observed.size == 0:
         return
-    pose = _camera_pose(world, state.pose)
+    pose = CameraPose.from_planar(*state.pose, world.config.sensors.camera)
     # numpy sums axis 0 of the stack row by row from zero, in landmark order.
     info = fisher.landmark_fim(pose, world.landmark_positions[observed],
                                world.landmark_covariances[observed]).sum(axis=0)
@@ -507,7 +508,7 @@ def observe(world: World, state: MissionState) -> None:
 def initial_spin(world: World, state: MissionState) -> None:
     """Turn in place once so the robot starts with a full disk of terrain data."""
     x, y, theta0 = state.pose
-    n = int(math.ceil(2 * math.pi / (world.config.sensors.fov / 2)))
+    n = int(math.ceil(2 * math.pi / (world.config.sensors.camera.fov / 2)))
     for k in range(n):
         state.pose = (x, y, theta0 + k * 2 * math.pi / n)
         observe(world, state)

@@ -33,10 +33,10 @@ class TerrainStatsGrid:
         # count, sx, sy, sz, sxx, sxy, syy, sxz, syz, szz per cell.
         self.moments = np.zeros((10, spec.height, spec.width))
         self.count = self.moments[0]
-        self.dropped_points = 0  # diagnostics: points outside the grid extent
 
     def accumulate(self, points: np.ndarray) -> None:
-        """Bin an (N, 3) batch of world-frame points into per-cell moments."""
+        """Bin an (N, 3) batch of world-frame points into per-cell moments; a point
+        outside the grid lands in no cell."""
         points = np.asarray(points, dtype=float)
         if points.size == 0:
             return
@@ -47,7 +47,6 @@ class TerrainStatsGrid:
         i = np.floor((x - self.spec.origin_x) / self.spec.resolution).astype(int)
         j = np.floor((y - self.spec.origin_y) / self.spec.resolution).astype(int)
         inside = (i >= 0) & (i < self.spec.width) & (j >= 0) & (j < self.spec.height)
-        self.dropped_points += int((~inside).sum())
         if not inside.any():
             return
         cell = j[inside] * self.spec.width + i[inside]

@@ -1,0 +1,71 @@
+"""Reference implementations that more than one test file checks the library
+against. Each is coded independently of the code it checks."""
+
+import heapq
+import math
+
+import numpy as np
+
+from fitslam.infogain import ARGMAX_TOL, cast_ray, ray_directions
+from fitslam.planner import SQRT2
+
+
+def brute_force_scan(occ, goal, params, camera):
+    """Independent windowed-sum evaluation built on cast_ray."""
+    spec = occ.spec
+    ci, cj = spec.world_to_cell(*goal)
+    origin = spec.cell_to_world(ci, cj)
+    dirs = ray_directions(params.delta_theta)
+    gains = [cast_ray(occ, origin, th, params, camera).gain for th in dirs]
+    windowed = []
+    for ts in dirs:
+        total = 0.0
+        for th, g in zip(dirs, gains):
+            diff = abs(th - ts)
+            if min(diff, 2 * math.pi - diff) <= camera.fov / 2 + 1e-12:
+                total += g
+        windowed.append(total)
+    # Same tie rule as the implementation: smallest angle within tolerance
+    # of the maximum, so float rounding cannot flip exact real-valued ties.
+    best = int(np.argmax(np.array(windowed) >= max(windowed) - ARGMAX_TOL))
+    return np.array(gains), np.array(windowed), float(dirs[best])
+
+
+def dijkstra_oracle(nav, start, goal):
+    """Independent Dijkstra returning (cardinal, diagonal) step counts, or None
+    if the goal is cut off.
+
+    Counting steps instead of accumulating floats keeps the comparison exact:
+    1 and sqrt(2) are rationally independent, so the optimal count pair is
+    unique and the cost can be reconstituted identically on both sides.
+    """
+    w, h = nav.spec.width, nav.spec.height
+    dist = {start: (0, 0)}
+    heap = [(0.0, start)]
+    done = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        if node == goal:
+            return dist[node]
+        done.add(node)
+        i, j = node
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == 0 and dj == 0:
+                    continue
+                ni, nj = i + di, j + dj
+                if not (0 <= ni < w and 0 <= nj < h) or not nav.is_free(ni, nj):
+                    continue
+                if di != 0 and dj != 0:
+                    if not nav.is_free(i + di, j) and not nav.is_free(i, j + dj):
+                        continue
+                card, diag = dist[node]
+                cand = (card, diag + 1) if di != 0 and dj != 0 else (card + 1, diag)
+                cand_cost = cand[0] + cand[1] * SQRT2
+                cur = dist.get((ni, nj))
+                if cur is None or cand_cost < cur[0] + cur[1] * SQRT2 - 1e-12:
+                    dist[(ni, nj)] = cand
+                    heapq.heappush(heap, (cand_cost, (ni, nj)))
+    return None

@@ -6,7 +6,6 @@ acceptance report. Numeric oracles are coded independently of the library
 bands are pinned here.
 """
 
-import heapq
 import math
 import time
 
@@ -15,16 +14,14 @@ import pytest
 
 import fitslam
 from fitslam import simworld
-from fitslam.fisher import Landmark, bearing, bearing_jacobian, CameraPose
-from fitslam.grid import (BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec,
-                          OccupancyGrid, UNKNOWN_P)
-from fitslam.harness import (DEFAULT_MAX_MISSION_TIME, ExperimentConfig,
-                             run_experiment, run_mission, summarize)
-from fitslam.infogain import (ARGMAX_TOL, RayCastParams, cast_ray, cell_entropy,
-                              ray_directions, scan_orientations)
+from fitslam.fisher import Camera, Landmark, bearing, bearing_jacobian, CameraPose
+from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, OccupancyGrid
+from fitslam.harness import ExperimentConfig, run_experiment, run_mission, summarize
+from fitslam.infogain import RayCastParams, cast_ray, cell_entropy, scan_orientations
 from fitslam.planner import NoPathError, SQRT2, plan
 from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams
+from oracles import brute_force_scan, dijkstra_oracle
 
 
 def report(capsys, n, ok, detail):
@@ -53,8 +50,7 @@ def perturb_pose(pose, delta):
     r_wc2 = exp_so3(phi) @ r_wc
     center2 = center + rho + np.cross(phi, center)
     r_cw2 = r_wc2.T
-    return CameraPose(r_cw2, -r_cw2 @ center2,
-                      fov=pose.fov, max_depth=pose.max_depth)
+    return CameraPose(r_cw2, -r_cw2 @ center2, pose.camera)
 
 
 def fd_jacobian(pose, landmark, step=1e-6):
@@ -73,7 +69,7 @@ def random_pose(rng):
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    return CameraPose(q, rng.normal(scale=2.0, size=3))
+    return CameraPose(q, rng.normal(scale=2.0, size=3), Camera())
 
 
 def test_criterion_1_jacobian_vs_finite_differences(capsys):
@@ -100,28 +96,10 @@ def test_criterion_1_jacobian_vs_finite_differences(capsys):
 
 # -- criterion 2: orientation scan vs brute-force windowed sums --------------
 
-def brute_force_scan(occ, goal, params, fov, max_range):
-    spec = occ.spec
-    ci, cj = spec.world_to_cell(*goal)
-    origin = spec.cell_to_world(ci, cj)
-    dirs = ray_directions(params.delta_theta)
-    gains = [cast_ray(occ, origin, th, params, max_range).gain for th in dirs]
-    windowed = []
-    for ts in dirs:
-        total = 0.0
-        for th, g in zip(dirs, gains):
-            diff = abs(th - ts)
-            if min(diff, 2 * math.pi - diff) <= fov / 2 + 1e-12:
-                total += g
-        windowed.append(total)
-    best = int(np.argmax(np.array(windowed) >= max(windowed) - ARGMAX_TOL))
-    return np.array(gains), np.array(windowed), float(dirs[best])
-
-
 def test_criterion_2_orientation_scan_oracle(capsys):
     rng = np.random.default_rng(202)
     params = RayCastParams()
-    fov, max_range = math.radians(87.0), 3.0
+    camera = Camera(math.radians(87.0), 3.0)
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
@@ -129,8 +107,8 @@ def test_criterion_2_orientation_scan_oracle(capsys):
         known = rng.random((64, 64)) < 0.5
         occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()), p=[0.8, 0.2])
         goal = (rng.uniform(0.5, 5.9), rng.uniform(0.5, 5.9))
-        scan = scan_orientations(occ, occ.spec.world_to_cell(*goal), params, fov, max_range)
-        gains, windowed, best_theta = brute_force_scan(occ, goal, params, fov, max_range)
+        scan = scan_orientations(occ, occ.spec.world_to_cell(*goal), params, camera)
+        gains, windowed, best_theta = brute_force_scan(occ, goal, params, camera)
         assert scan.best_theta == best_theta, "argmax mismatch vs oracle"
         worst = max(worst,
                     float(np.abs(scan.ray_gains - gains).max()),
@@ -144,40 +122,6 @@ def test_criterion_2_orientation_scan_oracle(capsys):
 
 
 # -- criterion 3: A* vs standalone Dijkstra, exact cost equality -------------
-
-def dijkstra_oracle(nav, start, goal):
-    """Returns optimal (cardinal, diagonal) step counts, or None if cut off."""
-    w, h = nav.spec.width, nav.spec.height
-    dist = {start: (0, 0)}
-    heap = [(0.0, start)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == goal:
-            return dist[node]
-        done.add(node)
-        i, j = node
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < w and 0 <= nj < h) or not nav.is_free(ni, nj):
-                    continue
-                if di != 0 and dj != 0:
-                    if not nav.is_free(i + di, j) and not nav.is_free(i, j + dj):
-                        continue
-                card, diag = dist[node]
-                cand = (card, diag + 1) if di != 0 and dj != 0 else (card + 1, diag)
-                cand_cost = cand[0] + cand[1] * SQRT2
-                cur = dist.get((ni, nj))
-                if cur is None or cand_cost < cur[0] + cur[1] * SQRT2 - 1e-12:
-                    dist[(ni, nj)] = cand
-                    heapq.heappush(heap, (cand_cost, (ni, nj)))
-    return None
-
 
 def test_criterion_3_planner_optimality(capsys):
     rng = np.random.default_rng(303)
@@ -226,7 +170,7 @@ def test_criterion_4_entropy_fixed_points(capsys):
              and cell_entropy(1.0) == 0.0)
 
     occ = OccupancyGrid.unknown(GridSpec(0.0, 0.0, 0.1, 20, 20))
-    ray = cast_ray(occ, (0.05, 1.05), 0.0, RayCastParams(gamma=0.9))
+    ray = cast_ray(occ, (0.05, 1.05), 0.0, RayCastParams(gamma=0.9), Camera())
     fourth = ray.cells[3]  # N = 3 unknown cells already traversed
     posterior_ok = abs(fourth.posterior - 0.8645) < 1e-12
     # Hand evaluation of the stated chain: observability 0.9^3 = 0.729,

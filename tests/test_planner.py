@@ -1,4 +1,3 @@
-import heapq
 import math
 
 import numpy as np
@@ -14,51 +13,13 @@ from fitslam.planner import (
     plan,
     sample_waypoints,
 )
+from oracles import dijkstra_oracle
 
 
 def free_grid(w, h, res=0.05):
     spec = GridSpec(0.0, 0.0, res, w, h)
     state = np.full((h, w), FREE, dtype=np.int8)
     return BinaryTraversabilityGrid(spec, state)
-
-
-def dijkstra_oracle(nav, start, goal):
-    """Independent Dijkstra returning (cardinal, diagonal) step counts.
-
-    Counting steps instead of accumulating floats keeps the comparison exact:
-    1 and sqrt(2) are rationally independent, so the optimal count pair is
-    unique and the cost can be reconstituted identically on both sides.
-    """
-    w, h = nav.spec.width, nav.spec.height
-    dist = {start: (0, 0)}
-    heap = [(0.0, start)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == goal:
-            return dist[node]
-        done.add(node)
-        i, j = node
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < w and 0 <= nj < h) or not nav.is_free(ni, nj):
-                    continue
-                if di != 0 and dj != 0:
-                    if not nav.is_free(i + di, j) and not nav.is_free(i, j + dj):
-                        continue
-                card, diag = dist[node]
-                cand = (card, diag + 1) if di != 0 and dj != 0 else (card + 1, diag)
-                cand_cost = cand[0] + cand[1] * SQRT2
-                cur = dist.get((ni, nj))
-                if cur is None or cand_cost < cur[0] + cur[1] * SQRT2 - 1e-12:
-                    dist[(ni, nj)] = cand
-                    heapq.heappush(heap, (cand_cost, (ni, nj)))
-    return None
 
 
 def coo_graph(nav):

@@ -52,8 +52,8 @@ class TestWorldConfig:
         }))
         cfg = WorldConfig.from_json(path)
         assert cfg.seed == 7
-        assert cfg.sensors.fov == pytest.approx(math.radians(90.0))
-        assert cfg.sensors.max_depth == 4.0
+        assert cfg.sensors.camera.fov == pytest.approx(math.radians(90.0))
+        assert cfg.sensors.camera.max_depth == 4.0
         assert cfg.surrogate.kappa == 0.4
 
     def test_invalid_json_rejected(self, tmp_path):
@@ -133,6 +133,13 @@ class TestWorldConfig:
         {"resolution": 5e-324},  # size_m / resolution overflows to inf
         {"sensors": {"ray_step_deg": 1e-9}},
         {"sensors": {"max_depth_m": 1e12}},
+        # Past 10^3 x size_m; at 1e308 the lidar window's cell bounds overflow.
+        {"sensors": {"lidar_radius_m": 8001.0}},
+        {"sensors": {"lidar_radius_m": 1e308}},
+        # The camera's own checks, reached through the world JSON.
+        {"sensors": {"fov_deg": 0.0}},
+        {"sensors": {"fov_deg": 360.5}},
+        {"sensors": {"max_depth_m": -1.0}},
         {"landmarks": {"count": 10 ** 11, "clusters": 2}},
         {"landmarks": {"count": 12, "clusters": 10 ** 11}},
         {"terrain": {"type": "bumps", "n_bumps": 10 ** 11}},
@@ -155,7 +162,9 @@ class TestWorldConfig:
             "n-bumps-negative", "count-negative", "clusters-zero", "l-min-zero",
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
             "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
-            "resolution-subnormal", "ray-step-tiny", "max-depth-huge", "count-huge",
+            "resolution-subnormal", "ray-step-tiny", "max-depth-huge",
+            "lidar-radius-past-limit", "lidar-radius-huge", "fov-zero", "fov-above-360",
+            "max-depth-negative", "count-huge",
             "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300", "grade-huge",
             "bump-amp-huge", "obstacle-height-huge"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
@@ -180,6 +189,10 @@ class TestWorldConfig:
         assert cfg.seed == 0 and cfg.surrogate.kappa == 1
         assert generate_world(cfg).landmarks == []
         assert generate_world(tiny_config(seed=np.int64(3))).config.seed == 3
+
+    def test_lidar_radius_limit_accepted(self):
+        cfg = tiny_config(sensors={"lidar_radius_m": simworld.MAX_LIDAR_REACH * 8.0})
+        assert cfg.sensors.lidar_radius == 8000.0
 
     def test_q_at_bound_runs_a_mission(self):
         cfg = WorldConfig.from_dict({"size_m": 10.0, "resolution": 0.2,
@@ -284,7 +297,7 @@ class TestGenerateWorld:
     def test_terrain_holds_five_points_of_every_cell(self, preset):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
         assert (world.terrain.count == 5).all()
-        assert world.terrain.dropped_points == 0
+        assert world.terrain.count.sum() == 5 * world.spec.height * world.spec.width
         assert world.terrain is world.terrain  # built once per world
 
     def test_terrain_banded_build_equals_one_shot(self):
@@ -349,8 +362,7 @@ class TestSensing:
             x, y = rng.uniform(0.0, world.config.size_m, size=2)
             theta = rng.uniform(-math.pi, math.pi)
             state.pose = (x, y, theta)
-            pose = fisher.CameraPose.from_planar(x, y, theta, fov=cfg.fov,
-                                                 max_depth=cfg.max_depth)
+            pose = fisher.CameraPose.from_planar(x, y, theta, cfg.camera)
             expected = [k for k, lm in enumerate(world.landmarks)
                         if visible_reference(pose, lm)]
             assert simworld.sense(world, state).tolist() == expected
@@ -425,11 +437,12 @@ def sense_occupancy_sorted(world, pose, ref):
     """Reference occupancy update: the cells of the ray samples by np.unique."""
     spec = world.spec
     cfg = world.config.sensors
+    cam = cfg.camera
     px, py, theta = pose
-    n_rays = max(2, int(round(cfg.fov / cfg.ray_step)) + 1)
-    angles = theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, n_rays)
+    n_rays = max(2, int(round(cam.fov / cfg.ray_step)) + 1)
+    angles = theta + np.linspace(-cam.fov / 2, cam.fov / 2, n_rays)
     dr = spec.resolution / 2
-    ranges = np.arange(dr, cfg.max_depth + dr / 2, dr)
+    ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
     x = px + np.cos(angles)[:, None] * ranges[None, :]
     y = py + np.sin(angles)[:, None] * ranges[None, :]
     i = np.floor((x - spec.origin_x) / spec.resolution).astype(int)
@@ -667,8 +680,7 @@ def covariance_reference(world, pose, cov, observed):
     """One look's measurement update from the scalar FIMs summed in landmark order."""
     if observed.size == 0:
         return cov
-    cfg = world.config.sensors
-    camera = fisher.CameraPose.from_planar(*pose, fov=cfg.fov, max_depth=cfg.max_depth)
+    camera = fisher.CameraPose.from_planar(*pose, world.config.sensors.camera)
     info = np.zeros((6, 6))
     for k in observed:
         info += landmark_fim_reference(camera, world.landmarks[k])
