@@ -10,27 +10,27 @@ import math
 
 import numpy as np
 
-from fitslam.fisher import (Camera, CameraPose, Landmark, bearing, bearing_jacobian,
+from fitslam.fisher import (Camera, CameraPose, bearing, bearing_jacobian, default_covariances,
                             landmark_fim, path_information, visible, voxelize)
 from fitslam.planner import Waypoint
 
 rng = np.random.default_rng(9)
 
 # A tight cluster of landmarks around (3, 4) and nothing elsewhere.
-landmarks = [Landmark(np.array([3.0, 4.0, 0.8]) + rng.normal(0, 0.4, 3))
-             for _ in range(25)]
+positions = np.array([3.0, 4.0, 0.8]) + rng.normal(0, 0.4, (25, 3))
+covariances = default_covariances(len(positions))
 
 camera = Camera(fov=math.radians(87.0), max_depth=5.0)
 
 # Single-pose anatomy first: one landmark, one camera.
 pose = CameraPose.from_planar(2.0, 2.0, math.pi / 4, camera)
-lm = landmarks[0]
+lm = positions[0]
 print(f"camera at (2,2) heading 45 deg; landmark at "
-      f"({lm.position[0]:.2f}, {lm.position[1]:.2f}, {lm.position[2]:.2f})")
-print(f"  visible within fov/depth: {visible(pose, lm.position[None])[0]}")
+      f"({lm[0]:.2f}, {lm[1]:.2f}, {lm[2]:.2f})")
+print(f"  visible within fov/depth: {visible(pose, positions[:1])[0]}")
 b = bearing(pose, lm)
 J = bearing_jacobian(pose, lm)
-F = landmark_fim(pose, lm.position[None], lm.covariance[None])[0]
+F = landmark_fim(pose, positions[:1], covariances[:1])[0]
 print(f"  bearing (camera frame): [{b[0]:.3f} {b[1]:.3f} {b[2]:.3f}]")
 print(f"  jacobian is tangent to the bearing: |b^T J| = "
       f"{np.abs(b @ J).max():.2e}")
@@ -42,9 +42,10 @@ near = [Waypoint(x, 2.0 + (4.0 / 6.0) * x, math.atan2(2.0, 3.0))
 far = [Waypoint(6.0 - 1e-9, y, math.pi / 2)
        for y in np.linspace(0.0, 6.0, 7)]            # hugs the far edge
 
-reps = voxelize(landmarks)
-infos = [path_information(wps, reps, camera) for wps in (near, far)]
-print(f"\nvoxel filter: {len(landmarks)} landmarks -> "
+reps = voxelize(positions)
+infos = [path_information(wps, positions[reps], covariances[reps], camera)
+         for wps in (near, far)]
+print(f"\nvoxel filter: {len(positions)} landmarks -> "
       f"{len(reps)} representatives")
 for name, info in zip(("cluster-side", "edge-hugging"), infos):
     print(f"  {name:13s} raw information {info:10.3f}")

@@ -17,7 +17,7 @@ world = generate_world(config)
 state = MissionState.initial(world)
 
 print(f"world: {config.size_m:.0f} m square, resolution {config.resolution} m, "
-      f"{len(world.landmarks)} landmarks")
+      f"{len(world.landmark_positions)} landmarks")
 
 # Drive a coarse serpentine so the lidar sees most of the map.
 xs = np.arange(3.0, config.size_m - 2.0, 6.0)

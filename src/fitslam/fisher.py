@@ -30,23 +30,6 @@ class DegenerateLandmarkError(ValueError):
     """The landmark coincides with the camera center."""
 
 
-@dataclass
-class Landmark:
-    position: np.ndarray            # (3,) world frame, finite
-    covariance: np.ndarray = None   # (3, 3) finite, symmetric PSD
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        if self.covariance is None:
-            self.covariance = (DEFAULT_SIGMA_LANDMARK ** 2) * np.eye(3)
-        self.covariance = cov = np.asarray(self.covariance, dtype=float).reshape(3, 3)
-        if not (np.isfinite(self.position).all() and np.isfinite(cov).all()
-                and np.allclose(cov, cov.T, rtol=0, atol=1e-12)
-                and np.linalg.eigvalsh(cov)[0] >= -1e-12):
-            raise ConfigError(f"landmark needs a finite position and a finite symmetric PSD "
-                              f"covariance, got {self.position.tolist()}, {cov.tolist()}")
-
-
 @dataclass(frozen=True)
 class Camera:
     """The sensing frustum: sensing, the orientation scan and path information
@@ -95,9 +78,14 @@ class CameraPose:
         return self.rotation @ np.asarray(v_world, dtype=float) + self.translation
 
 
-def bearing(pose: CameraPose, landmark: Landmark) -> np.ndarray:
-    """Unit vector from the camera to the landmark, in the camera frame."""
-    v_c = pose.to_camera(landmark.position)
+def default_covariances(n: int) -> np.ndarray:
+    """(n, 3, 3): every row the default landmark covariance DEFAULT_SIGMA_LANDMARK^2 I."""
+    return np.tile((DEFAULT_SIGMA_LANDMARK ** 2) * _EYE3, (n, 1, 1))
+
+
+def bearing(pose: CameraPose, position: np.ndarray) -> np.ndarray:
+    """Unit vector from the camera to the (3,) world position, in the camera frame."""
+    v_c = pose.to_camera(position)
     norm = np.linalg.norm(v_c)
     if norm <= _EPS_RANGE:
         raise DegenerateLandmarkError("landmark at the camera center")
@@ -123,9 +111,9 @@ def _bearing_derivatives(pose: CameraPose, positions: np.ndarray) -> tuple:
     return d_b_d_v, d_b_d_v @ (pose.rotation @ d_p)
 
 
-def bearing_jacobian(pose: CameraPose, landmark: Landmark) -> np.ndarray:
-    """3x6 derivative of the bearing w.r.t. an SE(3) pose perturbation."""
-    return _bearing_derivatives(pose, landmark.position[None])[1][0]
+def bearing_jacobian(pose: CameraPose, position: np.ndarray) -> np.ndarray:
+    """3x6 derivative of the bearing to a (3,) position w.r.t. an SE(3) pose perturbation."""
+    return _bearing_derivatives(pose, np.asarray(position, dtype=float).reshape(1, 3))[1][0]
 
 
 def visible(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
@@ -168,30 +156,30 @@ def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarra
     return fims
 
 
-def voxelize(landmarks: list, voxel_size: float = DEFAULT_VOXEL_SIZE) -> list:
-    """One representative landmark per occupied voxel.
+def voxelize(positions: np.ndarray, voxel_size: float = DEFAULT_VOXEL_SIZE) -> np.ndarray:
+    """Row indices of one representative of (K, 3) `positions` per occupied voxel,
+    in voxel-key order.
 
     The representative is the landmark nearest the voxel center (ties broken
-    by input order), so duplicated landmarks in one voxel count once.
+    by the lower row), so duplicated landmarks in one voxel count once.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be > 0")
     best = {}
-    for idx, lm in enumerate(landmarks):
-        key = tuple(np.floor(lm.position / voxel_size).astype(int))
+    for idx, position in enumerate(positions):
+        key = tuple(np.floor(position / voxel_size).astype(int))
         center = (np.array(key) + 0.5) * voxel_size
-        d = float(np.linalg.norm(lm.position - center))
-        if key not in best or (d, idx) < best[key][:2]:
-            best[key] = (d, idx, lm)
-    return [entry[2] for _, entry in sorted(best.items())]
+        d = float(np.linalg.norm(position - center))
+        if key not in best or (d, idx) < best[key]:
+            best[key] = (d, idx)
+    return np.array([best[key][1] for key in sorted(best)], dtype=int)
 
 
-def path_information(waypoints: list, reps: list, camera: Camera) -> float:
-    """Sum FIM traces of the voxel representatives (`voxelize`) that `camera` sees
-    from the waypoints: each waypoint sums its traces in `reps` order, then the
-    waypoints add up."""
-    positions = np.array([lm.position for lm in reps]).reshape(-1, 3)
-    covariances = np.array([lm.covariance for lm in reps]).reshape(-1, 3, 3)
+def path_information(waypoints: list, positions: np.ndarray, covariances: np.ndarray,
+                     camera: Camera) -> float:
+    """Sum FIM traces of the landmarks (rows of `positions` and `covariances`, the
+    voxel representatives when scoring a path) that `camera` sees from the
+    waypoints: each waypoint sums its traces in row order, then the waypoints add up."""
     total = 0.0
     for wp in waypoints:
         pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, camera)
@@ -201,19 +189,20 @@ def path_information(waypoints: list, reps: list, camera: Camera) -> float:
     return total
 
 
-def load_landmarks(path) -> list:
-    """Landmarks from `x y z [6 upper-triangular cov entries]` rows of a text file.
+def load_landmarks(path) -> tuple:
+    """(K, 3) positions and (K, 3, 3) covariances, the default where a row has
+    none, from `x y z [6 upper-triangular cov entries]` rows of a text file.
 
-    A bad row or landmark raises ConfigError naming its line.
+    A bad row or a covariance that is not PSD raises ConfigError naming its line.
     """
-    landmarks = []
-    for lineno, vals in read_rows(path, (3, 9), "landmark"):
-        cov = None
+    rows = read_rows(path, (3, 9), "landmark")
+    positions = np.array([vals[:3] for _, vals in rows]).reshape(-1, 3)
+    covariances = default_covariances(len(rows))
+    for k, (lineno, vals) in enumerate(rows):
         if len(vals) == 9:
             a, b, c, d, e, f = vals[3:]
-            cov = np.array([[a, b, c], [b, d, e], [c, e, f]])
-        try:
-            landmarks.append(Landmark(np.array(vals[:3]), cov))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return landmarks
+            covariances[k] = cov = np.array([[a, b, c], [b, d, e], [c, e, f]])
+            if np.linalg.eigvalsh(cov)[0] < -1e-12:
+                raise ConfigError(f"{path}:{lineno}: a landmark covariance must be positive "
+                                  f"semi-definite, got {cov.tolist()}")
+    return positions, covariances

@@ -110,7 +110,7 @@ def _select_fit(candidates, state, world, uparams, rays, spec, planner):
         c.path = planner.path_to(c.cell)
         wps = sample_waypoints(c.path, camera.max_depth, spec)
         wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
-        c.info = path_information(wps, world.voxel_landmarks, camera)
+        c.info = path_information(wps, *world.voxel_landmarks, camera)
     return select_best(short, uparams)
 
 

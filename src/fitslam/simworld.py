@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fisher, traversability
-from .fisher import Camera, CameraPose, Landmark
+from .fisher import Camera, CameraPose
 from .grid import (FREE, ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P, _is_number,
                    check_int, check_number)
 from .planner import Path
@@ -33,10 +33,10 @@ MAX_GRID_CELLS = 10 ** 7
 MAX_RAY_SAMPLES = 10 ** 6  # rays x samples of one look, sensing wedge or orientation scan
 MAX_LANDMARKS = 10 ** 4    # bounds landmarks.count and landmarks.clusters
 MAX_BUMPS = 10 ** 3
-# Bounds sensors.lidar_radius as a multiple of size_m: a radius past the grid's
-# extent senses nothing more, and one near the float maximum overflows the
-# lidar window's cell bounds.
-MAX_LIDAR_REACH = 10 ** 3
+# Bounds sensors.lidar_radius and each |coordinate| of landmarks.points as a multiple
+# of size_m: a length past the grid's extent adds nothing, and one near the float
+# maximum overflows the lidar window's cell bounds or a landmark's norms and voxel key.
+MAX_REACH = 10 ** 3
 # Bounds |grade| x size_m, |bump_amp| x n_bumps and each obstacle |height|, in m;
 # the tallest preset terrain is 3.8 m. Far taller terrain overflows the plane fit.
 MAX_TERRAIN_HEIGHT = 10 ** 3
@@ -82,22 +82,25 @@ _CAMERA_FIELDS = ("fov", "max_depth")
 _ROBOT_KEYS = {"start_xy_theta": ("start", tuple), "speed": ("speed", float)}
 _TERRAIN_KEYS = ("type", "grade", "n_bumps", "bump_amp", "bump_sigma")
 _TERRAIN_TYPES = ("flat", "ramp", "bumps", "ramp_bumps")
-_TERRAIN_DEFAULTS = {"grade": 0.05, "n_bumps": 5, "bump_amp": 0.3, "bump_sigma": 2.5}
-_OBSTACLE_HEIGHT = 1.5
+_TERRAIN_DEFAULTS = {"type": "flat", "grade": 0.05, "n_bumps": 5, "bump_amp": 0.3,
+                     "bump_sigma": 2.5}
 _OBSTACLE_KEYS = ("x", "y", "w", "h", "height")
+_OBSTACLE_DEFAULTS = {"height": 1.5}
 _LANDMARK_KEYS = ("count", "clusters", "points")
+_LANDMARK_DEFAULTS = {"count": 60, "clusters": 5}
 
 
 @dataclass
 class WorldConfig:
-    """A world the simulator can run; construction raises ConfigError otherwise."""
+    """A world the simulator can run; construction raises ConfigError otherwise,
+    and fills each terrain, obstacle and landmark section's left-out keys."""
 
     seed: int = 0
     size_m: float = 20.0
     resolution: float = 0.1
-    terrain: dict = field(default_factory=lambda: {"type": "flat"})
+    terrain: dict = field(default_factory=dict)
     obstacles: list = field(default_factory=list)
-    landmarks: dict = field(default_factory=lambda: {"count": 60, "clusters": 5})
+    landmarks: dict = field(default_factory=dict)
     sensors: SensorConfig = field(default_factory=SensorConfig)
     robot: RobotConfig = field(default_factory=RobotConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
@@ -110,8 +113,8 @@ class WorldConfig:
                             ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
             check_number(name, value, lambda v: v > 0, "> 0")
         check_number("sensors.lidar_radius", s.lidar_radius,
-                     lambda v: 0 < v <= MAX_LIDAR_REACH * self.size_m,
-                     f"> 0 and at most {MAX_LIDAR_REACH} x size_m")
+                     lambda v: 0 < v <= MAX_REACH * self.size_m,
+                     f"> 0 and at most {MAX_REACH} x size_m")
         # Occupancy rays sample every half cell, the first one half a cell out.
         if cam.max_depth < self.resolution / 2:
             raise ConfigError(f"sensors.max_depth {cam.max_depth!r} is shorter than half "
@@ -125,20 +128,23 @@ class WorldConfig:
         check_ray_samples(f"the sensing wedge ({math.degrees(s.ray_step):g} deg ray step)",
                           cam.fov / s.ray_step + 1, cam.max_depth, self.resolution)
         _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
-        if self.terrain.get("type", "flat") not in _TERRAIN_TYPES:
-            raise ConfigError(f"unknown terrain type {self.terrain['type']!r}")
-        shape = [v for k, v in self.terrain.items() if k != "type"]
+        self.terrain = t = {**_TERRAIN_DEFAULTS, **self.terrain}
+        if t["type"] not in _TERRAIN_TYPES:
+            raise ConfigError(f"unknown terrain type {t['type']!r}")
+        shape = [v for k, v in t.items() if k != "type"]
         _check_numbers(shape, len(shape), "terrain")
-        if "n_bumps" in self.terrain:
-            check_int("terrain.n_bumps", self.terrain["n_bumps"], 0, MAX_BUMPS)
-        if "bump_sigma" in self.terrain:
-            check_number("terrain.bump_sigma", self.terrain["bump_sigma"], lambda v: v > 0, "> 0")
+        check_int("terrain.n_bumps", t["n_bumps"], 0, MAX_BUMPS)
+        check_number("terrain.bump_sigma", t["bump_sigma"], lambda v: v > 0, "> 0")
         _check_keys(self.landmarks, _LANDMARK_KEYS, "landmarks")
+        self.landmarks = {**_LANDMARK_DEFAULTS, **self.landmarks}
         for key, lo in (("count", 0), ("clusters", 1)):
-            if key in self.landmarks:
-                check_int(f"landmarks.{key}", self.landmarks[key], lo, MAX_LANDMARKS)
+            check_int(f"landmarks.{key}", self.landmarks[key], lo, MAX_LANDMARKS)
+        reach = MAX_REACH * self.size_m
         for p in _check_list(self.landmarks.get("points", []), "landmarks.points"):
             _check_numbers(p, 3, "landmark point")
+            if max(map(abs, p)) > reach:
+                raise ConfigError(f"landmark point {p!r} has a coordinate past "
+                                  f"{MAX_REACH} x size_m ({reach:g} m)")
         for ob in _check_list(self.obstacles, "obstacles"):
             _check_keys(ob, _OBSTACLE_KEYS, "obstacle")
             missing = [k for k in ("x", "y", "w", "h") if k not in ob]
@@ -147,10 +153,10 @@ class WorldConfig:
             _check_numbers(list(ob.values()), len(ob), "obstacle")
             if ob["w"] <= 0 or ob["h"] <= 0:
                 raise ConfigError(f"obstacle w and h must be > 0: {ob}")
-        t = {**_TERRAIN_DEFAULTS, **self.terrain}
+        self.obstacles = [{**_OBSTACLE_DEFAULTS, **ob} for ob in self.obstacles]
         heights = {"|terrain.grade| x size_m": abs(t["grade"]) * self.size_m,
                    "|terrain.bump_amp| x n_bumps": abs(t["bump_amp"]) * t["n_bumps"],
-                   **{f"|obstacles[{k}].height|": abs(ob.get("height", _OBSTACLE_HEIGHT))
+                   **{f"|obstacles[{k}].height|": abs(ob["height"])
                       for k, ob in enumerate(self.obstacles)}}
         for what, height in heights.items():
             if height > MAX_TERRAIN_HEIGHT:
@@ -245,24 +251,19 @@ def _check_numbers(values, n: int, what: str) -> None:
 class World:
     config: WorldConfig
     spec: GridSpec
-    occupied: np.ndarray       # bool, true-obstacle footprint
-    landmarks: list            # Landmark
+    occupied: np.ndarray              # bool, true-obstacle footprint
+    landmark_positions: np.ndarray    # (K, 3) world frame
+    landmark_covariances: np.ndarray  # (K, 3, 3)
 
     def terrain_z(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _terrain_z(self.config, np.asarray(x, float), np.asarray(y, float))
 
     @functools.cached_property
-    def landmark_positions(self) -> np.ndarray:
-        return np.array([lm.position for lm in self.landmarks]).reshape(-1, 3)
-
-    @functools.cached_property
-    def landmark_covariances(self) -> np.ndarray:
-        return np.array([lm.covariance for lm in self.landmarks]).reshape(-1, 3, 3)
-
-    @functools.cached_property
-    def voxel_landmarks(self) -> list:
-        """One representative landmark per occupied voxel (`fisher.voxelize`)."""
-        return fisher.voxelize(self.landmarks)
+    def voxel_landmarks(self) -> tuple:
+        """The positions and covariances of one representative landmark per
+        occupied voxel (`fisher.voxelize`)."""
+        reps = fisher.voxelize(self.landmark_positions)
+        return self.landmark_positions[reps], self.landmark_covariances[reps]
 
     @functools.cached_property
     def terrain(self) -> TerrainStatsGrid:
@@ -285,8 +286,8 @@ class World:
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic terrain height plus obstacle tops, deterministic in the seed."""
-    t = {**_TERRAIN_DEFAULTS, **config.terrain}
-    kind = t.get("type", "flat")
+    t = config.terrain
+    kind = t["type"]
     z = np.zeros_like(x, dtype=float)
     if kind in ("ramp", "ramp_bumps"):
         z = z + float(t["grade"]) * x
@@ -301,7 +302,7 @@ def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for ob in config.obstacles:
         # Rough tops keep thresholding from declaring obstacle roofs navigable.
         rough = 0.08 * np.sin(37.0 * x + 1.3) * np.sin(41.0 * y + 0.7)
-        z = np.where(_footprint(ob, x, y), float(ob.get("height", _OBSTACLE_HEIGHT)) + rough, z)
+        z = np.where(_footprint(ob, x, y), float(ob["height"]) + rough, z)
     return z
 
 
@@ -318,17 +319,18 @@ def generate_world(config: WorldConfig) -> World:
     for ob in config.obstacles:
         occupied |= _footprint(ob, xs, ys)
 
-    landmarks = _place_landmarks(config)
-    return World(config, spec, occupied, landmarks)
+    positions = _place_landmarks(config)
+    return World(config, spec, occupied, positions, fisher.default_covariances(len(positions)))
 
 
-def _place_landmarks(config: WorldConfig) -> list:
+def _place_landmarks(config: WorldConfig) -> np.ndarray:
+    """(K, 3) landmark positions: the config's points, or clusters drawn from the seed."""
     lm_cfg = config.landmarks
     if "points" in lm_cfg:
-        return [Landmark(np.asarray(p, float)) for p in lm_cfg["points"]]
+        return np.array(lm_cfg["points"], dtype=float).reshape(-1, 3)
     rng = np.random.default_rng(config.seed ^ 0x1A4D)
-    count = lm_cfg.get("count", 60)
-    n_clusters = lm_cfg.get("clusters", 5)
+    count = lm_cfg["count"]
+    n_clusters = lm_cfg["clusters"]
 
     centers = []
     for ob in config.obstacles:
@@ -355,8 +357,8 @@ def _place_landmarks(config: WorldConfig) -> list:
                 if not any(_footprint(ob, x, y) for ob in config.obstacles):
                     break
             z = float(_terrain_z(config, np.array(x), np.array(y))) + rng.uniform(0.2, 1.0)
-            landmarks.append(Landmark(np.array([x, y, z])))
-    return landmarks
+            landmarks.append([x, y, z])
+    return np.array(landmarks).reshape(-1, 3)
 
 
 @dataclass
@@ -391,7 +393,7 @@ class MissionState:
             unknown_inside=world.spec.n_cells,
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
-            first_seen=np.full(len(world.landmarks), np.inf),
+            first_seen=np.full(len(world.landmark_positions), np.inf),
         )
 
 

@@ -1,4 +1,8 @@
-"""Each demo script runs to completion against the package as it stands."""
+"""Each demo script runs to completion against the package as it stands and
+prints, byte for byte, the stdout recorded in `tests/demo_stdout/<demo>.txt`.
+
+A change that means to alter a demo's output re-records its file and says why.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "demo_stdout"
 
 
 def test_demos_found():
@@ -24,4 +29,4 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text()

@@ -9,9 +9,9 @@ from fitslam.fisher import (
     Camera,
     CameraPose,
     DegenerateLandmarkError,
-    Landmark,
     bearing,
     bearing_jacobian,
+    default_covariances,
     landmark_fim,
     load_landmarks,
     path_information,
@@ -23,12 +23,16 @@ from fitslam.planner import Waypoint
 from fitslam.simworld import WorldConfig, generate_world
 
 
+DEFAULT_COV = default_covariances(1)[0]
+
+
 def identity_pose(**kw):
     return CameraPose(np.eye(3), np.zeros(3), Camera(**kw))
 
 
 # The scalar one-landmark frustum test and FIM, the references that the
-# stacked kernels `visible` and `landmark_fim` are checked against.
+# stacked kernels `visible` and `landmark_fim` are checked against. A landmark
+# is a (3,) position and a (3, 3) covariance.
 
 def _skew(v):
     return np.array([[0.0, -v[2], v[1]],
@@ -36,20 +40,20 @@ def _skew(v):
                      [-v[1], v[0], 0.0]])
 
 
-def bearing_derivatives_reference(pose, landmark):
+def bearing_derivatives_reference(pose, position):
     """The normalization derivative (1/n) I - v v^T / n^3 and the 3x6 Jacobian."""
-    v_c = pose.to_camera(landmark.position)
+    v_c = pose.to_camera(position)
     norm = np.linalg.norm(v_c)
     if norm <= 1e-9:
         raise DegenerateLandmarkError("landmark at the camera center")
     d_b_d_v = np.eye(3) / norm - np.outer(v_c, v_c) / norm ** 3
-    d_v_d_pose = pose.rotation @ np.hstack([-np.eye(3), _skew(landmark.position)])
+    d_v_d_pose = pose.rotation @ np.hstack([-np.eye(3), _skew(position)])
     return d_b_d_v, d_b_d_v @ d_v_d_pose
 
 
-def visible_reference(pose, landmark):
-    """True when the landmark sits inside the camera frustum (inclusive)."""
-    v_c = pose.to_camera(landmark.position)
+def visible_reference(pose, position):
+    """True when the position sits inside the camera frustum (inclusive)."""
+    v_c = pose.to_camera(position)
     norm = np.linalg.norm(v_c)
     if norm <= 1e-9 or norm > pose.camera.max_depth or v_c[2] <= 0:
         return False
@@ -57,13 +61,13 @@ def visible_reference(pose, landmark):
     return angle <= pose.camera.fov / 2 + 1e-12
 
 
-def landmark_fim_reference(pose, landmark, sigma_bearing=DEFAULT_SIGMA_BEARING):
+def landmark_fim_reference(pose, position, covariance, sigma_bearing=DEFAULT_SIGMA_BEARING):
     """6x6 information matrix of one bearing observation; zero when unseen."""
-    if not visible_reference(pose, landmark):
+    if not visible_reference(pose, position):
         return np.zeros((6, 6))
-    d_b_d_v, jac = bearing_derivatives_reference(pose, landmark)
+    d_b_d_v, jac = bearing_derivatives_reference(pose, position)
     d_b_d_w = d_b_d_v @ pose.rotation
-    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
+    q = d_b_d_w @ covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
     try:
         q_inv = np.linalg.inv(q)
     except np.linalg.LinAlgError:
@@ -73,9 +77,9 @@ def landmark_fim_reference(pose, landmark, sigma_bearing=DEFAULT_SIGMA_BEARING):
 
 
 def stacked_fim(pose, landmarks, sigma_bearing=DEFAULT_SIGMA_BEARING):
-    """`landmark_fim` over a list of landmarks."""
-    return landmark_fim(pose, np.array([lm.position for lm in landmarks]).reshape(-1, 3),
-                        np.array([lm.covariance for lm in landmarks]).reshape(-1, 3, 3),
+    """`landmark_fim` over a list of (position, covariance) landmarks."""
+    return landmark_fim(pose, np.array([p for p, _ in landmarks]).reshape(-1, 3),
+                        np.array([c for _, c in landmarks]).reshape(-1, 3, 3),
                         sigma_bearing=sigma_bearing)
 
 
@@ -115,29 +119,29 @@ def perturb_pose(pose, delta):
     return CameraPose(r_cw2, -r_cw2 @ center2, pose.camera)
 
 
-def fd_jacobian(pose, landmark, step=1e-6):
+def fd_jacobian(pose, position, step=1e-6):
     cols = []
     for k in range(6):
         delta = np.zeros(6)
         delta[k] = step
-        b_plus = bearing(perturb_pose(pose, delta), landmark)
-        b_minus = bearing(perturb_pose(pose, -delta), landmark)
+        b_plus = bearing(perturb_pose(pose, delta), position)
+        b_minus = bearing(perturb_pose(pose, -delta), position)
         cols.append((b_plus - b_minus) / (2 * step))
     return np.column_stack(cols)
 
 
 class TestBearing:
     def test_identity_pose_unit_landmark(self):
-        b = bearing(identity_pose(), Landmark(np.array([0.0, 0.0, 1.0])))
+        b = bearing(identity_pose(), np.array([0.0, 0.0, 1.0]))
         assert np.allclose(b, [0, 0, 1])
 
     def test_normalization(self):
-        b = bearing(identity_pose(), Landmark(np.array([3.0, 4.0, 0.0])))
+        b = bearing(identity_pose(), np.array([3.0, 4.0, 0.0]))
         assert np.allclose(b, [0.6, 0.8, 0.0])
 
     def test_landmark_at_camera_center_rejected(self):
         with pytest.raises(DegenerateLandmarkError):
-            bearing(identity_pose(), Landmark(np.zeros(3)))
+            bearing(identity_pose(), np.zeros(3))
 
 
 class TestBearingJacobian:
@@ -145,7 +149,7 @@ class TestBearingJacobian:
         rng = np.random.default_rng(2)
         for _ in range(20):
             pose = random_pose(rng)
-            lm = Landmark(rng.normal(scale=3.0, size=3))
+            lm = rng.normal(scale=3.0, size=3)
             b = bearing(pose, lm)
             jac = bearing_jacobian(pose, lm)
             assert np.allclose(b @ jac, 0.0, atol=1e-12)
@@ -155,8 +159,8 @@ class TestBearingJacobian:
         worst = 0.0
         for _ in range(200):
             pose = random_pose(rng)
-            lm = Landmark(rng.normal(scale=3.0, size=3))
-            if np.linalg.norm(pose.to_camera(lm.position)) < 0.3:
+            lm = rng.normal(scale=3.0, size=3)
+            if np.linalg.norm(pose.to_camera(lm)) < 0.3:
                 continue
             jac = bearing_jacobian(pose, lm)
             num = fd_jacobian(pose, lm)
@@ -166,8 +170,7 @@ class TestBearingJacobian:
 
     def test_identity_pose_unit_z_landmark(self):
         pose = identity_pose()
-        lm = Landmark(np.array([0.0, 0.0, 1.0]))
-        jac = bearing_jacobian(pose, lm)
+        jac = bearing_jacobian(pose, np.array([0.0, 0.0, 1.0]))
         # The normalization derivative is diag(1,1,0) here, so the translation
         # block is -diag(1,1,0).
         assert np.allclose(jac[:, :3], -np.diag([1.0, 1.0, 0.0]))
@@ -176,13 +179,13 @@ class TestBearingJacobian:
         rng = np.random.default_rng(5)
         for _ in range(300):
             pose = random_pose(rng)
-            lm = Landmark(rng.normal(scale=3.0, size=3))
+            lm = rng.normal(scale=3.0, size=3)
             assert np.array_equal(bearing_jacobian(pose, lm),
                                   bearing_derivatives_reference(pose, lm)[1])
 
     def test_landmark_at_camera_center_rejected(self):
         with pytest.raises(DegenerateLandmarkError):
-            bearing_jacobian(identity_pose(), Landmark(np.zeros(3)))
+            bearing_jacobian(identity_pose(), np.zeros(3))
 
 
 class TestVisible:
@@ -213,7 +216,7 @@ class TestVisible:
 
 class TestVisibleMask:
     def check(self, pose, positions):
-        expected = [visible_reference(pose, Landmark(p)) for p in positions]
+        expected = [visible_reference(pose, p) for p in positions]
         got = visible(pose, np.asarray(positions, dtype=float))
         assert got.dtype == bool
         assert got.tolist() == expected
@@ -256,17 +259,17 @@ class TestVisibleMask:
         assert visible(identity_pose(), np.zeros((0, 3))).shape == (0,)
 
 
-def dense_fim_oracle(pose, landmark, sigma_bearing=0.01):
+def dense_fim_oracle(pose, position, covariance, sigma_bearing=0.01):
     """Independently coded information matrix for one bearing observation."""
-    v_c = pose.rotation @ landmark.position + pose.translation
+    v_c = pose.rotation @ position + pose.translation
     n = np.linalg.norm(v_c)
     d_b_d_v = (np.eye(3) * n * n - np.outer(v_c, v_c)) / n ** 3
     d_b_d_w = d_b_d_v @ pose.rotation
-    q = d_b_d_w @ landmark.covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
+    q = d_b_d_w @ covariance @ d_b_d_w.T + sigma_bearing ** 2 * np.eye(3)
     jac = d_b_d_v @ pose.rotation @ np.hstack([-np.eye(3), np.array([
-        [0.0, -landmark.position[2], landmark.position[1]],
-        [landmark.position[2], 0.0, -landmark.position[0]],
-        [-landmark.position[1], landmark.position[0], 0.0]])])
+        [0.0, -position[2], position[1]],
+        [position[2], 0.0, -position[0]],
+        [-position[1], position[0], 0.0]])])
     return jac.T @ np.linalg.solve(q, jac)
 
 
@@ -291,8 +294,8 @@ def random_landmark(rng, pose, k):
     offset = rng.normal(scale=3.0, size=3) if k % 4 == 3 else pose.rotation.T @ ahead
     center = -pose.rotation.T @ pose.translation
     a = rng.normal(size=(3, 3))
-    cov = [None, np.zeros((3, 3)), rng.uniform(1e-4, 0.5) * (a @ a.T)][k % 3]
-    return Landmark(center + offset, covariance=cov)
+    cov = [DEFAULT_COV, np.zeros((3, 3)), rng.uniform(1e-4, 0.5) * (a @ a.T)][k % 3]
+    return center + offset, cov
 
 
 class TestLandmarkFim:
@@ -304,8 +307,8 @@ class TestLandmarkFim:
             for sigma in SIGMAS:
                 got = stacked_fim(pose, [lm], sigma_bearing=sigma)
                 assert got.shape == (1, 6, 6)
-                assert np.array_equal(got[0], landmark_fim_reference(pose, lm, sigma))
-            n_visible += visible_reference(pose, lm)
+                assert np.array_equal(got[0], landmark_fim_reference(pose, *lm, sigma))
+            n_visible += visible_reference(pose, lm[0])
         assert n_visible > 200
 
     def test_stacks_match_reference_row_by_row(self):
@@ -320,13 +323,13 @@ class TestLandmarkFim:
                 assert got.shape == (n, 6, 6)
                 info = np.zeros((6, 6))
                 for row, lm in zip(got, lms):
-                    want = landmark_fim_reference(pose, lm, sigma)
+                    want = landmark_fim_reference(pose, *lm, sigma)
                     assert np.array_equal(row, want)
                     info += want
                 # The axis-0 sum that a look's update takes adds the rows in order.
                 assert np.array_equal(got.sum(axis=0), info)
-            for lm in lms:
-                rows[visible_reference(pose, lm)] += 1
+            for position, _ in lms:
+                rows[visible_reference(pose, position)] += 1
         assert min(rows.values()) > 200
 
     def test_singular_q_regularized_per_matrix(self):
@@ -338,8 +341,8 @@ class TestLandmarkFim:
         pose.camera = Camera(max_depth=10.0)
 
         def q_of(lm):
-            d_b_d_w = bearing_derivatives_reference(pose, lm)[0] @ pose.rotation
-            return d_b_d_w @ lm.covariance @ d_b_d_w.T
+            d_b_d_w = bearing_derivatives_reference(pose, lm[0])[0] @ pose.rotation
+            return d_b_d_w @ lm[1] @ d_b_d_w.T
 
         def inverts(q):
             try:
@@ -348,33 +351,32 @@ class TestLandmarkFim:
                 return False
             return True
 
-        zero = Landmark(-pose.rotation.T @ (pose.translation - [0.3, -0.2, 3.0]),
-                        covariance=np.zeros((3, 3)))
+        zero = (-pose.rotation.T @ (pose.translation - [0.3, -0.2, 3.0]), np.zeros((3, 3)))
         regular = next(lm for lm in (random_landmark(rng, pose, 2) for _ in range(100))
-                       if visible_reference(pose, lm) and inverts(q_of(lm)))
-        assert visible_reference(pose, zero) and not inverts(q_of(zero))
+                       if visible_reference(pose, lm[0]) and inverts(q_of(lm)))
+        assert visible_reference(pose, zero[0]) and not inverts(q_of(zero))
         for lms in ([zero, regular], [regular, zero]):
             got = stacked_fim(pose, lms, sigma_bearing=0.0)
             for row, lm in zip(got, lms):
-                assert np.array_equal(row, landmark_fim_reference(pose, lm, sigma_bearing=0.0))
+                assert np.array_equal(row, landmark_fim_reference(pose, *lm, sigma_bearing=0.0))
         # The regular row would differ if its q were regularized too.
-        jac = bearing_derivatives_reference(pose, regular)[1]
+        jac = bearing_derivatives_reference(pose, regular[0])[1]
         fim = jac.T @ np.linalg.inv(q_of(regular) + 1e-9 * np.eye(3)) @ jac
-        assert not np.array_equal(landmark_fim_reference(pose, regular, sigma_bearing=0.0),
+        assert not np.array_equal(landmark_fim_reference(pose, *regular, sigma_bearing=0.0),
                                   0.5 * (fim + fim.T))
 
     def test_invisible_landmark_contributes_zero(self):
         pose = identity_pose()
         assert np.array_equal(
-            stacked_fim(pose, [Landmark(np.array([0.0, 0.0, -2.0]))]),
+            stacked_fim(pose, [(np.array([0.0, 0.0, -2.0]), DEFAULT_COV)]),
             np.zeros((1, 6, 6)))
 
     def test_isotropic_noise_factorization(self):
         pose = identity_pose(max_depth=10.0)
-        lm = Landmark(np.array([0.2, -0.1, 3.0]), covariance=np.zeros((3, 3)))
+        position = np.array([0.2, -0.1, 3.0])
         sigma = 0.05
-        fim = stacked_fim(pose, [lm], sigma_bearing=sigma)[0]
-        jac = bearing_jacobian(pose, lm)
+        fim = stacked_fim(pose, [(position, np.zeros((3, 3)))], sigma_bearing=sigma)[0]
+        jac = bearing_jacobian(pose, position)
         assert np.allclose(fim, jac.T @ jac / sigma ** 2, atol=1e-9)
 
     def test_trace_matches_dense_oracle(self):
@@ -383,11 +385,11 @@ class TestLandmarkFim:
         while checked < 100:
             pose = random_pose(rng)
             pose.camera = Camera(max_depth=10.0)
-            lm = Landmark(rng.normal(scale=3.0, size=3))
-            if not sees(pose, lm.position):
+            lm = rng.normal(scale=3.0, size=3)
+            if not sees(pose, lm):
                 continue
-            got = float(np.trace(stacked_fim(pose, [lm])[0]))
-            want = float(np.trace(dense_fim_oracle(pose, lm)))
+            got = float(np.trace(stacked_fim(pose, [(lm, DEFAULT_COV)])[0]))
+            want = float(np.trace(dense_fim_oracle(pose, lm, DEFAULT_COV)))
             assert got == pytest.approx(want, rel=1e-9)
             checked += 1
 
@@ -395,68 +397,70 @@ class TestLandmarkFim:
         rng = np.random.default_rng(3)
         pose = identity_pose(max_depth=10.0)
         for _ in range(10):
-            lm = Landmark(np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                    rng.uniform(1, 8)]))
-            fim = stacked_fim(pose, [lm])[0]
+            position = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 8)])
+            fim = stacked_fim(pose, [(position, DEFAULT_COV)])[0]
             assert np.allclose(fim, fim.T)
             assert np.linalg.eigvalsh(fim).min() > -1e-9
 
 
 class TestVoxelize:
     def test_duplicates_in_one_voxel_count_once(self):
-        lms = [Landmark(np.array([1.0, 1.0, 0.5])),
-               Landmark(np.array([1.01, 1.01, 0.5]))]
-        assert len(voxelize(lms, 0.25)) == 1
+        positions = np.array([[1.0, 1.0, 0.5], [1.01, 1.01, 0.5]])
+        assert len(voxelize(positions, 0.25)) == 1
 
     def test_separate_voxels_kept(self):
-        lms = [Landmark(np.array([1.0, 1.0, 0.5])),
-               Landmark(np.array([1.4, 1.0, 0.5]))]
-        assert len(voxelize(lms, 0.25)) == 2
+        positions = np.array([[1.0, 1.0, 0.5], [1.4, 1.0, 0.5]])
+        assert len(voxelize(positions, 0.25)) == 2
 
     def test_representative_nearest_to_voxel_center(self):
-        near_center = Landmark(np.array([0.13, 0.12, 0.12]))
-        corner = Landmark(np.array([0.01, 0.01, 0.01]))
-        reps = voxelize([corner, near_center], 0.25)
-        assert len(reps) == 1
-        assert np.array_equal(reps[0].position, near_center.position)
+        corner, near_center = [0.01, 0.01, 0.01], [0.13, 0.12, 0.12]
+        assert voxelize(np.array([corner, near_center]), 0.25).tolist() == [1]
+
+    def test_equidistant_tie_goes_to_lower_row(self):
+        # 1/16 m either side of the voxel center at 1/8 m: exactly equal distances.
+        left, right = [0.0625, 0.125, 0.125], [0.1875, 0.125, 0.125]
+        other_voxel = [1.1, 0.1, 0.1]
+        assert voxelize(np.array([other_voxel, left, right]), 0.25).tolist() == [1, 0]
+        assert voxelize(np.array([other_voxel, right, left]), 0.25).tolist() == [1, 0]
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(15)
-        lms = [Landmark(rng.uniform(0, 2, 3)) for _ in range(60)]
+        positions = rng.uniform(0, 2, (60, 3))
         voxel = 0.25
-        reps = voxelize(lms, voxel)
+        reps = voxelize(positions, voxel)
         groups = {}
-        for idx, lm in enumerate(lms):
-            key = tuple(np.floor(lm.position / voxel).astype(int))
-            groups.setdefault(key, []).append((idx, lm))
-        assert len(reps) == len(groups)
-        for key, members in groups.items():
+        for idx, position in enumerate(positions):
+            groups.setdefault(tuple(np.floor(position / voxel).astype(int)), []).append(idx)
+        best = []
+        for key in sorted(groups):
             center = (np.array(key) + 0.5) * voxel
-            best = min(members,
-                       key=lambda m: (np.linalg.norm(m[1].position - center), m[0]))
-            assert any(np.array_equal(r.position, best[1].position) for r in reps)
+            best.append(min(groups[key],
+                            key=lambda idx: (np.linalg.norm(positions[idx] - center), idx)))
+        # One row per voxel, in voxel-key order.
+        assert reps.tolist() == best
 
     def test_bad_voxel_size(self):
         with pytest.raises(ValueError):
-            voxelize([], 0.0)
+            voxelize(np.zeros((0, 3)), 0.0)
 
     def test_world_voxel_landmarks_match_voxelize(self):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
-        reps = voxelize(world.landmarks)
-        assert 0 < len(reps) < len(world.landmarks)
-        assert len(world.voxel_landmarks) == len(reps)
-        assert all(a is b for a, b in zip(world.voxel_landmarks, reps))
+        reps = voxelize(world.landmark_positions)
+        assert 0 < len(reps) < len(world.landmark_positions)
+        positions, covariances = world.voxel_landmarks
+        assert np.array_equal(positions, world.landmark_positions[reps])
+        assert np.array_equal(covariances, world.landmark_covariances[reps])
 
 
-def path_information_oracle(waypoints, reps, camera):
-    """Every representative at every waypoint, through the scalar frustum test."""
+def path_information_oracle(waypoints, positions, covariances, camera):
+    """Every landmark row at every waypoint, through the scalar frustum test."""
     per_waypoint = []
     for wp in waypoints:
         pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, camera)
         total = 0.0
-        for lm in reps:
-            if visible_reference(pose, lm):
-                total += float(np.trace(landmark_fim_reference(pose, lm)))
+        for position, covariance in zip(positions, covariances):
+            if visible_reference(pose, position):
+                total += float(np.trace(landmark_fim_reference(pose, position, covariance)))
         per_waypoint.append(total)
     return float(sum(per_waypoint))
 
@@ -464,56 +468,62 @@ def path_information_oracle(waypoints, reps, camera):
 class TestPathInformation:
     def test_no_landmarks_zero(self):
         wps = [Waypoint(0.0, 0.0, 0.0)]
-        assert path_information(wps, [], Camera()) == 0.0
+        assert path_information(wps, np.zeros((0, 3)), np.zeros((0, 3, 3)), Camera()) == 0.0
 
     def test_single_visible_pair(self):
         wp = Waypoint(0.0, 0.0, 0.0)
-        lm = Landmark(np.array([2.0, 0.0, 0.5]))
+        position = np.array([2.0, 0.0, 0.5])
         pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera())
-        expected = float(np.trace(landmark_fim_reference(pose, lm)))
+        expected = float(np.trace(landmark_fim_reference(pose, position, DEFAULT_COV)))
         assert expected > 0.0
-        assert path_information([wp], [lm], Camera()) == expected
+        assert path_information([wp], position[None], default_covariances(1), Camera()) \
+            == expected
 
     def test_duplicate_landmark_value_unchanged(self):
         wp = Waypoint(0.0, 0.0, 0.0)
-        lm = Landmark(np.array([2.0, 0.0, 0.5]))
-        dup = Landmark(lm.position.copy())
-        single = path_information([wp], voxelize([lm]), Camera())
-        doubled = path_information([wp], voxelize([lm, dup]), Camera())
-        assert doubled == single
+        positions = np.array([[2.0, 0.0, 0.5], [2.0, 0.0, 0.5]])
+        covariances = default_covariances(2)
+        values = []
+        for n in (1, 2):
+            reps = voxelize(positions[:n])
+            values.append(path_information([wp], positions[reps], covariances[reps], Camera()))
+        assert values[1] == values[0]
 
     def test_landmark_out_of_frustum_ignored(self):
         wp = Waypoint(0.0, 0.0, 0.0)  # looking along +x
-        behind = Landmark(np.array([-2.0, 0.0, 0.5]))
-        assert path_information([wp], [behind], Camera()) == 0.0
+        behind = np.array([[-2.0, 0.0, 0.5]])
+        assert path_information([wp], behind, default_covariances(1), Camera()) == 0.0
 
     def test_matches_scalar_double_loop(self):
         rng = np.random.default_rng(21)
         values = []
         for _ in range(30):
-            lms = [Landmark(p) for p in rng.uniform([0, 0, 0], [8, 8, 1.5], size=(40, 3))]
+            positions = rng.uniform([0, 0, 0], [8, 8, 1.5], size=(40, 3))
             wps = [Waypoint(*xy, h) for xy, h in zip(rng.uniform(0, 8, size=(6, 2)),
                                                      rng.uniform(-math.pi, math.pi, 6))]
             camera = Camera(rng.uniform(0.3, 2.5), rng.uniform(1.0, 6.0))
-            reps = voxelize(lms)
-            value = path_information(wps, reps, camera)
-            assert value == path_information_oracle(wps, reps, camera)
+            reps = voxelize(positions)
+            covariances = default_covariances(len(reps))
+            value = path_information(wps, positions[reps], covariances, camera)
+            assert value == path_information_oracle(wps, positions[reps], covariances, camera)
             values.append(value)
         assert min(values) == 0.0 < max(values)
 
     def test_frustum_edges_match_scalar_double_loop(self):
         fov, depth = math.radians(87.0), 5.0
         wps = [Waypoint(1.0, 2.0, h) for h in (0.0, 0.7, math.pi / 2, -2.9)]
-        lms = []
+        positions = []
         for wp in wps:
             center = np.array([wp.x, wp.y, 0.3])  # the camera of from_planar
             for angle, dist in ((fov / 2, 3.0), (-fov / 2, 3.0), (0.0, depth),
                                 (fov / 2, depth), (fov / 2 + 1e-6, 3.0), (0.0, depth + 1e-9)):
                 heading = wp.heading + angle
-                lms.append(Landmark(center + dist * np.array(
-                    [math.cos(heading), math.sin(heading), 0.0])))
-        value = path_information(wps, lms, Camera(fov, depth))
-        assert value == path_information_oracle(wps, lms, Camera(fov, depth))
+                positions.append(center + dist * np.array(
+                    [math.cos(heading), math.sin(heading), 0.0]))
+        positions = np.array(positions)
+        covariances = default_covariances(len(positions))
+        value = path_information(wps, positions, covariances, Camera(fov, depth))
+        assert value == path_information_oracle(wps, positions, covariances, Camera(fov, depth))
         assert value > 0.0
 
 
@@ -521,16 +531,31 @@ class TestLoadLandmarks:
     def test_plain_positions(self, tmp_path):
         f = tmp_path / "lms.txt"
         f.write_text("# comment\n1.0 2.0 0.5\n3.0 4.0 0.8\n")
-        lms = load_landmarks(f)
-        assert len(lms) == 2
-        assert np.array_equal(lms[0].position, [1.0, 2.0, 0.5])
-        assert np.allclose(lms[0].covariance, 0.05 ** 2 * np.eye(3))
+        positions, covariances = load_landmarks(f)
+        assert positions.shape == (2, 3) and covariances.shape == (2, 3, 3)
+        assert np.array_equal(positions[0], [1.0, 2.0, 0.5])
+        assert np.allclose(covariances[0], 0.05 ** 2 * np.eye(3))
 
     def test_with_covariance(self, tmp_path):
         f = tmp_path / "lms.txt"
         f.write_text("1 2 3 0.01 0 0 0.02 0 0.03\n")
-        lms = load_landmarks(f)
-        assert np.allclose(lms[0].covariance, np.diag([0.01, 0.02, 0.03]))
+        _, covariances = load_landmarks(f)
+        assert np.allclose(covariances[0], np.diag([0.01, 0.02, 0.03]))
+
+    def test_no_rows(self, tmp_path):
+        f = tmp_path / "lms.txt"
+        f.write_text("# no landmarks\n")
+        positions, covariances = load_landmarks(f)
+        assert positions.shape == (0, 3) and covariances.shape == (0, 3, 3)
+
+    def test_psd_covariance_rows_accepted(self, tmp_path):
+        a = np.random.default_rng(3).normal(size=(3, 3))
+        covs = np.array([np.zeros((3, 3)), a @ a.T, np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])])
+        f = tmp_path / "lms.txt"
+        f.write_text("".join(
+            " ".join(map(repr, [1.0, 1.0, 1.0, *cov[np.triu_indices(3)].tolist()])) + "\n"
+            for cov in covs))
+        assert np.array_equal(load_landmarks(f)[1], covs)
 
     def test_bad_column_count(self, tmp_path):
         f = tmp_path / "lms.txt"
@@ -544,6 +569,7 @@ class TestLoadLandmarks:
         ("inf 2 0.5\n", 1),
         ("1 2 nan\n", 1),
         ("1 2 3 0.01 0 0 0.02 0 inf\n", 1),                   # non-finite covariance
+        ("1 2 3 0.01 0 0 0.01 0 nan\n", 1),                   # NaN covariance
         ("1 2 0.5\n1 2 3 -5 0 0 0.02 0 0.03\n", 2),          # eigenvalue -5
         ("1 2 3 0.01 0.5 0 0.01 0 0.03\n", 1),                # indefinite 2x2 block
         ("1 2 three\n", 1),
@@ -556,23 +582,20 @@ class TestLoadLandmarks:
 
 
 class TestLandmarkChecks:
+    """A (position, covariance) landmark written as one `load_landmarks` row;
+    a None covariance writes the 3-column form."""
+
     @pytest.mark.parametrize("position, cov", [
         ([np.inf, 0.0, 1.0], None),
         ([0.0, np.nan, 1.0], None),
         ([0.0, 0.0, 1.0], np.diag([-5.0, 0.01, 0.01])),
-        ([0.0, 0.0, 1.0], np.diag([0.01, 0.01, np.nan])),
-        ([0.0, 0.0, 1.0], [[0.01, 0.0, 0.0], [0.02, 0.01, 0.0], [0.0, 0.0, 0.01]]),
-        # Off by 9e-7: inside numpy's default relative tolerance, yet not symmetric.
-        ([0.0, 0.0, 1.0], [[1.0, 0.1000009, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ])
-    def test_bad_landmark_rejected(self, position, cov):
-        with pytest.raises(ConfigError):
-            Landmark(np.array(position), cov)
-
-    def test_psd_covariances_accepted(self):
-        a = np.random.default_rng(3).normal(size=(3, 3))
-        for cov in (np.zeros((3, 3)), a @ a.T, np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])):
-            assert np.array_equal(Landmark(np.ones(3), cov).covariance, cov)
+    def test_bad_landmark_rejected(self, tmp_path, position, cov):
+        entries = position if cov is None else [*position, *cov[np.triu_indices(3)]]
+        f = tmp_path / "lms.txt"
+        f.write_text(" ".join(repr(float(v)) for v in entries) + "\n")
+        with pytest.raises(ConfigError, match="lms.txt:1:"):
+            load_landmarks(f)
 
 
 class TestCameraPoseFromPlanar:

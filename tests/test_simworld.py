@@ -136,6 +136,10 @@ class TestWorldConfig:
         # Past 10^3 x size_m; at 1e308 the lidar window's cell bounds overflow.
         {"sensors": {"lidar_radius_m": 8001.0}},
         {"sensors": {"lidar_radius_m": 1e308}},
+        # A landmark coordinate past 10^3 x size_m; at 1e200 the norms overflow
+        # and the voxel key's cast to int is invalid.
+        {"landmarks": {"points": [[2.0, -8001.0, 0.5]]}},
+        {"size_m": 14.0, "landmarks": {"points": [[1e200, 1.0, 1.0], [2.0, 2.0, 0.5]]}},
         # The camera's own checks, reached through the world JSON.
         {"sensors": {"fov_deg": 0.0}},
         {"sensors": {"fov_deg": 360.5}},
@@ -163,7 +167,8 @@ class TestWorldConfig:
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
             "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
             "resolution-subnormal", "ray-step-tiny", "max-depth-huge",
-            "lidar-radius-past-limit", "lidar-radius-huge", "fov-zero", "fov-above-360",
+            "lidar-radius-past-limit", "lidar-radius-huge", "landmark-point-past-limit",
+            "landmark-point-huge", "fov-zero", "fov-above-360",
             "max-depth-negative", "count-huge",
             "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300", "grade-huge",
             "bump-amp-huge", "obstacle-height-huge"])
@@ -187,12 +192,17 @@ class TestWorldConfig:
                           terrain={"type": "bumps", "n_bumps": 0},
                           surrogate={"q": 0, "kappa": 1, "t_lc": 0, "l_min": 1})
         assert cfg.seed == 0 and cfg.surrogate.kappa == 1
-        assert generate_world(cfg).landmarks == []
+        assert generate_world(cfg).landmark_positions.shape == (0, 3)
         assert generate_world(tiny_config(seed=np.int64(3))).config.seed == 3
 
     def test_lidar_radius_limit_accepted(self):
-        cfg = tiny_config(sensors={"lidar_radius_m": simworld.MAX_LIDAR_REACH * 8.0})
+        cfg = tiny_config(sensors={"lidar_radius_m": simworld.MAX_REACH * 8.0})
         assert cfg.sensors.lidar_radius == 8000.0
+
+    def test_landmark_point_limit_accepted(self):
+        points = [[simworld.MAX_REACH * 8.0, -simworld.MAX_REACH * 8.0, 0.5], [2.0, 2.0, 0.5]]
+        world = generate_world(tiny_config(landmarks={"points": points}))
+        assert np.array_equal(world.landmark_positions, points)
 
     def test_q_at_bound_runs_a_mission(self):
         cfg = WorldConfig.from_dict({"size_m": 10.0, "resolution": 0.2,
@@ -218,6 +228,12 @@ class TestWorldConfig:
 
     def test_defaults_come_from_dataclasses(self):
         assert WorldConfig.from_dict({}) == WorldConfig()
+        # A section's left-out keys take its defaults, once, at construction.
+        cfg = WorldConfig.from_dict({"terrain": {"type": "ramp"}, "landmarks": {"count": 7},
+                                     "obstacles": [{"x": 5.0, "y": 5.0, "w": 1.0, "h": 1.0}]})
+        assert cfg.terrain == {**WorldConfig().terrain, "type": "ramp"}
+        assert cfg.landmarks == {**WorldConfig().landmarks, "count": 7}
+        assert cfg.obstacles[0]["height"] == 1.5
 
     def test_presets_all_parse(self):
         for name in fitslam.PRESET_WORLDS:
@@ -233,15 +249,14 @@ class TestGenerateWorld:
         for pa, pb in zip(a.terrain.plane, b.terrain.plane, strict=True):
             assert np.array_equal(pa, pb)
         assert np.array_equal(a.occupied, b.occupied)
-        assert len(a.landmarks) == len(b.landmarks)
-        for la, lb in zip(a.landmarks, b.landmarks):
-            assert np.array_equal(la.position, lb.position)
+        assert np.array_equal(a.landmark_positions, b.landmark_positions)
+        assert np.array_equal(a.landmark_covariances, b.landmark_covariances)
 
     def test_different_seed_different_landmarks(self):
         a = generate_world(tiny_config(seed=1))
         b = generate_world(tiny_config(seed=2))
-        assert not all(np.array_equal(la.position, lb.position)
-                       for la, lb in zip(a.landmarks, b.landmarks))
+        assert a.landmark_positions.shape == b.landmark_positions.shape
+        assert not np.array_equal(a.landmark_positions, b.landmark_positions)
 
     def test_obstacle_footprint(self):
         cfg = tiny_config(obstacles=[{"x": 3.0, "y": 3.0, "w": 1.0, "h": 0.6,
@@ -264,8 +279,7 @@ class TestGenerateWorld:
         cfg = tiny_config(obstacles=[{"x": 3.0, "y": 3.0, "w": 1.5, "h": 1.5}],
                           landmarks={"count": 40, "clusters": 4})
         world = generate_world(cfg)
-        for lm in world.landmarks:
-            x, y = lm.position[:2]
+        for x, y in world.landmark_positions[:, :2]:
             assert not (3.0 <= x < 4.5 and 3.0 <= y < 4.5)
 
     def test_unknown_terrain_type_rejected(self):
@@ -363,8 +377,8 @@ class TestSensing:
             theta = rng.uniform(-math.pi, math.pi)
             state.pose = (x, y, theta)
             pose = fisher.CameraPose.from_planar(x, y, theta, cfg.camera)
-            expected = [k for k, lm in enumerate(world.landmarks)
-                        if visible_reference(pose, lm)]
+            expected = [k for k, position in enumerate(world.landmark_positions)
+                        if visible_reference(pose, position)]
             assert simworld.sense(world, state).tolist() == expected
             n_seen += len(expected)
         assert n_seen > 0
@@ -683,7 +697,8 @@ def covariance_reference(world, pose, cov, observed):
     camera = fisher.CameraPose.from_planar(*pose, world.config.sensors.camera)
     info = np.zeros((6, 6))
     for k in observed:
-        info += landmark_fim_reference(camera, world.landmarks[k])
+        info += landmark_fim_reference(camera, world.landmark_positions[k],
+                                       world.landmark_covariances[k])
     if not info.any():
         return cov
     cov = np.linalg.inv(np.linalg.inv(cov) + info)
