@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ConfigError, check_number, read_rows
+from .grid import check_number
 
 DEFAULT_SIGMA_BEARING = 0.01   # bearing-noise std (unitless, on the unit sphere)
 DEFAULT_SIGMA_LANDMARK = 0.05  # m, default landmark position std
@@ -187,22 +187,3 @@ def path_information(waypoints: list, positions: np.ndarray, covariances: np.nda
         # An unseen row adds its zero trace, which leaves the sum's bits alone.
         total += sum(np.trace(fims, axis1=1, axis2=2).tolist())
     return total
-
-
-def load_landmarks(path) -> tuple:
-    """(K, 3) positions and (K, 3, 3) covariances, the default where a row has
-    none, from `x y z [6 upper-triangular cov entries]` rows of a text file.
-
-    A bad row or a covariance that is not PSD raises ConfigError naming its line.
-    """
-    rows = read_rows(path, (3, 9), "landmark")
-    positions = np.array([vals[:3] for _, vals in rows]).reshape(-1, 3)
-    covariances = default_covariances(len(rows))
-    for k, (lineno, vals) in enumerate(rows):
-        if len(vals) == 9:
-            a, b, c, d, e, f = vals[3:]
-            covariances[k] = cov = np.array([[a, b, c], [b, d, e], [c, e, f]])
-            if np.linalg.eigvalsh(cov)[0] < -1e-12:
-                raise ConfigError(f"{path}:{lineno}: a landmark covariance must be positive "
-                                  f"semi-definite, got {cov.tolist()}")
-    return positions, covariances

@@ -1,5 +1,5 @@
-"""Dense 2D grid containers, world <-> cell coordinate transforms, text I/O and
-the number checks every config shares.
+"""Dense 2D grid containers, world <-> cell coordinate transforms, text output
+and the number checks every config shares.
 
 Cell indices are (i, j) with i along world x and j along world y. Arrays are
 stored row-major with shape (height, width) and accessed as values[j, i];
@@ -24,7 +24,7 @@ FREE = 1
 
 
 class ConfigError(ValueError):
-    """Malformed world or experiment configuration, or a bad input file."""
+    """Malformed world or experiment configuration."""
 
 
 class OutOfBoundsError(ValueError):
@@ -74,6 +74,14 @@ class GridSpec:
         if not self.in_bounds(i, j):
             raise OutOfBoundsError(f"point ({x}, {y}) outside grid extent")
         return i, j
+
+    def world_to_cells(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """(i, j, inside) arrays of the cells that world points (x, y) fall in;
+        `inside` is False where a point lies outside the grid, whose i, j are then
+        out of range."""
+        i = np.floor((x - self.origin_x) / self.resolution).astype(int)
+        j = np.floor((y - self.origin_y) / self.resolution).astype(int)
+        return i, j, (i >= 0) & (i < self.width) & (j >= 0) & (j < self.height)
 
     def cell_to_world(self, i: int, j: int) -> tuple[float, float]:
         """World coordinates of the center of cell (i, j)."""
@@ -133,10 +141,6 @@ class OccupancyGrid:
     def to_text(self) -> str:
         return _raster_text(self.spec, self.p, "{:.6g}".format)
 
-    @classmethod
-    def from_text(cls, text: str) -> "OccupancyGrid":
-        return cls(*_parse_raster(text, _unit_value, float))
-
 
 @dataclass
 class TraversabilityGrid:
@@ -151,13 +155,8 @@ class TraversabilityGrid:
     def to_text(self) -> str:
         return _raster_text(self.spec, self.score, lambda v: "?" if np.isnan(v) else f"{v:.6g}")
 
-    @classmethod
-    def from_text(cls, text: str) -> "TraversabilityGrid":
-        return cls(*_parse_raster(text, lambda v: np.nan if v == "?" else _unit_value(v), float))
-
 
 _BINARY_CHARS = {UNKNOWN: "?", FREE: ".", BLOCKED: "#"}
-_BINARY_STATES = {v: k for k, v in _BINARY_CHARS.items()}
 
 
 @dataclass
@@ -170,10 +169,6 @@ class BinaryTraversabilityGrid:
     def __post_init__(self):
         _check_shape(self.spec, self.state)
 
-    @classmethod
-    def unknown(cls, spec: GridSpec) -> "BinaryTraversabilityGrid":
-        return cls(spec, np.full((spec.height, spec.width), UNKNOWN, dtype=np.int8))
-
     def free_mask(self) -> np.ndarray:
         return self.state == FREE
 
@@ -183,24 +178,6 @@ class BinaryTraversabilityGrid:
     def to_text(self) -> str:
         return _raster_text(self.spec, self.state, lambda v: _BINARY_CHARS[int(v)])
 
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryTraversabilityGrid":
-        return cls(*_parse_raster(text, _binary_state, np.int8))
-
-
-def _unit_value(token: str) -> float:
-    """A raster value in [0, 1]; NaN, an infinity or any other number is a ValueError."""
-    v = float(token)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"raster value {token!r} is not in [0, 1]")
-    return v
-
-
-def _binary_state(token: str) -> int:
-    if token not in _BINARY_STATES:
-        raise ValueError(f"binary raster cell {token!r} is not one of ?, . or #")
-    return _BINARY_STATES[token]
-
 
 def _raster_text(spec: GridSpec, values: np.ndarray, cell) -> str:
     """A `width height resolution origin_x origin_y` header line, then one line per
@@ -208,42 +185,6 @@ def _raster_text(spec: GridSpec, values: np.ndarray, cell) -> str:
     lines = [f"{spec.width} {spec.height} {spec.resolution:.6g} {spec.origin_x:.6g} "
              f"{spec.origin_y:.6g}", *(" ".join(map(cell, row)) for row in values)]
     return "\n".join(lines) + "\n"
-
-
-def _parse_raster(text: str, cell, dtype) -> tuple[GridSpec, np.ndarray]:
-    """(spec, values) of a text raster; `cell` parses each value."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty raster")
-    w, h, res, ox, oy = lines[0].split()
-    spec = GridSpec(float(ox), float(oy), float(res), int(w), int(h))
-    rows = [ln.split() for ln in lines[1:]]
-    if len(rows) != spec.height or any(len(r) != spec.width for r in rows):
-        raise ValueError("raster body does not match header dimensions")
-    return spec, np.array([[cell(v) for v in row] for row in rows], dtype=dtype)
-
-
-def read_rows(path, widths: tuple, what: str) -> list:
-    """(line number, values) of each row of a whitespace-separated number file.
-
-    Text after `#` is skipped. A row that is not `widths` finite numbers long
-    raises ConfigError naming its line.
-    """
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            try:
-                vals = [float(v) for v in parts]
-            except ValueError:
-                vals = []
-            if len(vals) not in widths or not all(map(math.isfinite, vals)):
-                raise ConfigError(f"{path}:{lineno}: a {what} needs {' or '.join(map(str, widths))}"
-                                  f" finite numbers, got {line.strip()!r}")
-            rows.append((lineno, vals))
-    return rows
 
 
 def _is_number(v) -> bool:

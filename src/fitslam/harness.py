@@ -262,6 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
 _COLORS = {"fit": "#1f77b4", "greedy": "#d62728", "random": "#2ca02c"}
 _LABELS = {"fit": "FIT", "greedy": "Greedy", "random": "Random"}
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 720, 480, 60  # px
 
 
 def plot_logs(logs: list, out_dir) -> None:
@@ -272,8 +273,8 @@ def plot_logs(logs: list, out_dir) -> None:
                lambda s: s.pct_unexplored, "Time (s)", "% unexplored map")
 
 
-def _write_svg(path, logs, metric, xlabel, ylabel,
-               width=720, height=480, margin=60) -> None:
+def _write_svg(path, logs, metric, xlabel, ylabel) -> None:
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     xs_max = max((lg.final.t for lg in logs), default=1.0) or 1.0
     ys_max = max((max(metric(s) for s in lg.samples) for lg in logs), default=1.0) or 1.0
 

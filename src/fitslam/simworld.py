@@ -19,8 +19,8 @@ import numpy as np
 
 from . import fisher, traversability
 from .fisher import Camera, CameraPose
-from .grid import (FREE, ConfigError, GridSpec, OccupancyGrid, UNKNOWN_P, _is_number,
-                   check_int, check_number)
+from .grid import (FREE, BinaryTraversabilityGrid, ConfigError, GridSpec, OccupancyGrid,
+                   UNKNOWN_P, _is_number, check_int, check_number)
 from .planner import Path
 from .traversability import TerrainStatsGrid
 
@@ -449,9 +449,7 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
     x = px + np.cos(angles)[:, None] * ranges[None, :]
     y = py + np.sin(angles)[:, None] * ranges[None, :]
-    i = np.floor((x - spec.origin_x) / spec.resolution).astype(int)
-    j = np.floor((y - spec.origin_y) / spec.resolution).astype(int)
-    inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
+    i, j, inside = spec.world_to_cells(x, y)
     i = np.clip(i, 0, spec.width - 1)
     j = np.clip(j, 0, spec.height - 1)
     hit = world.occupied[j, i] & inside
@@ -520,7 +518,7 @@ def initial_spin(world: World, state: MissionState) -> None:
 
 
 def execute_path(world: World, state: MissionState, path: Path, theta_star: float,
-                 nav=None) -> None:
+                 nav: BinaryTraversabilityGrid) -> None:
     """Drive the path cell by cell, then rotate to the arrival orientation.
 
     Each step grows the covariance with distance, senses, folds observed
@@ -532,7 +530,7 @@ def execute_path(world: World, state: MissionState, path: Path, theta_star: floa
     sur = world.config.surrogate
     speed = world.config.robot.speed
     cells = path.cells
-    blocked = [cell for cell in cells[1:] if nav is not None and not nav.is_free(*cell)]
+    blocked = [cell for cell in cells[1:] if not nav.is_free(*cell)]
     if blocked:
         raise PathBlockedError(f"path cell {blocked[0]} is not traversable")
     for prev, cell in zip(cells, cells[1:]):

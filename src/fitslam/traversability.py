@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .grid import (BinaryTraversabilityGrid, BLOCKED, FREE, GridSpec, TraversabilityGrid,
-                   UNKNOWN, read_rows, shift)
+                   UNKNOWN, shift)
 
 MAX_SLOPE = np.deg2rad(30.0)  # rad
 MAX_ROUGHNESS = 0.05          # m, RMS residual to the fitted plane
@@ -44,9 +44,7 @@ class TerrainStatsGrid:
             raise ValueError(f"expected (N, 3) points, got {points.shape}")
         self.__dict__.pop("plane", None)
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        i = np.floor((x - self.spec.origin_x) / self.spec.resolution).astype(int)
-        j = np.floor((y - self.spec.origin_y) / self.spec.resolution).astype(int)
-        inside = (i >= 0) & (i < self.spec.width) & (j >= 0) & (j < self.spec.height)
+        i, j, inside = self.spec.world_to_cells(x, y)
         if not inside.any():
             return
         cell = j[inside] * self.spec.width + i[inside]
@@ -125,8 +123,3 @@ def threshold(trav: TraversabilityGrid, t: float) -> BinaryTraversabilityGrid:
     state = np.where(trav.score >= t, FREE, BLOCKED).astype(np.int8)
     state[np.isnan(trav.score)] = UNKNOWN
     return BinaryTraversabilityGrid(trav.spec, state)
-
-
-def load_points(path) -> np.ndarray:
-    """(N, 3) terrain points from an `x y z` text file; a bad row raises ConfigError."""
-    return np.array([vals for _, vals in read_rows(path, (3,), "point")]).reshape(-1, 3)

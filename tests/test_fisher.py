@@ -13,7 +13,6 @@ from fitslam.fisher import (
     bearing_jacobian,
     default_covariances,
     landmark_fim,
-    load_landmarks,
     path_information,
     visible,
     voxelize,
@@ -525,77 +524,6 @@ class TestPathInformation:
         value = path_information(wps, positions, covariances, Camera(fov, depth))
         assert value == path_information_oracle(wps, positions, covariances, Camera(fov, depth))
         assert value > 0.0
-
-
-class TestLoadLandmarks:
-    def test_plain_positions(self, tmp_path):
-        f = tmp_path / "lms.txt"
-        f.write_text("# comment\n1.0 2.0 0.5\n3.0 4.0 0.8\n")
-        positions, covariances = load_landmarks(f)
-        assert positions.shape == (2, 3) and covariances.shape == (2, 3, 3)
-        assert np.array_equal(positions[0], [1.0, 2.0, 0.5])
-        assert np.allclose(covariances[0], 0.05 ** 2 * np.eye(3))
-
-    def test_with_covariance(self, tmp_path):
-        f = tmp_path / "lms.txt"
-        f.write_text("1 2 3 0.01 0 0 0.02 0 0.03\n")
-        _, covariances = load_landmarks(f)
-        assert np.allclose(covariances[0], np.diag([0.01, 0.02, 0.03]))
-
-    def test_no_rows(self, tmp_path):
-        f = tmp_path / "lms.txt"
-        f.write_text("# no landmarks\n")
-        positions, covariances = load_landmarks(f)
-        assert positions.shape == (0, 3) and covariances.shape == (0, 3, 3)
-
-    def test_psd_covariance_rows_accepted(self, tmp_path):
-        a = np.random.default_rng(3).normal(size=(3, 3))
-        covs = np.array([np.zeros((3, 3)), a @ a.T, np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])])
-        f = tmp_path / "lms.txt"
-        f.write_text("".join(
-            " ".join(map(repr, [1.0, 1.0, 1.0, *cov[np.triu_indices(3)].tolist()])) + "\n"
-            for cov in covs))
-        assert np.array_equal(load_landmarks(f)[1], covs)
-
-    def test_bad_column_count(self, tmp_path):
-        f = tmp_path / "lms.txt"
-        f.write_text("1 2 3 4\n")
-        with pytest.raises(ValueError):
-            load_landmarks(f)
-
-    @pytest.mark.parametrize("body, line", [
-        ("1 2 0.5\n1 2\n", 2),                               # two columns
-        ("1 2 0.5\n\n# c\n1 2 3 4 5 6 7 8\n", 4),            # eight columns
-        ("inf 2 0.5\n", 1),
-        ("1 2 nan\n", 1),
-        ("1 2 3 0.01 0 0 0.02 0 inf\n", 1),                   # non-finite covariance
-        ("1 2 3 0.01 0 0 0.01 0 nan\n", 1),                   # NaN covariance
-        ("1 2 0.5\n1 2 3 -5 0 0 0.02 0 0.03\n", 2),          # eigenvalue -5
-        ("1 2 3 0.01 0.5 0 0.01 0 0.03\n", 1),                # indefinite 2x2 block
-        ("1 2 three\n", 1),
-    ])
-    def test_bad_rows_rejected_with_line_number(self, tmp_path, body, line):
-        f = tmp_path / "lms.txt"
-        f.write_text(body)
-        with pytest.raises(ConfigError, match=f"lms.txt:{line}:"):
-            load_landmarks(f)
-
-
-class TestLandmarkChecks:
-    """A (position, covariance) landmark written as one `load_landmarks` row;
-    a None covariance writes the 3-column form."""
-
-    @pytest.mark.parametrize("position, cov", [
-        ([np.inf, 0.0, 1.0], None),
-        ([0.0, np.nan, 1.0], None),
-        ([0.0, 0.0, 1.0], np.diag([-5.0, 0.01, 0.01])),
-    ])
-    def test_bad_landmark_rejected(self, tmp_path, position, cov):
-        entries = position if cov is None else [*position, *cov[np.triu_indices(3)]]
-        f = tmp_path / "lms.txt"
-        f.write_text(" ".join(repr(float(v)) for v in entries) + "\n")
-        with pytest.raises(ConfigError, match="lms.txt:1:"):
-            load_landmarks(f)
 
 
 class TestCameraPoseFromPlanar:

@@ -24,7 +24,7 @@ from fitslam.simworld import WorldConfig
 def build_grids(w, h, res=0.1):
     spec = GridSpec(0.0, 0.0, res, w, h)
     occ = OccupancyGrid.unknown(spec)
-    nav = BinaryTraversabilityGrid.unknown(spec)
+    nav = BinaryTraversabilityGrid(spec, np.full((h, w), UNKNOWN, np.int8))
     return spec, occ, nav
 
 
@@ -143,7 +143,7 @@ class TestDetectFrontiers:
 
     def test_mismatched_specs_rejected(self):
         _, occ, _ = build_grids(6, 6)
-        other = BinaryTraversabilityGrid.unknown(GridSpec(0, 0, 0.1, 5, 6))
+        _, _, other = build_grids(5, 6)
         with pytest.raises(ValueError):
             detect_frontiers(occ, other)
 

@@ -97,10 +97,8 @@ class TestOccupancyGrid:
     def test_text_round_trip(self):
         spec = GridSpec(-0.5, 1.5, 0.25, 3, 2)
         p = np.array([[0.5, 0.02, 0.98], [0.731059, 0.5, 0.1]])
-        occ = OccupancyGrid(spec, p)
-        back = OccupancyGrid.from_text(occ.to_text())
-        assert back.spec == spec
-        assert np.allclose(back.p, p, atol=1e-6)
+        assert OccupancyGrid(spec, p).to_text() == \
+            "3 2 0.25 -0.5 1.5\n0.5 0.02 0.98\n0.731059 0.5 0.1\n"
 
     def test_copy_is_independent(self):
         occ = OccupancyGrid.unknown(make_spec(w=3, h=3))
@@ -113,12 +111,8 @@ class TestTraversabilityGrid:
     def test_text_round_trip_with_unknown(self):
         spec = GridSpec(0, 0, 0.1, 3, 2)
         score = np.array([[np.nan, 0.25, 1.0], [0.0, np.nan, 0.333333]])
-        grid = TraversabilityGrid(spec, score)
-        back = TraversabilityGrid.from_text(grid.to_text())
-        assert back.spec == spec
-        assert np.isnan(back.score[0, 0]) and np.isnan(back.score[1, 1])
-        mask = ~np.isnan(score)
-        assert np.allclose(back.score[mask], score[mask], atol=1e-6)
+        assert TraversabilityGrid(spec, score).to_text() == \
+            "3 2 0.1 0 0\n? 0.25 1\n0 ? 0.333333\n"
 
 
 class TestBinaryGrid:
@@ -127,12 +121,8 @@ class TestBinaryGrid:
         state = np.array([[UNKNOWN, FREE, BLOCKED],
                           [FREE, FREE, FREE],
                           [BLOCKED, UNKNOWN, FREE]], dtype=np.int8)
-        grid = BinaryTraversabilityGrid(spec, state)
-        text = grid.to_text()
-        assert text.splitlines()[1] == "? . #"
-        back = BinaryTraversabilityGrid.from_text(text)
-        assert back.spec == spec
-        assert np.array_equal(back.state, state)
+        assert BinaryTraversabilityGrid(spec, state).to_text() == \
+            "3 3 0.1 0 0\n? . #\n. . .\n# ? .\n"
 
     def test_free_mask_and_is_free(self):
         spec = GridSpec(0, 0, 0.1, 2, 2)
@@ -141,34 +131,6 @@ class TestBinaryGrid:
         assert grid.is_free(0, 0) and grid.is_free(1, 1)
         assert not grid.is_free(1, 0) and not grid.is_free(0, 1)
         assert grid.free_mask().sum() == 2
-
-
-class TestRasterParsing:
-    def test_empty_raster_rejected(self):
-        with pytest.raises(ValueError):
-            OccupancyGrid.from_text("")
-
-    def test_body_dimension_mismatch_rejected(self):
-        text = "3 2 0.1 0 0\n0.5 0.5 0.5\n"
-        with pytest.raises(ValueError):
-            OccupancyGrid.from_text(text)
-
-    @pytest.mark.parametrize("grid, text", [
-        (OccupancyGrid, "3 1 nan 0 0\n0.5 0.5 0.5"),
-        (OccupancyGrid, "3 1 inf 0 0\n0.5 0.5 0.5"),
-        (OccupancyGrid, "3 1 0.1 inf 0\n0.5 0.5 0.5"),
-        (OccupancyGrid, "3 1 0.1 0 -inf\n0.5 0.5 0.5"),
-        (OccupancyGrid, "2 1 0.1 0 0\n7 -3"),
-        (OccupancyGrid, "2 1 0.1 0 0\n0.5 nan"),
-        (TraversabilityGrid, "2 1 0.1 0 0\n? nan"),
-        (TraversabilityGrid, "2 1 0.1 0 0\n0.5 inf"),
-        (BinaryTraversabilityGrid, "2 1 0.1 0 0\n. x"),
-    ], ids=["resolution-nan", "resolution-inf", "origin-x-inf", "origin-y-inf",
-            "occupancy-out-of-range", "occupancy-nan", "score-literal-nan", "score-inf",
-            "binary-unknown-char"])
-    def test_value_the_format_forbids_rejected(self, grid, text):
-        with pytest.raises(ValueError):
-            grid.from_text(text)
 
 
 def pad_shift(arr, di, dj):

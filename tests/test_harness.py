@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fitslam import cli
+from fitslam import cli, preset_world_path
 from fitslam.cli import main, _parse_seeds
-from fitslam.grid import (
-    BinaryTraversabilityGrid,
-    OccupancyGrid,
-    TraversabilityGrid,
-)
+from fitslam.grid import OccupancyGrid
 from fitslam.harness import (
     ExperimentConfig,
     MissionLog,
@@ -21,7 +17,8 @@ from fitslam.harness import (
     write_summary_csv,
 )
 from fitslam.infogain import RayCastParams
-from fitslam.simworld import ConfigError, WorldConfig, generate_world
+from fitslam.simworld import DEFAULT_TRAV_THRESHOLD, ConfigError, WorldConfig, generate_world
+from fitslam.traversability import threshold
 from fitslam.utility import UtilityParams
 
 
@@ -384,9 +381,13 @@ class TestCli:
             elif current is not None:
                 texts[current].append(line)
         texts = {k: "\n".join(v) + "\n" for k, v in texts.items()}
-        occ = OccupancyGrid.from_text(texts["true occupancy"])
-        trav = TraversabilityGrid.from_text(texts["traversability scores (full sensing)"])
-        nav = BinaryTraversabilityGrid.from_text(texts["binary traversability"])
+        world = generate_world(WorldConfig.from_json(preset_world_path("obstacle_ring")))
+        occ = OccupancyGrid(world.spec, world.true_p)
+        trav = world.terrain.score_cells()
+        nav = threshold(trav, DEFAULT_TRAV_THRESHOLD)
+        assert texts == {"true occupancy": occ.to_text(),
+                         "traversability scores (full sensing)": trav.to_text(),
+                         "binary traversability": nav.to_text()}
         assert occ.spec.width == trav.spec.width == nav.spec.width == 150
         # The ring walls show up as occupied and non-navigable.
         i, j = occ.spec.world_to_cell(7.5, 5.2)

@@ -1,13 +1,16 @@
 """Import direction: the exploration algorithms load no simulator, and the
 simulator loads no goal selection. Each import runs in a fresh interpreter.
-Also the design rule that only `fisher.Camera` defaults a field of view or range."""
+Also the design rules that only `fisher.Camera` defaults a field of view or range,
+and that the program calls every function, class and method it defines."""
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -90,3 +93,54 @@ def test_only_camera_defaults_a_field_of_view_or_range():
                       if p.name in CAMERA_PARAMETERS and p.default is not p.empty]
     assert checked > 50
     assert defaulted == []
+
+
+# Defined but called by no program code: the A* reference that the tests check the
+# Dijkstra planner against, and the hook through which argparse reports a bad flag.
+UNCALLED = {"planner.plan", "cli._Parser.error"}
+
+
+def referenced_names(tree):
+    """Every name that `tree` reads or writes as a Name, an Attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+
+
+def definitions(node, prefix):
+    """(qualified name, node) of every function, class and method under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{child.name}", child
+            yield from definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from definitions(child, prefix)
+
+
+def test_program_references_every_definition():
+    """A name defined in src/fitslam counts as used when program code in src/, demos/
+    or perfbench/ names it outside its own body; tests do not count. Dunder methods,
+    which Python calls itself, are exempt.
+
+    The scan matches bare names, so a dead method that shares its name with a live
+    one escapes it: `BinaryTraversabilityGrid.unknown`, called only by tests, would
+    have passed, because `OccupancyGrid.unknown` is called.
+    """
+    refs, defs = Counter(), []
+    for tree_dir in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            refs.update(referenced_names(tree))
+            if tree_dir == "src":
+                defs += definitions(tree, path.stem)
+    assert len(defs) > 100
+    unreferenced = {qualname for qualname, node in defs
+                    if not (node.name.startswith("__") and node.name.endswith("__"))
+                    and refs[node.name] <= Counter(referenced_names(node))[node.name]}
+    assert unreferenced == UNCALLED

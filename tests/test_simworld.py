@@ -613,7 +613,7 @@ class TestSurrogateCovariance:
         nav_path = plan_straight_path(world, (2.0, 2.0), (6.0, 2.0))
         trace0 = float(np.trace(state.cov))
         traces = [trace0]
-        execute_path(world, state, nav_path, 0.0)
+        execute_path(world, state, nav_path, 0.0, free_nav(world))
         traces.extend(s.trace_cov for s in state.samples)
         assert all(b >= a - 1e-15 for a, b in zip(traces, traces[1:]))
         assert traces[-1] > trace0
@@ -627,7 +627,7 @@ class TestSurrogateCovariance:
             world = generate_world(cfg)
             state = MissionState.initial(world)
             path = plan_straight_path(world, (2.0, 2.0), (6.0, 2.0))
-            execute_path(world, state, path, 0.0)
+            execute_path(world, state, path, 0.0, free_nav(world))
             final[name] = float(np.trace(state.cov))
         assert final["rich"] < final["bare"]
 
@@ -637,7 +637,7 @@ class TestSurrogateCovariance:
         state = MissionState.initial(world)
         initial_spin(world, state)
         path = plan_straight_path(world, (2.0, 2.0), (6.0, 6.0))
-        execute_path(world, state, path, 1.0)
+        execute_path(world, state, path, 1.0, free_nav(world))
         assert np.allclose(state.cov, state.cov.T)
         assert np.linalg.eigvalsh(state.cov).min() > 0.0
 
@@ -753,7 +753,8 @@ class TestCovarianceOracle:
         initial_spin(world, state)
         rng = np.random.default_rng(3)
         for path in random_drive(world, rng):
-            execute_path(world, state, path, float(rng.uniform(-math.pi, math.pi)))
+            execute_path(world, state, path, float(rng.uniform(-math.pi, math.pi)),
+                         free_nav(world))
         # Many looks stack several landmarks, and some close a loop.
         assert len(looks) > 300 and sum(k > 1 for k in looks) > 40
         assert state.n_loop_closures > 0
@@ -766,7 +767,7 @@ class TestExecutePath:
         initial_spin(world, state)
         i, j = world.spec.world_to_cell(2.0, 2.0)
         cells = [(i, j), (i + 1, j), (i + 2, j), (i + 3, j)]
-        nav = BinaryTraversabilityGrid(world.spec, np.full(state.occ.p.shape, FREE, np.int8))
+        nav = free_nav(world)
         nav.state[j, i + 2] = BLOCKED  # the third path cell
         before = (state.pose, state.clock, state.distance, state.cov.copy(),
                   list(state.samples))
@@ -791,7 +792,7 @@ class TestExecutePath:
         state = MissionState.initial(world)
         path = plan_straight_path(world, (2.0, 2.0), (4.0, 2.0))
         t0, d0 = state.clock, state.distance
-        execute_path(world, state, path, 0.0)
+        execute_path(world, state, path, 0.0, free_nav(world))
         assert state.distance == pytest.approx(d0 + path.length_m)
         assert state.clock >= t0 + path.length_m / world.config.robot.speed
 
@@ -799,7 +800,7 @@ class TestExecutePath:
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
         path = plan_straight_path(world, (2.0, 2.0), (4.0, 4.0))
-        execute_path(world, state, path, 1.25)
+        execute_path(world, state, path, 1.25, free_nav(world))
         gx, gy = world.spec.cell_to_world(*path.cells[-1])
         assert state.pose == pytest.approx((gx, gy, 1.25))
 
@@ -818,7 +819,7 @@ class TestMetrics:
         state = MissionState.initial(world)
         initial_spin(world, state)
         path = plan_straight_path(world, (2.0, 2.0), (6.0, 6.0))
-        execute_path(world, state, path, 2.0)
+        execute_path(world, state, path, 2.0, free_nav(world))
         pcts = [s.pct_unexplored for s in state.samples]
         assert all(b <= a for a, b in zip(pcts, pcts[1:]))
 
@@ -845,10 +846,13 @@ class TestMetrics:
         assert any(i == 19 for i, _ in detect_frontiers(state.occ, nav))
 
 
-def plan_straight_path(world, start_xy, goal_xy):
-    """Plan on a fully-Free grid of the world's shape (flat tiny worlds)."""
-    from fitslam.grid import BinaryTraversabilityGrid
+def free_nav(world):
+    """A fully-Free grid of the world's shape."""
     spec = world.spec
-    nav = BinaryTraversabilityGrid(
-        spec, np.full((spec.height, spec.width), FREE, dtype=np.int8))
-    return plan(nav, spec.world_to_cell(*start_xy), spec.world_to_cell(*goal_xy))
+    return BinaryTraversabilityGrid(spec, np.full((spec.height, spec.width), FREE, np.int8))
+
+
+def plan_straight_path(world, start_xy, goal_xy):
+    """Plan on `free_nav` (flat tiny worlds)."""
+    spec = world.spec
+    return plan(free_nav(world), spec.world_to_cell(*start_xy), spec.world_to_cell(*goal_xy))

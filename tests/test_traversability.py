@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from fitslam import traversability
-from fitslam.grid import BLOCKED, FREE, ConfigError, GridSpec, UNKNOWN
-from fitslam.traversability import (
-    TerrainStatsGrid,
-    load_points,
-    threshold,
-)
+from fitslam.grid import BLOCKED, FREE, GridSpec, UNKNOWN
+from fitslam.traversability import TerrainStatsGrid, threshold
 
 
 def one_cell_spec(res=1.0):
@@ -224,41 +220,3 @@ class TestThreshold:
         trav = stats.score_cells()
         with pytest.raises(ValueError):
             threshold(trav, 1.5)
-
-
-class TestLoadPoints:
-    def test_reads_xyz_file(self, tmp_path):
-        f = tmp_path / "points.txt"
-        f.write_text("0.1 0.2 0.3\n1.0 2.0 3.0\n")
-        pts = load_points(f)
-        assert pts.shape == (2, 3)
-        assert pts[1, 2] == 3.0
-
-    def test_single_row_is_2d(self, tmp_path):
-        f = tmp_path / "one.txt"
-        f.write_text("0.5 0.5 0.0\n")
-        assert load_points(f).shape == (1, 3)
-
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        f = tmp_path / "points.txt"
-        f.write_text("# x y z\n\n0.5 0.5 0.0  # first\n")
-        assert load_points(f).tolist() == [[0.5, 0.5, 0.0]]
-
-    def test_empty_file_gives_no_points(self, tmp_path):
-        f = tmp_path / "empty.txt"
-        f.write_text("# nothing yet\n")
-        assert load_points(f).shape == (0, 3)
-
-    @pytest.mark.parametrize("body, line", [
-        ("0.1 0.2\n1.0 2.0\n", 1),            # two columns
-        ("0.1 0.2 0.3\n1.0 2.0\n", 2),        # a short row
-        ("0.1 0.2 0.3\n1 2 3 4\n", 2),        # a long row
-        ("0.1 0.2 0.3\n\n1.0 2.0 nan\n", 3),  # nan in z
-        ("inf 0.2 0.3\n", 1),
-        ("0.1 0.2 z\n", 1),                    # not a number
-    ])
-    def test_bad_rows_rejected_with_line_number(self, tmp_path, body, line):
-        f = tmp_path / "points.txt"
-        f.write_text(body)
-        with pytest.raises(ConfigError, match=f"points.txt:{line}:"):
-            load_points(f)
