@@ -20,7 +20,7 @@ import numpy as np
 from .fisher import path_information
 from .frontier import Blacklist, cluster_frontiers, detect_frontiers
 from .grid import check_int
-from .infogain import RayCastParams, scan_many, scan_orientations
+from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
 from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig,
                        check_ray_samples, current_grids, execute_path, generate_world,
@@ -98,9 +98,9 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
                       2 * math.pi / rays.delta_theta, camera.max_depth, world.resolution)
 
 
-def _select_fit(candidates, state, world, uparams, rays, spec, planner):
+def _select_fit(candidates, state, world, uparams, rays, spec, planner, memo):
     camera = world.config.sensors.camera
-    scans = scan_many(state.occ, [c.cell for c in candidates], rays, camera)
+    scans = scan_many(state.occ, [c.cell for c in candidates], rays, camera, memo)
     for c, scan in zip(candidates, scans):
         c.delta_e = scan.best_gain
         c.theta_star = scan.best_theta
@@ -141,6 +141,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     state = MissionState.initial(world)
     initial_spin(world, state)
     blacklist = Blacklist(spec)
+    memo = ScanMemo()  # fit's scans, reused across decisions
     goal_sequence = []
     termination = "timeout"
 
@@ -169,7 +170,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
             break
 
         if strategy == "fit":
-            best = _select_fit(candidates, state, world, uparams, rays, spec, planner)
+            best = _select_fit(candidates, state, world, uparams, rays, spec, planner, memo)
         elif strategy == "greedy":
             best = _select_greedy(candidates)
         else:

@@ -130,12 +130,12 @@ class _ScanTemplate:
     Scan rays always start at a cell center, so the sequence of cell offsets
     each direction visits is fixed for a given resolution; only the occupancy
     values change per goal. A ray only needs two facts per cell, whether it
-    is unknown and whether it blocks, so `ray_gains` reads them from an int8
-    class grid padded by `reach` known cells on every side: every ray cell of
-    every center is one flat gather, and a ray that leaves the grid (it
-    cannot come back in) reads only pad cells. Per-cell gains of unknown
-    cells depend only on the count of unknown cells traversed so far, so
-    they come from a table.
+    is unknown and whether it blocks, so `ray_gains` reads them from the
+    int8 class grid of `classify`, padded by `reach` known cells on every
+    side: every ray cell of every center is one flat gather, and a ray that
+    leaves the grid (it cannot come back in) reads only pad cells. Per-cell
+    gains of unknown cells depend only on the count of unknown cells
+    traversed so far, so they come from a table.
     """
 
     def __init__(self, params: RayCastParams, camera: Camera, resolution: float):
@@ -162,18 +162,24 @@ class _ScanTemplate:
         ang = np.minimum(diff, 2 * math.pi - diff)
         self.in_window = ang <= camera.fov / 2 + 1e-12
 
-    def ray_gains(self, occ: OccupancyGrid, centers_i: np.ndarray,
+    def classify(self, occ: OccupancyGrid) -> np.ndarray:
+        """The grid's int8 classes padded by `reach` cells on every side:
+        0 known and passable (pad cells too), 1 unknown, 2 blocking."""
+        r = self.reach
+        h, w = occ.p.shape
+        cls = np.zeros((h + 2 * r, w + 2 * r), dtype=np.int8)
+        cls[r:r + h, r:r + w] = (occ.p == UNKNOWN_P) + 2 * (occ.p > OCCUPIED_THRESHOLD)
+        return cls
+
+    def ray_gains(self, cls: np.ndarray, centers_i: np.ndarray,
                   centers_j: np.ndarray) -> np.ndarray:
         """Per-direction ray gains for a batch of scan centers, shape (C, D).
 
-        All reductions run along the trailing axis, so results are bitwise
-        independent of the batch size.
+        `cls` is the padded class grid of `classify`. All reductions run
+        along the trailing axis, so results are bitwise independent of the
+        batch size.
         """
         r = self.reach
-        h, w = occ.p.shape
-        # 0 known and passable (pad cells too), 1 unknown, 2 blocking.
-        cls = np.zeros((h + 2 * r, w + 2 * r), dtype=np.int8)
-        cls[r:r + h, r:r + w] = (occ.p == UNKNOWN_P) + 2 * (occ.p > OCCUPIED_THRESHOLD)
         wp = cls.shape[1]
         centers = (centers_j + r) * wp + centers_i + r
         c = cls.ravel()[centers[:, None, None] + (self.di + self.dj * wp)]
@@ -231,14 +237,49 @@ def _walk_offsets(theta: float, resolution: float, max_range: float) -> list:
 _template = functools.cache(_ScanTemplate)
 
 
-def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams, camera: Camera) -> list:
+def _clean_boxes(changed: np.ndarray, i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
+    """Whether each size x size box with corner (i, j) holds no set cell of
+    `changed`, from one summed-area table over the set cells' bounding box."""
+    rows = np.flatnonzero(changed.any(axis=1))
+    if not len(rows):
+        return np.ones(len(i), dtype=bool)
+    cols = np.flatnonzero(changed.any(axis=0))
+    sub = changed[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    sat = np.zeros((sub.shape[0] + 1, sub.shape[1] + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(sub, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
+    j0, j1 = (np.clip(j + d - rows[0], 0, sub.shape[0]) for d in (0, size))
+    i0, i1 = (np.clip(i + d - cols[0], 0, sub.shape[1]) for d in (0, size))
+    return sat[j1, i1] - sat[j0, i1] - sat[j1, i0] + sat[j0, i0] == 0
+
+
+class ScanMemo:
+    """The orientation scans of one mission's previous `scan_many` call.
+
+    Holds that call's padded class grid and its scans, keyed by the linear
+    cell index `j * width + i`. A ray from a cell center reads only cells
+    within the template's `reach` on both axes, and pad cells never change,
+    so a kept scan equals a fresh one, bit for bit, until a cell in its
+    (2 reach + 1)^2 box changes class. The first call binds the memo to its
+    template and grid shape; a call with another raises ValueError.
+    """
+
+    def __init__(self):
+        self.key = None   # (params, camera, resolution, grid shape)
+        self.cls = None   # padded class grid of the previous call
+        self.scans = {}   # linear cell index -> OrientationScan
+
+
+def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams, camera: Camera,
+              memo: ScanMemo) -> list:
     """Orientation scans from many (i, j) goal cells in one vectorized pass.
 
     Produces exactly the same numbers as scanning each cell alone: every
     reduction runs along a per-goal axis, so results do not depend on how
-    goals are batched. A cell outside the grid raises OutOfBoundsError and a
-    non-integer one ValueError, since the padded gather would read past the
-    grid's border or wrap around it.
+    goals are batched. A cell the memo holds from the previous call, with no
+    class change in its reach box since, gets the kept scan; the others are
+    scanned, and the memo then holds only this call's cells. A cell outside
+    the grid raises OutOfBoundsError and a non-integer one ValueError, since
+    the padded gather would read past the grid's border or wrap around it.
     """
     spec = occ.spec
     tmpl = _template(params, camera, spec.resolution)
@@ -249,20 +290,38 @@ def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams, camera: Ca
     outside = (ci < 0) | (ci >= spec.width) | (cj < 0) | (cj >= spec.height)
     if outside.any():
         raise OutOfBoundsError(f"scan cell {cells[int(outside.argmax())]} outside the grid")
-    ray_gains = tmpl.ray_gains(occ, ci, cj)
+    key = (params, camera, spec.resolution, occ.p.shape)
+    if memo.key is None:
+        memo.key = key
+    elif memo.key != key:
+        raise ValueError("scan memo holds scans of another template or grid shape")
+    cls = tmpl.classify(occ)
+    lin = (cj * spec.width + ci).tolist()
+    kept = np.array([k in memo.scans for k in lin], dtype=bool)
+    if kept.any():
+        # In padded coordinates the reach box of center (i, j) has its
+        # corner at (i, j).
+        kept[kept] = _clean_boxes(cls != memo.cls, ci[kept], cj[kept], 2 * tmpl.reach + 1)
+    miss = np.flatnonzero(~kept)
+    ray_gains = tmpl.ray_gains(cls, ci[miss], cj[miss])
     windowed = tmpl.windowed_gains(ray_gains)
     # Windows whose real-valued sums tie can differ by float rounding, so the
     # argmax treats anything within the tolerance of the max as tied and takes
     # the smallest angle.
     near_max = windowed >= windowed.max(axis=1, keepdims=True) - ARGMAX_TOL
     best = np.argmax(near_max, axis=1)
-    return [OrientationScan(
-        directions=tmpl.directions,
-        ray_gains=ray_gains[k],
-        windowed_gains=windowed[k],
-        best_theta=float(tmpl.directions[best[k]]),
-        best_gain=float(windowed[k, best[k]]),
-    ) for k in range(len(cells))]
+    scans = [memo.scans[k] if hit else None for k, hit in zip(lin, kept)]
+    for n, c in enumerate(miss.tolist()):
+        scans[c] = OrientationScan(
+            directions=tmpl.directions,
+            ray_gains=ray_gains[n],
+            windowed_gains=windowed[n],
+            best_theta=float(tmpl.directions[best[n]]),
+            best_gain=float(windowed[n, best[n]]),
+        )
+    memo.cls = cls
+    memo.scans = dict(zip(lin, scans))
+    return scans
 
 
 def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
@@ -272,6 +331,7 @@ def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
     A direction d contributes to the window centered at theta_s when the
     wrapped angular distance |d - theta_s| <= camera.fov/2. Rays end after the
     camera's max_depth. Ties in the windowed gain go to the smallest
-    orientation angle.
+    orientation angle. The scan gets a fresh memo: its callers blacklist
+    every goal they scan, so no cell is scanned twice.
     """
-    return scan_many(occ, [cell], params, camera)[0]
+    return scan_many(occ, [cell], params, camera, ScanMemo())[0]

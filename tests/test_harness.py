@@ -366,30 +366,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PREVIEW_SHA256[preset]
 
+    PREVIEW_SECTIONS = ("true occupancy", "traversability scores (full sensing)",
+                        "binary traversability")
+
     def test_preview_rasters_parse(self, capsys):
-        code = main(["world", "preview", "--config", "obstacle_ring"])
-        assert code == 0
-        out = capsys.readouterr().out
-        # Section headers are "# <name>" lines; raster bodies may themselves
-        # contain '#' cell symbols, so split on whole lines only.
-        texts = {}
-        current = None
-        for line in out.splitlines():
-            if line.startswith("# "):
-                current = line[2:].strip()
-                texts[current] = []
-            elif current is not None:
-                texts[current].append(line)
-        texts = {k: "\n".join(v) + "\n" for k, v in texts.items()}
-        world = generate_world(WorldConfig.from_json(preset_world_path("obstacle_ring")))
-        occ = OccupancyGrid(world.spec, world.true_p)
-        trav = world.terrain.score_cells()
-        nav = threshold(trav, DEFAULT_TRAV_THRESHOLD)
-        assert texts == {"true occupancy": occ.to_text(),
-                         "traversability scores (full sensing)": trav.to_text(),
-                         "binary traversability": nav.to_text()}
-        assert occ.spec.width == trav.spec.width == nav.spec.width == 150
-        # The ring walls show up as occupied and non-navigable.
-        i, j = occ.spec.world_to_cell(7.5, 5.2)
-        assert occ.p[j, i] > 0.9
-        assert np.isfinite(trav.score).all()
+        # A binary-raster row whose first cell is Blocked begins "# " too, so
+        # split on the three header lines only.
+        headers = {f"# {name}": name for name in self.PREVIEW_SECTIONS}
+        header_like_rows = 0
+        for preset in sorted(self.PREVIEW_SHA256):
+            assert main(["world", "preview", "--config", preset]) == 0
+            texts = {}
+            current = None
+            for line in capsys.readouterr().out.splitlines():
+                if line in headers:
+                    current = headers[line]
+                    texts[current] = []
+                else:
+                    texts.setdefault(current, []).append(line)
+            texts = {k: "\n".join(v) + "\n" for k, v in texts.items()}
+            world = generate_world(WorldConfig.from_json(preset_world_path(preset)))
+            occ = OccupancyGrid(world.spec, world.true_p)
+            trav = world.terrain.score_cells()
+            nav = threshold(trav, DEFAULT_TRAV_THRESHOLD)
+            assert texts == dict(zip(self.PREVIEW_SECTIONS,
+                                     (occ.to_text(), trav.to_text(), nav.to_text())))
+            assert np.isfinite(trav.score).all()
+            header_like_rows += sum(row.startswith("# ") for row in nav.to_text().splitlines())
+            if preset == "obstacle_ring":
+                assert occ.spec.width == trav.spec.width == nav.spec.width == 150
+                # The ring walls show up as occupied and non-navigable.
+                i, j = occ.spec.world_to_cell(7.5, 5.2)
+                assert occ.p[j, i] > 0.9
+        # Some preset has raster rows a split on any "# " line would cut at.
+        assert header_like_rows > 0

@@ -9,6 +9,8 @@ from fitslam.grid import GridSpec, OccupancyGrid, OutOfBoundsError, UNKNOWN_P
 from fitslam.infogain import (
     OCCUPIED_THRESHOLD,
     RayCastParams,
+    ScanMemo,
+    _clean_boxes,
     _template,
     cast_ray,
     cell_entropy,
@@ -158,7 +160,7 @@ class TestScanOrientations:
         goals = [(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5)) for _ in range(12)]
         cells = [occ.spec.world_to_cell(*goal) for goal in goals]
         params = RayCastParams()
-        batch = scan_many(occ, cells, params, Camera())
+        batch = scan_many(occ, cells, params, Camera(), ScanMemo())
         for cell, got in zip(cells, batch):
             single = scan_orientations(occ, cell, params, Camera())
             assert np.array_equal(got.ray_gains, single.ray_gains)
@@ -181,12 +183,12 @@ class TestScanOrientations:
         with pytest.raises(error):
             scan_orientations(occ, cell, RayCastParams(), Camera())
         with pytest.raises(error):
-            scan_many(occ, [(50, 50), cell], RayCastParams(), Camera())
+            scan_many(occ, [(50, 50), cell], RayCastParams(), Camera(), ScanMemo())
 
     def test_corner_cells_and_integer_arrays_accepted(self):
         occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
         cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
-        scans = scan_many(occ, np.array(cells), RayCastParams(), Camera())
+        scans = scan_many(occ, np.array(cells), RayCastParams(), Camera(), ScanMemo())
         for cell, got in zip(cells, scans):
             assert np.array_equal(got.ray_gains,
                                   scan_orientations(occ, cell, RayCastParams(), Camera()).ray_gains)
@@ -234,7 +236,7 @@ def reference_ray_gains(tmpl, occ, centers_i, centers_j):
 
 def assert_kernel_matches_reference(tmpl, occ, ci, cj, batch):
     for lo in range(0, len(ci), batch):
-        got = tmpl.ray_gains(occ, ci[lo:lo + batch], cj[lo:lo + batch])
+        got = tmpl.ray_gains(tmpl.classify(occ), ci[lo:lo + batch], cj[lo:lo + batch])
         want = reference_ray_gains(tmpl, occ, ci[lo:lo + batch], cj[lo:lo + batch])
         assert got.tobytes() == want.tobytes()
 
@@ -264,16 +266,118 @@ class TestRayGainsKernel:
             assert_kernel_matches_reference(tmpl, occ, ci, cj, batch)
 
     def test_ramp_yard_mission_snapshots(self, monkeypatch):
-        seen = []
-
-        def spy(occ, cells, params, camera):
-            seen.append((OccupancyGrid(occ.spec, occ.p.copy()), np.array(cells),
-                         _template(params, camera, occ.spec.resolution)))
-            return scan_many(occ, cells, params, camera)
-
-        monkeypatch.setattr(harness, "scan_many", spy)
-        harness.run_mission(WorldConfig.from_json(preset_world_path("ramp_yard")), "fit", 1,
-                            max_mission_time=200.0)
+        seen = run_with_memo_oracle(monkeypatch, "ramp_yard", 200.0)
         assert len(seen) >= 10
         for occ, cells, tmpl in seen:
             assert_kernel_matches_reference(tmpl, occ, cells[:, 0], cells[:, 1], len(cells))
+
+
+def assert_same_scan(got, want):
+    assert got.ray_gains.tobytes() == want.ray_gains.tobytes()
+    assert got.windowed_gains.tobytes() == want.windowed_gains.tobytes()
+    assert got.best_theta == want.best_theta
+    assert got.best_gain == want.best_gain
+
+
+def run_with_memo_oracle(monkeypatch, preset, max_mission_time):
+    """Run a fit mission whose every `scan_many` call is checked against a
+    fresh-memo scan of the same grid, bit for bit.
+
+    Returns each call's grid, cells and template, and asserts that some
+    scans were served from the memo, so the check is not vacuous.
+    """
+    seen = []
+    reused = 0
+
+    def spy(occ, cells, params, camera, memo):
+        nonlocal reused
+        kept = list(memo.scans.values())  # alive, so their ids stay unique
+        kept_ids = {id(scan) for scan in kept}
+        got = scan_many(occ, cells, params, camera, memo)
+        fresh = scan_many(occ, cells, params, camera, ScanMemo())
+        for g, f in zip(got, fresh, strict=True):
+            assert_same_scan(g, f)
+        reused += sum(id(g) in kept_ids for g in got)
+        seen.append((OccupancyGrid(occ.spec, occ.p.copy()), np.array(cells),
+                     _template(params, camera, occ.spec.resolution)))
+        return got
+
+    monkeypatch.setattr(harness, "scan_many", spy)
+    harness.run_mission(WorldConfig.from_json(preset_world_path(preset)), "fit", 1,
+                        max_mission_time=max_mission_time)
+    assert reused > 0
+    return seen
+
+
+@pytest.mark.slow
+def test_obstacle_ring_mission_memo_matches_fresh_scans(monkeypatch):
+    assert len(run_with_memo_oracle(monkeypatch, "obstacle_ring",
+                                    harness.DEFAULT_MAX_MISSION_TIME)) >= 10
+
+
+class TestScanMemo:
+    """A kept scan is bit-identical to a fresh one; a class change within
+    reach of its center evicts it."""
+
+    PARAMS, CAMERA, RES = RayCastParams(), Camera(max_depth=2.0), 0.1
+
+    def scan(self, occ, cells, memo):
+        return scan_many(occ, cells, self.PARAMS, self.CAMERA, memo)
+
+    def test_reveal_at_reach_evicts_and_past_reach_keeps(self):
+        tmpl = _template(self.PARAMS, self.CAMERA, self.RES)
+        r = tmpl.reach
+        occ = unknown_grid(w=2 * r + 5, h=2 * r + 5, res=self.RES)
+        ci = cj = r + 2
+        memo = ScanMemo()
+        first = self.scan(occ, [(ci, cj)], memo)[0]
+
+        # Past reach: no ray reads the cell, so the scan is kept.
+        occ.p[cj, ci + r + 1] = 0.02
+        kept = self.scan(occ, [(ci, cj)], memo)[0]
+        assert kept is first
+        assert_same_scan(kept, self.scan(occ, [(ci, cj)], ScanMemo())[0])
+
+        # At reach, on a cell a ray visits: the scan goes stale.
+        far = (tmpl.keep != 0) & (np.maximum(abs(tmpl.di), abs(tmpl.dj)) == r)
+        k, n = np.argwhere(far)[0]
+        occ.p[cj + tmpl.dj[k, n], ci + tmpl.di[k, n]] = 0.02
+        rescanned = self.scan(occ, [(ci, cj)], memo)[0]
+        assert rescanned is not first
+        assert rescanned.ray_gains[k] < first.ray_gains[k]
+        assert_same_scan(rescanned, self.scan(occ, [(ci, cj)], ScanMemo())[0])
+
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.05])
+    def test_clean_boxes_match_brute_force(self, density):
+        rng = np.random.default_rng(7)
+        changed = np.zeros((40, 50), dtype=bool)
+        changed[5:35, 12:30] = rng.random((30, 18)) < density
+        i, j = rng.integers(0, 50 - 8, 300), rng.integers(0, 40 - 8, 300)
+        want = [not changed[b:b + 9, a:a + 9].any() for a, b in zip(i, j)]
+        assert _clean_boxes(changed, i, j, 9).tolist() == want
+
+    def test_memo_keeps_only_the_last_calls_cells(self):
+        occ = unknown_grid(w=30, h=30, res=self.RES)
+        memo = ScanMemo()
+        a, b = self.scan(occ, [(5, 5), (20, 20)], memo)
+        assert self.scan(occ, [(20, 20)], memo)[0] is b
+        again = self.scan(occ, [(5, 5)], memo)[0]
+        assert again is not a
+        assert_same_scan(again, a)
+
+    @pytest.mark.parametrize("change", ["params", "camera", "resolution", "shape"])
+    def test_other_template_or_grid_shape_rejected(self, change):
+        memo = ScanMemo()
+        self.scan(unknown_grid(w=30, h=30, res=self.RES), [(5, 5)], memo)
+        params, camera = self.PARAMS, self.CAMERA
+        w, res = 30, self.RES
+        if change == "params":
+            params = RayCastParams(gamma=0.8)
+        elif change == "camera":
+            camera = Camera(max_depth=1.0)
+        elif change == "resolution":
+            res = 0.2
+        else:
+            w = 31
+        with pytest.raises(ValueError, match="scan memo"):
+            scan_many(unknown_grid(w=w, h=30, res=res), [(5, 5)], params, camera, memo)
