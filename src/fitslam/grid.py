@@ -79,9 +79,10 @@ class GridSpec:
         """(i, j, inside) arrays of the cells that world points (x, y) fall in;
         `inside` is False where a point lies outside the grid, whose i, j are then
         out of range."""
-        i = np.floor((x - self.origin_x) / self.resolution).astype(int)
-        j = np.floor((y - self.origin_y) / self.resolution).astype(int)
-        return i, j, (i >= 0) & (i < self.width) & (j >= 0) & (j < self.height)
+        i = np.floor((x - self.origin_x) / self.resolution).astype(np.intp)
+        j = np.floor((y - self.origin_y) / self.resolution).astype(np.intp)
+        # Read as unsigned, a negative index is past every bound: one compare per axis.
+        return i, j, (i.view(np.uintp) < self.width) & (j.view(np.uintp) < self.height)
 
     def cell_to_world(self, i: int, j: int) -> tuple[float, float]:
         """World coordinates of the center of cell (i, j)."""

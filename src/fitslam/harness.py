@@ -95,7 +95,7 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
             f"scan ray step {math.degrees(rays.delta_theta):g} deg is wider "
             f"than the camera field of view {math.degrees(camera.fov):g} deg")
     check_ray_samples(f"the orientation scan ({math.degrees(rays.delta_theta):g} deg ray step)",
-                      2 * math.pi / rays.delta_theta, camera.max_depth, world.resolution)
+                      2 * math.pi / rays.delta_theta, 2 * camera.max_depth / world.resolution)
 
 
 def _select_fit(candidates, state, world, uparams, rays, spec, planner, memo):

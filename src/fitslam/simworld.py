@@ -126,7 +126,7 @@ class WorldConfig:
         if round(side) < 1:
             raise ConfigError("size_m must hold at least one cell of the resolution")
         check_ray_samples(f"the sensing wedge ({math.degrees(s.ray_step):g} deg ray step)",
-                          cam.fov / s.ray_step + 1, cam.max_depth, self.resolution)
+                          *wedge_size(s, self.resolution))
         _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
         self.terrain = t = {**_TERRAIN_DEFAULTS, **self.terrain}
         if t["type"] not in _TERRAIN_TYPES:
@@ -226,13 +226,24 @@ def _fields(raw, keys: dict, where: str) -> dict:
     return {keys[k][0]: keys[k][1](v) for k, v in raw.items()}
 
 
-def check_ray_samples(what: str, n_rays: float, max_depth: float, resolution: float) -> None:
-    """Raise ConfigError if n_rays rays sampled every half cell out to max_depth, as
-    one look casts them, take more than MAX_RAY_SAMPLES samples."""
-    n = n_rays * 2 * max_depth / resolution
+def wedge_size(sensors: SensorConfig, resolution: float) -> tuple:
+    """(rays, samples per ray) of the sensing wedge, as floats that overflow to inf
+    rather than raise. Rays run every ray_step across the field of view, at least
+    two; each is sampled every half cell, from half a cell out to max_depth, as
+    `World.wedge`'s np.arange counts the samples."""
+    cam = sensors.camera
+    dr = resolution / 2
+    return (max(2.0, float(np.round(cam.fov / sensors.ray_step)) + 1),
+            float(np.ceil((cam.max_depth + dr / 2 - dr) / dr)))
+
+
+def check_ray_samples(what: str, n_rays: float, n_samples: float) -> None:
+    """Raise ConfigError if n_rays rays of n_samples samples each, as one look casts
+    them, take more than MAX_RAY_SAMPLES samples."""
+    n = n_rays * n_samples
     if n > MAX_RAY_SAMPLES:
-        raise ConfigError(f"{what} casts {n:.3g} ray samples per look over a {max_depth:g} m "
-                          f"range at {resolution:g} m cells; at most {MAX_RAY_SAMPLES} fit")
+        raise ConfigError(f"{what} casts {n:.3g} ray samples per look ({n_rays:.3g} rays "
+                          f"of {n_samples:.3g}); at most {MAX_RAY_SAMPLES} fit")
 
 
 def _check_list(values, what: str):
@@ -282,6 +293,17 @@ class World:
     @functools.cached_property
     def centers(self) -> tuple:
         return self.spec.cell_centers()
+
+    @functools.cached_property
+    def wedge(self) -> tuple:
+        """The sensing wedge's ray angles about the heading, its sample ranges and
+        the ranges' indices; `wedge_size` counts them."""
+        cam = self.config.sensors.camera
+        n_rays, _ = wedge_size(self.config.sensors, self.spec.resolution)
+        dr = self.spec.resolution / 2
+        ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
+        return (np.linspace(-cam.fov / 2, cam.fov / 2, int(n_rays)), ranges,
+                np.arange(ranges.size))
 
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -423,6 +445,14 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     i1 = min(spec.width, int((px + r - spec.origin_x) / spec.resolution) + 2)
     j0 = max(0, int((py - r - spec.origin_y) / spec.resolution))
     j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
+    # Only cells not yet sensed can change: shrink the window to their bounding
+    # rows and columns, or stop if the lidar window holds none.
+    rows = np.flatnonzero(~state.sensed[j0:j1, i0:i1].all(axis=1))
+    if rows.size == 0:
+        return
+    j0, j1 = j0 + rows[0], j0 + rows[-1] + 1
+    cols = np.flatnonzero(~state.sensed[j0:j1, i0:i1].all(axis=0))
+    i0, i1 = i0 + cols[0], i0 + cols[-1] + 1
     xs, ys = world.centers
     # xs and ys come from meshgrid: one row and one column hold every value.
     in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
@@ -440,33 +470,26 @@ def terrain_points(world: World, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
 
 def _sense_occupancy(world: World, state: MissionState) -> None:
     spec = world.spec
-    cfg = world.config.sensors
-    cam = cfg.camera
     px, py, theta = state.pose
-    n_rays = max(2, int(round(cam.fov / cfg.ray_step)) + 1)
-    angles = theta + np.linspace(-cam.fov / 2, cam.fov / 2, n_rays)
-    dr = spec.resolution / 2
-    ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
-    x = px + np.cos(angles)[:, None] * ranges[None, :]
-    y = py + np.sin(angles)[:, None] * ranges[None, :]
+    offsets, ranges, sample = world.wedge
+    angles = theta + offsets
+    x = px + np.cos(angles)[:, None] * ranges
+    y = py + np.sin(angles)[:, None] * ranges
     i, j, inside = spec.world_to_cells(x, y)
-    i = np.clip(i, 0, spec.width - 1)
-    j = np.clip(j, 0, spec.height - 1)
-    hit = world.occupied[j, i] & inside
+    # Each sample's linear cell index; out of range where the sample is not inside.
+    lin = j * spec.width + i
+    hit = world.occupied.take(lin, mode="clip") & inside
     # Index of the first hit sample per ray; past it the ray is blocked.
     first_hit = np.where(hit.any(axis=1), hit.argmax(axis=1), ranges.size)
-    seen = (np.arange(ranges.size)[None, :] <= first_hit[:, None]) & inside
+    seen = lin[(sample <= first_hit[:, None]) & inside]
 
     # The world is static and the sensor noise-free, so one sight of a cell
-    # shows its truth. Reveal it in every cell a ray reached, through the
-    # samples' bounding window; that is idempotent and order-free.
-    i0, j0 = i.min(), j.min()
-    mark = np.zeros((j.max() - j0 + 1, i.max() - i0 + 1), dtype=bool)
-    mark[j[seen] - j0, i[seen] - i0] = True
-    win = np.s_[j0:j0 + mark.shape[0], i0:i0 + mark.shape[1]]
-    p = state.occ.p[win]
-    state.unknown_inside -= int((mark & (p == UNKNOWN_P)).sum())
-    np.copyto(p, world.true_p[win], where=mark)
+    # shows its truth, and a known cell already holds it. Reveal only the
+    # distinct unknown cells a ray reached; that is idempotent and order-free.
+    p = state.occ.p
+    new = np.unique(seen[p.take(seen) == UNKNOWN_P])
+    state.unknown_inside -= new.size
+    p.put(new, world.true_p.take(new))
 
 
 _MOTION_DIRS = np.diag([1.0, 1.0, 0.1, 0.1, 0.1, 1.0])  # translation-dominant noise

@@ -154,6 +154,11 @@ class TestWorldConfig:
         {"terrain": {"type": "ramp", "grade": 1e160}},
         {"terrain": {"type": "bumps", "bump_amp": 1e308}},
         {"obstacles": [{"x": 3.0, "y": 3.0, "w": 1.0, "h": 1.0, "height": 1e308}]},
+        # Two rays of 800,000 samples: the kernel casts its minimum of two rays,
+        # not the 87 / 360 + 1 a plain quotient would count.
+        {"size_m": 1, "resolution": 0.001,
+         "sensors": {"max_depth_m": 400, "ray_step_deg": 360},
+         "robot": {"start_xy_theta": [0.5, 0.5, 0]}},
     ], ids=["unknown-key", "unknown-sensor-key", "speed-zero", "speed-negative",
             "size-nan", "resolution-nan", "size-inf", "obstacle-w-zero",
             "obstacle-h-negative", "obstacle-w-string", "start-outside-grid",
@@ -171,7 +176,7 @@ class TestWorldConfig:
             "landmark-point-huge", "fov-zero", "fov-above-360",
             "max-depth-negative", "count-huge",
             "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300", "grade-huge",
-            "bump-amp-huge", "obstacle-height-huge"])
+            "bump-amp-huge", "obstacle-height-huge", "wedge-two-rays-past-limit"])
     def test_bad_world_rejected(self, override, tmp_path, capsys):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
@@ -198,6 +203,40 @@ class TestWorldConfig:
     def test_lidar_radius_limit_accepted(self):
         cfg = tiny_config(sensors={"lidar_radius_m": simworld.MAX_REACH * 8.0})
         assert cfg.sensors.lidar_radius == 8000.0
+
+    @pytest.mark.parametrize("sensors, resolution", [
+        ({}, 0.2),
+        ({"ray_step_deg": 360}, 0.2),        # fewer than two rays by the quotient
+        ({"ray_step_deg": 2.0}, 0.2),        # 43.5 rays: rounds half to even, to 44
+        ({"ray_step_deg": 6.0}, 0.2),        # 14.5 rays: rounds half to even, to 14
+        ({"fov_deg": 360, "ray_step_deg": 7.0}, 0.2),
+        ({"max_depth_m": 0.1}, 0.2),          # one sample, half a cell out
+        ({"max_depth_m": 0.37}, 0.2),
+        ({"max_depth_m": 3.0}, 0.1),
+        ({"max_depth_m": 4.9}, 0.15),
+    ])
+    def test_wedge_size_counts_the_wedge_a_look_casts(self, sensors, resolution):
+        world = generate_world(tiny_config(resolution=resolution, sensors=sensors))
+        cfg = world.config.sensors
+        cam = cfg.camera
+        offsets, ranges, sample = world.wedge
+        dr = resolution / 2
+        assert simworld.wedge_size(cfg, resolution) == (offsets.size, ranges.size)
+        assert offsets.size == max(2, int(round(cam.fov / cfg.ray_step)) + 1)
+        assert np.array_equal(ranges, np.arange(dr, cam.max_depth + dr / 2, dr))
+        assert np.array_equal(sample, np.arange(ranges.size))
+
+    def test_wedge_bound_counts_the_kernels_rays(self):
+        # 2 rays x 800,000 samples; a quotient of 87 / 360 + 1 rays counted 9.9e5.
+        with pytest.raises(ConfigError, match=r"1\.6e\+06 ray samples per look \(2 rays"):
+            WorldConfig.from_dict({"size_m": 1, "resolution": 0.001,
+                                   "sensors": {"max_depth_m": 400, "ray_step_deg": 360},
+                                   "robot": {"start_xy_theta": [0.5, 0.5, 0]}})
+        # At the bound: 2 rays x 500,000 samples.
+        cfg = WorldConfig.from_dict({"size_m": 1, "resolution": 0.001,
+                                     "sensors": {"max_depth_m": 250, "ray_step_deg": 360},
+                                     "robot": {"start_xy_theta": [0.5, 0.5, 0]}})
+        assert simworld.wedge_size(cfg.sensors, cfg.resolution) == (2, 500_000)
 
     def test_landmark_point_limit_accepted(self):
         points = [[simworld.MAX_REACH * 8.0, -simworld.MAX_REACH * 8.0, 0.5], [2.0, 2.0, 0.5]]
@@ -448,7 +487,9 @@ class OccupancyReference:
 
 
 def sense_occupancy_sorted(world, pose, ref):
-    """Reference occupancy update: the cells of the ray samples by np.unique."""
+    """Reference occupancy update: the cells of the ray samples by np.unique.
+
+    Returns every sample's linear cell index, out of range off the grid."""
     spec = world.spec
     cfg = world.config.sensors
     cam = cfg.camera
@@ -487,6 +528,7 @@ def sense_occupancy_sorted(world, pose, ref):
         new = touched[~obs[touched]]
         obs[new] = True
         ref.unknown_inside -= int(new.size)
+    return j * spec.width + i
 
 
 # Headings of the 8 grid steps, as execute_path computes them.
@@ -532,9 +574,8 @@ def log_odds_ladder(k_max=8):
     return np.clip(1.0 / (1.0 + np.exp(-lo)), *simworld.P_CLAMP)
 
 
-def sense_terrain_accumulate(world, pose, ref):
-    """Reference terrain update: accumulate into `ref` the terrain points of the
-    cells within the lidar radius that hold no points yet."""
+def lidar_window(world, pose):
+    """The (j0, j1, i0, i1) bounds of the cells a look at `pose` may sense."""
     spec = world.spec
     px, py, _ = pose
     r = world.config.sensors.lidar_radius
@@ -542,6 +583,15 @@ def sense_terrain_accumulate(world, pose, ref):
     i1 = min(spec.width, int((px + r - spec.origin_x) / spec.resolution) + 2)
     j0 = max(0, int((py - r - spec.origin_y) / spec.resolution))
     j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
+    return j0, j1, i0, i1
+
+
+def sense_terrain_accumulate(world, pose, ref):
+    """Reference terrain update: accumulate into `ref` the terrain points of the
+    cells within the lidar radius that hold no points yet."""
+    px, py, _ = pose
+    r = world.config.sensors.lidar_radius
+    j0, j1, i0, i1 = lidar_window(world, pose)
     xs, ys = world.centers
     in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
     fresh = in_range & (ref.count[j0:j1, i0:i1] == 0)
@@ -571,30 +621,119 @@ class TestTerrainOracle:
         # The first pose leaves cells unsensed, so Unknown cells are compared too.
         assert 0.0 < coverage[0] < 1.0
 
+    @staticmethod
+    def look(world, state, ref, pose):
+        """One look at `pose` by the kernel and by the reference; returns the
+        sensed fraction of the lidar window before it."""
+        j0, j1, i0, i1 = lidar_window(world, pose)
+        before = state.sensed[j0:j1, i0:i1].mean()
+        state.pose = pose
+        simworld.sense(world, state)
+        sense_terrain_accumulate(world, pose, ref)
+        assert np.array_equal(state.sensed, ref.count > 0), pose
+        return before
+
+    # A 4 m world under a 1 m lidar: windows of 22 cells a side, clipped at the edges.
+    SMALL_LIDAR = {"size_m": 4.0, "resolution": 0.1, "sensors": {"lidar_radius_m": 1.0},
+                   "landmarks": {"count": 0, "clusters": 1},
+                   "robot": {"start_xy_theta": [2.05, 2.05, 0.0]}}
+
+    def test_repeated_pose_with_window_fully_sensed(self):
+        world = generate_world(WorldConfig.from_dict(self.SMALL_LIDAR))
+        state = MissionState.initial(world)
+        ref = TerrainStatsGrid(world.spec)
+        lattice = [(x, y, 0.0) for y in (0.55, 1.55, 2.55, 3.55) for x in (0.55, 1.55, 2.55, 3.55)]
+        for pose in lattice:
+            self.look(world, state, ref, pose)
+        assert state.sensed.all()
+        # Every window is now fully sensed: the look has nothing to add.
+        for pose in lattice[::5] + [(1.0, 2.0, 0.0), (3.97, 0.02, 1.0)]:
+            assert self.look(world, state, ref, pose) == 1.0
+
+    def test_one_cell_steps_with_window_partly_sensed(self):
+        world = generate_world(WorldConfig.from_dict(self.SMALL_LIDAR))
+        state = MissionState.initial(world)
+        ref = TerrainStatsGrid(world.spec)
+        spec = world.spec
+        # From the middle to each edge one cell at a time, so each look after
+        # the first finds part of its window sensed; the last ones reach the edge.
+        mid = spec.width // 2
+        arms = [[(mid + s * k, mid) for k in range(mid)] for s in (1, -1)]
+        arms += [[(mid, mid + s * k) for k in range(mid)] for s in (1, -1)]
+        before = [self.look(world, state, ref, (*spec.cell_to_world(i, j), 0.0))
+                  for arm in arms for i, j in arm]
+        assert before[0] == 0.0 and all(0.0 < b < 1.0 for b in before[1:])
+        assert not state.sensed.all()
+
+
+def assert_occupancy_matches_sorted_reference(world, poses):
+    """Look at each pose with the kernel and the reference; returns the state, the
+    reference and every sample's linear cell index."""
+    state = MissionState.initial(world)
+    ref = OccupancyReference(world)
+    samples = []
+    for pose in poses:
+        state.pose = pose
+        samples.append(sense_occupancy_sorted(world, pose, ref))
+        simworld._sense_occupancy(world, state)
+        # Every cell the reference has observed shows its truth; the
+        # log-odds class agrees with it.
+        assert np.array_equal(state.occ.p,
+                              np.where(ref.observed, world.true_p, UNKNOWN_P)), pose
+        assert np.array_equal(state.occ.p > OCCUPIED_THRESHOLD,
+                              ref.p > OCCUPIED_THRESHOLD), pose
+        assert state.unknown_inside == ref.unknown_inside, pose
+    return state, ref, np.concatenate([lin.ravel() for lin in samples])
+
 
 class TestOccupancyOracle:
     @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
     def test_matches_sorted_reference(self, preset):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
-        state = MissionState.initial(world)
-        ref = OccupancyReference(world)
         poses = occupancy_oracle_poses(world, np.random.default_rng(11))
         assert len(poses) > 200
-        for pose in poses:
-            state.pose = pose
-            sense_occupancy_sorted(world, pose, ref)
-            simworld._sense_occupancy(world, state)
-            # Every cell the reference has observed shows its truth; the
-            # log-odds class agrees with it.
-            assert np.array_equal(state.occ.p,
-                                  np.where(ref.observed, world.true_p, UNKNOWN_P)), pose
-            assert np.array_equal(state.occ.p > OCCUPIED_THRESHOLD,
-                                  ref.p > OCCUPIED_THRESHOLD), pose
-            assert state.unknown_inside == ref.unknown_inside, pose
+        state, ref, _ = assert_occupancy_matches_sorted_reference(world, poses)
         assert ref.observed.any() and (state.occ.p > 0.9).any()
         # Some cell was marked often enough to hit each clamp.
         assert (np.abs(ref.log_odds) > 3 * LOG_ODDS_STEP).any()
         assert set(np.unique(state.occ.p).tolist()) <= {*simworld.P_CLAMP, UNKNOWN_P}
+
+    @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
+    def test_off_centre_poses_match_sorted_reference(self, preset):
+        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
+        spec = world.spec
+        rng = np.random.default_rng(12)
+        xy = rng.uniform(0.0, [spec.width * spec.resolution, spec.height * spec.resolution],
+                         size=(150, 2))
+        poses = [(x, y, float(rng.uniform(-math.pi, math.pi))) for x, y in xy]
+        state, _, _ = assert_occupancy_matches_sorted_reference(world, poses)
+        assert (state.occ.p > 0.9).any()
+
+    def test_world_smaller_than_camera_range(self):
+        # A 3 m world under the 5 m camera, with blocks on every edge and corner:
+        # looks sample past every edge, so some samples' linear indices are
+        # negative and some past the end. Clipped, or wrapped into the next row,
+        # such an index can land on a blocked cell.
+        blocks = [(0.0, 0.0, 0.3, 0.3), (2.7, 2.7, 0.3, 0.3), (0.0, 1.0, 0.3, 0.5),
+                  (2.7, 2.0, 0.3, 0.6), (1.2, 0.0, 0.5, 0.2), (0.5, 2.8, 0.6, 0.2),
+                  (1.8, 1.0, 0.3, 0.3)]
+        world = generate_world(WorldConfig.from_dict({
+            "size_m": 3.0, "resolution": 0.1, "landmarks": {"count": 0, "clusters": 1},
+            "obstacles": [{"x": x, "y": y, "w": w, "h": h} for x, y, w, h in blocks],
+            "robot": {"start_xy_theta": [1.5, 1.5, 0.0]}}))
+        rng = np.random.default_rng(13)
+        poses = [(x, y, float(rng.uniform(-math.pi, math.pi)))
+                 for x, y in rng.uniform(0.0, 3.0, size=(120, 2))]
+        # A ray from a pose on the grid leaves it once and never comes back, so
+        # only a pose off the grid looking in shows whether samples off the grid
+        # are kept out of the hit test: half a metre past each edge and corner.
+        for t in (0.15, 0.85, 1.5, 2.35, 2.85):
+            poses += [(-0.5, t, 0.0), (3.5, t, math.pi), (t, -0.5, math.pi / 2),
+                      (t, 3.5, -math.pi / 2)]
+        poses += [(-0.5, -0.5, math.pi / 4), (3.5, 3.5, -3 * math.pi / 4)]
+        state, _, lin = assert_occupancy_matches_sorted_reference(world, poses)
+        assert (lin < 0).any() and (lin >= world.spec.n_cells).any()
+        assert (state.occ.p == simworld.P_CLAMP[1]).any()
 
     def test_ladder_is_clamped_logistic_of_repeated_steps(self):
         # The reference's end rungs are the two values a seen cell can show.
@@ -758,6 +897,32 @@ class TestCovarianceOracle:
         # Many looks stack several landmarks, and some close a loop.
         assert len(looks) > 300 and sum(k > 1 for k in looks) > 40
         assert state.n_loop_closures > 0
+
+
+class TestRevealInvariant:
+    @pytest.mark.parametrize("preset, strategy", [("obstacle_ring", "fit"),
+                                                  ("flat_office", "random")])
+    def test_every_look_of_a_mission_keeps_count_and_truth(self, preset, strategy,
+                                                           monkeypatch):
+        # The reveal writes only cells that read Unknown, which is exact only if
+        # every known cell already holds its truth and the running count is the
+        # number of Unknown cells. Check both after every look of a full mission.
+        looks = []
+
+        def checked_observe(world, state):
+            simworld_observe(world, state)
+            p = state.occ.p
+            known = p != UNKNOWN_P
+            assert state.unknown_inside == p.size - np.count_nonzero(known), len(looks)
+            assert np.array_equal(p[known], world.true_p[known]), len(looks)
+            looks.append(state.unknown_inside)
+
+        simworld_observe = simworld.observe
+        monkeypatch.setattr(simworld, "observe", checked_observe)
+        cfg = WorldConfig.from_json(fitslam.preset_world_path(preset))
+        log = run_mission(cfg, strategy, 1)
+        assert len(looks) > 300 and looks[-1] < looks[0]
+        assert log.final.pct_unexplored == 100.0 * looks[-1] / cfg.grid_spec().n_cells
 
 
 class TestExecutePath:
