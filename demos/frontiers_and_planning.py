@@ -8,7 +8,8 @@ a half-explored map.
 """
 
 import fitslam
-from fitslam.frontier import cluster_frontiers, detect_frontiers, frontier_components
+from fitslam.frontier import (DEFAULT_MAX_CLUSTER_SIZE as CAP, Blacklist, cluster_frontiers,
+                              detect_frontiers, frontier_components)
 from fitslam.harness import run_mission
 from fitslam.planner import MultiGoalPlanner, NoPathError
 from fitslam.simworld import (MissionState, WorldConfig, current_grids,
@@ -23,12 +24,12 @@ initial_spin(world, state)
 
 _, nav = current_grids(state)
 frontiers = detect_frontiers(state.occ, nav)
-candidates = cluster_frontiers(frontiers, spec, max_cluster_size=30)
-# Without a blacklist there is one candidate per chunk, in chunk order.
-sizes = [min(30, len(order) - k) for order in frontier_components(frontiers, spec)
-         for k in range(0, len(order), 30)]
+candidates = cluster_frontiers(frontiers, spec, Blacklist(spec))
+# An empty blacklist keeps one candidate per chunk, in chunk order.
+sizes = [min(CAP, len(order) - k) for order in frontier_components(frontiers, spec)
+         for k in range(0, len(order), CAP)]
 print(f"after the initial spin: {len(frontiers)} frontier cells "
-      f"in {len(candidates)} clusters (cap 30)")
+      f"in {len(candidates)} clusters (cap {CAP})")
 
 planner = MultiGoalPlanner(nav)
 planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]))

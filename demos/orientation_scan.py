@@ -14,7 +14,7 @@ from fitslam.fisher import Camera
 from fitslam.grid import GridSpec, OccupancyGrid, UNKNOWN_P
 from fitslam.infogain import RayCastParams, cast_ray, scan_orientations
 
-spec = GridSpec(0.0, 0.0, 0.1, 60, 60)
+spec = GridSpec(0.1, 60, 60)
 occ = OccupancyGrid.unknown(spec)
 occ.p[:, :30] = 0.1           # west half explored and free
 occ.p[:50, 30] = 0.9          # wall with an open north end

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from . import PRESET_WORLDS, preset_world_path, simworld, traversability
+from . import PRESET_WORLDS, preset_world_path, traversability
 from .grid import OccupancyGrid
 from .harness import DEFAULT_MAX_MISSION_TIME, ExperimentConfig, run_experiment, STRATEGIES
 from .infogain import DEFAULT_DELTA_THETA_DEG, DEFAULT_GAMMA, RayCastParams
@@ -103,7 +103,7 @@ def _cmd_preview(args) -> int:
     world = generate_world(config)
     occ = OccupancyGrid(world.spec, world.true_p)
     trav = world.terrain.score_cells()
-    nav = traversability.threshold(trav, simworld.DEFAULT_TRAV_THRESHOLD)
+    nav = traversability.threshold(trav)
 
     print("# true occupancy")
     sys.stdout.write(occ.to_text())

@@ -61,9 +61,9 @@ class CameraPose:
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
 
     @classmethod
-    def from_planar(cls, x: float, y: float, heading: float, camera: Camera,
-                    height: float = DEFAULT_SENSOR_HEIGHT) -> "CameraPose":
-        """Lift a planar robot pose to a camera looking along the heading."""
+    def from_planar(cls, x: float, y: float, heading: float, camera: Camera) -> "CameraPose":
+        """Lift a planar robot pose to a camera DEFAULT_SENSOR_HEIGHT above it,
+        looking along the heading."""
         c, s = math.cos(heading), math.sin(heading)
         # Camera axes in world coordinates: z forward, x left of travel, y up.
         x_axis = np.array([-s, c, 0.0])
@@ -71,7 +71,7 @@ class CameraPose:
         z_axis = np.array([c, s, 0.0])
         r_wc = np.column_stack([x_axis, y_axis, z_axis])
         r_cw = r_wc.T
-        center = np.array([x, y, height])
+        center = np.array([x, y, DEFAULT_SENSOR_HEIGHT])
         return cls(r_cw, -r_cw @ center, camera)
 
     def to_camera(self, v_world: np.ndarray) -> np.ndarray:
@@ -156,19 +156,17 @@ def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarra
     return fims
 
 
-def voxelize(positions: np.ndarray, voxel_size: float = DEFAULT_VOXEL_SIZE) -> np.ndarray:
-    """Row indices of one representative of (K, 3) `positions` per occupied voxel,
-    in voxel-key order.
+def voxelize(positions: np.ndarray) -> np.ndarray:
+    """Row indices of one representative of (K, 3) `positions` per occupied voxel
+    of side DEFAULT_VOXEL_SIZE, in voxel-key order.
 
     The representative is the landmark nearest the voxel center (ties broken
     by the lower row), so duplicated landmarks in one voxel count once.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be > 0")
     best = {}
     for idx, position in enumerate(positions):
-        key = tuple(np.floor(position / voxel_size).astype(int))
-        center = (np.array(key) + 0.5) * voxel_size
+        key = tuple(np.floor(position / DEFAULT_VOXEL_SIZE).astype(int))
+        center = (np.array(key) + 0.5) * DEFAULT_VOXEL_SIZE
         d = float(np.linalg.norm(position - center))
         if key not in best or (d, idx) < best[key]:
             best[key] = (d, idx)

@@ -84,26 +84,21 @@ def frontier_components(cells: set, spec: GridSpec) -> list:
     return components
 
 
-def cluster_frontiers(cells: set, spec: GridSpec,
-                      max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE,
-                      blacklist: Blacklist | None = None) -> list:
+def cluster_frontiers(cells: set, spec: GridSpec, blacklist: Blacklist) -> list:
     """Candidate goal cells (i, j) of the deterministic, size-capped clusters.
 
     Each component's visit order is cut into consecutive chunks of at most
-    `max_cluster_size` cells, and each chunk nominates its median-order cell.
-    Candidates come in component order, then chunk order; those the
+    DEFAULT_MAX_CLUSTER_SIZE cells, and each chunk nominates its median-order
+    cell. Candidates come in component order, then chunk order; those the
     blacklist suppresses are dropped.
     """
-    if max_cluster_size < 1:
-        raise ValueError("max_cluster_size must be >= 1")
-    m, w = max_cluster_size, spec.width
+    m, w = DEFAULT_MAX_CLUSTER_SIZE, spec.width
+    if blacklist.mask.shape != (spec.height, w):
+        raise ValueError("blacklist and frontier cells must share one GridSpec")
     picks = [np.empty(0, dtype=np.intp)]
     for order in frontier_components(cells, spec):
         start = np.arange(0, len(order), m)
         picks.append(order[start + (np.minimum(m, len(order) - start) - 1) // 2])
     candidates = np.concatenate(picks)
-    if blacklist is not None:
-        if blacklist.mask.shape != (spec.height, w):
-            raise ValueError("blacklist and frontier cells must share one GridSpec")
-        candidates = candidates[~blacklist.mask.ravel()[candidates]]
+    candidates = candidates[~blacklist.mask.ravel()[candidates]]
     return list(zip((candidates % w).tolist(), (candidates // w).tolist()))

@@ -33,15 +33,13 @@ class OutOfBoundsError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a dense 2D grid.
+    """Geometry of a dense 2D grid whose cell (0, 0) has its corner at the world
+    origin.
 
-    (origin_x, origin_y) is the world position of the corner of cell (0, 0).
     Cell membership uses half-open intervals [corner, corner + resolution) so
     every point maps to exactly one cell.
     """
 
-    origin_x: float
-    origin_y: float
     resolution: float
     width: int
     height: int
@@ -49,8 +47,6 @@ class GridSpec:
     def __post_init__(self):
         if not (self.resolution > 0 and math.isfinite(self.resolution)):
             raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
-        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
-            raise ValueError(f"origin must be finite, got ({self.origin_x}, {self.origin_y})")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
 
@@ -62,15 +58,12 @@ class GridSpec:
         return 0 <= i < self.width and 0 <= j < self.height
 
     def point_in_bounds(self, x: float, y: float) -> bool:
-        return (
-            self.origin_x <= x < self.origin_x + self.width * self.resolution
-            and self.origin_y <= y < self.origin_y + self.height * self.resolution
-        )
+        return 0 <= x < self.width * self.resolution and 0 <= y < self.height * self.resolution
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """Map a world point to its containing cell, or raise OutOfBoundsError."""
-        i = math.floor((x - self.origin_x) / self.resolution)
-        j = math.floor((y - self.origin_y) / self.resolution)
+        i = math.floor(x / self.resolution)
+        j = math.floor(y / self.resolution)
         if not self.in_bounds(i, j):
             raise OutOfBoundsError(f"point ({x}, {y}) outside grid extent")
         return i, j
@@ -79,8 +72,8 @@ class GridSpec:
         """(i, j, inside) arrays of the cells that world points (x, y) fall in;
         `inside` is False where a point lies outside the grid, whose i, j are then
         out of range."""
-        i = np.floor((x - self.origin_x) / self.resolution).astype(np.intp)
-        j = np.floor((y - self.origin_y) / self.resolution).astype(np.intp)
+        i = np.floor(x / self.resolution).astype(np.intp)
+        j = np.floor(y / self.resolution).astype(np.intp)
         # Read as unsigned, a negative index is past every bound: one compare per axis.
         return i, j, (i.view(np.uintp) < self.width) & (j.view(np.uintp) < self.height)
 
@@ -88,19 +81,16 @@ class GridSpec:
         """World coordinates of the center of cell (i, j)."""
         if not self.in_bounds(i, j):
             raise OutOfBoundsError(f"cell ({i}, {j}) outside {self.width}x{self.height} grid")
-        return (
-            self.origin_x + (i + 0.5) * self.resolution,
-            self.origin_y + (j + 0.5) * self.resolution,
-        )
+        return (i + 0.5) * self.resolution, (j + 0.5) * self.resolution
 
     def linear_index(self, i: int, j: int) -> int:
         return j * self.width + i
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays of shape (height, width) with the world x and y of every cell center."""
-        xs = self.origin_x + (np.arange(self.width) + 0.5) * self.resolution
-        ys = self.origin_y + (np.arange(self.height) + 0.5) * self.resolution
-        return np.meshgrid(xs, ys)
+        """The world x of every column's cell centers, shape (width,), and the world
+        y of every row's, shape (height,)."""
+        return ((np.arange(self.width) + 0.5) * self.resolution,
+                (np.arange(self.height) + 0.5) * self.resolution)
 
 
 def shift(arr: np.ndarray, di: int, dj: int) -> np.ndarray:
@@ -181,10 +171,10 @@ class BinaryTraversabilityGrid:
 
 
 def _raster_text(spec: GridSpec, values: np.ndarray, cell) -> str:
-    """A `width height resolution origin_x origin_y` header line, then one line per
-    row of values, each value written by `cell`."""
-    lines = [f"{spec.width} {spec.height} {spec.resolution:.6g} {spec.origin_x:.6g} "
-             f"{spec.origin_y:.6g}", *(" ".join(map(cell, row)) for row in values)]
+    """A `width height resolution origin_x origin_y` header line, its origin always
+    `0 0`, then one line per row of values, each value written by `cell`."""
+    lines = [f"{spec.width} {spec.height} {spec.resolution:.6g} 0 0",
+             *(" ".join(map(cell, row)) for row in values)]
     return "\n".join(lines) + "\n"
 
 

@@ -84,9 +84,9 @@ def cast_ray(occ: OccupancyGrid, origin: tuple, theta: float,
     # Distance along the ray to the first vertical / horizontal cell border.
     t_max_x = t_max_y = math.inf
     if dx != 0:
-        t_max_x = (spec.origin_x + (i + (1 if dx > 0 else 0)) * spec.resolution - ox) / dx
+        t_max_x = ((i + (1 if dx > 0 else 0)) * spec.resolution - ox) / dx
     if dy != 0:
-        t_max_y = (spec.origin_y + (j + (1 if dy > 0 else 0)) * spec.resolution - oy) / dy
+        t_max_y = ((j + (1 if dy > 0 else 0)) * spec.resolution - oy) / dy
 
     cells = []
     total = 0.0

@@ -176,7 +176,7 @@ class WorldConfig:
 
     def grid_spec(self) -> GridSpec:
         n = int(round(self.size_m / self.resolution))
-        return GridSpec(0.0, 0.0, self.resolution, n, n)
+        return GridSpec(self.resolution, n, n)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorldConfig":
@@ -292,6 +292,7 @@ class World:
 
     @functools.cached_property
     def centers(self) -> tuple:
+        """The cell centers' x per column and y per row (`GridSpec.cell_centers`)."""
         return self.spec.cell_centers()
 
     @functools.cached_property
@@ -339,7 +340,7 @@ def generate_world(config: WorldConfig) -> World:
     xs, ys = spec.cell_centers()
     occupied = np.zeros((spec.height, spec.width), dtype=bool)
     for ob in config.obstacles:
-        occupied |= _footprint(ob, xs, ys)
+        occupied |= _footprint(ob, xs, ys[:, None])
 
     positions = _place_landmarks(config)
     return World(config, spec, occupied, positions, fisher.default_covariances(len(positions)))
@@ -441,10 +442,10 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     spec = world.spec
     px, py, _ = state.pose
     r = world.config.sensors.lidar_radius
-    i0 = max(0, int((px - r - spec.origin_x) / spec.resolution))
-    i1 = min(spec.width, int((px + r - spec.origin_x) / spec.resolution) + 2)
-    j0 = max(0, int((py - r - spec.origin_y) / spec.resolution))
-    j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
+    i0 = max(0, int((px - r) / spec.resolution))
+    i1 = min(spec.width, int((px + r) / spec.resolution) + 2)
+    j0 = max(0, int((py - r) / spec.resolution))
+    j1 = min(spec.height, int((py + r) / spec.resolution) + 2)
     # Only cells not yet sensed can change: shrink the window to their bounding
     # rows and columns, or stop if the lidar window holds none.
     rows = np.flatnonzero(~state.sensed[j0:j1, i0:i1].all(axis=1))
@@ -454,8 +455,7 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     cols = np.flatnonzero(~state.sensed[j0:j1, i0:i1].all(axis=0))
     i0, i1 = i0 + cols[0], i0 + cols[-1] + 1
     xs, ys = world.centers
-    # xs and ys come from meshgrid: one row and one column hold every value.
-    in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
+    in_range = (xs[i0:i1] - px) ** 2 + (ys[j0:j1, None] - py) ** 2 <= r * r
     state.sensed[j0:j1, i0:i1] |= in_range
 
 
@@ -463,8 +463,8 @@ def terrain_points(world: World, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
     """The (5N, 3) lidar returns from cells (ii, jj): per cell, its _CELL_SAMPLES in order."""
     res = world.spec.resolution
     xs, ys = world.centers
-    px = ((xs[jj, ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 0] * res).ravel()
-    py = ((ys[jj, ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 1] * res).ravel()
+    px = ((xs[ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 0] * res).ravel()
+    py = ((ys[jj] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 1] * res).ravel()
     return np.column_stack([px, py, world.terrain_z(px, py)])
 
 
@@ -593,16 +593,13 @@ def record_metrics(state: MissionState) -> MetricSample:
     return sample
 
 
-DEFAULT_TRAV_THRESHOLD = 0.3
-
-
 def current_grids(state: MissionState):
     """Score and threshold the traversability seen so far.
 
     The robot's own cell is Free whatever its score: the robot stands on it.
     """
     trav = state.world.terrain.score_cells(state.sensed)
-    nav = traversability.threshold(trav, DEFAULT_TRAV_THRESHOLD)
+    nav = traversability.threshold(trav)
     i, j = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
     nav.state[j, i] = FREE
     return trav, nav

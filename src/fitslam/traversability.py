@@ -19,6 +19,7 @@ MAX_SLOPE = np.deg2rad(30.0)  # rad
 MAX_ROUGHNESS = 0.05          # m, RMS residual to the fitted plane
 MAX_STEP = 0.15               # m, elevation jump vs. neighbor cells
 MIN_POINTS = 5                # plane fit needs >= 3; margin for noise
+TRAV_THRESHOLD = 0.3          # lowest score of a Free cell
 
 
 class TerrainStatsGrid:
@@ -116,10 +117,8 @@ class TerrainStatsGrid:
         return TraversabilityGrid(self.spec, score)
 
 
-def threshold(trav: TraversabilityGrid, t: float) -> BinaryTraversabilityGrid:
-    """Score >= t is Free, below is Blocked, Unknown stays Unknown."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {t}")
-    state = np.where(trav.score >= t, FREE, BLOCKED).astype(np.int8)
+def threshold(trav: TraversabilityGrid) -> BinaryTraversabilityGrid:
+    """Score >= TRAV_THRESHOLD is Free, below is Blocked, Unknown stays Unknown."""
+    state = np.where(trav.score >= TRAV_THRESHOLD, FREE, BLOCKED).astype(np.int8)
     state[np.isnan(trav.score)] = UNKNOWN
     return BinaryTraversabilityGrid(trav.spec, state)

@@ -103,7 +103,7 @@ def test_criterion_2_orientation_scan_oracle(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        occ = OccupancyGrid.unknown(GridSpec(0.0, 0.0, 0.1, 64, 64))
+        occ = OccupancyGrid.unknown(GridSpec(0.1, 64, 64))
         known = rng.random((64, 64)) < 0.5
         occ.p[known] = rng.choice([0.1, 0.9], size=int(known.sum()), p=[0.8, 0.2])
         goal = (rng.uniform(0.5, 5.9), rng.uniform(0.5, 5.9))
@@ -128,7 +128,7 @@ def test_criterion_3_planner_optimality(capsys):
     t0 = time.perf_counter()
     solved = unreachable = 0
     for _ in range(200):
-        spec = GridSpec(0.0, 0.0, 0.1, 64, 64)
+        spec = GridSpec(0.1, 64, 64)
         state = np.full((64, 64), FREE, dtype=np.int8)
         state[rng.random((64, 64)) < 0.2] = BLOCKED
         nav = BinaryTraversabilityGrid(spec, state)
@@ -169,7 +169,7 @@ def test_criterion_4_entropy_fixed_points(capsys):
     exact = (cell_entropy(0.5) == 1.0 and cell_entropy(0.0) == 0.0
              and cell_entropy(1.0) == 0.0)
 
-    occ = OccupancyGrid.unknown(GridSpec(0.0, 0.0, 0.1, 20, 20))
+    occ = OccupancyGrid.unknown(GridSpec(0.1, 20, 20))
     ray = cast_ray(occ, (0.05, 1.05), 0.0, RayCastParams(gamma=0.9), Camera())
     fourth = ray.cells[3]  # N = 3 unknown cells already traversed
     posterior_ok = abs(fourth.posterior - 0.8645) < 1e-12

@@ -5,7 +5,9 @@ import pytest
 
 import fitslam
 from fitslam.fisher import (
+    DEFAULT_SENSOR_HEIGHT,
     DEFAULT_SIGMA_BEARING,
+    DEFAULT_VOXEL_SIZE,
     Camera,
     CameraPose,
     DegenerateLandmarkError,
@@ -250,9 +252,12 @@ class TestVisibleMask:
                                            False, False, False, False]
 
     def test_planar_pose_edges(self):
-        pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera(max_depth=5.0), height=0.0)
-        assert self.check(pose, [[5.0, 0.0, 0.0], [4.0, 3.0, 0.0], [-1.0, 0.0, 0.0]]) \
-            == [True, True, False]
+        pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera(max_depth=5.0))
+        h = DEFAULT_SENSOR_HEIGHT
+        # At max_depth ahead and off axis, behind, then at max_depth on the ground,
+        # which lies below the camera and so just beyond its range.
+        assert self.check(pose, [[5.0, 0.0, h], [4.0, 3.0, h], [-1.0, 0.0, h],
+                                 [5.0, 0.0, 0.0]]) == [True, True, False, False]
 
     def test_no_positions(self):
         assert visible(identity_pose(), np.zeros((0, 3))).shape == (0,)
@@ -405,28 +410,28 @@ class TestLandmarkFim:
 class TestVoxelize:
     def test_duplicates_in_one_voxel_count_once(self):
         positions = np.array([[1.0, 1.0, 0.5], [1.01, 1.01, 0.5]])
-        assert len(voxelize(positions, 0.25)) == 1
+        assert len(voxelize(positions)) == 1
 
     def test_separate_voxels_kept(self):
         positions = np.array([[1.0, 1.0, 0.5], [1.4, 1.0, 0.5]])
-        assert len(voxelize(positions, 0.25)) == 2
+        assert len(voxelize(positions)) == 2
 
     def test_representative_nearest_to_voxel_center(self):
         corner, near_center = [0.01, 0.01, 0.01], [0.13, 0.12, 0.12]
-        assert voxelize(np.array([corner, near_center]), 0.25).tolist() == [1]
+        assert voxelize(np.array([corner, near_center])).tolist() == [1]
 
     def test_equidistant_tie_goes_to_lower_row(self):
         # 1/16 m either side of the voxel center at 1/8 m: exactly equal distances.
         left, right = [0.0625, 0.125, 0.125], [0.1875, 0.125, 0.125]
         other_voxel = [1.1, 0.1, 0.1]
-        assert voxelize(np.array([other_voxel, left, right]), 0.25).tolist() == [1, 0]
-        assert voxelize(np.array([other_voxel, right, left]), 0.25).tolist() == [1, 0]
+        assert voxelize(np.array([other_voxel, left, right])).tolist() == [1, 0]
+        assert voxelize(np.array([other_voxel, right, left])).tolist() == [1, 0]
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(15)
         positions = rng.uniform(0, 2, (60, 3))
-        voxel = 0.25
-        reps = voxelize(positions, voxel)
+        voxel = DEFAULT_VOXEL_SIZE
+        reps = voxelize(positions)
         groups = {}
         for idx, position in enumerate(positions):
             groups.setdefault(tuple(np.floor(position / voxel).astype(int)), []).append(idx)
@@ -437,10 +442,6 @@ class TestVoxelize:
                             key=lambda idx: (np.linalg.norm(positions[idx] - center), idx)))
         # One row per voxel, in voxel-key order.
         assert reps.tolist() == best
-
-    def test_bad_voxel_size(self):
-        with pytest.raises(ValueError):
-            voxelize(np.zeros((0, 3)), 0.0)
 
     def test_world_voxel_landmarks_match_voxelize(self):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
@@ -513,7 +514,7 @@ class TestPathInformation:
         wps = [Waypoint(1.0, 2.0, h) for h in (0.0, 0.7, math.pi / 2, -2.9)]
         positions = []
         for wp in wps:
-            center = np.array([wp.x, wp.y, 0.3])  # the camera of from_planar
+            center = np.array([wp.x, wp.y, DEFAULT_SENSOR_HEIGHT])  # the camera of from_planar
             for angle, dist in ((fov / 2, 3.0), (-fov / 2, 3.0), (0.0, depth),
                                 (fov / 2, depth), (fov / 2 + 1e-6, 3.0), (0.0, depth + 1e-9)):
                 heading = wp.heading + angle

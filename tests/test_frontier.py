@@ -22,7 +22,7 @@ from fitslam.simworld import WorldConfig
 
 
 def build_grids(w, h, res=0.1):
-    spec = GridSpec(0.0, 0.0, res, w, h)
+    spec = GridSpec(res, w, h)
     occ = OccupancyGrid.unknown(spec)
     nav = BinaryTraversabilityGrid(spec, np.full((h, w), UNKNOWN, np.int8))
     return spec, occ, nav
@@ -150,36 +150,29 @@ class TestDetectFrontiers:
 
 class TestClusterFrontiers:
     def test_five_collinear_cells_single_cluster(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
+        spec = GridSpec(0.1, 10, 10)
         cells = {(i, 4) for i in range(2, 7)}
-        assert cluster_frontiers(cells, spec, max_cluster_size=10) == [(4, 4)]  # 3rd of 5
-
-    def test_five_collinear_cells_cap_two(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
-        cells = {(i, 4) for i in range(2, 7)}
-        sizes = sorted(len(c) for c in chunks(cells, spec, 2))
-        assert sizes == [1, 2, 2]
-        assert cluster_frontiers(cells, spec, max_cluster_size=2) == [(2, 4), (4, 4), (6, 4)]
+        assert cluster_frontiers(cells, spec, Blacklist(spec)) == [(4, 4)]  # 3rd of 5
 
     def test_blacklisted_candidate_dropped(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
+        spec = GridSpec(0.1, 10, 10)
         bl = blacklist_of(spec, [(3, 3)])
-        assert cluster_frontiers({(3, 3)}, spec, blacklist=bl) == []
+        assert cluster_frontiers({(3, 3)}, spec, bl) == []
 
     def test_blacklist_suppresses_adjacent_cell(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
+        spec = GridSpec(0.1, 10, 10)
         bl = blacklist_of(spec, [(3, 3)])
-        assert cluster_frontiers({(4, 4)}, spec, blacklist=bl) == []
-        assert len(cluster_frontiers({(5, 3)}, spec, blacklist=bl)) == 1
+        assert cluster_frontiers({(4, 4)}, spec, bl) == []
+        assert len(cluster_frontiers({(5, 3)}, spec, bl)) == 1
 
     def test_blacklist_of_another_grid_rejected(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
+        spec = GridSpec(0.1, 10, 10)
         with pytest.raises(ValueError):
-            cluster_frontiers({(3, 3)}, spec, blacklist=Blacklist(GridSpec(0, 0, 0.1, 10, 9)))
+            cluster_frontiers({(3, 3)}, spec, Blacklist(GridSpec(0.1, 10, 9)))
 
     def test_components_partition_matches_connectivity(self):
         rng = np.random.default_rng(33)
-        spec = GridSpec(0, 0, 0.1, 20, 20)
+        spec = GridSpec(0.1, 20, 20)
         cells = {(int(i), int(j))
                  for i, j in rng.integers(0, 20, size=(120, 2))}
         clusters = components(cells, spec)
@@ -203,27 +196,45 @@ class TestClusterFrontiers:
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
-        spec = GridSpec(0, 0, 0.1, 30, 30)
+        spec = GridSpec(0.1, 30, 30)
         cells = {(int(i), int(j)) for i, j in rng.integers(0, 30, size=(200, 2))}
         a = frontier_components(set(cells), spec)
         b = frontier_components(set(cells), spec)
         assert [c.tolist() for c in a] == [c.tolist() for c in b]
-        assert (cluster_frontiers(set(cells), spec, max_cluster_size=7)
-                == cluster_frontiers(set(cells), spec, max_cluster_size=7))
+        assert (cluster_frontiers(set(cells), spec, Blacklist(spec))
+                == cluster_frontiers(set(cells), spec, Blacklist(spec)))
 
     def test_chunks_preserve_component_visit_order(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
-        cells = {(i, 0) for i in range(7)}
-        assert components(cells, spec) == [[(i, 0) for i in range(7)]]
-        # chunks [0, 1, 2], [3, 4, 5], [6] of the visit order, medians 1, 4, 6
-        assert cluster_frontiers(cells, spec, max_cluster_size=3) == [(1, 0), (4, 0), (6, 0)]
+        assert DEFAULT_MAX_CLUSTER_SIZE == 30
+        spec = GridSpec(0.1, 70, 10)
+        cells = {(i, 0) for i in range(68)}
+        assert components(cells, spec) == [[(i, 0) for i in range(68)]]
+        assert [len(c) for c in chunks(cells, spec, 30)] == [30, 30, 8]
+        # chunks [0..29], [30..59], [60..67] of the visit order, medians 14, 44, 63
+        assert cluster_frontiers(cells, spec, Blacklist(spec)) == [(14, 0), (44, 0), (63, 0)]
+
+    @pytest.mark.parametrize("n", [1, 29, 30, 31, 32, 59, 60, 61, 62, 89, 90, 91, 92, 150])
+    def test_components_spanning_chunks_match_oracle(self, n):
+        # Two components: a row of n cells, whose last chunk holds the odd or even
+        # remainder of n over 30, and a filled 9 x 7 block, whose breadth-first
+        # order turns corners, in chunks of 30, 30 and 3.
+        spec = GridSpec(0.1, 160, 12)
+        cells = {(i, 0) for i in range(n)} | {(i, j) for i in range(20, 29) for j in range(3, 10)}
+        want_chunks, want_candidates = cluster_oracle(cells, spec, 30, [])
+        assert chunks(cells, spec, 30) == want_chunks
+        assert [len(c) for c in want_chunks] == \
+            [30] * (n // 30) + [n % 30] * (n % 30 > 0) + [30, 30, 3]
+        assert cluster_frontiers(cells, spec, Blacklist(spec)) == want_candidates
+        blacklisted = want_candidates[::2]
+        assert (cluster_frontiers(cells, spec, blacklist_of(spec, blacklisted))
+                == cluster_oracle(cells, spec, 30, blacklisted)[1])
 
     def test_matches_python_bfs_oracle(self):
         rng = np.random.default_rng(2024)
         shapes = [(1, 1), (1, 60), (60, 1), (2, 2), (60, 60)]
         shapes += [tuple(int(v) for v in rng.integers(1, 61, size=2)) for _ in range(150)]
         for case, (w, h) in enumerate(shapes):
-            spec = GridSpec(0, 0, 0.1, w, h)
+            spec = GridSpec(0.1, w, h)
             density = rng.uniform(0.05, 0.95)
             mask = rng.random((h, w)) < density
             if case % 5 == 1:
@@ -239,11 +250,10 @@ class TestClusterFrontiers:
             for i, j in zip(rng.integers(0, w, size=3), rng.integers(0, h, size=3)):
                 if rng.random() < 0.5:
                     blacklisted.append((int(i), int(j)))
-            cap = int(rng.integers(1, 41))
-            want_chunks, want_candidates = cluster_oracle(cells, spec, cap, blacklisted)
-            assert chunks(cells, spec, cap) == want_chunks, (w, h, cap)
-            got = cluster_frontiers(cells, spec, cap, blacklist_of(spec, blacklisted))
-            assert got == want_candidates, (w, h, cap)
+            want_chunks, want_candidates = cluster_oracle(cells, spec, 30, blacklisted)
+            assert chunks(cells, spec, 30) == want_chunks, (w, h)
+            got = cluster_frontiers(cells, spec, blacklist_of(spec, blacklisted))
+            assert got == want_candidates, (w, h)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("preset, strategy", [("ramp_yard", "greedy"),
@@ -256,22 +266,17 @@ class TestClusterFrontiers:
             added.append(cell)
             add(self, cell)
 
-        def spy(cells, spec, max_cluster_size=DEFAULT_MAX_CLUSTER_SIZE, blacklist=None):
-            got = cluster_frontiers(cells, spec, max_cluster_size, blacklist)
-            seen.append((set(cells), spec, max_cluster_size, list(added), got))
+        def spy(cells, spec, blacklist):
+            got = cluster_frontiers(cells, spec, blacklist)
+            seen.append((set(cells), spec, list(added), got))
             return got
 
         monkeypatch.setattr(Blacklist, "add", record_add)
         monkeypatch.setattr(harness, "cluster_frontiers", spy)
         harness.run_mission(WorldConfig.from_json(preset_world_path(preset)), strategy, 1)
-        assert len(seen) >= 10 and any(blacklisted for _, _, _, blacklisted, _ in seen)
-        for cells, spec, cap, blacklisted, got in seen:
-            assert got == cluster_oracle(cells, spec, cap, blacklisted)[1]
-
-    def test_bad_cap_rejected(self):
-        spec = GridSpec(0, 0, 0.1, 5, 5)
-        with pytest.raises(ValueError):
-            cluster_frontiers(set(), spec, max_cluster_size=0)
+        assert len(seen) >= 10 and any(blacklisted for _, _, blacklisted, _ in seen)
+        for cells, spec, blacklisted, got in seen:
+            assert got == cluster_oracle(cells, spec, DEFAULT_MAX_CLUSTER_SIZE, blacklisted)[1]
 
 
 class TestBlacklist:
@@ -284,7 +289,7 @@ class TestBlacklist:
         (-1, 2), (W, H), (-5, -5), (W + 3, 1),  # off the grid
     ])
     def test_mask_is_in_grid_part_of_halo(self, cell):
-        spec = GridSpec(0, 0, 0.1, self.W, self.H)
+        spec = GridSpec(0.1, self.W, self.H)
         want = np.zeros((self.H, self.W), dtype=bool)
         for i, j in halo([cell]):
             if 0 <= i < self.W and 0 <= j < self.H:

@@ -15,8 +15,8 @@ from fitslam.grid import (
 )
 
 
-def make_spec(ox=0.0, oy=0.0, res=0.05, w=100, h=100):
-    return GridSpec(ox, oy, res, w, h)
+def make_spec(res=0.05, w=100, h=100):
+    return GridSpec(res, w, h)
 
 
 class TestGridSpec:
@@ -38,8 +38,8 @@ class TestGridSpec:
     def test_cell_to_world_is_center(self):
         spec = make_spec()
         assert spec.cell_to_world(0, 0) == (0.025, 0.025)
-        shifted = GridSpec(-2.0, -2.0, 0.5, 10, 10)
-        assert shifted.cell_to_world(4, 0) == (0.25, -1.75)
+        coarse = GridSpec(0.5, 10, 10)
+        assert coarse.cell_to_world(4, 0) == (2.25, 0.25)
 
     def test_cell_to_world_out_of_bounds(self):
         spec = make_spec()
@@ -47,7 +47,7 @@ class TestGridSpec:
             spec.cell_to_world(100, 0)
 
     def test_round_trip_center_returns_same_cell(self):
-        spec = GridSpec(-1.0, 2.0, 0.13, 17, 9)
+        spec = GridSpec(0.13, 17, 9)
         for i in range(spec.width):
             for j in range(spec.height):
                 x, y = spec.cell_to_world(i, j)
@@ -68,17 +68,21 @@ class TestGridSpec:
         assert spec.n_cells == 21
 
     def test_cell_centers_shapes_and_values(self):
-        spec = GridSpec(1.0, -1.0, 0.5, 4, 3)
+        spec = GridSpec(0.5, 4, 3)
         xs, ys = spec.cell_centers()
-        assert xs.shape == (3, 4) and ys.shape == (3, 4)
-        assert xs[0, 0] == 1.25 and ys[0, 0] == -0.75
-        assert xs[2, 3] == 2.75 and ys[2, 3] == 0.25
+        assert xs.tolist() == [0.25, 0.75, 1.25, 1.75]
+        assert ys.tolist() == [0.25, 0.75, 1.25]
+        for i in range(spec.width):
+            for j in range(spec.height):
+                assert (xs[i], ys[j]) == spec.cell_to_world(i, j)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            GridSpec(0, 0, 0.0, 10, 10)
+            GridSpec(0.0, 10, 10)
         with pytest.raises(ValueError):
-            GridSpec(0, 0, 0.1, 0, 10)
+            GridSpec(0.1, 0, 10)
+        with pytest.raises(ValueError):
+            GridSpec(float("inf"), 10, 10)
 
 
 class TestOccupancyGrid:
@@ -95,10 +99,10 @@ class TestOccupancyGrid:
             OccupancyGrid(spec, np.zeros((5, 4)))
 
     def test_text_round_trip(self):
-        spec = GridSpec(-0.5, 1.5, 0.25, 3, 2)
+        spec = GridSpec(0.25, 3, 2)
         p = np.array([[0.5, 0.02, 0.98], [0.731059, 0.5, 0.1]])
         assert OccupancyGrid(spec, p).to_text() == \
-            "3 2 0.25 -0.5 1.5\n0.5 0.02 0.98\n0.731059 0.5 0.1\n"
+            "3 2 0.25 0 0\n0.5 0.02 0.98\n0.731059 0.5 0.1\n"
 
     def test_copy_is_independent(self):
         occ = OccupancyGrid.unknown(make_spec(w=3, h=3))
@@ -109,7 +113,7 @@ class TestOccupancyGrid:
 
 class TestTraversabilityGrid:
     def test_text_round_trip_with_unknown(self):
-        spec = GridSpec(0, 0, 0.1, 3, 2)
+        spec = GridSpec(0.1, 3, 2)
         score = np.array([[np.nan, 0.25, 1.0], [0.0, np.nan, 0.333333]])
         assert TraversabilityGrid(spec, score).to_text() == \
             "3 2 0.1 0 0\n? 0.25 1\n0 ? 0.333333\n"
@@ -117,7 +121,7 @@ class TestTraversabilityGrid:
 
 class TestBinaryGrid:
     def test_text_round_trip(self):
-        spec = GridSpec(0, 0, 0.1, 3, 3)
+        spec = GridSpec(0.1, 3, 3)
         state = np.array([[UNKNOWN, FREE, BLOCKED],
                           [FREE, FREE, FREE],
                           [BLOCKED, UNKNOWN, FREE]], dtype=np.int8)
@@ -125,7 +129,7 @@ class TestBinaryGrid:
             "3 3 0.1 0 0\n? . #\n. . .\n# ? .\n"
 
     def test_free_mask_and_is_free(self):
-        spec = GridSpec(0, 0, 0.1, 2, 2)
+        spec = GridSpec(0.1, 2, 2)
         state = np.array([[FREE, BLOCKED], [UNKNOWN, FREE]], dtype=np.int8)
         grid = BinaryTraversabilityGrid(spec, state)
         assert grid.is_free(0, 0) and grid.is_free(1, 1)

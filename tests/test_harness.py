@@ -17,7 +17,7 @@ from fitslam.harness import (
     write_summary_csv,
 )
 from fitslam.infogain import RayCastParams
-from fitslam.simworld import DEFAULT_TRAV_THRESHOLD, ConfigError, WorldConfig, generate_world
+from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import threshold
 from fitslam.utility import UtilityParams
 
@@ -388,7 +388,7 @@ class TestCli:
             world = generate_world(WorldConfig.from_json(preset_world_path(preset)))
             occ = OccupancyGrid(world.spec, world.true_p)
             trav = world.terrain.score_cells()
-            nav = threshold(trav, DEFAULT_TRAV_THRESHOLD)
+            nav = threshold(trav)
             assert texts == dict(zip(self.PREVIEW_SECTIONS,
                                      (occ.to_text(), trav.to_text(), nav.to_text())))
             assert np.isfinite(trav.score).all()

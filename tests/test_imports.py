@@ -1,9 +1,11 @@
 """Import direction: the exploration algorithms load no simulator, and the
 simulator loads no goal selection. Each import runs in a fresh interpreter.
 Also the design rules that only `fisher.Camera` defaults a field of view or range,
-and that the program calls every function, class and method it defines."""
+that no public signature grows a default beyond the settings listed here, and
+that the program calls every function, class and method it defines."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import fitslam
+from fitslam.grid import GridSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 ALGORITHMS = ("grid", "traversability", "frontier", "planner", "fisher", "infogain", "utility")
@@ -93,6 +96,63 @@ def test_only_camera_defaults_a_field_of_view_or_range():
                       if p.name in CAMERA_PARAMETERS and p.default is not p.empty]
     assert checked > 50
     assert defaulted == []
+
+
+# Every defaulted parameter of a public signature, as module.name.parameter. A
+# design constant of the method (the traversability threshold, the cluster size
+# cap, the landmark voxel size, the sensor height) is a module constant, not a
+# default: a new entry here is a setting some program caller must vary.
+DEFAULTED = {
+    # Fields of the world JSON's sections.
+    *(f"simworld.WorldConfig.{f}" for f in ("seed", "size_m", "resolution", "terrain",
+                                            "obstacles", "landmarks", "sensors", "robot",
+                                            "surrogate")),
+    "fisher.Camera.fov", "fisher.Camera.max_depth",
+    "simworld.SensorConfig.camera", "simworld.SensorConfig.lidar_radius",
+    "simworld.SensorConfig.ray_step",
+    "simworld.RobotConfig.start", "simworld.RobotConfig.speed",
+    *(f"simworld.SurrogateConfig.{f}" for f in ("q", "kappa", "t_lc", "l_min")),
+    # What the command line sets, and run_mission's share of it.
+    "cli.main.argv",
+    *(f"harness.ExperimentConfig.{f}" for f in ("strategies", "seeds", "out_dir",
+                                                "utility", "rays", "max_mission_time")),
+    "infogain.RayCastParams.delta_theta", "infogain.RayCastParams.gamma",
+    "utility.UtilityParams.alpha", "utility.UtilityParams.beta",
+    "utility.UtilityParams.shortlist_n",
+    "harness.run_mission.max_mission_time", "harness.run_mission.ray_params",
+    "harness.run_mission.utility_params",
+    # Missions pass the sensed mask, the world preview none.
+    "traversability.TerrainStatsGrid.score_cells.sensed",
+    "traversability.TerrainStatsGrid.cell_metrics.sensed",
+    # The bearing noise, which the Fisher information tests sweep.
+    "fisher.landmark_fim.sigma_bearing",
+    # No upper bound on an integer setting.
+    "grid.check_int.hi",
+    # A mission's counters start at zero, and a candidate's scores fill in stage by stage.
+    *(f"simworld.MissionState.{f}" for f in ("clock", "distance", "n_loop_closures",
+                                             "samples")),
+    *(f"utility.CandidateGoal.{f}" for f in ("path", "delta_e", "theta_star", "u1",
+                                             "info", "u2")),
+}
+
+
+def test_only_listed_parameters_have_defaults():
+    defaulted = set()
+    for qualname, obj in public_signatures():
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):  # a builtin base with no signature
+            continue
+        name = qualname.removeprefix("fitslam.")
+        defaulted |= {f"{name}.{p.name}" for p in params if p.default is not p.empty}
+    assert sorted(defaulted) == sorted(DEFAULTED)
+
+
+def test_grid_spec_is_resolution_and_size():
+    # The grid's cell (0, 0) has its corner at the world origin, as the world is
+    # [0, size_m]^2: a GridSpec holds no origin.
+    assert tuple(f.name for f in dataclasses.fields(GridSpec)) == ("resolution", "width",
+                                                                     "height")
 
 
 # Defined but called by no program code: the A* reference that the tests check the

@@ -23,7 +23,7 @@ from oracles import brute_force_scan
 
 
 def unknown_grid(w=20, h=20, res=0.1):
-    return OccupancyGrid.unknown(GridSpec(0.0, 0.0, res, w, h))
+    return OccupancyGrid.unknown(GridSpec(res, w, h))
 
 
 class TestCellEntropy:
@@ -168,9 +168,9 @@ class TestScanOrientations:
             assert got.best_theta == single.best_theta
             assert got.best_gain == single.best_gain
 
-    # The origin lies far below zero, so each of these cells, read as a world
-    # point, would fall inside the grid.
-    OFFSET_SPEC = GridSpec(-120.0, -120.0, 2.4, 100, 100)
+    # Cells 2.4 m wide, so a cell index past the top edge, read as a world point,
+    # would fall inside the 240 m grid.
+    WIDE_SPEC = GridSpec(2.4, 100, 100)
 
     @pytest.mark.parametrize("cell, error", [
         ((-1, 0), OutOfBoundsError),       # would read the gather's pad cells
@@ -179,14 +179,14 @@ class TestScanOrientations:
         ((1.0, 1.0), ValueError),          # a world point, not a cell
     ], ids=["left-of-grid", "above-grid", "beyond-reach", "float-point"])
     def test_cell_outside_grid_or_not_integer_rejected(self, cell, error):
-        occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
+        occ = OccupancyGrid.unknown(self.WIDE_SPEC)
         with pytest.raises(error):
             scan_orientations(occ, cell, RayCastParams(), Camera())
         with pytest.raises(error):
             scan_many(occ, [(50, 50), cell], RayCastParams(), Camera(), ScanMemo())
 
     def test_corner_cells_and_integer_arrays_accepted(self):
-        occ = OccupancyGrid.unknown(self.OFFSET_SPEC)
+        occ = OccupancyGrid.unknown(self.WIDE_SPEC)
         cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
         scans = scan_many(occ, np.array(cells), RayCastParams(), Camera(), ScanMemo())
         for cell, got in zip(cells, scans):
@@ -260,7 +260,7 @@ class TestRayGainsKernel:
         ci, cj = np.array(edge + inner).T
         values = np.r_[self.RUNGS, OCCUPIED_THRESHOLD]
         for _ in range(4):
-            occ = OccupancyGrid(GridSpec(0.0, 0.0, res, w, h),
+            occ = OccupancyGrid(GridSpec(res, w, h),
                                 rng.choice(values, size=(h, w), p=[.1, .1, .1, .4, .1, .05, .05, .1]))
             assert set(np.unique(occ.p)) == set(values)
             assert_kernel_matches_reference(tmpl, occ, ci, cj, batch)

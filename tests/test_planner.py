@@ -17,7 +17,7 @@ from oracles import dijkstra_oracle
 
 
 def free_grid(w, h, res=0.05):
-    spec = GridSpec(0.0, 0.0, res, w, h)
+    spec = GridSpec(res, w, h)
     state = np.full((h, w), FREE, dtype=np.int8)
     return BinaryTraversabilityGrid(spec, state)
 
@@ -199,13 +199,13 @@ class TestBuildGraph:
 
 class TestSampleWaypoints:
     def test_single_cell_path(self):
-        spec = GridSpec(0, 0, 0.1, 10, 10)
+        spec = GridSpec(0.1, 10, 10)
         wps = sample_waypoints(Path([(3, 4)], 0.0), 2.0, spec)
         assert len(wps) == 1
         assert (wps[0].x, wps[0].y) == pytest.approx((0.35, 0.45))
 
     def test_straight_path_spacing(self):
-        spec = GridSpec(0, 0, 1.0, 12, 2)
+        spec = GridSpec(1.0, 12, 2)
         cells = [(i, 0) for i in range(11)]  # 10 m of cardinal steps
         wps = sample_waypoints(Path(cells, 10.0), 4.0, spec)
         xs = [wp.x for wp in wps]
@@ -213,20 +213,20 @@ class TestSampleWaypoints:
         assert all(wp.heading == pytest.approx(0.0) for wp in wps)
 
     def test_spacing_larger_than_path(self):
-        spec = GridSpec(0, 0, 1.0, 5, 2)
+        spec = GridSpec(1.0, 5, 2)
         cells = [(0, 0), (1, 0), (2, 0)]
         wps = sample_waypoints(Path(cells, 2.0), 50.0, spec)
         assert len(wps) == 2
         assert (wps[0].x, wps[-1].x) == (0.5, 2.5)
 
     def test_final_heading_repeats_previous(self):
-        spec = GridSpec(0, 0, 1.0, 6, 6)
+        spec = GridSpec(1.0, 6, 6)
         cells = [(0, 0), (1, 1), (2, 2)]
         wps = sample_waypoints(Path(cells, 2 * SQRT2), 1.0, spec)
         assert wps[-1].heading == pytest.approx(wps[-2].heading)
         assert wps[0].heading == pytest.approx(math.pi / 4)
 
     def test_bad_spacing_rejected(self):
-        spec = GridSpec(0, 0, 1.0, 3, 3)
+        spec = GridSpec(1.0, 3, 3)
         with pytest.raises(ValueError):
             sample_waypoints(Path([(0, 0)], 0.0), 0.0, spec)

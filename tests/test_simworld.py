@@ -500,8 +500,8 @@ def sense_occupancy_sorted(world, pose, ref):
     ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
     x = px + np.cos(angles)[:, None] * ranges[None, :]
     y = py + np.sin(angles)[:, None] * ranges[None, :]
-    i = np.floor((x - spec.origin_x) / spec.resolution).astype(int)
-    j = np.floor((y - spec.origin_y) / spec.resolution).astype(int)
+    i = np.floor(x / spec.resolution).astype(int)
+    j = np.floor(y / spec.resolution).astype(int)
     inside = (i >= 0) & (i < spec.width) & (j >= 0) & (j < spec.height)
     hit = np.zeros_like(inside)
     hit[inside] = world.occupied[j[inside], i[inside]]
@@ -579,10 +579,10 @@ def lidar_window(world, pose):
     spec = world.spec
     px, py, _ = pose
     r = world.config.sensors.lidar_radius
-    i0 = max(0, int((px - r - spec.origin_x) / spec.resolution))
-    i1 = min(spec.width, int((px + r - spec.origin_x) / spec.resolution) + 2)
-    j0 = max(0, int((py - r - spec.origin_y) / spec.resolution))
-    j1 = min(spec.height, int((py + r - spec.origin_y) / spec.resolution) + 2)
+    i0 = max(0, int((px - r) / spec.resolution))
+    i1 = min(spec.width, int((px + r) / spec.resolution) + 2)
+    j0 = max(0, int((py - r) / spec.resolution))
+    j1 = min(spec.height, int((py + r) / spec.resolution) + 2)
     return j0, j1, i0, i1
 
 
@@ -593,7 +593,7 @@ def sense_terrain_accumulate(world, pose, ref):
     r = world.config.sensors.lidar_radius
     j0, j1, i0, i1 = lidar_window(world, pose)
     xs, ys = world.centers
-    in_range = (xs[0, i0:i1] - px) ** 2 + (ys[j0:j1, 0, None] - py) ** 2 <= r * r
+    in_range = (xs[i0:i1] - px) ** 2 + (ys[j0:j1, None] - py) ** 2 <= r * r
     fresh = in_range & (ref.count[j0:j1, i0:i1] == 0)
     jj, ii = np.nonzero(fresh)
     ref.accumulate(simworld.terrain_points(world, jj + j0, ii + i0))

@@ -9,7 +9,7 @@ from fitslam.traversability import TerrainStatsGrid, threshold
 
 
 def one_cell_spec(res=1.0):
-    return GridSpec(0.0, 0.0, res, 1, 1)
+    return GridSpec(res, 1, 1)
 
 
 def plane_fit_oracle(points):
@@ -44,7 +44,7 @@ class TestAccumulate:
     def test_rebatching_gives_same_moments(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 4, size=(200, 3))
-        spec = GridSpec(0, 0, 1.0, 4, 4)
+        spec = GridSpec(1.0, 4, 4)
         whole = TerrainStatsGrid(spec)
         whole.accumulate(pts)
         split = TerrainStatsGrid(spec)
@@ -81,7 +81,7 @@ class TestCellMetrics:
 
     def test_tilted_plane_oracle_agreement_many_cells(self):
         rng = np.random.default_rng(11)
-        spec = GridSpec(0, 0, 1.0, 3, 3)
+        spec = GridSpec(1.0, 3, 3)
         stats = TerrainStatsGrid(spec)
         pts = rng.uniform(0, 3, size=(600, 2))
         z = 0.3 * pts[:, 0] - 0.15 * pts[:, 1] + rng.normal(0, 0.01, 600)
@@ -100,7 +100,7 @@ class TestCellMetrics:
                 assert roughness[cj, ci] == pytest.approx(oracle_rough, abs=1e-6)
 
     def test_step_height_against_neighbors(self):
-        spec = GridSpec(0, 0, 1.0, 3, 1)
+        spec = GridSpec(1.0, 3, 1)
         stats = TerrainStatsGrid(spec)
         for ci, zc in ((0, 0.0), (1, 0.0), (2, 0.4)):
             xs = ci + np.array([0.2, 0.4, 0.6, 0.8, 0.5])
@@ -111,7 +111,7 @@ class TestCellMetrics:
         assert step[0, 2] == pytest.approx(0.4)
 
     def test_isolated_cell_has_zero_step(self):
-        spec = GridSpec(0, 0, 1.0, 3, 3)
+        spec = GridSpec(1.0, 3, 3)
         stats = TerrainStatsGrid(spec)
         stats.accumulate(np.column_stack([
             np.full(5, 1.5), 1.0 + np.linspace(0.1, 0.9, 5), np.full(5, 2.0)]))
@@ -122,7 +122,7 @@ class TestCellMetrics:
 class TestPlaneCache:
     @staticmethod
     def stats_with(points):
-        stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 6, 5))
+        stats = TerrainStatsGrid(GridSpec(1.0, 6, 5))
         stats.accumulate(points)
         return stats
 
@@ -162,7 +162,7 @@ class TestPlaneCache:
 
 class TestScoreCells:
     def test_no_data_cell_is_unknown(self):
-        stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 2, 1))
+        stats = TerrainStatsGrid(GridSpec(1.0, 2, 1))
         stats.accumulate(np.column_stack([
             np.linspace(0.1, 0.9, 6), np.full(6, 0.5), np.zeros(6)]))
         trav = stats.score_cells()
@@ -201,22 +201,20 @@ class TestScoreCells:
 
 class TestThreshold:
     def test_unknown_preserved(self):
-        stats = TerrainStatsGrid(GridSpec(0, 0, 1.0, 2, 2))
+        stats = TerrainStatsGrid(GridSpec(1.0, 2, 2))
         trav = stats.score_cells()
-        nav = threshold(trav, 0.5)
+        nav = threshold(trav)
         assert np.all(nav.state == UNKNOWN)
 
     def test_inclusive_boundary(self):
-        spec = GridSpec(0, 0, 1.0, 3, 1)
+        assert traversability.TRAV_THRESHOLD == 0.3
+        spec = GridSpec(1.0, 5, 1)
         from fitslam.grid import TraversabilityGrid
-        trav = TraversabilityGrid(spec, np.array([[0.7, 0.5, 0.49]]))
-        nav = threshold(trav, 0.5)
+        trav = TraversabilityGrid(spec, np.array([[0.7, 0.3, np.nextafter(0.3, 0.0), 0.0,
+                                                   np.nan]]))
+        nav = threshold(trav)
         assert nav.state[0, 0] == FREE
         assert nav.state[0, 1] == FREE  # boundary is inclusive
         assert nav.state[0, 2] == BLOCKED
-
-    def test_threshold_range_checked(self):
-        stats = TerrainStatsGrid(one_cell_spec())
-        trav = stats.score_cells()
-        with pytest.raises(ValueError):
-            threshold(trav, 1.5)
+        assert nav.state[0, 3] == BLOCKED
+        assert nav.state[0, 4] == UNKNOWN

@@ -11,7 +11,7 @@ from fitslam.utility import (
     shortlist,
 )
 
-SPEC = GridSpec(0.0, 0.0, 0.1, 50, 50)
+SPEC = GridSpec(0.1, 50, 50)
 
 
 def make_candidate(cell, rho, delta_e, raw_info=None):
