@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import check_number
 
-DEFAULT_SIGMA_BEARING = 0.01   # bearing-noise std (unitless, on the unit sphere)
+SIGMA_BEARING = 0.01           # bearing-noise std (unitless, on the unit sphere)
 DEFAULT_SIGMA_LANDMARK = 0.05  # m, default landmark position std
 DEFAULT_VOXEL_SIZE = 0.25      # m
 DEFAULT_SENSOR_HEIGHT = 0.3    # m above terrain
@@ -65,12 +65,12 @@ class CameraPose:
         """Lift a planar robot pose to a camera DEFAULT_SENSOR_HEIGHT above it,
         looking along the heading."""
         c, s = math.cos(heading), math.sin(heading)
-        # Camera axes in world coordinates: z forward, x left of travel, y up.
-        x_axis = np.array([-s, c, 0.0])
-        y_axis = np.array([0.0, 0.0, 1.0])
-        z_axis = np.array([c, s, 0.0])
-        r_wc = np.column_stack([x_axis, y_axis, z_axis])
-        r_cw = r_wc.T
+        # Camera axes in world coordinates, the columns of r_wc: z forward, x left of
+        # travel, y up.
+        r_wc = np.array([[-s, 0.0, c],
+                         [c, 0.0, s],
+                         [0.0, 1.0, 0.0]])
+        r_cw = r_wc.T  # a transposed view: BLAS reads the same bits in the same order
         center = np.array([x, y, DEFAULT_SENSOR_HEIGHT])
         return cls(r_cw, -r_cw @ center, camera)
 
@@ -126,14 +126,14 @@ def visible(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
     return ok & (np.arccos(cos_angle) <= pose.camera.fov / 2 + 1e-12)
 
 
-def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray,
-                 sigma_bearing: float = DEFAULT_SIGMA_BEARING) -> np.ndarray:
+def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """(K, 6, 6) information of one bearing observation of each landmark; a row
     that `visible` rejects is zero.
 
     Uses the Gauss information form J^T Q~^-1 J where Q~ combines the
     first-order propagation of the landmark covariance through the bearing
-    model with isotropic bearing noise (J is 3x6, so J Q J^T cannot be formed).
+    model with isotropic bearing noise of std SIGMA_BEARING (J is 3x6, so J Q J^T
+    cannot be formed).
     """
     fims = np.zeros((len(positions), 6, 6))
     seen = visible(pose, positions)
@@ -141,7 +141,7 @@ def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarra
         return fims
     d_b_d_v, jac = _bearing_derivatives(pose, positions[seen])
     d_b_d_w = d_b_d_v @ pose.rotation  # bearing w.r.t. the world-frame point
-    q = d_b_d_w @ covariances[seen] @ d_b_d_w.transpose(0, 2, 1) + sigma_bearing ** 2 * _EYE3
+    q = d_b_d_w @ covariances[seen] @ d_b_d_w.transpose(0, 2, 1) + SIGMA_BEARING ** 2 * _EYE3
     try:
         q_inv = np.linalg.inv(q)
     except np.linalg.LinAlgError:  # regularize only the singular matrices

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .grid import (BinaryTraversabilityGrid, BLOCKED, FREE, GridSpec, TraversabilityGrid,
-                   UNKNOWN, shift)
+                   UNKNOWN)
 
 MAX_SLOPE = np.deg2rad(30.0)  # rad
 MAX_ROUGHNESS = 0.05          # m, RMS residual to the fitted plane
@@ -44,6 +44,7 @@ class TerrainStatsGrid:
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"expected (N, 3) points, got {points.shape}")
         self.__dict__.pop("plane", None)
+        self.__dict__.pop("_memo", None)
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
         i, j, inside = self.spec.world_to_cells(x, y)
         if not inside.any():
@@ -83,38 +84,53 @@ class TerrainStatsGrid:
             arr.flags.writeable = False
         return plane
 
-    def cell_metrics(self, sensed=None):
-        """Per-cell (valid, mean_z, slope, roughness, step) arrays.
-
-        valid is True where the cell holds at least MIN_POINTS points and is in the
-        bool `sensed` mask, if one is given. Slope is the angle between the
-        fitted-plane normal and vertical; roughness is the RMS residual; step is the
-        largest elevation difference to the mean of an 8-neighbor cell that has data
-        (a point, and in `sensed`; 0 when no neighbor has data).
-        """
-        has_data = self.count > 0 if sensed is None else (self.count > 0) & sensed
-        valid = (self.count >= MIN_POINTS) & has_data
+    @functools.cached_property
+    def _memo(self):
+        """What `score_cells` keeps, on the grid padded by one cell: the plane's mean z
+        and min(s_slope, s_rough), NaN where a cell holds under MIN_POINTS points,
+        both flat; the last call's data flags and scores, updated in place, empty
+        meaning no data and every cell Unknown. Then the (H, W) mask of the cells
+        that hold a point. `accumulate` drops it."""
         mz, slope, roughness = self.plane
-        step = np.zeros_like(mz)
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                nb_z = shift(mz, di, dj)
-                nb_ok = shift(has_data, di, dj)
-                diff = np.where(nb_ok & has_data, np.abs(mz - nb_z), 0.0)
-                step = np.maximum(step, diff)
-        return valid, mz, slope, roughness, step
-
-    def score_cells(self, sensed=None) -> TraversabilityGrid:
-        """Score every cell; cells with too few points, or not in `sensed`, stay Unknown."""
-        valid, _, slope, roughness, step = self.cell_metrics(sensed)
         s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)
         s_rough = np.clip(1.0 - roughness / MAX_ROUGHNESS, 0.0, 1.0)
+        static = np.where(self.count >= MIN_POINTS, np.minimum(s_slope, s_rough), np.nan)
+        shape = (self.spec.height + 2, self.spec.width + 2)
+        return (np.pad(mz, 1).ravel(), np.pad(static, 1, constant_values=np.nan).ravel(),
+                np.zeros(shape, dtype=bool), np.full(shape, np.nan), self.count > 0)
+
+    def score_cells(self, sensed=None) -> TraversabilityGrid:
+        """Score every cell; cells with too few points, or not in `sensed`, stay Unknown.
+
+        A cell has data when it holds a point and is in the bool `sensed` mask, if one
+        is given. Its score is the minimum of the slope, roughness and step scores.
+        Slope is the angle between the fitted-plane normal and vertical, roughness the
+        RMS residual, and step the largest elevation difference to the mean of an
+        8-neighbour cell with data (0 when none has). A cell's score reads only its
+        own and its neighbours' data flags, so a call rescores only the cells whose
+        flag flipped since the last call, and their neighbours.
+        """
+        mz, static, data, score, has_points = self._memo
+        has = has_points if sensed is None else has_points & sensed
+        width = self.spec.width + 2  # of the padded grid
+        flipped = np.flatnonzero(has != data[1:-1, 1:-1])
+        flipped += width + 1 + 2 * (flipped // self.spec.width)
+        data = data.ravel()
+        data[flipped] ^= True
+        near = [dj * width + di for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+        dirty = np.zeros(score.shape, dtype=bool)
+        dirty.ravel()[np.add.outer(flipped, near).ravel()] = True
+        dirty[[0, -1]] = dirty[:, [0, -1]] = False  # the padding is no cell
+        cells = np.flatnonzero(dirty)
+        z, ok = mz[cells], data[cells]
+        step = np.zeros(len(cells))
+        for off in near:
+            if off:
+                nb = cells + off
+                np.maximum(step, np.where(data[nb] & ok, np.abs(z - mz[nb]), 0.0), out=step)
         s_step = np.clip(1.0 - step / MAX_STEP, 0.0, 1.0)
-        score = np.minimum(np.minimum(s_slope, s_rough), s_step)
-        score = np.where(valid, score, np.nan)
-        return TraversabilityGrid(self.spec, score)
+        score.ravel()[cells] = np.where(ok, np.minimum(static[cells], s_step), np.nan)
+        return TraversabilityGrid(self.spec, score[1:-1, 1:-1].copy())
 
 
 def threshold(trav: TraversabilityGrid) -> BinaryTraversabilityGrid:

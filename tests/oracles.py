@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 
+from fitslam.grid import shift
 from fitslam.infogain import ARGMAX_TOL, cast_ray, ray_directions
 from fitslam.planner import SQRT2
+from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP, MIN_POINTS
 
 
 def brute_force_scan(occ, goal, params, camera):
@@ -69,3 +71,40 @@ def dijkstra_oracle(nav, start, goal):
                     dist[(ni, nj)] = cand
                     heapq.heappush(heap, (cand_cost, (ni, nj)))
     return None
+
+
+def cell_metrics(stats, sensed=None):
+    """Per-cell (valid, mean_z, slope, roughness, step) arrays of a TerrainStatsGrid,
+    over the whole grid by shifted copies.
+
+    valid is True where the cell holds at least MIN_POINTS points and is in the
+    bool `sensed` mask, if one is given. Slope is the angle between the
+    fitted-plane normal and vertical; roughness is the RMS residual; step is the
+    largest elevation difference to the mean of an 8-neighbor cell that has data
+    (a point, and in `sensed`; 0 when no neighbor has data).
+    """
+    has_data = stats.count > 0 if sensed is None else (stats.count > 0) & sensed
+    valid = (stats.count >= MIN_POINTS) & has_data
+    mz, slope, roughness = stats.plane
+    step = np.zeros_like(mz)
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            nb_z = shift(mz, di, dj)
+            nb_ok = shift(has_data, di, dj)
+            diff = np.where(nb_ok & has_data, np.abs(mz - nb_z), 0.0)
+            step = np.maximum(step, diff)
+    return valid, mz, slope, roughness, step
+
+
+def score_cells(stats, sensed=None):
+    """The (H, W) scores `TerrainStatsGrid.score_cells` gives, from `cell_metrics`
+    over the whole grid: the minimum of the three metric scores, NaN (Unknown)
+    where a cell is not valid."""
+    valid, _, slope, roughness, step = cell_metrics(stats, sensed)
+    s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)
+    s_rough = np.clip(1.0 - roughness / MAX_ROUGHNESS, 0.0, 1.0)
+    s_step = np.clip(1.0 - step / MAX_STEP, 0.0, 1.0)
+    score = np.minimum(np.minimum(s_slope, s_rough), s_step)
+    return np.where(valid, score, np.nan)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import fitslam
+from fitslam import fisher
 from fitslam.fisher import (
     DEFAULT_SENSOR_HEIGHT,
-    DEFAULT_SIGMA_BEARING,
     DEFAULT_VOXEL_SIZE,
+    SIGMA_BEARING,
     Camera,
     CameraPose,
     DegenerateLandmarkError,
@@ -62,7 +63,7 @@ def visible_reference(pose, position):
     return angle <= pose.camera.fov / 2 + 1e-12
 
 
-def landmark_fim_reference(pose, position, covariance, sigma_bearing=DEFAULT_SIGMA_BEARING):
+def landmark_fim_reference(pose, position, covariance, sigma_bearing=SIGMA_BEARING):
     """6x6 information matrix of one bearing observation; zero when unseen."""
     if not visible_reference(pose, position):
         return np.zeros((6, 6))
@@ -77,11 +78,10 @@ def landmark_fim_reference(pose, position, covariance, sigma_bearing=DEFAULT_SIG
     return 0.5 * (fim + fim.T)
 
 
-def stacked_fim(pose, landmarks, sigma_bearing=DEFAULT_SIGMA_BEARING):
+def stacked_fim(pose, landmarks):
     """`landmark_fim` over a list of (position, covariance) landmarks."""
     return landmark_fim(pose, np.array([p for p, _ in landmarks]).reshape(-1, 3),
-                        np.array([c for _, c in landmarks]).reshape(-1, 3, 3),
-                        sigma_bearing=sigma_bearing)
+                        np.array([c for _, c in landmarks]).reshape(-1, 3, 3))
 
 
 def sees(pose, position):
@@ -277,7 +277,9 @@ def dense_fim_oracle(pose, position, covariance, sigma_bearing=0.01):
     return jac.T @ np.linalg.solve(q, jac)
 
 
-SIGMAS = (DEFAULT_SIGMA_BEARING, 1e-3, 0.05, 0.3)
+# Bearing-noise stds the tests set as `fisher.SIGMA_BEARING`, which `landmark_fim`
+# reads at call time.
+SIGMAS = (SIGMA_BEARING, 1e-3, 0.05, 0.3)
 
 
 def random_view(rng, k):
@@ -303,19 +305,20 @@ def random_landmark(rng, pose, k):
 
 
 class TestLandmarkFim:
-    def test_matches_composed_reference_exactly(self):
+    def test_matches_composed_reference_exactly(self, monkeypatch):
         rng = np.random.default_rng(21)
         n_visible = 0
         for k in range(400):
             pose, lm = random_view(rng, k)
             for sigma in SIGMAS:
-                got = stacked_fim(pose, [lm], sigma_bearing=sigma)
+                monkeypatch.setattr(fisher, "SIGMA_BEARING", sigma)
+                got = stacked_fim(pose, [lm])
                 assert got.shape == (1, 6, 6)
                 assert np.array_equal(got[0], landmark_fim_reference(pose, *lm, sigma))
             n_visible += visible_reference(pose, lm[0])
         assert n_visible > 200
 
-    def test_stacks_match_reference_row_by_row(self):
+    def test_stacks_match_reference_row_by_row(self, monkeypatch):
         rng = np.random.default_rng(8)
         rows = {True: 0, False: 0}
         for k in range(120):
@@ -323,7 +326,8 @@ class TestLandmarkFim:
             n = (0, 1, 2, 7, 40)[k % 5]
             lms = [random_landmark(rng, pose, k + m) for m in range(n)]
             for sigma in SIGMAS:
-                got = stacked_fim(pose, lms, sigma_bearing=sigma)
+                monkeypatch.setattr(fisher, "SIGMA_BEARING", sigma)
+                got = stacked_fim(pose, lms)
                 assert got.shape == (n, 6, 6)
                 info = np.zeros((6, 6))
                 for row, lm in zip(got, lms):
@@ -336,7 +340,7 @@ class TestLandmarkFim:
                 rows[visible_reference(pose, position)] += 1
         assert min(rows.values()) > 200
 
-    def test_singular_q_regularized_per_matrix(self):
+    def test_singular_q_regularized_per_matrix(self, monkeypatch):
         # With no bearing noise q = D C D^T has rank 2 at most. A zero
         # covariance makes it exactly zero, which only the regularized inverse
         # handles; rounding leaves most random covariances' q invertible as is.
@@ -359,8 +363,9 @@ class TestLandmarkFim:
         regular = next(lm for lm in (random_landmark(rng, pose, 2) for _ in range(100))
                        if visible_reference(pose, lm[0]) and inverts(q_of(lm)))
         assert visible_reference(pose, zero[0]) and not inverts(q_of(zero))
+        monkeypatch.setattr(fisher, "SIGMA_BEARING", 0.0)
         for lms in ([zero, regular], [regular, zero]):
-            got = stacked_fim(pose, lms, sigma_bearing=0.0)
+            got = stacked_fim(pose, lms)
             for row, lm in zip(got, lms):
                 assert np.array_equal(row, landmark_fim_reference(pose, *lm, sigma_bearing=0.0))
         # The regular row would differ if its q were regularized too.
@@ -375,11 +380,12 @@ class TestLandmarkFim:
             stacked_fim(pose, [(np.array([0.0, 0.0, -2.0]), DEFAULT_COV)]),
             np.zeros((1, 6, 6)))
 
-    def test_isotropic_noise_factorization(self):
+    def test_isotropic_noise_factorization(self, monkeypatch):
         pose = identity_pose(max_depth=10.0)
         position = np.array([0.2, -0.1, 3.0])
         sigma = 0.05
-        fim = stacked_fim(pose, [(position, np.zeros((3, 3)))], sigma_bearing=sigma)[0]
+        monkeypatch.setattr(fisher, "SIGMA_BEARING", sigma)
+        fim = stacked_fim(pose, [(position, np.zeros((3, 3)))])[0]
         jac = bearing_jacobian(pose, position)
         assert np.allclose(fim, jac.T @ jac / sigma ** 2, atol=1e-9)
 
@@ -563,3 +569,18 @@ class TestCamera:
         with pytest.raises(AttributeError):
             camera.fov = 1.0
         assert hash(camera) == hash(Camera())
+
+    def test_rotation_keeps_values_and_memory_order_of_stacked_axes(self):
+        # The camera axes stacked as columns, then transposed: a rotation with other
+        # bits, or another memory order, would send other bits through the BLAS
+        # calls of `visible` and `_bearing_derivatives`.
+        rng = np.random.default_rng(13)
+        for heading in [0.0, math.pi / 2, -math.pi, *rng.uniform(-7.0, 7.0, 200)]:
+            x, y = rng.uniform(-20.0, 20.0, size=2)
+            c, s = math.cos(heading), math.sin(heading)
+            r_cw = np.column_stack([[-s, c, 0.0], [0.0, 0.0, 1.0], [c, s, 0.0]]).T
+            center = np.array([x, y, DEFAULT_SENSOR_HEIGHT])
+            pose = CameraPose.from_planar(x, y, heading, Camera())
+            assert pose.rotation.tobytes(order="A") == r_cw.tobytes(order="A")
+            assert pose.rotation.strides == r_cw.strides
+            assert pose.translation.tobytes() == (-r_cw @ center).tobytes()

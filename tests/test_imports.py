@@ -100,8 +100,8 @@ def test_only_camera_defaults_a_field_of_view_or_range():
 
 # Every defaulted parameter of a public signature, as module.name.parameter. A
 # design constant of the method (the traversability threshold, the cluster size
-# cap, the landmark voxel size, the sensor height) is a module constant, not a
-# default: a new entry here is a setting some program caller must vary.
+# cap, the landmark voxel size, the sensor height, the bearing noise) is a module
+# constant, not a default: a new entry here is a setting some program caller must vary.
 DEFAULTED = {
     # Fields of the world JSON's sections.
     *(f"simworld.WorldConfig.{f}" for f in ("seed", "size_m", "resolution", "terrain",
@@ -123,9 +123,6 @@ DEFAULTED = {
     "harness.run_mission.utility_params",
     # Missions pass the sensed mask, the world preview none.
     "traversability.TerrainStatsGrid.score_cells.sensed",
-    "traversability.TerrainStatsGrid.cell_metrics.sensed",
-    # The bearing noise, which the Fisher information tests sweep.
-    "fisher.landmark_fim.sigma_bearing",
     # No upper bound on an integer setting.
     "grid.check_int.hi",
     # A mission's counters start at zero, and a candidate's scores fill in stage by stage.
