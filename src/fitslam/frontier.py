@@ -1,9 +1,9 @@
 """Frontier detection and size-capped clustering on the exploration grids.
 
 A frontier cell is known-navigable and 8-adjacent to at least one unknown
-occupancy cell. Connected components are grown breadth-first in a fixed
-neighbor order, split into chunks no larger than the cluster size cap, and
-each chunk nominates its median-order cell as a candidate goal.
+occupancy cell; a frontier is the set of its cells' linear indices. Connected
+components grow breadth-first in a fixed neighbor order and split into chunks
+of at most the cluster size cap; each chunk's median-order cell is a candidate.
 """
 
 from __future__ import annotations
@@ -38,54 +38,51 @@ class Blacklist:
         self.mask[max(j - 1, 0):max(j + 2, 0), max(i - 1, 0):max(i + 2, 0)] = True
 
 
-def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid) -> set:
-    """Cells of the grid that are Free and touch unknown occupancy."""
+def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid) -> set[int]:
+    """Linear indices `j * width + i`, as ints, of the Free cells that touch unknown occupancy."""
     if occ.spec != nav.spec:
         raise ValueError("occupancy and traversability grids must share one GridSpec")
     unknown = occ.unknown_mask()
     near_unknown = np.zeros_like(unknown)
     for di, dj in _NEIGHBOR_ORDER:
         near_unknown |= shift(unknown, di, dj)
-    mask = nav.free_mask() & near_unknown
-    jj, ii = np.nonzero(mask)
-    return set(zip(ii.tolist(), jj.tolist()))
+    return set(np.flatnonzero(nav.free_mask() & near_unknown).tolist())
 
 
-def frontier_components(cells: set, spec: GridSpec) -> list:
-    """Connected components of the frontier cells, as linear-index arrays.
+def frontier_components(cells: set[int], spec: GridSpec) -> list:
+    """Connected components of the frontier cells' linear indices, as index arrays.
 
     Components are seeded in row-major order and grown breadth-first with the
     fixed neighbor order; each array holds its cells' `j * width + i` in visit
     order.
     """
     w, h, n = spec.width, spec.height, len(cells)
-    lin = np.fromiter((j * w + i for i, j in cells), dtype=np.intp, count=n)
-    lin.sort()  # node k is the k-th cell in row-major order
-    # Node of every cell on a grid padded by a ring of -1, so neighbors of
-    # edge cells need no bounds test.
+    lin = np.sort(np.fromiter(cells, np.intp, n))  # node k is the k-th cell in row-major order
+    # Node of every cell on a grid padded by one ring, so neighbors of edge
+    # cells need no bounds test; node n stands for every cell off the frontier.
     pw = w + 2
-    padded = (lin // w + 1) * pw + lin % w + 1
-    node = np.full((h + 2) * pw, -1, dtype=np.int32)
+    padded = lin + 2 * (lin // w) + pw + 1
+    node = np.full((h + 2) * pw, n, dtype=np.int32)
     node[padded] = np.arange(n, dtype=np.int32)
-    nbr = np.stack([node[padded + dj * pw + di] for di, dj in _NEIGHBOR_ORDER], axis=1)
-    # Each row lists its neighbors in _NEIGHBOR_ORDER. scipy's BFS marks a node
-    # when it pushes it and scans a row in stored order, so it visits the
-    # cells in the order of a BFS that tries the neighbors in that order.
-    has = nbr >= 0
-    indptr = np.r_[0, np.cumsum(has.sum(axis=1))]
-    graph = csr_matrix((np.ones(indptr[-1]), nbr[has], indptr), shape=(n, n))
-    todo = np.ones(n, dtype=bool)
+    nbr = node[np.add.outer(padded, [dj * pw + di for di, dj in _NEIGHBOR_ORDER])].ravel()
+    # Row k lists cell k's 8 neighbors in _NEIGHBOR_ORDER. scipy's BFS marks a
+    # node when it pushes it and scans a row in stored order, so it visits the
+    # cells in the order of a BFS that tries the neighbors in that order; node
+    # n has an empty row, so its visit delays no cell.
+    indptr = np.append(np.arange(0, nbr.size + 1, 8, dtype=np.int32), nbr.size)
+    graph = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(n + 1, n + 1))
+    todo = np.arange(n + 1) < n  # node n seeds no component
     components = []
     while todo.any():
         order = breadth_first_order(graph, int(todo.argmax()), directed=True,
                                     return_predecessors=False)
         todo[order] = False
-        components.append(lin[order])
+        components.append(lin[order[order < n]])
     return components
 
 
-def cluster_frontiers(cells: set, spec: GridSpec, blacklist: Blacklist) -> list:
-    """Candidate goal cells (i, j) of the deterministic, size-capped clusters.
+def cluster_frontiers(cells: set[int], spec: GridSpec, blacklist: Blacklist) -> list:
+    """Candidate goal cells (i, j) of the deterministic, size-capped clusters of the frontier.
 
     Each component's visit order is cut into consecutive chunks of at most
     DEFAULT_MAX_CLUSTER_SIZE cells, and each chunk nominates its median-order

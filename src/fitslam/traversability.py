@@ -59,7 +59,8 @@ class TerrainStatsGrid:
 
     @functools.cached_property
     def plane(self):
-        """Per-cell plane fit (mean_z, slope, roughness), read-only; `accumulate` drops it."""
+        """Per-cell plane fit (mean_z, slope, roughness), read-only; `accumulate` drops it,
+        and so does `_memo`, which keeps its own copy of the mean z."""
         n = np.where(self.count > 0, self.count, 1.0)
         mx, my, mz, exx, exy, eyy, exz, eyz, ezz = self.moments[1:] / n
         # Centered second moments.
@@ -92,6 +93,7 @@ class TerrainStatsGrid:
         meaning no data and every cell Unknown. Then the (H, W) mask of the cells
         that hold a point. `accumulate` drops it."""
         mz, slope, roughness = self.plane
+        del self.plane
         s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)
         s_rough = np.clip(1.0 - roughness / MAX_ROUGHNESS, 0.0, 1.0)
         static = np.where(self.count >= MIN_POINTS, np.minimum(s_slope, s_rough), np.nan)

@@ -12,6 +12,12 @@ from fitslam.planner import SQRT2
 from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP, MIN_POINTS
 
 
+def linear(cells, spec):
+    """The set of linear indices `j * width + i` of the (i, j) cells: the form of a
+    frontier that `detect_frontiers` returns and `cluster_frontiers` takes."""
+    return {j * spec.width + i for i, j in cells}
+
+
 def brute_force_scan(occ, goal, params, camera):
     """Independent windowed-sum evaluation built on cast_ray."""
     spec = occ.spec

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fitslam.grid import (
     UNKNOWN_P,
 )
 from fitslam.simworld import WorldConfig
+from oracles import linear
 
 
 def build_grids(w, h, res=0.1):
@@ -92,10 +95,10 @@ def cluster_oracle(cells, spec, max_cluster_size, blacklisted):
 
 
 def components(cells, spec):
-    """frontier_components as lists of (i, j) cells in visit order."""
+    """frontier_components of the (i, j) cells, as lists of (i, j) cells in visit order."""
     w = spec.width
     return [[(int(v % w), int(v // w)) for v in order]
-            for order in frontier_components(cells, spec)]
+            for order in frontier_components(linear(cells, spec), spec)]
 
 
 def chunks(cells, spec, cap):
@@ -123,23 +126,44 @@ class TestDetectFrontiers:
         assert detect_frontiers(occ, nav) == set()
 
     def test_vertical_split_yields_boundary_column(self):
-        _, occ, nav = build_grids(8, 5)
+        spec, occ, nav = build_grids(8, 5)
         occ.p[:, :4] = 0.1   # west half known
         nav.state[:, :4] = FREE
         found = detect_frontiers(occ, nav)
         expected = {(3, j) for j in range(5)}
-        assert found == expected
+        assert found == linear(expected, spec)
 
     def test_matches_brute_force_oracle_on_random_grids(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            _, occ, nav = build_grids(16, 12)
+            spec, occ, nav = build_grids(16, 12)
             occ.p[:] = rng.choice([UNKNOWN_P, 0.1, 0.9], size=occ.p.shape,
                                   p=[0.4, 0.45, 0.15])
             nav.state[:] = rng.choice(
                 [UNKNOWN, FREE, BLOCKED], size=nav.state.shape,
                 p=[0.3, 0.5, 0.2]).astype(np.int8)
-            assert detect_frontiers(occ, nav) == frontier_oracle(occ, nav)
+            assert detect_frontiers(occ, nav) == linear(frontier_oracle(occ, nav), spec)
+
+    def test_returns_a_set_of_plain_int_linear_indices(self):
+        rng = np.random.default_rng(23)
+        shapes = [(1, 1), (1, 17), (17, 1), (2, 2)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 25, size=2)) for _ in range(40)]
+        on_border = 0
+        for w, h in shapes:
+            spec, occ, nav = build_grids(w, h)
+            occ.p[:] = rng.choice([UNKNOWN_P, 0.1], size=occ.p.shape)
+            nav.state[:] = rng.choice([UNKNOWN, FREE, BLOCKED], size=nav.state.shape,
+                                      p=[0.2, 0.6, 0.2]).astype(np.int8)
+            nav.state[[0, -1], :] = nav.state[:, [0, -1]] = FREE  # the border is Free
+            found = detect_frontiers(occ, nav)
+            assert type(found) is set
+            for cell in found:
+                assert type(cell) is int  # not a tuple, not a numpy scalar
+                assert not gc.is_tracked(cell)
+            want = frontier_oracle(occ, nav)
+            assert found == linear(want, spec), (w, h)
+            on_border += sum(i in (0, w - 1) or j in (0, h - 1) for i, j in want)
+        assert on_border > 0
 
     def test_mismatched_specs_rejected(self):
         _, occ, _ = build_grids(6, 6)
@@ -152,23 +176,29 @@ class TestClusterFrontiers:
     def test_five_collinear_cells_single_cluster(self):
         spec = GridSpec(0.1, 10, 10)
         cells = {(i, 4) for i in range(2, 7)}
-        assert cluster_frontiers(cells, spec, Blacklist(spec)) == [(4, 4)]  # 3rd of 5
+        assert cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)) == [(4, 4)]  # 3rd of 5
 
     def test_blacklisted_candidate_dropped(self):
         spec = GridSpec(0.1, 10, 10)
         bl = blacklist_of(spec, [(3, 3)])
-        assert cluster_frontiers({(3, 3)}, spec, bl) == []
+        assert cluster_frontiers(linear({(3, 3)}, spec), spec, bl) == []
 
     def test_blacklist_suppresses_adjacent_cell(self):
         spec = GridSpec(0.1, 10, 10)
         bl = blacklist_of(spec, [(3, 3)])
-        assert cluster_frontiers({(4, 4)}, spec, bl) == []
-        assert len(cluster_frontiers({(5, 3)}, spec, bl)) == 1
+        assert cluster_frontiers(linear({(4, 4)}, spec), spec, bl) == []
+        assert len(cluster_frontiers(linear({(5, 3)}, spec), spec, bl)) == 1
 
     def test_blacklist_of_another_grid_rejected(self):
         spec = GridSpec(0.1, 10, 10)
         with pytest.raises(ValueError):
-            cluster_frontiers({(3, 3)}, spec, Blacklist(GridSpec(0.1, 10, 9)))
+            cluster_frontiers(linear({(3, 3)}, spec), spec, Blacklist(GridSpec(0.1, 10, 9)))
+
+    @pytest.mark.parametrize("w, h", [(1, 1), (1, 9), (9, 1), (10, 10)])
+    def test_empty_frontier_has_no_components(self, w, h):
+        spec = GridSpec(0.1, w, h)
+        assert frontier_components(set(), spec) == []
+        assert cluster_frontiers(set(), spec, Blacklist(spec)) == []
 
     def test_components_partition_matches_connectivity(self):
         rng = np.random.default_rng(33)
@@ -197,7 +227,7 @@ class TestClusterFrontiers:
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
         spec = GridSpec(0.1, 30, 30)
-        cells = {(int(i), int(j)) for i, j in rng.integers(0, 30, size=(200, 2))}
+        cells = linear({(int(i), int(j)) for i, j in rng.integers(0, 30, size=(200, 2))}, spec)
         a = frontier_components(set(cells), spec)
         b = frontier_components(set(cells), spec)
         assert [c.tolist() for c in a] == [c.tolist() for c in b]
@@ -211,7 +241,8 @@ class TestClusterFrontiers:
         assert components(cells, spec) == [[(i, 0) for i in range(68)]]
         assert [len(c) for c in chunks(cells, spec, 30)] == [30, 30, 8]
         # chunks [0..29], [30..59], [60..67] of the visit order, medians 14, 44, 63
-        assert cluster_frontiers(cells, spec, Blacklist(spec)) == [(14, 0), (44, 0), (63, 0)]
+        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec))
+                == [(14, 0), (44, 0), (63, 0)])
 
     @pytest.mark.parametrize("n", [1, 29, 30, 31, 32, 59, 60, 61, 62, 89, 90, 91, 92, 150])
     def test_components_spanning_chunks_match_oracle(self, n):
@@ -224,9 +255,9 @@ class TestClusterFrontiers:
         assert chunks(cells, spec, 30) == want_chunks
         assert [len(c) for c in want_chunks] == \
             [30] * (n // 30) + [n % 30] * (n % 30 > 0) + [30, 30, 3]
-        assert cluster_frontiers(cells, spec, Blacklist(spec)) == want_candidates
+        assert cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)) == want_candidates
         blacklisted = want_candidates[::2]
-        assert (cluster_frontiers(cells, spec, blacklist_of(spec, blacklisted))
+        assert (cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, blacklisted))
                 == cluster_oracle(cells, spec, 30, blacklisted)[1])
 
     def test_matches_python_bfs_oracle(self):
@@ -252,7 +283,7 @@ class TestClusterFrontiers:
                     blacklisted.append((int(i), int(j)))
             want_chunks, want_candidates = cluster_oracle(cells, spec, 30, blacklisted)
             assert chunks(cells, spec, 30) == want_chunks, (w, h)
-            got = cluster_frontiers(cells, spec, blacklist_of(spec, blacklisted))
+            got = cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, blacklisted))
             assert got == want_candidates, (w, h)
 
     @pytest.mark.slow
@@ -276,7 +307,9 @@ class TestClusterFrontiers:
         harness.run_mission(WorldConfig.from_json(preset_world_path(preset)), strategy, 1)
         assert len(seen) >= 10 and any(blacklisted for _, _, blacklisted, _ in seen)
         for cells, spec, blacklisted, got in seen:
-            assert got == cluster_oracle(cells, spec, DEFAULT_MAX_CLUSTER_SIZE, blacklisted)[1]
+            ij = {(c % spec.width, c // spec.width) for c in cells}
+            assert linear(ij, spec) == cells
+            assert got == cluster_oracle(ij, spec, DEFAULT_MAX_CLUSTER_SIZE, blacklisted)[1]
 
 
 class TestBlacklist:

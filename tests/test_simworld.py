@@ -25,6 +25,7 @@ from fitslam.simworld import (
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
+from oracles import linear
 from test_fisher import landmark_fim_reference, visible_reference
 
 
@@ -1008,7 +1009,8 @@ class TestMetrics:
         assert unknown[:, -1].any() and not unknown[:, -1].all()
         assert state.unknown_inside == unknown.sum()
         _, nav = current_grids(state)
-        assert any(i == 19 for i, _ in detect_frontiers(state.occ, nav))
+        last_column = linear({(19, j) for j in range(world.spec.height)}, world.spec)
+        assert detect_frontiers(state.occ, nav) & last_column
 
 
 def free_nav(world):
