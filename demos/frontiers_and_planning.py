@@ -2,10 +2,12 @@
 
 After the robot's initial look-around, the known free space is a small disk
 whose rim is all frontier. The demo shows how the rim breaks into size-capped
-clusters with a median candidate cell, and what the A* path to each candidate
-costs. It then completes a short mission so the numbers can be compared with
-a half-explored map.
+clusters with a median candidate cell, and what the shortest path to each
+candidate costs. It then completes a short mission so the numbers can be
+compared with a half-explored map.
 """
+
+import math
 
 import fitslam
 from fitslam.frontier import (DEFAULT_MAX_CLUSTER_SIZE as CAP, Blacklist, cluster_frontiers,
@@ -32,7 +34,7 @@ print(f"after the initial spin: {len(frontiers)} frontier cells "
       f"in {len(candidates)} clusters (cap {CAP})")
 
 planner = MultiGoalPlanner(nav)
-planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]))
+planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]), math.inf)
 print(f"{'candidate':>14} {'size':>5} {'path cost':>12}")
 for size, cell in sorted(zip(sizes, candidates), key=lambda sc: sc[0], reverse=True)[:8]:
     try:

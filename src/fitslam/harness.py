@@ -114,8 +114,37 @@ def _select_fit(candidates, state, world, uparams, rays, spec, planner, memo):
     return select_best(short, uparams)
 
 
-def _select_greedy(candidates):
-    return min(candidates, key=lambda c: (c.rho, c.cell[1], c.cell[0]))
+def _all_candidates(planner, start, cells, blacklist):
+    """Fit and random: every reachable cell with its rho, from one full solve."""
+    planner.solve(start, math.inf)
+    candidates = []
+    for cell in cells:
+        try:
+            rho = planner.distance_to(cell)
+        except NoPathError:
+            blacklist.add(cell)
+            continue
+        candidates.append(CandidateGoal(cell, rho))
+    return candidates
+
+
+def _nearest_candidate(planner, start, cells, blacklist):
+    """Greedy: its pick alone, the reachable cell with the least (rho, j, i).
+
+    The cells outside the start's connected component are the ones a full
+    solve would find unreachable; bounded solves then settle only as far as
+    the nearest of the rest.
+    """
+    goals = []
+    for cell, ok in zip(cells, planner.reachable(start, cells)):
+        if ok:
+            goals.append(cell)
+        else:
+            blacklist.add(cell)
+    if not goals:
+        return []
+    cell = goals[planner.nearest(start, goals)]
+    return [CandidateGoal(cell, planner.distance_to(cell))]
 
 
 def run_mission(config: WorldConfig, strategy: str, seed: int,
@@ -154,15 +183,9 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
             break
 
         planner = MultiGoalPlanner(nav)
-        planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]))
-        candidates = []
-        for cell in cells:
-            try:
-                rho = planner.distance_to(cell)
-            except NoPathError:
-                blacklist.add(cell)
-                continue
-            candidates.append(CandidateGoal(cell, rho))
+        start = spec.world_to_cell(state.pose[0], state.pose[1])
+        select = _nearest_candidate if strategy == "greedy" else _all_candidates
+        candidates = select(planner, start, cells, blacklist)
         if not candidates:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.
@@ -171,10 +194,10 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
 
         if strategy == "fit":
             best = _select_fit(candidates, state, world, uparams, rays, spec, planner, memo)
-        elif strategy == "greedy":
-            best = _select_greedy(candidates)
-        else:
+        elif strategy == "random":
             best = candidates[int(rng.integers(len(candidates)))]
+        else:
+            best, = candidates  # greedy's pick
         if best.path is None:
             best.path = planner.path_to(best.cell)
         if best.theta_star is None:

@@ -1,9 +1,12 @@
 """Shortest paths on the binary traversability grid.
 
 A* with the octile heuristic produces minimum-cost 8-connected paths over
-Free cells. Unknown cells are treated as non-traversable. A batched
-single-source solver backed by scipy's Dijkstra serves the harness, which
-needs distances and paths to every candidate goal of an iteration at once.
+Free cells; it is the reference the tests check the program's solver against.
+Unknown cells are treated as non-traversable. The harness plans with
+`MultiGoalPlanner`, a single-source solver backed by scipy's Dijkstra on the
+same costs: fit and random solve once to every cell, greedy finds which
+candidates the robot can reach from the graph's connected components and then
+finds the nearest of them with Dijkstra solves bounded at a growing limit.
 """
 
 from __future__ import annotations
@@ -14,11 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .grid import BinaryTraversabilityGrid, shift
 
 SQRT2 = math.sqrt(2.0)
+# Added to the first bound of `MultiGoalPlanner.nearest`, in cells, so that
+# float rounding of a path that meets its octile bound cannot leave it unsettled.
+# Far below the gap between two distinct path costs on any grid we plan on.
+BOUND_SLACK = 1e-6
 
 
 class NoPathError(RuntimeError):
@@ -120,8 +128,12 @@ class MultiGoalPlanner:
     """Single-source shortest paths to many goals on one grid snapshot.
 
     Builds the 8-connected adjacency of the Free cells once and runs scipy's
-    Dijkstra; costs equal the A* costs of `plan`. Used by the harness, which
-    plans to every frontier candidate of an iteration from the same start.
+    Dijkstra; costs equal the A* costs of `plan`. A solve may stop at a
+    limit: nodes farther than it are left unsettled, at infinite distance.
+    `reachable` answers which goals share the start's connected component
+    without any solve, and `nearest` finds the goal with the least
+    (distance, row, column) through solves bounded at a growing limit, after
+    which `distance_to` and `path_to` serve that goal as after a full solve.
     """
 
     def __init__(self, nav: BinaryTraversabilityGrid):
@@ -131,14 +143,67 @@ class MultiGoalPlanner:
         self._dist = None
         self._pred = None
         self._start = None
+        self._limit = None
 
-    def solve(self, start: tuple) -> None:
+    def solve(self, start: tuple, limit: float) -> None:
+        """Settle every node within `limit` (cell units; `math.inf` for all) of start."""
+        src = self._start_index(start)
+        self._dist, self._pred = _csgraph_dijkstra(
+            self._graph, directed=False, indices=src, return_predecessors=True, limit=limit)
+        self._start = start
+        self._limit = limit
+
+    def _start_index(self, start: tuple) -> int:
         if not self.nav.is_free(*start):
             raise NoPathError(f"start {start} is not Free")
-        src = self.spec.linear_index(*start)
-        self._dist, self._pred = _csgraph_dijkstra(
-            self._graph, directed=False, indices=src, return_predecessors=True)
-        self._start = start
+        return self.spec.linear_index(*start)
+
+    def reachable(self, start: tuple, goals: list) -> np.ndarray:
+        """Per goal (i, j), whether any path joins it to start: one bool array.
+
+        A goal that is not Free is a node without edges, so it shares no
+        component with the Free start.
+        """
+        src = self._start_index(start)
+        _, labels = connected_components(self._graph, directed=False)
+        return labels[self._linear(goals)] == labels[src]
+
+    def nearest(self, start: tuple, goals: list) -> int:
+        """Index in `goals` of the goal with the least (distance_to, j, i).
+
+        The first solve is bounded at the least octile distance to a goal,
+        which no path undercuts. Every goal a solve leaves unsettled is
+        farther than its limit, so once one settles, the least key among the
+        settled goals is the least of all goals. The winner must also lie
+        strictly inside the limit in meters, since an unsettled goal could
+        otherwise tie it by rounding. Until both hold, the limit grows by
+        x1.5 + 1 cell; past the longest possible path the solve is a full one.
+        Leaves the planner solved at the last limit, which holds the winner's
+        whole path.
+        """
+        src = self._start_index(start)
+        lin = self._linear(goals)
+        w, res = self.spec.width, self.spec.resolution
+        i, j = lin % w, lin // w
+        dx, dy = np.abs(i - src % w), np.abs(j - src // w)
+        bound = (dx + dy) + (SQRT2 - 2.0) * np.minimum(dx, dy)
+        longest = SQRT2 * self.spec.n_cells  # no shortest path is longer
+        limit = float(bound.min()) + BOUND_SLACK
+        while True:
+            self.solve(start, limit)
+            rho = self._dist[lin] * res
+            settled = np.flatnonzero(np.isfinite(rho))
+            if settled.size:
+                k = settled[np.lexsort((i[settled], j[settled], rho[settled]))[0]]
+                if rho[k] < limit * res:
+                    return int(k)
+            if limit == math.inf:
+                raise NoPathError(f"no goal reachable from {start}")
+            limit = limit * 1.5 + 1.0 if limit < longest else math.inf
+
+    def _linear(self, goals: list) -> np.ndarray:
+        cells = np.asarray(goals, dtype=np.intp).reshape(-1, 2)
+        return cells[:, 1] * self.spec.width + cells[:, 0]
 
     def distance_to(self, goal: tuple) -> float:
         """Optimal path length in meters without reconstructing the path."""
@@ -151,6 +216,9 @@ class MultiGoalPlanner:
             raise NoPathError(f"goal {goal} is not Free")
         gi = spec.linear_index(*goal)
         if not np.isfinite(self._dist[gi]):
+            if self._limit < math.inf:
+                raise NoPathError(f"goal {goal} not settled within limit "
+                                  f"{self._limit:g} cells of {self._start}")
             raise NoPathError(f"goal {goal} unreachable from {self._start}")
         return gi, self._dist[gi]
 

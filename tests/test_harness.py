@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fitslam import cli, preset_world_path
+from fitslam import cli, harness, preset_world_path
 from fitslam.cli import main, _parse_seeds
-from fitslam.grid import OccupancyGrid
+from fitslam.frontier import Blacklist
+from fitslam.grid import BLOCKED, FREE, BinaryTraversabilityGrid, GridSpec, OccupancyGrid
 from fitslam.harness import (
     ExperimentConfig,
     MissionLog,
@@ -17,6 +18,7 @@ from fitslam.harness import (
     write_summary_csv,
 )
 from fitslam.infogain import RayCastParams
+from fitslam.planner import MultiGoalPlanner, NoPathError
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import threshold
 from fitslam.utility import UtilityParams
@@ -103,6 +105,81 @@ class TestRunMission:
         assert log.termination in ("timeout", "complete")
         if log.termination == "timeout":
             assert log.final.t >= 60.0
+
+
+def pocket_nav():
+    """A 20 x 7 open grid with a walled pocket whose inside is (16..18, 2..4)."""
+    state = np.full((7, 20), FREE, dtype=np.int8)
+    state[1:6, 15:20] = BLOCKED
+    state[2:5, 16:19] = FREE
+    return BinaryTraversabilityGrid(GridSpec(0.1, 20, 7), state)
+
+
+class TestGreedyDecision:
+    def test_blacklists_exactly_the_cells_cut_off(self):
+        nav = pocket_nav()
+        # The far reachable cell lies beyond any limit the pick needs, so only
+        # connectivity, not a bounded solve, can tell it from the pocket's cell.
+        cells = [(13, 6), (17, 3), (3, 3)]
+        blacklist = Blacklist(nav.spec)
+        picked = harness._nearest_candidate(MultiGoalPlanner(nav), (1, 3), cells, blacklist)
+        assert [(c.cell, c.rho) for c in picked] == [((3, 3), pytest.approx(0.2))]
+        expected = Blacklist(nav.spec)
+        expected.add((17, 3))
+        assert np.array_equal(blacklist.mask, expected.mask)
+
+    def test_nothing_reachable_blacklists_every_cell(self):
+        nav = pocket_nav()
+        cells = [(16, 2), (18, 4)]
+        blacklist = Blacklist(nav.spec)
+        assert harness._nearest_candidate(MultiGoalPlanner(nav), (1, 3), cells,
+                                          blacklist) == []
+        expected = Blacklist(nav.spec)
+        for cell in cells:
+            expected.add(cell)
+        assert np.array_equal(blacklist.mask, expected.mask)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset, max_time", [
+    ("flat_office", harness.DEFAULT_MAX_MISSION_TIME),
+    ("obstacle_ring", harness.DEFAULT_MAX_MISSION_TIME),
+    ("ramp_yard", 300.0),
+], ids=["flat_office", "obstacle_ring", "ramp_yard-300s"])
+def test_greedy_decisions_match_a_full_solve(preset, max_time, monkeypatch):
+    """Every greedy pick of seed 1 is the full solve's least (rho, j, i), with its
+    rho and path, and every node the last bounded solve settled is the full solve's."""
+    nearest, decisions = harness._nearest_candidate, []
+
+    def spy(planner, start, cells, blacklist):
+        full = MultiGoalPlanner(planner.nav)
+        full.solve(start, math.inf)
+        expected = Blacklist(planner.spec)
+        expected.mask = blacklist.mask.copy()
+        keys = []
+        for cell in cells:
+            try:
+                keys.append((full.distance_to(cell), cell[1], cell[0]))
+            except NoPathError:
+                expected.add(cell)
+        picked = nearest(planner, start, cells, blacklist)
+        assert np.array_equal(blacklist.mask, expected.mask)
+        if not keys:
+            assert picked == []
+            return picked
+        rho, j, i = min(keys)
+        assert [(c.cell, c.rho) for c in picked] == [((i, j), rho)]
+        assert planner.path_to((i, j)).cells == full.path_to((i, j)).cells
+        settled = np.isfinite(planner._dist)
+        assert np.array_equal(planner._dist[settled], full._dist[settled])
+        assert np.array_equal(planner._pred[settled], full._pred[settled])
+        decisions.append((i, j))
+        return picked
+
+    monkeypatch.setattr(harness, "_nearest_candidate", spy)
+    config = WorldConfig.from_json(preset_world_path(preset))
+    log = run_mission(config, "greedy", seed=1, max_mission_time=max_time)
+    assert len(decisions) >= len(log.goal_sequence) > 5
 
 
 class TestMissionLog:

@@ -5,11 +5,13 @@ import pytest
 from scipy.sparse import coo_matrix
 
 from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
+from fitslam import planner as planner_module
 from fitslam.planner import (
     MultiGoalPlanner,
     NoPathError,
     Path,
     SQRT2,
+    octile,
     plan,
     sample_waypoints,
 )
@@ -139,7 +141,7 @@ class TestMultiGoalPlanner:
         nav.state[rng.random((18, 18)) < 0.2] = BLOCKED
         nav.state[0, 0] = FREE
         mgp = MultiGoalPlanner(nav)
-        mgp.solve((0, 0))
+        mgp.solve((0, 0), math.inf)
         free = np.argwhere(nav.state == FREE)
         for gj, gi in free[::5]:
             goal = (int(gi), int(gj))
@@ -164,9 +166,183 @@ class TestMultiGoalPlanner:
         nav = free_grid(4, 4)
         nav.state[2, 2] = BLOCKED
         mgp = MultiGoalPlanner(nav)
-        mgp.solve((0, 0))
+        mgp.solve((0, 0), math.inf)
         with pytest.raises(NoPathError):
             mgp.distance_to((2, 2))
+
+
+def oracle_grids(rng, n):
+    """Free/Blocked grids of the shapes the greedy pick must handle, by kind in turn:
+    random clutter, checkerboards of closed corners with a few opened, walled pockets,
+    and single rows or columns."""
+    for trial in range(n):
+        kind = trial % 4
+        w, h = (int(v) for v in rng.integers(2, 31, size=2))
+        if kind == 3:
+            w, h = (w, 1) if trial % 8 == 3 else (1, h)
+        nav = free_grid(w, h, res=float(rng.choice([0.05, 0.1, 0.15])))
+        if kind == 0:
+            nav.state[rng.random((h, w)) < rng.uniform(0.0, 0.45)] = BLOCKED
+        elif kind == 1:
+            # Free cells meet only at diagonals whose two cardinals are both
+            # Blocked, so every Free cell is cut off until a cardinal opens.
+            jj, ii = np.mgrid[:h, :w]
+            nav.state[(ii + jj) % 2 == 1] = BLOCKED
+            nav.state[rng.random((h, w)) < rng.uniform(0.0, 0.3)] = FREE
+        elif kind == 2:
+            for _ in range(int(rng.integers(1, 4))):
+                i0, j0 = (int(v) for v in rng.integers(0, [w, h]))
+                i1, j1 = i0 + int(rng.integers(2, 8)), j0 + int(rng.integers(2, 8))
+                nav.state[j0:j1 + 1, i0:i1 + 1] = BLOCKED
+                nav.state[j0 + 1:j1, i0 + 1:i1] = FREE  # an enclosed pocket
+        else:
+            nav.state[rng.random((h, w)) < 0.15] = BLOCKED
+        free = np.argwhere(nav.state == FREE)
+        if len(free):
+            sj, si = free[rng.integers(len(free))]
+            yield nav, (int(si), int(sj))
+
+
+def full_solve(nav, start):
+    planner = MultiGoalPlanner(nav)
+    planner.solve(start, math.inf)
+    return planner
+
+
+def counting_solves(planner):
+    """Record the limit of every solve the planner runs."""
+    limits, solve = [], planner.solve
+
+    def counted(start, limit):
+        limits.append(limit)
+        solve(start, limit)
+    planner.solve = counted
+    return limits
+
+
+class TestGreedyPick:
+    def test_reachable_matches_finite_full_solve(self):
+        rng = np.random.default_rng(24)
+        checked = 0
+        for nav, start in oracle_grids(rng, 160):
+            every = [(i, j) for j in range(nav.spec.height) for i in range(nav.spec.width)]
+            reach = MultiGoalPlanner(nav).reachable(start, every)
+            finite = np.isfinite(full_solve(nav, start)._dist)
+            free = nav.free_mask().ravel()
+            assert np.array_equal(reach[free], finite[free])
+            assert not reach[~free].any()
+            checked += 1
+        assert checked > 150
+
+    def test_bounded_solve_settles_as_the_full_solve(self):
+        rng = np.random.default_rng(25)
+        for nav, start in oracle_grids(rng, 120):
+            full = full_solve(nav, start)
+            dists = np.unique(full._dist[np.isfinite(full._dist)])
+            limits = list(rng.uniform(0.0, dists[-1] + 1.0, size=3))
+            limits += list(rng.choice(dists, size=3))  # exactly at a node's distance
+            for limit in limits:
+                bounded = MultiGoalPlanner(nav)
+                bounded.solve(start, float(limit))
+                settled = np.isfinite(bounded._dist)
+                assert np.array_equal(settled, full._dist <= limit)
+                assert np.array_equal(bounded._dist[settled], full._dist[settled])
+                assert np.array_equal(bounded._pred[settled], full._pred[settled])
+
+    def test_nearest_matches_full_solve_and_oracle(self):
+        rng = np.random.default_rng(26)
+        picked = 0
+        for nav, start in oracle_grids(rng, 160):
+            free = [(int(i), int(j)) for j, i in np.argwhere(nav.state == FREE)]
+            goals = [free[k] for k in rng.permutation(len(free))[:int(rng.integers(1, 12))]]
+            if rng.random() < 0.3:
+                goals.insert(int(rng.integers(len(goals) + 1)), start)
+            planner = MultiGoalPlanner(nav)
+            reach = planner.reachable(start, goals)
+            goals = [g for g, ok in zip(goals, reach) if ok]
+            if not goals:
+                continue
+            k = planner.nearest(start, goals)
+            full = full_solve(nav, start)
+            rho, j, i = min((full.distance_to(g), g[1], g[0]) for g in goals)
+            assert goals[k] == (i, j)
+            assert planner.distance_to((i, j)) == rho
+            assert planner.path_to((i, j)).cells == full.path_to((i, j)).cells
+            card, diag = dijkstra_oracle(nav, start, (i, j))
+            assert rho == pytest.approx(nav.spec.resolution * (card + diag * SQRT2), abs=1e-9)
+            picked += 1
+        assert picked > 100
+
+    def test_nearest_grows_the_limit_past_a_wall(self):
+        # (5, 0) is 5 cells away as the crow flies but 13 around the wall;
+        # (0, 9) is 9 away in a straight line, so the first limit settles neither.
+        nav = free_grid(7, 10)
+        nav.state[0:5, 3] = BLOCKED
+        planner = MultiGoalPlanner(nav)
+        limits = counting_solves(planner)
+        goals = [(5, 0), (0, 9)]
+        assert planner.nearest((0, 0), goals) == 1
+        assert planner.distance_to((0, 9)) == pytest.approx(0.05 * 9)
+        assert len(limits) > 1 and limits[0] < 9 <= limits[-1]
+
+    def test_nearest_breaks_ties_by_row_then_column(self):
+        nav = free_grid(9, 9)
+        start = (4, 4)
+        # All four at 2 cells; the goals' list order is the reverse of the tie-break's.
+        goals = [(6, 4), (4, 6), (2, 4), (4, 2)]
+        assert MultiGoalPlanner(nav).nearest(start, goals) == 3
+        assert MultiGoalPlanner(nav).nearest(start, goals[:3]) == 2
+        assert MultiGoalPlanner(nav).nearest(start, [(6, 6), (2, 6)]) == 1
+
+    def test_nearest_solves_once_when_a_path_meets_its_octile_bound(self):
+        # Open ground: the least octile bound is a path's exact length.
+        nav = free_grid(20, 20)
+        for goals in ([(15, 3)], [(17, 17), (3, 12)], [(8, 8), (8, 0)]):
+            planner = MultiGoalPlanner(nav)
+            limits = counting_solves(planner)
+            planner.nearest((8, 4), goals)
+            assert len(limits) == 1, goals
+
+    def test_winner_on_the_limit_waits_for_a_rounding_tie(self, monkeypatch):
+        # (3, 4) and (4, 3) both cost 1 + 3 sqrt(2), summed in orders that
+        # differ by one ulp, and meet as one rho in meters: (4, 3) wins on its row.
+        nav = free_grid(5, 5, res=0.1)
+        for i, j in ((1, 0), (3, 0), (3, 2)):
+            nav.state[j, i] = BLOCKED
+        full = full_solve(nav, (0, 0))
+        a, b = full._dist[4 * 5 + 3], full._dist[3 * 5 + 4]
+        assert a < b and a * 0.1 == b * 0.1
+        # A first limit exactly at (3, 4)'s distance settles it and not (4, 3).
+        monkeypatch.setattr(planner_module, "BOUND_SLACK", a - octile((0, 0), (3, 4)))
+        planner = MultiGoalPlanner(nav)
+        limits = counting_solves(planner)
+        assert planner.nearest((0, 0), [(3, 4), (4, 3)]) == 1
+        assert limits[0] == a and len(limits) == 2
+
+    def test_nearest_picks_the_start_when_it_is_a_goal(self):
+        nav = free_grid(5, 5)
+        planner = MultiGoalPlanner(nav)
+        assert planner.nearest((2, 2), [(4, 4), (2, 2)]) == 1
+        assert planner.path_to((2, 2)).cells == [(2, 2)]
+
+    def test_nearest_without_a_reachable_goal_raises(self):
+        nav = free_grid(6, 6)
+        nav.state[:, 2] = BLOCKED
+        with pytest.raises(NoPathError, match="no goal reachable"):
+            MultiGoalPlanner(nav).nearest((0, 0), [(4, 4), (5, 0)])
+
+    def test_unsettled_goal_named_as_beyond_the_limit(self):
+        nav = free_grid(10, 1)
+        planner = MultiGoalPlanner(nav)
+        planner.solve((0, 0), 3.0)
+        assert planner.distance_to((3, 0)) == pytest.approx(0.15)
+        with pytest.raises(NoPathError, match="not settled within limit 3 cells"):
+            planner.distance_to((4, 0))
+        nav.state[0, 5] = BLOCKED
+        cut = MultiGoalPlanner(nav)
+        cut.solve((0, 0), math.inf)
+        with pytest.raises(NoPathError, match="unreachable"):
+            cut.distance_to((8, 0))
 
 
 class TestBuildGraph:
@@ -189,10 +365,10 @@ class TestBuildGraph:
             if not len(free):
                 continue
             sj, si = free[rng.integers(len(free))]
-            fast.solve((int(si), int(sj)))
+            fast.solve((int(si), int(sj)), math.inf)
             slow = MultiGoalPlanner(nav)
             slow._graph = ref
-            slow.solve((int(si), int(sj)))
+            slow.solve((int(si), int(sj)), math.inf)
             assert np.array_equal(fast._dist, slow._dist)
             assert np.array_equal(fast._pred, slow._pred)
 
