@@ -131,9 +131,9 @@ def _all_candidates(planner, start, cells, blacklist):
 def _nearest_candidate(planner, start, cells, blacklist):
     """Greedy: its pick alone, the reachable cell with the least (rho, j, i).
 
-    The cells outside the start's connected component are the ones a full
-    solve would find unreachable; bounded solves then settle only as far as
-    the nearest of the rest.
+    The cells that a breadth-first search from the start does not reach are
+    the ones a full solve would find unreachable; bounded solves then settle
+    only as far as the nearest of the rest.
     """
     goals = []
     for cell, ok in zip(cells, planner.reachable(start, cells)):

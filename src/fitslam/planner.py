@@ -5,19 +5,20 @@ Free cells; it is the reference the tests check the program's solver against.
 Unknown cells are treated as non-traversable. The harness plans with
 `MultiGoalPlanner`, a single-source solver backed by scipy's Dijkstra on the
 same costs: fit and random solve once to every cell, greedy finds which
-candidates the robot can reach from the graph's connected components and then
-finds the nearest of them with Dijkstra solves bounded at a growing limit.
+candidates the robot can reach from one breadth-first search of the graph and
+then finds the nearest of them with Dijkstra solves bounded at a growing limit.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .grid import BinaryTraversabilityGrid, shift
@@ -27,6 +28,10 @@ SQRT2 = math.sqrt(2.0)
 # float rounding of a path that meets its octile bound cannot leave it unsettled.
 # Far below the gap between two distinct path costs on any grid we plan on.
 BOUND_SLACK = 1e-6
+# The 4 forward steps (di, dj, cost) in ascending order of the column offset
+# dj * width + di. Every cell's graph row lists them, then their reverses in
+# the opposite order, which is the order of the reverses' column offsets too.
+STEPS = ((1, -1, SQRT2), (1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2))
 
 
 class NoPathError(RuntimeError):
@@ -130,8 +135,8 @@ class MultiGoalPlanner:
     Builds the 8-connected adjacency of the Free cells once and runs scipy's
     Dijkstra; costs equal the A* costs of `plan`. A solve may stop at a
     limit: nodes farther than it are left unsettled, at infinite distance.
-    `reachable` answers which goals share the start's connected component
-    without any solve, and `nearest` finds the goal with the least
+    `reachable` answers which goals a breadth-first search from the start
+    meets, without any solve, and `nearest` finds the goal with the least
     (distance, row, column) through solves bounded at a growing limit, after
     which `distance_to` and `path_to` serve that goal as after a full solve.
     """
@@ -149,7 +154,7 @@ class MultiGoalPlanner:
         """Settle every node within `limit` (cell units; `math.inf` for all) of start."""
         src = self._start_index(start)
         self._dist, self._pred = _csgraph_dijkstra(
-            self._graph, directed=False, indices=src, return_predecessors=True, limit=limit)
+            self._graph, directed=True, indices=src, return_predecessors=True, limit=limit)
         self._start = start
         self._limit = limit
 
@@ -161,12 +166,13 @@ class MultiGoalPlanner:
     def reachable(self, start: tuple, goals: list) -> np.ndarray:
         """Per goal (i, j), whether any path joins it to start: one bool array.
 
-        A goal that is not Free is a node without edges, so it shares no
-        component with the Free start.
+        A goal that is not Free has no move in or out, so the search from the
+        Free start never meets it.
         """
-        src = self._start_index(start)
-        _, labels = connected_components(self._graph, directed=False)
-        return labels[self._linear(goals)] == labels[src]
+        met = np.zeros(self.spec.n_cells, dtype=bool)
+        met[breadth_first_order(self._graph, self._start_index(start), directed=True,
+                                return_predecessors=False)] = True
+        return met[self._linear(goals)]
 
     def nearest(self, start: tuple, goals: list) -> int:
         """Index in `goals` of the goal with the least (distance_to, j, i).
@@ -233,29 +239,49 @@ class MultiGoalPlanner:
         return Path(cells, float(self._dist[gi]) * spec.resolution)
 
 
+@functools.lru_cache(maxsize=1)
+def _rows(n: int):
+    """Step costs and row pointers of the n-cell graph: 8 slots a row, `STEPS`
+    then their reverses. A mission plans on one grid, so one is kept."""
+    costs = [cost for _, _, cost in STEPS]
+    data = np.tile(costs + costs[::-1], n)
+    indptr = np.arange(0, 8 * n + 1, 8, dtype=np.int32)
+    data.flags.writeable = indptr.flags.writeable = False  # shared by every graph
+    return data, indptr
+
+
 def _build_graph(nav: BinaryTraversabilityGrid):
-    """Free-cell adjacency as a canonical CSR: sorted columns in each row, no duplicates."""
+    """Free-cell adjacency as a directed CSR that lists both directions of every edge.
+
+    Each row has 8 slots in a fixed order, the 4 `STEPS` and then their
+    reverses. That is the order in which dijkstra(directed=False) relaxes
+    the edges of a graph that lists each edge once along `STEPS`: the row,
+    then the same row of its transpose. So a directed solve here gives that
+    solve's `dist` and `pred` bit for bit, with no transpose built. A slot
+    without a move points at its own row; a search has always reached a row
+    before it reads it, so the self-loop is never followed.
+    """
     spec = nav.spec
     free = nav.free_mask()
     w, n = spec.width, spec.n_cells
-    # Half of the 8 directions, dijkstra(directed=False) covers the reverse; in
-    # ascending order of the column offset dj * w + di, so rows come out sorted.
-    steps = ((1, -1, SQRT2), (1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2))
     oks = []
-    for di, dj, _ in steps:
+    for di, dj, _ in STEPS:
         # ok[j, i]: both cell (i, j) and its neighbor (i + di, j + dj) are Free.
         ok = free & shift(free, -di, -dj)
         if di != 0 and dj != 0:
             # No corner cutting: both touched cardinals closed kills the move.
             ok &= shift(free, -di, 0) | shift(free, 0, -dj)
-        oks.append(ok.ravel())
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(sum(ok.astype(np.int32) for ok in oks), out=indptr[1:])
-    edge = np.flatnonzero(np.stack(oks, axis=1))  # 4 * row + step
-    step = edge & 3
-    cols = (edge >> 2) + np.array([dj * w + di for di, dj, _ in steps])[step]
-    costs = np.array([cost for _, _, cost in steps])[step]
-    return csr_matrix((costs, cols.astype(np.int32), indptr), shape=(n, n))
+        oks.append(ok)
+    # The reverse move from (i, j) is the forward one from (i - di, j - dj).
+    oks += [shift(ok, di, dj) for (di, dj, _), ok in zip(STEPS[::-1], oks[::-1])]
+    offsets = [dj * w + di for di, dj, _ in STEPS]
+    offsets += [-o for o in reversed(offsets)]
+    # Row v's slot holds v + offset where the move is allowed, else v + 0.
+    cols = np.multiply(np.stack(oks, axis=-1).reshape(n, 8),
+                       np.array(offsets, dtype=np.int32), dtype=np.int32)
+    cols += np.arange(n, dtype=np.int32)[:, None]
+    data, indptr = _rows(n)
+    return csr_matrix((data, cols.ravel(), indptr), shape=(n, n))
 
 
 def sample_waypoints(path: Path, spacing_m: float, spec) -> list:

@@ -24,13 +24,14 @@ ROOT = Path(__file__).resolve().parent.parent
 ALGORITHMS = ("grid", "traversability", "frontier", "planner", "fisher", "infogain", "utility")
 
 
-def loaded_after(module):
-    """The fitslam modules a fresh interpreter holds after importing fitslam.<module>."""
+def loaded_after(*modules, prefix="fitslam."):
+    """The modules named `prefix`... that a fresh interpreter holds after importing
+    fitslam.<module> for each of `modules`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = (f"import sys, fitslam.{module}; "
-            "print(*(m for m in sys.modules if m.startswith('fitslam.')))")
+    code = (f"import sys, {', '.join(f'fitslam.{m}' for m in modules)}; "
+            f"print(*(m for m in sys.modules if m.startswith({prefix!r})))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -56,6 +57,14 @@ def test_simulator_loads_no_goal_selection():
     assert "fitslam.simworld" in loaded
     assert not loaded & {"fitslam.frontier", "fitslam.infogain", "fitslam.utility",
                          "fitslam.harness"}
+
+
+def test_program_loads_no_ndimage():
+    # Importing scipy.ndimage took 0.10-0.16 s in a fresh process on a 2-core
+    # box, about a third of the benchmark's setup_s: grids are searched as csgraphs.
+    loaded = loaded_after("harness", "cli", prefix="scipy.")
+    assert "scipy.sparse.csgraph" in loaded
+    assert not {m for m in loaded if m == "scipy.ndimage" or m.startswith("scipy.ndimage.")}
 
 
 CAMERA_PARAMETERS = ("fov", "max_depth", "max_range")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
 from fitslam import planner as planner_module
@@ -347,6 +348,8 @@ class TestGreedyPick:
 
 class TestBuildGraph:
     def test_matches_coo_reference(self):
+        # Both directions of the reference's one-way edges, 8 slots a row, and
+        # solves that match dijkstra(directed=False) on the reference bit for bit.
         rng = np.random.default_rng(17)
         shapes = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 2)]
         shapes += [tuple(int(v) for v in rng.integers(1, 41, size=2)) for _ in range(60)]
@@ -358,19 +361,53 @@ class TestBuildGraph:
             nav.state[u >= p_free + p_blocked] = UNKNOWN
             fast = MultiGoalPlanner(nav)
             ref = coo_graph(nav)
+            n = w * h
+            graph = fast._graph
+            for attr in ("indptr", "indices", "data"):  # the dtypes scipy takes uncopied
+                assert getattr(graph, attr).dtype == getattr(ref, attr).dtype, (w, h, attr)
+            assert np.array_equal(graph.indptr, np.arange(0, 8 * n + 1, 8)), (w, h)
+            rows = np.repeat(np.arange(n), 8)
+            arc = graph.indices != rows
+            arcs = coo_matrix((graph.data[arc], (rows[arc], graph.indices[arc])),
+                              shape=(n, n)).tocsr()
+            both = (ref + ref.T).tocsr()
+            arcs.sort_indices()
+            both.sort_indices()
             for attr in ("indptr", "indices", "data"):
-                a, b = getattr(fast._graph, attr), getattr(ref, attr)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (w, h, attr)
+                assert np.array_equal(getattr(arcs, attr), getattr(both, attr)), (w, h, attr)
             free = np.argwhere(nav.state == FREE)
             if not len(free):
                 continue
             sj, si = free[rng.integers(len(free))]
-            fast.solve((int(si), int(sj)), math.inf)
-            slow = MultiGoalPlanner(nav)
-            slow._graph = ref
-            slow.solve((int(si), int(sj)), math.inf)
-            assert np.array_equal(fast._dist, slow._dist)
-            assert np.array_equal(fast._pred, slow._pred)
+            for limit in (math.inf, *rng.uniform(0.0, w + h, size=2)):
+                fast.solve((int(si), int(sj)), float(limit))
+                dist, pred = dijkstra(ref, directed=False, indices=int(sj) * w + int(si),
+                                      return_predecessors=True, limit=float(limit))
+                assert np.array_equal(fast._dist, dist), (w, h, limit)
+                assert np.array_equal(fast._pred, pred), (w, h, limit)
+
+    def test_row_lists_steps_then_reverses_in_column_order(self):
+        # The one-way graph's row, then its transpose's row: each in ascending columns.
+        nav = free_grid(5, 4)
+        v, w = 2 * 5 + 2, 5
+        row = MultiGoalPlanner(nav)._graph.indices[8 * v:8 * v + 8]
+        assert list(row) == [v - w + 1, v + 1, v + w, v + w + 1,
+                             v - w - 1, v - w, v - 1, v + w - 1]
+
+    def test_reachable_matches_component_labels(self):
+        rng = np.random.default_rng(19)
+        isolated = 0
+        for nav, start in oracle_grids(rng, 160):
+            w, h = nav.spec.width, nav.spec.height
+            # Unknown cells, like Blocked ones, are goals no path reaches.
+            nav.state[(nav.state == BLOCKED) & (rng.random((h, w)) < 0.3)] = UNKNOWN
+            every = [(i, j) for j in range(h) for i in range(w)]
+            _, labels = connected_components(coo_graph(nav), directed=False)
+            src = start[1] * w + start[0]
+            reach = MultiGoalPlanner(nav).reachable(start, every)
+            assert np.array_equal(reach, labels == labels[src])
+            isolated += (labels == labels[src]).sum() == 1
+        assert isolated > 5  # starts that closed corners cut off on every side
 
 
 class TestSampleWaypoints:
