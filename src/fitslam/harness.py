@@ -13,6 +13,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -22,9 +23,8 @@ from .frontier import Blacklist, cluster_frontiers, detect_frontiers
 from .grid import check_int
 from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
-from .simworld import (ConfigError, MissionState, PathBlockedError, WorldConfig,
-                       check_ray_samples, current_grids, execute_path, generate_world,
-                       initial_spin)
+from .simworld import (ConfigError, MissionState, WorldConfig, check_ray_samples,
+                       current_grids, execute_path, generate_world, initial_spin)
 from .utility import CandidateGoal, UtilityParams, compute_u1, select_best, shortlist
 
 STRATEGIES = ("fit", "greedy", "random")
@@ -98,24 +98,11 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
                       2 * math.pi / rays.delta_theta, 2 * camera.max_depth / world.resolution)
 
 
-def _select_fit(candidates, state, world, uparams, rays, spec, planner, memo):
-    camera = world.config.sensors.camera
-    scans = scan_many(state.occ, [c.cell for c in candidates], rays, camera, memo)
-    for c, scan in zip(candidates, scans):
-        c.delta_e = scan.best_gain
-        c.theta_star = scan.best_theta
-    compute_u1(candidates, uparams, spec.resolution)
-    short = shortlist(candidates, uparams.shortlist_n)
-    for c in short:
-        c.path = planner.path_to(c.cell)
-        wps = sample_waypoints(c.path, camera.max_depth, spec)
-        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
-        c.info = path_information(wps, *world.voxel_landmarks, camera)
-    return select_best(short, uparams)
+def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparams, memo):
+    """Fit: the goal of best u2 with its path and arrival orientation, or None.
 
-
-def _all_candidates(planner, start, cells, blacklist):
-    """Fit and random: every reachable cell with its rho, from one full solve."""
+    One full solve gives every reachable cell its rho; the rest are blacklisted.
+    """
     planner.solve(start, math.inf)
     candidates = []
     for cell in cells:
@@ -125,26 +112,46 @@ def _all_candidates(planner, start, cells, blacklist):
             blacklist.add(cell)
             continue
         candidates.append(CandidateGoal(cell, rho))
-    return candidates
+    if not candidates:
+        return None
+    scans = scan_many(occ, [c.cell for c in candidates], rays, camera, memo)
+    for c, scan in zip(candidates, scans):
+        c.delta_e = scan.best_gain
+        c.theta_star = scan.best_theta
+    compute_u1(candidates, uparams, world.spec.resolution)
+    short = shortlist(candidates, uparams.shortlist_n)
+    for c in short:
+        c.path = planner.path_to(c.cell)
+        wps = sample_waypoints(c.path, camera.max_depth, world.spec)
+        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
+        c.info = path_information(wps, *world.voxel_landmarks, camera)
+    return select_best(short, uparams)
 
 
-def _nearest_candidate(planner, start, cells, blacklist):
-    """Greedy: its pick alone, the reachable cell with the least (rho, j, i).
+def _reachable_goals(planner, start, cells, blacklist):
+    """The cells a breadth-first search from start meets, in order; the rest are blacklisted."""
+    reached = planner.reachable(start, cells)
+    for cell in compress(cells, ~reached):
+        blacklist.add(cell)
+    return list(compress(cells, reached))
 
-    The cells that a breadth-first search from the start does not reach are
-    the ones a full solve would find unreachable; bounded solves then settle
-    only as far as the nearest of the rest.
+
+def _single_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera):
+    """Greedy and random: one goal with its path and arrival orientation, or None.
+
+    Greedy takes the reachable cell with the least (rho, j, i), random draws
+    one. Either way bounded solves settle only as far as that cell.
     """
-    goals = []
-    for cell, ok in zip(cells, planner.reachable(start, cells)):
-        if ok:
-            goals.append(cell)
-        else:
-            blacklist.add(cell)
+    goals = _reachable_goals(planner, start, cells, blacklist)
     if not goals:
-        return []
-    cell = goals[planner.nearest(start, goals)]
-    return [CandidateGoal(cell, planner.distance_to(cell))]
+        return None
+    if strategy == "greedy":
+        cell = goals[planner.nearest(start, goals)]
+    else:
+        cell = goals[int(rng.integers(len(goals)))]
+        planner.nearest(start, [cell])
+    return CandidateGoal(cell, planner.distance_to(cell), path=planner.path_to(cell),
+                         theta_star=scan_orientations(occ, cell, rays, camera).best_theta)
 
 
 def run_mission(config: WorldConfig, strategy: str, seed: int,
@@ -184,33 +191,22 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
 
         planner = MultiGoalPlanner(nav)
         start = spec.world_to_cell(state.pose[0], state.pose[1])
-        select = _nearest_candidate if strategy == "greedy" else _all_candidates
-        candidates = select(planner, start, cells, blacklist)
-        if not candidates:
+        if strategy == "fit":
+            goal = _fit_goal(planner, start, cells, blacklist, state.occ, rays, camera, world,
+                             uparams, memo)
+        else:
+            goal = _single_goal(strategy, rng, planner, start, cells, blacklist,
+                                state.occ, rays, camera)
+        if goal is None:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.
             termination = "stalled"
             break
 
-        if strategy == "fit":
-            best = _select_fit(candidates, state, world, uparams, rays, spec, planner, memo)
-        elif strategy == "random":
-            best = candidates[int(rng.integers(len(candidates)))]
-        else:
-            best, = candidates  # greedy's pick
-        if best.path is None:
-            best.path = planner.path_to(best.cell)
-        if best.theta_star is None:
-            best.theta_star = scan_orientations(state.occ, best.cell, rays, camera).best_theta
-
-        try:
-            execute_path(world, state, best.path, best.theta_star, nav=nav)
-        except PathBlockedError:
-            blacklist.add(best.cell)
-            continue
-        goal_sequence.append(best.cell)
+        execute_path(world, state, goal.path, goal.theta_star, nav=nav)
+        goal_sequence.append(goal.cell)
         # A visited goal is excluded from re-selection in later iterations.
-        blacklist.add(best.cell)
+        blacklist.add(goal.cell)
 
     return MissionLog(strategy, seed, state.samples, goal_sequence, termination)
 

@@ -4,9 +4,9 @@ A* with the octile heuristic produces minimum-cost 8-connected paths over
 Free cells; it is the reference the tests check the program's solver against.
 Unknown cells are treated as non-traversable. The harness plans with
 `MultiGoalPlanner`, a single-source solver backed by scipy's Dijkstra on the
-same costs: fit and random solve once to every cell, greedy finds which
+same costs: fit solves once to every cell. Greedy and random find which
 candidates the robot can reach from one breadth-first search of the graph and
-then finds the nearest of them with Dijkstra solves bounded at a growing limit.
+settle their one pick, the nearest or a random draw, with bounded solves.
 """
 
 from __future__ import annotations
@@ -133,12 +133,12 @@ class MultiGoalPlanner:
     """Single-source shortest paths to many goals on one grid snapshot.
 
     Builds the 8-connected adjacency of the Free cells once and runs scipy's
-    Dijkstra; costs equal the A* costs of `plan`. A solve may stop at a
-    limit: nodes farther than it are left unsettled, at infinite distance.
+    Dijkstra; costs equal the A* costs of `plan`. Fit's solve settles every
+    node; a bounded one leaves the nodes past its limit at infinite distance.
     `reachable` answers which goals a breadth-first search from the start
-    meets, without any solve, and `nearest` finds the goal with the least
-    (distance, row, column) through solves bounded at a growing limit, after
-    which `distance_to` and `path_to` serve that goal as after a full solve.
+    meets, without any solve. `nearest` finds the goal with the least
+    (distance, row, column), or settles a lone goal, through bounded solves,
+    after which `distance_to` and `path_to` serve it as after a full solve.
     """
 
     def __init__(self, nav: BinaryTraversabilityGrid):

@@ -6,8 +6,10 @@ acceptance report. Numeric oracles are coded independently of the library
 bands are pinned here.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ from fitslam.planner import NoPathError, SQRT2, plan
 from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams
 from oracles import brute_force_scan, dijkstra_oracle
+from test_fingerprints import _load_checks
+
+EXPERIMENT_FINGERPRINTS = Path(__file__).resolve().parent / "experiment_fingerprints.json"
+EXPERIMENT_FILES = ("summary.csv", "trace_vs_time.svg", "unexplored_vs_time.svg")
 
 
 def report(capsys, n, ok, detail):
@@ -307,3 +313,36 @@ def test_criterion_9_determinism(capsys, experiment):
     report(capsys, 9, identical,
            f"two runs of the default experiment: {len(files)} CSV files "
            f"byte-identical")
+
+
+# -- the default experiment against its recorded fingerprints -----------------
+
+def experiment_fingerprints(out, logs):
+    """Each mission's `mission_fingerprint` and each aggregate file's sha256.
+
+    `experiment_fingerprints.json` holds this for the default experiment; a
+    deliberate behaviour change re-records it from a run of that experiment,
+    along with `perfbench/fingerprints.json` and for the same stated reason.
+    """
+    checks = _load_checks()
+    missions = {}
+    for lg in logs:
+        csv = (out / f"metrics_{lg.strategy}_{lg.seed}.csv").read_bytes()
+        missions[checks.mission_key("ramp_yard", lg.strategy, lg.seed)] = \
+            checks.mission_fingerprint(csv, lg)
+    files = {name: checks.file_fingerprint(out / name) for name in EXPERIMENT_FILES}
+    return {"missions": missions, "files": files}
+
+
+@pytest.mark.slow
+def test_experiment_matches_recorded_fingerprints(experiment):
+    """The 30 missions and the summary and charts of the default experiment are
+    byte-identical to the recorded ones, random's on `ramp_yard` included."""
+    out, logs, _ = experiment[0]
+    recorded = json.loads(EXPERIMENT_FINGERPRINTS.read_text())
+    actual = experiment_fingerprints(out, logs)
+    assert len(actual["missions"]) == len(recorded["missions"]) == 30
+    for table in ("missions", "files"):
+        moved = sorted(k for k in recorded[table].keys() | actual[table].keys()
+                       if recorded[table].get(k) != actual[table].get(k))
+        assert not moved, f"{table} differ from the recorded fingerprints: {moved}"

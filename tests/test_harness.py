@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from fitslam import cli, harness, preset_world_path
 from fitslam.cli import main, _parse_seeds
+from fitslam.fisher import Camera
 from fitslam.frontier import Blacklist
 from fitslam.grid import BLOCKED, FREE, BinaryTraversabilityGrid, GridSpec, OccupancyGrid
 from fitslam.harness import (
@@ -17,7 +19,7 @@ from fitslam.harness import (
     summarize,
     write_summary_csv,
 )
-from fitslam.infogain import RayCastParams
+from fitslam.infogain import RayCastParams, scan_orientations
 from fitslam.planner import MultiGoalPlanner, NoPathError
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import threshold
@@ -115,29 +117,55 @@ def pocket_nav():
     return BinaryTraversabilityGrid(GridSpec(0.1, 20, 7), state)
 
 
+def pocket_decision(strategy, cells, rng=None):
+    """`harness._single_goal` from (1, 3) on `pocket_nav()`: the goal and the blacklist."""
+    nav = pocket_nav()
+    blacklist = Blacklist(nav.spec)
+    goal = harness._single_goal(strategy, rng, MultiGoalPlanner(nav), (1, 3), cells, blacklist,
+                                OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera())
+    return goal, blacklist
+
+
+def blacklist_of(cells):
+    blacklist = Blacklist(pocket_nav().spec)
+    for cell in cells:
+        blacklist.add(cell)
+    return blacklist.mask
+
+
 class TestGreedyDecision:
     def test_blacklists_exactly_the_cells_cut_off(self):
-        nav = pocket_nav()
         # The far reachable cell lies beyond any limit the pick needs, so only
         # connectivity, not a bounded solve, can tell it from the pocket's cell.
-        cells = [(13, 6), (17, 3), (3, 3)]
-        blacklist = Blacklist(nav.spec)
-        picked = harness._nearest_candidate(MultiGoalPlanner(nav), (1, 3), cells, blacklist)
-        assert [(c.cell, c.rho) for c in picked] == [((3, 3), pytest.approx(0.2))]
-        expected = Blacklist(nav.spec)
-        expected.add((17, 3))
-        assert np.array_equal(blacklist.mask, expected.mask)
+        goal, blacklist = pocket_decision("greedy", [(13, 6), (17, 3), (3, 3)])
+        assert (goal.cell, goal.rho) == ((3, 3), pytest.approx(0.2))
+        assert np.array_equal(blacklist.mask, blacklist_of([(17, 3)]))
 
     def test_nothing_reachable_blacklists_every_cell(self):
-        nav = pocket_nav()
         cells = [(16, 2), (18, 4)]
-        blacklist = Blacklist(nav.spec)
-        assert harness._nearest_candidate(MultiGoalPlanner(nav), (1, 3), cells,
-                                          blacklist) == []
-        expected = Blacklist(nav.spec)
-        for cell in cells:
-            expected.add(cell)
-        assert np.array_equal(blacklist.mask, expected.mask)
+        goal, blacklist = pocket_decision("greedy", cells)
+        assert goal is None
+        assert np.array_equal(blacklist.mask, blacklist_of(cells))
+
+
+class TestRandomDecision:
+    def test_draws_a_reachable_cell_with_the_full_solve_path(self):
+        nav = pocket_nav()
+        full = MultiGoalPlanner(nav)
+        full.solve((1, 3), math.inf)
+        goals, picks = [(13, 6), (3, 3)], set()
+        for seed in range(8):
+            pick = goals[int(np.random.default_rng(seed).integers(len(goals)))]
+            goal, blacklist = pocket_decision("random", [(13, 6), (17, 3), (3, 3)],
+                                              np.random.default_rng(seed))
+            assert (goal.cell, goal.rho) == (pick, full.distance_to(pick))
+            assert goal.path.cells == full.path_to(pick).cells
+            scan = scan_orientations(OccupancyGrid.unknown(nav.spec), pick, RayCastParams(),
+                                     Camera())
+            assert goal.theta_star == scan.best_theta
+            assert np.array_equal(blacklist.mask, blacklist_of([(17, 3)]))
+            picks.add(pick)
+        assert picks == set(goals)
 
 
 @pytest.mark.slow
@@ -146,12 +174,21 @@ class TestGreedyDecision:
     ("obstacle_ring", harness.DEFAULT_MAX_MISSION_TIME),
     ("ramp_yard", 300.0),
 ], ids=["flat_office", "obstacle_ring", "ramp_yard-300s"])
-def test_greedy_decisions_match_a_full_solve(preset, max_time, monkeypatch):
-    """Every greedy pick of seed 1 is the full solve's least (rho, j, i), with its
-    rho and path, and every node the last bounded solve settled is the full solve's."""
-    nearest, decisions = harness._nearest_candidate, []
+@pytest.mark.parametrize("strategy", ["greedy", "random"])
+def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, monkeypatch):
+    """Every greedy or random decision of seed 1 against a full solve: the goals
+    are the cells at finite distance, in order, and the rest are blacklisted;
+    greedy's pick is the least (rho, j, i) and random's the goal its draw names,
+    with the full solve's rho and path; every node the last bounded solve
+    settled is the full solve's."""
+    single_goal, reachable_goals = harness._single_goal, harness._reachable_goals
+    lists, decisions = [], []
 
-    def spy(planner, start, cells, blacklist):
+    def recorded(*args):
+        lists.append(reachable_goals(*args))
+        return lists[-1]
+
+    def spy(strategy, rng, planner, start, cells, blacklist, *scan_args):
         full = MultiGoalPlanner(planner.nav)
         full.solve(start, math.inf)
         expected = Blacklist(planner.spec)
@@ -162,23 +199,31 @@ def test_greedy_decisions_match_a_full_solve(preset, max_time, monkeypatch):
                 keys.append((full.distance_to(cell), cell[1], cell[0]))
             except NoPathError:
                 expected.add(cell)
-        picked = nearest(planner, start, cells, blacklist)
+        draw = copy.deepcopy(rng)
+        goal = single_goal(strategy, rng, planner, start, cells, blacklist, *scan_args)
+        goals = [(i, j) for _, j, i in keys]
+        assert lists.pop() == goals
         assert np.array_equal(blacklist.mask, expected.mask)
-        if not keys:
-            assert picked == []
-            return picked
-        rho, j, i = min(keys)
-        assert [(c.cell, c.rho) for c in picked] == [((i, j), rho)]
-        assert planner.path_to((i, j)).cells == full.path_to((i, j)).cells
+        if not goals:
+            assert goal is None
+            return goal
+        if strategy == "greedy":
+            _, j, i = min(keys)
+            pick = (i, j)
+        else:
+            pick = goals[int(draw.integers(len(goals)))]
+        assert (goal.cell, goal.rho) == (pick, full.distance_to(pick))
+        assert goal.path.cells == full.path_to(pick).cells
         settled = np.isfinite(planner._dist)
         assert np.array_equal(planner._dist[settled], full._dist[settled])
         assert np.array_equal(planner._pred[settled], full._pred[settled])
-        decisions.append((i, j))
-        return picked
+        decisions.append(pick)
+        return goal
 
-    monkeypatch.setattr(harness, "_nearest_candidate", spy)
+    monkeypatch.setattr(harness, "_reachable_goals", recorded)
+    monkeypatch.setattr(harness, "_single_goal", spy)
     config = WorldConfig.from_json(preset_world_path(preset))
-    log = run_mission(config, "greedy", seed=1, max_mission_time=max_time)
+    log = run_mission(config, strategy, seed=1, max_mission_time=max_time)
     assert len(decisions) >= len(log.goal_sequence) > 5
 
 
