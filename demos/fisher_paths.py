@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from fitslam.fisher import (Camera, CameraPose, bearing, bearing_jacobian, default_covariances,
-                            landmark_fim, path_information, visible, voxelize)
+                            landmark_fim, path_information, voxelize)
 from fitslam.planner import Waypoint
 
 rng = np.random.default_rng(9)
@@ -27,10 +27,11 @@ pose = CameraPose.from_planar(2.0, 2.0, math.pi / 4, camera)
 lm = positions[0]
 print(f"camera at (2,2) heading 45 deg; landmark at "
       f"({lm[0]:.2f}, {lm[1]:.2f}, {lm[2]:.2f})")
-print(f"  visible within fov/depth: {visible(pose, positions[:1])[0]}")
+seen, fims = landmark_fim(pose, positions[:1], covariances[:1])  # one FIM per visible row
+print(f"  visible within fov/depth: {seen[0]}")
 b = bearing(pose, lm)
 J = bearing_jacobian(pose, lm)
-F = landmark_fim(pose, positions[:1], covariances[:1])[0]
+F = fims[0]
 print(f"  bearing (camera frame): [{b[0]:.3f} {b[1]:.3f} {b[2]:.3f}]")
 print(f"  jacobian is tangent to the bearing: |b^T J| = "
       f"{np.abs(b @ J).max():.2e}")

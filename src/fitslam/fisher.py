@@ -46,33 +46,38 @@ class Camera:
 
 @dataclass
 class CameraPose:
-    """World-to-camera transform plus the camera it senses with.
+    """World-to-camera transform of one pose, or of a stack of S poses along a
+    leading axis, plus the camera they sense with.
 
     rotation maps world vectors into the camera frame; the camera looks along
     its +z axis. v_camera = rotation @ v_world + translation.
     """
 
-    rotation: np.ndarray     # (3, 3) orthonormal, det +1
-    translation: np.ndarray  # (3,)
+    rotation: np.ndarray     # (3, 3) or (S, 3, 3), orthonormal, det +1
+    translation: np.ndarray  # (3,) or (S, 3)
     camera: Camera
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
+        self.rotation = np.asarray(self.rotation, dtype=float)
+        self.translation = np.asarray(self.translation, dtype=float)
 
     @classmethod
-    def from_planar(cls, x: float, y: float, heading: float, camera: Camera) -> "CameraPose":
-        """Lift a planar robot pose to a camera DEFAULT_SENSOR_HEIGHT above it,
-        looking along the heading."""
-        c, s = math.cos(heading), math.sin(heading)
+    def from_planar(cls, x, y, heading, camera: Camera) -> "CameraPose":
+        """Lift planar robot poses to cameras DEFAULT_SENSOR_HEIGHT above them,
+        looking along the heading: scalars give one pose, equal-length sequences
+        a stack of them."""
+        poses = np.column_stack(np.broadcast_arrays(x, y, heading)).tolist()
         # Camera axes in world coordinates, the columns of r_wc: z forward, x left of
-        # travel, y up.
-        r_wc = np.array([[-s, 0.0, c],
-                         [c, 0.0, s],
-                         [0.0, 1.0, 0.0]])
-        r_cw = r_wc.T  # a transposed view: BLAS reads the same bits in the same order
-        center = np.array([x, y, DEFAULT_SENSOR_HEIGHT])
-        return cls(r_cw, -r_cw @ center, camera)
+        # travel, y up. math's cos and sin keep the bits off numpy's SIMD paths.
+        r_wc = np.array([[[-s, 0.0, c], [c, 0.0, s], [0.0, 1.0, 0.0]]
+                         for c, s in ((math.cos(h), math.sin(h)) for _, _, h in poses)])
+        # Transposed views: BLAS reads the same bits in the same order as from r_wc.
+        r_cw = r_wc.reshape(-1, 3, 3).transpose(0, 2, 1)
+        translation = np.array([-r @ np.array([px, py, DEFAULT_SENSOR_HEIGHT])
+                                for r, (px, py, _) in zip(r_cw, poses)]).reshape(-1, 3)
+        if np.ndim(heading) == 0:
+            return cls(r_cw[0], translation[0], camera)
+        return cls(r_cw, translation, camera)
 
     def to_camera(self, v_world: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(v_world, dtype=float) + self.translation
@@ -92,12 +97,14 @@ def bearing(pose: CameraPose, position: np.ndarray) -> np.ndarray:
     return v_c / norm
 
 
-def _bearing_derivatives(pose: CameraPose, positions: np.ndarray) -> tuple:
-    """Per row of (K, 3) world `positions`, the normalization derivative
+def _bearing_derivatives(rotation: np.ndarray, translation: np.ndarray,
+                         positions: np.ndarray) -> tuple:
+    """Per row of (n, 3) world `positions`, seen by a camera of `rotation` and
+    `translation` (one pose's, or one per row), the normalization derivative
     (1/n) I - v v^T / n^3 and the 3x6 Jacobian, its composition with the point
     derivative R_cw [-I, [p]_x] of an SE(3) pose perturbation. Each row gets the
     same operations, so the same bits, as in a one-landmark stack."""
-    v_c = (pose.rotation @ positions[:, :, None])[:, :, 0] + pose.translation  # R @ p per row
+    v_c = (rotation @ positions[:, :, None])[:, :, 0] + translation  # R @ p per row
     norm = np.sqrt((v_c[:, None, :] @ v_c[:, :, None]).ravel())  # as np.linalg.norm(v)
     if (norm <= _EPS_RANGE).any():
         raise DegenerateLandmarkError("landmark at the camera center")
@@ -108,40 +115,47 @@ def _bearing_derivatives(pose: CameraPose, positions: np.ndarray) -> tuple:
     d_p[:, :, :3] = -_EYE3
     d_p[:, [2, 0, 1], [4, 5, 3]] = positions
     d_p[:, [1, 2, 0], [5, 3, 4]] = -positions
-    return d_b_d_v, d_b_d_v @ (pose.rotation @ d_p)
+    return d_b_d_v, d_b_d_v @ (rotation @ d_p)
 
 
 def bearing_jacobian(pose: CameraPose, position: np.ndarray) -> np.ndarray:
     """3x6 derivative of the bearing to a (3,) position w.r.t. an SE(3) pose perturbation."""
-    return _bearing_derivatives(pose, np.asarray(position, dtype=float).reshape(1, 3))[1][0]
+    position = np.asarray(position, dtype=float).reshape(1, 3)
+    return _bearing_derivatives(pose.rotation, pose.translation, position)[1][0]
 
 
 def visible(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
-    """(K,) bool: the rows of (K, 3) world positions inside the camera frustum (inclusive)."""
-    v_c = positions @ pose.rotation.T + pose.translation
-    norm = np.linalg.norm(v_c, axis=1)
-    ok = (norm > _EPS_RANGE) & (norm <= pose.camera.max_depth) & (v_c[:, 2] > 0)
+    """Bool mask of the rows of (K, 3) world positions inside the camera frustum
+    (inclusive): (K,) for one pose, (S, K) for a stack of S poses."""
+    v_c = positions @ pose.rotation.swapaxes(-1, -2) + pose.translation[..., None, :]
+    norm = np.linalg.norm(v_c, axis=-1)
+    ok = (norm > _EPS_RANGE) & (norm <= pose.camera.max_depth) & (v_c[..., 2] > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_angle = np.clip(v_c[:, 2] / norm, -1.0, 1.0)
+        cos_angle = np.clip(v_c[..., 2] / norm, -1.0, 1.0)
     return ok & (np.arccos(cos_angle) <= pose.camera.fov / 2 + 1e-12)
 
 
-def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray) -> np.ndarray:
-    """(K, 6, 6) information of one bearing observation of each landmark; a row
-    that `visible` rejects is zero.
+def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray) -> tuple:
+    """The frustum mask `visible(pose, positions)` of one pose or a stack of them,
+    and the (n, 6, 6) information of one bearing observation of each of its n
+    visible (pose, landmark) pairs, in the mask's row-major order: a pose's
+    landmarks in row order, pose after pose.
 
     Uses the Gauss information form J^T Q~^-1 J where Q~ combines the
     first-order propagation of the landmark covariance through the bearing
     model with isotropic bearing noise of std SIGMA_BEARING (J is 3x6, so J Q J^T
     cannot be formed).
     """
-    fims = np.zeros((len(positions), 6, 6))
     seen = visible(pose, positions)
     if not seen.any():
-        return fims
-    d_b_d_v, jac = _bearing_derivatives(pose, positions[seen])
-    d_b_d_w = d_b_d_v @ pose.rotation  # bearing w.r.t. the world-frame point
-    q = d_b_d_w @ covariances[seen] @ d_b_d_w.transpose(0, 2, 1) + SIGMA_BEARING ** 2 * _EYE3
+        return seen, np.zeros((0, 6, 6))
+    *at, rows = np.nonzero(seen)
+    # Gather r_wc and transpose it back, so each pair's rotation keeps the layout,
+    # and so the BLAS bits, of its pose's rotation from `CameraPose.from_planar`.
+    rotation = pose.rotation.swapaxes(-1, -2)[tuple(at)].swapaxes(-1, -2)
+    d_b_d_v, jac = _bearing_derivatives(rotation, pose.translation[tuple(at)], positions[rows])
+    d_b_d_w = d_b_d_v @ rotation  # bearing w.r.t. the world-frame point
+    q = d_b_d_w @ covariances[rows] @ d_b_d_w.transpose(0, 2, 1) + SIGMA_BEARING ** 2 * _EYE3
     try:
         q_inv = np.linalg.inv(q)
     except np.linalg.LinAlgError:  # regularize only the singular matrices
@@ -152,8 +166,7 @@ def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarra
             except np.linalg.LinAlgError:
                 q_inv[k] = np.linalg.inv(qk + 1e-9 * _EYE3)
     fim = jac.transpose(0, 2, 1) @ q_inv @ jac
-    fims[seen] = 0.5 * (fim + fim.transpose(0, 2, 1))
-    return fims
+    return seen, 0.5 * (fim + fim.transpose(0, 2, 1))
 
 
 def voxelize(positions: np.ndarray) -> np.ndarray:
@@ -178,10 +191,12 @@ def path_information(waypoints: list, positions: np.ndarray, covariances: np.nda
     """Sum FIM traces of the landmarks (rows of `positions` and `covariances`, the
     voxel representatives when scoring a path) that `camera` sees from the
     waypoints: each waypoint sums its traces in row order, then the waypoints add up."""
-    total = 0.0
-    for wp in waypoints:
-        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, camera)
-        fims = landmark_fim(pose, positions, covariances)
-        # An unseen row adds its zero trace, which leaves the sum's bits alone.
-        total += sum(np.trace(fims, axis1=1, axis2=2).tolist())
+    pose = CameraPose.from_planar([wp.x for wp in waypoints], [wp.y for wp in waypoints],
+                                  [wp.heading for wp in waypoints], camera)
+    seen, fims = landmark_fim(pose, positions, covariances)
+    traces = np.trace(fims, axis1=1, axis2=2).tolist()
+    total, start = 0.0, 0
+    for n in seen.sum(axis=1).tolist():
+        total += sum(traces[start:start + n])
+        start += n
     return total

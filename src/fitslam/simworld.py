@@ -322,9 +322,9 @@ def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         centers = rng.uniform(0.0, config.size_m, size=(n, 2))
         for cx, cy in centers:
             z = z + amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigma ** 2))
+    # Rough tops keep thresholding from declaring obstacle roofs navigable.
+    rough = 0.08 * np.sin(37.0 * x + 1.3) * np.sin(41.0 * y + 0.7)
     for ob in config.obstacles:
-        # Rough tops keep thresholding from declaring obstacle roofs navigable.
-        rough = 0.08 * np.sin(37.0 * x + 1.3) * np.sin(41.0 * y + 0.7)
         z = np.where(_footprint(ob, x, y), float(ob["height"]) + rough, z)
     return z
 
@@ -425,17 +425,26 @@ class MissionState:
 _CELL_SAMPLES = np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.8], [0.8, 0.2], [0.8, 0.8]])
 
 
-def sense(world: World, state: MissionState) -> np.ndarray:
-    """One sensing step at the current pose.
+def sense(world: World, state: MissionState) -> None:
+    """One sensing step of the map at the current pose.
 
-    Cells inside the lidar radius join the sensed terrain, the camera wedge
-    updates occupancy by ray casting against the true obstacles, and the
-    indices of landmarks inside the camera frustum are returned.
+    Cells inside the lidar radius join the sensed terrain, and the camera wedge
+    updates occupancy by ray casting against the true obstacles.
     """
     _sense_terrain(world, state)
     _sense_occupancy(world, state)
-    pose = CameraPose.from_planar(*state.pose, world.config.sensors.camera)
-    return np.nonzero(fisher.visible(pose, world.landmark_positions))[0]
+
+
+def landmark_looks(world: World, poses: list) -> list:
+    """Per (x, y, heading) pose, the indices of the landmarks its camera sees and
+    their summed 6x6 information, from one stacked frustum-and-FIM pass."""
+    pose = CameraPose.from_planar(*zip(*poses), world.config.sensors.camera)
+    seen, fims = fisher.landmark_fim(pose, world.landmark_positions,
+                                     world.landmark_covariances)
+    ends = np.cumsum(seen.sum(axis=1)).tolist()
+    # numpy sums axis 0 of a pose's slice row by row from zero, in landmark order.
+    return [(np.flatnonzero(row), fims[start:end].sum(axis=0))
+            for row, start, end in zip(seen, [0] + ends, ends)]
 
 
 def _sense_terrain(world: World, state: MissionState) -> None:
@@ -495,13 +504,7 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
 _MOTION_DIRS = np.diag([1.0, 1.0, 0.1, 0.1, 0.1, 1.0])  # translation-dominant noise
 
 
-def _measurement_update(world: World, state: MissionState, observed: np.ndarray) -> None:
-    if observed.size == 0:
-        return
-    pose = CameraPose.from_planar(*state.pose, world.config.sensors.camera)
-    # numpy sums axis 0 of the stack row by row from zero, in landmark order.
-    info = fisher.landmark_fim(pose, world.landmark_positions[observed],
-                               world.landmark_covariances[observed]).sum(axis=0)
+def _measurement_update(state: MissionState, info: np.ndarray) -> None:
     if not info.any():
         return
     cov = np.linalg.inv(np.linalg.inv(state.cov) + info)
@@ -521,10 +524,11 @@ def _loop_closure_check(state: MissionState, observed: np.ndarray) -> None:
         seen[mature] = state.clock
 
 
-def observe(world: World, state: MissionState) -> None:
-    """Sense, apply the measurement update and check for loop closures."""
-    observed = sense(world, state)
-    _measurement_update(world, state, observed)
+def observe(world: World, state: MissionState, observed: np.ndarray, info: np.ndarray) -> None:
+    """Sense, apply the look's landmark information (`landmark_looks`) and check
+    for loop closures."""
+    sense(world, state)
+    _measurement_update(state, info)
     _loop_closure_check(state, observed)
 
 
@@ -532,9 +536,10 @@ def initial_spin(world: World, state: MissionState) -> None:
     """Turn in place once so the robot starts with a full disk of terrain data."""
     x, y, theta0 = state.pose
     n = int(math.ceil(2 * math.pi / (world.config.sensors.camera.fov / 2)))
-    for k in range(n):
-        state.pose = (x, y, theta0 + k * 2 * math.pi / n)
-        observe(world, state)
+    poses = [(x, y, theta0 + k * 2 * math.pi / n) for k in range(n)]
+    for pose, look in zip(poses, landmark_looks(world, poses)):
+        state.pose = pose
+        observe(world, state, *look)
     state.pose = (x, y, theta0)
     state.clock += 2 * math.pi / ROTATION_RATE
     record_metrics(state)
@@ -556,22 +561,25 @@ def execute_path(world: World, state: MissionState, path: Path, theta_star: floa
     blocked = [cell for cell in cells[1:] if not nav.is_free(*cell)]
     if blocked:
         raise PathBlockedError(f"path cell {blocked[0]} is not traversable")
-    for prev, cell in zip(cells, cells[1:]):
+    # Every pose of the drive, the arrival turn's last, so one pass senses their landmarks.
+    poses = [(*spec.cell_to_world(*cell), math.atan2(cell[1] - prev[1], cell[0] - prev[0]))
+             for prev, cell in zip(cells, cells[1:])]
+    x, y, theta = poses[-1] if poses else state.pose
+    poses.append((x, y, theta_star))
+    looks = landmark_looks(world, poses)
+    for prev, cell, pose, look in zip(cells, cells[1:], poses, looks):
         diagonal = prev[0] != cell[0] and prev[1] != cell[1]
         dd = spec.resolution * (math.sqrt(2.0) if diagonal else 1.0)
         state.cov = state.cov + sur.q * dd * _MOTION_DIRS
-        x, y = spec.cell_to_world(*cell)
-        state.pose = (x, y, math.atan2(cell[1] - prev[1], cell[0] - prev[0]))
+        state.pose = pose
         state.distance += dd
         state.clock += dd / speed
-        observe(world, state)
+        observe(world, state, *look)
         record_metrics(state)
     # Arrival: turn toward the chosen orientation and take a final look.
-    x, y, theta = state.pose
-    dth = abs(_wrap(theta_star - theta))
-    state.clock += dth / ROTATION_RATE
-    state.pose = (x, y, theta_star)
-    observe(world, state)
+    state.clock += abs(_wrap(theta_star - theta)) / ROTATION_RATE
+    state.pose = poses[-1]
+    observe(world, state, *looks[-1])
     record_metrics(state)
 
 

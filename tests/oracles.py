@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from fitslam import fisher
+from fitslam.fisher import DEFAULT_SENSOR_HEIGHT, CameraPose, DegenerateLandmarkError
 from fitslam.grid import shift
 from fitslam.infogain import ARGMAX_TOL, cast_ray, ray_directions
 from fitslam.planner import SQRT2
@@ -114,3 +116,91 @@ def score_cells(stats, sensed=None):
     s_step = np.clip(1.0 - step / MAX_STEP, 0.0, 1.0)
     score = np.minimum(np.minimum(s_slope, s_rough), s_step)
     return np.where(valid, score, np.nan)
+
+
+# The per-pose frustum test and FIM that the stacked kernel `fisher.landmark_fim`
+# replaced: one camera pose at a time, each look re-checking the frustum on the
+# rows it was given. The stacked kernel must give the same bits.
+
+_EYE3 = np.eye(3)
+
+
+def planar_pose(x, y, heading, camera):
+    """One camera pose built as `CameraPose.from_planar` does, from an array literal
+    and its transposed view."""
+    c, s = math.cos(heading), math.sin(heading)
+    r_wc = np.array([[-s, 0.0, c],
+                     [c, 0.0, s],
+                     [0.0, 1.0, 0.0]])
+    r_cw = r_wc.T
+    return CameraPose(r_cw, -r_cw @ np.array([x, y, DEFAULT_SENSOR_HEIGHT]), camera)
+
+
+def visible_per_pose(pose, positions):
+    """(K,) bool: the rows of (K, 3) world positions inside one pose's frustum."""
+    v_c = positions @ pose.rotation.T + pose.translation
+    norm = np.linalg.norm(v_c, axis=1)
+    ok = (norm > 1e-9) & (norm <= pose.camera.max_depth) & (v_c[:, 2] > 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_angle = np.clip(v_c[:, 2] / norm, -1.0, 1.0)
+    return ok & (np.arccos(cos_angle) <= pose.camera.fov / 2 + 1e-12)
+
+
+def _bearing_derivatives_per_pose(pose, positions):
+    v_c = (pose.rotation @ positions[:, :, None])[:, :, 0] + pose.translation
+    norm = np.sqrt((v_c[:, None, :] @ v_c[:, :, None]).ravel())
+    if (norm <= 1e-9).any():
+        raise DegenerateLandmarkError("landmark at the camera center")
+    cube = np.array([n ** 3 for n in norm.tolist()])[:, None, None]
+    d_b_d_v = _EYE3 / norm[:, None, None] - v_c[:, :, None] * v_c[:, None, :] / cube
+    d_p = np.zeros((len(positions), 3, 6))
+    d_p[:, :, :3] = -_EYE3
+    d_p[:, [2, 0, 1], [4, 5, 3]] = positions
+    d_p[:, [1, 2, 0], [5, 3, 4]] = -positions
+    return d_b_d_v, d_b_d_v @ (pose.rotation @ d_p)
+
+
+def landmark_fim_per_pose(pose, positions, covariances):
+    """(K, 6, 6) information of one pose's bearing observation of each row; zero
+    where `visible_per_pose` rejects the row. Reads `fisher.SIGMA_BEARING` at call
+    time, as the kernel does."""
+    fims = np.zeros((len(positions), 6, 6))
+    seen = visible_per_pose(pose, positions)
+    if not seen.any():
+        return fims
+    d_b_d_v, jac = _bearing_derivatives_per_pose(pose, positions[seen])
+    d_b_d_w = d_b_d_v @ pose.rotation
+    q = (d_b_d_w @ covariances[seen] @ d_b_d_w.transpose(0, 2, 1)
+         + fisher.SIGMA_BEARING ** 2 * _EYE3)
+    try:
+        q_inv = np.linalg.inv(q)
+    except np.linalg.LinAlgError:
+        q_inv = np.empty_like(q)
+        for k, qk in enumerate(q):
+            try:
+                q_inv[k] = np.linalg.inv(qk)
+            except np.linalg.LinAlgError:
+                q_inv[k] = np.linalg.inv(qk + 1e-9 * _EYE3)
+    fim = jac.transpose(0, 2, 1) @ q_inv @ jac
+    fims[seen] = 0.5 * (fim + fim.transpose(0, 2, 1))
+    return fims
+
+
+def look_per_pose(x, y, heading, positions, covariances, camera):
+    """One look's landmarks and information as a look took them one pose at a time:
+    the observed rows' indices, then their FIMs, frustum re-checked, summed in row order."""
+    pose = planar_pose(x, y, heading, camera)
+    observed = np.nonzero(visible_per_pose(pose, positions))[0]
+    info = landmark_fim_per_pose(pose, positions[observed], covariances[observed]).sum(axis=0)
+    return observed, info
+
+
+def path_information_per_waypoint(waypoints, positions, covariances, camera):
+    """`fisher.path_information` one waypoint at a time: each waypoint sums its
+    traces in row order, unseen rows adding zero, then the waypoints add up."""
+    total = 0.0
+    for wp in waypoints:
+        fims = landmark_fim_per_pose(planar_pose(wp.x, wp.y, wp.heading, camera),
+                                     positions, covariances)
+        total += sum(np.trace(fims, axis1=1, axis2=2).tolist())
+    return total

@@ -200,14 +200,14 @@ def test_criterion_5_covariance_monotonicity(capsys, monkeypatch):
     orig_meas = simworld._measurement_update
     orig_observe = simworld.observe
 
-    def checked_measurement(world, state, observed):
+    def checked_measurement(state, info):
         before = float(np.trace(state.cov))
-        orig_meas(world, state, observed)
+        orig_meas(state, info)
         after = float(np.trace(state.cov))
         assert after <= before + 1e-12, "measurement update grew the trace"
         checks["measurement"] += 1
 
-    def checked_observe(world, state):
+    def checked_observe(world, state, observed, info):
         # Between observes only motion noise touches the covariance, so the
         # trace at entry must not be below the trace at the previous exit.
         entry = float(np.trace(state.cov))
@@ -215,7 +215,7 @@ def test_criterion_5_covariance_monotonicity(capsys, monkeypatch):
             assert entry >= last_exit_trace[0] - 1e-15, \
                 "motion update shrank the trace"
             checks["motion"] += 1
-        orig_observe(world, state)
+        orig_observe(world, state, observed, info)
         last_exit_trace[0] = float(np.trace(state.cov))
 
     monkeypatch.setattr(simworld, "_measurement_update", checked_measurement)

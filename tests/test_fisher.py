@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from fitslam.fisher import (
 from fitslam.grid import ConfigError
 from fitslam.planner import Waypoint
 from fitslam.simworld import WorldConfig, generate_world
+from oracles import (landmark_fim_per_pose, look_per_pose, path_information_per_waypoint,
+                     planar_pose, visible_per_pose)
 
 
 DEFAULT_COV = default_covariances(1)[0]
@@ -79,9 +82,14 @@ def landmark_fim_reference(pose, position, covariance, sigma_bearing=SIGMA_BEARI
 
 
 def stacked_fim(pose, landmarks):
-    """`landmark_fim` over a list of (position, covariance) landmarks."""
-    return landmark_fim(pose, np.array([p for p, _ in landmarks]).reshape(-1, 3),
-                        np.array([c for _, c in landmarks]).reshape(-1, 3, 3))
+    """`landmark_fim` of one pose over a list of (position, covariance) landmarks, as
+    one (6, 6) row per landmark: the kernel's row where it is visible, zero elsewhere."""
+    seen, fims = landmark_fim(pose, np.array([p for p, _ in landmarks]).reshape(-1, 3),
+                              np.array([c for _, c in landmarks]).reshape(-1, 3, 3))
+    assert seen.shape == (len(landmarks),) and len(fims) == seen.sum()
+    rows = np.zeros((len(landmarks), 6, 6))
+    rows[seen] = fims
+    return rows
 
 
 def sees(pose, position):
@@ -413,6 +421,78 @@ class TestLandmarkFim:
             assert np.linalg.eigvalsh(fim).min() > -1e-9
 
 
+def check_stack_against_per_pose(xs, ys, headings, positions, covariances, camera):
+    """`landmark_fim` over the stack of planar poses against the per-pose form it
+    replaced: the same (S, K) mask, and per pose the same FIM bits pair by pair and
+    the same summed information as a look took. Returns the mask."""
+    seen, fims = landmark_fim(CameraPose.from_planar(xs, ys, headings, camera),
+                              positions, covariances)
+    assert seen.shape == (len(xs), len(positions)) and len(fims) == seen.sum()
+    start = 0
+    for row, x, y, heading in zip(seen, xs, ys, headings):
+        single = planar_pose(x, y, heading, camera)
+        assert np.array_equal(row, visible_per_pose(single, positions))
+        mine = fims[start:start + row.sum()]
+        start += row.sum()
+        assert np.array_equal(mine, landmark_fim_per_pose(single, positions[row],
+                                                          covariances[row]))
+        observed, info = look_per_pose(x, y, heading, positions, covariances, camera)
+        assert np.array_equal(np.flatnonzero(row), observed)
+        assert np.array_equal(mine.sum(axis=0), info)
+    return seen
+
+
+class TestStackedKernel:
+    def test_random_stacks_match_per_pose_form(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        pairs = Counter()
+        for k in range(60):
+            n_poses = (1, 2, 7, 30)[k % 4]
+            xs, ys = rng.uniform(0.0, 8.0, size=(2, n_poses))
+            headings = rng.uniform(-math.pi, math.pi, n_poses)
+            headings[::5] = (0.0, math.pi / 2, -math.pi, math.pi, 2.5)[k % 5]
+            positions = rng.uniform([0, 0, 0], [8, 8, 1.5], size=(40, 3))
+            a = rng.normal(size=(40, 3, 3))
+            covariances = [default_covariances(40), np.zeros((40, 3, 3)),
+                           rng.uniform(1e-4, 0.5) * (a @ a.transpose(0, 2, 1))][k % 3]
+            camera = Camera(rng.uniform(0.3, 2 * math.pi), rng.uniform(1.0, 6.0))
+            monkeypatch.setattr(fisher, "SIGMA_BEARING", SIGMAS[k % len(SIGMAS)])
+            seen = check_stack_against_per_pose(xs, ys, headings, positions, covariances,
+                                                camera)
+            pairs[n_poses] += int(seen.sum())
+        assert min(pairs.values()) > 20 and pairs[30] > 1000
+
+    def test_singular_q_inside_a_stack_of_poses(self, monkeypatch):
+        # With no bearing noise a zero covariance makes q exactly zero, so the
+        # stack's inverse fails and each pair is inverted alone, only that one
+        # regularized; the poses that do not see it must keep their plain inverse.
+        target = np.array([4.0, 4.0, DEFAULT_SENSOR_HEIGHT])
+        xs, ys = np.array([2.0, 6.0, 4.0, 1.0, 7.0]), np.array([4.0, 4.5, 2.0, 1.0, 7.5])
+        headings = np.arctan2(target[1] - ys, target[0] - xs)
+        headings[3] += math.pi  # looks away from the target
+        rng = np.random.default_rng(6)
+        positions = np.vstack([target, target + rng.uniform(-1.0, 1.0, size=(12, 3))])
+        a = rng.normal(size=(12, 3, 3))
+        covariances = np.concatenate([np.zeros((1, 3, 3)), 0.01 * (a @ a.transpose(0, 2, 1))])
+        monkeypatch.setattr(fisher, "SIGMA_BEARING", 0.0)
+        failed = []  # the shapes of the stacks whose inverse raised
+        inv = np.linalg.inv
+
+        def spied_inv(a):
+            try:
+                return inv(a)
+            except np.linalg.LinAlgError:
+                failed.append(np.shape(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "inv", spied_inv)
+        seen = check_stack_against_per_pose(xs, ys, headings, positions, covariances, Camera())
+        assert seen[:, 0].sum() == 4 and not seen[3, 0]
+        assert seen[[0, 1, 2, 4], 1:].sum(axis=1).min() > 0
+        # The whole stack's inverse raised, then the one singular matrix per seeing pose.
+        assert (int(seen.sum()), 3, 3) in failed and failed.count((3, 3)) >= 8
+
+
 class TestVoxelize:
     def test_duplicates_in_one_voxel_count_once(self):
         positions = np.array([[1.0, 1.0, 0.5], [1.01, 1.01, 0.5]])
@@ -471,10 +551,20 @@ def path_information_oracle(waypoints, positions, covariances, camera):
     return float(sum(per_waypoint))
 
 
+def path_information_checked(waypoints, positions, covariances, camera):
+    """`path_information`, asserted equal to the per-waypoint loop it replaced."""
+    value = path_information(waypoints, positions, covariances, camera)
+    assert value == path_information_per_waypoint(waypoints, positions, covariances, camera)
+    return value
+
+
 class TestPathInformation:
     def test_no_landmarks_zero(self):
         wps = [Waypoint(0.0, 0.0, 0.0)]
-        assert path_information(wps, np.zeros((0, 3)), np.zeros((0, 3, 3)), Camera()) == 0.0
+        assert path_information_checked(wps, np.zeros((0, 3)), np.zeros((0, 3, 3)),
+                                        Camera()) == 0.0
+        assert path_information_checked([], np.zeros((0, 3)), np.zeros((0, 3, 3)),
+                                        Camera()) == 0.0
 
     def test_single_visible_pair(self):
         wp = Waypoint(0.0, 0.0, 0.0)
@@ -482,8 +572,8 @@ class TestPathInformation:
         pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera())
         expected = float(np.trace(landmark_fim_reference(pose, position, DEFAULT_COV)))
         assert expected > 0.0
-        assert path_information([wp], position[None], default_covariances(1), Camera()) \
-            == expected
+        assert path_information_checked([wp], position[None], default_covariances(1),
+                                        Camera()) == expected
 
     def test_duplicate_landmark_value_unchanged(self):
         wp = Waypoint(0.0, 0.0, 0.0)
@@ -492,13 +582,14 @@ class TestPathInformation:
         values = []
         for n in (1, 2):
             reps = voxelize(positions[:n])
-            values.append(path_information([wp], positions[reps], covariances[reps], Camera()))
+            values.append(path_information_checked([wp], positions[reps], covariances[reps],
+                                                   Camera()))
         assert values[1] == values[0]
 
     def test_landmark_out_of_frustum_ignored(self):
         wp = Waypoint(0.0, 0.0, 0.0)  # looking along +x
         behind = np.array([[-2.0, 0.0, 0.5]])
-        assert path_information([wp], behind, default_covariances(1), Camera()) == 0.0
+        assert path_information_checked([wp], behind, default_covariances(1), Camera()) == 0.0
 
     def test_matches_scalar_double_loop(self):
         rng = np.random.default_rng(21)
@@ -510,7 +601,7 @@ class TestPathInformation:
             camera = Camera(rng.uniform(0.3, 2.5), rng.uniform(1.0, 6.0))
             reps = voxelize(positions)
             covariances = default_covariances(len(reps))
-            value = path_information(wps, positions[reps], covariances, camera)
+            value = path_information_checked(wps, positions[reps], covariances, camera)
             assert value == path_information_oracle(wps, positions[reps], covariances, camera)
             values.append(value)
         assert min(values) == 0.0 < max(values)
@@ -528,7 +619,7 @@ class TestPathInformation:
                     [math.cos(heading), math.sin(heading), 0.0]))
         positions = np.array(positions)
         covariances = default_covariances(len(positions))
-        value = path_information(wps, positions, covariances, Camera(fov, depth))
+        value = path_information_checked(wps, positions, covariances, Camera(fov, depth))
         assert value == path_information_oracle(wps, positions, covariances, Camera(fov, depth))
         assert value > 0.0
 
@@ -584,3 +675,17 @@ class TestCamera:
             assert pose.rotation.tobytes(order="A") == r_cw.tobytes(order="A")
             assert pose.rotation.strides == r_cw.strides
             assert pose.translation.tobytes() == (-r_cw @ center).tobytes()
+
+    def test_stacked_planar_poses_keep_each_poses_bits_and_layout(self):
+        rng = np.random.default_rng(14)
+        xs, ys = rng.uniform(-20.0, 20.0, size=(2, 200))
+        headings = [0.0, math.pi / 2, -math.pi, *rng.uniform(-7.0, 7.0, 197)]
+        stack = CameraPose.from_planar(xs, ys, headings, Camera())
+        assert stack.rotation.shape == (200, 3, 3) and stack.translation.shape == (200, 3)
+        for k, (x, y, heading) in enumerate(zip(xs, ys, headings)):
+            pose = planar_pose(x, y, heading, Camera())
+            assert stack.rotation[k].tobytes(order="A") == pose.rotation.tobytes(order="A")
+            assert stack.rotation[k].strides == pose.rotation.strides
+            assert stack.translation[k].tobytes() == pose.translation.tobytes()
+        empty = CameraPose.from_planar([], [], [], Camera())
+        assert empty.rotation.shape == (0, 3, 3) and empty.translation.shape == (0, 3)

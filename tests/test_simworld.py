@@ -22,10 +22,11 @@ from fitslam.simworld import (
     execute_path,
     generate_world,
     initial_spin,
+    landmark_looks,
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
-from oracles import linear
+from oracles import linear, look_per_pose
 from test_fisher import landmark_fim_reference, visible_reference
 
 
@@ -394,32 +395,29 @@ class TestSensing:
     def test_no_landmarks_in_fov_returns_empty(self):
         cfg = tiny_config(landmarks={"points": [[7.5, 7.5, 0.5]]})
         world = generate_world(cfg)
-        state = MissionState.initial(world)
-        state.pose = (2.0, 2.0, math.pi)  # looking away
-        assert simworld.sense(world, state).size == 0
+        observed, info = landmark_looks(world, [(2.0, 2.0, math.pi)])[0]  # looking away
+        assert observed.size == 0 and not info.any()
 
     def test_landmark_ahead_is_observed(self):
         cfg = tiny_config(landmarks={"points": [[4.0, 2.0, 0.5]]})
         world = generate_world(cfg)
-        state = MissionState.initial(world)
-        state.pose = (2.0, 2.0, 0.0)
-        assert list(simworld.sense(world, state)) == [0]
+        observed, info = landmark_looks(world, [(2.0, 2.0, 0.0)])[0]
+        assert list(observed) == [0] and info.any()
 
     def test_sense_returns_landmarks_fisher_visible_accepts(self):
         world = generate_world(WorldConfig.from_json(
             fitslam.preset_world_path("flat_office")))
         cfg = world.config.sensors
-        state = MissionState.initial(world)
         rng = np.random.default_rng(9)
+        poses = [(*rng.uniform(0.0, world.config.size_m, size=2), rng.uniform(-math.pi, math.pi))
+                 for _ in range(60)]
         n_seen = 0
-        for _ in range(60):
-            x, y = rng.uniform(0.0, world.config.size_m, size=2)
-            theta = rng.uniform(-math.pi, math.pi)
-            state.pose = (x, y, theta)
+        # The landmarks a look observes come from the stacked kernel's mask.
+        for (x, y, theta), (observed, _) in zip(poses, landmark_looks(world, poses)):
             pose = fisher.CameraPose.from_planar(x, y, theta, cfg.camera)
             expected = [k for k, position in enumerate(world.landmark_positions)
                         if visible_reference(pose, position)]
-            assert simworld.sense(world, state).tolist() == expected
+            assert observed.tolist() == expected
             n_seen += len(expected)
         assert n_seen > 0
 
@@ -789,14 +787,14 @@ class TestSurrogateCovariance:
         world = generate_world(cfg)
         state = MissionState.initial(world)
         state.pose = (2.0, 2.0, 0.0)
-        observe(world, state)  # first sight registers the landmarks
+        look(world, state)  # first sight registers the landmarks
         assert state.n_loop_closures == 0
         state.clock += 5.0
-        observe(world, state)  # still younger than t_lc
+        look(world, state)  # still younger than t_lc
         assert state.n_loop_closures == 0
         state.clock += 6.0
         trace_before = float(np.trace(state.cov))
-        observe(world, state)  # now mature: one closure
+        look(world, state)  # now mature: one closure
         assert state.n_loop_closures == 1
         # The contraction multiplies cov by kappa before the measurement
         # update, so the trace drops at least that much.
@@ -808,11 +806,11 @@ class TestSurrogateCovariance:
         state = MissionState.initial(world)
         state.pose = (2.0, 2.0, 0.0)
         state.clock = 3.0
-        observe(world, state)
+        look(world, state)
         seen = np.isfinite(state.first_seen)
         assert seen[:8].all() and not seen[8]  # the last landmark is behind the robot
         state.clock = 9.0
-        observe(world, state)
+        look(world, state)
         assert np.array_equal(state.first_seen[:8], np.full(8, 3.0))
 
     def test_loop_closure_resets_first_seen(self):
@@ -822,12 +820,17 @@ class TestSurrogateCovariance:
         world = generate_world(cfg)
         state = MissionState.initial(world)
         state.pose = (2.0, 2.0, 0.0)
-        observe(world, state)
+        look(world, state)
         state.clock += 11.0
-        observe(world, state)
+        look(world, state)
         assert state.n_loop_closures == 1
-        observe(world, state)  # immediately again: landmarks are young now
+        look(world, state)  # immediately again: landmarks are young now
         assert state.n_loop_closures == 1
+
+
+def look(world, state):
+    """`observe` at the current pose, with its landmarks from `landmark_looks`."""
+    observe(world, state, *landmark_looks(world, [state.pose])[0])
 
 
 def covariance_reference(world, pose, cov, observed):
@@ -872,23 +875,24 @@ class TestCovarianceOracle:
         world = generate_world(WorldConfig.from_dict(raw))
         state = MissionState.initial(world)
         kappa = world.config.surrogate.kappa
-        sensed, looks = [], []
+        looks = []
 
-        def sense(world, state):
-            sensed.append(simworld_sense(world, state))
-            return sensed[-1]
-
-        def checked_observe(world, state):
+        def checked_observe(world, state, observed, info):
+            # Each look of the spin and of a drive takes its landmarks and information
+            # from one stacked pass; the per-pose form it replaced gives the same bits.
+            per_pose = look_per_pose(*state.pose, world.landmark_positions,
+                                     world.landmark_covariances, world.config.sensors.camera)
+            assert np.array_equal(observed, per_pose[0]), (len(looks), state.pose)
+            assert np.array_equal(info, per_pose[1]), (len(looks), state.pose)
             cov, closures = state.cov.copy(), state.n_loop_closures
-            simworld_observe(world, state)
-            want = covariance_reference(world, state.pose, cov, sensed[-1])
+            simworld_observe(world, state, observed, info)
+            want = covariance_reference(world, state.pose, cov, observed)
             if state.n_loop_closures > closures:
                 want = kappa * want
             assert np.array_equal(state.cov, want), (len(looks), state.pose)
-            looks.append(sensed[-1].size)
+            looks.append(observed.size)
 
-        simworld_sense, simworld_observe = simworld.sense, simworld.observe
-        monkeypatch.setattr(simworld, "sense", sense)
+        simworld_observe = simworld.observe
         monkeypatch.setattr(simworld, "observe", checked_observe)
         initial_spin(world, state)
         rng = np.random.default_rng(3)
@@ -910,8 +914,8 @@ class TestRevealInvariant:
         # number of Unknown cells. Check both after every look of a full mission.
         looks = []
 
-        def checked_observe(world, state):
-            simworld_observe(world, state)
+        def checked_observe(world, state, observed, info):
+            simworld_observe(world, state, observed, info)
             p = state.occ.p
             known = p != UNKNOWN_P
             assert state.unknown_inside == p.size - np.count_nonzero(known), len(looks)
