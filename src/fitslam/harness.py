@@ -22,7 +22,7 @@ from .fisher import path_information
 from .frontier import Blacklist, cluster_frontiers, detect_frontiers
 from .grid import check_int
 from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
-from .planner import MultiGoalPlanner, NoPathError, sample_waypoints, Waypoint
+from .planner import MultiGoalPlanner, sample_waypoints, Waypoint
 from .simworld import (ConfigError, MissionState, WorldConfig, check_ray_samples,
                        current_grids, execute_path, generate_world, initial_spin)
 from .utility import CandidateGoal, UtilityParams, compute_u1, select_best, shortlist
@@ -102,38 +102,42 @@ def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparam
     """Fit: the goal of best u2 with its path and arrival orientation, or None.
 
     One full solve gives every reachable cell its rho; the rest are blacklisted.
+    Only the u1 shortlist's paths are reconstructed and scored for information.
     """
     planner.solve(start, math.inf)
-    candidates = []
-    for cell in cells:
-        try:
-            rho = planner.distance_to(cell)
-        except NoPathError:
-            blacklist.add(cell)
-            continue
-        candidates.append(CandidateGoal(cell, rho))
-    if not candidates:
+    ij = np.asarray(cells)
+    rho = planner.distances(ij)
+    reached = np.isfinite(rho)
+    cells, ij, rho = _keep(cells, reached, blacklist), ij[reached], rho[reached]
+    if not cells:
         return None
-    scans = scan_many(occ, [c.cell for c in candidates], rays, camera, memo)
-    for c, scan in zip(candidates, scans):
-        c.delta_e = scan.best_gain
-        c.theta_star = scan.best_theta
-    compute_u1(candidates, uparams, world.spec.resolution)
-    short = shortlist(candidates, uparams.shortlist_n)
-    for c in short:
-        c.path = planner.path_to(c.cell)
-        wps = sample_waypoints(c.path, camera.max_depth, world.spec)
-        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, c.theta_star)
-        c.info = path_information(wps, *world.voxel_landmarks, camera)
-    return select_best(short, uparams)
+    scans = scan_many(occ, ij, rays, camera, memo)
+    u1 = compute_u1(rho, np.array([s.best_gain for s in scans]), uparams, world.spec.resolution)
+    short = shortlist(u1, rho, ij, uparams.shortlist_n)
+    info = np.empty(len(short))
+    for n, k in enumerate(short.tolist()):
+        wps = sample_waypoints(planner.path_to(cells[k]), camera.max_depth, world.spec)
+        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, scans[k].best_theta)
+        info[n] = path_information(wps, *world.voxel_landmarks, camera)
+    best = short[select_best(u1[short], info, rho[short], ij[short], uparams)]
+    return _goal(planner, cells[best], scans[best].best_theta)
+
+
+def _keep(cells, ok, blacklist):
+    """The cells where the bool array `ok` holds, in order; the rest are blacklisted."""
+    for cell in compress(cells, ~ok):
+        blacklist.add(cell)
+    return list(compress(cells, ok))
 
 
 def _reachable_goals(planner, start, cells, blacklist):
     """The cells a breadth-first search from start meets, in order; the rest are blacklisted."""
-    reached = planner.reachable(start, cells)
-    for cell in compress(cells, ~reached):
-        blacklist.add(cell)
-    return list(compress(cells, reached))
+    return _keep(cells, planner.reachable(start, cells), blacklist)
+
+
+def _goal(planner, cell, theta_star):
+    """The picked cell with its path from the last solve, which must have settled it."""
+    return CandidateGoal(cell, planner.distance_to(cell), planner.path_to(cell), theta_star)
 
 
 def _single_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera):
@@ -150,8 +154,7 @@ def _single_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, cam
     else:
         cell = goals[int(rng.integers(len(goals)))]
         planner.nearest(start, [cell])
-    return CandidateGoal(cell, planner.distance_to(cell), path=planner.path_to(cell),
-                         theta_star=scan_orientations(occ, cell, rays, camera).best_theta)
+    return _goal(planner, cell, scan_orientations(occ, cell, rays, camera).best_theta)
 
 
 def run_mission(config: WorldConfig, strategy: str, seed: int,

@@ -197,7 +197,7 @@ class MultiGoalPlanner:
         limit = float(bound.min()) + BOUND_SLACK
         while True:
             self.solve(start, limit)
-            rho = self._dist[lin] * res
+            rho = self.distances(goals)
             settled = np.flatnonzero(np.isfinite(rho))
             if settled.size:
                 k = settled[np.lexsort((i[settled], j[settled], rho[settled]))[0]]
@@ -210,6 +210,11 @@ class MultiGoalPlanner:
     def _linear(self, goals: list) -> np.ndarray:
         cells = np.asarray(goals, dtype=np.intp).reshape(-1, 2)
         return cells[:, 1] * self.spec.width + cells[:, 0]
+
+    def distances(self, goals: list) -> np.ndarray:
+        """Per goal (i, j), its path length in meters after the last solve; inf
+        where that solve left the goal unsettled or cannot reach it."""
+        return self._dist[self._linear(goals)] * self.spec.resolution
 
     def distance_to(self, goal: tuple) -> float:
         """Optimal path length in meters without reconstructing the path."""

@@ -20,10 +20,6 @@ DEFAULT_BETA = 0.4
 DEFAULT_SHORTLIST_N = 7
 
 
-class EmptyCandidateSetError(ValueError):
-    """No candidates to score or select from."""
-
-
 @dataclass
 class UtilityParams:
     alpha: float = DEFAULT_ALPHA
@@ -36,60 +32,48 @@ class UtilityParams:
         check_int("shortlist_n", self.shortlist_n, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateGoal:
-    cell: tuple               # (i, j) goal cell
-    rho: float                # path length in meters
-    path: Path = None
-    delta_e: float = None     # entropy gain at the goal, bits
-    theta_star: float = None  # best arrival orientation, rad
-    u1: float = None
-    info: float = None        # raw path information (fisher.path_information)
-    u2: float = None
+    """The goal a decision picked, with its path from the robot."""
+    cell: tuple         # (i, j) goal cell
+    rho: float          # path length in meters
+    path: Path
+    theta_star: float   # best arrival orientation, rad
 
 
-def compute_u1(candidates: list, params: UtilityParams, resolution: float) -> None:
-    """Set u1 on every candidate.
+def compute_u1(rho: np.ndarray, delta_e: np.ndarray, params: UtilityParams,
+               resolution: float) -> np.ndarray:
+    """u1 of every candidate from its path length rho (m) and entropy gain delta_e (bits).
 
     Path lengths shorter than one cell are clamped to the grid resolution so
     the robot's own cell cannot produce an unbounded inverse-distance spike.
     If every candidate has zero entropy gain, that term contributes 0.
     """
-    if not candidates:
-        raise EmptyCandidateSetError("no candidates for u1")
-    rhos = np.array([max(c.rho, resolution) for c in candidates])
-    gains = np.array([c.delta_e for c in candidates])
-    n_rho_inv = rhos.min()  # 1 / max(1/rho)
-    max_gain = gains.max()
-    for c, rho, gain in zip(candidates, rhos, gains):
-        dist_term = n_rho_inv / rho
-        gain_term = gain / max_gain if max_gain > 0 else 0.0
-        c.u1 = params.alpha * dist_term + (1.0 - params.alpha) * gain_term
+    r = np.maximum(rho, resolution)
+    max_gain = delta_e.max()
+    gain_term = delta_e / max_gain if max_gain > 0 else 0.0
+    return params.alpha * (r.min() / r) + (1.0 - params.alpha) * gain_term
 
 
-def _order_key(c: CandidateGoal, score: float):
-    return (-score, c.rho, c.cell[1], c.cell[0])
+def _ranked(score: np.ndarray, rho: np.ndarray, cells) -> np.ndarray:
+    """Indices by score, highest first; ties by smaller rho, then row-major cell order."""
+    i, j = np.asarray(cells).reshape(-1, 2).T
+    return np.lexsort((i, j, rho, -score))
 
 
-def shortlist(candidates: list, n: int) -> list:
-    """Top-n candidates by u1; ties by smaller rho, then row-major cell order."""
+def shortlist(u1: np.ndarray, rho: np.ndarray, cells, n: int) -> np.ndarray:
+    """Indices of the top-n candidates by u1, best first."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranked = sorted(candidates, key=lambda c: _order_key(c, c.u1))
-    return ranked[:n]
+    return _ranked(u1, rho, cells)[:n]
 
 
-def select_best(shortlisted: list, params: UtilityParams) -> CandidateGoal:
-    """Set u2 on the shortlist and return the argmax.
+def select_best(u1: np.ndarray, info: np.ndarray, rho: np.ndarray, cells,
+                params: UtilityParams) -> int:
+    """Index of the shortlisted candidate of highest u2.
 
-    Path information is rescaled by the shortlist's shared normalizer
-    1 / (1 + max raw), so its term lands in [0, 1).
+    Raw path information (fisher.path_information) is rescaled by the
+    shortlist's shared normalizer 1 / (1 + max raw), so its term lands in [0, 1).
     """
-    if not shortlisted:
-        raise EmptyCandidateSetError("no shortlisted candidates")
-    if any(c.info is None for c in shortlisted):
-        raise ValueError("every shortlisted candidate needs path information")
-    n_i = 1.0 / (1.0 + max(c.info for c in shortlisted))
-    for c in shortlisted:
-        c.u2 = params.beta * c.u1 + (1.0 - params.beta) * (c.info * n_i)
-    return min(shortlisted, key=lambda c: _order_key(c, c.u2))
+    u2 = params.beta * u1 + (1.0 - params.beta) * (info * (1.0 / (1.0 + info.max())))
+    return int(_ranked(u2, rho, cells)[0])

@@ -3,14 +3,15 @@ against. Each is coded independently of the code it checks."""
 
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from fitslam import fisher
 from fitslam.fisher import DEFAULT_SENSOR_HEIGHT, CameraPose, DegenerateLandmarkError
 from fitslam.grid import shift
-from fitslam.infogain import ARGMAX_TOL, cast_ray, ray_directions
-from fitslam.planner import SQRT2
+from fitslam.infogain import ARGMAX_TOL, ScanMemo, cast_ray, ray_directions, scan_many
+from fitslam.planner import SQRT2, NoPathError, Waypoint, sample_waypoints
 from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP, MIN_POINTS
 
 
@@ -204,3 +205,54 @@ def path_information_per_waypoint(waypoints, positions, covariances, camera):
                                      positions, covariances)
         total += sum(np.trace(fims, axis1=1, axis2=2).tolist())
     return total
+
+
+# Fit's decision one candidate at a time, as the harness made it before it
+# scored candidates as arrays: a checked `distance_to` per cell with
+# `NoPathError` as the unreachable branch, scalar u1 and u2, and Python sorts
+# on (-score, rho, j, i). The array form must give the same bits.
+
+def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, camera, world,
+                               uparams):
+    """Fit's decision on a fresh planner, candidate by candidate; blacklists the
+    unreachable cells. Returns the kept cells and their rho, u1, the shortlisted
+    cells best first with their u2, and the pick as (cell, rho, path cells,
+    theta_star), which is None when no cell is kept."""
+    planner.solve(start, math.inf)
+    kept, rho = [], []
+    for cell in cells:
+        try:
+            rho.append(planner.distance_to(cell))
+        except NoPathError:
+            blacklist.add(cell)
+            continue
+        kept.append(cell)
+    ref = SimpleNamespace(cells=kept, rho=rho, u1=[], shortlist=[], u2=[], pick=None)
+    if not kept:
+        return ref
+    scans = scan_many(occ, kept, rays, camera, ScanMemo())
+    clamped = [max(r, world.spec.resolution) for r in rho]
+    gains = [scan.best_gain for scan in scans]
+    n_rho_inv, max_gain = min(clamped), max(gains)
+    ref.u1 = [uparams.alpha * (n_rho_inv / r)
+              + (1.0 - uparams.alpha) * (gain / max_gain if max_gain > 0 else 0.0)
+              for r, gain in zip(clamped, gains)]
+
+    def key(score, k):
+        return (-score, rho[k], kept[k][1], kept[k][0])
+
+    short = sorted(range(len(kept)), key=lambda k: key(ref.u1[k], k))[:uparams.shortlist_n]
+    paths, infos = [], []
+    for k in short:
+        paths.append(planner.path_to(kept[k]))
+        wps = sample_waypoints(paths[-1], camera.max_depth, world.spec)
+        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, scans[k].best_theta)
+        infos.append(fisher.path_information(wps, *world.voxel_landmarks, camera))
+    n_i = 1.0 / (1.0 + max(infos))
+    ref.shortlist = [kept[k] for k in short]
+    ref.u2 = [uparams.beta * ref.u1[k] + (1.0 - uparams.beta) * (info * n_i)
+              for k, info in zip(short, infos)]
+    best = min(range(len(short)), key=lambda n: key(ref.u2[n], short[n]))
+    k = short[best]
+    ref.pick = (kept[k], rho[k], paths[best].cells, scans[k].best_theta)
+    return ref

@@ -2,11 +2,12 @@ import copy
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fitslam import cli, harness, preset_world_path
+from fitslam import cli, harness, preset_world_path, utility
 from fitslam.cli import main, _parse_seeds
 from fitslam.fisher import Camera
 from fitslam.frontier import Blacklist
@@ -19,11 +20,13 @@ from fitslam.harness import (
     summarize,
     write_summary_csv,
 )
-from fitslam.infogain import RayCastParams, scan_orientations
+from fitslam.infogain import RayCastParams, ScanMemo, scan_orientations
 from fitslam.planner import MultiGoalPlanner, NoPathError
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import threshold
 from fitslam.utility import UtilityParams
+
+from oracles import fit_decision_per_candidate
 
 
 def tiny_world(**overrides):
@@ -148,6 +151,18 @@ class TestGreedyDecision:
         assert np.array_equal(blacklist.mask, blacklist_of(cells))
 
 
+class TestFitDecision:
+    def test_nothing_reachable_blacklists_every_cell_and_scores_nothing(self):
+        # No world is needed: the decision returns before it scores anything.
+        nav, cells = pocket_nav(), [(16, 2), (18, 4)]
+        blacklist = Blacklist(nav.spec)
+        goal = harness._fit_goal(MultiGoalPlanner(nav), (1, 3), cells, blacklist,
+                                 OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera(),
+                                 None, UtilityParams(), ScanMemo())
+        assert goal is None
+        assert np.array_equal(blacklist.mask, blacklist_of(cells))
+
+
 class TestRandomDecision:
     def test_draws_a_reachable_cell_with_the_full_solve_path(self):
         nav = pocket_nav()
@@ -224,6 +239,69 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
     monkeypatch.setattr(harness, "_single_goal", spy)
     config = WorldConfig.from_json(preset_world_path(preset))
     log = run_mission(config, strategy, seed=1, max_mission_time=max_time)
+    assert len(decisions) >= len(log.goal_sequence) > 5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset, max_time", [
+    ("flat_office", harness.DEFAULT_MAX_MISSION_TIME),
+    ("obstacle_ring", harness.DEFAULT_MAX_MISSION_TIME),
+    ("ramp_yard", 300.0),
+], ids=["flat_office", "obstacle_ring", "ramp_yard-300s"])
+def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeypatch):
+    """Every fit decision of seed 1 against the per-candidate reference on a fresh
+    planner: the kept cells, in order, and the blacklist; rho, u1 and u2 bit for
+    bit; the shortlist order and the pick. The decision reads one distance and
+    reconstructs at most the shortlist's paths and the pick's."""
+    fit_goal, seen = harness._fit_goal, {}
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            seen.setdefault(name, []).append((args, fn(*args)))
+            return seen[name][-1][1]
+        return wrapper
+
+    for name in ("_keep", "compute_u1", "shortlist"):
+        monkeypatch.setattr(harness, name, recorded(name, getattr(harness, name)))
+    # select_best ranks its u2 last: the score of the decision's last ranking.
+    monkeypatch.setattr(utility, "_ranked", recorded("_ranked", utility._ranked))
+    decisions = []
+
+    def spy(planner, start, cells, blacklist, occ, rays, camera, world, uparams, memo):
+        expected = Blacklist(planner.spec)
+        expected.mask = blacklist.mask.copy()
+        ref = fit_decision_per_candidate(MultiGoalPlanner(planner.nav), start, cells, expected,
+                                         occ, rays, camera, world, uparams)
+        calls = Counter()
+        for method in ("distance_to", "path_to"):
+            def counted(cell, method=method, bound=getattr(planner, method)):
+                calls[method] += 1
+                return bound(cell)
+            setattr(planner, method, counted)
+        seen.clear()
+        goal = fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparams,
+                        memo)
+        [(_, kept)] = seen.pop("_keep")
+        assert kept == ref.cells
+        assert np.array_equal(blacklist.mask, expected.mask)
+        if not kept:
+            assert goal is None and not seen and not calls
+            return goal
+        [((rho, _, _, _), u1)] = seen["compute_u1"]
+        [(_, short)] = seen["shortlist"]
+        u2 = seen["_ranked"][-1][0][0]
+        assert np.array_equal(rho, ref.rho) and np.array_equal(u1, ref.u1)
+        assert [kept[k] for k in short] == ref.shortlist
+        assert np.array_equal(u2, ref.u2)
+        assert (goal.cell, goal.rho, goal.path.cells, goal.theta_star) == ref.pick
+        assert calls["distance_to"] <= 1
+        assert calls["path_to"] <= uparams.shortlist_n + 1
+        decisions.append(goal.cell)
+        return goal
+
+    monkeypatch.setattr(harness, "_fit_goal", spy)
+    config = WorldConfig.from_json(preset_world_path(preset))
+    log = run_mission(config, "fit", seed=1, max_mission_time=max_time)
     assert len(decisions) >= len(log.goal_sequence) > 5
 
 

@@ -134,11 +134,9 @@ DEFAULTED = {
     "traversability.TerrainStatsGrid.score_cells.sensed",
     # No upper bound on an integer setting.
     "grid.check_int.hi",
-    # A mission's counters start at zero, and a candidate's scores fill in stage by stage.
+    # A mission's counters start at zero.
     *(f"simworld.MissionState.{f}" for f in ("clock", "distance", "n_loop_closures",
                                              "samples")),
-    *(f"utility.CandidateGoal.{f}" for f in ("path", "delta_e", "theta_star", "u1",
-                                             "info", "u2")),
 }
 
 
