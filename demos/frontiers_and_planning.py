@@ -13,7 +13,7 @@ import fitslam
 from fitslam.frontier import (DEFAULT_MAX_CLUSTER_SIZE as CAP, Blacklist, cluster_frontiers,
                               detect_frontiers, frontier_components)
 from fitslam.harness import run_mission
-from fitslam.planner import MultiGoalPlanner, NoPathError
+from fitslam.planner import MultiGoalPlanner
 from fitslam.simworld import (MissionState, WorldConfig, current_grids,
                               generate_world, initial_spin)
 
@@ -35,14 +35,14 @@ print(f"after the initial spin: {len(frontiers)} frontier cells "
 
 planner = MultiGoalPlanner(nav)
 planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]), math.inf)
+rho = planner.distances(candidates)  # inf where no path reaches the candidate
 print(f"{'candidate':>14} {'size':>5} {'path cost':>12}")
-for size, cell in sorted(zip(sizes, candidates), key=lambda sc: sc[0], reverse=True)[:8]:
-    try:
-        cost = f"{planner.distance_to(cell):10.2f} m"
-    except NoPathError:
-        cost = "unreachable"
-    x, y = spec.cell_to_world(*cell)
-    print(f"  ({x:5.1f},{y:5.1f}) {size:>5} {cost:>12}")
+for n in sorted(range(len(candidates)), key=lambda n: sizes[n], reverse=True)[:8]:
+    cost = f"{rho[n]:10.2f} m" if math.isfinite(rho[n]) else "unreachable"
+    # Candidates are linear indices `j * width + i`.
+    j, i = divmod(int(candidates[n]), spec.width)
+    x, y = spec.cell_to_world(i, j)
+    print(f"  ({x:5.1f},{y:5.1f}) {sizes[n]:>5} {cost:>12}")
 
 log = run_mission(config, "greedy", seed=1, max_mission_time=250.0)
 print(f"\nafter a 250 s greedy mission: {len(log.goal_sequence)} goals "

@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import PRESET_WORLDS, preset_world_path, traversability
 from .grid import OccupancyGrid
 from .harness import DEFAULT_MAX_MISSION_TIME, ExperimentConfig, run_experiment, STRATEGIES
@@ -102,7 +104,7 @@ def _cmd_preview(args) -> int:
     config = _load_world(args.config)
     world = generate_world(config)
     occ = OccupancyGrid(world.spec, world.true_p)
-    trav = world.terrain.score_cells()
+    trav = world.terrain.score_cells(np.ones((world.spec.height, world.spec.width), dtype=bool))
     nav = traversability.threshold(trav)
 
     print("# true occupancy")

@@ -81,21 +81,20 @@ def frontier_components(cells: set[int], spec: GridSpec) -> list:
     return components
 
 
-def cluster_frontiers(cells: set[int], spec: GridSpec, blacklist: Blacklist) -> list:
-    """Candidate goal cells (i, j) of the deterministic, size-capped clusters of the frontier.
+def cluster_frontiers(cells: set[int], spec: GridSpec, blacklist: Blacklist) -> np.ndarray:
+    """Linear indices of the candidate goal cells of the frontier's size-capped clusters.
 
     Each component's visit order is cut into consecutive chunks of at most
     DEFAULT_MAX_CLUSTER_SIZE cells, and each chunk nominates its median-order
     cell. Candidates come in component order, then chunk order; those the
     blacklist suppresses are dropped.
     """
-    m, w = DEFAULT_MAX_CLUSTER_SIZE, spec.width
-    if blacklist.mask.shape != (spec.height, w):
+    m = DEFAULT_MAX_CLUSTER_SIZE
+    if blacklist.mask.shape != (spec.height, spec.width):
         raise ValueError("blacklist and frontier cells must share one GridSpec")
     picks = [np.empty(0, dtype=np.intp)]
     for order in frontier_components(cells, spec):
         start = np.arange(0, len(order), m)
         picks.append(order[start + (np.minimum(m, len(order) - start) - 1) // 2])
     candidates = np.concatenate(picks)
-    candidates = candidates[~blacklist.mask.ravel()[candidates]]
-    return list(zip((candidates % w).tolist(), (candidates // w).tolist()))
+    return candidates[~blacklist.mask.ravel()[candidates]]

@@ -13,7 +13,6 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -105,29 +104,30 @@ def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparam
     Only the u1 shortlist's paths are reconstructed and scored for information.
     """
     planner.solve(start, math.inf)
-    ij = np.asarray(cells)
-    rho = planner.distances(ij)
+    rho = planner.distances(cells)
     reached = np.isfinite(rho)
-    cells, ij, rho = _keep(cells, reached, blacklist), ij[reached], rho[reached]
-    if not cells:
+    cells, rho = _keep(cells, reached, blacklist), rho[reached]
+    if not cells.size:
         return None
-    scans = scan_many(occ, ij, rays, camera, memo)
+    scans = scan_many(occ, cells, rays, camera, memo)
     u1 = compute_u1(rho, np.array([s.best_gain for s in scans]), uparams, world.spec.resolution)
-    short = shortlist(u1, rho, ij, uparams.shortlist_n)
+    short = shortlist(u1, rho, cells, uparams.shortlist_n)
     info = np.empty(len(short))
     for n, k in enumerate(short.tolist()):
-        wps = sample_waypoints(planner.path_to(cells[k]), camera.max_depth, world.spec)
+        path = planner.path_to(divmod(int(cells[k]), world.spec.width)[::-1])
+        wps = sample_waypoints(path, camera.max_depth, world.spec)
         wps[-1] = Waypoint(wps[-1].x, wps[-1].y, scans[k].best_theta)
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
-    best = short[select_best(u1[short], info, rho[short], ij[short], uparams)]
-    return _goal(planner, cells[best], scans[best].best_theta)
+    best = short[select_best(u1[short], info, rho[short], cells[short], uparams)]
+    return _goal(planner, divmod(int(cells[best]), world.spec.width)[::-1], scans[best].best_theta)
 
 
 def _keep(cells, ok, blacklist):
     """The cells where the bool array `ok` holds, in order; the rest are blacklisted."""
-    for cell in compress(cells, ~ok):
+    j, i = np.divmod(cells[~ok], blacklist.mask.shape[1])
+    for cell in zip(i.tolist(), j.tolist()):
         blacklist.add(cell)
-    return list(compress(cells, ok))
+    return cells[ok]
 
 
 def _reachable_goals(planner, start, cells, blacklist):
@@ -147,13 +147,11 @@ def _single_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, cam
     one. Either way bounded solves settle only as far as that cell.
     """
     goals = _reachable_goals(planner, start, cells, blacklist)
-    if not goals:
+    if not goals.size:
         return None
-    if strategy == "greedy":
-        cell = goals[planner.nearest(start, goals)]
-    else:
-        cell = goals[int(rng.integers(len(goals)))]
-        planner.nearest(start, [cell])
+    if strategy == "random":
+        goals = goals[[rng.integers(len(goals))]]
+    cell = divmod(int(goals[planner.nearest(start, goals)]), planner.spec.width)[::-1]
     return _goal(planner, cell, scan_orientations(occ, cell, rays, camera).best_theta)
 
 
@@ -188,7 +186,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
         _, nav = current_grids(state)
         frontiers = detect_frontiers(state.occ, nav)
         cells = cluster_frontiers(frontiers, spec, blacklist=blacklist)
-        if not cells:
+        if not cells.size:
             termination = "stalled" if frontiers else "complete"
             break
 

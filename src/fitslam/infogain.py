@@ -269,34 +269,34 @@ class ScanMemo:
         self.scans = {}   # linear cell index -> OrientationScan
 
 
-def scan_many(occ: OccupancyGrid, cells: list, params: RayCastParams, camera: Camera,
+def scan_many(occ: OccupancyGrid, cells: np.ndarray, params: RayCastParams, camera: Camera,
               memo: ScanMemo) -> list:
-    """Orientation scans from many (i, j) goal cells in one vectorized pass.
+    """Orientation scans from many goal cells, linear indices `j * width + i`, in
+    one vectorized pass.
 
     Produces exactly the same numbers as scanning each cell alone: every
     reduction runs along a per-goal axis, so results do not depend on how
     goals are batched. A cell the memo holds from the previous call, with no
     class change in its reach box since, gets the kept scan; the others are
-    scanned, and the memo then holds only this call's cells. A cell outside
-    the grid raises OutOfBoundsError and a non-integer one ValueError, since
-    the padded gather would read past the grid's border or wrap around it.
+    scanned, and the memo then holds only this call's cells. An index outside
+    [0, n_cells) raises OutOfBoundsError and a non-integer one ValueError, since
+    the padded gather would read past the grid's border.
     """
     spec = occ.spec
     tmpl = _template(params, camera, spec.resolution)
-    ij = np.asarray(cells)
-    if len(cells) and (ij.dtype.kind not in "iu" or ij.shape != (len(cells), 2)):
-        raise ValueError(f"scan cells must be (i, j) integer pairs, not {ij.dtype} {ij.shape}")
-    ci, cj = ij.reshape(-1, 2).astype(int).T
-    outside = (ci < 0) | (ci >= spec.width) | (cj < 0) | (cj >= spec.height)
+    if cells.ndim != 1 or cells.dtype.kind not in "iu":
+        raise ValueError(f"scan cells must be a 1-D integer array, not {cells.dtype} {cells.shape}")
+    outside = (cells < 0) | (cells >= spec.n_cells)
     if outside.any():
-        raise OutOfBoundsError(f"scan cell {cells[int(outside.argmax())]} outside the grid")
+        raise OutOfBoundsError(f"scan cell index {cells[outside.argmax()]} outside the grid")
+    cj, ci = np.divmod(cells.astype(int), spec.width)
     key = (params, camera, spec.resolution, occ.p.shape)
     if memo.key is None:
         memo.key = key
     elif memo.key != key:
         raise ValueError("scan memo holds scans of another template or grid shape")
     cls = tmpl.classify(occ)
-    lin = (cj * spec.width + ci).tolist()
+    lin = cells.tolist()
     kept = np.array([k in memo.scans for k in lin], dtype=bool)
     if kept.any():
         # In padded coordinates the reach box of center (i, j) has its
@@ -334,4 +334,6 @@ def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
     orientation angle. The scan gets a fresh memo: its callers blacklist
     every goal they scan, so no cell is scanned twice.
     """
-    return scan_many(occ, [cell], params, camera, ScanMemo())[0]
+    if not occ.spec.in_bounds(*cell):
+        raise OutOfBoundsError(f"scan cell {cell} outside the grid")
+    return scan_many(occ, np.array([occ.spec.linear_index(*cell)]), params, camera, ScanMemo())[0]

@@ -139,6 +139,8 @@ class MultiGoalPlanner:
     meets, without any solve. `nearest` finds the goal with the least
     (distance, row, column), or settles a lone goal, through bounded solves,
     after which `distance_to` and `path_to` serve it as after a full solve.
+    A set of goals is one array of linear indices `j * width + i`; one goal,
+    like the start, is an (i, j) pair.
     """
 
     def __init__(self, nav: BinaryTraversabilityGrid):
@@ -163,8 +165,8 @@ class MultiGoalPlanner:
             raise NoPathError(f"start {start} is not Free")
         return self.spec.linear_index(*start)
 
-    def reachable(self, start: tuple, goals: list) -> np.ndarray:
-        """Per goal (i, j), whether any path joins it to start: one bool array.
+    def reachable(self, start: tuple, goals: np.ndarray) -> np.ndarray:
+        """Per goal, whether any path joins it to start: one bool array.
 
         A goal that is not Free has no move in or out, so the search from the
         Free start never meets it.
@@ -172,10 +174,10 @@ class MultiGoalPlanner:
         met = np.zeros(self.spec.n_cells, dtype=bool)
         met[breadth_first_order(self._graph, self._start_index(start), directed=True,
                                 return_predecessors=False)] = True
-        return met[self._linear(goals)]
+        return met[goals]
 
-    def nearest(self, start: tuple, goals: list) -> int:
-        """Index in `goals` of the goal with the least (distance_to, j, i).
+    def nearest(self, start: tuple, goals: np.ndarray) -> int:
+        """Index in `goals` of the goal with the least (distance_to, j, i), or (distance_to, index).
 
         The first solve is bounded at the least octile distance to a goal,
         which no path undercuts. Every goal a solve leaves unsettled is
@@ -188,10 +190,8 @@ class MultiGoalPlanner:
         whole path.
         """
         src = self._start_index(start)
-        lin = self._linear(goals)
         w, res = self.spec.width, self.spec.resolution
-        i, j = lin % w, lin // w
-        dx, dy = np.abs(i - src % w), np.abs(j - src // w)
+        dx, dy = np.abs(goals % w - src % w), np.abs(goals // w - src // w)
         bound = (dx + dy) + (SQRT2 - 2.0) * np.minimum(dx, dy)
         longest = SQRT2 * self.spec.n_cells  # no shortest path is longer
         limit = float(bound.min()) + BOUND_SLACK
@@ -200,21 +200,17 @@ class MultiGoalPlanner:
             rho = self.distances(goals)
             settled = np.flatnonzero(np.isfinite(rho))
             if settled.size:
-                k = settled[np.lexsort((i[settled], j[settled], rho[settled]))[0]]
+                k = settled[np.lexsort((goals[settled], rho[settled]))[0]]
                 if rho[k] < limit * res:
                     return int(k)
             if limit == math.inf:
                 raise NoPathError(f"no goal reachable from {start}")
             limit = limit * 1.5 + 1.0 if limit < longest else math.inf
 
-    def _linear(self, goals: list) -> np.ndarray:
-        cells = np.asarray(goals, dtype=np.intp).reshape(-1, 2)
-        return cells[:, 1] * self.spec.width + cells[:, 0]
-
-    def distances(self, goals: list) -> np.ndarray:
-        """Per goal (i, j), its path length in meters after the last solve; inf
-        where that solve left the goal unsettled or cannot reach it."""
-        return self._dist[self._linear(goals)] * self.spec.resolution
+    def distances(self, goals: np.ndarray) -> np.ndarray:
+        """Per goal, its path length in meters after the last solve; inf where that
+        solve left the goal unsettled or cannot reach it."""
+        return self._dist[goals] * self.spec.resolution
 
     def distance_to(self, goal: tuple) -> float:
         """Optimal path length in meters without reconstructing the path."""

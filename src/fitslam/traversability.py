@@ -101,11 +101,11 @@ class TerrainStatsGrid:
         return (np.pad(mz, 1).ravel(), np.pad(static, 1, constant_values=np.nan).ravel(),
                 np.zeros(shape, dtype=bool), np.full(shape, np.nan), self.count > 0)
 
-    def score_cells(self, sensed=None) -> TraversabilityGrid:
+    def score_cells(self, sensed: np.ndarray) -> TraversabilityGrid:
         """Score every cell; cells with too few points, or not in `sensed`, stay Unknown.
 
-        A cell has data when it holds a point and is in the bool `sensed` mask, if one
-        is given. Its score is the minimum of the slope, roughness and step scores.
+        A cell has data when it holds a point and is in the bool (H, W) `sensed`
+        mask. Its score is the minimum of the slope, roughness and step scores.
         Slope is the angle between the fitted-plane normal and vertical, roughness the
         RMS residual, and step the largest elevation difference to the mean of an
         8-neighbour cell with data (0 when none has). A cell's score reads only its
@@ -113,7 +113,7 @@ class TerrainStatsGrid:
         flag flipped since the last call, and their neighbours.
         """
         mz, static, data, score, has_points = self._memo
-        has = has_points if sensed is None else has_points & sensed
+        has = has_points & sensed
         width = self.spec.width + 2  # of the padded grid
         flipped = np.flatnonzero(has != data[1:-1, 1:-1])
         flipped += width + 1 + 2 * (flipped // self.spec.width)

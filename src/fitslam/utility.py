@@ -55,20 +55,19 @@ def compute_u1(rho: np.ndarray, delta_e: np.ndarray, params: UtilityParams,
     return params.alpha * (r.min() / r) + (1.0 - params.alpha) * gain_term
 
 
-def _ranked(score: np.ndarray, rho: np.ndarray, cells) -> np.ndarray:
-    """Indices by score, highest first; ties by smaller rho, then row-major cell order."""
-    i, j = np.asarray(cells).reshape(-1, 2).T
-    return np.lexsort((i, j, rho, -score))
+def _ranked(score: np.ndarray, rho: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Indices by score, highest first; ties by smaller rho, then linear (row-major) cell index."""
+    return np.lexsort((cells, rho, -score))
 
 
-def shortlist(u1: np.ndarray, rho: np.ndarray, cells, n: int) -> np.ndarray:
+def shortlist(u1: np.ndarray, rho: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
     """Indices of the top-n candidates by u1, best first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _ranked(u1, rho, cells)[:n]
 
 
-def select_best(u1: np.ndarray, info: np.ndarray, rho: np.ndarray, cells,
+def select_best(u1: np.ndarray, info: np.ndarray, rho: np.ndarray, cells: np.ndarray,
                 params: UtilityParams) -> int:
     """Index of the shortlisted candidate of highest u2.
 

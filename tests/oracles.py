@@ -21,6 +21,19 @@ def linear(cells, spec):
     return {j * spec.width + i for i, j in cells}
 
 
+def linear_array(cells, spec):
+    """The (i, j) cells as one array of linear indices `j * width + i`, in order: the
+    form of a candidate set. Integer pairs give an integer array, an empty list too;
+    float pairs give a float one."""
+    lin = [j * spec.width + i for i, j in cells]
+    return np.array(lin) if lin else np.empty(0, dtype=np.intp)
+
+
+def all_sensed(spec):
+    """The `sensed` mask of a grid whose every cell the lidar has reached."""
+    return np.ones((spec.height, spec.width), dtype=bool)
+
+
 def brute_force_scan(occ, goal, params, camera):
     """Independent windowed-sum evaluation built on cast_ray."""
     spec = occ.spec
@@ -214,13 +227,14 @@ def path_information_per_waypoint(waypoints, positions, covariances, camera):
 
 def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, camera, world,
                                uparams):
-    """Fit's decision on a fresh planner, candidate by candidate; blacklists the
-    unreachable cells. Returns the kept cells and their rho, u1, the shortlisted
-    cells best first with their u2, and the pick as (cell, rho, path cells,
-    theta_star), which is None when no cell is kept."""
+    """Fit's decision on a fresh planner, candidate by candidate, from the linear
+    indices `cells`; blacklists the unreachable cells. Returns the kept (i, j) cells
+    and their rho, u1, the shortlisted cells best first with their u2, and the pick
+    as (cell, rho, path cells, theta_star), which is None when no cell is kept."""
     planner.solve(start, math.inf)
     kept, rho = [], []
-    for cell in cells:
+    for k in cells.tolist():
+        cell = (k % world.spec.width, k // world.spec.width)
         try:
             rho.append(planner.distance_to(cell))
         except NoPathError:
@@ -230,7 +244,7 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
     ref = SimpleNamespace(cells=kept, rho=rho, u1=[], shortlist=[], u2=[], pick=None)
     if not kept:
         return ref
-    scans = scan_many(occ, kept, rays, camera, ScanMemo())
+    scans = scan_many(occ, linear_array(kept, world.spec), rays, camera, ScanMemo())
     clamped = [max(r, world.spec.resolution) for r in rho]
     gains = [scan.best_gain for scan in scans]
     n_rho_inv, max_gain = min(clamped), max(gains)

@@ -21,7 +21,7 @@ from fitslam.grid import (
     UNKNOWN_P,
 )
 from fitslam.simworld import WorldConfig
-from oracles import linear
+from oracles import linear, linear_array
 
 
 def build_grids(w, h, res=0.1):
@@ -176,17 +176,18 @@ class TestClusterFrontiers:
     def test_five_collinear_cells_single_cluster(self):
         spec = GridSpec(0.1, 10, 10)
         cells = {(i, 4) for i in range(2, 7)}
-        assert cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)) == [(4, 4)]  # 3rd of 5
+        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)).tolist()
+                == linear_array([(4, 4)], spec).tolist())  # 3rd of 5
 
     def test_blacklisted_candidate_dropped(self):
         spec = GridSpec(0.1, 10, 10)
         bl = blacklist_of(spec, [(3, 3)])
-        assert cluster_frontiers(linear({(3, 3)}, spec), spec, bl) == []
+        assert cluster_frontiers(linear({(3, 3)}, spec), spec, bl).tolist() == []
 
     def test_blacklist_suppresses_adjacent_cell(self):
         spec = GridSpec(0.1, 10, 10)
         bl = blacklist_of(spec, [(3, 3)])
-        assert cluster_frontiers(linear({(4, 4)}, spec), spec, bl) == []
+        assert cluster_frontiers(linear({(4, 4)}, spec), spec, bl).tolist() == []
         assert len(cluster_frontiers(linear({(5, 3)}, spec), spec, bl)) == 1
 
     def test_blacklist_of_another_grid_rejected(self):
@@ -198,7 +199,7 @@ class TestClusterFrontiers:
     def test_empty_frontier_has_no_components(self, w, h):
         spec = GridSpec(0.1, w, h)
         assert frontier_components(set(), spec) == []
-        assert cluster_frontiers(set(), spec, Blacklist(spec)) == []
+        assert cluster_frontiers(set(), spec, Blacklist(spec)).tolist() == []
 
     def test_components_partition_matches_connectivity(self):
         rng = np.random.default_rng(33)
@@ -231,8 +232,8 @@ class TestClusterFrontiers:
         a = frontier_components(set(cells), spec)
         b = frontier_components(set(cells), spec)
         assert [c.tolist() for c in a] == [c.tolist() for c in b]
-        assert (cluster_frontiers(set(cells), spec, Blacklist(spec))
-                == cluster_frontiers(set(cells), spec, Blacklist(spec)))
+        assert (cluster_frontiers(set(cells), spec, Blacklist(spec)).tolist()
+                == cluster_frontiers(set(cells), spec, Blacklist(spec)).tolist())
 
     def test_chunks_preserve_component_visit_order(self):
         assert DEFAULT_MAX_CLUSTER_SIZE == 30
@@ -241,8 +242,8 @@ class TestClusterFrontiers:
         assert components(cells, spec) == [[(i, 0) for i in range(68)]]
         assert [len(c) for c in chunks(cells, spec, 30)] == [30, 30, 8]
         # chunks [0..29], [30..59], [60..67] of the visit order, medians 14, 44, 63
-        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec))
-                == [(14, 0), (44, 0), (63, 0)])
+        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)).tolist()
+                == linear_array([(14, 0), (44, 0), (63, 0)], spec).tolist())
 
     @pytest.mark.parametrize("n", [1, 29, 30, 31, 32, 59, 60, 61, 62, 89, 90, 91, 92, 150])
     def test_components_spanning_chunks_match_oracle(self, n):
@@ -255,10 +256,12 @@ class TestClusterFrontiers:
         assert chunks(cells, spec, 30) == want_chunks
         assert [len(c) for c in want_chunks] == \
             [30] * (n // 30) + [n % 30] * (n % 30 > 0) + [30, 30, 3]
-        assert cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)) == want_candidates
+        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)).tolist()
+                == linear_array(want_candidates, spec).tolist())
         blacklisted = want_candidates[::2]
         assert (cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, blacklisted))
-                == cluster_oracle(cells, spec, 30, blacklisted)[1])
+                .tolist() == linear_array(cluster_oracle(cells, spec, 30, blacklisted)[1],
+                                          spec).tolist())
 
     def test_matches_python_bfs_oracle(self):
         rng = np.random.default_rng(2024)
@@ -284,7 +287,7 @@ class TestClusterFrontiers:
             want_chunks, want_candidates = cluster_oracle(cells, spec, 30, blacklisted)
             assert chunks(cells, spec, 30) == want_chunks, (w, h)
             got = cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, blacklisted))
-            assert got == want_candidates, (w, h)
+            assert got.tolist() == linear_array(want_candidates, spec).tolist(), (w, h)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("preset, strategy", [("ramp_yard", "greedy"),
@@ -309,7 +312,8 @@ class TestClusterFrontiers:
         for cells, spec, blacklisted, got in seen:
             ij = {(c % spec.width, c // spec.width) for c in cells}
             assert linear(ij, spec) == cells
-            assert got == cluster_oracle(ij, spec, DEFAULT_MAX_CLUSTER_SIZE, blacklisted)[1]
+            want = cluster_oracle(ij, spec, DEFAULT_MAX_CLUSTER_SIZE, blacklisted)[1]
+            assert got.tolist() == linear_array(want, spec).tolist()
 
 
 class TestBlacklist:

@@ -26,7 +26,7 @@ from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import threshold
 from fitslam.utility import UtilityParams
 
-from oracles import fit_decision_per_candidate
+from oracles import all_sensed, fit_decision_per_candidate, linear_array
 
 
 def tiny_world(**overrides):
@@ -124,7 +124,8 @@ def pocket_decision(strategy, cells, rng=None):
     """`harness._single_goal` from (1, 3) on `pocket_nav()`: the goal and the blacklist."""
     nav = pocket_nav()
     blacklist = Blacklist(nav.spec)
-    goal = harness._single_goal(strategy, rng, MultiGoalPlanner(nav), (1, 3), cells, blacklist,
+    goal = harness._single_goal(strategy, rng, MultiGoalPlanner(nav), (1, 3),
+                                linear_array(cells, nav.spec), blacklist,
                                 OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera())
     return goal, blacklist
 
@@ -156,9 +157,9 @@ class TestFitDecision:
         # No world is needed: the decision returns before it scores anything.
         nav, cells = pocket_nav(), [(16, 2), (18, 4)]
         blacklist = Blacklist(nav.spec)
-        goal = harness._fit_goal(MultiGoalPlanner(nav), (1, 3), cells, blacklist,
-                                 OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera(),
-                                 None, UtilityParams(), ScanMemo())
+        goal = harness._fit_goal(MultiGoalPlanner(nav), (1, 3), linear_array(cells, nav.spec),
+                                 blacklist, OccupancyGrid.unknown(nav.spec), RayCastParams(),
+                                 Camera(), None, UtilityParams(), ScanMemo())
         assert goal is None
         assert np.array_equal(blacklist.mask, blacklist_of(cells))
 
@@ -209,7 +210,8 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         expected = Blacklist(planner.spec)
         expected.mask = blacklist.mask.copy()
         keys = []
-        for cell in cells:
+        for k in cells.tolist():
+            cell = (k % planner.spec.width, k // planner.spec.width)
             try:
                 keys.append((full.distance_to(cell), cell[1], cell[0]))
             except NoPathError:
@@ -217,7 +219,7 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         draw = copy.deepcopy(rng)
         goal = single_goal(strategy, rng, planner, start, cells, blacklist, *scan_args)
         goals = [(i, j) for _, j, i in keys]
-        assert lists.pop() == goals
+        assert lists.pop().tolist() == linear_array(goals, planner.spec).tolist()
         assert np.array_equal(blacklist.mask, expected.mask)
         if not goals:
             assert goal is None
@@ -282,16 +284,16 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
         goal = fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparams,
                         memo)
         [(_, kept)] = seen.pop("_keep")
-        assert kept == ref.cells
+        assert kept.tolist() == linear_array(ref.cells, planner.spec).tolist()
         assert np.array_equal(blacklist.mask, expected.mask)
-        if not kept:
+        if not kept.size:
             assert goal is None and not seen and not calls
             return goal
         [((rho, _, _, _), u1)] = seen["compute_u1"]
         [(_, short)] = seen["shortlist"]
         u2 = seen["_ranked"][-1][0][0]
         assert np.array_equal(rho, ref.rho) and np.array_equal(u1, ref.u1)
-        assert [kept[k] for k in short] == ref.shortlist
+        assert kept[short].tolist() == linear_array(ref.shortlist, planner.spec).tolist()
         assert np.array_equal(u2, ref.u2)
         assert (goal.cell, goal.rho, goal.path.cells, goal.theta_star) == ref.pick
         assert calls["distance_to"] <= 1
@@ -587,7 +589,7 @@ class TestCli:
             texts = {k: "\n".join(v) + "\n" for k, v in texts.items()}
             world = generate_world(WorldConfig.from_json(preset_world_path(preset)))
             occ = OccupancyGrid(world.spec, world.true_p)
-            trav = world.terrain.score_cells()
+            trav = world.terrain.score_cells(all_sensed(world.spec))
             nav = threshold(trav)
             assert texts == dict(zip(self.PREVIEW_SECTIONS,
                                      (occ.to_text(), trav.to_text(), nav.to_text())))

@@ -130,8 +130,6 @@ DEFAULTED = {
     "utility.UtilityParams.shortlist_n",
     "harness.run_mission.max_mission_time", "harness.run_mission.ray_params",
     "harness.run_mission.utility_params",
-    # Missions pass the sensed mask, the world preview none.
-    "traversability.TerrainStatsGrid.score_cells.sensed",
     # No upper bound on an integer setting.
     "grid.check_int.hi",
     # A mission's counters start at zero.

@@ -19,7 +19,7 @@ from fitslam.infogain import (
     scan_orientations,
 )
 from fitslam.simworld import WorldConfig
-from oracles import brute_force_scan
+from oracles import brute_force_scan, linear_array
 
 
 def unknown_grid(w=20, h=20, res=0.1):
@@ -160,7 +160,7 @@ class TestScanOrientations:
         goals = [(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5)) for _ in range(12)]
         cells = [occ.spec.world_to_cell(*goal) for goal in goals]
         params = RayCastParams()
-        batch = scan_many(occ, cells, params, Camera(), ScanMemo())
+        batch = scan_many(occ, linear_array(cells, occ.spec), params, Camera(), ScanMemo())
         for cell, got in zip(cells, batch):
             single = scan_orientations(occ, cell, params, Camera())
             assert np.array_equal(got.ray_gains, single.ray_gains)
@@ -183,12 +183,19 @@ class TestScanOrientations:
         with pytest.raises(error):
             scan_orientations(occ, cell, RayCastParams(), Camera())
         with pytest.raises(error):
-            scan_many(occ, [(50, 50), cell], RayCastParams(), Camera(), ScanMemo())
+            scan_many(occ, linear_array([(50, 50), cell], occ.spec), RayCastParams(), Camera(),
+                      ScanMemo())
+
+    def test_pairs_in_place_of_linear_indices_rejected(self):
+        occ = OccupancyGrid.unknown(self.WIDE_SPEC)
+        with pytest.raises(ValueError, match="1-D integer array"):
+            scan_many(occ, np.array([(50, 50), (0, 0)]), RayCastParams(), Camera(), ScanMemo())
 
     def test_corner_cells_and_integer_arrays_accepted(self):
         occ = OccupancyGrid.unknown(self.WIDE_SPEC)
         cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
-        scans = scan_many(occ, np.array(cells), RayCastParams(), Camera(), ScanMemo())
+        scans = scan_many(occ, linear_array(cells, occ.spec), RayCastParams(), Camera(),
+                          ScanMemo())
         for cell, got in zip(cells, scans):
             assert np.array_equal(got.ray_gains,
                                   scan_orientations(occ, cell, RayCastParams(), Camera()).ray_gains)
@@ -269,7 +276,8 @@ class TestRayGainsKernel:
         seen = run_with_memo_oracle(monkeypatch, "ramp_yard", 200.0)
         assert len(seen) >= 10
         for occ, cells, tmpl in seen:
-            assert_kernel_matches_reference(tmpl, occ, cells[:, 0], cells[:, 1], len(cells))
+            j, i = np.divmod(cells, occ.spec.width)
+            assert_kernel_matches_reference(tmpl, occ, i, j, len(cells))
 
 
 def assert_same_scan(got, want):
@@ -322,7 +330,7 @@ class TestScanMemo:
     PARAMS, CAMERA, RES = RayCastParams(), Camera(max_depth=2.0), 0.1
 
     def scan(self, occ, cells, memo):
-        return scan_many(occ, cells, self.PARAMS, self.CAMERA, memo)
+        return scan_many(occ, linear_array(cells, occ.spec), self.PARAMS, self.CAMERA, memo)
 
     def test_reveal_at_reach_evicts_and_past_reach_keeps(self):
         tmpl = _template(self.PARAMS, self.CAMERA, self.RES)
@@ -379,5 +387,6 @@ class TestScanMemo:
             res = 0.2
         else:
             w = 31
+        occ = unknown_grid(w=w, h=30, res=res)
         with pytest.raises(ValueError, match="scan memo"):
-            scan_many(unknown_grid(w=w, h=30, res=res), [(5, 5)], params, camera, memo)
+            scan_many(occ, linear_array([(5, 5)], occ.spec), params, camera, memo)

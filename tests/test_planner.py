@@ -16,7 +16,7 @@ from fitslam.planner import (
     plan,
     sample_waypoints,
 )
-from oracles import dijkstra_oracle
+from oracles import dijkstra_oracle, linear_array
 
 
 def free_grid(w, h, res=0.05):
@@ -227,7 +227,7 @@ class TestGreedyPick:
         checked = 0
         for nav, start in oracle_grids(rng, 160):
             every = [(i, j) for j in range(nav.spec.height) for i in range(nav.spec.width)]
-            reach = MultiGoalPlanner(nav).reachable(start, every)
+            reach = MultiGoalPlanner(nav).reachable(start, linear_array(every, nav.spec))
             finite = np.isfinite(full_solve(nav, start)._dist)
             free = nav.free_mask().ravel()
             assert np.array_equal(reach[free], finite[free])
@@ -259,11 +259,11 @@ class TestGreedyPick:
             if rng.random() < 0.3:
                 goals.insert(int(rng.integers(len(goals) + 1)), start)
             planner = MultiGoalPlanner(nav)
-            reach = planner.reachable(start, goals)
+            reach = planner.reachable(start, linear_array(goals, nav.spec))
             goals = [g for g, ok in zip(goals, reach) if ok]
             if not goals:
                 continue
-            k = planner.nearest(start, goals)
+            k = planner.nearest(start, linear_array(goals, nav.spec))
             full = full_solve(nav, start)
             rho, j, i = min((full.distance_to(g), g[1], g[0]) for g in goals)
             assert goals[k] == (i, j)
@@ -281,7 +281,7 @@ class TestGreedyPick:
         nav.state[0:5, 3] = BLOCKED
         planner = MultiGoalPlanner(nav)
         limits = counting_solves(planner)
-        goals = [(5, 0), (0, 9)]
+        goals = linear_array([(5, 0), (0, 9)], nav.spec)
         assert planner.nearest((0, 0), goals) == 1
         assert planner.distance_to((0, 9)) == pytest.approx(0.05 * 9)
         assert len(limits) > 1 and limits[0] < 9 <= limits[-1]
@@ -290,10 +290,10 @@ class TestGreedyPick:
         nav = free_grid(9, 9)
         start = (4, 4)
         # All four at 2 cells; the goals' list order is the reverse of the tie-break's.
-        goals = [(6, 4), (4, 6), (2, 4), (4, 2)]
+        goals = linear_array([(6, 4), (4, 6), (2, 4), (4, 2)], nav.spec)
         assert MultiGoalPlanner(nav).nearest(start, goals) == 3
         assert MultiGoalPlanner(nav).nearest(start, goals[:3]) == 2
-        assert MultiGoalPlanner(nav).nearest(start, [(6, 6), (2, 6)]) == 1
+        assert MultiGoalPlanner(nav).nearest(start, linear_array([(6, 6), (2, 6)], nav.spec)) == 1
 
     def test_nearest_solves_once_when_a_path_meets_its_octile_bound(self):
         # Open ground: the least octile bound is a path's exact length.
@@ -301,7 +301,7 @@ class TestGreedyPick:
         for goals in ([(15, 3)], [(17, 17), (3, 12)], [(8, 8), (8, 0)]):
             planner = MultiGoalPlanner(nav)
             limits = counting_solves(planner)
-            planner.nearest((8, 4), goals)
+            planner.nearest((8, 4), linear_array(goals, nav.spec))
             assert len(limits) == 1, goals
 
     def test_winner_on_the_limit_waits_for_a_rounding_tie(self, monkeypatch):
@@ -317,20 +317,20 @@ class TestGreedyPick:
         monkeypatch.setattr(planner_module, "BOUND_SLACK", a - octile((0, 0), (3, 4)))
         planner = MultiGoalPlanner(nav)
         limits = counting_solves(planner)
-        assert planner.nearest((0, 0), [(3, 4), (4, 3)]) == 1
+        assert planner.nearest((0, 0), linear_array([(3, 4), (4, 3)], nav.spec)) == 1
         assert limits[0] == a and len(limits) == 2
 
     def test_nearest_picks_the_start_when_it_is_a_goal(self):
         nav = free_grid(5, 5)
         planner = MultiGoalPlanner(nav)
-        assert planner.nearest((2, 2), [(4, 4), (2, 2)]) == 1
+        assert planner.nearest((2, 2), linear_array([(4, 4), (2, 2)], nav.spec)) == 1
         assert planner.path_to((2, 2)).cells == [(2, 2)]
 
     def test_nearest_without_a_reachable_goal_raises(self):
         nav = free_grid(6, 6)
         nav.state[:, 2] = BLOCKED
         with pytest.raises(NoPathError, match="no goal reachable"):
-            MultiGoalPlanner(nav).nearest((0, 0), [(4, 4), (5, 0)])
+            MultiGoalPlanner(nav).nearest((0, 0), linear_array([(4, 4), (5, 0)], nav.spec))
 
     def test_unsettled_goal_named_as_beyond_the_limit(self):
         nav = free_grid(10, 1)
@@ -404,7 +404,7 @@ class TestBuildGraph:
             every = [(i, j) for j in range(h) for i in range(w)]
             _, labels = connected_components(coo_graph(nav), directed=False)
             src = start[1] * w + start[0]
-            reach = MultiGoalPlanner(nav).reachable(start, every)
+            reach = MultiGoalPlanner(nav).reachable(start, linear_array(every, nav.spec))
             assert np.array_equal(reach, labels == labels[src])
             isolated += (labels == labels[src]).sum() == 1
         assert isolated > 5  # starts that closed corners cut off on every side

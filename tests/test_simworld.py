@@ -26,7 +26,7 @@ from fitslam.simworld import (
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
-from oracles import linear, look_per_pose
+from oracles import all_sensed, linear, look_per_pose
 from test_fisher import landmark_fim_reference, visible_reference
 
 
@@ -615,7 +615,8 @@ class TestTerrainOracle:
             sense_terrain_accumulate(world, state.pose, ref)
             assert np.array_equal(state.sensed, ref.count > 0), state.pose
             trav, _ = current_grids(state)
-            assert np.array_equal(trav.score, ref.score_cells().score, equal_nan=True)
+            assert np.array_equal(trav.score, ref.score_cells(all_sensed(spec)).score,
+                                  equal_nan=True)
             coverage.append(state.sensed.mean())
         # The first pose leaves cells unsensed, so Unknown cells are compared too.
         assert 0.0 < coverage[0] < 1.0

@@ -9,7 +9,7 @@ from fitslam import harness, traversability
 from fitslam.grid import BLOCKED, FREE, GridSpec, UNKNOWN
 from fitslam.simworld import WorldConfig, current_grids, generate_world
 from fitslam.traversability import TerrainStatsGrid, threshold
-from oracles import cell_metrics, score_cells
+from oracles import all_sensed, cell_metrics, score_cells
 from test_harness import tiny_world
 
 
@@ -114,7 +114,8 @@ class TestCellMetrics:
         assert step[0, 0] == pytest.approx(0.0)
         assert step[0, 1] == pytest.approx(0.4)
         assert step[0, 2] == pytest.approx(0.4)
-        assert stats.score_cells().score.tobytes() == score_cells(stats).tobytes()
+        got = stats.score_cells(all_sensed(stats.spec)).score
+        assert got.tobytes() == score_cells(stats).tobytes()
 
     def test_isolated_cell_has_zero_step(self):
         spec = GridSpec(1.0, 3, 3)
@@ -123,7 +124,8 @@ class TestCellMetrics:
             np.full(5, 1.5), 1.0 + np.linspace(0.1, 0.9, 5), np.full(5, 2.0)]))
         _, _, _, _, step = cell_metrics(stats)
         assert step[1, 1] == 0.0
-        assert stats.score_cells().score.tobytes() == score_cells(stats).tobytes()
+        got = stats.score_cells(all_sensed(stats.spec)).score
+        assert got.tobytes() == score_cells(stats).tobytes()
 
 
 class TestPlaneCache:
@@ -143,12 +145,13 @@ class TestPlaneCache:
     def test_accumulate_after_metrics_refits_the_plane(self):
         pts = self.points()
         stats = self.stats_with(pts[:40])
-        stats.score_cells()
+        stats.score_cells(all_sensed(stats.spec))
         stats.accumulate(pts[40:])
         fresh = self.stats_with(pts)
         for got, want in zip(cell_metrics(stats), cell_metrics(fresh)):
             assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(stats.score_cells().score, fresh.score_cells().score,
+        assert np.array_equal(stats.score_cells(all_sensed(stats.spec)).score,
+                              fresh.score_cells(all_sensed(fresh.spec)).score,
                               equal_nan=True)
 
     def test_plane_is_computed_once(self):
@@ -172,14 +175,14 @@ class TestScoreCells:
         stats = TerrainStatsGrid(GridSpec(1.0, 2, 1))
         stats.accumulate(np.column_stack([
             np.linspace(0.1, 0.9, 6), np.full(6, 0.5), np.zeros(6)]))
-        trav = stats.score_cells()
+        trav = stats.score_cells(all_sensed(stats.spec))
         assert trav.score[0, 0] == 1.0
         assert np.isnan(trav.score[0, 1])
 
     def test_too_few_points_is_unknown(self):
         stats = TerrainStatsGrid(one_cell_spec())
         stats.accumulate(np.array([[0.2, 0.2, 0], [0.8, 0.2, 0], [0.5, 0.8, 0]]))
-        trav = stats.score_cells()
+        trav = stats.score_cells(all_sensed(stats.spec))
         assert np.isnan(trav.score[0, 0])
 
     def test_slope_at_limit_scores_zero(self):
@@ -188,7 +191,7 @@ class TestScoreCells:
         xy = rng.uniform(0, 1, size=(50, 2))
         z = xy[:, 0] * math.tan(traversability.MAX_SLOPE)
         stats.accumulate(np.column_stack([xy, z]))
-        trav = stats.score_cells()
+        trav = stats.score_cells(all_sensed(stats.spec))
         assert trav.score[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_minimum_of_metric_scores(self):
@@ -198,7 +201,7 @@ class TestScoreCells:
         xy = rng.uniform(0, 1, size=(200, 2))
         z = rng.normal(0.0, 0.03, 200)
         stats.accumulate(np.column_stack([xy, z]))
-        trav = stats.score_cells()
+        trav = stats.score_cells(all_sensed(stats.spec))
         _, _, slope, roughness, _ = cell_metrics(stats)
         s_slope = 1.0 - slope[0, 0] / traversability.MAX_SLOPE
         s_rough = 1.0 - roughness[0, 0] / traversability.MAX_ROUGHNESS
@@ -209,7 +212,7 @@ class TestScoreCells:
 class TestThreshold:
     def test_unknown_preserved(self):
         stats = TerrainStatsGrid(GridSpec(1.0, 2, 2))
-        trav = stats.score_cells()
+        trav = stats.score_cells(all_sensed(stats.spec))
         nav = threshold(trav)
         assert np.all(nav.state == UNKNOWN)
 
@@ -253,8 +256,9 @@ def terrain_of(name):
 def mask_sequence(h, w, rng):
     """Sensed masks, in the order a test feeds them to one grid: a disk that
     grows, shrinks and jumps, masks on the border rows and columns, random ones,
-    and None (every cell with a point)."""
+    and the full mask (every cell with a point)."""
     jj, ii = np.ogrid[:h, :w]
+    full = np.ones((h, w), dtype=bool)
 
     def disk(cj, ci, r):
         return (jj - cj) ** 2 + (ii - ci) ** 2 <= r * r
@@ -263,14 +267,14 @@ def mask_sequence(h, w, rng):
     border[[0, -1]] = border[:, [0, -1]] = True
     walk = np.zeros((h, w), dtype=bool)
     masks = [disk(h // 2, w // 2, r) for r in (1, 3, 6, 11)]  # growing
-    masks += [disk(h // 2, w // 2, 4), None, disk(h // 2, w // 2, 2)]  # shrinking
+    masks += [disk(h // 2, w // 2, 4), full, disk(h // 2, w // 2, 2)]  # shrinking
     masks += [disk(0, 0, 5), disk(h - 1, w - 1, 5), disk(0, w - 1, 3), disk(h - 1, 0, 0)]
-    masks += [border, ~border, None, np.zeros((h, w), dtype=bool), None]
+    masks += [border, ~border, full, np.zeros((h, w), dtype=bool), full]
     masks += [rng.random((h, w)) < frac for frac in (0.5, 0.02, 0.9)]
     for cj, ci in zip(rng.integers(0, h, 6), rng.integers(0, w, 6)):
         walk = walk | disk(cj, ci, 4)  # a mission's union of looks
         masks.append(walk)
-    masks += [np.ones((h, w), dtype=bool), walk[::-1].copy(), None]
+    masks += [full, walk[::-1].copy(), full]
     return masks
 
 
@@ -307,7 +311,8 @@ class TestScoreMemo:
     def test_writing_into_a_returned_score_leaves_the_next_result(self):
         stats = sparse_stats()
         rng = np.random.default_rng(4)
-        for sensed in (rng.random(stats.count.shape) < 0.6, None, None):
+        full = all_sensed(stats.spec)
+        for sensed in (rng.random(stats.count.shape) < 0.6, full, full):
             trav = stats.score_cells(sensed)
             trav.score[:] = 0.5
             assert stats.score_cells(sensed).score.tobytes() == \

@@ -4,6 +4,7 @@ import pytest
 from fitslam import utility
 from fitslam.grid import GridSpec
 from fitslam.utility import UtilityParams, compute_u1, select_best, shortlist
+from oracles import linear_array
 
 SPEC = GridSpec(0.1, 50, 50)
 
@@ -14,12 +15,14 @@ def u1_of(rho, delta_e, alpha):
 
 
 def short_of(u1, rho, cells, n):
-    return shortlist(np.array(u1, dtype=float), np.array(rho, dtype=float), cells, n).tolist()
+    return shortlist(np.array(u1, dtype=float), np.array(rho, dtype=float),
+                     linear_array(cells, SPEC), n).tolist()
 
 
 @pytest.fixture
 def select(monkeypatch):
-    """`select_best` on lists, returning the u2 it ranked and the index it picked."""
+    """`select_best` on lists and (i, j) cells, returning the u2 it ranked and the
+    index it picked."""
     ranked, scores = utility._ranked, []
 
     def recorded(score, rho, cells):
@@ -30,7 +33,8 @@ def select(monkeypatch):
 
     def run(u1, info, rho, cells, beta=0.4):
         best = select_best(np.array(u1, dtype=float), np.array(info, dtype=float),
-                           np.array(rho, dtype=float), cells, UtilityParams(beta=beta))
+                           np.array(rho, dtype=float), linear_array(cells, SPEC),
+                           UtilityParams(beta=beta))
         return scores[-1].tolist(), best
     return run
 
@@ -143,7 +147,7 @@ class TestSelectBest:
         # so pure information ranking cannot change when raws are scaled.
         rng = np.random.default_rng(4)
         params, rho = UtilityParams(beta=0.0), 1.0 + np.arange(5)
-        cells = [(i, 0) for i in range(5)]
+        cells = linear_array([(i, 0) for i in range(5)], SPEC)
         for _ in range(10):
             info, u1 = np.array([(rng.uniform(0.1, 50), rng.uniform(0, 1)) for _ in cells]).T
             first = select_best(u1, info, rho, cells, params)
