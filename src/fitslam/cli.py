@@ -104,7 +104,8 @@ def _cmd_preview(args) -> int:
     config = _load_world(args.config)
     world = generate_world(config)
     occ = OccupancyGrid(world.spec, world.true_p)
-    trav = world.terrain.score_cells(np.ones((world.spec.height, world.spec.width), dtype=bool))
+    trav = world.terrain.score_cells(np.ones((world.spec.height, world.spec.width), dtype=bool),
+                                     traversability.ScoreMemo(world.spec))
     nav = traversability.threshold(trav)
 
     print("# true occupancy")

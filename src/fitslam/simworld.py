@@ -22,7 +22,7 @@ from .fisher import Camera, CameraPose
 from .grid import (FREE, BinaryTraversabilityGrid, ConfigError, GridSpec, OccupancyGrid,
                    UNKNOWN_P, _is_number, check_int, check_number)
 from .planner import Path
-from .traversability import TerrainStatsGrid
+from .traversability import ScoreMemo, TerrainStatsGrid
 
 P_CLAMP = (0.02, 0.98)  # occupancy of a cell seen free / seen occupied
 ROTATION_RATE = 1.0  # rad/s
@@ -258,8 +258,10 @@ def _check_numbers(values, n: int, what: str) -> None:
         raise ConfigError(f"{what} needs {n} finite numbers, got {values!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class World:
+    """A generated world: read-only tables that any number of missions may share."""
+
     config: WorldConfig
     spec: GridSpec
     occupied: np.ndarray              # bool, true-obstacle footprint
@@ -274,26 +276,31 @@ class World:
         """The positions and covariances of one representative landmark per
         occupied voxel (`fisher.voxelize`)."""
         reps = fisher.voxelize(self.landmark_positions)
-        return self.landmark_positions[reps], self.landmark_covariances[reps]
+        return tuple(map(_frozen, (self.landmark_positions[reps],
+                                   self.landmark_covariances[reps])))
 
     @functools.cached_property
     def terrain(self) -> TerrainStatsGrid:
-        """Every cell's moments of its `terrain_points`, the same from any pose. Built in
-        bands to bound the temporaries; a cell's sums add only its own points, in order."""
+        """Every cell's plane fit of its `terrain_points`, the same from any pose. The
+        points are made in bands, to bound the temporaries, into one array that one
+        `accumulate` call fits."""
+        points = np.empty((self.spec.n_cells, len(_CELL_SAMPLES), 3))
+        cells = np.arange(self.spec.n_cells)
+        for band, out in zip(np.array_split(cells, 16), np.array_split(points, 16)):
+            out[...] = terrain_points(self, *np.divmod(band, self.spec.width)).reshape(out.shape)
         stats = TerrainStatsGrid(self.spec)
-        for band in np.array_split(np.arange(self.spec.height * self.spec.width), 16):
-            stats.accumulate(terrain_points(self, *np.divmod(band, self.spec.width)))
+        stats.accumulate(points.reshape(-1, 3))
         return stats
 
     @functools.cached_property
     def true_p(self) -> np.ndarray:
         """The occupancy probability every cell shows once seen: P_CLAMP[1] on an obstacle."""
-        return np.where(self.occupied, P_CLAMP[1], P_CLAMP[0])
+        return _frozen(np.where(self.occupied, P_CLAMP[1], P_CLAMP[0]))
 
     @functools.cached_property
     def centers(self) -> tuple:
         """The cell centers' x per column and y per row (`GridSpec.cell_centers`)."""
-        return self.spec.cell_centers()
+        return tuple(map(_frozen, self.spec.cell_centers()))
 
     @functools.cached_property
     def wedge(self) -> tuple:
@@ -303,8 +310,14 @@ class World:
         n_rays, _ = wedge_size(self.config.sensors, self.spec.resolution)
         dr = self.spec.resolution / 2
         ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
-        return (np.linspace(-cam.fov / 2, cam.fov / 2, int(n_rays)), ranges,
-                np.arange(ranges.size))
+        return tuple(map(_frozen, (np.linspace(-cam.fov / 2, cam.fov / 2, int(n_rays)),
+                                   ranges, np.arange(ranges.size))))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr`, marked read-only."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _terrain_z(config: WorldConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,7 +356,8 @@ def generate_world(config: WorldConfig) -> World:
         occupied |= _footprint(ob, xs, ys[:, None])
 
     positions = _place_landmarks(config)
-    return World(config, spec, occupied, positions, fisher.default_covariances(len(positions)))
+    return World(config, spec, *map(_frozen, (occupied, positions,
+                                               fisher.default_covariances(len(positions)))))
 
 
 def _place_landmarks(config: WorldConfig) -> np.ndarray:
@@ -402,6 +416,7 @@ class MissionState:
     pose: tuple                  # (x, y, theta) true pose
     cov: np.ndarray              # 6x6 localization covariance
     first_seen: np.ndarray       # per landmark, the clock at first sight; inf if never seen
+    score_memo: ScoreMemo        # the last `current_grids` call's data flags and scores
     clock: float = 0.0
     distance: float = 0.0
     n_loop_closures: int = 0
@@ -417,11 +432,12 @@ class MissionState:
             pose=tuple(world.config.robot.start),
             cov=1e-4 * np.eye(6),
             first_seen=np.full(len(world.landmark_positions), np.inf),
+            score_memo=ScoreMemo(world.spec),
         )
 
 
-# Fractions of a cell at which synthetic terrain points are sampled; five
-# points satisfy the plane-fit minimum in one pass.
+# Fractions of a cell at which synthetic terrain points are sampled: five points,
+# not on one line, so every cell's plane fit is determined.
 _CELL_SAMPLES = np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.8], [0.8, 0.2], [0.8, 0.8]])
 
 
@@ -606,7 +622,7 @@ def current_grids(state: MissionState):
 
     The robot's own cell is Free whatever its score: the robot stands on it.
     """
-    trav = state.world.terrain.score_cells(state.sensed)
+    trav = state.world.terrain.score_cells(state.sensed, state.score_memo)
     nav = traversability.threshold(trav)
     i, j = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
     nav.state[j, i] = FREE

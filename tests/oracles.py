@@ -12,7 +12,7 @@ from fitslam.fisher import DEFAULT_SENSOR_HEIGHT, CameraPose, DegenerateLandmark
 from fitslam.grid import shift
 from fitslam.infogain import ARGMAX_TOL, ScanMemo, cast_ray, ray_directions, scan_many
 from fitslam.planner import SQRT2, NoPathError, Waypoint, sample_waypoints
-from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP, MIN_POINTS
+from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP
 
 
 def linear(cells, spec):
@@ -99,23 +99,21 @@ def cell_metrics(stats, sensed=None):
     """Per-cell (valid, mean_z, slope, roughness, step) arrays of a TerrainStatsGrid,
     over the whole grid by shifted copies.
 
-    valid is True where the cell holds at least MIN_POINTS points and is in the
-    bool `sensed` mask, if one is given. Slope is the angle between the
-    fitted-plane normal and vertical; roughness is the RMS residual; step is the
-    largest elevation difference to the mean of an 8-neighbor cell that has data
-    (a point, and in `sensed`; 0 when no neighbor has data).
+    valid is the bool `sensed` mask, every cell if none is given: a cell has data
+    once sensed. Slope is the angle between the fitted-plane normal and vertical;
+    roughness is the RMS residual; step is the largest elevation difference to the
+    mean of an 8-neighbor cell that has data (0 when no neighbor has data).
     """
-    has_data = stats.count > 0 if sensed is None else (stats.count > 0) & sensed
-    valid = (stats.count >= MIN_POINTS) & has_data
     mz, slope, roughness = stats.plane
+    valid = np.ones(mz.shape, dtype=bool) if sensed is None else sensed
     step = np.zeros_like(mz)
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
             nb_z = shift(mz, di, dj)
-            nb_ok = shift(has_data, di, dj)
-            diff = np.where(nb_ok & has_data, np.abs(mz - nb_z), 0.0)
+            nb_ok = shift(valid, di, dj)
+            diff = np.where(nb_ok & valid, np.abs(mz - nb_z), 0.0)
             step = np.maximum(step, diff)
     return valid, mz, slope, roughness, step
 
@@ -130,6 +128,58 @@ def score_cells(stats, sensed=None):
     s_step = np.clip(1.0 - step / MAX_STEP, 0.0, 1.0)
     score = np.minimum(np.minimum(s_slope, s_rough), s_step)
     return np.where(valid, score, np.nan)
+
+
+class MomentReference:
+    """The per-cell moment accumulator that `TerrainStatsGrid` replaced, kept as its
+    bit-exact reference: any (N, 3) points, in any number of `accumulate` calls, are
+    binned by `np.add.at` into (count, the three sums, the six sums of products of x,
+    y, z), each cell's in order from zero. A point outside the grid lands in no cell,
+    and a cell with under MIN_POINTS points has no plane and no score."""
+
+    MIN_POINTS = 5
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.moments = np.zeros((10, spec.height, spec.width))
+        self.count = self.moments[0]
+
+    def accumulate(self, points):
+        x, y, z = np.asarray(points, dtype=float).T
+        i, j, inside = self.spec.world_to_cells(x, y)
+        cell = j[inside] * self.spec.width + i[inside]
+        x, y, z = x[inside], y[inside], z[inside]
+        rows = self.moments.reshape(10, -1)
+        for row, v in zip(rows, (1.0, x, y, z, x * x, x * y, y * y, x * z, y * z, z * z)):
+            np.add.at(row, cell, v)
+
+    @property
+    def plane(self):
+        """Per-cell (mean_z, slope, roughness) from the moments."""
+        n = np.where(self.count > 0, self.count, 1.0)
+        mx, my, mz, exx, exy, eyy, exz, eyz, ezz = self.moments[1:] / n
+        cxx = exx - mx * mx
+        cxy = exy - mx * my
+        cyy = eyy - my * my
+        cxz = exz - mx * mz
+        cyz = eyz - my * mz
+        czz = ezz - mz * mz
+        det = cxx * cyy - cxy * cxy
+        ok = det > 1e-18
+        safe_det = np.where(ok, det, 1.0)
+        a = np.where(ok, (cxz * cyy - cyz * cxy) / safe_det, 0.0)
+        b = np.where(ok, (cyz * cxx - cxz * cxy) / safe_det, 0.0)
+        return mz, np.arctan(np.hypot(a, b)), np.sqrt(np.maximum(czz - a * cxz - b * cyz, 0.0))
+
+    @property
+    def static(self):
+        """min(s_slope, s_rough) on the grid padded by one cell, flat: NaN in the
+        padding and where a cell holds under MIN_POINTS points."""
+        _, slope, roughness = self.plane
+        s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)
+        s_rough = np.clip(1.0 - roughness / MAX_ROUGHNESS, 0.0, 1.0)
+        static = np.where(self.count >= self.MIN_POINTS, np.minimum(s_slope, s_rough), np.nan)
+        return np.pad(static, 1, constant_values=np.nan).ravel()
 
 
 # The per-pose frustum test and FIM that the stacked kernel `fisher.landmark_fim`

@@ -23,7 +23,7 @@ from fitslam.harness import (
 from fitslam.infogain import RayCastParams, ScanMemo, scan_orientations
 from fitslam.planner import MultiGoalPlanner, NoPathError
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
-from fitslam.traversability import threshold
+from fitslam.traversability import ScoreMemo, threshold
 from fitslam.utility import UtilityParams
 
 from oracles import all_sensed, fit_decision_per_candidate, linear_array
@@ -589,7 +589,7 @@ class TestCli:
             texts = {k: "\n".join(v) + "\n" for k, v in texts.items()}
             world = generate_world(WorldConfig.from_json(preset_world_path(preset)))
             occ = OccupancyGrid(world.spec, world.true_p)
-            trav = world.terrain.score_cells(all_sensed(world.spec))
+            trav = world.terrain.score_cells(all_sensed(world.spec), ScoreMemo(world.spec))
             nav = threshold(trav)
             assert texts == dict(zip(self.PREVIEW_SECTIONS,
                                      (occ.to_text(), trav.to_text(), nav.to_text())))

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -26,8 +28,37 @@ from fitslam.simworld import (
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
-from oracles import all_sensed, linear, look_per_pose
+from oracles import MomentReference, all_sensed, linear, look_per_pose, score_cells
 from test_fisher import landmark_fim_reference, visible_reference
+
+
+EDGE_WORLD_DIR = pathlib.Path(__file__).resolve().parent / "edge_worlds"
+EDGE_WORLDS = sorted(p.stem for p in EDGE_WORLD_DIR.glob("*.json"))
+
+
+def world_arrays(world):
+    """(path, array) of every array a World holds: in its fields and in the tables
+    it has cached so far, through tuples and fitslam objects."""
+    def walk(path, value):
+        if isinstance(value, np.ndarray):
+            yield path, value
+        elif isinstance(value, (tuple, list)):
+            for k, item in enumerate(value):
+                yield from walk(f"{path}[{k}]", item)
+        elif isinstance(value, dict):
+            for k, item in value.items():
+                yield from walk(f"{path}[{k!r}]", item)
+        elif type(value).__module__.startswith("fitslam."):
+            for k, item in vars(value).items():
+                yield from walk(f"{path}.{k}" if path else k, item)
+    return list(walk("", world))
+
+
+def build_every_table(world):
+    """Build each table the World caches (each `functools.cached_property`)."""
+    for name, attr in vars(World).items():
+        if isinstance(attr, functools.cached_property):
+            getattr(world, name)
 
 
 def tiny_config(**overrides):
@@ -349,18 +380,40 @@ class TestGenerateWorld:
         assert [(int(a), int(b)) for a, b in np.argwhere(nav.state == FREE)] == [(j, i)]
 
     @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
-    def test_terrain_holds_five_points_of_every_cell(self, preset):
+    def test_terrain_holds_five_points_of_every_cell(self, preset, monkeypatch):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
-        assert (world.terrain.count == 5).all()
-        assert world.terrain.count.sum() == 5 * world.spec.height * world.spec.width
+        calls = []
+        monkeypatch.setattr(TerrainStatsGrid, "accumulate",
+                            lambda self, points: calls.append(points.copy()))
         assert world.terrain is world.terrain  # built once per world
-
-    def test_terrain_banded_build_equals_one_shot(self):
-        world = generate_world(WorldConfig.from_json(fitslam.preset_world_path("ramp_yard")))
-        one_shot = TerrainStatsGrid(world.spec)
+        # One call, with the five points of every cell in row-major order.
         jj, ii = np.indices(world.occupied.shape).reshape(2, -1)
-        one_shot.accumulate(simworld.terrain_points(world, jj, ii))
-        assert np.array_equal(world.terrain.moments, one_shot.moments)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == simworld.terrain_points(world, jj, ii).tobytes()
+
+    @pytest.mark.parametrize("name", [*fitslam.PRESET_WORLDS, *EDGE_WORLDS])
+    def test_terrain_equals_moment_reference(self, name):
+        # The table sums each cell's samples in order from zero, as the moment
+        # accumulator did: its plane and static score are that accumulator's, bit
+        # for bit, signs of zero included.
+        path = EDGE_WORLD_DIR / f"{name}.json" if name in EDGE_WORLDS else \
+            fitslam.preset_world_path(name)
+        world = generate_world(WorldConfig.from_json(path))
+        ref = MomentReference(world.spec)
+        for band in np.array_split(np.arange(world.spec.n_cells), 16):
+            ref.accumulate(simworld.terrain_points(world, *np.divmod(band, world.spec.width)))
+        assert (ref.count == 5).all()
+        for got, want in zip(world.terrain.plane, ref.plane, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert world.terrain._static.tobytes() == ref.static.tobytes()
+
+    def test_every_world_array_is_read_only(self):
+        world = generate_world(tiny_config(obstacles=[{"x": 4.0, "y": 1.0, "w": 0.6, "h": 2.0}]))
+        build_every_table(world)
+        arrays = dict(world_arrays(world))
+        assert {"occupied", "landmark_positions", "terrain.plane[0]", "terrain._static",
+                "true_p", "centers[1]", "wedge[2]", "voxel_landmarks[1]"} <= set(arrays)
+        assert not [path for path, arr in arrays.items() if arr.flags.writeable]
 
 
 class TestSensing:
@@ -585,26 +638,25 @@ def lidar_window(world, pose):
     return j0, j1, i0, i1
 
 
-def sense_terrain_accumulate(world, pose, ref):
-    """Reference terrain update: accumulate into `ref` the terrain points of the
-    cells within the lidar radius that hold no points yet."""
+def lidar_disk(world, pose):
+    """The (H, W) mask of the cells whose centre lies within the lidar radius of
+    `pose`, over the whole grid."""
     px, py, _ = pose
     r = world.config.sensors.lidar_radius
-    j0, j1, i0, i1 = lidar_window(world, pose)
     xs, ys = world.centers
-    in_range = (xs[i0:i1] - px) ** 2 + (ys[j0:j1, None] - py) ** 2 <= r * r
-    fresh = in_range & (ref.count[j0:j1, i0:i1] == 0)
-    jj, ii = np.nonzero(fresh)
-    ref.accumulate(simworld.terrain_points(world, jj + j0, ii + i0))
+    return (xs - px) ** 2 + (ys[:, None] - py) ** 2 <= r * r
 
 
 class TestTerrainOracle:
+    """`sensed` is the union of the lidar disks of every look so far, and a
+    mission's scores are the whole-grid reference's under it."""
+
     @pytest.mark.parametrize("preset", fitslam.PRESET_WORLDS)
     def test_scores_match_fresh_cell_accumulate(self, preset):
         world = generate_world(WorldConfig.from_json(fitslam.preset_world_path(preset)))
         state = MissionState.initial(world)
-        ref = TerrainStatsGrid(world.spec)
         spec = world.spec
+        ref = np.zeros((spec.height, spec.width), dtype=bool)
         rng = np.random.default_rng(5)
         coverage = []
         for _ in range(8):
@@ -612,11 +664,10 @@ class TestTerrainOracle:
                                       int(rng.integers(spec.height)))
             state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
             simworld.sense(world, state)
-            sense_terrain_accumulate(world, state.pose, ref)
-            assert np.array_equal(state.sensed, ref.count > 0), state.pose
+            ref |= lidar_disk(world, state.pose)
+            assert np.array_equal(state.sensed, ref), state.pose
             trav, _ = current_grids(state)
-            assert np.array_equal(trav.score, ref.score_cells(all_sensed(spec)).score,
-                                  equal_nan=True)
+            assert trav.score.tobytes() == score_cells(world.terrain, ref).tobytes()
             coverage.append(state.sensed.mean())
         # The first pose leaves cells unsensed, so Unknown cells are compared too.
         assert 0.0 < coverage[0] < 1.0
@@ -629,8 +680,8 @@ class TestTerrainOracle:
         before = state.sensed[j0:j1, i0:i1].mean()
         state.pose = pose
         simworld.sense(world, state)
-        sense_terrain_accumulate(world, pose, ref)
-        assert np.array_equal(state.sensed, ref.count > 0), pose
+        ref |= lidar_disk(world, pose)
+        assert np.array_equal(state.sensed, ref), pose
         return before
 
     # A 4 m world under a 1 m lidar: windows of 22 cells a side, clipped at the edges.
@@ -641,7 +692,7 @@ class TestTerrainOracle:
     def test_repeated_pose_with_window_fully_sensed(self):
         world = generate_world(WorldConfig.from_dict(self.SMALL_LIDAR))
         state = MissionState.initial(world)
-        ref = TerrainStatsGrid(world.spec)
+        ref = np.zeros(state.sensed.shape, dtype=bool)
         lattice = [(x, y, 0.0) for y in (0.55, 1.55, 2.55, 3.55) for x in (0.55, 1.55, 2.55, 3.55)]
         for pose in lattice:
             self.look(world, state, ref, pose)
@@ -653,7 +704,7 @@ class TestTerrainOracle:
     def test_one_cell_steps_with_window_partly_sensed(self):
         world = generate_world(WorldConfig.from_dict(self.SMALL_LIDAR))
         state = MissionState.initial(world)
-        ref = TerrainStatsGrid(world.spec)
+        ref = np.zeros(state.sensed.shape, dtype=bool)
         spec = world.spec
         # From the middle to each edge one cell at a time, so each look after
         # the first finds part of its window sensed; the last ones reach the edge.
