@@ -281,15 +281,10 @@ class World:
 
     @functools.cached_property
     def terrain(self) -> TerrainStatsGrid:
-        """Every cell's plane fit of its `terrain_points`, the same from any pose. The
-        points are made in bands, to bound the temporaries, into one array that one
-        `accumulate` call fits."""
-        points = np.empty((self.spec.n_cells, len(_CELL_SAMPLES), 3))
-        cells = np.arange(self.spec.n_cells)
-        for band, out in zip(np.array_split(cells, 16), np.array_split(points, 16)):
-            out[...] = terrain_points(self, *np.divmod(band, self.spec.width)).reshape(out.shape)
+        """Every cell's plane fit of its `terrain_points`, the same from any pose, from
+        one `accumulate` call, which frees the points before it fits."""
         stats = TerrainStatsGrid(self.spec)
-        stats.accumulate(points.reshape(-1, 3))
+        stats.accumulate(terrain_points(self))
         return stats
 
     @functools.cached_property
@@ -484,13 +479,19 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     state.sensed[j0:j1, i0:i1] |= in_range
 
 
-def terrain_points(world: World, jj: np.ndarray, ii: np.ndarray) -> np.ndarray:
-    """The (5N, 3) lidar returns from cells (ii, jj): per cell, its _CELL_SAMPLES in order."""
+def terrain_points(world: World) -> np.ndarray:
+    """The (5 H W, 3) lidar returns of every cell, cell after cell in row-major order:
+    per cell, its _CELL_SAMPLES in order. Made in bands, to bound the temporaries."""
     res = world.spec.resolution
     xs, ys = world.centers
-    px = ((xs[ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 0] * res).ravel()
-    py = ((ys[jj] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 1] * res).ravel()
-    return np.column_stack([px, py, world.terrain_z(px, py)])
+    points = np.empty((world.spec.n_cells, len(_CELL_SAMPLES), 3))
+    for band, out in zip(np.array_split(np.arange(world.spec.n_cells), 16),
+                         np.array_split(points, 16)):
+        jj, ii = np.divmod(band, world.spec.width)
+        px = (xs[ii] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 0] * res
+        py = (ys[jj] - 0.5 * res)[:, None] + _CELL_SAMPLES[:, 1] * res
+        out[...] = np.stack([px, py, world.terrain_z(px, py)], axis=-1)
+    return points.reshape(-1, 3)
 
 
 def _sense_occupancy(world: World, state: MissionState) -> None:

@@ -18,8 +18,7 @@ MAX_SLOPE = np.deg2rad(30.0)  # rad
 MAX_ROUGHNESS = 0.05          # m, RMS residual to the fitted plane
 MAX_STEP = 0.15               # m, elevation jump vs. neighbor cells
 TRAV_THRESHOLD = 0.3          # lowest score of a Free cell
-# The (x, y, z) index pairs whose products a plane fit sums: xx, xy, yy, xz, yz, zz.
-_PRODUCTS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
+_PRODUCTS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))  # xx, xy, yy, xz, yz, zz
 
 
 class ScoreMemo:
@@ -43,7 +42,8 @@ class TerrainStatsGrid:
     def accumulate(self, points: np.ndarray) -> None:
         """Fit every cell's plane from the world-frame (N, 3) `points`: the same number
         of samples in each cell, cell after cell in row-major order. A cell's sums add
-        its samples in order, from zero."""
+        its samples in order, from zero. The points are dropped before the fit, so a
+        caller that passes its only reference to them frees them there."""
         samples = points.reshape(self.spec.n_cells, -1, 3)
         # Per cell, the sums of x, y and z, then of the products xx, xy, yy, xz, yz, zz.
         moments = np.zeros((9, self.spec.n_cells))
@@ -52,6 +52,7 @@ class TerrainStatsGrid:
             for row, (u, v) in zip(moments[3:], _PRODUCTS):
                 row += s[u] * s[v]
         moments /= samples.shape[1]
+        del points, samples, s
         mx, my, mz, cxx, cxy, cyy, cxz, cyz, czz = moments.reshape(9, self.spec.height,
                                                                     self.spec.width)
         # Centered second moments, in place of the raw ones.
@@ -68,7 +69,8 @@ class TerrainStatsGrid:
         a = np.where(ok, (cxz * cyy - cyz * cxy) / safe_det, 0.0)
         b = np.where(ok, (cyz * cxx - cxz * cxy) / safe_det, 0.0)
         slope = np.arctan(np.hypot(a, b))
-        roughness = np.sqrt(np.maximum(czz - a * cxz - b * cyz, 0.0))
+        resid_var = np.maximum(czz - a * cxz - b * cyz, 0.0)
+        roughness = np.sqrt(resid_var)
         # A copy, so the table does not keep the whole (9, H, W) moment array alive.
         self.plane = (mz.copy(), slope, roughness)
         s_slope = np.clip(1.0 - slope / MAX_SLOPE, 0.0, 1.0)

@@ -387,9 +387,12 @@ class TestGenerateWorld:
                             lambda self, points: calls.append(points.copy()))
         assert world.terrain is world.terrain  # built once per world
         # One call, with the five points of every cell in row-major order.
-        jj, ii = np.indices(world.occupied.shape).reshape(2, -1)
         assert len(calls) == 1
-        assert calls[0].tobytes() == simworld.terrain_points(world, jj, ii).tobytes()
+        x, y, z = calls[0].T
+        i, j, inside = world.spec.world_to_cells(x, y)
+        assert inside.all()
+        assert (j * world.spec.width + i == np.repeat(np.arange(world.spec.n_cells), 5)).all()
+        assert z.tobytes() == world.terrain_z(x, y).tobytes()
 
     @pytest.mark.parametrize("name", [*fitslam.PRESET_WORLDS, *EDGE_WORLDS])
     def test_terrain_equals_moment_reference(self, name):
@@ -400,8 +403,8 @@ class TestGenerateWorld:
             fitslam.preset_world_path(name)
         world = generate_world(WorldConfig.from_json(path))
         ref = MomentReference(world.spec)
-        for band in np.array_split(np.arange(world.spec.n_cells), 16):
-            ref.accumulate(simworld.terrain_points(world, *np.divmod(band, world.spec.width)))
+        for band in np.array_split(simworld.terrain_points(world), 16):
+            ref.accumulate(band)
         assert (ref.count == 5).all()
         for got, want in zip(world.terrain.plane, ref.plane, strict=True):
             assert got.tobytes() == want.tobytes()
@@ -490,11 +493,10 @@ class TestSensing:
     def test_terrain_points_are_cell_samples_in_order(self):
         world = generate_world(tiny_config(terrain={"type": "ramp", "grade": 0.1}))
         spec = world.spec
-        jj = np.array([0, 3, spec.height - 1, 3])
-        ii = np.array([0, 7, spec.width - 1, 2])
-        pts = simworld.terrain_points(world, jj, ii)
-        assert pts.shape == (5 * jj.size, 3)
-        for k, (j, i) in enumerate(zip(jj, ii)):
+        pts = simworld.terrain_points(world)
+        assert pts.shape == (5 * spec.n_cells, 3)
+        for j, i in ((0, 0), (3, 7), (spec.height - 1, spec.width - 1), (3, 2)):
+            k = j * spec.width + i
             for s, (fx, fy) in enumerate(simworld._CELL_SAMPLES):
                 x, y, z = pts[5 * k + s]
                 assert spec.world_to_cell(x, y) == (i, j)
