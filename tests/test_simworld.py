@@ -28,7 +28,7 @@ from fitslam.simworld import (
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
-from oracles import MomentReference, all_sensed, linear, look_per_pose, score_cells
+from oracles import MomentReference, linear, look_per_pose, score_cells
 from test_fisher import landmark_fim_reference, visible_reference
 
 
