@@ -6,7 +6,9 @@ a start on an edge or a corner cell, a 30 deg field of view from a corner,
 obstacles on the border, a ring around the start, a resolution that does not
 divide `size_m`, no landmarks, a ramp too steep for any cell to be Free, narrow
 bumps whose slope, roughness and step each pass their limit somewhere, so Free
-and Blocked cells interleave, and a world smaller than the camera's range.
+and Blocked cells interleave, a world smaller than the camera's range, a 360
+deg field of view, and a 9 deg one, just above the orientation scan's 8.5 deg
+ray step.
 Every strategy runs seed 1 on each for a short mission; a refactor that claims
 to change no behaviour leaves every metric CSV, goal sequence and termination
 byte-identical. A blacklist window that is not clipped at the grid's low edges
