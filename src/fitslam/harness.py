@@ -24,7 +24,8 @@ from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, sample_waypoints, Waypoint
 from .simworld import (ConfigError, MissionState, WorldConfig, check_ray_samples,
                        current_grids, execute_path, generate_world, initial_spin)
-from .utility import CandidateGoal, UtilityParams, compute_u1, select_best, shortlist
+from .utility import (CandidateGoal, UtilityParams, compute_u1, select_best, shortlist,
+                      shortlist_settled)
 
 STRATEGIES = ("fit", "greedy", "random")
 
@@ -100,17 +101,17 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
 def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparams, memo):
     """Fit: the goal of best u2 with its path and arrival orientation, or None.
 
-    One full solve gives every reachable cell its rho; the rest are blacklisted.
-    Only the u1 shortlist's paths are reconstructed and scored for information.
+    A breadth-first search finds the reachable cells; the rest are blacklisted.
+    Bounded solves then settle only as far as the u1 shortlist can reach, and
+    only the shortlist's paths are reconstructed and scored for information.
     """
-    planner.solve(start, math.inf)
-    rho = planner.distances(cells)
-    reached = np.isfinite(rho)
-    cells, rho = _keep(cells, reached, blacklist), rho[reached]
+    cells = _reachable_goals(planner, start, cells, blacklist)
     if not cells.size:
         return None
     scans = scan_many(occ, cells, rays, camera, memo)
-    u1 = compute_u1(rho, np.array([s.best_gain for s in scans]), uparams, world.spec.resolution)
+    gain = np.array([s.best_gain for s in scans])
+    rho = _shortlist_rho(planner, start, cells, gain, uparams)
+    u1 = compute_u1(rho, gain, uparams, world.spec.resolution)
     short = shortlist(u1, rho, cells, uparams.shortlist_n)
     info = np.empty(len(short))
     for n, k in enumerate(short.tolist()):
@@ -120,6 +121,14 @@ def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparam
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
     best = short[select_best(u1[short], info, rho[short], cells[short], uparams)]
     return _goal(planner, divmod(int(cells[best]), world.spec.width)[::-1], scans[best].best_theta)
+
+
+def _shortlist_rho(planner, start, cells, gain, uparams):
+    """Per reachable cell, its rho from bounded solves that settle until the u1
+    shortlist is exact; inf where a cell could not make the shortlist."""
+    res = planner.spec.resolution
+    return planner.settle(start, cells,
+                          lambda rho, limit_m: shortlist_settled(rho, gain, limit_m, uparams, res))
 
 
 def _keep(cells, ok, blacklist):

@@ -4,9 +4,10 @@ A* with the octile heuristic produces minimum-cost 8-connected paths over
 Free cells; it is the reference the tests check the program's solver against.
 Unknown cells are treated as non-traversable. The harness plans with
 `MultiGoalPlanner`, a single-source solver backed by scipy's Dijkstra on the
-same costs: fit solves once to every cell. Greedy and random find which
-candidates the robot can reach from one breadth-first search of the graph and
-settle their one pick, the nearest or a random draw, with bounded solves.
+same costs. Every strategy finds which candidates the robot can reach from one
+breadth-first search of the graph, then settles them with bounded solves grown
+until its choice is exact: greedy and random as far as their one pick, the
+nearest or a random draw, and fit as far as its u1 shortlist can reach.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .grid import BinaryTraversabilityGrid, shift
 
 SQRT2 = math.sqrt(2.0)
-# Added to the first bound of `MultiGoalPlanner.nearest`, in cells, so that
-# float rounding of a path that meets its octile bound cannot leave it unsettled.
-# Far below the gap between two distinct path costs on any grid we plan on.
+# Added to each octile distance `MultiGoalPlanner.settle` tries as its first limit,
+# in cells, so that float rounding of a path that meets its octile bound cannot
+# leave it unsettled. Far below the gap between two distinct path costs on any
+# grid we plan on.
 BOUND_SLACK = 1e-6
 # The 4 forward steps (di, dj, cost) in ascending order of the column offset
 # dj * width + di. Every cell's graph row lists them, then their reverses in
@@ -133,12 +135,12 @@ class MultiGoalPlanner:
     """Single-source shortest paths to many goals on one grid snapshot.
 
     Builds the 8-connected adjacency of the Free cells once and runs scipy's
-    Dijkstra; costs equal the A* costs of `plan`. Fit's solve settles every
-    node; a bounded one leaves the nodes past its limit at infinite distance.
-    `reachable` answers which goals a breadth-first search from the start
-    meets, without any solve. `nearest` finds the goal with the least
-    (distance, row, column), or settles a lone goal, through bounded solves,
-    after which `distance_to` and `path_to` serve it as after a full solve.
+    Dijkstra; costs equal the A* costs of `plan`. A bounded solve leaves the
+    nodes past its limit at infinite distance. `reachable` answers which goals
+    a breadth-first search from the start meets, without any solve. `settle`
+    grows bounded solves until a caller's stop test holds; `nearest` uses it to
+    find the goal with the least (distance, row, column), or to settle a lone
+    goal, after which `distance_to` and `path_to` serve it as after a full solve.
     A set of goals is one array of linear indices `j * width + i`; one goal,
     like the start, is an (i, j) pair.
     """
@@ -176,36 +178,57 @@ class MultiGoalPlanner:
                                 return_predecessors=False)] = True
         return met[goals]
 
-    def nearest(self, start: tuple, goals: np.ndarray) -> int:
-        """Index in `goals` of the goal with the least (distance_to, j, i), or (distance_to, index).
+    def settle(self, start: tuple, goals: np.ndarray, done) -> np.ndarray:
+        """Per goal, its path length in meters from bounded solves grown until
+        `done(rho, limit_m)` holds; inf where the last solve left it unsettled.
 
-        The first solve is bounded at the least octile distance to a goal,
-        which no path undercuts. Every goal a solve leaves unsettled is
-        farther than its limit, so once one settles, the least key among the
-        settled goals is the least of all goals. The winner must also lie
-        strictly inside the limit in meters, since an unsettled goal could
-        otherwise tie it by rounding. Until both hold, the limit grows by
-        x1.5 + 1 cell; past the longest possible path the solve is a full one.
-        Leaves the planner solved at the last limit, which holds the winner's
-        whole path.
+        Every goal a solve leaves unsettled is farther than its limit,
+        `limit_m` meters. The first limit is the least octile distance to a
+        goal at which `done` holds on straight paths, each goal at its octile
+        distance, which no path undercuts. It is bisected for, so `done` must
+        keep holding as the limit grows. Until `done` holds on a solve, the
+        limit grows by x1.5 + 1 cell; past the longest possible path the solve
+        is a full one, after which `done` is not asked. Leaves the planner
+        solved at the last limit.
         """
         src = self._start_index(start)
         w, res = self.spec.width, self.spec.resolution
         dx, dy = np.abs(goals % w - src % w), np.abs(goals // w - src // w)
         bound = (dx + dy) + (SQRT2 - 2.0) * np.minimum(dx, dy)
+        levels = np.unique(bound) + BOUND_SLACK
+
+        def holds(k):
+            return done(np.where(bound <= levels[k], bound * res, math.inf), levels[k] * res)
+
+        # Gallop, then bisect, for the least level where `done` holds.
+        lo = hi = 0
+        while hi < len(levels) - 1 and not holds(hi):
+            lo, hi = hi + 1, min(2 * hi + 1, len(levels) - 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+        limit = float(levels[lo])
         longest = SQRT2 * self.spec.n_cells  # no shortest path is longer
-        limit = float(bound.min()) + BOUND_SLACK
         while True:
             self.solve(start, limit)
             rho = self.distances(goals)
-            settled = np.flatnonzero(np.isfinite(rho))
-            if settled.size:
-                k = settled[np.lexsort((goals[settled], rho[settled]))[0]]
-                if rho[k] < limit * res:
-                    return int(k)
-            if limit == math.inf:
-                raise NoPathError(f"no goal reachable from {start}")
+            if limit == math.inf or done(rho, limit * res):
+                return rho
             limit = limit * 1.5 + 1.0 if limit < longest else math.inf
+
+    def nearest(self, start: tuple, goals: np.ndarray) -> int:
+        """Index in `goals` of the goal with the least (distance_to, j, i), or (distance_to, index).
+
+        Once one goal settles, the least key among the settled goals is the
+        least of all goals, provided the winner lies strictly inside the limit
+        in meters: an unsettled goal could otherwise tie it by rounding. Leaves
+        the planner solved at a limit that holds the winner's whole path.
+        """
+        rho = self.settle(start, goals, lambda rho, limit_m: rho.min() < limit_m)
+        settled = np.flatnonzero(np.isfinite(rho))
+        if not settled.size:
+            raise NoPathError(f"no goal reachable from {start}")
+        return int(settled[np.lexsort((goals[settled], rho[settled]))[0]])
 
     def distances(self, goals: np.ndarray) -> np.ndarray:
         """Per goal, its path length in meters after the last solve; inf where that

@@ -67,6 +67,26 @@ def shortlist(u1: np.ndarray, rho: np.ndarray, cells: np.ndarray, n: int) -> np.
     return _ranked(u1, rho, cells)[:n]
 
 
+def shortlist_settled(rho: np.ndarray, delta_e: np.ndarray, limit_m: float,
+                      params: UtilityParams, resolution: float) -> bool:
+    """Whether the u1 shortlist is exact, given rho from a solve bounded at
+    limit_m meters: finite where the solve settled the candidate, inf elsewhere.
+
+    An unsettled candidate's path is longer than limit_m, so its u1 is at most
+    its u1 at rho = limit_m, in floats too, since each operation of u1 rounds
+    monotonically. The shortlist is exact once min(shortlist_n, N) candidates
+    have settled, which makes the nearest one and so rho_min final, and the
+    n-th best settled u1 beats every unsettled bound strictly: an unsettled rho
+    can round to limit_m, tie on u1 and rho, and win on its cell.
+    """
+    settled = np.isfinite(rho)
+    n = min(params.shortlist_n, len(rho))
+    if np.count_nonzero(settled) < n:
+        return False
+    u1 = compute_u1(np.where(settled, rho, limit_m), delta_e, params, resolution)
+    return bool(np.partition(u1[settled], -n)[-n] > u1[~settled].max(initial=-np.inf))
+
+
 def select_best(u1: np.ndarray, info: np.ndarray, rho: np.ndarray, cells: np.ndarray,
                 params: UtilityParams) -> int:
     """Index of the shortlisted candidate of highest u2.

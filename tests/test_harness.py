@@ -252,9 +252,11 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
 ], ids=["flat_office", "obstacle_ring", "ramp_yard-300s"])
 def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeypatch):
     """Every fit decision of seed 1 against the per-candidate reference on a fresh
-    planner: the kept cells, in order, and the blacklist; rho, u1 and u2 bit for
-    bit; the shortlist order and the pick. The decision reads one distance and
-    reconstructs at most the shortlist's paths and the pick's."""
+    planner: the kept cells, in order, and the blacklist; rho and u1 bit for bit
+    where the decision settled them, and every cell it left unsettled past its
+    last limit and ranked after the shortlist; u2 bit for bit; the shortlist
+    order and the pick. The decision reads one distance and reconstructs at most
+    the shortlist's paths and the pick's."""
     fit_goal, seen = harness._fit_goal, {}
 
     def recorded(name, fn):
@@ -292,7 +294,15 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
         [((rho, _, _, _), u1)] = seen["compute_u1"]
         [(_, short)] = seen["shortlist"]
         u2 = seen["_ranked"][-1][0][0]
-        assert np.array_equal(rho, ref.rho) and np.array_equal(u1, ref.u1)
+        settled = np.isfinite(rho)
+        ref_rho, ref_u1 = np.array(ref.rho), np.array(ref.u1)
+        assert np.array_equal(rho[settled], ref_rho[settled])
+        assert np.array_equal(u1[settled], ref_u1[settled])
+
+        def key(k):
+            return (-ref_u1[k], ref_rho[k], *divmod(int(kept[k]), planner.spec.width))
+        assert all(key(k) > key(short[-1]) for k in np.flatnonzero(~settled))
+        assert (ref_rho[~settled] >= planner._limit * planner.spec.resolution).all()
         assert kept[short].tolist() == linear_array(ref.shortlist, planner.spec).tolist()
         assert np.array_equal(u2, ref.u2)
         assert (goal.cell, goal.rho, goal.path.cells, goal.theta_star) == ref.pick

@@ -6,7 +6,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
-from fitslam import planner as planner_module
+from fitslam import harness, planner as planner_module
 from fitslam.planner import (
     MultiGoalPlanner,
     NoPathError,
@@ -16,6 +16,7 @@ from fitslam.planner import (
     plan,
     sample_waypoints,
 )
+from fitslam.utility import UtilityParams, compute_u1, shortlist
 from oracles import dijkstra_oracle, linear_array
 
 
@@ -344,6 +345,108 @@ class TestGreedyPick:
         cut.solve((0, 0), math.inf)
         with pytest.raises(NoPathError, match="unreachable"):
             cut.distance_to((8, 0))
+
+
+def fit_settle(nav, start, goals, gain, params):
+    """Fit's bounded settle on a fresh planner against the full solve: the settled
+    rho and u1, the shortlist, the settled mask and the limit of every solve."""
+    planner = MultiGoalPlanner(nav)
+    limits = counting_solves(planner)
+    rho = harness._shortlist_rho(planner, start, goals, gain, params)
+    res = nav.spec.resolution
+    ref_rho = full_solve(nav, start).distances(goals)
+    ref_u1 = compute_u1(ref_rho, gain, params, res)
+    ref_short = shortlist(ref_u1, ref_rho, goals, params.shortlist_n)
+    settled = np.isfinite(rho)
+    u1 = compute_u1(rho, gain, params, res)
+    assert np.array_equal(rho[settled], ref_rho[settled])
+    assert np.array_equal(u1[settled], ref_u1[settled])
+    assert shortlist(u1, rho, goals, params.shortlist_n).tolist() == ref_short.tolist()
+    assert settled[ref_short].all()
+    # Every cell left unsettled lies past the last limit.
+    assert (ref_rho[~settled] >= limits[-1] * res).all()
+    return ref_u1, ref_short, settled, limits
+
+
+class TestFitSettle:
+    """`harness._shortlist_rho`, fit's bounded settle, against a full solve."""
+
+    GAINS = {
+        "ties": lambda rng, n: rng.integers(0, 3, size=n).astype(float),
+        "zero": lambda rng, n: np.zeros(n),
+        "spread": lambda rng, n: rng.uniform(0.0, 50.0, size=n),
+    }
+
+    def test_shortlist_matches_full_solve(self):
+        # Every alpha of criterion 8's range with gains that tie, all zero and
+        # spread; shortlist_n past the candidate count in about one case in four.
+        rng = np.random.default_rng(32)
+        cases = partial = tied = longer = 0
+        for alpha in (0.0, 0.35, 1.0):
+            for kind in ("ties", "zero", "spread"):
+                for nav, start in oracle_grids(rng, 40):
+                    free = np.argwhere(nav.state == FREE)
+                    every = linear_array([(int(i), int(j)) for j, i in free], nav.spec)
+                    reachable = every[MultiGoalPlanner(nav).reachable(start, every)]
+                    goals = rng.permutation(reachable)[:int(rng.integers(1, 40))]
+                    n = int(rng.integers(1, 4 * len(goals) // 3 + 2))
+                    gain = self.GAINS[kind](rng, len(goals))
+                    ref_u1, ref_short, settled, _ = fit_settle(
+                        nav, start, goals, gain, UtilityParams(alpha=alpha, shortlist_n=n))
+                    cases += 1
+                    partial += not settled.all()
+                    rest = np.setdiff1d(np.arange(len(goals)), ref_short)
+                    tied += bool(rest.size) and ref_u1[ref_short[-1]] in ref_u1[rest]
+                    longer += n > len(goals)
+        assert cases == 360 and partial > 60 and tied > 40 and longer > 40, \
+            (cases, partial, tied, longer)
+
+    def test_far_goal_of_high_gain_is_waited_for(self):
+        # The near goals are cheaper, but the far one's gain could still put it
+        # on a shortlist of one, so the first limit already reaches it.
+        nav = free_grid(30, 3)
+        goals = linear_array([(2, 1), (3, 1), (29, 1)], nav.spec)
+        _, ref_short, settled, limits = fit_settle(
+            nav, (0, 1), goals, np.array([0.0, 0.0, 10.0]), UtilityParams(shortlist_n=1))
+        assert ref_short.tolist() == [2] and settled[2] and limits[0] >= 29
+
+    def test_limit_grows_past_a_wall(self):
+        # Straight paths would settle (5, 0) at 5 cells, but it is 13 around the
+        # wall; (0, 9) is 9 away. On distance alone neither settles at 5 or 8.5.
+        nav = free_grid(7, 10)
+        nav.state[0:5, 3] = BLOCKED
+        goals = linear_array([(5, 0), (0, 9)], nav.spec)
+        _, ref_short, settled, limits = fit_settle(nav, (0, 0), goals, np.zeros(2),
+                                                   UtilityParams(alpha=1.0, shortlist_n=1))
+        assert ref_short.tolist() == [1] and settled[1]
+        assert len(limits) > 1 and limits[0] < 9 <= limits[-1]
+
+    def test_nearest_goal_alone_of_any_gain_settles_once(self):
+        # A shortlist of one where distance alone decides: the first limit, at
+        # the nearest goal's octile distance, already fixes it.
+        nav = free_grid(30, 3)
+        goals = linear_array([(29, 1), (2, 1)], nav.spec)
+        _, ref_short, settled, limits = fit_settle(nav, (0, 1), goals, np.array([5.0, 0.0]),
+                                                   UtilityParams(alpha=1.0, shortlist_n=1))
+        assert ref_short.tolist() == [1] and not settled[0] and len(limits) == 1
+
+    def test_shortlist_waits_for_a_rounding_tie(self, monkeypatch):
+        # As in `test_winner_on_the_limit_waits_for_a_rounding_tie`: (3, 4) and
+        # (4, 3) meet as one rho in meters though (4, 3)'s cost is one ulp more.
+        # A first limit exactly at (3, 4)'s settles it alone; with equal gains its
+        # u1 equals (4, 3)'s bound, and (4, 3) wins the tie on its row, so the
+        # bound must be beaten strictly.
+        nav = free_grid(5, 5, res=0.1)
+        for i, j in ((1, 0), (3, 0), (3, 2)):
+            nav.state[j, i] = BLOCKED
+        a = full_solve(nav, (0, 0))._dist[4 * 5 + 3]
+        monkeypatch.setattr(planner_module, "BOUND_SLACK", a - octile((0, 0), (3, 4)))
+        goals = linear_array([(3, 4), (4, 3)], nav.spec)
+        for alpha in (0.35, 1.0):
+            _, ref_short, settled, limits = fit_settle(nav, (0, 0), goals, np.ones(2),
+                                                       UtilityParams(alpha=alpha, shortlist_n=1))
+            assert ref_short.tolist() == [1] and settled.all()
+            assert limits[0] == a and len(limits) == 2
 
 
 class TestBuildGraph:
