@@ -7,8 +7,11 @@ obstacles on the border, a ring around the start, a resolution that does not
 divide `size_m`, no landmarks, a ramp too steep for any cell to be Free, narrow
 bumps whose slope, roughness and step each pass their limit somewhere, so Free
 and Blocked cells interleave, a world smaller than the camera's range, a 360
-deg field of view, and a 9 deg one, just above the orientation scan's 8.5 deg
-ray step.
+deg field of view, a 9 deg one, just above the orientation scan's 8.5 deg
+ray step, a camera range just above half a cell, the floor `WorldConfig`
+allows, so each occupancy ray has one sample, and a landmark exactly at the
+start's camera centre, which the initial spin and the first pose of every path
+fit scores meet at range 0.
 Every strategy runs seed 1 on each for a short mission; a refactor that claims
 to change no behaviour leaves every metric CSV, goal sequence and termination
 byte-identical. A blacklist window that is not clipped at the grid's low edges
