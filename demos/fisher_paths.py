@@ -12,7 +12,6 @@ import numpy as np
 
 from fitslam.fisher import (Camera, CameraPose, bearing, bearing_jacobian, default_covariances,
                             landmark_fim, path_information, voxelize)
-from fitslam.planner import Waypoint
 
 rng = np.random.default_rng(9)
 
@@ -37,10 +36,10 @@ print(f"  jacobian is tangent to the bearing: |b^T J| = "
       f"{np.abs(b @ J).max():.2e}")
 print(f"  single-landmark FIM trace: {np.trace(F):.3f}")
 
-# Two equal-length candidate paths to (6, 6).
-near = [Waypoint(x, 2.0 + (4.0 / 6.0) * x, math.atan2(2.0, 3.0))
+# Two equal-length candidate paths to (6, 6), as (x, y, heading) poses.
+near = [(x, 2.0 + (4.0 / 6.0) * x, math.atan2(2.0, 3.0))
         for x in np.linspace(0.0, 6.0, 7)]           # passes the cluster
-far = [Waypoint(6.0 - 1e-9, y, math.pi / 2)
+far = [(6.0 - 1e-9, y, math.pi / 2)
        for y in np.linspace(0.0, 6.0, 7)]            # hugs the far edge
 
 reps = voxelize(positions)

@@ -186,13 +186,15 @@ def voxelize(positions: np.ndarray) -> np.ndarray:
     return np.array([best[key][1] for key in sorted(best)], dtype=int)
 
 
-def path_information(waypoints: list, positions: np.ndarray, covariances: np.ndarray,
+def path_information(poses: list, positions: np.ndarray, covariances: np.ndarray,
                      camera: Camera) -> float:
     """Sum FIM traces of the landmarks (rows of `positions` and `covariances`, the
-    voxel representatives when scoring a path) that `camera` sees from the
-    waypoints: each waypoint sums its traces in row order, then the waypoints add up."""
-    pose = CameraPose.from_planar([wp.x for wp in waypoints], [wp.y for wp in waypoints],
-                                  [wp.heading for wp in waypoints], camera)
+    voxel representatives when scoring a path) that `camera` sees from the planar
+    (x, y, heading) poses: each pose sums its traces in row order, then the poses
+    add up; no pose gives 0."""
+    if not poses:
+        return 0.0
+    pose = CameraPose.from_planar(*zip(*poses), camera)
     seen, fims = landmark_fim(pose, positions, covariances)
     traces = np.trace(fims, axis1=1, axis2=2).tolist()
     total, start = 0.0, 0

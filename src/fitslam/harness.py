@@ -21,7 +21,7 @@ from .fisher import path_information
 from .frontier import Blacklist, cluster_frontiers, detect_frontiers
 from .grid import check_int
 from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
-from .planner import MultiGoalPlanner, sample_waypoints, Waypoint
+from .planner import MultiGoalPlanner, sample_waypoints
 from .simworld import (ConfigError, MissionState, WorldConfig, check_ray_samples,
                        current_grids, execute_path, generate_world, initial_spin)
 from .utility import (CandidateGoal, UtilityParams, compute_u1, select_best, shortlist,
@@ -117,7 +117,7 @@ def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparam
     for n, k in enumerate(short.tolist()):
         path = planner.path_to(divmod(int(cells[k]), world.spec.width)[::-1])
         wps = sample_waypoints(path, camera.max_depth, world.spec)
-        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, scans[k].best_theta)
+        wps[-1] = (*wps[-1][:2], scans[k].best_theta)
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
     best = short[select_best(u1[short], info, rho[short], cells[short], uparams)]
     return _goal(planner, divmod(int(cells[best]), world.spec.width)[::-1], scans[best].best_theta)

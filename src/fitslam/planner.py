@@ -46,13 +46,6 @@ class Path:
     length_m: float
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    x: float
-    y: float
-    heading: float
-
-
 def _neighbors(nav: BinaryTraversabilityGrid, i: int, j: int):
     """Yield (ni, nj, step_cost_cells) honoring bounds and corner cutting.
 
@@ -309,11 +302,14 @@ def _build_graph(nav: BinaryTraversabilityGrid):
 
 
 def sample_waypoints(path: Path, spacing_m: float, spec) -> list:
-    """Sample the path polyline at arc-length multiples of spacing_m.
+    """Sample the path polyline at arc-length multiples of spacing_m, as a list of
+    (x, y, heading) poses of Python floats.
 
-    The start and the final cell are always included. Each waypoint's heading
-    points toward the next sample; the final waypoint repeats the direction of
-    arrival (the caller overrides it with the chosen arrival orientation).
+    The start and the final cell are always included. Each pose's heading points
+    toward the next sample; the final pose repeats the direction of arrival (the
+    caller overrides it with the chosen arrival orientation). One `searchsorted`
+    finds every sample's segment. The headings are `math.atan2` per sample pair,
+    since numpy's `arctan2` rounds some of them differently.
     """
     if spacing_m <= 0:
         raise ValueError("spacing_m must be > 0")
@@ -321,25 +317,16 @@ def sample_waypoints(path: Path, spacing_m: float, spec) -> list:
         raise ValueError("path must be nonempty")
     pts = np.array([spec.cell_to_world(i, j) for i, j in path.cells])
     if len(pts) == 1:
-        return [Waypoint(pts[0][0], pts[0][1], 0.0)]
+        return [(*pts[0].tolist(), 0.0)]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
-    total = arc[-1]
-    targets = list(np.arange(0.0, total, spacing_m))
-    if not targets or total - targets[-1] > 1e-9:
-        targets.append(total)
-    samples = []
-    for s in targets:
-        k = int(np.searchsorted(arc, s, side="right")) - 1
-        k = min(k, len(seg) - 1)
-        frac = (s - arc[k]) / seg[k] if seg[k] > 0 else 0.0
-        samples.append(pts[k] + frac * (pts[k + 1] - pts[k]))
-    waypoints = []
-    for idx, p in enumerate(samples):
-        if idx + 1 < len(samples):
-            d = samples[idx + 1] - p
-            heading = math.atan2(d[1], d[0])
-        else:
-            heading = waypoints[-1].heading if waypoints else 0.0
-        waypoints.append(Waypoint(float(p[0]), float(p[1]), heading))
-    return waypoints
+    targets = np.arange(0.0, arc[-1], spacing_m)
+    if not targets.size or arc[-1] - targets[-1] > 1e-9:
+        targets = np.append(targets, arc[-1])
+    k = np.minimum(np.searchsorted(arc, targets, side="right") - 1, len(seg) - 1)
+    # A repeated cell makes a zero-length segment; its samples sit at its start.
+    frac = np.divide(targets - arc[k], seg[k], out=np.zeros_like(targets), where=seg[k] > 0)
+    xy = pts[k] + frac[:, None] * (pts[k + 1] - pts[k])
+    headings = [math.atan2(dy, dx) for dx, dy in np.diff(xy, axis=0).tolist()]
+    headings.append(headings[-1] if headings else 0.0)
+    return [(x, y, heading) for (x, y), heading in zip(xy.tolist(), headings)]

@@ -21,7 +21,7 @@ from . import fisher, traversability
 from .fisher import Camera, CameraPose
 from .grid import (FREE, BinaryTraversabilityGrid, ConfigError, GridSpec, OccupancyGrid,
                    UNKNOWN_P, _is_number, check_int, check_number)
-from .planner import Path
+from .planner import SQRT2, Path
 from .traversability import ScoreMemo, TerrainStatsGrid
 
 P_CLAMP = (0.02, 0.98)  # occupancy of a cell seen free / seen occupied
@@ -586,7 +586,7 @@ def execute_path(world: World, state: MissionState, path: Path, theta_star: floa
     looks = landmark_looks(world, poses)
     for prev, cell, pose, look in zip(cells, cells[1:], poses, looks):
         diagonal = prev[0] != cell[0] and prev[1] != cell[1]
-        dd = spec.resolution * (math.sqrt(2.0) if diagonal else 1.0)
+        dd = spec.resolution * (SQRT2 if diagonal else 1.0)
         state.cov = state.cov + sur.q * dd * _MOTION_DIRS
         state.pose = pose
         state.distance += dd

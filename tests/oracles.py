@@ -8,10 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from fitslam import fisher
-from fitslam.fisher import DEFAULT_SENSOR_HEIGHT, CameraPose, DegenerateLandmarkError
+from fitslam.fisher import (DEFAULT_SENSOR_HEIGHT, Camera, CameraPose, DegenerateLandmarkError,
+                            bearing)
 from fitslam.grid import shift
 from fitslam.infogain import ARGMAX_TOL, ScanMemo, cast_ray, ray_directions, scan_many
-from fitslam.planner import SQRT2, NoPathError, Waypoint, sample_waypoints
+from fitslam.planner import SQRT2, NoPathError
 from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP
 
 
@@ -259,15 +260,48 @@ def look_per_pose(x, y, heading, positions, covariances, camera):
     return observed, info
 
 
-def path_information_per_waypoint(waypoints, positions, covariances, camera):
-    """`fisher.path_information` one waypoint at a time: each waypoint sums its
-    traces in row order, unseen rows adding zero, then the waypoints add up."""
+def path_information_per_waypoint(poses, positions, covariances, camera):
+    """`fisher.path_information` one (x, y, heading) pose at a time: each pose sums
+    its traces in row order, unseen rows adding zero, then the poses add up."""
     total = 0.0
-    for wp in waypoints:
-        fims = landmark_fim_per_pose(planar_pose(wp.x, wp.y, wp.heading, camera),
-                                     positions, covariances)
+    for x, y, heading in poses:
+        fims = landmark_fim_per_pose(planar_pose(x, y, heading, camera), positions, covariances)
         total += sum(np.trace(fims, axis1=1, axis2=2).tolist())
     return total
+
+
+def sample_waypoints_loop(path, spacing_m, spec):
+    """`planner.sample_waypoints` one sample at a time, as it sampled before it
+    found every segment with one `searchsorted`: the same (x, y, heading) poses,
+    bit for bit, are asserted."""
+    if spacing_m <= 0:
+        raise ValueError("spacing_m must be > 0")
+    if not path.cells:
+        raise ValueError("path must be nonempty")
+    pts = np.array([spec.cell_to_world(i, j) for i, j in path.cells])
+    if len(pts) == 1:
+        return [(float(pts[0][0]), float(pts[0][1]), 0.0)]
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg)])
+    total = arc[-1]
+    targets = list(np.arange(0.0, total, spacing_m))
+    if not targets or total - targets[-1] > 1e-9:
+        targets.append(total)
+    samples = []
+    for s in targets:
+        k = int(np.searchsorted(arc, s, side="right")) - 1
+        k = min(k, len(seg) - 1)
+        frac = (s - arc[k]) / seg[k] if seg[k] > 0 else 0.0
+        samples.append(pts[k] + frac * (pts[k + 1] - pts[k]))
+    poses = []
+    for idx, p in enumerate(samples):
+        if idx + 1 < len(samples):
+            d = samples[idx + 1] - p
+            heading = math.atan2(d[1], d[0])
+        else:
+            heading = poses[-1][2] if poses else 0.0
+        poses.append((float(p[0]), float(p[1]), heading))
+    return poses
 
 
 # Fit's decision one candidate at a time, as the harness made it before it
@@ -309,8 +343,8 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
     paths, infos = [], []
     for k in short:
         paths.append(planner.path_to(kept[k]))
-        wps = sample_waypoints(paths[-1], camera.max_depth, world.spec)
-        wps[-1] = Waypoint(wps[-1].x, wps[-1].y, scans[k].best_theta)
+        wps = sample_waypoints_loop(paths[-1], camera.max_depth, world.spec)
+        wps[-1] = (wps[-1][0], wps[-1][1], scans[k].best_theta)
         infos.append(fisher.path_information(wps, *world.voxel_landmarks, camera))
     n_i = 1.0 / (1.0 + max(infos))
     ref.shortlist = [kept[k] for k in short]
@@ -320,3 +354,48 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
     k = short[best]
     ref.pick = (kept[k], rho[k], paths[best].cells, scans[k].best_theta)
     return ref
+
+
+# Finite-difference check of the analytic bearing Jacobian: a world-frame SE(3)
+# perturbation of a camera pose and central differences of `fisher.bearing`.
+
+def random_pose(rng):
+    """Random orthonormal camera pose from a QR factorization."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return CameraPose(q, rng.normal(scale=2.0, size=3), Camera())
+
+
+def exp_so3(phi):
+    angle = np.linalg.norm(phi)
+    if angle < 1e-12:
+        return np.eye(3)
+    axis = phi / angle
+    k = np.array([[0, -axis[2], axis[1]],
+                  [axis[2], 0, -axis[0]],
+                  [-axis[1], axis[0], 0]])
+    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+
+def perturb_pose(pose, delta):
+    """Left/world-frame SE(3) perturbation (rho, phi) of the camera pose."""
+    rho, phi = delta[:3], delta[3:]
+    r_wc = pose.rotation.T
+    center = -r_wc @ pose.translation
+    r_wc2 = exp_so3(phi) @ r_wc
+    center2 = center + rho + np.cross(phi, center)
+    r_cw2 = r_wc2.T
+    return CameraPose(r_cw2, -r_cw2 @ center2, pose.camera)
+
+
+def fd_jacobian(pose, position, step=1e-6):
+    cols = []
+    for k in range(6):
+        delta = np.zeros(6)
+        delta[k] = step
+        b_plus = bearing(perturb_pose(pose, delta), position)
+        b_minus = bearing(perturb_pose(pose, -delta), position)
+        cols.append((b_plus - b_minus) / (2 * step))
+    return np.column_stack(cols)

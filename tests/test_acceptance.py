@@ -16,14 +16,14 @@ import pytest
 
 import fitslam
 from fitslam import simworld
-from fitslam.fisher import Camera, bearing, bearing_jacobian, CameraPose
+from fitslam.fisher import Camera, bearing_jacobian
 from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, OccupancyGrid
 from fitslam.harness import ExperimentConfig, run_experiment, run_mission, summarize
 from fitslam.infogain import RayCastParams, cast_ray, cell_entropy, scan_orientations
 from fitslam.planner import NoPathError, SQRT2, plan
 from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams
-from oracles import brute_force_scan, dijkstra_oracle
+from oracles import brute_force_scan, dijkstra_oracle, fd_jacobian, random_pose
 from test_fingerprints import _load_checks
 
 EXPERIMENT_FINGERPRINTS = Path(__file__).resolve().parent / "experiment_fingerprints.json"
@@ -37,46 +37,6 @@ def report(capsys, n, ok, detail):
 
 
 # -- criterion 1: analytic bearing Jacobian vs central finite differences ----
-
-def exp_so3(phi):
-    angle = np.linalg.norm(phi)
-    if angle < 1e-12:
-        return np.eye(3)
-    axis = phi / angle
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
-
-
-def perturb_pose(pose, delta):
-    rho, phi = delta[:3], delta[3:]
-    r_wc = pose.rotation.T
-    center = -r_wc @ pose.translation
-    r_wc2 = exp_so3(phi) @ r_wc
-    center2 = center + rho + np.cross(phi, center)
-    r_cw2 = r_wc2.T
-    return CameraPose(r_cw2, -r_cw2 @ center2, pose.camera)
-
-
-def fd_jacobian(pose, position, step=1e-6):
-    cols = []
-    for k in range(6):
-        delta = np.zeros(6)
-        delta[k] = step
-        b_plus = bearing(perturb_pose(pose, delta), position)
-        b_minus = bearing(perturb_pose(pose, -delta), position)
-        cols.append((b_plus - b_minus) / (2 * step))
-    return np.column_stack(cols)
-
-
-def random_pose(rng):
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return CameraPose(q, rng.normal(scale=2.0, size=3), Camera())
-
 
 def test_criterion_1_jacobian_vs_finite_differences(capsys):
     rng = np.random.default_rng(101)

@@ -22,10 +22,9 @@ from fitslam.fisher import (
     voxelize,
 )
 from fitslam.grid import ConfigError
-from fitslam.planner import Waypoint
 from fitslam.simworld import WorldConfig, generate_world
-from oracles import (landmark_fim_per_pose, look_per_pose, path_information_per_waypoint,
-                     planar_pose, visible_per_pose)
+from oracles import (fd_jacobian, landmark_fim_per_pose, look_per_pose,
+                     path_information_per_waypoint, planar_pose, random_pose, visible_per_pose)
 
 
 DEFAULT_COV = default_covariances(1)[0]
@@ -95,48 +94,6 @@ def stacked_fim(pose, landmarks):
 def sees(pose, position):
     """`visible` for one world position."""
     return bool(visible(pose, np.array([position], dtype=float))[0])
-
-
-def random_pose(rng):
-    """Random orthonormal camera pose from a QR factorization."""
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return CameraPose(q, rng.normal(scale=2.0, size=3), Camera())
-
-
-def exp_so3(phi):
-    angle = np.linalg.norm(phi)
-    if angle < 1e-12:
-        return np.eye(3)
-    axis = phi / angle
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
-
-
-def perturb_pose(pose, delta):
-    """Left/world-frame SE(3) perturbation (rho, phi) of the camera pose."""
-    rho, phi = delta[:3], delta[3:]
-    r_wc = pose.rotation.T
-    center = -r_wc @ pose.translation
-    r_wc2 = exp_so3(phi) @ r_wc
-    center2 = center + rho + np.cross(phi, center)
-    r_cw2 = r_wc2.T
-    return CameraPose(r_cw2, -r_cw2 @ center2, pose.camera)
-
-
-def fd_jacobian(pose, position, step=1e-6):
-    cols = []
-    for k in range(6):
-        delta = np.zeros(6)
-        delta[k] = step
-        b_plus = bearing(perturb_pose(pose, delta), position)
-        b_minus = bearing(perturb_pose(pose, -delta), position)
-        cols.append((b_plus - b_minus) / (2 * step))
-    return np.column_stack(cols)
 
 
 class TestBearing:
@@ -538,11 +495,11 @@ class TestVoxelize:
         assert np.array_equal(covariances, world.landmark_covariances[reps])
 
 
-def path_information_oracle(waypoints, positions, covariances, camera):
-    """Every landmark row at every waypoint, through the scalar frustum test."""
+def path_information_oracle(poses, positions, covariances, camera):
+    """Every landmark row at every (x, y, heading) pose, through the scalar frustum test."""
     per_waypoint = []
-    for wp in waypoints:
-        pose = CameraPose.from_planar(wp.x, wp.y, wp.heading, camera)
+    for x, y, heading in poses:
+        pose = CameraPose.from_planar(x, y, heading, camera)
         total = 0.0
         for position, covariance in zip(positions, covariances):
             if visible_reference(pose, position):
@@ -551,23 +508,23 @@ def path_information_oracle(waypoints, positions, covariances, camera):
     return float(sum(per_waypoint))
 
 
-def path_information_checked(waypoints, positions, covariances, camera):
-    """`path_information`, asserted equal to the per-waypoint loop it replaced."""
-    value = path_information(waypoints, positions, covariances, camera)
-    assert value == path_information_per_waypoint(waypoints, positions, covariances, camera)
+def path_information_checked(poses, positions, covariances, camera):
+    """`path_information`, asserted equal to the per-pose loop it replaced."""
+    value = path_information(poses, positions, covariances, camera)
+    assert value == path_information_per_waypoint(poses, positions, covariances, camera)
     return value
 
 
 class TestPathInformation:
     def test_no_landmarks_zero(self):
-        wps = [Waypoint(0.0, 0.0, 0.0)]
+        wps = [(0.0, 0.0, 0.0)]
         assert path_information_checked(wps, np.zeros((0, 3)), np.zeros((0, 3, 3)),
                                         Camera()) == 0.0
         assert path_information_checked([], np.zeros((0, 3)), np.zeros((0, 3, 3)),
                                         Camera()) == 0.0
 
     def test_single_visible_pair(self):
-        wp = Waypoint(0.0, 0.0, 0.0)
+        wp = (0.0, 0.0, 0.0)
         position = np.array([2.0, 0.0, 0.5])
         pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera())
         expected = float(np.trace(landmark_fim_reference(pose, position, DEFAULT_COV)))
@@ -576,7 +533,7 @@ class TestPathInformation:
                                         Camera()) == expected
 
     def test_duplicate_landmark_value_unchanged(self):
-        wp = Waypoint(0.0, 0.0, 0.0)
+        wp = (0.0, 0.0, 0.0)
         positions = np.array([[2.0, 0.0, 0.5], [2.0, 0.0, 0.5]])
         covariances = default_covariances(2)
         values = []
@@ -587,7 +544,7 @@ class TestPathInformation:
         assert values[1] == values[0]
 
     def test_landmark_out_of_frustum_ignored(self):
-        wp = Waypoint(0.0, 0.0, 0.0)  # looking along +x
+        wp = (0.0, 0.0, 0.0)  # looking along +x
         behind = np.array([[-2.0, 0.0, 0.5]])
         assert path_information_checked([wp], behind, default_covariances(1), Camera()) == 0.0
 
@@ -596,7 +553,7 @@ class TestPathInformation:
         values = []
         for _ in range(30):
             positions = rng.uniform([0, 0, 0], [8, 8, 1.5], size=(40, 3))
-            wps = [Waypoint(*xy, h) for xy, h in zip(rng.uniform(0, 8, size=(6, 2)),
+            wps = [(*xy, h) for xy, h in zip(rng.uniform(0, 8, size=(6, 2)),
                                                      rng.uniform(-math.pi, math.pi, 6))]
             camera = Camera(rng.uniform(0.3, 2.5), rng.uniform(1.0, 6.0))
             reps = voxelize(positions)
@@ -608,13 +565,13 @@ class TestPathInformation:
 
     def test_frustum_edges_match_scalar_double_loop(self):
         fov, depth = math.radians(87.0), 5.0
-        wps = [Waypoint(1.0, 2.0, h) for h in (0.0, 0.7, math.pi / 2, -2.9)]
+        wps = [(1.0, 2.0, h) for h in (0.0, 0.7, math.pi / 2, -2.9)]
         positions = []
-        for wp in wps:
-            center = np.array([wp.x, wp.y, DEFAULT_SENSOR_HEIGHT])  # the camera of from_planar
+        for x, y, wp_heading in wps:
+            center = np.array([x, y, DEFAULT_SENSOR_HEIGHT])  # the camera of from_planar
             for angle, dist in ((fov / 2, 3.0), (-fov / 2, 3.0), (0.0, depth),
                                 (fov / 2, depth), (fov / 2 + 1e-6, 3.0), (0.0, depth + 1e-9)):
-                heading = wp.heading + angle
+                heading = wp_heading + angle
                 positions.append(center + dist * np.array(
                     [math.cos(heading), math.sin(heading), 0.0]))
         positions = np.array(positions)

@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+import fitslam
 from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
 from fitslam import harness, planner as planner_module
 from fitslam.planner import (
@@ -16,8 +17,9 @@ from fitslam.planner import (
     plan,
     sample_waypoints,
 )
+from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams, compute_u1, shortlist
-from oracles import dijkstra_oracle, linear_array
+from oracles import dijkstra_oracle, linear_array, sample_waypoints_loop
 
 
 def free_grid(w, h, res=0.05):
@@ -518,31 +520,67 @@ class TestSampleWaypoints:
         spec = GridSpec(0.1, 10, 10)
         wps = sample_waypoints(Path([(3, 4)], 0.0), 2.0, spec)
         assert len(wps) == 1
-        assert (wps[0].x, wps[0].y) == pytest.approx((0.35, 0.45))
+        assert wps[0][:2] == pytest.approx((0.35, 0.45))
 
     def test_straight_path_spacing(self):
         spec = GridSpec(1.0, 12, 2)
         cells = [(i, 0) for i in range(11)]  # 10 m of cardinal steps
         wps = sample_waypoints(Path(cells, 10.0), 4.0, spec)
-        xs = [wp.x for wp in wps]
+        xs = [x for x, _, _ in wps]
         assert xs == pytest.approx([0.5, 4.5, 8.5, 10.5])
-        assert all(wp.heading == pytest.approx(0.0) for wp in wps)
+        assert all(heading == pytest.approx(0.0) for _, _, heading in wps)
 
     def test_spacing_larger_than_path(self):
         spec = GridSpec(1.0, 5, 2)
         cells = [(0, 0), (1, 0), (2, 0)]
         wps = sample_waypoints(Path(cells, 2.0), 50.0, spec)
         assert len(wps) == 2
-        assert (wps[0].x, wps[-1].x) == (0.5, 2.5)
+        assert (wps[0][0], wps[-1][0]) == (0.5, 2.5)
 
     def test_final_heading_repeats_previous(self):
         spec = GridSpec(1.0, 6, 6)
         cells = [(0, 0), (1, 1), (2, 2)]
         wps = sample_waypoints(Path(cells, 2 * SQRT2), 1.0, spec)
-        assert wps[-1].heading == pytest.approx(wps[-2].heading)
-        assert wps[0].heading == pytest.approx(math.pi / 4)
+        assert wps[-1][2] == pytest.approx(wps[-2][2])
+        assert wps[0][2] == pytest.approx(math.pi / 4)
 
     def test_bad_spacing_rejected(self):
         spec = GridSpec(1.0, 3, 3)
         with pytest.raises(ValueError):
             sample_waypoints(Path([(0, 0)], 0.0), 0.0, spec)
+
+    @pytest.mark.parametrize("cells, spacing", [
+        ([(3, 4)], 0.3),                                  # one cell
+        ([(0, 0), (1, 0), (2, 0)], 0.5),                  # shorter than the spacing
+        ([(i, 2) for i in range(11)], 0.5),               # 2 m, four spacings
+        ([(i, 2) for i in range(11)], 0.2),               # a sample on every cell
+        ([(i, 2) for i in range(4)], 0.3),                # 0.6 m; 2 * 0.3 falls 1e-16 short
+        ([(i, i) for i in range(9)], 0.3),                # a diagonal run
+        ([(1, 1), (1, 1), (2, 2), (3, 2), (3, 2)], 0.1),  # repeated cells: zero-length segments
+    ], ids=["one_cell", "shorter_than_spacing", "exact_multiple", "spacing_is_a_cell",
+            "rounding_short_of_the_end", "diagonal_run", "repeated_cells"])
+    def test_matches_per_sample_loop(self, cells, spacing):
+        """The same (x, y, heading) tuples of Python floats as the per-sample loop."""
+        spec = GridSpec(0.2, 12, 12)
+        wps = sample_waypoints(Path(cells, 0.0), spacing, spec)
+        assert wps == sample_waypoints_loop(Path(cells, 0.0), spacing, spec)
+        assert all(type(v) is float for pose in wps for v in pose)
+
+    @pytest.mark.slow
+    def test_matches_per_sample_loop_on_every_fit_path(self, monkeypatch):
+        """Every path fit scores in seed 1 on each preset samples to the per-sample
+        loop's poses, bit for bit."""
+        paths = []
+
+        def recorded(path, spacing_m, spec):
+            paths.append((path, spacing_m, spec))
+            return sample_waypoints(path, spacing_m, spec)
+
+        monkeypatch.setattr(harness, "sample_waypoints", recorded)
+        for preset in fitslam.PRESET_WORLDS:
+            config = WorldConfig.from_json(fitslam.preset_world_path(preset))
+            harness.run_mission(config, "fit", 1)
+        assert len(paths) > 500
+        for path, spacing_m, spec in paths:
+            assert sample_waypoints(path, spacing_m, spec) == \
+                sample_waypoints_loop(path, spacing_m, spec)
