@@ -1,10 +1,10 @@
 """Mission loop and three-strategy experiment runner.
 
 Every strategy shares the identical sensing, traversability, frontier and
-planning stack; only the goal selection differs. The runner writes one
-metrics CSV per (strategy, seed), an aggregate summary, and two SVG line
-charts overlaying the covariance trace and the unexplored percentage over
-simulated time.
+planning stack; only the goal selection differs, and one decision function,
+`_next_goal`, makes it for all three. The runner writes one metrics CSV per
+(strategy, seed), an aggregate summary, and two SVG line charts overlaying
+the covariance trace and the unexplored percentage over simulated time.
 """
 
 from __future__ import annotations
@@ -98,16 +98,34 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
                       2 * math.pi / rays.delta_theta, 2 * camera.max_depth / world.resolution)
 
 
-def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparams, memo):
-    """Fit: the goal of best u2 with its path and arrival orientation, or None.
+def _next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera, world,
+               uparams, memo):
+    """The strategy's goal with its path and arrival orientation, or None.
 
-    A breadth-first search finds the reachable cells; the rest are blacklisted.
-    Bounded solves then settle only as far as the u1 shortlist can reach, and
-    only the shortlist's paths are reconstructed and scored for information.
+    A breadth-first search keeps the reachable cells and blacklists the rest;
+    with none kept, this returns before any draw, scan or solve. Fit picks by
+    `_fit_pick`. Greedy takes the kept cell with the least (rho, j, i), random
+    draws one, and either scans the orientations at its pick. The path is the
+    last bounded solve's, which settled only as far as the pick needs.
     """
-    cells = _reachable_goals(planner, start, cells, blacklist)
-    if not cells.size:
+    goals = _keep(cells, planner.reachable(start, cells), blacklist)
+    if not goals.size:
         return None
+    if strategy == "fit":
+        cell, theta_star = _fit_pick(planner, start, goals, occ, rays, camera, world, uparams, memo)
+    else:
+        if strategy == "random":
+            goals = goals[[rng.integers(len(goals))]]
+        cell = divmod(int(goals[planner.nearest(start, goals)]), planner.spec.width)[::-1]
+        theta_star = scan_orientations(occ, cell, rays, camera).best_theta
+    return CandidateGoal(cell, planner.distance_to(cell), planner.path_to(cell), theta_star)
+
+
+def _fit_pick(planner, start, cells, occ, rays, camera, world, uparams, memo):
+    """Fit's pick among the reachable cells, the one of best u2, and its scan's
+    best orientation. Bounded solves settle only as far as the u1 shortlist can
+    reach, and only the shortlist's paths are reconstructed and scored for
+    information."""
     scans = scan_many(occ, cells, rays, camera, memo)
     gain = np.array([s.best_gain for s in scans])
     rho = _shortlist_rho(planner, start, cells, gain, uparams)
@@ -120,7 +138,7 @@ def _fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparam
         wps[-1] = (*wps[-1][:2], scans[k].best_theta)
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
     best = short[select_best(u1[short], info, rho[short], cells[short], uparams)]
-    return _goal(planner, divmod(int(cells[best]), world.spec.width)[::-1], scans[best].best_theta)
+    return divmod(int(cells[best]), world.spec.width)[::-1], scans[best].best_theta
 
 
 def _shortlist_rho(planner, start, cells, gain, uparams):
@@ -137,31 +155,6 @@ def _keep(cells, ok, blacklist):
     for cell in zip(i.tolist(), j.tolist()):
         blacklist.add(cell)
     return cells[ok]
-
-
-def _reachable_goals(planner, start, cells, blacklist):
-    """The cells a breadth-first search from start meets, in order; the rest are blacklisted."""
-    return _keep(cells, planner.reachable(start, cells), blacklist)
-
-
-def _goal(planner, cell, theta_star):
-    """The picked cell with its path from the last solve, which must have settled it."""
-    return CandidateGoal(cell, planner.distance_to(cell), planner.path_to(cell), theta_star)
-
-
-def _single_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera):
-    """Greedy and random: one goal with its path and arrival orientation, or None.
-
-    Greedy takes the reachable cell with the least (rho, j, i), random draws
-    one. Either way bounded solves settle only as far as that cell.
-    """
-    goals = _reachable_goals(planner, start, cells, blacklist)
-    if not goals.size:
-        return None
-    if strategy == "random":
-        goals = goals[[rng.integers(len(goals))]]
-    cell = divmod(int(goals[planner.nearest(start, goals)]), planner.spec.width)[::-1]
-    return _goal(planner, cell, scan_orientations(occ, cell, rays, camera).best_theta)
 
 
 def run_mission(config: WorldConfig, strategy: str, seed: int,
@@ -201,12 +194,8 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
 
         planner = MultiGoalPlanner(nav)
         start = spec.world_to_cell(state.pose[0], state.pose[1])
-        if strategy == "fit":
-            goal = _fit_goal(planner, start, cells, blacklist, state.occ, rays, camera, world,
-                             uparams, memo)
-        else:
-            goal = _single_goal(strategy, rng, planner, start, cells, blacklist,
-                                state.occ, rays, camera)
+        goal = _next_goal(strategy, rng, planner, start, cells, blacklist, state.occ, rays,
+                          camera, world, uparams, memo)
         if goal is None:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.

@@ -121,12 +121,14 @@ def pocket_nav():
 
 
 def pocket_decision(strategy, cells, rng=None):
-    """`harness._single_goal` from (1, 3) on `pocket_nav()`: the goal and the blacklist."""
+    """`harness._next_goal` from (1, 3) on `pocket_nav()` with no world: the goal
+    and the blacklist."""
     nav = pocket_nav()
     blacklist = Blacklist(nav.spec)
-    goal = harness._single_goal(strategy, rng, MultiGoalPlanner(nav), (1, 3),
-                                linear_array(cells, nav.spec), blacklist,
-                                OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera())
+    goal = harness._next_goal(strategy, rng, MultiGoalPlanner(nav), (1, 3),
+                              linear_array(cells, nav.spec), blacklist,
+                              OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera(), None,
+                              UtilityParams(), ScanMemo())
     return goal, blacklist
 
 
@@ -145,23 +147,17 @@ class TestGreedyDecision:
         assert (goal.cell, goal.rho) == ((3, 3), pytest.approx(0.2))
         assert np.array_equal(blacklist.mask, blacklist_of([(17, 3)]))
 
-    def test_nothing_reachable_blacklists_every_cell(self):
-        cells = [(16, 2), (18, 4)]
-        goal, blacklist = pocket_decision("greedy", cells)
+
+class TestStalledDecision:
+    @pytest.mark.parametrize("strategy", harness.STRATEGIES)
+    def test_nothing_reachable_blacklists_every_cell_and_draws_nothing(self, strategy):
+        # No world is needed: the decision returns before it draws or scores anything.
+        cells, rng = [(16, 2), (18, 4)], np.random.default_rng(0)
+        state = rng.bit_generator.state
+        goal, blacklist = pocket_decision(strategy, cells, rng)
         assert goal is None
         assert np.array_equal(blacklist.mask, blacklist_of(cells))
-
-
-class TestFitDecision:
-    def test_nothing_reachable_blacklists_every_cell_and_scores_nothing(self):
-        # No world is needed: the decision returns before it scores anything.
-        nav, cells = pocket_nav(), [(16, 2), (18, 4)]
-        blacklist = Blacklist(nav.spec)
-        goal = harness._fit_goal(MultiGoalPlanner(nav), (1, 3), linear_array(cells, nav.spec),
-                                 blacklist, OccupancyGrid.unknown(nav.spec), RayCastParams(),
-                                 Camera(), None, UtilityParams(), ScanMemo())
-        assert goal is None
-        assert np.array_equal(blacklist.mask, blacklist_of(cells))
+        assert rng.bit_generator.state == state
 
 
 class TestRandomDecision:
@@ -197,11 +193,11 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
     greedy's pick is the least (rho, j, i) and random's the goal its draw names,
     with the full solve's rho and path; every node the last bounded solve
     settled is the full solve's."""
-    single_goal, reachable_goals = harness._single_goal, harness._reachable_goals
+    next_goal, keep = harness._next_goal, harness._keep
     lists, decisions = [], []
 
     def recorded(*args):
-        lists.append(reachable_goals(*args))
+        lists.append(keep(*args))
         return lists[-1]
 
     def spy(strategy, rng, planner, start, cells, blacklist, *scan_args):
@@ -217,7 +213,7 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
             except NoPathError:
                 expected.add(cell)
         draw = copy.deepcopy(rng)
-        goal = single_goal(strategy, rng, planner, start, cells, blacklist, *scan_args)
+        goal = next_goal(strategy, rng, planner, start, cells, blacklist, *scan_args)
         goals = [(i, j) for _, j, i in keys]
         assert lists.pop().tolist() == linear_array(goals, planner.spec).tolist()
         assert np.array_equal(blacklist.mask, expected.mask)
@@ -237,8 +233,8 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         decisions.append(pick)
         return goal
 
-    monkeypatch.setattr(harness, "_reachable_goals", recorded)
-    monkeypatch.setattr(harness, "_single_goal", spy)
+    monkeypatch.setattr(harness, "_keep", recorded)
+    monkeypatch.setattr(harness, "_next_goal", spy)
     config = WorldConfig.from_json(preset_world_path(preset))
     log = run_mission(config, strategy, seed=1, max_mission_time=max_time)
     assert len(decisions) >= len(log.goal_sequence) > 5
@@ -257,7 +253,7 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
     last limit and ranked after the shortlist; u2 bit for bit; the shortlist
     order and the pick. The decision reads one distance and reconstructs at most
     the shortlist's paths and the pick's."""
-    fit_goal, seen = harness._fit_goal, {}
+    next_goal, seen = harness._next_goal, {}
 
     def recorded(name, fn):
         def wrapper(*args):
@@ -271,7 +267,8 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
     monkeypatch.setattr(utility, "_ranked", recorded("_ranked", utility._ranked))
     decisions = []
 
-    def spy(planner, start, cells, blacklist, occ, rays, camera, world, uparams, memo):
+    def spy(strategy, rng, planner, start, cells, blacklist, occ, rays, camera, world, uparams,
+            memo):
         expected = Blacklist(planner.spec)
         expected.mask = blacklist.mask.copy()
         ref = fit_decision_per_candidate(MultiGoalPlanner(planner.nav), start, cells, expected,
@@ -283,8 +280,8 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
                 return bound(cell)
             setattr(planner, method, counted)
         seen.clear()
-        goal = fit_goal(planner, start, cells, blacklist, occ, rays, camera, world, uparams,
-                        memo)
+        goal = next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera,
+                         world, uparams, memo)
         [(_, kept)] = seen.pop("_keep")
         assert kept.tolist() == linear_array(ref.cells, planner.spec).tolist()
         assert np.array_equal(blacklist.mask, expected.mask)
@@ -311,7 +308,7 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
         decisions.append(goal.cell)
         return goal
 
-    monkeypatch.setattr(harness, "_fit_goal", spy)
+    monkeypatch.setattr(harness, "_next_goal", spy)
     config = WorldConfig.from_json(preset_world_path(preset))
     log = run_mission(config, "fit", seed=1, max_mission_time=max_time)
     assert len(decisions) >= len(log.goal_sequence) > 5
