@@ -150,8 +150,9 @@ class TestGreedyDecision:
 
 class TestStalledDecision:
     @pytest.mark.parametrize("strategy", harness.STRATEGIES)
-    def test_nothing_reachable_blacklists_every_cell_and_draws_nothing(self, strategy):
-        # No world is needed: the decision returns before it draws or scores anything.
+    def test_blacklists_every_cell_and_draws_nothing(self, strategy):
+        # Nothing is reachable from (1, 3). No world is needed: the decision returns
+        # before it draws or scores anything.
         cells, rng = [(16, 2), (18, 4)], np.random.default_rng(0)
         state = rng.bit_generator.state
         goal, blacklist = pocket_decision(strategy, cells, rng)
