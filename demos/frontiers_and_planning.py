@@ -13,7 +13,7 @@ import fitslam
 from fitslam.frontier import (DEFAULT_MAX_CLUSTER_SIZE as CAP, Blacklist, cluster_frontiers,
                               detect_frontiers, frontier_components)
 from fitslam.harness import run_mission
-from fitslam.planner import MultiGoalPlanner
+from fitslam.planner import GraphMemo, MultiGoalPlanner
 from fitslam.simworld import (MissionState, WorldConfig, current_grids,
                               generate_world, initial_spin)
 
@@ -33,7 +33,7 @@ sizes = [min(CAP, len(order) - k) for order in frontier_components(frontiers, sp
 print(f"after the initial spin: {len(frontiers)} frontier cells "
       f"in {len(candidates)} clusters (cap {CAP})")
 
-planner = MultiGoalPlanner(nav)
+planner = MultiGoalPlanner(nav, GraphMemo(spec))
 planner.solve(spec.world_to_cell(state.pose[0], state.pose[1]), math.inf)
 rho = planner.distances(candidates)  # inf where no path reaches the candidate
 print(f"{'candidate':>14} {'size':>5} {'path cost':>12}")

@@ -192,7 +192,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
             termination = "stalled" if frontiers else "complete"
             break
 
-        planner = MultiGoalPlanner(nav)
+        planner = MultiGoalPlanner(nav, state.graph_memo)
         start = spec.world_to_cell(state.pose[0], state.pose[1])
         goal = _next_goal(strategy, rng, planner, start, cells, blacklist, state.occ, rays,
                           camera, world, uparams, memo)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,9 +168,7 @@ class _ScanTemplate:
         0 known and passable (pad cells too), 1 unknown, 2 blocking."""
         r = self.reach
         h, w = occ.p.shape
-        cls = np.zeros((h + 2 * r, w + 2 * r), dtype=np.int8)
-        cls[r:r + h, r:r + w] = (occ.p == UNKNOWN_P) + 2 * (occ.p > OCCUPIED_THRESHOLD)
-        return cls
+        return _classes(occ.p, -r, -r, w + 2 * r, h + 2 * r)
 
     def ray_gains(self, cls: np.ndarray, centers_i: np.ndarray,
                   centers_j: np.ndarray) -> np.ndarray:
@@ -194,6 +193,18 @@ class _ScanTemplate:
     def windowed_gains(self, ray_gains: np.ndarray) -> np.ndarray:
         """FOV-windowed sums, shape (C, D); trailing-axis reduction only."""
         return np.where(self.in_window[None], ray_gains[:, None, :], 0.0).sum(axis=2)
+
+
+def _classes(p: np.ndarray, i0: int, j0: int, width: int, height: int) -> np.ndarray:
+    """The int8 classes of the width x height window of occupancy `p` whose corner
+    is cell (i0, j0): 0 known and passable, as is every cell off the grid, 1
+    unknown, 2 blocking."""
+    cls = np.zeros((height, width), dtype=np.int8)
+    a0, a1 = max(j0, 0), min(j0 + height, p.shape[0])
+    b0, b1 = max(i0, 0), min(i0 + width, p.shape[1])
+    p = p[a0:a1, b0:b1]
+    cls[a0 - j0:a1 - j0, b0 - i0:b1 - i0] = (p == UNKNOWN_P) + 2 * (p > OCCUPIED_THRESHOLD)
+    return cls
 
 
 def _grid_walk(i: int, j: int, dx: float, dy: float, t_max_x: float, t_max_y: float,
@@ -303,25 +314,26 @@ def scan_many(occ: OccupancyGrid, cells: np.ndarray, params: RayCastParams, came
         # corner at (i, j).
         kept[kept] = _clean_boxes(cls != memo.cls, ci[kept], cj[kept], 2 * tmpl.reach + 1)
     miss = np.flatnonzero(~kept)
-    ray_gains = tmpl.ray_gains(cls, ci[miss], cj[miss])
+    fresh = iter(_best_windows(tmpl, tmpl.ray_gains(cls, ci[miss], cj[miss])))
+    scans = [memo.scans[k] if hit else next(fresh) for k, hit in zip(lin, kept)]
+    memo.cls = cls
+    memo.scans = dict(zip(lin, scans))
+    return scans
+
+
+def _best_windows(tmpl: _ScanTemplate, ray_gains: np.ndarray) -> list:
+    """One `OrientationScan` per row of the (C, D) ray gains."""
     windowed = tmpl.windowed_gains(ray_gains)
     # Windows whose real-valued sums tie can differ by float rounding, so the
     # argmax treats anything within the tolerance of the max as tied and takes
     # the smallest angle.
     near_max = windowed >= windowed.max(axis=1, keepdims=True) - ARGMAX_TOL
     best = np.argmax(near_max, axis=1)
-    scans = [memo.scans[k] if hit else None for k, hit in zip(lin, kept)]
-    for n, c in enumerate(miss.tolist()):
-        scans[c] = OrientationScan(
-            directions=tmpl.directions,
-            ray_gains=ray_gains[n],
-            windowed_gains=windowed[n],
-            best_theta=float(tmpl.directions[best[n]]),
-            best_gain=float(windowed[n, best[n]]),
-        )
-    memo.cls = cls
-    memo.scans = dict(zip(lin, scans))
-    return scans
+    return [OrientationScan(directions=tmpl.directions, ray_gains=ray_gains[n],
+                            windowed_gains=windowed[n],
+                            best_theta=float(tmpl.directions[best[n]]),
+                            best_gain=float(windowed[n, best[n]]))
+            for n in range(len(ray_gains))]
 
 
 def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
@@ -331,9 +343,18 @@ def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
     A direction d contributes to the window centered at theta_s when the
     wrapped angular distance |d - theta_s| <= camera.fov/2. Rays end after the
     camera's max_depth. Ties in the windowed gain go to the smallest
-    orientation angle. The scan gets a fresh memo: its callers blacklist
-    every goal they scan, so no cell is scanned twice.
+    orientation angle. Only the cell's reach box is classified, and the scan
+    equals `scan_many`'s for the cell, bit for bit. No memo is kept: its
+    callers blacklist every goal they scan, so no cell is scanned twice.
     """
     if not occ.spec.in_bounds(*cell):
         raise OutOfBoundsError(f"scan cell {cell} outside the grid")
-    return scan_many(occ, np.array([occ.spec.linear_index(*cell)]), params, camera, ScanMemo())[0]
+    if not all(isinstance(v, numbers.Integral) for v in cell):
+        raise ValueError(f"scan cell {cell} is not a pair of integers")
+    tmpl = _template(params, camera, occ.spec.resolution)
+    # The rays read only the cell's (2 reach + 1)^2 box. To `ray_gains` it is a
+    # padded grid whose center (0, 0) is the cell.
+    r, (i, j) = tmpl.reach, cell
+    box = _classes(occ.p, i - r, j - r, 2 * r + 1, 2 * r + 1)
+    zero = np.zeros(1, dtype=int)
+    return _best_windows(tmpl, tmpl.ray_gains(box, zero, zero))[0]

@@ -4,10 +4,13 @@ A* with the octile heuristic produces minimum-cost 8-connected paths over
 Free cells; it is the reference the tests check the program's solver against.
 Unknown cells are treated as non-traversable. The harness plans with
 `MultiGoalPlanner`, a single-source solver backed by scipy's Dijkstra on the
-same costs. Every strategy finds which candidates the robot can reach from one
-breadth-first search of the graph, then settles them with bounded solves grown
-until its choice is exact: greedy and random as far as their one pick, the
-nearest or a random draw, and fit as far as its u1 shortlist can reach.
+same costs. Its graph is the mission's `GraphMemo`, which each planner patches
+only where the Free mask changed since the previous planner: the map changes
+only near the last drive. Every strategy finds which candidates the robot can
+reach from one breadth-first search of the graph, then settles them with
+bounded solves grown until its choice is exact: greedy and random as far as
+their one pick, the nearest or a random draw, and fit as far as its u1
+shortlist can reach.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .grid import BinaryTraversabilityGrid, shift
+from .grid import BinaryTraversabilityGrid, GridSpec, shift
 
 SQRT2 = math.sqrt(2.0)
 # Added to each octile distance `MultiGoalPlanner.settle` tries as its first limit,
@@ -127,9 +130,11 @@ def _reconstruct(parent: dict, goal: tuple, resolution: float) -> Path:
 class MultiGoalPlanner:
     """Single-source shortest paths to many goals on one grid snapshot.
 
-    Builds the 8-connected adjacency of the Free cells once and runs scipy's
-    Dijkstra; costs equal the A* costs of `plan`. A bounded solve leaves the
-    nodes past its limit at infinite distance. `reachable` answers which goals
+    Patches the 8-connected adjacency of the Free cells held in `memo` to the
+    grid's Free mask and runs scipy's Dijkstra; costs equal the A* costs of
+    `plan`. The graph is the memo's, so the planner is valid until the next
+    planner is built on the same memo. A bounded solve leaves the nodes past
+    its limit at infinite distance. `reachable` answers which goals
     a breadth-first search from the start meets, without any solve. `settle`
     grows bounded solves until a caller's stop test holds; `nearest` uses it to
     find the goal with the least (distance, row, column), or to settle a lone
@@ -138,10 +143,10 @@ class MultiGoalPlanner:
     like the start, is an (i, j) pair.
     """
 
-    def __init__(self, nav: BinaryTraversabilityGrid):
+    def __init__(self, nav: BinaryTraversabilityGrid, memo: GraphMemo):
         self.nav = nav
         self.spec = nav.spec
-        self._graph = _build_graph(nav)
+        self._graph = _patch_graph(nav, memo)
         self._dist = None
         self._pred = None
         self._start = None
@@ -267,8 +272,25 @@ def _rows(n: int):
     return data, indptr
 
 
-def _build_graph(nav: BinaryTraversabilityGrid):
-    """Free-cell adjacency as a directed CSR that lists both directions of every edge.
+class GraphMemo:
+    """One mission's planner graph, kept from decision to decision: the Free mask
+    it was built on and its (n, 8) int32 slot columns, row v's 8 slots in row v.
+
+    A fresh memo is the graph of a grid with nothing Free, every slot a
+    self-loop, so the first planner built on it patches the whole grid. Each
+    planner patches the memo's columns in place and wraps them, so a planner
+    is valid until the next planner is built on the same memo. The memo is
+    bound to its spec's grid shape; a grid of another shape raises ValueError.
+    """
+
+    def __init__(self, spec: GridSpec):
+        self.free = np.zeros((spec.height, spec.width), dtype=bool)
+        self.cols = np.repeat(np.arange(spec.n_cells, dtype=np.int32)[:, None], 8, axis=1)
+
+
+def _patch_graph(nav: BinaryTraversabilityGrid, memo: GraphMemo):
+    """Free-cell adjacency as a directed CSR that lists both directions of every edge,
+    on the memo's slot columns, rewritten where the Free mask changed.
 
     Each row has 8 slots in a fixed order, the 4 `STEPS` and then their
     reverses. That is the order in which dijkstra(directed=False) relaxes
@@ -277,28 +299,46 @@ def _build_graph(nav: BinaryTraversabilityGrid):
     solve's `dist` and `pred` bit for bit, with no transpose built. A slot
     without a move points at its own row; a search has always reached a row
     before it reads it, so the self-loop is never followed.
+
+    A row's slots read only the Free flags of its 3 x 3 neighbourhood. Cells
+    flip both ways, so the rows rewritten are the bounding box of the cells
+    whose flag differs from the memo's, grown by one cell, and they are
+    computed on a slab one cell wider still, whose own edge cells are not kept.
     """
-    spec = nav.spec
     free = nav.free_mask()
-    w, n = spec.width, spec.n_cells
-    oks = []
-    for di, dj, _ in STEPS:
-        # ok[j, i]: both cell (i, j) and its neighbor (i + di, j + dj) are Free.
-        ok = free & shift(free, -di, -dj)
-        if di != 0 and dj != 0:
-            # No corner cutting: both touched cardinals closed kills the move.
-            ok &= shift(free, -di, 0) | shift(free, 0, -dj)
-        oks.append(ok)
-    # The reverse move from (i, j) is the forward one from (i - di, j - dj).
-    oks += [shift(ok, di, dj) for (di, dj, _), ok in zip(STEPS[::-1], oks[::-1])]
-    offsets = [dj * w + di for di, dj, _ in STEPS]
-    offsets += [-o for o in reversed(offsets)]
-    # Row v's slot holds v + offset where the move is allowed, else v + 0.
-    cols = np.multiply(np.stack(oks, axis=-1).reshape(n, 8),
-                       np.array(offsets, dtype=np.int32), dtype=np.int32)
-    cols += np.arange(n, dtype=np.int32)[:, None]
+    if free.shape != memo.free.shape:
+        raise ValueError(f"graph memo holds a {memo.free.shape} grid, not {free.shape}")
+    changed = free != memo.free
+    rows = np.flatnonzero(changed.any(axis=1))
+    h, w = free.shape
+    n = h * w
+    if rows.size:
+        cols = np.flatnonzero(changed.any(axis=0))
+        j0, j1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
+        i0, i1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
+        sj, si = max(j0 - 1, 0), max(i0 - 1, 0)
+        slab = free[sj:min(j1 + 1, h), si:min(i1 + 1, w)]
+        oks = []
+        for di, dj, _ in STEPS:
+            # ok[j, i]: both cell (i, j) and its neighbor (i + di, j + dj) are Free.
+            ok = slab & shift(slab, -di, -dj)
+            if di != 0 and dj != 0:
+                # No corner cutting: both touched cardinals closed kills the move.
+                ok &= shift(slab, -di, 0) | shift(slab, 0, -dj)
+            oks.append(ok)
+        # The reverse move from (i, j) is the forward one from (i - di, j - dj).
+        oks += [shift(ok, di, dj) for (di, dj, _), ok in zip(STEPS[::-1], oks[::-1])]
+        offsets = [dj * w + di for di, dj, _ in STEPS]
+        offsets += [-o for o in reversed(offsets)]
+        # Row v's slot holds v + offset where the move is allowed, else v + 0.
+        box = memo.cols.reshape(h, w, 8)[j0:j1, i0:i1]
+        np.multiply(np.stack(oks, axis=-1)[j0 - sj:j1 - sj, i0 - si:i1 - si],
+                    np.array(offsets, dtype=np.int32), out=box, dtype=np.int32)
+        box += (np.arange(j0, j1, dtype=np.int32)[:, None] * w
+                + np.arange(i0, i1, dtype=np.int32))[:, :, None]
+        memo.free = free
     data, indptr = _rows(n)
-    return csr_matrix((data, cols.ravel(), indptr), shape=(n, n))
+    return csr_matrix((data, memo.cols.ravel(), indptr), shape=(n, n))
 
 
 def sample_waypoints(path: Path, spacing_m: float, spec) -> list:

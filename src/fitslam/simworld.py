@@ -21,7 +21,7 @@ from . import fisher, traversability
 from .fisher import Camera, CameraPose
 from .grid import (FREE, BinaryTraversabilityGrid, ConfigError, GridSpec, OccupancyGrid,
                    UNKNOWN_P, _is_number, check_int, check_number)
-from .planner import SQRT2, Path
+from .planner import SQRT2, GraphMemo, Path
 from .traversability import ScoreMemo, TerrainStatsGrid
 
 P_CLAMP = (0.02, 0.98)  # occupancy of a cell seen free / seen occupied
@@ -412,6 +412,7 @@ class MissionState:
     cov: np.ndarray              # 6x6 localization covariance
     first_seen: np.ndarray       # per landmark, the clock at first sight; inf if never seen
     score_memo: ScoreMemo        # the last `current_grids` call's data flags and scores
+    graph_memo: GraphMemo        # the last planner's Free mask and graph slots
     clock: float = 0.0
     distance: float = 0.0
     n_loop_closures: int = 0
@@ -428,6 +429,7 @@ class MissionState:
             cov=1e-4 * np.eye(6),
             first_seen=np.full(len(world.landmark_positions), np.inf),
             score_memo=ScoreMemo(world.spec),
+            graph_memo=GraphMemo(world.spec),
         )
 
 

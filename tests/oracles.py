@@ -6,13 +6,14 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from fitslam import fisher
 from fitslam.fisher import (DEFAULT_SENSOR_HEIGHT, Camera, CameraPose, DegenerateLandmarkError,
                             bearing)
 from fitslam.grid import shift
 from fitslam.infogain import ARGMAX_TOL, ScanMemo, cast_ray, ray_directions, scan_many
-from fitslam.planner import SQRT2, NoPathError
+from fitslam.planner import SQRT2, STEPS, NoPathError
 from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP
 
 
@@ -94,6 +95,32 @@ def dijkstra_oracle(nav, start, goal):
                     dist[(ni, nj)] = cand
                     heapq.heappush(heap, (cand_cost, (ni, nj)))
     return None
+
+
+def build_graph(nav):
+    """The planner's graph of `nav` built whole: 8 slots a row, the `STEPS` and then
+    their reverses, each the column of its move or, with no move, of the row itself."""
+    free = nav.free_mask()
+    w, n = nav.spec.width, nav.spec.n_cells
+    oks = []
+    for di, dj, _ in STEPS:
+        # ok[j, i]: both cell (i, j) and its neighbor (i + di, j + dj) are Free.
+        ok = free & shift(free, -di, -dj)
+        if di != 0 and dj != 0:
+            # No corner cutting: both touched cardinals closed kills the move.
+            ok &= shift(free, -di, 0) | shift(free, 0, -dj)
+        oks.append(ok)
+    # The reverse move from (i, j) is the forward one from (i - di, j - dj).
+    oks += [shift(ok, di, dj) for (di, dj, _), ok in zip(STEPS[::-1], oks[::-1])]
+    offsets = [dj * w + di for di, dj, _ in STEPS]
+    offsets += [-o for o in reversed(offsets)]
+    cols = np.multiply(np.stack(oks, axis=-1).reshape(n, 8),
+                       np.array(offsets, dtype=np.int32), dtype=np.int32)
+    cols += np.arange(n, dtype=np.int32)[:, None]
+    costs = [cost for _, _, cost in STEPS]
+    data = np.tile(costs + costs[::-1], n)
+    indptr = np.arange(0, 8 * n + 1, 8, dtype=np.int32)
+    return csr_matrix((data, cols.ravel(), indptr), shape=(n, n))
 
 
 def cell_metrics(stats, sensed=None):

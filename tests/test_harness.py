@@ -21,7 +21,7 @@ from fitslam.harness import (
     write_summary_csv,
 )
 from fitslam.infogain import RayCastParams, ScanMemo, scan_orientations
-from fitslam.planner import MultiGoalPlanner, NoPathError
+from fitslam.planner import GraphMemo, MultiGoalPlanner, NoPathError
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import ScoreMemo, threshold
 from fitslam.utility import UtilityParams
@@ -125,8 +125,8 @@ def pocket_decision(strategy, cells, rng=None):
     and the blacklist."""
     nav = pocket_nav()
     blacklist = Blacklist(nav.spec)
-    goal = harness._next_goal(strategy, rng, MultiGoalPlanner(nav), (1, 3),
-                              linear_array(cells, nav.spec), blacklist,
+    goal = harness._next_goal(strategy, rng, MultiGoalPlanner(nav, GraphMemo(nav.spec)),
+                              (1, 3), linear_array(cells, nav.spec), blacklist,
                               OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera(), None,
                               UtilityParams(), ScanMemo())
     return goal, blacklist
@@ -164,7 +164,7 @@ class TestStalledDecision:
 class TestRandomDecision:
     def test_draws_a_reachable_cell_with_the_full_solve_path(self):
         nav = pocket_nav()
-        full = MultiGoalPlanner(nav)
+        full = MultiGoalPlanner(nav, GraphMemo(nav.spec))
         full.solve((1, 3), math.inf)
         goals, picks = [(13, 6), (3, 3)], set()
         for seed in range(8):
@@ -202,7 +202,7 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         return lists[-1]
 
     def spy(strategy, rng, planner, start, cells, blacklist, *scan_args):
-        full = MultiGoalPlanner(planner.nav)
+        full = MultiGoalPlanner(planner.nav, GraphMemo(planner.spec))
         full.solve(start, math.inf)
         expected = Blacklist(planner.spec)
         expected.mask = blacklist.mask.copy()
@@ -272,8 +272,9 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
             memo):
         expected = Blacklist(planner.spec)
         expected.mask = blacklist.mask.copy()
-        ref = fit_decision_per_candidate(MultiGoalPlanner(planner.nav), start, cells, expected,
-                                         occ, rays, camera, world, uparams)
+        ref = fit_decision_per_candidate(MultiGoalPlanner(planner.nav, GraphMemo(planner.spec)),
+                                         start, cells, expected, occ, rays, camera, world,
+                                         uparams)
         calls = Counter()
         for method in ("distance_to", "path_to"):
             def counted(cell, method=method, bound=getattr(planner, method)):

@@ -168,6 +168,31 @@ class TestScanOrientations:
             assert got.best_theta == single.best_theta
             assert got.best_gain == single.best_gain
 
+    @pytest.mark.parametrize("w, h, res", [(60, 45, 0.1), (9, 6, 0.15), (1, 1, 0.15)],
+                             ids=["wider_than_reach", "inside_one_reach", "one_cell"])
+    def test_reach_box_scan_equals_scan_many_bitwise(self, w, h, res):
+        # `scan_orientations` classifies only its cell's reach box; `scan_many` the
+        # whole padded grid. Interior, edge and corner cells, on a grid of mixed
+        # classes and on grids that every reach box overhangs on all sides.
+        rng = np.random.default_rng(43)
+        occ = unknown_grid(w=w, h=h, res=res)
+        u = rng.random((h, w))
+        occ.p[u < 0.5] = 0.1
+        occ.p[u > 0.85] = 0.9
+        cells = {(i, j) for i in (0, 1, w // 2, w - 2, w - 1) for j in (0, 1, h // 2, h - 2, h - 1)
+                 if 0 <= i < w and 0 <= j < h}
+        cells = sorted(cells) + [(int(i), int(j)) for i, j in zip(rng.integers(0, w, 8),
+                                                                    rng.integers(0, h, 8))]
+        params, camera = RayCastParams(), Camera()
+        batch = scan_many(occ, linear_array(cells, occ.spec), params, camera, ScanMemo())
+        for cell, want in zip(cells, batch):
+            got = scan_orientations(occ, cell, params, camera)
+            assert got.directions.tobytes() == want.directions.tobytes(), cell
+            assert got.ray_gains.tobytes() == want.ray_gains.tobytes(), cell
+            assert got.windowed_gains.tobytes() == want.windowed_gains.tobytes(), cell
+            assert (got.best_theta, got.best_gain) == (want.best_theta, want.best_gain), cell
+        assert np.any([s.best_gain > 0 for s in batch])
+
     # Cells 2.4 m wide, so a cell index past the top edge, read as a world point,
     # would fall inside the 240 m grid.
     WIDE_SPEC = GridSpec(2.4, 100, 100)

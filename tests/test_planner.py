@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
+from scipy import ndimage
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 import fitslam
 from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
 from fitslam import harness, planner as planner_module
 from fitslam.planner import (
+    GraphMemo,
     MultiGoalPlanner,
     NoPathError,
     Path,
@@ -19,13 +22,19 @@ from fitslam.planner import (
 )
 from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams, compute_u1, shortlist
-from oracles import dijkstra_oracle, linear_array, sample_waypoints_loop
+import test_edge_worlds as edge
+from oracles import build_graph, dijkstra_oracle, linear_array, sample_waypoints_loop
 
 
 def free_grid(w, h, res=0.05):
     spec = GridSpec(res, w, h)
     state = np.full((h, w), FREE, dtype=np.int8)
     return BinaryTraversabilityGrid(spec, state)
+
+
+def new_planner(nav):
+    """A planner on a fresh memo, which builds the graph of the whole grid."""
+    return MultiGoalPlanner(nav, GraphMemo(nav.spec))
 
 
 def coo_graph(nav):
@@ -144,7 +153,7 @@ class TestMultiGoalPlanner:
         nav = free_grid(18, 18, res=0.1)
         nav.state[rng.random((18, 18)) < 0.2] = BLOCKED
         nav.state[0, 0] = FREE
-        mgp = MultiGoalPlanner(nav)
+        mgp = new_planner(nav)
         mgp.solve((0, 0), math.inf)
         free = np.argwhere(nav.state == FREE)
         for gj, gi in free[::5]:
@@ -162,14 +171,14 @@ class TestMultiGoalPlanner:
 
     def test_solve_required_before_queries(self):
         nav = free_grid(4, 4)
-        mgp = MultiGoalPlanner(nav)
+        mgp = new_planner(nav)
         with pytest.raises(AssertionError):
             mgp.distance_to((1, 1))
 
     def test_blocked_goal_raises(self):
         nav = free_grid(4, 4)
         nav.state[2, 2] = BLOCKED
-        mgp = MultiGoalPlanner(nav)
+        mgp = new_planner(nav)
         mgp.solve((0, 0), math.inf)
         with pytest.raises(NoPathError):
             mgp.distance_to((2, 2))
@@ -208,7 +217,7 @@ def oracle_grids(rng, n):
 
 
 def full_solve(nav, start):
-    planner = MultiGoalPlanner(nav)
+    planner = new_planner(nav)
     planner.solve(start, math.inf)
     return planner
 
@@ -230,7 +239,7 @@ class TestGreedyPick:
         checked = 0
         for nav, start in oracle_grids(rng, 160):
             every = [(i, j) for j in range(nav.spec.height) for i in range(nav.spec.width)]
-            reach = MultiGoalPlanner(nav).reachable(start, linear_array(every, nav.spec))
+            reach = new_planner(nav).reachable(start, linear_array(every, nav.spec))
             finite = np.isfinite(full_solve(nav, start)._dist)
             free = nav.free_mask().ravel()
             assert np.array_equal(reach[free], finite[free])
@@ -246,7 +255,7 @@ class TestGreedyPick:
             limits = list(rng.uniform(0.0, dists[-1] + 1.0, size=3))
             limits += list(rng.choice(dists, size=3))  # exactly at a node's distance
             for limit in limits:
-                bounded = MultiGoalPlanner(nav)
+                bounded = new_planner(nav)
                 bounded.solve(start, float(limit))
                 settled = np.isfinite(bounded._dist)
                 assert np.array_equal(settled, full._dist <= limit)
@@ -261,7 +270,7 @@ class TestGreedyPick:
             goals = [free[k] for k in rng.permutation(len(free))[:int(rng.integers(1, 12))]]
             if rng.random() < 0.3:
                 goals.insert(int(rng.integers(len(goals) + 1)), start)
-            planner = MultiGoalPlanner(nav)
+            planner = new_planner(nav)
             reach = planner.reachable(start, linear_array(goals, nav.spec))
             goals = [g for g, ok in zip(goals, reach) if ok]
             if not goals:
@@ -282,7 +291,7 @@ class TestGreedyPick:
         # (0, 9) is 9 away in a straight line, so the first limit settles neither.
         nav = free_grid(7, 10)
         nav.state[0:5, 3] = BLOCKED
-        planner = MultiGoalPlanner(nav)
+        planner = new_planner(nav)
         limits = counting_solves(planner)
         goals = linear_array([(5, 0), (0, 9)], nav.spec)
         assert planner.nearest((0, 0), goals) == 1
@@ -294,15 +303,15 @@ class TestGreedyPick:
         start = (4, 4)
         # All four at 2 cells; the goals' list order is the reverse of the tie-break's.
         goals = linear_array([(6, 4), (4, 6), (2, 4), (4, 2)], nav.spec)
-        assert MultiGoalPlanner(nav).nearest(start, goals) == 3
-        assert MultiGoalPlanner(nav).nearest(start, goals[:3]) == 2
-        assert MultiGoalPlanner(nav).nearest(start, linear_array([(6, 6), (2, 6)], nav.spec)) == 1
+        assert new_planner(nav).nearest(start, goals) == 3
+        assert new_planner(nav).nearest(start, goals[:3]) == 2
+        assert new_planner(nav).nearest(start, linear_array([(6, 6), (2, 6)], nav.spec)) == 1
 
     def test_nearest_solves_once_when_a_path_meets_its_octile_bound(self):
         # Open ground: the least octile bound is a path's exact length.
         nav = free_grid(20, 20)
         for goals in ([(15, 3)], [(17, 17), (3, 12)], [(8, 8), (8, 0)]):
-            planner = MultiGoalPlanner(nav)
+            planner = new_planner(nav)
             limits = counting_solves(planner)
             planner.nearest((8, 4), linear_array(goals, nav.spec))
             assert len(limits) == 1, goals
@@ -318,14 +327,14 @@ class TestGreedyPick:
         assert a < b and a * 0.1 == b * 0.1
         # A first limit exactly at (3, 4)'s distance settles it and not (4, 3).
         monkeypatch.setattr(planner_module, "BOUND_SLACK", a - octile((0, 0), (3, 4)))
-        planner = MultiGoalPlanner(nav)
+        planner = new_planner(nav)
         limits = counting_solves(planner)
         assert planner.nearest((0, 0), linear_array([(3, 4), (4, 3)], nav.spec)) == 1
         assert limits[0] == a and len(limits) == 2
 
     def test_nearest_picks_the_start_when_it_is_a_goal(self):
         nav = free_grid(5, 5)
-        planner = MultiGoalPlanner(nav)
+        planner = new_planner(nav)
         assert planner.nearest((2, 2), linear_array([(4, 4), (2, 2)], nav.spec)) == 1
         assert planner.path_to((2, 2)).cells == [(2, 2)]
 
@@ -333,17 +342,17 @@ class TestGreedyPick:
         nav = free_grid(6, 6)
         nav.state[:, 2] = BLOCKED
         with pytest.raises(NoPathError, match="no goal reachable"):
-            MultiGoalPlanner(nav).nearest((0, 0), linear_array([(4, 4), (5, 0)], nav.spec))
+            new_planner(nav).nearest((0, 0), linear_array([(4, 4), (5, 0)], nav.spec))
 
     def test_unsettled_goal_named_as_beyond_the_limit(self):
         nav = free_grid(10, 1)
-        planner = MultiGoalPlanner(nav)
+        planner = new_planner(nav)
         planner.solve((0, 0), 3.0)
         assert planner.distance_to((3, 0)) == pytest.approx(0.15)
         with pytest.raises(NoPathError, match="not settled within limit 3 cells"):
             planner.distance_to((4, 0))
         nav.state[0, 5] = BLOCKED
-        cut = MultiGoalPlanner(nav)
+        cut = new_planner(nav)
         cut.solve((0, 0), math.inf)
         with pytest.raises(NoPathError, match="unreachable"):
             cut.distance_to((8, 0))
@@ -352,7 +361,7 @@ class TestGreedyPick:
 def fit_settle(nav, start, goals, gain, params):
     """Fit's bounded settle on a fresh planner against the full solve: the settled
     rho and u1, the shortlist, the settled mask and the limit of every solve."""
-    planner = MultiGoalPlanner(nav)
+    planner = new_planner(nav)
     limits = counting_solves(planner)
     rho = harness._shortlist_rho(planner, start, goals, gain, params)
     res = nav.spec.resolution
@@ -389,7 +398,7 @@ class TestFitSettle:
                 for nav, start in oracle_grids(rng, 40):
                     free = np.argwhere(nav.state == FREE)
                     every = linear_array([(int(i), int(j)) for j, i in free], nav.spec)
-                    reachable = every[MultiGoalPlanner(nav).reachable(start, every)]
+                    reachable = every[new_planner(nav).reachable(start, every)]
                     goals = rng.permutation(reachable)[:int(rng.integers(1, 40))]
                     n = int(rng.integers(1, 4 * len(goals) // 3 + 2))
                     gain = self.GAINS[kind](rng, len(goals))
@@ -464,7 +473,7 @@ class TestBuildGraph:
             u = rng.random((h, w))
             nav.state[u >= p_free] = BLOCKED
             nav.state[u >= p_free + p_blocked] = UNKNOWN
-            fast = MultiGoalPlanner(nav)
+            fast = new_planner(nav)
             ref = coo_graph(nav)
             n = w * h
             graph = fast._graph
@@ -495,7 +504,7 @@ class TestBuildGraph:
         # The one-way graph's row, then its transpose's row: each in ascending columns.
         nav = free_grid(5, 4)
         v, w = 2 * 5 + 2, 5
-        row = MultiGoalPlanner(nav)._graph.indices[8 * v:8 * v + 8]
+        row = new_planner(nav)._graph.indices[8 * v:8 * v + 8]
         assert list(row) == [v - w + 1, v + 1, v + w, v + w + 1,
                              v - w - 1, v - w, v - 1, v + w - 1]
 
@@ -509,10 +518,131 @@ class TestBuildGraph:
             every = [(i, j) for j in range(h) for i in range(w)]
             _, labels = connected_components(coo_graph(nav), directed=False)
             src = start[1] * w + start[0]
-            reach = MultiGoalPlanner(nav).reachable(start, linear_array(every, nav.spec))
+            reach = new_planner(nav).reachable(start, linear_array(every, nav.spec))
             assert np.array_equal(reach, labels == labels[src])
+            # No corner cutting: a diagonal move needs a Free cardinal between
+            # its ends, so the components are the Free mask's 4-connected ones.
+            labels4 = ndimage.label(nav.free_mask())[0].ravel()
+            assert np.array_equal(reach, labels4 == labels4[src])
             isolated += (labels == labels[src]).sum() == 1
         assert isolated > 5  # starts that closed corners cut off on every side
+
+
+class TestGraphMemo:
+    """`MultiGoalPlanner` patches the memo's graph where the Free mask changed; the
+    patched graph is the full build of the same grid."""
+
+    def assert_full_build(self, nav, memo):
+        graph = MultiGoalPlanner(nav, memo)._graph
+        ref = build_graph(nav)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(graph, attr), getattr(ref, attr)), attr
+        assert np.shares_memory(graph.indices, memo.cols)  # patched in place
+        assert np.array_equal(memo.free, nav.free_mask())
+
+    @staticmethod
+    def step(rng, state, kind):
+        """Change `state` in place by one kind of step, as decisions change a map."""
+        h, w = state.shape
+        if kind == "box":  # a patch of cells set to random states
+            j0, i0 = int(rng.integers(h)), int(rng.integers(w))
+            box = state[j0:j0 + int(rng.integers(1, 5)), i0:i0 + int(rng.integers(1, 5))]
+            box[...] = rng.choice([FREE, BLOCKED, UNKNOWN], size=box.shape)
+        elif kind == "flip":  # one cell, on an edge or a corner as often as not
+            j = int(rng.choice([0, h - 1, rng.integers(h)]))
+            i = int(rng.choice([0, w - 1, rng.integers(w)]))
+            state[j, i] = FREE if state[j, i] != FREE else rng.choice([BLOCKED, UNKNOWN])
+        elif kind == "robot":  # only the robot's cell, Free whatever its score
+            shut = np.argwhere(state != FREE)
+            if len(shut):
+                state[tuple(shut[rng.integers(len(shut))])] = FREE
+        elif kind == "grid":
+            state[...] = rng.choice([FREE, BLOCKED, UNKNOWN], size=state.shape, p=[0.6, 0.3, 0.1])
+        # "same": no change
+
+    def test_patches_match_full_builds_over_mask_sequences(self):
+        rng = np.random.default_rng(35)
+        shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (1, 30), (30, 1)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 25, size=2)) for _ in range(30)]
+        kinds = ("box", "flip", "robot", "same", "grid")
+        lost = gained = 0
+        for w, h in shapes:
+            nav = free_grid(w, h)
+            nav.state[rng.random((h, w)) < 0.3] = BLOCKED
+            memo = GraphMemo(nav.spec)
+            for n in range(16):
+                before = nav.free_mask()
+                self.step(rng, nav.state, kinds[int(rng.integers(len(kinds)))] if n else "same")
+                after = nav.free_mask()
+                lost += (before & ~after).sum()
+                gained += (after & ~before).sum()
+                self.assert_full_build(nav, memo)
+        assert lost > 100 and gained > 100
+
+    def test_flips_of_edge_and_corner_cells(self):
+        # Every cell of a grid flipped alone, each way, and back: the patch box
+        # clipped at every edge and corner.
+        for w, h in ((1, 1), (1, 5), (5, 1), (4, 3)):
+            nav = free_grid(w, h)
+            memo = GraphMemo(nav.spec)
+            self.assert_full_build(nav, memo)
+            for j in range(h):
+                for i in range(w):
+                    for value in (BLOCKED, FREE):
+                        nav.state[j, i] = value
+                        self.assert_full_build(nav, memo)
+
+    def test_free_region_that_moves_away(self):
+        # All that was Free goes Blocked while a far corner opens: the cells
+        # that left the Free mask lie outside the box of the Free cells now.
+        nav = free_grid(12, 9)
+        nav.state[...] = BLOCKED
+        memo = GraphMemo(nav.spec)
+        nav.state[:3, :4] = FREE
+        self.assert_full_build(nav, memo)
+        nav.state[:3, :4] = BLOCKED
+        nav.state[6:, 8:] = FREE
+        self.assert_full_build(nav, memo)
+
+    def test_fresh_memo_is_a_grid_with_nothing_free(self):
+        nav = free_grid(6, 5)
+        nav.state[...] = BLOCKED
+        memo = GraphMemo(nav.spec)
+        self.assert_full_build(nav, memo)
+        assert np.array_equal(memo.cols, np.repeat(np.arange(30)[:, None], 8, axis=1))
+
+    @pytest.mark.parametrize("w, h", [(5, 4), (5, 5), (4, 6)],
+                             ids=["transposed", "wider", "taller"])
+    def test_memo_of_another_grid_shape_rejected(self, w, h):
+        memo = GraphMemo(GridSpec(0.05, 4, 5))
+        with pytest.raises(ValueError, match="graph memo"):
+            MultiGoalPlanner(free_grid(w, h), memo)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("world", [*fitslam.PRESET_WORLDS, *edge.WORLDS])
+def test_kept_graph_is_the_full_build_at_every_decision(world, monkeypatch):
+    """At every decision of seed 1 of every strategy, the planner's graph, patched
+    on the mission's memo, equals the full build of the same grid. The memo carries
+    over from decision to decision, so no solve changed the kept columns either."""
+    if world in fitslam.PRESET_WORLDS:
+        path, max_time = fitslam.preset_world_path(world), harness.DEFAULT_MAX_MISSION_TIME
+    else:
+        path, max_time = edge.EDGE_WORLDS / f"{world}.json", edge.MAX_MISSION_TIME
+    config = WorldConfig.from_json(path)
+    next_goal, checked = harness._next_goal, Counter()
+
+    def spy(strategy, rng, planner, *args):
+        assert np.array_equal(planner._graph.indices, build_graph(planner.nav).indices)
+        checked[strategy] += 1
+        return next_goal(strategy, rng, planner, *args)
+
+    monkeypatch.setattr(harness, "_next_goal", spy)
+    for strategy in harness.STRATEGIES:
+        log = harness.run_mission(config, strategy, 1, max_mission_time=max_time)
+        assert checked[strategy] >= len(log.goal_sequence), strategy
+        # steep_ramp makes no decision: no cell but the robot's is Free.
+        assert log.goal_sequence or world == "steep_ramp", strategy
 
 
 class TestSampleWaypoints:
