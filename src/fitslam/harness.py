@@ -122,12 +122,11 @@ def _next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camer
 
 
 def _fit_pick(planner, start, cells, occ, rays, camera, world, uparams, memo):
-    """Fit's pick among the reachable cells, the one of best u2, and its scan's
-    best orientation. Bounded solves settle only as far as the u1 shortlist can
-    reach, and only the shortlist's paths are reconstructed and scored for
-    information."""
-    scans = scan_many(occ, cells, rays, camera, memo)
-    gain = np.array([s.best_gain for s in scans])
+    """Fit's pick among the reachable cells, the one of best u2, and its best
+    orientation from `scan_many`'s per-cell (gain, theta) arrays. Bounded solves
+    settle only as far as the u1 shortlist can reach, and only the shortlist's
+    paths are reconstructed and scored for information."""
+    gain, theta = scan_many(occ, cells, rays, camera, memo)
     rho = _shortlist_rho(planner, start, cells, gain, uparams)
     u1 = compute_u1(rho, gain, uparams, world.spec.resolution)
     short = shortlist(u1, rho, cells, uparams.shortlist_n)
@@ -135,10 +134,10 @@ def _fit_pick(planner, start, cells, occ, rays, camera, world, uparams, memo):
     for n, k in enumerate(short.tolist()):
         path = planner.path_to(divmod(int(cells[k]), world.spec.width)[::-1])
         wps = sample_waypoints(path, camera.max_depth, world.spec)
-        wps[-1] = (*wps[-1][:2], scans[k].best_theta)
+        wps[-1] = (*wps[-1][:2], float(theta[k]))
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
     best = short[select_best(u1[short], info, rho[short], cells[short], uparams)]
-    return divmod(int(cells[best]), world.spec.width)[::-1], scans[best].best_theta
+    return divmod(int(cells[best]), world.spec.width)[::-1], float(theta[best])
 
 
 def _shortlist_rho(planner, start, cells, gain, uparams):

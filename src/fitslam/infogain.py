@@ -264,31 +264,33 @@ def _clean_boxes(changed: np.ndarray, i: np.ndarray, j: np.ndarray, size: int) -
 
 
 class ScanMemo:
-    """The orientation scans of one mission's previous `scan_many` call.
+    """The best windows of one mission's previous `scan_many` call, per cell.
 
-    Holds that call's padded class grid and its scans, keyed by the linear
-    cell index `j * width + i`. A ray from a cell center reads only cells
-    within the template's `reach` on both axes, and pad cells never change,
-    so a kept scan equals a fresh one, bit for bit, until a cell in its
-    (2 reach + 1)^2 box changes class. The first call binds the memo to its
-    template and grid shape; a call with another raises ValueError.
+    Holds that call's padded class grid and, from the first call on, `gain`
+    and `theta`: flat arrays over the grid's cells, NaN at every cell that
+    call did not scan. A ray from a cell center reads only cells within the
+    template's `reach` on both axes, and pad cells never change, so a kept
+    pair equals a fresh one, bit for bit, until a cell in its (2 reach + 1)^2
+    box changes class. The first call binds the memo to its template and grid
+    shape; a call with another raises ValueError.
     """
 
     def __init__(self):
-        self.key = None   # (params, camera, resolution, grid shape)
-        self.cls = None   # padded class grid of the previous call
-        self.scans = {}   # linear cell index -> OrientationScan
+        self.key = None    # (params, camera, resolution, grid shape)
+        self.cls = None    # padded class grid of the previous call
+        self.gain = None   # per cell: the previous call's best windowed gain, else NaN
+        self.theta = None  # per cell: the previous call's best angle, else NaN
 
 
 def scan_many(occ: OccupancyGrid, cells: np.ndarray, params: RayCastParams, camera: Camera,
-              memo: ScanMemo) -> list:
-    """Orientation scans from many goal cells, linear indices `j * width + i`, in
-    one vectorized pass.
+              memo: ScanMemo) -> tuple:
+    """The best windowed gain and its angle, as two float arrays, of each goal
+    cell, linear indices `j * width + i`, from one vectorized pass.
 
     Produces exactly the same numbers as scanning each cell alone: every
     reduction runs along a per-goal axis, so results do not depend on how
     goals are batched. A cell the memo holds from the previous call, with no
-    class change in its reach box since, gets the kept scan; the others are
+    class change in its reach box since, gets the kept pair; the others are
     scanned, and the memo then holds only this call's cells. An index outside
     [0, n_cells) raises OutOfBoundsError and a non-integer one ValueError, since
     the padded gather would read past the grid's border.
@@ -303,37 +305,33 @@ def scan_many(occ: OccupancyGrid, cells: np.ndarray, params: RayCastParams, came
     cj, ci = np.divmod(cells.astype(int), spec.width)
     key = (params, camera, spec.resolution, occ.p.shape)
     if memo.key is None:
-        memo.key = key
+        memo.key, (memo.gain, memo.theta) = key, np.full((2, spec.n_cells), np.nan)
     elif memo.key != key:
         raise ValueError("scan memo holds scans of another template or grid shape")
     cls = tmpl.classify(occ)
-    lin = cells.tolist()
-    kept = np.array([k in memo.scans for k in lin], dtype=bool)
+    gain, theta = memo.gain[cells], memo.theta[cells]
+    kept = ~np.isnan(gain)
     if kept.any():
         # In padded coordinates the reach box of center (i, j) has its
         # corner at (i, j).
         kept[kept] = _clean_boxes(cls != memo.cls, ci[kept], cj[kept], 2 * tmpl.reach + 1)
     miss = np.flatnonzero(~kept)
-    fresh = iter(_best_windows(tmpl, tmpl.ray_gains(cls, ci[miss], cj[miss])))
-    scans = [memo.scans[k] if hit else next(fresh) for k, hit in zip(lin, kept)]
+    windowed, best = _best_windows(tmpl, tmpl.ray_gains(cls, ci[miss], cj[miss]))
+    gain[miss], theta[miss] = windowed[np.arange(len(miss)), best], tmpl.directions[best]
     memo.cls = cls
-    memo.scans = dict(zip(lin, scans))
-    return scans
+    memo.gain[:] = memo.theta[:] = np.nan
+    memo.gain[cells], memo.theta[cells] = gain, theta
+    return gain, theta
 
 
-def _best_windows(tmpl: _ScanTemplate, ray_gains: np.ndarray) -> list:
-    """One `OrientationScan` per row of the (C, D) ray gains."""
+def _best_windows(tmpl: _ScanTemplate, ray_gains: np.ndarray) -> tuple:
+    """The (C, D) FOV-windowed sums of the ray gains and each row's best direction index."""
     windowed = tmpl.windowed_gains(ray_gains)
     # Windows whose real-valued sums tie can differ by float rounding, so the
     # argmax treats anything within the tolerance of the max as tied and takes
     # the smallest angle.
     near_max = windowed >= windowed.max(axis=1, keepdims=True) - ARGMAX_TOL
-    best = np.argmax(near_max, axis=1)
-    return [OrientationScan(directions=tmpl.directions, ray_gains=ray_gains[n],
-                            windowed_gains=windowed[n],
-                            best_theta=float(tmpl.directions[best[n]]),
-                            best_gain=float(windowed[n, best[n]]))
-            for n in range(len(ray_gains))]
+    return windowed, np.argmax(near_max, axis=1)
 
 
 def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
@@ -343,8 +341,8 @@ def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
     A direction d contributes to the window centered at theta_s when the
     wrapped angular distance |d - theta_s| <= camera.fov/2. Rays end after the
     camera's max_depth. Ties in the windowed gain go to the smallest
-    orientation angle. Only the cell's reach box is classified, and the scan
-    equals `scan_many`'s for the cell, bit for bit. No memo is kept: its
+    orientation angle. Only the cell's reach box is classified, and the best
+    gain and angle equal `scan_many`'s for the cell, bit for bit. No memo is kept: its
     callers blacklist every goal they scan, so no cell is scanned twice.
     """
     if not occ.spec.in_bounds(*cell):
@@ -357,4 +355,7 @@ def scan_orientations(occ: OccupancyGrid, cell: tuple, params: RayCastParams,
     r, (i, j) = tmpl.reach, cell
     box = _classes(occ.p, i - r, j - r, 2 * r + 1, 2 * r + 1)
     zero = np.zeros(1, dtype=int)
-    return _best_windows(tmpl, tmpl.ray_gains(box, zero, zero))[0]
+    rays = tmpl.ray_gains(box, zero, zero)[0]
+    windowed, (best,) = _best_windows(tmpl, rays[None])
+    return OrientationScan(tmpl.directions, rays, windowed[0], float(tmpl.directions[best]),
+                           float(windowed[0, best]))

@@ -12,7 +12,7 @@ from fitslam import fisher
 from fitslam.fisher import (DEFAULT_SENSOR_HEIGHT, Camera, CameraPose, DegenerateLandmarkError,
                             bearing)
 from fitslam.grid import shift
-from fitslam.infogain import ARGMAX_TOL, ScanMemo, cast_ray, ray_directions, scan_many
+from fitslam.infogain import ARGMAX_TOL, cast_ray, ray_directions, scan_orientations
 from fitslam.planner import SQRT2, STEPS, NoPathError
 from fitslam.traversability import MAX_ROUGHNESS, MAX_SLOPE, MAX_STEP
 
@@ -333,8 +333,9 @@ def sample_waypoints_loop(path, spacing_m, spec):
 
 # Fit's decision one candidate at a time, as the harness made it before it
 # scored candidates as arrays: a checked `distance_to` per cell with
-# `NoPathError` as the unreachable branch, scalar u1 and u2, and Python sorts
-# on (-score, rho, j, i). The array form must give the same bits.
+# `NoPathError` as the unreachable branch, a one-cell `scan_orientations` per
+# kept cell, scalar u1 and u2, and Python sorts on (-score, rho, j, i). The
+# array form must give the same bits.
 
 def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, camera, world,
                                uparams):
@@ -355,7 +356,7 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
     ref = SimpleNamespace(cells=kept, rho=rho, u1=[], shortlist=[], u2=[], pick=None)
     if not kept:
         return ref
-    scans = scan_many(occ, linear_array(kept, world.spec), rays, camera, ScanMemo())
+    scans = [scan_orientations(occ, cell, rays, camera) for cell in kept]
     clamped = [max(r, world.spec.resolution) for r in rho]
     gains = [scan.best_gain for scan in scans]
     n_rho_inv, max_gain = min(clamped), max(gains)

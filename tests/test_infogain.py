@@ -10,6 +10,7 @@ from fitslam.infogain import (
     OCCUPIED_THRESHOLD,
     RayCastParams,
     ScanMemo,
+    _ScanTemplate,
     _clean_boxes,
     _template,
     cast_ray,
@@ -119,6 +120,26 @@ class TestRayDirections:
         assert len(dirs) == 4
 
 
+def assert_single_scans_match(occ, cells, params, camera, batch):
+    """Each cell's `scan_orientations` against `scan_many`'s (gain, theta) arrays
+    `batch`, and its ray and windowed gains against the kernels run over the
+    whole padded grid, bit for bit."""
+    gain, theta = batch
+    assert gain.dtype == theta.dtype == np.float64
+    assert gain.shape == theta.shape == (len(cells),)
+    tmpl = _template(params, camera, occ.spec.resolution)
+    ci, cj = np.array(cells).T
+    rays = tmpl.ray_gains(tmpl.classify(occ), ci, cj)
+    windowed = tmpl.windowed_gains(rays)
+    for n, cell in enumerate(cells):
+        single = scan_orientations(occ, cell, params, camera)
+        assert single.directions.tobytes() == tmpl.directions.tobytes(), cell
+        assert single.ray_gains.tobytes() == rays[n].tobytes(), cell
+        assert single.windowed_gains.tobytes() == windowed[n].tobytes(), cell
+        assert (np.float64([single.best_gain, single.best_theta]).tobytes()
+                == np.float64([gain[n], theta[n]]).tobytes()), cell
+
+
 class TestScanOrientations:
     def test_unknown_only_east_fov_90(self):
         occ = unknown_grid(w=30, h=30, res=0.1)
@@ -161,12 +182,7 @@ class TestScanOrientations:
         cells = [occ.spec.world_to_cell(*goal) for goal in goals]
         params = RayCastParams()
         batch = scan_many(occ, linear_array(cells, occ.spec), params, Camera(), ScanMemo())
-        for cell, got in zip(cells, batch):
-            single = scan_orientations(occ, cell, params, Camera())
-            assert np.array_equal(got.ray_gains, single.ray_gains)
-            assert np.array_equal(got.windowed_gains, single.windowed_gains)
-            assert got.best_theta == single.best_theta
-            assert got.best_gain == single.best_gain
+        assert_single_scans_match(occ, cells, params, Camera(), batch)
 
     @pytest.mark.parametrize("w, h, res", [(60, 45, 0.1), (9, 6, 0.15), (1, 1, 0.15)],
                              ids=["wider_than_reach", "inside_one_reach", "one_cell"])
@@ -185,13 +201,8 @@ class TestScanOrientations:
                                                                     rng.integers(0, h, 8))]
         params, camera = RayCastParams(), Camera()
         batch = scan_many(occ, linear_array(cells, occ.spec), params, camera, ScanMemo())
-        for cell, want in zip(cells, batch):
-            got = scan_orientations(occ, cell, params, camera)
-            assert got.directions.tobytes() == want.directions.tobytes(), cell
-            assert got.ray_gains.tobytes() == want.ray_gains.tobytes(), cell
-            assert got.windowed_gains.tobytes() == want.windowed_gains.tobytes(), cell
-            assert (got.best_theta, got.best_gain) == (want.best_theta, want.best_gain), cell
-        assert np.any([s.best_gain > 0 for s in batch])
+        assert_single_scans_match(occ, cells, params, camera, batch)
+        assert (batch[0] > 0).any()
 
     # Cells 2.4 m wide, so a cell index past the top edge, read as a world point,
     # would fall inside the 240 m grid.
@@ -219,11 +230,9 @@ class TestScanOrientations:
     def test_corner_cells_and_integer_arrays_accepted(self):
         occ = OccupancyGrid.unknown(self.WIDE_SPEC)
         cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
-        scans = scan_many(occ, linear_array(cells, occ.spec), RayCastParams(), Camera(),
+        batch = scan_many(occ, linear_array(cells, occ.spec), RayCastParams(), Camera(),
                           ScanMemo())
-        for cell, got in zip(cells, scans):
-            assert np.array_equal(got.ray_gains,
-                                  scan_orientations(occ, cell, RayCastParams(), Camera()).ray_gains)
+        assert_single_scans_match(occ, cells, RayCastParams(), Camera(), batch)
 
 
 class TestRayCastParams:
@@ -305,32 +314,51 @@ class TestRayGainsKernel:
             assert_kernel_matches_reference(tmpl, occ, i, j, len(cells))
 
 
-def assert_same_scan(got, want):
-    assert got.ray_gains.tobytes() == want.ray_gains.tobytes()
-    assert got.windowed_gains.tobytes() == want.windowed_gains.tobytes()
-    assert got.best_theta == want.best_theta
-    assert got.best_gain == want.best_gain
+def assert_same_pair(got, want):
+    """Two (gain, theta) results of `scan_many`, bit for bit."""
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def spy_ray_gains(monkeypatch):
+    """Record the scan centers of every `_ScanTemplate.ray_gains` call; returns the
+    list of (i, j) array pairs the spy appends to."""
+    passed = []
+    kernel = _ScanTemplate.ray_gains
+
+    def spy(tmpl, cls, centers_i, centers_j):
+        passed.append((centers_i.copy(), centers_j.copy()))
+        return kernel(tmpl, cls, centers_i, centers_j)
+
+    monkeypatch.setattr(_ScanTemplate, "ray_gains", spy)
+    return passed
+
+
+def rescanned(passed, spec):
+    """The linear cells passed to `ray_gains` since the record was last cleared;
+    clears it."""
+    cells = {int(j) * spec.width + int(i) for ci, cj in passed for i, j in zip(ci, cj)}
+    passed.clear()
+    return cells
 
 
 def run_with_memo_oracle(monkeypatch, preset, max_mission_time):
     """Run a fit mission whose every `scan_many` call is checked against a
     fresh-memo scan of the same grid, bit for bit.
 
-    Returns each call's grid, cells and template, and asserts that some
-    scans were served from the memo, so the check is not vacuous.
+    Returns each call's grid, cells and template, and asserts that some cell
+    was served from the memo, never passed to `ray_gains`, so the check is not
+    vacuous.
     """
     seen = []
-    reused = 0
+    served = 0
+    passed = spy_ray_gains(monkeypatch)
 
     def spy(occ, cells, params, camera, memo):
-        nonlocal reused
-        kept = list(memo.scans.values())  # alive, so their ids stay unique
-        kept_ids = {id(scan) for scan in kept}
+        nonlocal served
+        passed.clear()
         got = scan_many(occ, cells, params, camera, memo)
-        fresh = scan_many(occ, cells, params, camera, ScanMemo())
-        for g, f in zip(got, fresh, strict=True):
-            assert_same_scan(g, f)
-        reused += sum(id(g) in kept_ids for g in got)
+        served += len(set(cells.tolist()) - rescanned(passed, occ.spec))
+        assert_same_pair(got, scan_many(occ, cells, params, camera, ScanMemo()))
         seen.append((OccupancyGrid(occ.spec, occ.p.copy()), np.array(cells),
                      _template(params, camera, occ.spec.resolution)))
         return got
@@ -338,7 +366,7 @@ def run_with_memo_oracle(monkeypatch, preset, max_mission_time):
     monkeypatch.setattr(harness, "scan_many", spy)
     harness.run_mission(WorldConfig.from_json(preset_world_path(preset)), "fit", 1,
                         max_mission_time=max_mission_time)
-    assert reused > 0
+    assert served > 0
     return seen
 
 
@@ -349,36 +377,42 @@ def test_obstacle_ring_mission_memo_matches_fresh_scans(monkeypatch):
 
 
 class TestScanMemo:
-    """A kept scan is bit-identical to a fresh one; a class change within
-    reach of its center evicts it."""
+    """A kept (gain, theta) pair is bit-identical to a fresh one and its cell is
+    not rescanned; a class change within reach of its center evicts it."""
 
     PARAMS, CAMERA, RES = RayCastParams(), Camera(max_depth=2.0), 0.1
 
     def scan(self, occ, cells, memo):
         return scan_many(occ, linear_array(cells, occ.spec), self.PARAMS, self.CAMERA, memo)
 
-    def test_reveal_at_reach_evicts_and_past_reach_keeps(self):
+    def test_reveal_at_reach_evicts_and_past_reach_keeps(self, monkeypatch):
         tmpl = _template(self.PARAMS, self.CAMERA, self.RES)
         r = tmpl.reach
         occ = unknown_grid(w=2 * r + 5, h=2 * r + 5, res=self.RES)
         ci = cj = r + 2
+        lin = cj * occ.spec.width + ci
+        passed = spy_ray_gains(monkeypatch)
         memo = ScanMemo()
-        first = self.scan(occ, [(ci, cj)], memo)[0]
+        self.scan(occ, [(ci, cj)], memo)
+        first = scan_orientations(occ, (ci, cj), self.PARAMS, self.CAMERA)
+        passed.clear()
 
-        # Past reach: no ray reads the cell, so the scan is kept.
+        # Past reach: no ray reads the cell, so the pair is kept.
         occ.p[cj, ci + r + 1] = 0.02
-        kept = self.scan(occ, [(ci, cj)], memo)[0]
-        assert kept is first
-        assert_same_scan(kept, self.scan(occ, [(ci, cj)], ScanMemo())[0])
+        kept = self.scan(occ, [(ci, cj)], memo)
+        assert lin not in rescanned(passed, occ.spec)
+        assert_same_pair(kept, self.scan(occ, [(ci, cj)], ScanMemo()))
+        passed.clear()
 
-        # At reach, on a cell a ray visits: the scan goes stale.
+        # At reach, on a cell a ray visits: the pair goes stale.
         far = (tmpl.keep != 0) & (np.maximum(abs(tmpl.di), abs(tmpl.dj)) == r)
         k, n = np.argwhere(far)[0]
         occ.p[cj + tmpl.dj[k, n], ci + tmpl.di[k, n]] = 0.02
-        rescanned = self.scan(occ, [(ci, cj)], memo)[0]
-        assert rescanned is not first
-        assert rescanned.ray_gains[k] < first.ray_gains[k]
-        assert_same_scan(rescanned, self.scan(occ, [(ci, cj)], ScanMemo())[0])
+        got = self.scan(occ, [(ci, cj)], memo)
+        assert rescanned(passed, occ.spec) == {lin}
+        assert_same_pair(got, self.scan(occ, [(ci, cj)], ScanMemo()))
+        after = scan_orientations(occ, (ci, cj), self.PARAMS, self.CAMERA)
+        assert after.ray_gains[k] < first.ray_gains[k]
 
     @pytest.mark.parametrize("density", [0.0, 0.001, 0.05])
     def test_clean_boxes_match_brute_force(self, density):
@@ -389,14 +423,38 @@ class TestScanMemo:
         want = [not changed[b:b + 9, a:a + 9].any() for a, b in zip(i, j)]
         assert _clean_boxes(changed, i, j, 9).tolist() == want
 
-    def test_memo_keeps_only_the_last_calls_cells(self):
+    def test_memo_keeps_only_the_last_calls_cells(self, monkeypatch):
         occ = unknown_grid(w=30, h=30, res=self.RES)
+        a, b = 5 * 30 + 5, 20 * 30 + 20
+        passed = spy_ray_gains(monkeypatch)
         memo = ScanMemo()
-        a, b = self.scan(occ, [(5, 5), (20, 20)], memo)
-        assert self.scan(occ, [(20, 20)], memo)[0] is b
-        again = self.scan(occ, [(5, 5)], memo)[0]
-        assert again is not a
-        assert_same_scan(again, a)
+        first = self.scan(occ, [(5, 5), (20, 20)], memo)
+        passed.clear()
+        assert_same_pair(self.scan(occ, [(20, 20)], memo), [x[1:] for x in first])
+        assert not rescanned(passed, occ.spec)
+        for kept in (memo.gain, memo.theta):
+            assert np.flatnonzero(~np.isnan(kept)).tolist() == [b]
+        assert_same_pair(self.scan(occ, [(5, 5)], memo), [x[:1] for x in first])
+        assert rescanned(passed, occ.spec) == {a}
+        for kept in (memo.gain, memo.theta):
+            assert np.flatnonzero(~np.isnan(kept)).tolist() == [a]
+
+    def test_cell_absent_from_the_last_call_is_rescanned(self, monkeypatch):
+        # Call 2 leaves A out after a class in A's reach box changed, and call 3
+        # brings the same grid as call 2. So only A's absence from call 2, not
+        # the class grids, tells call 3 that A's value from call 1 is stale.
+        occ = unknown_grid(w=30, h=30, res=self.RES)
+        a = 5 * 30 + 5
+        passed = spy_ray_gains(monkeypatch)
+        memo = ScanMemo()
+        first = self.scan(occ, [(5, 5)], memo)
+        occ.p[5, 6:8] = 0.9  # a wall just east of A
+        self.scan(occ, [(20, 20)], memo)
+        passed.clear()
+        got = self.scan(occ, [(5, 5)], memo)
+        assert rescanned(passed, occ.spec) == {a}
+        assert_same_pair(got, self.scan(occ, [(5, 5)], ScanMemo()))
+        assert got[0][0] != first[0][0]
 
     @pytest.mark.parametrize("change", ["params", "camera", "resolution", "shape"])
     def test_other_template_or_grid_shape_rejected(self, change):
