@@ -77,9 +77,10 @@ class GridSpec:
         # Read as unsigned, a negative index is past every bound: one compare per axis.
         return i, j, (i.view(np.uintp) < self.width) & (j.view(np.uintp) < self.height)
 
-    def cell_to_world(self, i: int, j: int) -> tuple[float, float]:
-        """World coordinates of the center of cell (i, j)."""
-        if not self.in_bounds(i, j):
+    def cell_to_world(self, i, j) -> tuple:
+        """World coordinates of the center of cell (i, j): floats for ints, or float
+        arrays for integer arrays i and j, whose cells are checked all at once."""
+        if not np.all((0 <= i) & (i < self.width) & (0 <= j) & (j < self.height)):
             raise OutOfBoundsError(f"cell ({i}, {j}) outside {self.width}x{self.height} grid")
         return (i + 0.5) * self.resolution, (j + 0.5) * self.resolution
 

@@ -112,32 +112,34 @@ def _next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camer
     if not goals.size:
         return None
     if strategy == "fit":
-        cell, theta_star = _fit_pick(planner, start, goals, occ, rays, camera, world, uparams, memo)
+        cell, path, theta_star = _fit_pick(planner, start, goals, occ, rays, camera, world,
+                                           uparams, memo)
     else:
         if strategy == "random":
             goals = goals[[rng.integers(len(goals))]]
         cell = divmod(int(goals[planner.nearest(start, goals)]), planner.spec.width)[::-1]
+        path = planner.path_to(cell)
         theta_star = scan_orientations(occ, cell, rays, camera).best_theta
-    return CandidateGoal(cell, planner.distance_to(cell), planner.path_to(cell), theta_star)
+    return CandidateGoal(cell, planner.distance_to(cell), path, theta_star)
 
 
 def _fit_pick(planner, start, cells, occ, rays, camera, world, uparams, memo):
-    """Fit's pick among the reachable cells, the one of best u2, and its best
-    orientation from `scan_many`'s per-cell (gain, theta) arrays. Bounded solves
-    settle only as far as the u1 shortlist can reach, and only the shortlist's
-    paths are reconstructed and scored for information."""
+    """Fit's pick among the reachable cells, the one of best u2, with its path and
+    its best orientation from `scan_many`'s per-cell (gain, theta) arrays. Bounded
+    solves settle only as far as the u1 shortlist can reach, and only the
+    shortlist's paths are reconstructed and scored for information."""
     gain, theta = scan_many(occ, cells, rays, camera, memo)
     rho = _shortlist_rho(planner, start, cells, gain, uparams)
     u1 = compute_u1(rho, gain, uparams, world.spec.resolution)
     short = shortlist(u1, rho, cells, uparams.shortlist_n)
-    info = np.empty(len(short))
+    info, paths = np.empty(len(short)), {}
     for n, k in enumerate(short.tolist()):
-        path = planner.path_to(divmod(int(cells[k]), world.spec.width)[::-1])
-        wps = sample_waypoints(path, camera.max_depth, world.spec)
+        paths[k] = planner.path_to(divmod(int(cells[k]), world.spec.width)[::-1])
+        wps = sample_waypoints(paths[k], camera.max_depth, world.spec)
         wps[-1] = (*wps[-1][:2], float(theta[k]))
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
-    best = short[select_best(u1[short], info, rho[short], cells[short], uparams)]
-    return divmod(int(cells[best]), world.spec.width)[::-1], float(theta[best])
+    best = int(short[select_best(u1[short], info, rho[short], cells[short], uparams)])
+    return divmod(int(cells[best]), world.spec.width)[::-1], paths[best], float(theta[best])
 
 
 def _shortlist_rho(planner, start, cells, gain, uparams):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,12 +40,6 @@ STEPS = ((1, -1, SQRT2), (1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2))
 
 class NoPathError(RuntimeError):
     """The goal is not Free or not reachable; callers should blacklist it."""
-
-
-@dataclass
-class Path:
-    cells: list  # (i, j) from start to goal, consecutive cells 8-adjacent
-    length_m: float
 
 
 def _neighbors(nav: BinaryTraversabilityGrid, i: int, j: int):
@@ -76,8 +69,9 @@ def octile(a: tuple, b: tuple) -> float:
     return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
 
 
-def plan(nav: BinaryTraversabilityGrid, start: tuple, goal: tuple) -> Path:
-    """A* minimum-cost path from start to goal over Free cells.
+def plan(nav: BinaryTraversabilityGrid, start: tuple, goal: tuple) -> np.ndarray:
+    """A* minimum-cost path from start to goal over Free cells, as the linear
+    indices of its cells, start first.
 
     Ties in f are broken by larger g, then by row-major node index, so the
     returned path is deterministic across runs and platforms.
@@ -88,7 +82,7 @@ def plan(nav: BinaryTraversabilityGrid, start: tuple, goal: tuple) -> Path:
     if not spec.in_bounds(*goal) or not nav.is_free(*goal):
         raise NoPathError(f"goal {goal} is not Free")
     if start == goal:
-        return Path([start], 0.0)
+        return np.array([spec.linear_index(*start)])
 
     g = {start: 0.0}
     parent = {start: None}
@@ -100,7 +94,7 @@ def plan(nav: BinaryTraversabilityGrid, start: tuple, goal: tuple) -> Path:
         if node in closed:
             continue
         if node == goal:
-            return _reconstruct(parent, goal, spec.resolution)
+            return _reconstruct(parent, goal, spec.width)
         closed.add(node)
         g_node = -neg_g
         for ni, nj, step in _neighbors(nav, *node):
@@ -116,15 +110,11 @@ def plan(nav: BinaryTraversabilityGrid, start: tuple, goal: tuple) -> Path:
     raise NoPathError(f"goal {goal} unreachable from {start}")
 
 
-def _reconstruct(parent: dict, goal: tuple, resolution: float) -> Path:
+def _reconstruct(parent: dict, goal: tuple, width: int) -> np.ndarray:
     cells = [goal]
     while parent[cells[-1]] is not None:
         cells.append(parent[cells[-1]])
-    cells.reverse()
-    length = 0.0
-    for a, b in zip(cells, cells[1:]):
-        length += resolution * (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0)
-    return Path(cells, length)
+    return np.array([j * width + i for i, j in reversed(cells)])
 
 
 class MultiGoalPlanner:
@@ -139,8 +129,8 @@ class MultiGoalPlanner:
     grows bounded solves until a caller's stop test holds; `nearest` uses it to
     find the goal with the least (distance, row, column), or to settle a lone
     goal, after which `distance_to` and `path_to` serve it as after a full solve.
-    A set of goals is one array of linear indices `j * width + i`; one goal,
-    like the start, is an (i, j) pair.
+    A set of goals, like a path's cells, is one array of linear indices
+    `j * width + i`; one goal, like the start, is an (i, j) pair.
     """
 
     def __init__(self, nav: BinaryTraversabilityGrid, memo: GraphMemo):
@@ -250,15 +240,14 @@ class MultiGoalPlanner:
             raise NoPathError(f"goal {goal} unreachable from {self._start}")
         return gi, self._dist[gi]
 
-    def path_to(self, goal: tuple) -> Path:
+    def path_to(self, goal: tuple) -> np.ndarray:
+        """The optimal path's cells as linear indices, start first, from the last
+        solve's predecessors."""
         gi, _ = self._goal_index(goal)
-        spec = self.spec
         nodes = [gi]
         while self._pred[nodes[-1]] >= 0:
             nodes.append(int(self._pred[nodes[-1]]))
-        nodes.reverse()
-        cells = [(n % spec.width, n // spec.width) for n in nodes]
-        return Path(cells, float(self._dist[gi]) * spec.resolution)
+        return np.array(nodes[::-1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -341,21 +330,23 @@ def _patch_graph(nav: BinaryTraversabilityGrid, memo: GraphMemo):
     return csr_matrix((data, memo.cols.ravel(), indptr), shape=(n, n))
 
 
-def sample_waypoints(path: Path, spacing_m: float, spec) -> list:
-    """Sample the path polyline at arc-length multiples of spacing_m, as a list of
-    (x, y, heading) poses of Python floats.
+def sample_waypoints(path: np.ndarray, spacing_m: float, spec) -> list:
+    """Sample the polyline through the path's cell centres at arc-length multiples
+    of spacing_m, as a list of (x, y, heading) poses of Python floats.
 
     The start and the final cell are always included. Each pose's heading points
     toward the next sample; the final pose repeats the direction of arrival (the
-    caller overrides it with the chosen arrival orientation). One `searchsorted`
-    finds every sample's segment. The headings are `math.atan2` per sample pair,
-    since numpy's `arctan2` rounds some of them differently.
+    caller overrides it with the chosen arrival orientation). An index off the
+    grid raises OutOfBoundsError. One `searchsorted` finds every sample's
+    segment. The headings are `math.atan2` per sample pair, since numpy's
+    `arctan2` rounds some of them differently.
     """
     if spacing_m <= 0:
         raise ValueError("spacing_m must be > 0")
-    if not path.cells:
+    if not len(path):
         raise ValueError("path must be nonempty")
-    pts = np.array([spec.cell_to_world(i, j) for i, j in path.cells])
+    j, i = np.divmod(path, spec.width)
+    pts = np.column_stack(spec.cell_to_world(i, j))
     if len(pts) == 1:
         return [(*pts[0].tolist(), 0.0)]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)

@@ -21,7 +21,7 @@ from . import fisher, traversability
 from .fisher import Camera, CameraPose
 from .grid import (FREE, BinaryTraversabilityGrid, ConfigError, GridSpec, OccupancyGrid,
                    UNKNOWN_P, _is_number, check_int, check_number)
-from .planner import SQRT2, GraphMemo, Path
+from .planner import SQRT2, GraphMemo
 from .traversability import ScoreMemo, TerrainStatsGrid
 
 P_CLAMP = (0.02, 0.98)  # occupancy of a cell seen free / seen occupied
@@ -564,31 +564,34 @@ def initial_spin(world: World, state: MissionState) -> None:
     record_metrics(state)
 
 
-def execute_path(world: World, state: MissionState, path: Path, theta_star: float,
+def execute_path(world: World, state: MissionState, path: np.ndarray, theta_star: float,
                  nav: BinaryTraversabilityGrid) -> None:
-    """Drive the path cell by cell, then rotate to the arrival orientation.
+    """Drive the path, its cells' linear indices, cell by cell, then rotate to the
+    arrival orientation.
 
     Each step grows the covariance with distance, senses, folds observed
     landmark information back into the covariance and checks loop closures.
-    If a cell the path enters is not Free in `nav`, PathBlockedError is raised
-    before the robot moves.
+    Before the robot moves, an index off the grid raises OutOfBoundsError, and
+    a cell the path enters that is not Free in `nav` raises PathBlockedError.
     """
     spec = world.spec
     sur = world.config.surrogate
     speed = world.config.robot.speed
-    cells = path.cells
-    blocked = [cell for cell in cells[1:] if not nav.is_free(*cell)]
-    if blocked:
-        raise PathBlockedError(f"path cell {blocked[0]} is not traversable")
+    j, i = np.divmod(path, spec.width)
+    xs, ys = spec.cell_to_world(i, j)  # checks every index before a gather could wrap
+    blocked = np.flatnonzero(nav.state.take(path[1:]) != FREE) + 1
+    if blocked.size:
+        raise PathBlockedError(f"path cell {(int(i[blocked[0]]), int(j[blocked[0]]))} "
+                               "is not traversable")
     # Every pose of the drive, the arrival turn's last, so one pass senses their landmarks.
-    poses = [(*spec.cell_to_world(*cell), math.atan2(cell[1] - prev[1], cell[0] - prev[0]))
-             for prev, cell in zip(cells, cells[1:])]
+    steps = list(zip(np.diff(i).tolist(), np.diff(j).tolist()))
+    poses = [(x, y, math.atan2(dj, di))
+             for x, y, (di, dj) in zip(xs[1:].tolist(), ys[1:].tolist(), steps)]
     x, y, theta = poses[-1] if poses else state.pose
     poses.append((x, y, theta_star))
     looks = landmark_looks(world, poses)
-    for prev, cell, pose, look in zip(cells, cells[1:], poses, looks):
-        diagonal = prev[0] != cell[0] and prev[1] != cell[1]
-        dd = spec.resolution * (SQRT2 if diagonal else 1.0)
+    for (di, dj), pose, look in zip(steps, poses, looks):
+        dd = spec.resolution * (SQRT2 if di != 0 and dj != 0 else 1.0)
         state.cov = state.cov + sur.q * dd * _MOTION_DIRS
         state.pose = pose
         state.distance += dd

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import check_int, check_number
-from .planner import Path
 
 DEFAULT_ALPHA = 0.35
 DEFAULT_BETA = 0.4
@@ -37,7 +36,7 @@ class CandidateGoal:
     """The goal a decision picked, with its path from the robot."""
     cell: tuple         # (i, j) goal cell
     rho: float          # path length in meters
-    path: Path
+    path: np.ndarray    # the path's cells as linear indices, start first
     theta_star: float   # best arrival orientation, rad
 
 

@@ -31,6 +31,21 @@ def linear_array(cells, spec):
     return np.array(lin) if lin else np.empty(0, dtype=np.intp)
 
 
+def path_cells(path, spec):
+    """The (i, j) cells of a path given as linear indices, in order, one at a time."""
+    return [(k % spec.width, k // spec.width) for k in path.tolist()]
+
+
+def path_length(path, spec):
+    """A path's length in meters, summed step by step: one resolution per cardinal
+    step and sqrt(2) resolutions per diagonal one."""
+    cells = path_cells(path, spec)
+    length = 0.0
+    for a, b in zip(cells, cells[1:]):
+        length += spec.resolution * (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0)
+    return length
+
+
 def all_sensed(spec):
     """The `sensed` mask of a grid whose every cell the lidar has reached."""
     return np.ones((spec.height, spec.width), dtype=bool)
@@ -303,9 +318,9 @@ def sample_waypoints_loop(path, spacing_m, spec):
     bit for bit, are asserted."""
     if spacing_m <= 0:
         raise ValueError("spacing_m must be > 0")
-    if not path.cells:
+    if not len(path):
         raise ValueError("path must be nonempty")
-    pts = np.array([spec.cell_to_world(i, j) for i, j in path.cells])
+    pts = np.array([spec.cell_to_world(i, j) for i, j in path_cells(path, spec)])
     if len(pts) == 1:
         return [(float(pts[0][0]), float(pts[0][1]), 0.0)]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -342,7 +357,8 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
     """Fit's decision on a fresh planner, candidate by candidate, from the linear
     indices `cells`; blacklists the unreachable cells. Returns the kept (i, j) cells
     and their rho, u1, the shortlisted cells best first with their u2, and the pick
-    as (cell, rho, path cells, theta_star), which is None when no cell is kept."""
+    as (cell, rho, the path's linear indices as a list, theta_star), which is None
+    when no cell is kept."""
     planner.solve(start, math.inf)
     kept, rho = [], []
     for k in cells.tolist():
@@ -380,7 +396,7 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
               for k, info in zip(short, infos)]
     best = min(range(len(short)), key=lambda n: key(ref.u2[n], short[n]))
     k = short[best]
-    ref.pick = (kept[k], rho[k], paths[best].cells, scans[k].best_theta)
+    ref.pick = (kept[k], rho[k], paths[best].tolist(), scans[k].best_theta)
     return ref
 
 

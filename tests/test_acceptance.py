@@ -23,7 +23,7 @@ from fitslam.infogain import RayCastParams, cast_ray, cell_entropy, scan_orienta
 from fitslam.planner import NoPathError, SQRT2, plan
 from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams
-from oracles import brute_force_scan, dijkstra_oracle, fd_jacobian, random_pose
+from oracles import brute_force_scan, dijkstra_oracle, fd_jacobian, path_cells, random_pose
 from test_fingerprints import _load_checks
 
 EXPERIMENT_FINGERPRINTS = Path(__file__).resolve().parent / "experiment_fingerprints.json"
@@ -113,7 +113,8 @@ def test_criterion_3_planner_optimality(capsys):
         # rationally independent, so the optimal pair is unique and equality
         # of the reconstructed cost is exact.
         card = diag = 0
-        for a, b in zip(path.cells, path.cells[1:]):
+        cells = path_cells(path, spec)
+        for a, b in zip(cells, cells[1:]):
             if a[0] != b[0] and a[1] != b[1]:
                 diag += 1
             else:

@@ -46,6 +46,16 @@ class TestGridSpec:
         with pytest.raises(OutOfBoundsError):
             spec.cell_to_world(100, 0)
 
+    def test_cell_to_world_arrays_match_each_cell(self):
+        spec = GridSpec(0.13, 17, 9)
+        j, i = np.divmod(np.arange(spec.n_cells), spec.width)
+        x, y = spec.cell_to_world(i, j)
+        assert list(zip(x.tolist(), y.tolist())) == [
+            spec.cell_to_world(int(a), int(b)) for a, b in zip(i, j)]
+        for bad_i, bad_j in ((-1, 0), (0, -1), (spec.width, 0), (0, spec.height)):
+            with pytest.raises(OutOfBoundsError):
+                spec.cell_to_world(np.append(i, bad_i), np.append(j, bad_j))
+
     def test_round_trip_center_returns_same_cell(self):
         spec = GridSpec(0.13, 17, 9)
         for i in range(spec.width):

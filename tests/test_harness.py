@@ -172,7 +172,7 @@ class TestRandomDecision:
             goal, blacklist = pocket_decision("random", [(13, 6), (17, 3), (3, 3)],
                                               np.random.default_rng(seed))
             assert (goal.cell, goal.rho) == (pick, full.distance_to(pick))
-            assert goal.path.cells == full.path_to(pick).cells
+            assert goal.path.tolist() == full.path_to(pick).tolist()
             scan = scan_orientations(OccupancyGrid.unknown(nav.spec), pick, RayCastParams(),
                                      Camera())
             assert goal.theta_star == scan.best_theta
@@ -227,7 +227,7 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         else:
             pick = goals[int(draw.integers(len(goals)))]
         assert (goal.cell, goal.rho) == (pick, full.distance_to(pick))
-        assert goal.path.cells == full.path_to(pick).cells
+        assert goal.path.tolist() == full.path_to(pick).tolist()
         settled = np.isfinite(planner._dist)
         assert np.array_equal(planner._dist[settled], full._dist[settled])
         assert np.array_equal(planner._pred[settled], full._pred[settled])
@@ -304,7 +304,7 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
         assert (ref_rho[~settled] >= planner._limit * planner.spec.resolution).all()
         assert kept[short].tolist() == linear_array(ref.shortlist, planner.spec).tolist()
         assert np.array_equal(u2, ref.u2)
-        assert (goal.cell, goal.rho, goal.path.cells, goal.theta_star) == ref.pick
+        assert (goal.cell, goal.rho, goal.path.tolist(), goal.theta_star) == ref.pick
         assert calls["distance_to"] <= 1
         assert calls["path_to"] <= uparams.shortlist_n + 1
         decisions.append(goal.cell)

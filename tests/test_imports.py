@@ -46,10 +46,12 @@ def test_algorithm_loads_no_simulator(module):
 
 
 def test_goal_selection_loads_no_frontier():
-    # A candidate goal is its cell, so utility needs no frontier cluster.
+    # A candidate goal is its cell, so utility needs no frontier cluster; its path
+    # is an array of linear indices, so utility needs no planner either.
     loaded = loaded_after("utility")
     assert "fitslam.utility" in loaded
     assert "fitslam.frontier" not in loaded
+    assert "fitslam.planner" not in loaded
 
 
 def test_simulator_loads_no_goal_selection():

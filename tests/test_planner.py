@@ -8,13 +8,13 @@ from scipy import ndimage
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 import fitslam
-from fitslam.grid import BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, UNKNOWN, shift
+from fitslam.grid import (BLOCKED, BinaryTraversabilityGrid, FREE, GridSpec, OutOfBoundsError,
+                          UNKNOWN, shift)
 from fitslam import harness, planner as planner_module
 from fitslam.planner import (
     GraphMemo,
     MultiGoalPlanner,
     NoPathError,
-    Path,
     SQRT2,
     octile,
     plan,
@@ -23,7 +23,8 @@ from fitslam.planner import (
 from fitslam.simworld import WorldConfig
 from fitslam.utility import UtilityParams, compute_u1, shortlist
 import test_edge_worlds as edge
-from oracles import build_graph, dijkstra_oracle, linear_array, sample_waypoints_loop
+from oracles import (build_graph, dijkstra_oracle, linear_array, path_cells, path_length,
+                     sample_waypoints_loop)
 
 
 def free_grid(w, h, res=0.05):
@@ -55,9 +56,10 @@ def coo_graph(nav):
                       shape=(n, n)).tocsr()
 
 
-def path_counts(path):
+def path_counts(path, spec):
     card = diag = 0
-    for a, b in zip(path.cells, path.cells[1:]):
+    cells = path_cells(path, spec)
+    for a, b in zip(cells, cells[1:]):
         if a[0] != b[0] and a[1] != b[1]:
             diag += 1
         else:
@@ -69,14 +71,14 @@ class TestPlan:
     def test_start_equals_goal(self):
         nav = free_grid(5, 5)
         path = plan(nav, (2, 2), (2, 2))
-        assert path.cells == [(2, 2)]
-        assert path.length_m == 0.0
+        assert path.tolist() == linear_array([(2, 2)], nav.spec).tolist()
+        assert path_length(path, nav.spec) == 0.0
 
     def test_straight_corridor_length(self):
         nav = free_grid(10, 10, res=0.05)
         path = plan(nav, (0, 0), (0, 9))
-        assert path.cells == [(0, j) for j in range(10)]
-        assert path.length_m == pytest.approx(0.45)
+        assert path.tolist() == linear_array([(0, j) for j in range(10)], nav.spec).tolist()
+        assert path_length(path, nav.spec) == pytest.approx(0.45)
 
     def test_enclosed_goal_unreachable(self):
         nav = free_grid(7, 7)
@@ -108,7 +110,7 @@ class TestPlan:
         nav = free_grid(3, 3)
         nav.state[0, 1] = BLOCKED  # only one of the two touched cardinals
         path = plan(nav, (0, 0), (1, 1))
-        assert path.cells == [(0, 0), (1, 1)]
+        assert path.tolist() == linear_array([(0, 0), (1, 1)], nav.spec).tolist()
 
     def test_consecutive_cells_are_adjacent_and_free(self):
         rng = np.random.default_rng(2)
@@ -120,7 +122,8 @@ class TestPlan:
             path = plan(nav, (0, 0), (19, 19))
         except NoPathError:
             pytest.skip("random grid disconnected")
-        for a, b in zip(path.cells, path.cells[1:]):
+        cells = path_cells(path, nav.spec)
+        for a, b in zip(cells, cells[1:]):
             assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1
             assert nav.is_free(*b)
 
@@ -139,11 +142,11 @@ class TestPlan:
                     plan(nav, start, goal)
                 continue
             path = plan(nav, start, goal)
-            card, diag = path_counts(path)
+            card, diag = path_counts(path, nav.spec)
             assert (card, diag) == oracle or (
                 card + diag * SQRT2 == pytest.approx(
                     oracle[0] + oracle[1] * SQRT2, abs=1e-9))
-            assert path.length_m == pytest.approx(
+            assert path_length(path, nav.spec) == pytest.approx(
                 nav.spec.resolution * (oracle[0] + oracle[1] * SQRT2), abs=1e-9)
 
 
@@ -164,10 +167,12 @@ class TestMultiGoalPlanner:
                 with pytest.raises(NoPathError):
                     mgp.distance_to(goal)
                 continue
-            assert mgp.distance_to(goal) == pytest.approx(single.length_m, abs=1e-9)
+            single_m = path_length(single, nav.spec)
+            assert mgp.distance_to(goal) == pytest.approx(single_m, abs=1e-9)
             batched = mgp.path_to(goal)
-            assert batched.length_m == pytest.approx(single.length_m, abs=1e-9)
-            assert batched.cells[0] == (0, 0) and batched.cells[-1] == goal
+            assert path_length(batched, nav.spec) == pytest.approx(single_m, abs=1e-9)
+            cells = path_cells(batched, nav.spec)
+            assert cells[0] == (0, 0) and cells[-1] == goal
 
     def test_solve_required_before_queries(self):
         nav = free_grid(4, 4)
@@ -280,7 +285,7 @@ class TestGreedyPick:
             rho, j, i = min((full.distance_to(g), g[1], g[0]) for g in goals)
             assert goals[k] == (i, j)
             assert planner.distance_to((i, j)) == rho
-            assert planner.path_to((i, j)).cells == full.path_to((i, j)).cells
+            assert planner.path_to((i, j)).tolist() == full.path_to((i, j)).tolist()
             card, diag = dijkstra_oracle(nav, start, (i, j))
             assert rho == pytest.approx(nav.spec.resolution * (card + diag * SQRT2), abs=1e-9)
             picked += 1
@@ -336,7 +341,7 @@ class TestGreedyPick:
         nav = free_grid(5, 5)
         planner = new_planner(nav)
         assert planner.nearest((2, 2), linear_array([(4, 4), (2, 2)], nav.spec)) == 1
-        assert planner.path_to((2, 2)).cells == [(2, 2)]
+        assert planner.path_to((2, 2)).tolist() == linear_array([(2, 2)], nav.spec).tolist()
 
     def test_nearest_without_a_reachable_goal_raises(self):
         nav = free_grid(6, 6)
@@ -648,14 +653,14 @@ def test_kept_graph_is_the_full_build_at_every_decision(world, monkeypatch):
 class TestSampleWaypoints:
     def test_single_cell_path(self):
         spec = GridSpec(0.1, 10, 10)
-        wps = sample_waypoints(Path([(3, 4)], 0.0), 2.0, spec)
+        wps = sample_waypoints(linear_array([(3, 4)], spec), 2.0, spec)
         assert len(wps) == 1
         assert wps[0][:2] == pytest.approx((0.35, 0.45))
 
     def test_straight_path_spacing(self):
         spec = GridSpec(1.0, 12, 2)
         cells = [(i, 0) for i in range(11)]  # 10 m of cardinal steps
-        wps = sample_waypoints(Path(cells, 10.0), 4.0, spec)
+        wps = sample_waypoints(linear_array(cells, spec), 4.0, spec)
         xs = [x for x, _, _ in wps]
         assert xs == pytest.approx([0.5, 4.5, 8.5, 10.5])
         assert all(heading == pytest.approx(0.0) for _, _, heading in wps)
@@ -663,21 +668,29 @@ class TestSampleWaypoints:
     def test_spacing_larger_than_path(self):
         spec = GridSpec(1.0, 5, 2)
         cells = [(0, 0), (1, 0), (2, 0)]
-        wps = sample_waypoints(Path(cells, 2.0), 50.0, spec)
+        wps = sample_waypoints(linear_array(cells, spec), 50.0, spec)
         assert len(wps) == 2
         assert (wps[0][0], wps[-1][0]) == (0.5, 2.5)
 
     def test_final_heading_repeats_previous(self):
         spec = GridSpec(1.0, 6, 6)
         cells = [(0, 0), (1, 1), (2, 2)]
-        wps = sample_waypoints(Path(cells, 2 * SQRT2), 1.0, spec)
+        wps = sample_waypoints(linear_array(cells, spec), 1.0, spec)
         assert wps[-1][2] == pytest.approx(wps[-2][2])
         assert wps[0][2] == pytest.approx(math.pi / 4)
 
     def test_bad_spacing_rejected(self):
         spec = GridSpec(1.0, 3, 3)
         with pytest.raises(ValueError):
-            sample_waypoints(Path([(0, 0)], 0.0), 0.0, spec)
+            sample_waypoints(linear_array([(0, 0)], spec), 0.0, spec)
+
+    @pytest.mark.parametrize("off_grid", ["negative", "n_cells"])
+    def test_off_grid_index_rejected(self, off_grid):
+        # A negative index would wrap to a cell of the last row in a flat gather.
+        spec = GridSpec(1.0, 6, 6)
+        bad = -1 if off_grid == "negative" else spec.n_cells
+        with pytest.raises(OutOfBoundsError):
+            sample_waypoints(np.array([0, 1, bad, 2]), 1.0, spec)
 
     @pytest.mark.parametrize("cells, spacing", [
         ([(3, 4)], 0.3),                                  # one cell
@@ -692,8 +705,9 @@ class TestSampleWaypoints:
     def test_matches_per_sample_loop(self, cells, spacing):
         """The same (x, y, heading) tuples of Python floats as the per-sample loop."""
         spec = GridSpec(0.2, 12, 12)
-        wps = sample_waypoints(Path(cells, 0.0), spacing, spec)
-        assert wps == sample_waypoints_loop(Path(cells, 0.0), spacing, spec)
+        path = linear_array(cells, spec)
+        wps = sample_waypoints(path, spacing, spec)
+        assert wps == sample_waypoints_loop(path, spacing, spec)
         assert all(type(v) is float for pose in wps for v in pose)
 
     @pytest.mark.slow

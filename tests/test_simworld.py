@@ -10,10 +10,10 @@ import fitslam
 from fitslam import fisher, simworld
 from fitslam.cli import main
 from fitslam.frontier import detect_frontiers
-from fitslam.grid import BLOCKED, FREE, UNKNOWN_P, BinaryTraversabilityGrid
+from fitslam.grid import BLOCKED, FREE, UNKNOWN_P, BinaryTraversabilityGrid, OutOfBoundsError
 from fitslam.harness import run_mission
 from fitslam.infogain import OCCUPIED_THRESHOLD
-from fitslam.planner import Path, plan
+from fitslam.planner import plan
 from fitslam.simworld import (
     ConfigError,
     MissionState,
@@ -28,7 +28,8 @@ from fitslam.simworld import (
     observe,
 )
 from fitslam.traversability import TerrainStatsGrid
-from oracles import MomentReference, linear, look_per_pose, score_cells
+from oracles import (MomentReference, linear, linear_array, look_per_pose, path_cells,
+                     path_length, score_cells)
 from test_fisher import landmark_fim_reference, visible_reference
 
 
@@ -917,7 +918,7 @@ def random_drive(world, rng, n_legs=12, leg_cells=30):
             if not (0 <= i < spec.width and 0 <= j < spec.height):
                 break
             cells.append((i, j))
-        paths.append(Path(cells, 0.0))
+        paths.append(linear_array(cells, spec))
     return paths
 
 
@@ -996,10 +997,29 @@ class TestExecutePath:
         before = (state.pose, state.clock, state.distance, state.cov.copy(),
                   list(state.samples))
         with pytest.raises(PathBlockedError):
-            execute_path(world, state, Path(cells, 0.6), 0.0, nav=nav)
+            execute_path(world, state, linear_array(cells, world.spec), 0.0, nav=nav)
         assert (state.pose, state.clock, state.distance) == before[:3]
         assert np.array_equal(state.cov, before[3])
         assert state.samples == before[4]
+
+    @pytest.mark.parametrize("off_grid", ["negative", "n_cells"])
+    def test_off_grid_index_aborts_before_moving(self, off_grid):
+        # A negative index would wrap in a flat gather and one past the grid would
+        # fail it: either must raise OutOfBoundsError before any state changes.
+        world = generate_world(tiny_config())
+        state = MissionState.initial(world)
+        initial_spin(world, state)
+        start = world.spec.linear_index(*world.spec.world_to_cell(2.0, 2.0))
+        bad = -1 if off_grid == "negative" else world.spec.n_cells
+        path = np.array([start, start + 1, bad, start + 2])
+        before = (state.pose, state.clock, state.distance, state.cov.copy(),
+                  list(state.samples), state.occ.p.copy())
+        with pytest.raises(OutOfBoundsError):
+            execute_path(world, state, path, 0.0, nav=free_nav(world))
+        assert (state.pose, state.clock, state.distance) == before[:3]
+        assert np.array_equal(state.cov, before[3])
+        assert state.samples == before[4]
+        assert np.array_equal(state.occ.p, before[5])
 
     def test_blocked_cell_aborts(self):
         world = generate_world(tiny_config())
@@ -1009,7 +1029,7 @@ class TestExecutePath:
         cells = [start, (start[0] + 1, start[1])]
         nav.state[cells[1][1], cells[1][0]] = 0  # BLOCKED
         with pytest.raises(PathBlockedError):
-            execute_path(world, state, Path(cells, 0.2), 0.0, nav=nav)
+            execute_path(world, state, linear_array(cells, world.spec), 0.0, nav=nav)
 
     def test_clock_and_distance_advance(self):
         world = generate_world(tiny_config())
@@ -1017,15 +1037,16 @@ class TestExecutePath:
         path = plan_straight_path(world, (2.0, 2.0), (4.0, 2.0))
         t0, d0 = state.clock, state.distance
         execute_path(world, state, path, 0.0, free_nav(world))
-        assert state.distance == pytest.approx(d0 + path.length_m)
-        assert state.clock >= t0 + path.length_m / world.config.robot.speed
+        length_m = path_length(path, world.spec)
+        assert state.distance == pytest.approx(d0 + length_m)
+        assert state.clock >= t0 + length_m / world.config.robot.speed
 
     def test_pose_ends_at_goal_with_theta_star(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
         path = plan_straight_path(world, (2.0, 2.0), (4.0, 4.0))
         execute_path(world, state, path, 1.25, free_nav(world))
-        gx, gy = world.spec.cell_to_world(*path.cells[-1])
+        gx, gy = world.spec.cell_to_world(*path_cells(path, world.spec)[-1])
         assert state.pose == pytest.approx((gx, gy, 1.25))
 
 
