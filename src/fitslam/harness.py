@@ -102,11 +102,12 @@ def _next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camer
                uparams, memo):
     """The strategy's goal with its path and arrival orientation, or None.
 
-    A breadth-first search keeps the reachable cells and blacklists the rest;
-    with none kept, this returns before any draw, scan or solve. Fit picks by
-    `_fit_pick`. Greedy takes the kept cell with the least (rho, j, i), random
-    draws one, and either scans the orientations at its pick. The path is the
-    last bounded solve's, which settled only as far as the pick needs.
+    The planner's search of the Free mask's row runs keeps the reachable cells
+    and blacklists the rest; with none kept, this returns before any draw, scan
+    or solve. Fit picks by `_fit_pick`. Greedy takes the kept cell with the
+    least (rho, j, i), random draws one, and either scans the orientations at
+    its pick. The path is the last bounded solve's, which settled only as far
+    as the pick needs.
     """
     goals = _keep(cells, planner.reachable(start, cells), blacklist)
     if not goals.size:

@@ -7,10 +7,10 @@ Unknown cells are treated as non-traversable. The harness plans with
 same costs. Its graph is the mission's `GraphMemo`, which each planner patches
 only where the Free mask changed since the previous planner: the map changes
 only near the last drive. Every strategy finds which candidates the robot can
-reach from one breadth-first search of the graph, then settles them with
-bounded solves grown until its choice is exact: greedy and random as far as
-their one pick, the nearest or a random draw, and fit as far as its u1
-shortlist can reach.
+reach from one breadth-first search over the row runs of the Free mask, not
+the graph, then settles them with bounded solves grown until its choice is
+exact: greedy and random as far as their one pick, the nearest or a random
+draw, and fit as far as its u1 shortlist can reach.
 """
 
 from __future__ import annotations
@@ -124,11 +124,12 @@ class MultiGoalPlanner:
     grid's Free mask and runs scipy's Dijkstra; costs equal the A* costs of
     `plan`. The graph is the memo's, so the planner is valid until the next
     planner is built on the same memo. A bounded solve leaves the nodes past
-    its limit at infinite distance. `reachable` answers which goals
-    a breadth-first search from the start meets, without any solve. `settle`
-    grows bounded solves until a caller's stop test holds; `nearest` uses it to
-    find the goal with the least (distance, row, column), or to settle a lone
-    goal, after which `distance_to` and `path_to` serve it as after a full solve.
+    its limit at infinite distance. `reachable` answers which goals share the
+    start's component from the Free mask's row runs, without the graph or any
+    solve. `settle` grows bounded solves until a caller's stop test holds;
+    `nearest` uses it to find the goal with the least (distance, row, column),
+    or to settle a lone goal, after which `distance_to` and `path_to` serve it
+    as after a full solve.
     A set of goals, like a path's cells, is one array of linear indices
     `j * width + i`; one goal, like the start, is an (i, j) pair.
     """
@@ -158,13 +159,36 @@ class MultiGoalPlanner:
     def reachable(self, start: tuple, goals: np.ndarray) -> np.ndarray:
         """Per goal, whether any path joins it to start: one bool array.
 
-        A goal that is not Free has no move in or out, so the search from the
-        Free start never meets it.
+        With no corner cutting, the graph's components are the Free mask's
+        4-connected ones, so this reads only the mask, as row runs: maximal
+        horizontal intervals [lo, hi) of Free cells in linear indices, sorted.
+        A run joins the runs of the next row whose columns overlap its own;
+        runs that touch only at a corner do not. One breadth-first search of
+        that run graph marks the start's component. A goal is reached if it
+        lies inside a run of it, so a goal that is not Free never is.
         """
-        met = np.zeros(self.spec.n_cells, dtype=bool)
-        met[breadth_first_order(self._graph, self._start_index(start), directed=True,
-                                return_predecessors=False)] = True
-        return met[goals]
+        src = self._start_index(start)
+        free = self.nav.free_mask()
+        w = free.shape[1]
+        padded = np.zeros((free.shape[0], w + 2), dtype=bool)
+        padded[:, 1:-1] = free
+        # Starts and ends alternate; transition p of row p // (w + 1) is cell p - row.
+        edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+        edges -= edges // (w + 1)
+        lo, hi = edges[0::2], edges[1::2]
+        first = np.searchsorted(hi, lo + w, side="right")
+        last = np.searchsorted(lo, hi + w, side="left")
+        indptr = np.zeros(lo.size + 1, dtype=np.int32)
+        np.cumsum(last - first, out=indptr[1:])
+        # Row a lists the runs first[a] ... last[a] - 1.
+        indices = (np.arange(indptr[-1], dtype=np.int32)
+                   + np.repeat(first - indptr[:-1], last - first).astype(np.int32))
+        runs = csr_matrix((np.ones(indices.size), indices, indptr), shape=(lo.size, lo.size))
+        met = np.zeros(lo.size, dtype=bool)
+        met[breadth_first_order(runs, np.searchsorted(lo, src, side="right") - 1,
+                                directed=False, return_predecessors=False)] = True
+        k = np.searchsorted(lo, goals, side="right") - 1
+        return (k >= 0) & (goals < hi[k]) & met[k]
 
     def settle(self, start: tuple, goals: np.ndarray, done) -> np.ndarray:
         """Per goal, its path length in meters from bounded solves grown until

@@ -571,20 +571,28 @@ def execute_path(world: World, state: MissionState, path: np.ndarray, theta_star
 
     Each step grows the covariance with distance, senses, folds observed
     landmark information back into the covariance and checks loop closures.
-    Before the robot moves, an index off the grid raises OutOfBoundsError, and
-    a cell the path enters that is not Free in `nav` raises PathBlockedError.
+    Before the robot moves, an index off the grid raises OutOfBoundsError, a
+    path that is empty, does not start at the robot's cell or has a step that
+    does not join 8-neighbours raises ValueError, and a cell the path enters
+    that is not Free in `nav` raises PathBlockedError.
     """
     spec = world.spec
     sur = world.config.surrogate
     speed = world.config.robot.speed
     j, i = np.divmod(path, spec.width)
     xs, ys = spec.cell_to_world(i, j)  # checks every index before a gather could wrap
+    here = spec.world_to_cell(*state.pose[:2])
+    if not len(path) or (int(i[0]), int(j[0])) != here:
+        raise ValueError(f"path must start at the robot's cell {here}")
+    step_i, step_j = np.diff(i), np.diff(j)
+    if (np.maximum(np.abs(step_i), np.abs(step_j)) != 1).any():
+        raise ValueError("every path step must move to one of the 8 neighbouring cells")
     blocked = np.flatnonzero(nav.state.take(path[1:]) != FREE) + 1
     if blocked.size:
         raise PathBlockedError(f"path cell {(int(i[blocked[0]]), int(j[blocked[0]]))} "
                                "is not traversable")
     # Every pose of the drive, the arrival turn's last, so one pass senses their landmarks.
-    steps = list(zip(np.diff(i).tolist(), np.diff(j).tolist()))
+    steps = list(zip(step_i.tolist(), step_j.tolist()))
     poses = [(x, y, math.atan2(dj, di))
              for x, y, (di, dj) in zip(xs[1:].tolist(), ys[1:].tolist(), steps)]
     x, y, theta = poses[-1] if poses else state.pose

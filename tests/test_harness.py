@@ -306,7 +306,7 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
         assert np.array_equal(u2, ref.u2)
         assert (goal.cell, goal.rho, goal.path.tolist(), goal.theta_star) == ref.pick
         assert calls["distance_to"] <= 1
-        assert calls["path_to"] <= uparams.shortlist_n + 1
+        assert calls["path_to"] == len(short)
         decisions.append(goal.cell)
         return goal
 

@@ -533,6 +533,97 @@ class TestBuildGraph:
         assert isolated > 5  # starts that closed corners cut off on every side
 
 
+def run_masks(rng):
+    """Free masks for the row-run search, by kind in turn: random clutter, checkerboards
+    whose runs meet only at corners, and a Blocked prefix of the row-major order, so
+    that goals lie below the first run's start. The first shapes are a single cell,
+    a single row and a single column."""
+    shapes = [(1, 1), (1, 1), (1, 12), (12, 1), (1, 7), (7, 1)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 25, size=2)) for _ in range(150)]
+    for trial, (h, w) in enumerate(shapes):
+        kind = trial % 3
+        jj, ii = np.mgrid[:h, :w]
+        if kind == 1:
+            free = (ii + jj) % 2 == 0
+            free |= rng.random((h, w)) < rng.uniform(0.0, 0.2)
+        else:
+            free = rng.random((h, w)) >= rng.uniform(0.0, 0.5)
+            if kind == 2:
+                free.ravel()[:int(rng.integers(1, h * w + 1))] = False
+        yield free
+
+
+class TestReachableRuns:
+    """`reachable` answers from the Free mask's row runs; the reference is the mask's
+    4-connected labels, which are the planner graph's components."""
+
+    def test_matches_four_connected_labels(self):
+        rng = np.random.default_rng(38)
+        seen = Counter()
+        for free in run_masks(rng):
+            h, w = free.shape
+            nav = free_grid(w, h)
+            nav.state[~free] = BLOCKED
+            nav.state[~free & (rng.random((h, w)) < 0.3)] = UNKNOWN
+            labels = ndimage.label(free)[0].ravel()
+            flat = free.ravel()
+            cells = np.flatnonzero(flat)
+            if not cells.size:
+                with pytest.raises(NoPathError):
+                    new_planner(nav).reachable((0, 0), np.arange(h * w))
+                seen["no Free cell"] += 1
+                continue
+            # A start run on each edge of the grid that has a Free cell, and one anywhere.
+            index = np.arange(h * w).reshape(h, w)
+            starts = [int(cells[rng.integers(cells.size)])]
+            for edge, line in (("top", index[0]), ("bottom", index[-1]),
+                               ("left", index[:, 0]), ("right", index[:, -1])):
+                on_edge = line[flat[line]]
+                if on_edge.size:
+                    starts.append(int(on_edge[rng.integers(on_edge.size)]))
+                    seen[f"start on the {edge} edge"] += 1
+            every = index.ravel()
+            for src in starts:
+                planner = new_planner(nav)
+                start = (int(src % w), int(src // w))
+                for goals in (every, rng.integers(h * w, size=int(rng.integers(1, 9))),
+                              np.array([], dtype=np.int64)):
+                    reach = planner.reachable(start, goals)
+                    assert reach.dtype == bool and reach.shape == goals.shape
+                    assert np.array_equal(reach, labels[goals] == labels[src]), (h, w, src)
+                seen["empty goal array"] += 1
+            # The cases the search must get right, each met by the masks above.
+            row_gap = ~free[:, 1:-1] & free[:, :-2] & free[:, 2:]
+            seen["goal between two runs of one row"] += bool(row_gap.any())
+            seen["goal below the first run's start"] += bool(cells[0] > 0)
+            seen["goal that is not Free"] += bool((~flat).any())
+            corner = (free[:-1, :-1] & free[1:, 1:] & ~free[:-1, 1:] & ~free[1:, :-1])
+            corner |= free[:-1, 1:] & free[1:, :-1] & ~free[:-1, :-1] & ~free[1:, 1:]
+            seen["runs that touch only at a corner"] += bool(corner.any())
+            seen[f"{h} x {w}" if 1 in (h, w) else "grid"] += 1
+            blocked = np.flatnonzero(~flat)
+            if blocked.size:
+                k = int(blocked[rng.integers(blocked.size)])
+                with pytest.raises(NoPathError):
+                    new_planner(nav).reachable((k % w, k // w), every)
+                seen["start that is not Free"] += 1
+        for case in ("start on the top edge", "start on the bottom edge",
+                     "start on the left edge", "start on the right edge",
+                     "goal between two runs of one row", "goal below the first run's start",
+                     "goal that is not Free", "runs that touch only at a corner",
+                     "start that is not Free", "empty goal array"):
+            assert seen[case] > 5, (case, seen)
+        assert seen["1 x 1"] and seen["1 x 12"] and seen["12 x 1"] and seen["no Free cell"], seen
+
+    def test_goal_below_the_first_run_cannot_wrap_to_the_last(self):
+        # The first Free cell is (2, 0), and the last run holds the start, so a goal
+        # at index 0 or 1 whose run lookup fell to -1 would read the last run.
+        nav = free_grid(4, 3)
+        nav.state[0, :2] = BLOCKED
+        reach = new_planner(nav).reachable((3, 2), np.array([0, 1, 2, 11]))
+        assert reach.tolist() == [False, False, True, True]
+
+
 class TestGraphMemo:
     """`MultiGoalPlanner` patches the memo's graph where the Free mask changed; the
     patched graph is the full build of the same grid."""

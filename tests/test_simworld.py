@@ -903,20 +903,17 @@ def covariance_reference(world, pose, cov, observed):
     return 0.5 * (cov + cov.T)
 
 
-STEP_DIRS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-
-
-def random_drive(world, rng, n_legs=12, leg_cells=30):
-    """Straight legs from random cells in random 8-neighbour directions, clipped to the grid."""
+def random_drive(world, rng, start, n_legs=12):
+    """Legs to random cells, each a run of diagonal steps and then a straight run: the
+    first from the cell `start`, each of the others from where the previous one ended."""
     spec = world.spec
-    paths = []
+    paths, (i, j) = [], start
     for _ in range(n_legs):
-        di, dj = STEP_DIRS[int(rng.integers(8))]
-        cells = [(int(rng.integers(spec.width)), int(rng.integers(spec.height)))]
-        for _ in range(leg_cells):
-            i, j = cells[-1][0] + di, cells[-1][1] + dj
-            if not (0 <= i < spec.width and 0 <= j < spec.height):
-                break
+        gi, gj = int(rng.integers(spec.width)), int(rng.integers(spec.height))
+        cells = [(i, j)]
+        while (i, j) != (gi, gj):
+            i += (gi > i) - (gi < i)
+            j += (gj > j) - (gj < j)
             cells.append((i, j))
         paths.append(linear_array(cells, spec))
     return paths
@@ -951,7 +948,7 @@ class TestCovarianceOracle:
         monkeypatch.setattr(simworld, "observe", checked_observe)
         initial_spin(world, state)
         rng = np.random.default_rng(3)
-        for path in random_drive(world, rng):
+        for path in random_drive(world, rng, world.spec.world_to_cell(*state.pose[:2])):
             execute_path(world, state, path, float(rng.uniform(-math.pi, math.pi)),
                          free_nav(world))
         # Many looks stack several landmarks, and some close a loop.
@@ -1020,6 +1017,35 @@ class TestExecutePath:
         assert np.array_equal(state.cov, before[3])
         assert state.samples == before[4]
         assert np.array_equal(state.occ.p, before[5])
+
+    @staticmethod
+    def assert_aborts_before_moving(cells, match):
+        # The robot stands in cell (10, 10). The drive would book each step of a
+        # path it cannot follow as a move of 1 or sqrt 2 cells from wherever the
+        # robot is, so it must refuse the path before any state changes.
+        world = generate_world(tiny_config())
+        state = MissionState.initial(world)
+        initial_spin(world, state)
+        assert world.spec.world_to_cell(*state.pose[:2]) == (10, 10)
+        before = (state.pose, state.clock, state.distance, state.cov.copy(),
+                  list(state.samples), state.occ.p.copy())
+        with pytest.raises(ValueError, match=match):
+            execute_path(world, state, linear_array(cells, world.spec), 0.0, nav=free_nav(world))
+        assert (state.pose, state.clock, state.distance) == before[:3]
+        assert np.array_equal(state.cov, before[3])
+        assert state.samples == before[4]
+        assert np.array_equal(state.occ.p, before[5])
+
+    @pytest.mark.parametrize("cells", [[(11, 10), (12, 10), (13, 10)], []],
+                             ids=["elsewhere", "empty"])
+    def test_path_off_the_robot_cell_aborts_before_moving(self, cells):
+        self.assert_aborts_before_moving(cells, r"must start at the robot's cell \(10, 10\)")
+
+    @pytest.mark.parametrize("cells", [[(10, 10), (11, 10), (13, 10), (14, 10)],
+                                       [(10, 10), (11, 11), (11, 11), (12, 11)]],
+                             ids=["jump", "repeat"])
+    def test_step_to_a_non_neighbour_aborts_before_moving(self, cells):
+        self.assert_aborts_before_moving(cells, "8 neighbouring cells")
 
     def test_blocked_cell_aborts(self):
         world = generate_world(tiny_config())
