@@ -22,7 +22,7 @@ covariances = default_covariances(len(positions))
 camera = Camera(fov=math.radians(87.0), max_depth=5.0)
 
 # Single-pose anatomy first: one landmark, one camera.
-pose = CameraPose.from_planar(2.0, 2.0, math.pi / 4, camera)
+pose = CameraPose.from_planar((2.0, 2.0, math.pi / 4), camera)
 lm = positions[0]
 print(f"camera at (2,2) heading 45 deg; landmark at "
       f"({lm[0]:.2f}, {lm[1]:.2f}, {lm[2]:.2f})")

@@ -62,11 +62,14 @@ class CameraPose:
         self.translation = np.asarray(self.translation, dtype=float)
 
     @classmethod
-    def from_planar(cls, x, y, heading, camera: Camera) -> "CameraPose":
+    def from_planar(cls, poses, camera: Camera) -> "CameraPose":
         """Lift planar robot poses to cameras DEFAULT_SENSOR_HEIGHT above them,
-        looking along the heading: scalars give one pose, equal-length sequences
-        a stack of them."""
-        poses = np.column_stack(np.broadcast_arrays(x, y, heading)).tolist()
+        looking along the heading: one (x, y, heading) pose gives one camera, an
+        (S, 3) stack (an array or a list of pose tuples) a stack; else ValueError."""
+        stack = np.asarray(poses, dtype=float)
+        if stack.ndim not in (1, 2) or stack.shape[-1] != 3:
+            raise ValueError(f"planar poses must be (3,) or (S, 3), not {stack.shape}")
+        poses = stack.reshape(-1, 3).tolist()
         # Camera axes in world coordinates, the columns of r_wc: z forward, x left of
         # travel, y up. math's cos and sin keep the bits off numpy's SIMD paths.
         r_wc = np.array([[[-s, 0.0, c], [c, 0.0, s], [0.0, 1.0, 0.0]]
@@ -75,7 +78,7 @@ class CameraPose:
         r_cw = r_wc.reshape(-1, 3, 3).transpose(0, 2, 1)
         translation = np.array([-r @ np.array([px, py, DEFAULT_SENSOR_HEIGHT])
                                 for r, (px, py, _) in zip(r_cw, poses)]).reshape(-1, 3)
-        if np.ndim(heading) == 0:
+        if stack.ndim == 1:
             return cls(r_cw[0], translation[0], camera)
         return cls(r_cw, translation, camera)
 
@@ -186,15 +189,13 @@ def voxelize(positions: np.ndarray) -> np.ndarray:
     return np.array([best[key][1] for key in sorted(best)], dtype=int)
 
 
-def path_information(poses: list, positions: np.ndarray, covariances: np.ndarray,
+def path_information(poses, positions: np.ndarray, covariances: np.ndarray,
                      camera: Camera) -> float:
     """Sum FIM traces of the landmarks (rows of `positions` and `covariances`, the
-    voxel representatives when scoring a path) that `camera` sees from the planar
-    (x, y, heading) poses: each pose sums its traces in row order, then the poses
-    add up; no pose gives 0."""
-    if not poses:
-        return 0.0
-    pose = CameraPose.from_planar(*zip(*poses), camera)
+    voxel representatives when scoring a path) that `camera` sees from the (S, 3)
+    stack of planar (x, y, heading) poses: each pose sums its traces in row
+    order, then the poses add up; an empty stack gives 0."""
+    pose = CameraPose.from_planar(poses, camera)
     seen, fims = landmark_fim(pose, positions, covariances)
     traces = np.trace(fims, axis1=1, axis2=2).tolist()
     total, start = 0.0, 0

@@ -137,7 +137,7 @@ def _fit_pick(planner, start, cells, occ, rays, camera, world, uparams, memo):
     for n, k in enumerate(short.tolist()):
         paths[k] = planner.path_to(divmod(int(cells[k]), world.spec.width)[::-1])
         wps = sample_waypoints(paths[k], camera.max_depth, world.spec)
-        wps[-1] = (*wps[-1][:2], float(theta[k]))
+        wps[-1, 2] = theta[k]
         info[n] = path_information(wps, *world.voxel_landmarks, camera)
     best = int(short[select_best(u1[short], info, rho[short], cells[short], uparams)])
     return divmod(int(cells[best]), world.spec.width)[::-1], paths[best], float(theta[best])

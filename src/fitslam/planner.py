@@ -354,9 +354,9 @@ def _patch_graph(nav: BinaryTraversabilityGrid, memo: GraphMemo):
     return csr_matrix((data, memo.cols.ravel(), indptr), shape=(n, n))
 
 
-def sample_waypoints(path: np.ndarray, spacing_m: float, spec) -> list:
+def sample_waypoints(path: np.ndarray, spacing_m: float, spec) -> np.ndarray:
     """Sample the polyline through the path's cell centres at arc-length multiples
-    of spacing_m, as a list of (x, y, heading) poses of Python floats.
+    of spacing_m, as an (S, 3) float64 stack of (x, y, heading) poses.
 
     The start and the final cell are always included. Each pose's heading points
     toward the next sample; the final pose repeats the direction of arrival (the
@@ -372,7 +372,7 @@ def sample_waypoints(path: np.ndarray, spacing_m: float, spec) -> list:
     j, i = np.divmod(path, spec.width)
     pts = np.column_stack(spec.cell_to_world(i, j))
     if len(pts) == 1:
-        return [(*pts[0].tolist(), 0.0)]
+        return np.column_stack([pts, [0.0]])
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.arange(0.0, arc[-1], spacing_m)
@@ -384,4 +384,4 @@ def sample_waypoints(path: np.ndarray, spacing_m: float, spec) -> list:
     xy = pts[k] + frac[:, None] * (pts[k + 1] - pts[k])
     headings = [math.atan2(dy, dx) for dx, dy in np.diff(xy, axis=0).tolist()]
     headings.append(headings[-1] if headings else 0.0)
-    return [(x, y, heading) for (x, y), heading in zip(xy.tolist(), headings)]
+    return np.column_stack([xy, headings])

@@ -448,10 +448,10 @@ def sense(world: World, state: MissionState) -> None:
     _sense_occupancy(world, state)
 
 
-def landmark_looks(world: World, poses: list) -> list:
-    """Per (x, y, heading) pose, the indices of the landmarks its camera sees and
+def landmark_looks(world: World, poses) -> list:
+    """Per pose of an (S, 3) stack, the indices of the landmarks its camera sees and
     their summed 6x6 information, from one stacked frustum-and-FIM pass."""
-    pose = CameraPose.from_planar(*zip(*poses), world.config.sensors.camera)
+    pose = CameraPose.from_planar(poses, world.config.sensors.camera)
     seen, fims = fisher.landmark_fim(pose, world.landmark_positions,
                                      world.landmark_covariances)
     ends = np.cumsum(seen.sum(axis=1)).tolist()

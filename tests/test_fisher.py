@@ -217,7 +217,7 @@ class TestVisibleMask:
                                            False, False, False, False]
 
     def test_planar_pose_edges(self):
-        pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera(max_depth=5.0))
+        pose = CameraPose.from_planar((0.0, 0.0, 0.0), Camera(max_depth=5.0))
         h = DEFAULT_SENSOR_HEIGHT
         # At max_depth ahead and off axis, behind, then at max_depth on the ground,
         # which lies below the camera and so just beyond its range.
@@ -255,7 +255,7 @@ def random_view(rng, k):
         pose.camera = Camera(max_depth=10.0)
     else:
         x, y = rng.uniform(0.0, 20.0, size=2)
-        pose = CameraPose.from_planar(x, y, rng.uniform(-math.pi, math.pi), Camera())
+        pose = CameraPose.from_planar((x, y, rng.uniform(-math.pi, math.pi)), Camera())
     return pose, random_landmark(rng, pose, k)
 
 
@@ -382,8 +382,8 @@ def check_stack_against_per_pose(xs, ys, headings, positions, covariances, camer
     """`landmark_fim` over the stack of planar poses against the per-pose form it
     replaced: the same (S, K) mask, and per pose the same FIM bits pair by pair and
     the same summed information as a look took. Returns the mask."""
-    seen, fims = landmark_fim(CameraPose.from_planar(xs, ys, headings, camera),
-                              positions, covariances)
+    stack = CameraPose.from_planar(np.column_stack([xs, ys, headings]), camera)
+    seen, fims = landmark_fim(stack, positions, covariances)
     assert seen.shape == (len(xs), len(positions)) and len(fims) == seen.sum()
     start = 0
     for row, x, y, heading in zip(seen, xs, ys, headings):
@@ -499,7 +499,7 @@ def path_information_oracle(poses, positions, covariances, camera):
     """Every landmark row at every (x, y, heading) pose, through the scalar frustum test."""
     per_waypoint = []
     for x, y, heading in poses:
-        pose = CameraPose.from_planar(x, y, heading, camera)
+        pose = CameraPose.from_planar((x, y, heading), camera)
         total = 0.0
         for position, covariance in zip(positions, covariances):
             if visible_reference(pose, position):
@@ -520,13 +520,25 @@ class TestPathInformation:
         wps = [(0.0, 0.0, 0.0)]
         assert path_information_checked(wps, np.zeros((0, 3)), np.zeros((0, 3, 3)),
                                         Camera()) == 0.0
-        assert path_information_checked([], np.zeros((0, 3)), np.zeros((0, 3, 3)),
-                                        Camera()) == 0.0
+        assert path_information_checked(np.empty((0, 3)), np.zeros((0, 3)),
+                                        np.zeros((0, 3, 3)), Camera()) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_stack_gives_exact_zero(self):
+        # No special case: over no pose the kernel gives a (0, K) mask and no
+        # matrix, and the sum over no pose is 0.0, with no warning on the way.
+        positions = np.array([[2.0, 0.0, 0.5], [-2.0, 0.0, 0.5]])
+        covariances = default_covariances(2)
+        empty = np.empty((0, 3))
+        seen, fims = landmark_fim(CameraPose.from_planar(empty, Camera()), positions, covariances)
+        assert seen.shape == (0, 2) and fims.shape == (0, 6, 6)
+        value = path_information(empty, positions, covariances, Camera())
+        assert type(value) is float and value == 0.0
 
     def test_single_visible_pair(self):
         wp = (0.0, 0.0, 0.0)
         position = np.array([2.0, 0.0, 0.5])
-        pose = CameraPose.from_planar(0.0, 0.0, 0.0, Camera())
+        pose = CameraPose.from_planar((0.0, 0.0, 0.0), Camera())
         expected = float(np.trace(landmark_fim_reference(pose, position, DEFAULT_COV)))
         assert expected > 0.0
         assert path_information_checked([wp], position[None], default_covariances(1),
@@ -583,17 +595,30 @@ class TestPathInformation:
 
 class TestCameraPoseFromPlanar:
     def test_looks_along_heading(self):
-        pose = CameraPose.from_planar(1.0, 2.0, math.pi / 2, Camera())
+        pose = CameraPose.from_planar((1.0, 2.0, math.pi / 2), Camera())
         ahead = np.array([1.0, 4.0, 0.3])  # 2 m along +y at sensor height
         v_c = pose.to_camera(ahead)
         assert v_c[2] == pytest.approx(2.0)
         assert np.allclose(v_c[:2], 0.0, atol=1e-12)
 
     def test_rotation_is_orthonormal(self):
-        pose = CameraPose.from_planar(0.3, -0.7, 1.2, Camera())
+        pose = CameraPose.from_planar((0.3, -0.7, 1.2), Camera())
         r = pose.rotation
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 2), (3, 4), (4, 3, 1)],
+                             ids=["vector", "two_columns", "four_columns", "three_axes"])
+    def test_malformed_stack_rejected_before_any_camera(self, shape, monkeypatch):
+        # Each holds a multiple of three values, so a reshape alone would regroup
+        # them into other poses without a word.
+        def built(pose):
+            raise AssertionError("a camera was built")
+
+        monkeypatch.setattr(CameraPose, "__post_init__", built)
+        poses = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError, match=r"\(3,\) or \(S, 3\)"):
+            CameraPose.from_planar(poses, Camera())
 
 
 class TestCamera:
@@ -628,7 +653,7 @@ class TestCamera:
             c, s = math.cos(heading), math.sin(heading)
             r_cw = np.column_stack([[-s, c, 0.0], [0.0, 0.0, 1.0], [c, s, 0.0]]).T
             center = np.array([x, y, DEFAULT_SENSOR_HEIGHT])
-            pose = CameraPose.from_planar(x, y, heading, Camera())
+            pose = CameraPose.from_planar((x, y, heading), Camera())
             assert pose.rotation.tobytes(order="A") == r_cw.tobytes(order="A")
             assert pose.rotation.strides == r_cw.strides
             assert pose.translation.tobytes() == (-r_cw @ center).tobytes()
@@ -637,12 +662,12 @@ class TestCamera:
         rng = np.random.default_rng(14)
         xs, ys = rng.uniform(-20.0, 20.0, size=(2, 200))
         headings = [0.0, math.pi / 2, -math.pi, *rng.uniform(-7.0, 7.0, 197)]
-        stack = CameraPose.from_planar(xs, ys, headings, Camera())
+        stack = CameraPose.from_planar(np.column_stack([xs, ys, headings]), Camera())
         assert stack.rotation.shape == (200, 3, 3) and stack.translation.shape == (200, 3)
         for k, (x, y, heading) in enumerate(zip(xs, ys, headings)):
             pose = planar_pose(x, y, heading, Camera())
             assert stack.rotation[k].tobytes(order="A") == pose.rotation.tobytes(order="A")
             assert stack.rotation[k].strides == pose.rotation.strides
             assert stack.translation[k].tobytes() == pose.translation.tobytes()
-        empty = CameraPose.from_planar([], [], [], Camera())
+        empty = CameraPose.from_planar(np.empty((0, 3)), Camera())
         assert empty.rotation.shape == (0, 3, 3) and empty.translation.shape == (0, 3)

@@ -741,6 +741,13 @@ def test_kept_graph_is_the_full_build_at_every_decision(world, monkeypatch):
         assert log.goal_sequence or world == "steep_ramp", strategy
 
 
+def assert_same_poses(wps, loop):
+    """`sample_waypoints`' stack holds the loop's list of pose tuples, bit for bit."""
+    assert wps.dtype == np.float64
+    assert wps.shape == (len(loop), 3)
+    assert wps.tobytes() == np.array(loop, dtype=float).tobytes()
+
+
 class TestSampleWaypoints:
     def test_single_cell_path(self):
         spec = GridSpec(0.1, 10, 10)
@@ -794,12 +801,12 @@ class TestSampleWaypoints:
     ], ids=["one_cell", "shorter_than_spacing", "exact_multiple", "spacing_is_a_cell",
             "rounding_short_of_the_end", "diagonal_run", "repeated_cells"])
     def test_matches_per_sample_loop(self, cells, spacing):
-        """The same (x, y, heading) tuples of Python floats as the per-sample loop."""
+        """The per-sample loop's (x, y, heading) poses as one (S, 3) float64 stack,
+        bit for bit."""
         spec = GridSpec(0.2, 12, 12)
         path = linear_array(cells, spec)
-        wps = sample_waypoints(path, spacing, spec)
-        assert wps == sample_waypoints_loop(path, spacing, spec)
-        assert all(type(v) is float for pose in wps for v in pose)
+        assert_same_poses(sample_waypoints(path, spacing, spec),
+                          sample_waypoints_loop(path, spacing, spec))
 
     @pytest.mark.slow
     def test_matches_per_sample_loop_on_every_fit_path(self, monkeypatch):
@@ -817,5 +824,5 @@ class TestSampleWaypoints:
             harness.run_mission(config, "fit", 1)
         assert len(paths) > 500
         for path, spacing_m, spec in paths:
-            assert sample_waypoints(path, spacing_m, spec) == \
-                sample_waypoints_loop(path, spacing_m, spec)
+            assert_same_poses(sample_waypoints(path, spacing_m, spec),
+                              sample_waypoints_loop(path, spacing_m, spec))

@@ -471,7 +471,7 @@ class TestSensing:
         n_seen = 0
         # The landmarks a look observes come from the stacked kernel's mask.
         for (x, y, theta), (observed, _) in zip(poses, landmark_looks(world, poses)):
-            pose = fisher.CameraPose.from_planar(x, y, theta, cfg.camera)
+            pose = fisher.CameraPose.from_planar((x, y, theta), cfg.camera)
             expected = [k for k, position in enumerate(world.landmark_positions)
                         if visible_reference(pose, position)]
             assert observed.tolist() == expected
@@ -892,7 +892,7 @@ def covariance_reference(world, pose, cov, observed):
     """One look's measurement update from the scalar FIMs summed in landmark order."""
     if observed.size == 0:
         return cov
-    camera = fisher.CameraPose.from_planar(*pose, world.config.sensors.camera)
+    camera = fisher.CameraPose.from_planar(pose, world.config.sensors.camera)
     info = np.zeros((6, 6))
     for k in observed:
         info += landmark_fim_reference(camera, world.landmark_positions[k],
