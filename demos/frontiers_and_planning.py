@@ -22,7 +22,7 @@ world = generate_world(config)
 spec = world.spec
 
 state = MissionState.initial(world)
-initial_spin(world, state)
+initial_spin(state)
 
 _, nav = current_grids(state)
 frontiers = detect_frontiers(state.occ, nav)

@@ -26,7 +26,7 @@ for k, y in enumerate(ys):
     row = xs if k % 2 == 0 else xs[::-1]
     for x in row:
         state.pose = (float(x), float(y), 0.0)
-        sense(world, state)
+        sense(state)
 
 trav, nav = current_grids(state)
 score = trav.score

@@ -21,6 +21,7 @@ SIGMA_BEARING = 0.01           # bearing-noise std (unitless, on the unit sphere
 DEFAULT_SIGMA_LANDMARK = 0.05  # m, default landmark position std
 DEFAULT_VOXEL_SIZE = 0.25      # m
 DEFAULT_SENSOR_HEIGHT = 0.3    # m above terrain
+FOV_MARGIN = 1e-12             # rad: a bearing on the field of view's border is inside it
 
 _EPS_RANGE = 1e-9
 _EYE3 = np.eye(3)
@@ -135,7 +136,7 @@ def visible(pose: CameraPose, positions: np.ndarray) -> np.ndarray:
     ok = (norm > _EPS_RANGE) & (norm <= pose.camera.max_depth) & (v_c[..., 2] > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_angle = np.clip(v_c[..., 2] / norm, -1.0, 1.0)
-    return ok & (np.arccos(cos_angle) <= pose.camera.fov / 2 + 1e-12)
+    return ok & (np.arccos(cos_angle) <= pose.camera.fov / 2 + FOV_MARGIN)
 
 
 def landmark_fim(pose: CameraPose, positions: np.ndarray, covariances: np.ndarray) -> tuple:

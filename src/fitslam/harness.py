@@ -180,7 +180,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     rng = np.random.default_rng(seed * 7919 + 17)  # random strategy's own stream
 
     state = MissionState.initial(world)
-    initial_spin(world, state)
+    initial_spin(state)
     blacklist = Blacklist(spec)
     memo = ScanMemo()  # fit's scans, reused across decisions
     goal_sequence = []
@@ -204,7 +204,7 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
             termination = "stalled"
             break
 
-        execute_path(world, state, goal.path, goal.theta_star, nav=nav)
+        execute_path(state, goal.path, goal.theta_star, nav=nav)
         goal_sequence.append(goal.cell)
         # A visited goal is excluded from re-selection in later iterations.
         blacklist.add(goal.cell)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import Camera
+from .fisher import FOV_MARGIN, Camera
 from .grid import OccupancyGrid, OutOfBoundsError, UNKNOWN_P, check_number
 
 DEFAULT_DELTA_THETA_DEG = 8.5
@@ -161,7 +161,7 @@ class _ScanTemplate:
         # Window membership, kept in direction order for reproducible sums.
         diff = np.abs(dirs[:, None] - dirs[None, :])
         ang = np.minimum(diff, 2 * math.pi - diff)
-        self.in_window = ang <= camera.fov / 2 + 1e-12
+        self.in_window = ang <= camera.fov / 2 + FOV_MARGIN
 
     def classify(self, occ: OccupancyGrid) -> np.ndarray:
         """The grid's int8 classes padded by `reach` cells on every side:

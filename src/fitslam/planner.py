@@ -162,10 +162,10 @@ class MultiGoalPlanner:
         With no corner cutting, the graph's components are the Free mask's
         4-connected ones, so this reads only the mask, as row runs: maximal
         horizontal intervals [lo, hi) of Free cells in linear indices, sorted.
-        A run joins the runs of the next row whose columns overlap its own;
-        runs that touch only at a corner do not. One breadth-first search of
-        that run graph marks the start's component. A goal is reached if it
-        lies inside a run of it, so a goal that is not Free never is.
+        A run joins the runs of the rows above and below it whose columns overlap
+        its own, not those it touches only at a corner. A directed breadth-first
+        search of that run graph marks the start's component. A goal is reached
+        if it lies inside a run of it, so a goal that is not Free never is.
         """
         src = self._start_index(start)
         free = self.nav.free_mask()
@@ -176,17 +176,18 @@ class MultiGoalPlanner:
         edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
         edges -= edges // (w + 1)
         lo, hi = edges[0::2], edges[1::2]
-        first = np.searchsorted(hi, lo + w, side="right")
-        last = np.searchsorted(lo, hi + w, side="left")
-        indptr = np.zeros(lo.size + 1, dtype=np.int32)
-        np.cumsum(last - first, out=indptr[1:])
-        # Row a lists the runs first[a] ... last[a] - 1.
-        indices = (np.arange(indptr[-1], dtype=np.int32)
-                   + np.repeat(first - indptr[:-1], last - first).astype(np.int32))
-        runs = csr_matrix((np.ones(indices.size), indices, indptr), shape=(lo.size, lo.size))
+        first = np.searchsorted(hi, np.stack([lo - w, lo + w], axis=1).ravel(), side="right")
+        last = np.searchsorted(lo, np.stack([hi - w, hi + w], axis=1).ravel(), side="left")
+        ptr = np.zeros(2 * lo.size + 1, dtype=np.int32)
+        np.cumsum(last - first, out=ptr[1:])
+        # Row a lists the runs first[2a + r] ... last[2a + r] - 1, r = 0 above it, 1 below.
+        indices = (np.arange(ptr[-1], dtype=np.int32)
+                   + np.repeat(first - ptr[:-1], last - first).astype(np.int32))
+        runs = csr_matrix((np.ones(indices.size), indices, np.ascontiguousarray(ptr[::2])),
+                          shape=(lo.size, lo.size))
         met = np.zeros(lo.size, dtype=bool)
         met[breadth_first_order(runs, np.searchsorted(lo, src, side="right") - 1,
-                                directed=False, return_predecessors=False)] = True
+                                directed=True, return_predecessors=False)] = True
         k = np.searchsorted(lo, goals, side="right") - 1
         return (k >= 0) & (goals < hi[k]) & met[k]
 

@@ -438,14 +438,14 @@ class MissionState:
 _CELL_SAMPLES = np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.8], [0.8, 0.2], [0.8, 0.8]])
 
 
-def sense(world: World, state: MissionState) -> None:
-    """One sensing step of the map at the current pose.
+def sense(state: MissionState) -> None:
+    """One sensing step of the map at the current pose, in the state's world.
 
     Cells inside the lidar radius join the sensed terrain, and the camera wedge
-    updates occupancy by ray casting against the true obstacles.
+    updates occupancy by ray casting against the world's true obstacles.
     """
-    _sense_terrain(world, state)
-    _sense_occupancy(world, state)
+    _sense_terrain(state)
+    _sense_occupancy(state)
 
 
 def landmark_looks(world: World, poses) -> list:
@@ -460,10 +460,10 @@ def landmark_looks(world: World, poses) -> list:
             for row, start, end in zip(seen, [0] + ends, ends)]
 
 
-def _sense_terrain(world: World, state: MissionState) -> None:
-    spec = world.spec
+def _sense_terrain(state: MissionState) -> None:
+    spec = state.world.spec
     px, py, _ = state.pose
-    r = world.config.sensors.lidar_radius
+    r = state.world.config.sensors.lidar_radius
     i0 = max(0, int((px - r) / spec.resolution))
     i1 = min(spec.width, int((px + r) / spec.resolution) + 2)
     j0 = max(0, int((py - r) / spec.resolution))
@@ -476,7 +476,7 @@ def _sense_terrain(world: World, state: MissionState) -> None:
     j0, j1 = j0 + rows[0], j0 + rows[-1] + 1
     cols = np.flatnonzero(~state.sensed[j0:j1, i0:i1].all(axis=0))
     i0, i1 = i0 + cols[0], i0 + cols[-1] + 1
-    xs, ys = world.centers
+    xs, ys = state.world.centers
     in_range = (xs[i0:i1] - px) ** 2 + (ys[j0:j1, None] - py) ** 2 <= r * r
     state.sensed[j0:j1, i0:i1] |= in_range
 
@@ -496,17 +496,17 @@ def terrain_points(world: World) -> np.ndarray:
     return points.reshape(-1, 3)
 
 
-def _sense_occupancy(world: World, state: MissionState) -> None:
-    spec = world.spec
+def _sense_occupancy(state: MissionState) -> None:
+    spec = state.world.spec
     px, py, theta = state.pose
-    offsets, ranges, sample = world.wedge
+    offsets, ranges, sample = state.world.wedge
     angles = theta + offsets
     x = px + np.cos(angles)[:, None] * ranges
     y = py + np.sin(angles)[:, None] * ranges
     i, j, inside = spec.world_to_cells(x, y)
     # Each sample's linear cell index; out of range where the sample is not inside.
     lin = j * spec.width + i
-    hit = world.occupied.take(lin, mode="clip") & inside
+    hit = state.world.occupied.take(lin, mode="clip") & inside
     # Index of the first hit sample per ray; past it the ray is blocked.
     first_hit = np.where(hit.any(axis=1), hit.argmax(axis=1), ranges.size)
     seen = lin[(sample <= first_hit[:, None]) & inside]
@@ -517,7 +517,7 @@ def _sense_occupancy(world: World, state: MissionState) -> None:
     p = state.occ.p
     new = np.unique(seen[p.take(seen) == UNKNOWN_P])
     state.unknown_inside -= new.size
-    p.put(new, world.true_p.take(new))
+    p.put(new, state.world.true_p.take(new))
 
 
 _MOTION_DIRS = np.diag([1.0, 1.0, 0.1, 0.1, 0.1, 1.0])  # translation-dominant noise
@@ -543,28 +543,28 @@ def _loop_closure_check(state: MissionState, observed: np.ndarray) -> None:
         seen[mature] = state.clock
 
 
-def observe(world: World, state: MissionState, observed: np.ndarray, info: np.ndarray) -> None:
-    """Sense, apply the look's landmark information (`landmark_looks`) and check
-    for loop closures."""
-    sense(world, state)
+def observe(state: MissionState, observed: np.ndarray, info: np.ndarray) -> None:
+    """Sense the state's world, apply the look's landmark information
+    (`landmark_looks` of `state.world`) and check for loop closures."""
+    sense(state)
     _measurement_update(state, info)
     _loop_closure_check(state, observed)
 
 
-def initial_spin(world: World, state: MissionState) -> None:
-    """Turn in place once so the robot starts with a full disk of terrain data."""
+def initial_spin(state: MissionState) -> None:
+    """Turn in place once so the robot starts with a full disk of its world's terrain."""
     x, y, theta0 = state.pose
-    n = int(math.ceil(2 * math.pi / (world.config.sensors.camera.fov / 2)))
+    n = int(math.ceil(2 * math.pi / (state.world.config.sensors.camera.fov / 2)))
     poses = [(x, y, theta0 + k * 2 * math.pi / n) for k in range(n)]
-    for pose, look in zip(poses, landmark_looks(world, poses)):
+    for pose, look in zip(poses, landmark_looks(state.world, poses)):
         state.pose = pose
-        observe(world, state, *look)
+        observe(state, *look)
     state.pose = (x, y, theta0)
     state.clock += 2 * math.pi / ROTATION_RATE
     record_metrics(state)
 
 
-def execute_path(world: World, state: MissionState, path: np.ndarray, theta_star: float,
+def execute_path(state: MissionState, path: np.ndarray, theta_star: float,
                  nav: BinaryTraversabilityGrid) -> None:
     """Drive the path, its cells' linear indices, cell by cell, then rotate to the
     arrival orientation.
@@ -574,11 +574,12 @@ def execute_path(world: World, state: MissionState, path: np.ndarray, theta_star
     Before the robot moves, an index off the grid raises OutOfBoundsError, a
     path that is empty, does not start at the robot's cell or has a step that
     does not join 8-neighbours raises ValueError, and a cell the path enters
-    that is not Free in `nav` raises PathBlockedError.
+    that is not Free in `nav`, or a diagonal step through a closed corner (both
+    cardinal cells not Free, as the planner rules), raises PathBlockedError.
     """
-    spec = world.spec
-    sur = world.config.surrogate
-    speed = world.config.robot.speed
+    spec = state.world.spec
+    sur = state.world.config.surrogate
+    speed = state.world.config.robot.speed
     j, i = np.divmod(path, spec.width)
     xs, ys = spec.cell_to_world(i, j)  # checks every index before a gather could wrap
     here = spec.world_to_cell(*state.pose[:2])
@@ -591,25 +592,29 @@ def execute_path(world: World, state: MissionState, path: np.ndarray, theta_star
     if blocked.size:
         raise PathBlockedError(f"path cell {(int(i[blocked[0]]), int(j[blocked[0]]))} "
                                "is not traversable")
+    # A straight step's two cardinal cells are its own, the entered one Free by now.
+    if ((nav.state.take(path[:-1] + step_i) != FREE)
+            & (nav.state.take(path[:-1] + step_j * spec.width) != FREE)).any():
+        raise PathBlockedError("a diagonal path step cuts a closed corner")
     # Every pose of the drive, the arrival turn's last, so one pass senses their landmarks.
     steps = list(zip(step_i.tolist(), step_j.tolist()))
     poses = [(x, y, math.atan2(dj, di))
              for x, y, (di, dj) in zip(xs[1:].tolist(), ys[1:].tolist(), steps)]
     x, y, theta = poses[-1] if poses else state.pose
     poses.append((x, y, theta_star))
-    looks = landmark_looks(world, poses)
+    looks = landmark_looks(state.world, poses)
     for (di, dj), pose, look in zip(steps, poses, looks):
         dd = spec.resolution * (SQRT2 if di != 0 and dj != 0 else 1.0)
         state.cov = state.cov + sur.q * dd * _MOTION_DIRS
         state.pose = pose
         state.distance += dd
         state.clock += dd / speed
-        observe(world, state, *look)
+        observe(state, *look)
         record_metrics(state)
     # Arrival: turn toward the chosen orientation and take a final look.
     state.clock += abs(_wrap(theta_star - theta)) / ROTATION_RATE
     state.pose = poses[-1]
-    observe(world, state, *looks[-1])
+    observe(state, *looks[-1])
     record_metrics(state)
 
 

@@ -168,7 +168,7 @@ def test_criterion_5_covariance_monotonicity(capsys, monkeypatch):
         assert after <= before + 1e-12, "measurement update grew the trace"
         checks["measurement"] += 1
 
-    def checked_observe(world, state, observed, info):
+    def checked_observe(state, observed, info):
         # Between observes only motion noise touches the covariance, so the
         # trace at entry must not be below the trace at the previous exit.
         entry = float(np.trace(state.cov))
@@ -176,7 +176,7 @@ def test_criterion_5_covariance_monotonicity(capsys, monkeypatch):
             assert entry >= last_exit_trace[0] - 1e-15, \
                 "motion update shrank the trace"
             checks["motion"] += 1
-        orig_observe(world, state, observed, info)
+        orig_observe(state, observed, info)
         last_exit_trace[0] = float(np.trace(state.cov))
 
     monkeypatch.setattr(simworld, "_measurement_update", checked_measurement)

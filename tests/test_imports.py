@@ -1,8 +1,9 @@
 """Import direction: the exploration algorithms load no simulator, and the
 simulator loads no goal selection. Each import runs in a fresh interpreter.
 Also the design rules that only `fisher.Camera` defaults a field of view or range,
-that no public signature grows a default beyond the settings listed here, and
-that the program calls every function, class and method it defines."""
+that no public signature grows a default beyond the settings listed here, that
+the program calls every function, class and method it defines, and that no
+function takes a `world` beside a `state`, which holds it."""
 
 import ast
 import dataclasses
@@ -208,3 +209,16 @@ def test_program_references_every_definition():
                     if not (node.name.startswith("__") and node.name.endswith("__"))
                     and refs[node.name] <= Counter(referenced_names(node))[node.name]}
     assert unreferenced == UNCALLED
+
+
+def test_no_function_takes_a_world_beside_its_state():
+    # A mission's world is `state.world`: a second handle could name another world.
+    both = []
+    for path in sorted((ROOT / "src" / "fitslam").glob("*.py")):
+        for qualname, node in definitions(ast.parse(path.read_text(), str(path)), path.stem):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if {"world", "state"} <= {a.arg for a in args}:
+                both.append(qualname)
+    assert both == []

@@ -366,7 +366,7 @@ class TestGenerateWorld:
         for x in np.arange(1.0, 8.0, 2.0):
             for y in np.arange(1.0, 8.0, 2.0):
                 state.pose = (float(x), float(y), 0.0)
-                simworld.sense(world, state)
+                simworld.sense(state)
         trav, _ = current_grids(state)
         known = ~np.isnan(trav.score)
         assert known.all()
@@ -428,7 +428,7 @@ class TestSensing:
         state = MissionState.initial(world)
         state.pose = (2.0, 2.0, 0.0)  # facing the wall 1 m ahead
         for _ in range(3):
-            simworld.sense(world, state)
+            simworld.sense(state)
         i, j = world.spec.world_to_cell(3.1, 2.0)
         assert state.occ.p[j, i] >= 0.9
 
@@ -438,14 +438,14 @@ class TestSensing:
         world = generate_world(cfg)
         state = MissionState.initial(world)
         state.pose = (2.0, 2.0, 0.0)
-        simworld.sense(world, state)
+        simworld.sense(state)
         i, j = world.spec.world_to_cell(4.5, 2.0)
         assert state.occ.p[j, i] == UNKNOWN_P
 
     def test_free_cells_marked_low(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
-        simworld.sense(world, state)
+        simworld.sense(state)
         i, j = world.spec.world_to_cell(3.0, 2.0)
         assert state.occ.p[j, i] < 0.5
 
@@ -482,13 +482,13 @@ class TestSensing:
         world = generate_world(tiny_config(
             obstacles=[{"x": 4.0, "y": 1.0, "w": 0.6, "h": 2.0}]))
         state = MissionState.initial(world)
-        simworld.sense(world, state)
+        simworld.sense(state)
         observed = state.occ.p != UNKNOWN_P
         assert observed.any() and (state.occ.p[observed] > 0.5).any()
         # Later looks reveal more cells; none turns a revealed one back to Unknown.
         for heading in (0.0, 0.0, 0.3, -0.3, 0.0):
             state.pose = (2.0, 2.0, heading)
-            simworld.sense(world, state)
+            simworld.sense(state)
         assert not np.any(state.occ.p[observed] == UNKNOWN_P)
 
     def test_terrain_points_are_cell_samples_in_order(self):
@@ -515,9 +515,9 @@ class TestSensing:
             x, y = spec.cell_to_world(int(rng.integers(spec.width)),
                                       int(rng.integers(spec.height)))
             state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
-            simworld.sense(world, state)
+            simworld.sense(state)
             before = state.sensed.copy()
-            simworld.sense(world, state)
+            simworld.sense(state)
             assert np.array_equal(state.sensed, before)
         assert state.sensed.dtype == bool
         assert state.sensed.any() and not state.sensed.all()
@@ -666,7 +666,7 @@ class TestTerrainOracle:
             x, y = spec.cell_to_world(int(rng.integers(spec.width)),
                                       int(rng.integers(spec.height)))
             state.pose = (x, y, float(rng.uniform(-math.pi, math.pi)))
-            simworld.sense(world, state)
+            simworld.sense(state)
             ref |= lidar_disk(world, state.pose)
             assert np.array_equal(state.sensed, ref), state.pose
             trav, _ = current_grids(state)
@@ -682,7 +682,7 @@ class TestTerrainOracle:
         j0, j1, i0, i1 = lidar_window(world, pose)
         before = state.sensed[j0:j1, i0:i1].mean()
         state.pose = pose
-        simworld.sense(world, state)
+        simworld.sense(state)
         ref |= lidar_disk(world, pose)
         assert np.array_equal(state.sensed, ref), pose
         return before
@@ -729,7 +729,7 @@ def assert_occupancy_matches_sorted_reference(world, poses):
     for pose in poses:
         state.pose = pose
         samples.append(sense_occupancy_sorted(world, pose, ref))
-        simworld._sense_occupancy(world, state)
+        simworld._sense_occupancy(state)
         # Every cell the reference has observed shows its truth; the
         # log-odds class agrees with it.
         assert np.array_equal(state.occ.p,
@@ -806,7 +806,7 @@ class TestSurrogateCovariance:
         nav_path = plan_straight_path(world, (2.0, 2.0), (6.0, 2.0))
         trace0 = float(np.trace(state.cov))
         traces = [trace0]
-        execute_path(world, state, nav_path, 0.0, free_nav(world))
+        execute_path(state, nav_path, 0.0, free_nav(world))
         traces.extend(s.trace_cov for s in state.samples)
         assert all(b >= a - 1e-15 for a, b in zip(traces, traces[1:]))
         assert traces[-1] > trace0
@@ -820,7 +820,7 @@ class TestSurrogateCovariance:
             world = generate_world(cfg)
             state = MissionState.initial(world)
             path = plan_straight_path(world, (2.0, 2.0), (6.0, 2.0))
-            execute_path(world, state, path, 0.0, free_nav(world))
+            execute_path(state, path, 0.0, free_nav(world))
             final[name] = float(np.trace(state.cov))
         assert final["rich"] < final["bare"]
 
@@ -828,9 +828,9 @@ class TestSurrogateCovariance:
         cfg = tiny_config(landmarks={"count": 20, "clusters": 3})
         world = generate_world(cfg)
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         path = plan_straight_path(world, (2.0, 2.0), (6.0, 6.0))
-        execute_path(world, state, path, 1.0, free_nav(world))
+        execute_path(state, path, 1.0, free_nav(world))
         assert np.allclose(state.cov, state.cov.T)
         assert np.linalg.eigvalsh(state.cov).min() > 0.0
 
@@ -885,7 +885,7 @@ class TestSurrogateCovariance:
 
 def look(world, state):
     """`observe` at the current pose, with its landmarks from `landmark_looks`."""
-    observe(world, state, *landmark_looks(world, [state.pose])[0])
+    observe(state, *landmark_looks(world, [state.pose])[0])
 
 
 def covariance_reference(world, pose, cov, observed):
@@ -929,7 +929,7 @@ class TestCovarianceOracle:
         kappa = world.config.surrogate.kappa
         looks = []
 
-        def checked_observe(world, state, observed, info):
+        def checked_observe(state, observed, info):
             # Each look of the spin and of a drive takes its landmarks and information
             # from one stacked pass; the per-pose form it replaced gives the same bits.
             per_pose = look_per_pose(*state.pose, world.landmark_positions,
@@ -937,7 +937,7 @@ class TestCovarianceOracle:
             assert np.array_equal(observed, per_pose[0]), (len(looks), state.pose)
             assert np.array_equal(info, per_pose[1]), (len(looks), state.pose)
             cov, closures = state.cov.copy(), state.n_loop_closures
-            simworld_observe(world, state, observed, info)
+            simworld_observe(state, observed, info)
             want = covariance_reference(world, state.pose, cov, observed)
             if state.n_loop_closures > closures:
                 want = kappa * want
@@ -946,10 +946,10 @@ class TestCovarianceOracle:
 
         simworld_observe = simworld.observe
         monkeypatch.setattr(simworld, "observe", checked_observe)
-        initial_spin(world, state)
+        initial_spin(state)
         rng = np.random.default_rng(3)
         for path in random_drive(world, rng, world.spec.world_to_cell(*state.pose[:2])):
-            execute_path(world, state, path, float(rng.uniform(-math.pi, math.pi)),
+            execute_path(state, path, float(rng.uniform(-math.pi, math.pi)),
                          free_nav(world))
         # Many looks stack several landmarks, and some close a loop.
         assert len(looks) > 300 and sum(k > 1 for k in looks) > 40
@@ -966,12 +966,12 @@ class TestRevealInvariant:
         # number of Unknown cells. Check both after every look of a full mission.
         looks = []
 
-        def checked_observe(world, state, observed, info):
-            simworld_observe(world, state, observed, info)
+        def checked_observe(state, observed, info):
+            simworld_observe(state, observed, info)
             p = state.occ.p
             known = p != UNKNOWN_P
             assert state.unknown_inside == p.size - np.count_nonzero(known), len(looks)
-            assert np.array_equal(p[known], world.true_p[known]), len(looks)
+            assert np.array_equal(p[known], state.world.true_p[known]), len(looks)
             looks.append(state.unknown_inside)
 
         simworld_observe = simworld.observe
@@ -986,7 +986,7 @@ class TestExecutePath:
     def test_blocked_path_aborts_before_moving(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         i, j = world.spec.world_to_cell(2.0, 2.0)
         cells = [(i, j), (i + 1, j), (i + 2, j), (i + 3, j)]
         nav = free_nav(world)
@@ -994,7 +994,7 @@ class TestExecutePath:
         before = (state.pose, state.clock, state.distance, state.cov.copy(),
                   list(state.samples))
         with pytest.raises(PathBlockedError):
-            execute_path(world, state, linear_array(cells, world.spec), 0.0, nav=nav)
+            execute_path(state, linear_array(cells, world.spec), 0.0, nav=nav)
         assert (state.pose, state.clock, state.distance) == before[:3]
         assert np.array_equal(state.cov, before[3])
         assert state.samples == before[4]
@@ -1005,14 +1005,14 @@ class TestExecutePath:
         # fail it: either must raise OutOfBoundsError before any state changes.
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         start = world.spec.linear_index(*world.spec.world_to_cell(2.0, 2.0))
         bad = -1 if off_grid == "negative" else world.spec.n_cells
         path = np.array([start, start + 1, bad, start + 2])
         before = (state.pose, state.clock, state.distance, state.cov.copy(),
                   list(state.samples), state.occ.p.copy())
         with pytest.raises(OutOfBoundsError):
-            execute_path(world, state, path, 0.0, nav=free_nav(world))
+            execute_path(state, path, 0.0, nav=free_nav(world))
         assert (state.pose, state.clock, state.distance) == before[:3]
         assert np.array_equal(state.cov, before[3])
         assert state.samples == before[4]
@@ -1025,12 +1025,12 @@ class TestExecutePath:
         # robot is, so it must refuse the path before any state changes.
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         assert world.spec.world_to_cell(*state.pose[:2]) == (10, 10)
         before = (state.pose, state.clock, state.distance, state.cov.copy(),
                   list(state.samples), state.occ.p.copy())
         with pytest.raises(ValueError, match=match):
-            execute_path(world, state, linear_array(cells, world.spec), 0.0, nav=free_nav(world))
+            execute_path(state, linear_array(cells, world.spec), 0.0, nav=free_nav(world))
         assert (state.pose, state.clock, state.distance) == before[:3]
         assert np.array_equal(state.cov, before[3])
         assert state.samples == before[4]
@@ -1055,14 +1055,40 @@ class TestExecutePath:
         cells = [start, (start[0] + 1, start[1])]
         nav.state[cells[1][1], cells[1][0]] = 0  # BLOCKED
         with pytest.raises(PathBlockedError):
-            execute_path(world, state, linear_array(cells, world.spec), 0.0, nav=nav)
+            execute_path(state, linear_array(cells, world.spec), 0.0, nav=nav)
+
+    @pytest.mark.parametrize("cardinal", [(1, 0), (0, 1)])
+    def test_closed_corner_aborts_before_moving(self, cardinal):
+        # A diagonal step needs one of its two cardinal cells Free, as in the planner:
+        # with both closed it raises before any state changes, with one open it drives.
+        world = generate_world(tiny_config())
+        state = MissionState.initial(world)
+        initial_spin(state)
+        i, j = world.spec.world_to_cell(*state.pose[:2])
+        path = linear_array([(i, j), (i + 1, j + 1)], world.spec)
+        nav = free_nav(world)
+        nav.state[j, i + 1] = nav.state[j + 1, i] = BLOCKED
+        assert len(plan(nav, (i, j), (i + 1, j + 1))) > 2  # the planner goes round
+        before = (state.pose, state.clock, state.distance, state.cov.copy(),
+                  list(state.samples), state.occ.p.copy())
+        with pytest.raises(PathBlockedError, match="closed corner"):
+            execute_path(state, path, 0.0, nav=nav)
+        assert (state.pose, state.clock, state.distance) == before[:3]
+        assert np.array_equal(state.cov, before[3])
+        assert state.samples == before[4]
+        assert np.array_equal(state.occ.p, before[5])
+
+        nav.state[j + cardinal[1], i + cardinal[0]] = FREE
+        execute_path(state, path, 0.0, nav=nav)
+        assert state.pose == world.spec.cell_to_world(i + 1, j + 1) + (0.0,)
+        assert state.distance == pytest.approx(before[2] + math.sqrt(2) * world.spec.resolution)
 
     def test_clock_and_distance_advance(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
         path = plan_straight_path(world, (2.0, 2.0), (4.0, 2.0))
         t0, d0 = state.clock, state.distance
-        execute_path(world, state, path, 0.0, free_nav(world))
+        execute_path(state, path, 0.0, free_nav(world))
         length_m = path_length(path, world.spec)
         assert state.distance == pytest.approx(d0 + length_m)
         assert state.clock >= t0 + length_m / world.config.robot.speed
@@ -1071,7 +1097,7 @@ class TestExecutePath:
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
         path = plan_straight_path(world, (2.0, 2.0), (4.0, 4.0))
-        execute_path(world, state, path, 1.25, free_nav(world))
+        execute_path(state, path, 1.25, free_nav(world))
         gx, gy = world.spec.cell_to_world(*path_cells(path, world.spec)[-1])
         assert state.pose == pytest.approx((gx, gy, 1.25))
 
@@ -1080,7 +1106,7 @@ class TestMetrics:
     def test_initial_spin_covers_disk(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         assert len(state.samples) == 1
         assert state.samples[0].pct_unexplored < 100.0
         assert state.samples[0].t == pytest.approx(2 * math.pi)
@@ -1088,16 +1114,16 @@ class TestMetrics:
     def test_pct_unexplored_monotone(self):
         world = generate_world(tiny_config(seed=5))
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         path = plan_straight_path(world, (2.0, 2.0), (6.0, 6.0))
-        execute_path(world, state, path, 2.0, free_nav(world))
+        execute_path(state, path, 2.0, free_nav(world))
         pcts = [s.pct_unexplored for s in state.samples]
         assert all(b <= a for a, b in zip(pcts, pcts[1:]))
 
     def test_pct_tracks_unknown_inside_boundary(self):
         world = generate_world(tiny_config())
         state = MissionState.initial(world)
-        initial_spin(world, state)
+        initial_spin(state)
         unknown = state.occ.unknown_mask()
         expected = 100.0 * unknown.sum() / unknown.size
         assert state.samples[-1].pct_unexplored == pytest.approx(expected)
@@ -1109,7 +1135,7 @@ class TestMetrics:
                                            robot={"start_xy_theta": [3.0, 2.0, 0.0]}))
         state = MissionState.initial(world)
         assert state.unknown_inside == 400
-        initial_spin(world, state)
+        initial_spin(state)
         unknown = state.occ.unknown_mask()
         assert unknown[:, -1].any() and not unknown[:, -1].all()
         assert state.unknown_inside == unknown.sum()
