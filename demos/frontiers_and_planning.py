@@ -10,7 +10,7 @@ compared with a half-explored map.
 import math
 
 import fitslam
-from fitslam.frontier import (DEFAULT_MAX_CLUSTER_SIZE as CAP, Blacklist, cluster_frontiers,
+from fitslam.frontier import (DEFAULT_MAX_CLUSTER_SIZE as CAP, cluster_frontiers,
                               detect_frontiers, frontier_components)
 from fitslam.harness import run_mission
 from fitslam.planner import GraphMemo, MultiGoalPlanner
@@ -26,7 +26,7 @@ initial_spin(state)
 
 _, nav = current_grids(state)
 frontiers = detect_frontiers(state.occ, nav)
-candidates = cluster_frontiers(frontiers, spec, Blacklist(spec))
+candidates = cluster_frontiers(frontiers, spec, state.blacklist)
 # An empty blacklist keeps one candidate per chunk, in chunk order.
 sizes = [min(CAP, len(order) - k) for order in frontier_components(frontiers, spec)
          for k in range(0, len(order), CAP)]

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .grid import BinaryTraversabilityGrid, GridSpec, OccupancyGrid, shift
+from .grid import BinaryTraversabilityGrid, GridSpec, OccupancyGrid, OutOfBoundsError, shift
 
 # BFS growth order: E, NE, N, NW, W, SW, S, SE in (di, dj) with i along x.
 _NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
@@ -20,22 +20,19 @@ _NEIGHBOR_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), 
 DEFAULT_MAX_CLUSTER_SIZE = 30
 
 
-class Blacklist:
-    """Cells designated unreachable, as an (H, W) mask of suppressed cells.
-
-    Suppression extends one cell around each entry so grid jitter cannot
-    re-emit an adjacent copy of a failed goal.
-    """
-
-    def __init__(self, spec: GridSpec):
-        self.mask = np.zeros((spec.height, spec.width), dtype=bool)
-
-    def add(self, cell: tuple) -> None:
-        """Suppress the 3x3 window around cell, clipped to the grid."""
-        i, j = cell
-        # Both bounds are clipped at 0: a negative one would count from the
-        # far edge of the grid.
-        self.mask[max(j - 1, 0):max(j + 2, 0), max(i - 1, 0):max(i + 2, 0)] = True
+def suppress(blacklist: np.ndarray, cells: np.ndarray) -> None:
+    """Set the 3x3 window, clipped to the grid, around each linear index of `cells`
+    in the (H, W) bool mask `blacklist`, so grid jitter cannot re-emit an adjacent
+    copy of a failed goal. An index outside [0, n_cells) raises OutOfBoundsError:
+    it would wrap to a cell of another row."""
+    h, w = blacklist.shape
+    outside = (cells < 0) | (cells >= h * w)
+    if outside.any():
+        raise OutOfBoundsError(f"blacklist cell index {cells[outside.argmax()]} outside the grid")
+    j, i = np.divmod(cells, w)
+    steps = np.array([-1, 0, 1])  # a window's off-grid rows and columns clip onto its edge
+    blacklist[np.clip(j[:, None, None] + steps[:, None], 0, h - 1),
+              np.clip(i[:, None, None] + steps, 0, w - 1)] = True
 
 
 def detect_frontiers(occ: OccupancyGrid, nav: BinaryTraversabilityGrid) -> set[int]:
@@ -81,20 +78,20 @@ def frontier_components(cells: set[int], spec: GridSpec) -> list:
     return components
 
 
-def cluster_frontiers(cells: set[int], spec: GridSpec, blacklist: Blacklist) -> np.ndarray:
+def cluster_frontiers(cells: set[int], spec: GridSpec, blacklist: np.ndarray) -> np.ndarray:
     """Linear indices of the candidate goal cells of the frontier's size-capped clusters.
 
     Each component's visit order is cut into consecutive chunks of at most
     DEFAULT_MAX_CLUSTER_SIZE cells, and each chunk nominates its median-order
-    cell. Candidates come in component order, then chunk order; those the
-    blacklist suppresses are dropped.
+    cell. Candidates come in component order, then chunk order; those set in
+    the (H, W) bool mask `blacklist` are dropped.
     """
     m = DEFAULT_MAX_CLUSTER_SIZE
-    if blacklist.mask.shape != (spec.height, spec.width):
+    if blacklist.shape != (spec.height, spec.width):
         raise ValueError("blacklist and frontier cells must share one GridSpec")
     picks = [np.empty(0, dtype=np.intp)]
     for order in frontier_components(cells, spec):
         start = np.arange(0, len(order), m)
         picks.append(order[start + (np.minimum(m, len(order) - start) - 1) // 2])
     candidates = np.concatenate(picks)
-    return candidates[~blacklist.mask.ravel()[candidates]]
+    return candidates[~blacklist.ravel()[candidates]]

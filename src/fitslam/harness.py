@@ -2,9 +2,9 @@
 
 Every strategy shares the identical sensing, traversability, frontier and
 planning stack; only the goal selection differs, and one decision function,
-`_next_goal`, makes it for all three. The runner writes one metrics CSV per
-(strategy, seed), an aggregate summary, and two SVG line charts overlaying
-the covariance trace and the unexplored percentage over simulated time.
+`_next_goal`, makes it for all three from the mission's state. The runner
+writes one metrics CSV per (strategy, seed), an aggregate summary, and two SVG
+line charts of the covariance trace and unexplored percentage over time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .fisher import path_information
-from .frontier import Blacklist, cluster_frontiers, detect_frontiers
+from .frontier import cluster_frontiers, detect_frontiers, suppress
 from .grid import check_int
 from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, sample_waypoints
@@ -80,7 +80,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{what} {repeated[0]} is given more than once")
 
 
-def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: float,
+def _check_mission_settings(config: WorldConfig, seeds: tuple, max_mission_time: float,
                            rays: RayCastParams) -> None:
     """Reject a seed, time budget or scan ray step no mission can run with."""
     for seed in seeds:
@@ -89,47 +89,49 @@ def _check_mission_settings(world: WorldConfig, seeds: tuple, max_mission_time: 
         raise ConfigError(f"max mission time must be finite and > 0, "
                           f"got {max_mission_time!r}")
     # Every strategy runs the orientation scan, whose window must hold a ray.
-    camera = world.sensors.camera
+    camera = config.sensors.camera
     if rays.delta_theta > camera.fov:
         raise ConfigError(
             f"scan ray step {math.degrees(rays.delta_theta):g} deg is wider "
             f"than the camera field of view {math.degrees(camera.fov):g} deg")
     check_ray_samples(f"the orientation scan ({math.degrees(rays.delta_theta):g} deg ray step)",
-                      2 * math.pi / rays.delta_theta, 2 * camera.max_depth / world.resolution)
+                      2 * math.pi / rays.delta_theta, 2 * camera.max_depth / config.resolution)
 
 
-def _next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera, world,
-               uparams, memo):
+def _next_goal(state, strategy, rng, planner, cells, rays, uparams, memo):
     """The strategy's goal with its path and arrival orientation, or None.
 
-    The planner's search of the Free mask's row runs keeps the reachable cells
-    and blacklists the rest; with none kept, this returns before any draw, scan
-    or solve. Fit picks by `_fit_pick`. Greedy takes the kept cell with the
-    least (rho, j, i), random draws one, and either scans the orientations at
-    its pick. The path is the last bounded solve's, which settled only as far
-    as the pick needs.
+    The robot's cell, map, world and camera are the state's. The search of the
+    Free mask's row runs keeps the reachable cells and sets the rest in
+    `state.blacklist`; with none kept, this returns before any draw, scan or
+    solve. Fit picks by `_fit_pick`. Greedy takes the kept cell with the least
+    (rho, j, i), random draws one, and either scans the orientations at its
+    pick. The path is the last bounded solve's, which settled only as far as
+    the pick needs.
     """
-    goals = _keep(cells, planner.reachable(start, cells), blacklist)
+    start = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
+    goals = _keep(state, cells, planner.reachable(start, cells))
     if not goals.size:
         return None
     if strategy == "fit":
-        cell, path, theta_star = _fit_pick(planner, start, goals, occ, rays, camera, world,
-                                           uparams, memo)
+        cell, path, theta_star = _fit_pick(state, planner, start, goals, rays, uparams, memo)
     else:
         if strategy == "random":
             goals = goals[[rng.integers(len(goals))]]
         cell = divmod(int(goals[planner.nearest(start, goals)]), planner.spec.width)[::-1]
         path = planner.path_to(cell)
-        theta_star = scan_orientations(occ, cell, rays, camera).best_theta
+        theta_star = scan_orientations(state.occ, cell, rays,
+                                       state.world.config.sensors.camera).best_theta
     return CandidateGoal(cell, planner.distance_to(cell), path, theta_star)
 
 
-def _fit_pick(planner, start, cells, occ, rays, camera, world, uparams, memo):
-    """Fit's pick among the reachable cells, the one of best u2, with its path and
-    its best orientation from `scan_many`'s per-cell (gain, theta) arrays. Bounded
-    solves settle only as far as the u1 shortlist can reach, and only the
-    shortlist's paths are reconstructed and scored for information."""
-    gain, theta = scan_many(occ, cells, rays, camera, memo)
+def _fit_pick(state, planner, start, cells, rays, uparams, memo):
+    """Fit's pick among the reachable cells on the state's map and world, the one
+    of best u2, with its path and its best orientation from `scan_many`'s per-cell
+    (gain, theta) arrays. Bounded solves settle only as far as the u1 shortlist can
+    reach, and only the shortlist's paths are reconstructed and scored."""
+    world, camera = state.world, state.world.config.sensors.camera
+    gain, theta = scan_many(state.occ, cells, rays, camera, memo)
     rho = _shortlist_rho(planner, start, cells, gain, uparams)
     u1 = compute_u1(rho, gain, uparams, world.spec.resolution)
     short = shortlist(u1, rho, cells, uparams.shortlist_n)
@@ -151,11 +153,9 @@ def _shortlist_rho(planner, start, cells, gain, uparams):
                           lambda rho, limit_m: shortlist_settled(rho, gain, limit_m, uparams, res))
 
 
-def _keep(cells, ok, blacklist):
+def _keep(state, cells, ok):
     """The cells where the bool array `ok` holds, in order; the rest are blacklisted."""
-    j, i = np.divmod(cells[~ok], blacklist.mask.shape[1])
-    for cell in zip(i.tolist(), j.tolist()):
-        blacklist.add(cell)
+    suppress(state.blacklist, cells[~ok])
     return cells[ok]
 
 
@@ -176,12 +176,10 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     _check_mission_settings(config, (seed,), max_mission_time, rays)
     world = generate_world(dataclasses.replace(config, seed=seed))
     spec = world.spec
-    camera = world.config.sensors.camera
     rng = np.random.default_rng(seed * 7919 + 17)  # random strategy's own stream
 
     state = MissionState.initial(world)
     initial_spin(state)
-    blacklist = Blacklist(spec)
     memo = ScanMemo()  # fit's scans, reused across decisions
     goal_sequence = []
     termination = "timeout"
@@ -189,15 +187,13 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     while state.clock < max_mission_time:
         _, nav = current_grids(state)
         frontiers = detect_frontiers(state.occ, nav)
-        cells = cluster_frontiers(frontiers, spec, blacklist=blacklist)
+        cells = cluster_frontiers(frontiers, spec, state.blacklist)
         if not cells.size:
             termination = "stalled" if frontiers else "complete"
             break
 
         planner = MultiGoalPlanner(nav, state.graph_memo)
-        start = spec.world_to_cell(state.pose[0], state.pose[1])
-        goal = _next_goal(strategy, rng, planner, start, cells, blacklist, state.occ, rays,
-                          camera, world, uparams, memo)
+        goal = _next_goal(state, strategy, rng, planner, cells, rays, uparams, memo)
         if goal is None:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.
@@ -206,8 +202,8 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
 
         execute_path(state, goal.path, goal.theta_star, nav=nav)
         goal_sequence.append(goal.cell)
-        # A visited goal is excluded from re-selection in later iterations.
-        blacklist.add(goal.cell)
+        # A visited goal, its path's last cell, is excluded from re-selection.
+        suppress(state.blacklist, goal.path[-1:])
 
     return MissionLog(strategy, seed, state.samples, goal_sequence, termination)
 

@@ -413,6 +413,7 @@ class MissionState:
     first_seen: np.ndarray       # per landmark, the clock at first sight; inf if never seen
     score_memo: ScoreMemo        # the last `current_grids` call's data flags and scores
     graph_memo: GraphMemo        # the last planner's Free mask and graph slots
+    blacklist: np.ndarray        # bool, the 3x3 windows of unreachable and visited goals
     clock: float = 0.0
     distance: float = 0.0
     n_loop_closures: int = 0
@@ -430,6 +431,7 @@ class MissionState:
             first_seen=np.full(len(world.landmark_positions), np.inf),
             score_memo=ScoreMemo(world.spec),
             graph_memo=GraphMemo(world.spec),
+            blacklist=np.zeros((world.spec.height, world.spec.width), dtype=bool),
         )
 
 

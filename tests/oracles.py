@@ -46,6 +46,15 @@ def path_length(path, spec):
     return length
 
 
+def blacklist_cell(blacklist, cell):
+    """Set the 3x3 window around the (i, j) cell in the (H, W) bool mask `blacklist`,
+    clipped to the grid, as one slice: the per-cell reference for `suppress`."""
+    i, j = cell
+    # Both bounds are clipped at 0: a negative one would count from the far edge
+    # of the grid.
+    blacklist[max(j - 1, 0):max(j + 2, 0), max(i - 1, 0):max(i + 2, 0)] = True
+
+
 def all_sensed(spec):
     """The `sensed` mask of a grid whose every cell the lidar has reached."""
     return np.ones((spec.height, spec.width), dtype=bool)
@@ -352,13 +361,15 @@ def sample_waypoints_loop(path, spacing_m, spec):
 # kept cell, scalar u1 and u2, and Python sorts on (-score, rho, j, i). The
 # array form must give the same bits.
 
-def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, camera, world,
-                               uparams):
+def fit_decision_per_candidate(state, planner, start, cells, rays, uparams):
     """Fit's decision on a fresh planner, candidate by candidate, from the linear
-    indices `cells`; blacklists the unreachable cells. Returns the kept (i, j) cells
-    and their rho, u1, the shortlisted cells best first with their u2, and the pick
-    as (cell, rho, the path's linear indices as a list, theta_star), which is None
-    when no cell is kept."""
+    indices `cells`, on the state's map and world; blacklists the unreachable cells
+    in `state.blacklist`, one `blacklist_cell` at a time. Returns the kept (i, j)
+    cells and their rho, u1, the shortlisted cells best first with their u2, and the
+    pick as (cell, rho, the path's linear indices as a list, theta_star), which is
+    None when no cell is kept."""
+    occ, world = state.occ, state.world
+    camera = world.config.sensors.camera
     planner.solve(start, math.inf)
     kept, rho = [], []
     for k in cells.tolist():
@@ -366,7 +377,7 @@ def fit_decision_per_candidate(planner, start, cells, blacklist, occ, rays, came
         try:
             rho.append(planner.distance_to(cell))
         except NoPathError:
-            blacklist.add(cell)
+            blacklist_cell(state.blacklist, cell)
             continue
         kept.append(cell)
     ref = SimpleNamespace(cells=kept, rho=rho, u1=[], shortlist=[], u2=[], pick=None)

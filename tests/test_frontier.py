@@ -6,10 +6,10 @@ import pytest
 from fitslam import harness, preset_world_path
 from fitslam.frontier import (
     DEFAULT_MAX_CLUSTER_SIZE,
-    Blacklist,
     cluster_frontiers,
     detect_frontiers,
     frontier_components,
+    suppress,
 )
 from fitslam.grid import (
     BLOCKED,
@@ -17,11 +17,12 @@ from fitslam.grid import (
     FREE,
     GridSpec,
     OccupancyGrid,
+    OutOfBoundsError,
     UNKNOWN,
     UNKNOWN_P,
 )
 from fitslam.simworld import WorldConfig
-from oracles import linear, linear_array
+from oracles import blacklist_cell, linear, linear_array
 
 
 def build_grids(w, h, res=0.1):
@@ -108,10 +109,10 @@ def chunks(cells, spec, cap):
 
 
 def blacklist_of(spec, cells):
-    bl = Blacklist(spec)
-    for cell in cells:
-        bl.add(cell)
-    return bl
+    """The blacklist mask that `suppress` makes of the (i, j) cells."""
+    mask = np.zeros((spec.height, spec.width), dtype=bool)
+    suppress(mask, linear_array(cells, spec))
+    return mask
 
 
 class TestDetectFrontiers:
@@ -176,7 +177,7 @@ class TestClusterFrontiers:
     def test_five_collinear_cells_single_cluster(self):
         spec = GridSpec(0.1, 10, 10)
         cells = {(i, 4) for i in range(2, 7)}
-        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)).tolist()
+        assert (cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, [])).tolist()
                 == linear_array([(4, 4)], spec).tolist())  # 3rd of 5
 
     def test_blacklisted_candidate_dropped(self):
@@ -193,13 +194,13 @@ class TestClusterFrontiers:
     def test_blacklist_of_another_grid_rejected(self):
         spec = GridSpec(0.1, 10, 10)
         with pytest.raises(ValueError):
-            cluster_frontiers(linear({(3, 3)}, spec), spec, Blacklist(GridSpec(0.1, 10, 9)))
+            cluster_frontiers(linear({(3, 3)}, spec), spec, np.zeros((9, 10), dtype=bool))
 
     @pytest.mark.parametrize("w, h", [(1, 1), (1, 9), (9, 1), (10, 10)])
     def test_empty_frontier_has_no_components(self, w, h):
         spec = GridSpec(0.1, w, h)
         assert frontier_components(set(), spec) == []
-        assert cluster_frontiers(set(), spec, Blacklist(spec)).tolist() == []
+        assert cluster_frontiers(set(), spec, blacklist_of(spec, [])).tolist() == []
 
     def test_components_partition_matches_connectivity(self):
         rng = np.random.default_rng(33)
@@ -232,8 +233,8 @@ class TestClusterFrontiers:
         a = frontier_components(set(cells), spec)
         b = frontier_components(set(cells), spec)
         assert [c.tolist() for c in a] == [c.tolist() for c in b]
-        assert (cluster_frontiers(set(cells), spec, Blacklist(spec)).tolist()
-                == cluster_frontiers(set(cells), spec, Blacklist(spec)).tolist())
+        assert (cluster_frontiers(set(cells), spec, blacklist_of(spec, [])).tolist()
+                == cluster_frontiers(set(cells), spec, blacklist_of(spec, [])).tolist())
 
     def test_chunks_preserve_component_visit_order(self):
         assert DEFAULT_MAX_CLUSTER_SIZE == 30
@@ -242,7 +243,7 @@ class TestClusterFrontiers:
         assert components(cells, spec) == [[(i, 0) for i in range(68)]]
         assert [len(c) for c in chunks(cells, spec, 30)] == [30, 30, 8]
         # chunks [0..29], [30..59], [60..67] of the visit order, medians 14, 44, 63
-        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)).tolist()
+        assert (cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, [])).tolist()
                 == linear_array([(14, 0), (44, 0), (63, 0)], spec).tolist())
 
     @pytest.mark.parametrize("n", [1, 29, 30, 31, 32, 59, 60, 61, 62, 89, 90, 91, 92, 150])
@@ -256,7 +257,7 @@ class TestClusterFrontiers:
         assert chunks(cells, spec, 30) == want_chunks
         assert [len(c) for c in want_chunks] == \
             [30] * (n // 30) + [n % 30] * (n % 30 > 0) + [30, 30, 3]
-        assert (cluster_frontiers(linear(cells, spec), spec, Blacklist(spec)).tolist()
+        assert (cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, [])).tolist()
                 == linear_array(want_candidates, spec).tolist())
         blacklisted = want_candidates[::2]
         assert (cluster_frontiers(linear(cells, spec), spec, blacklist_of(spec, blacklisted))
@@ -294,18 +295,18 @@ class TestClusterFrontiers:
                                                   ("obstacle_ring", "fit")])
     def test_mission_snapshots_match_oracle(self, preset, strategy, monkeypatch):
         added, seen = [], []
-        add = Blacklist.add
 
-        def record_add(self, cell):
-            added.append(cell)
-            add(self, cell)
+        def record_suppress(blacklist, cells):
+            w = blacklist.shape[1]
+            added.extend((k % w, k // w) for k in cells.tolist())
+            suppress(blacklist, cells)
 
         def spy(cells, spec, blacklist):
             got = cluster_frontiers(cells, spec, blacklist)
             seen.append((set(cells), spec, list(added), got))
             return got
 
-        monkeypatch.setattr(Blacklist, "add", record_add)
+        monkeypatch.setattr(harness, "suppress", record_suppress)
         monkeypatch.setattr(harness, "cluster_frontiers", spy)
         harness.run_mission(WorldConfig.from_json(preset_world_path(preset)), strategy, 1)
         assert len(seen) >= 10 and any(blacklisted for _, _, blacklisted, _ in seen)
@@ -318,17 +319,51 @@ class TestClusterFrontiers:
 
 class TestBlacklist:
     W, H = 7, 5
+    CORNERS = [(0, 0), (W - 1, H - 1), (W - 1, 0), (0, H - 1)]
+    EDGES = [(3, 0), (3, H - 1), (0, 2), (W - 1, 2)]
+    INTERIOR = [(3, 2)]
 
-    @pytest.mark.parametrize("cell", [
-        (0, 0), (W - 1, H - 1), (W - 1, 0), (0, H - 1),  # corners
-        (3, 0), (3, H - 1), (0, 2), (W - 1, 2),  # one on each edge
-        (3, 2),  # interior
-        (-1, 2), (W, H), (-5, -5), (W + 3, 1),  # off the grid
-    ])
+    @pytest.mark.parametrize("cell", [*CORNERS, *EDGES, *INTERIOR])
     def test_mask_is_in_grid_part_of_halo(self, cell):
         spec = GridSpec(0.1, self.W, self.H)
         want = np.zeros((self.H, self.W), dtype=bool)
         for i, j in halo([cell]):
             if 0 <= i < self.W and 0 <= j < self.H:
                 want[j, i] = True
-        assert np.array_equal(blacklist_of(spec, [cell]).mask, want)
+        assert np.array_equal(blacklist_of(spec, [cell]), want)
+
+    @pytest.mark.parametrize("cells", [
+        CORNERS, EDGES, INTERIOR, CORNERS + EDGES + INTERIOR,
+        [(3, 2), (3, 2), (0, 0), (3, 2)],  # repeated
+        [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4), (6, 4)],  # adjacent
+        [],
+    ], ids=["corners", "edges", "interior", "all", "repeated", "adjacent", "empty"])
+    def test_matches_the_per_cell_reference(self, cells):
+        spec = GridSpec(0.1, self.W, self.H)
+        want = np.zeros((self.H, self.W), dtype=bool)
+        for cell in cells:
+            blacklist_cell(want, cell)
+        assert np.array_equal(blacklist_of(spec, cells), want)
+
+    def test_matches_the_per_cell_reference_on_random_grids(self):
+        rng = np.random.default_rng(41)
+        shapes = [(1, 1), (1, 9), (9, 1), (2, 2)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 30, size=2)) for _ in range(60)]
+        for w, h in shapes:
+            # A mask that already holds cells, as a mission's does after its first decision.
+            got = rng.random((h, w)) < 0.1
+            want = got.copy()
+            cells = rng.integers(0, w * h, size=int(rng.integers(0, 12)))
+            suppress(got, cells)
+            for k in cells.tolist():
+                blacklist_cell(want, (k % w, k // w))
+            assert np.array_equal(got, want), (w, h)
+
+    @pytest.mark.parametrize("index", [-1, -W * H, W * H, 10 * W * H])
+    def test_index_off_the_grid_raises(self, index):
+        # Unchecked, -1 would divide to (W - 1, -1), and its window would set two
+        # cells of row 0.
+        mask = np.zeros((self.H, self.W), dtype=bool)
+        with pytest.raises(OutOfBoundsError):
+            suppress(mask, np.array([3 * self.W + 3, index]))
+        assert not mask.any()

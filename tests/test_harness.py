@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pytest
 from fitslam import cli, harness, preset_world_path, utility
 from fitslam.cli import main, _parse_seeds
 from fitslam.fisher import Camera
-from fitslam.frontier import Blacklist
 from fitslam.grid import BLOCKED, FREE, BinaryTraversabilityGrid, GridSpec, OccupancyGrid
 from fitslam.harness import (
     ExperimentConfig,
@@ -26,7 +27,7 @@ from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import ScoreMemo, threshold
 from fitslam.utility import UtilityParams
 
-from oracles import all_sensed, fit_decision_per_candidate, linear_array
+from oracles import all_sensed, blacklist_cell, fit_decision_per_candidate, linear_array
 
 
 def tiny_world(**overrides):
@@ -120,23 +121,34 @@ def pocket_nav():
     return BinaryTraversabilityGrid(GridSpec(0.1, 20, 7), state)
 
 
+def pocket_state():
+    """A stand-in mission state on `pocket_nav()`'s grid, with no world but its grid
+    and camera: the robot at the centre of (1, 3), an unknown map and an empty
+    blacklist."""
+    spec = pocket_nav().spec
+    world = SimpleNamespace(spec=spec,
+                            config=SimpleNamespace(sensors=SimpleNamespace(camera=Camera())))
+    return SimpleNamespace(world=world, occ=OccupancyGrid.unknown(spec),
+                           pose=(*spec.cell_to_world(1, 3), 0.0),
+                           blacklist=np.zeros((spec.height, spec.width), dtype=bool))
+
+
 def pocket_decision(strategy, cells, rng=None):
     """`harness._next_goal` from (1, 3) on `pocket_nav()` with no world: the goal
-    and the blacklist."""
-    nav = pocket_nav()
-    blacklist = Blacklist(nav.spec)
-    goal = harness._next_goal(strategy, rng, MultiGoalPlanner(nav, GraphMemo(nav.spec)),
-                              (1, 3), linear_array(cells, nav.spec), blacklist,
-                              OccupancyGrid.unknown(nav.spec), RayCastParams(), Camera(), None,
-                              UtilityParams(), ScanMemo())
-    return goal, blacklist
+    and the blacklist mask."""
+    nav, state = pocket_nav(), pocket_state()
+    goal = harness._next_goal(state, strategy, rng, MultiGoalPlanner(nav, GraphMemo(nav.spec)),
+                              linear_array(cells, nav.spec), RayCastParams(), UtilityParams(),
+                              ScanMemo())
+    return goal, state.blacklist
 
 
 def blacklist_of(cells):
-    blacklist = Blacklist(pocket_nav().spec)
+    spec = pocket_nav().spec
+    blacklist = np.zeros((spec.height, spec.width), dtype=bool)
     for cell in cells:
-        blacklist.add(cell)
-    return blacklist.mask
+        blacklist_cell(blacklist, cell)
+    return blacklist
 
 
 class TestGreedyDecision:
@@ -145,7 +157,7 @@ class TestGreedyDecision:
         # connectivity, not a bounded solve, can tell it from the pocket's cell.
         goal, blacklist = pocket_decision("greedy", [(13, 6), (17, 3), (3, 3)])
         assert (goal.cell, goal.rho) == ((3, 3), pytest.approx(0.2))
-        assert np.array_equal(blacklist.mask, blacklist_of([(17, 3)]))
+        assert np.array_equal(blacklist, blacklist_of([(17, 3)]))
 
 
 class TestStalledDecision:
@@ -157,7 +169,7 @@ class TestStalledDecision:
         state = rng.bit_generator.state
         goal, blacklist = pocket_decision(strategy, cells, rng)
         assert goal is None
-        assert np.array_equal(blacklist.mask, blacklist_of(cells))
+        assert np.array_equal(blacklist, blacklist_of(cells))
         assert rng.bit_generator.state == state
 
 
@@ -176,7 +188,7 @@ class TestRandomDecision:
             scan = scan_orientations(OccupancyGrid.unknown(nav.spec), pick, RayCastParams(),
                                      Camera())
             assert goal.theta_star == scan.best_theta
-            assert np.array_equal(blacklist.mask, blacklist_of([(17, 3)]))
+            assert np.array_equal(blacklist, blacklist_of([(17, 3)]))
             picks.add(pick)
         assert picks == set(goals)
 
@@ -201,23 +213,23 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         lists.append(keep(*args))
         return lists[-1]
 
-    def spy(strategy, rng, planner, start, cells, blacklist, *scan_args):
+    def spy(state, strategy, rng, planner, cells, *scan_args):
+        start = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
         full = MultiGoalPlanner(planner.nav, GraphMemo(planner.spec))
         full.solve(start, math.inf)
-        expected = Blacklist(planner.spec)
-        expected.mask = blacklist.mask.copy()
+        expected = state.blacklist.copy()
         keys = []
         for k in cells.tolist():
             cell = (k % planner.spec.width, k // planner.spec.width)
             try:
                 keys.append((full.distance_to(cell), cell[1], cell[0]))
             except NoPathError:
-                expected.add(cell)
+                blacklist_cell(expected, cell)
         draw = copy.deepcopy(rng)
-        goal = next_goal(strategy, rng, planner, start, cells, blacklist, *scan_args)
+        goal = next_goal(state, strategy, rng, planner, cells, *scan_args)
         goals = [(i, j) for _, j, i in keys]
         assert lists.pop().tolist() == linear_array(goals, planner.spec).tolist()
-        assert np.array_equal(blacklist.mask, expected.mask)
+        assert np.array_equal(state.blacklist, expected)
         if not goals:
             assert goal is None
             return goal
@@ -268,13 +280,12 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
     monkeypatch.setattr(utility, "_ranked", recorded("_ranked", utility._ranked))
     decisions = []
 
-    def spy(strategy, rng, planner, start, cells, blacklist, occ, rays, camera, world, uparams,
-            memo):
-        expected = Blacklist(planner.spec)
-        expected.mask = blacklist.mask.copy()
-        ref = fit_decision_per_candidate(MultiGoalPlanner(planner.nav, GraphMemo(planner.spec)),
-                                         start, cells, expected, occ, rays, camera, world,
-                                         uparams)
+    def spy(state, strategy, rng, planner, cells, rays, uparams, memo):
+        start = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
+        expected = dataclasses.replace(state, blacklist=state.blacklist.copy())
+        ref = fit_decision_per_candidate(expected,
+                                         MultiGoalPlanner(planner.nav, GraphMemo(planner.spec)),
+                                         start, cells, rays, uparams)
         calls = Counter()
         for method in ("distance_to", "path_to"):
             def counted(cell, method=method, bound=getattr(planner, method)):
@@ -282,11 +293,10 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
                 return bound(cell)
             setattr(planner, method, counted)
         seen.clear()
-        goal = next_goal(strategy, rng, planner, start, cells, blacklist, occ, rays, camera,
-                         world, uparams, memo)
+        goal = next_goal(state, strategy, rng, planner, cells, rays, uparams, memo)
         [(_, kept)] = seen.pop("_keep")
         assert kept.tolist() == linear_array(ref.cells, planner.spec).tolist()
-        assert np.array_equal(blacklist.mask, expected.mask)
+        assert np.array_equal(state.blacklist, expected.blacklist)
         if not kept.size:
             assert goal is None and not seen and not calls
             return goal
