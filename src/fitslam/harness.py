@@ -20,7 +20,7 @@ import numpy as np
 from .fisher import path_information
 from .frontier import cluster_frontiers, detect_frontiers, suppress
 from .grid import check_int
-from .infogain import RayCastParams, ScanMemo, scan_many, scan_orientations
+from .infogain import RayCastParams, scan_many, scan_orientations
 from .planner import MultiGoalPlanner, sample_waypoints
 from .simworld import (ConfigError, MissionState, WorldConfig, check_ray_samples,
                        current_grids, execute_path, generate_world, initial_spin)
@@ -98,26 +98,26 @@ def _check_mission_settings(config: WorldConfig, seeds: tuple, max_mission_time:
                       2 * math.pi / rays.delta_theta, 2 * camera.max_depth / config.resolution)
 
 
-def _next_goal(state, strategy, rng, planner, cells, rays, uparams, memo):
+def _next_goal(state, strategy, planner, cells, rays, uparams):
     """The strategy's goal with its path and arrival orientation, or None.
 
     The robot's cell, map, world and camera are the state's. The search of the
     Free mask's row runs keeps the reachable cells and sets the rest in
     `state.blacklist`; with none kept, this returns before any draw, scan or
     solve. Fit picks by `_fit_pick`. Greedy takes the kept cell with the least
-    (rho, j, i), random draws one, and either scans the orientations at its
-    pick. The path is the last bounded solve's, which settled only as far as
-    the pick needs.
+    (rho, j, i), random draws one from `state.rng`, and either scans the
+    orientations at its pick. The path is the last bounded solve's, which
+    settled only as far as the pick needs.
     """
     start = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
     goals = _keep(state, cells, planner.reachable(start, cells))
     if not goals.size:
         return None
     if strategy == "fit":
-        cell, path, theta_star = _fit_pick(state, planner, start, goals, rays, uparams, memo)
+        cell, path, theta_star = _fit_pick(state, planner, start, goals, rays, uparams)
     else:
         if strategy == "random":
-            goals = goals[[rng.integers(len(goals))]]
+            goals = goals[[state.rng.integers(len(goals))]]
         cell = divmod(int(goals[planner.nearest(start, goals)]), planner.spec.width)[::-1]
         path = planner.path_to(cell)
         theta_star = scan_orientations(state.occ, cell, rays,
@@ -125,13 +125,14 @@ def _next_goal(state, strategy, rng, planner, cells, rays, uparams, memo):
     return CandidateGoal(cell, planner.distance_to(cell), path, theta_star)
 
 
-def _fit_pick(state, planner, start, cells, rays, uparams, memo):
+def _fit_pick(state, planner, start, cells, rays, uparams):
     """Fit's pick among the reachable cells on the state's map and world, the one
     of best u2, with its path and its best orientation from `scan_many`'s per-cell
-    (gain, theta) arrays. Bounded solves settle only as far as the u1 shortlist can
-    reach, and only the shortlist's paths are reconstructed and scored."""
+    (gain, theta) arrays, which reuses and renews `state.scan_memo`. Bounded
+    solves settle only as far as the u1 shortlist can reach, and only the
+    shortlist's paths are reconstructed and scored."""
     world, camera = state.world, state.world.config.sensors.camera
-    gain, theta = scan_many(state.occ, cells, rays, camera, memo)
+    gain, theta, state.scan_memo = scan_many(state.occ, cells, rays, camera, state.scan_memo)
     rho = _shortlist_rho(planner, start, cells, gain, uparams)
     u1 = compute_u1(rho, gain, uparams, world.spec.resolution)
     short = shortlist(u1, rho, cells, uparams.shortlist_n)
@@ -174,26 +175,21 @@ def run_mission(config: WorldConfig, strategy: str, seed: int,
     uparams = utility_params or UtilityParams()
     rays = ray_params or RayCastParams()
     _check_mission_settings(config, (seed,), max_mission_time, rays)
-    world = generate_world(dataclasses.replace(config, seed=seed))
-    spec = world.spec
-    rng = np.random.default_rng(seed * 7919 + 17)  # random strategy's own stream
-
-    state = MissionState.initial(world)
+    state = MissionState.initial(generate_world(dataclasses.replace(config, seed=seed)))
     initial_spin(state)
-    memo = ScanMemo()  # fit's scans, reused across decisions
     goal_sequence = []
     termination = "timeout"
 
     while state.clock < max_mission_time:
         _, nav = current_grids(state)
         frontiers = detect_frontiers(state.occ, nav)
-        cells = cluster_frontiers(frontiers, spec, state.blacklist)
+        cells = cluster_frontiers(frontiers, state.world.spec, state.blacklist)
         if not cells.size:
             termination = "stalled" if frontiers else "complete"
             break
 
         planner = MultiGoalPlanner(nav, state.graph_memo)
-        goal = _next_goal(state, strategy, rng, planner, cells, rays, uparams, memo)
+        goal = _next_goal(state, strategy, planner, cells, rays, uparams)
         if goal is None:
             # Nothing reachable this iteration and the robot has not moved,
             # so nothing can change: the mission is stalled.

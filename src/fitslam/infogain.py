@@ -263,37 +263,26 @@ def _clean_boxes(changed: np.ndarray, i: np.ndarray, j: np.ndarray, size: int) -
     return sat[j1, i1] - sat[j0, i1] - sat[j1, i0] + sat[j0, i0] == 0
 
 
-class ScanMemo:
-    """The best windows of one mission's previous `scan_many` call, per cell.
-
-    Holds that call's padded class grid and, from the first call on, `gain`
-    and `theta`: flat arrays over the grid's cells, NaN at every cell that
-    call did not scan. A ray from a cell center reads only cells within the
-    template's `reach` on both axes, and pad cells never change, so a kept
-    pair equals a fresh one, bit for bit, until a cell in its (2 reach + 1)^2
-    box changes class. The first call binds the memo to its template and grid
-    shape; a call with another raises ValueError.
-    """
-
-    def __init__(self):
-        self.key = None    # (params, camera, resolution, grid shape)
-        self.cls = None    # padded class grid of the previous call
-        self.gain = None   # per cell: the previous call's best windowed gain, else NaN
-        self.theta = None  # per cell: the previous call's best angle, else NaN
-
-
 def scan_many(occ: OccupancyGrid, cells: np.ndarray, params: RayCastParams, camera: Camera,
-              memo: ScanMemo) -> tuple:
+              memo: tuple | None) -> tuple:
     """The best windowed gain and its angle, as two float arrays, of each goal
-    cell, linear indices `j * width + i`, from one vectorized pass.
+    cell, linear indices `j * width + i`, from one vectorized pass, and the memo
+    for the next call.
 
     Produces exactly the same numbers as scanning each cell alone: every
     reduction runs along a per-goal axis, so results do not depend on how
-    goals are batched. A cell the memo holds from the previous call, with no
-    class change in its reach box since, gets the kept pair; the others are
-    scanned, and the memo then holds only this call's cells. An index outside
-    [0, n_cells) raises OutOfBoundsError and a non-integer one ValueError, since
-    the padded gather would read past the grid's border.
+    goals are batched. `memo` is the one the previous call returned, or None
+    before a mission's first scan: that call's key (template and grid shape),
+    padded class grid, and per grid cell its best gain and angle, NaN at every
+    cell it did not scan. The per-cell arrays are allocated by the first call
+    and rewritten in place, so an older memo is spent. A ray from a cell
+    center reads only cells within the template's `reach` on both axes, and
+    pad cells never change, so a kept pair equals a fresh one, bit for bit,
+    until a cell in its (2 reach + 1)^2 box changes class: the memo's cells
+    with no such change get the kept pair, and the others are scanned. A memo
+    of another key raises ValueError. An index outside [0, n_cells) raises
+    OutOfBoundsError and a non-integer one ValueError, since the padded gather
+    would read past the grid's border.
     """
     spec = occ.spec
     tmpl = _template(params, camera, spec.resolution)
@@ -304,24 +293,23 @@ def scan_many(occ: OccupancyGrid, cells: np.ndarray, params: RayCastParams, came
         raise OutOfBoundsError(f"scan cell index {cells[outside.argmax()]} outside the grid")
     cj, ci = np.divmod(cells.astype(int), spec.width)
     key = (params, camera, spec.resolution, occ.p.shape)
-    if memo.key is None:
-        memo.key, (memo.gain, memo.theta) = key, np.full((2, spec.n_cells), np.nan)
-    elif memo.key != key:
+    memo_key, kept_cls, kept_gain, kept_theta = memo or (key, None,
+                                                         *np.full((2, spec.n_cells), np.nan))
+    if memo_key != key:
         raise ValueError("scan memo holds scans of another template or grid shape")
     cls = tmpl.classify(occ)
-    gain, theta = memo.gain[cells], memo.theta[cells]
+    gain, theta = kept_gain[cells], kept_theta[cells]
     kept = ~np.isnan(gain)
     if kept.any():
         # In padded coordinates the reach box of center (i, j) has its
         # corner at (i, j).
-        kept[kept] = _clean_boxes(cls != memo.cls, ci[kept], cj[kept], 2 * tmpl.reach + 1)
+        kept[kept] = _clean_boxes(cls != kept_cls, ci[kept], cj[kept], 2 * tmpl.reach + 1)
     miss = np.flatnonzero(~kept)
     windowed, best = _best_windows(tmpl, tmpl.ray_gains(cls, ci[miss], cj[miss]))
     gain[miss], theta[miss] = windowed[np.arange(len(miss)), best], tmpl.directions[best]
-    memo.cls = cls
-    memo.gain[:] = memo.theta[:] = np.nan
-    memo.gain[cells], memo.theta[cells] = gain, theta
-    return gain, theta
+    kept_gain[:] = kept_theta[:] = np.nan
+    kept_gain[cells], kept_theta[cells] = gain, theta
+    return gain, theta, (key, cls, kept_gain, kept_theta)
 
 
 def _best_windows(tmpl: _ScanTemplate, ray_gains: np.ndarray) -> tuple:

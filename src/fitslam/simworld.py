@@ -73,7 +73,8 @@ class RobotConfig:
 
 # Top-level world JSON keys, and per key of the sections whose keys carry
 # units, its (dataclass field, conversion). WorldConfig checks every value;
-# the _CAMERA_FIELDS fill the sensors' Camera, which checks its own.
+# the _CAMERA_FIELDS fill the sensors' Camera, which checks its own. Every
+# number of these sections must be > 0, which `_fields` checks in the key's unit.
 _TOP_KEYS = ("seed", "size_m", "resolution", "terrain", "obstacles", "landmarks")
 _SENSOR_KEYS = {"fov_deg": ("fov", math.radians), "max_depth_m": ("max_depth", float),
                 "lidar_radius_m": ("lidar_radius", float),
@@ -112,12 +113,12 @@ class WorldConfig:
         for name, value in (("size_m", self.size_m), ("resolution", self.resolution),
                             ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
             check_number(name, value, lambda v: v > 0, "> 0")
-        check_number("sensors.lidar_radius", s.lidar_radius,
+        check_number("sensors.lidar_radius_m", s.lidar_radius,
                      lambda v: 0 < v <= MAX_REACH * self.size_m,
                      f"> 0 and at most {MAX_REACH} x size_m")
         # Occupancy rays sample every half cell, the first one half a cell out.
         if cam.max_depth < self.resolution / 2:
-            raise ConfigError(f"sensors.max_depth {cam.max_depth!r} is shorter than half "
+            raise ConfigError(f"sensors.max_depth_m {cam.max_depth!r} is shorter than half "
                               f"a cell ({self.resolution / 2!r} m)")
         side = self.size_m / self.resolution  # inf if the quotient overflows
         if side * side > MAX_GRID_CELLS:
@@ -188,9 +189,14 @@ class WorldConfig:
             _check_keys(raw, (*_TOP_KEYS, "sensors", "robot", "surrogate"), "world")
             kwargs = {k: raw[k] for k in _TOP_KEYS if k in raw}
             sensors = _fields(raw.get("sensors", {}), _SENSOR_KEYS, "sensors")
-            camera = Camera(**{k: sensors.pop(k) for k in _CAMERA_FIELDS if k in sensors})
+            try:
+                camera = Camera(**{k: sensors.pop(k) for k in _CAMERA_FIELDS if k in sensors})
+            except ConfigError as exc:  # the only bound `_fields` leaves to the camera
+                raise ConfigError(f"sensors.fov_deg must be in (0, 360], "
+                                  f"got {raw['sensors']['fov_deg']!r}") from exc
             kwargs["sensors"] = SensorConfig(camera, **sensors)
             kwargs["robot"] = RobotConfig(**_fields(raw.get("robot", {}), _ROBOT_KEYS, "robot"))
+            _check_keys(raw.get("surrogate", {}), vars(SurrogateConfig()), "surrogate")
             kwargs["surrogate"] = SurrogateConfig(**raw.get("surrogate", {}))
         except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"bad world config: {exc}") from exc
@@ -217,12 +223,15 @@ def _check_keys(raw, allowed, where: str) -> None:
 def _fields(raw, keys: dict, where: str) -> dict:
     """Dataclass keyword arguments from a JSON section whose keys carry units.
 
-    A value that is not a list must be a JSON number before it is converted.
+    Before it is converted, a value must be a list where its key converts to a
+    tuple, and else a JSON number > 0; ConfigError names the key otherwise.
     """
     _check_keys(raw, keys, where)
     for k, v in raw.items():
-        if not isinstance(v, list):
-            _check_numbers([v], 1, f"{where}.{k}")
+        if keys[k][1] is tuple:
+            _check_list(v, f"{where}.{k}")
+        else:
+            check_number(f"{where}.{k}", v, lambda v: v > 0, "a number > 0")
     return {keys[k][0]: keys[k][1](v) for k, v in raw.items()}
 
 
@@ -414,6 +423,8 @@ class MissionState:
     score_memo: ScoreMemo        # the last `current_grids` call's data flags and scores
     graph_memo: GraphMemo        # the last planner's Free mask and graph slots
     blacklist: np.ndarray        # bool, the 3x3 windows of unreachable and visited goals
+    rng: np.random.Generator     # the random strategy's draws
+    scan_memo: tuple | None      # fit's last `infogain.scan_many` memo; None before its first
     clock: float = 0.0
     distance: float = 0.0
     n_loop_closures: int = 0
@@ -432,6 +443,8 @@ class MissionState:
             score_memo=ScoreMemo(world.spec),
             graph_memo=GraphMemo(world.spec),
             blacklist=np.zeros((world.spec.height, world.spec.width), dtype=bool),
+            rng=np.random.default_rng(world.config.seed * 7919 + 17),
+            scan_memo=None,
         )
 
 

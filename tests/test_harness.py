@@ -21,7 +21,7 @@ from fitslam.harness import (
     summarize,
     write_summary_csv,
 )
-from fitslam.infogain import RayCastParams, ScanMemo, scan_orientations
+from fitslam.infogain import RayCastParams, scan_orientations
 from fitslam.planner import GraphMemo, MultiGoalPlanner, NoPathError
 from fitslam.simworld import ConfigError, WorldConfig, generate_world
 from fitslam.traversability import ScoreMemo, threshold
@@ -121,25 +121,25 @@ def pocket_nav():
     return BinaryTraversabilityGrid(GridSpec(0.1, 20, 7), state)
 
 
-def pocket_state():
+def pocket_state(rng):
     """A stand-in mission state on `pocket_nav()`'s grid, with no world but its grid
-    and camera: the robot at the centre of (1, 3), an unknown map and an empty
-    blacklist."""
+    and camera: the robot at the centre of (1, 3), an unknown map, an empty
+    blacklist, the draw stream `rng` and no scan memo."""
     spec = pocket_nav().spec
     world = SimpleNamespace(spec=spec,
                             config=SimpleNamespace(sensors=SimpleNamespace(camera=Camera())))
     return SimpleNamespace(world=world, occ=OccupancyGrid.unknown(spec),
                            pose=(*spec.cell_to_world(1, 3), 0.0),
-                           blacklist=np.zeros((spec.height, spec.width), dtype=bool))
+                           blacklist=np.zeros((spec.height, spec.width), dtype=bool),
+                           rng=rng, scan_memo=None)
 
 
 def pocket_decision(strategy, cells, rng=None):
     """`harness._next_goal` from (1, 3) on `pocket_nav()` with no world: the goal
     and the blacklist mask."""
-    nav, state = pocket_nav(), pocket_state()
-    goal = harness._next_goal(state, strategy, rng, MultiGoalPlanner(nav, GraphMemo(nav.spec)),
-                              linear_array(cells, nav.spec), RayCastParams(), UtilityParams(),
-                              ScanMemo())
+    nav, state = pocket_nav(), pocket_state(rng)
+    goal = harness._next_goal(state, strategy, MultiGoalPlanner(nav, GraphMemo(nav.spec)),
+                              linear_array(cells, nav.spec), RayCastParams(), UtilityParams())
     return goal, state.blacklist
 
 
@@ -213,7 +213,7 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
         lists.append(keep(*args))
         return lists[-1]
 
-    def spy(state, strategy, rng, planner, cells, *scan_args):
+    def spy(state, strategy, planner, cells, *scan_args):
         start = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
         full = MultiGoalPlanner(planner.nav, GraphMemo(planner.spec))
         full.solve(start, math.inf)
@@ -225,8 +225,8 @@ def test_single_goal_decisions_match_a_full_solve(strategy, preset, max_time, mo
                 keys.append((full.distance_to(cell), cell[1], cell[0]))
             except NoPathError:
                 blacklist_cell(expected, cell)
-        draw = copy.deepcopy(rng)
-        goal = next_goal(state, strategy, rng, planner, cells, *scan_args)
+        draw = copy.deepcopy(state.rng)
+        goal = next_goal(state, strategy, planner, cells, *scan_args)
         goals = [(i, j) for _, j, i in keys]
         assert lists.pop().tolist() == linear_array(goals, planner.spec).tolist()
         assert np.array_equal(state.blacklist, expected)
@@ -280,7 +280,7 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
     monkeypatch.setattr(utility, "_ranked", recorded("_ranked", utility._ranked))
     decisions = []
 
-    def spy(state, strategy, rng, planner, cells, rays, uparams, memo):
+    def spy(state, strategy, planner, cells, rays, uparams):
         start = state.world.spec.world_to_cell(state.pose[0], state.pose[1])
         expected = dataclasses.replace(state, blacklist=state.blacklist.copy())
         ref = fit_decision_per_candidate(expected,
@@ -293,7 +293,7 @@ def test_fit_decisions_match_a_per_candidate_reference(preset, max_time, monkeyp
                 return bound(cell)
             setattr(planner, method, counted)
         seen.clear()
-        goal = next_goal(state, strategy, rng, planner, cells, rays, uparams, memo)
+        goal = next_goal(state, strategy, planner, cells, rays, uparams)
         [(_, kept)] = seen.pop("_keep")
         assert kept.tolist() == linear_array(ref.cells, planner.spec).tolist()
         assert np.array_equal(state.blacklist, expected.blacklist)

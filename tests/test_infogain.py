@@ -9,7 +9,6 @@ from fitslam.grid import GridSpec, OccupancyGrid, OutOfBoundsError, UNKNOWN_P
 from fitslam.infogain import (
     OCCUPIED_THRESHOLD,
     RayCastParams,
-    ScanMemo,
     _ScanTemplate,
     _clean_boxes,
     _template,
@@ -124,7 +123,7 @@ def assert_single_scans_match(occ, cells, params, camera, batch):
     """Each cell's `scan_orientations` against `scan_many`'s (gain, theta) arrays
     `batch`, and its ray and windowed gains against the kernels run over the
     whole padded grid, bit for bit."""
-    gain, theta = batch
+    gain, theta, _ = batch
     assert gain.dtype == theta.dtype == np.float64
     assert gain.shape == theta.shape == (len(cells),)
     tmpl = _template(params, camera, occ.spec.resolution)
@@ -181,7 +180,7 @@ class TestScanOrientations:
         goals = [(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5)) for _ in range(12)]
         cells = [occ.spec.world_to_cell(*goal) for goal in goals]
         params = RayCastParams()
-        batch = scan_many(occ, linear_array(cells, occ.spec), params, Camera(), ScanMemo())
+        batch = scan_many(occ, linear_array(cells, occ.spec), params, Camera(), None)
         assert_single_scans_match(occ, cells, params, Camera(), batch)
 
     @pytest.mark.parametrize("w, h, res", [(60, 45, 0.1), (9, 6, 0.15), (1, 1, 0.15)],
@@ -200,7 +199,7 @@ class TestScanOrientations:
         cells = sorted(cells) + [(int(i), int(j)) for i, j in zip(rng.integers(0, w, 8),
                                                                     rng.integers(0, h, 8))]
         params, camera = RayCastParams(), Camera()
-        batch = scan_many(occ, linear_array(cells, occ.spec), params, camera, ScanMemo())
+        batch = scan_many(occ, linear_array(cells, occ.spec), params, camera, None)
         assert_single_scans_match(occ, cells, params, camera, batch)
         assert (batch[0] > 0).any()
 
@@ -220,18 +219,18 @@ class TestScanOrientations:
             scan_orientations(occ, cell, RayCastParams(), Camera())
         with pytest.raises(error):
             scan_many(occ, linear_array([(50, 50), cell], occ.spec), RayCastParams(), Camera(),
-                      ScanMemo())
+                      None)
 
     def test_pairs_in_place_of_linear_indices_rejected(self):
         occ = OccupancyGrid.unknown(self.WIDE_SPEC)
         with pytest.raises(ValueError, match="1-D integer array"):
-            scan_many(occ, np.array([(50, 50), (0, 0)]), RayCastParams(), Camera(), ScanMemo())
+            scan_many(occ, np.array([(50, 50), (0, 0)]), RayCastParams(), Camera(), None)
 
     def test_corner_cells_and_integer_arrays_accepted(self):
         occ = OccupancyGrid.unknown(self.WIDE_SPEC)
         cells = [(0, 0), (99, 0), (0, 99), (99, 99)]
         batch = scan_many(occ, linear_array(cells, occ.spec), RayCastParams(), Camera(),
-                          ScanMemo())
+                          None)
         assert_single_scans_match(occ, cells, RayCastParams(), Camera(), batch)
 
 
@@ -315,8 +314,8 @@ class TestRayGainsKernel:
 
 
 def assert_same_pair(got, want):
-    """Two (gain, theta) results of `scan_many`, bit for bit."""
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    """The (gain, theta) arrays of two `scan_many` results, bit for bit."""
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
 
 
 def spy_ray_gains(monkeypatch):
@@ -358,7 +357,7 @@ def run_with_memo_oracle(monkeypatch, preset, max_mission_time):
         passed.clear()
         got = scan_many(occ, cells, params, camera, memo)
         served += len(set(cells.tolist()) - rescanned(passed, occ.spec))
-        assert_same_pair(got, scan_many(occ, cells, params, camera, ScanMemo()))
+        assert_same_pair(got, scan_many(occ, cells, params, camera, None))
         seen.append((OccupancyGrid(occ.spec, occ.p.copy()), np.array(cells),
                      _template(params, camera, occ.spec.resolution)))
         return got
@@ -392,16 +391,16 @@ class TestScanMemo:
         ci = cj = r + 2
         lin = cj * occ.spec.width + ci
         passed = spy_ray_gains(monkeypatch)
-        memo = ScanMemo()
-        self.scan(occ, [(ci, cj)], memo)
+        *_, memo = self.scan(occ, [(ci, cj)], None)
         first = scan_orientations(occ, (ci, cj), self.PARAMS, self.CAMERA)
         passed.clear()
 
         # Past reach: no ray reads the cell, so the pair is kept.
         occ.p[cj, ci + r + 1] = 0.02
         kept = self.scan(occ, [(ci, cj)], memo)
+        memo = kept[2]
         assert lin not in rescanned(passed, occ.spec)
-        assert_same_pair(kept, self.scan(occ, [(ci, cj)], ScanMemo()))
+        assert_same_pair(kept, self.scan(occ, [(ci, cj)], None))
         passed.clear()
 
         # At reach, on a cell a ray visits: the pair goes stale.
@@ -410,7 +409,7 @@ class TestScanMemo:
         occ.p[cj + tmpl.dj[k, n], ci + tmpl.di[k, n]] = 0.02
         got = self.scan(occ, [(ci, cj)], memo)
         assert rescanned(passed, occ.spec) == {lin}
-        assert_same_pair(got, self.scan(occ, [(ci, cj)], ScanMemo()))
+        assert_same_pair(got, self.scan(occ, [(ci, cj)], None))
         after = scan_orientations(occ, (ci, cj), self.PARAMS, self.CAMERA)
         assert after.ray_gains[k] < first.ray_gains[k]
 
@@ -427,17 +426,24 @@ class TestScanMemo:
         occ = unknown_grid(w=30, h=30, res=self.RES)
         a, b = 5 * 30 + 5, 20 * 30 + 20
         passed = spy_ray_gains(monkeypatch)
-        memo = ScanMemo()
-        first = self.scan(occ, [(5, 5), (20, 20)], memo)
+        first = self.scan(occ, [(5, 5), (20, 20)], None)
         passed.clear()
-        assert_same_pair(self.scan(occ, [(20, 20)], memo), [x[1:] for x in first])
+        second = self.scan(occ, [(20, 20)], first[2])
+        assert_same_pair(second, [x[1:] for x in first[:2]])
         assert not rescanned(passed, occ.spec)
-        for kept in (memo.gain, memo.theta):
+        for kept in second[2][2:]:
             assert np.flatnonzero(~np.isnan(kept)).tolist() == [b]
-        assert_same_pair(self.scan(occ, [(5, 5)], memo), [x[:1] for x in first])
+        third = self.scan(occ, [(5, 5)], second[2])
+        assert_same_pair(third, [x[:1] for x in first[:2]])
         assert rescanned(passed, occ.spec) == {a}
-        for kept in (memo.gain, memo.theta):
+        for kept in third[2][2:]:
             assert np.flatnonzero(~np.isnan(kept)).tolist() == [a]
+
+    def test_memo_arrays_are_allocated_once(self):
+        occ = unknown_grid(w=30, h=30, res=self.RES)
+        *_, memo = self.scan(occ, [(5, 5)], None)
+        *_, again = self.scan(occ, [(20, 20)], memo)
+        assert all(x is y for x, y in zip(memo[2:], again[2:]))
 
     def test_cell_absent_from_the_last_call_is_rescanned(self, monkeypatch):
         # Call 2 leaves A out after a class in A's reach box changed, and call 3
@@ -446,20 +452,18 @@ class TestScanMemo:
         occ = unknown_grid(w=30, h=30, res=self.RES)
         a = 5 * 30 + 5
         passed = spy_ray_gains(monkeypatch)
-        memo = ScanMemo()
-        first = self.scan(occ, [(5, 5)], memo)
+        first = self.scan(occ, [(5, 5)], None)
         occ.p[5, 6:8] = 0.9  # a wall just east of A
-        self.scan(occ, [(20, 20)], memo)
+        *_, memo = self.scan(occ, [(20, 20)], first[2])
         passed.clear()
         got = self.scan(occ, [(5, 5)], memo)
         assert rescanned(passed, occ.spec) == {a}
-        assert_same_pair(got, self.scan(occ, [(5, 5)], ScanMemo()))
+        assert_same_pair(got, self.scan(occ, [(5, 5)], None))
         assert got[0][0] != first[0][0]
 
     @pytest.mark.parametrize("change", ["params", "camera", "resolution", "shape"])
     def test_other_template_or_grid_shape_rejected(self, change):
-        memo = ScanMemo()
-        self.scan(unknown_grid(w=30, h=30, res=self.RES), [(5, 5)], memo)
+        *_, memo = self.scan(unknown_grid(w=30, h=30, res=self.RES), [(5, 5)], None)
         params, camera = self.PARAMS, self.CAMERA
         w, res = 30, self.RES
         if change == "params":

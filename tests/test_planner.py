@@ -728,10 +728,10 @@ def test_kept_graph_is_the_full_build_at_every_decision(world, monkeypatch):
     config = WorldConfig.from_json(path)
     next_goal, checked = harness._next_goal, Counter()
 
-    def spy(state, strategy, rng, planner, *args):
+    def spy(state, strategy, planner, *args):
         assert np.array_equal(planner._graph.indices, build_graph(planner.nav).indices)
         checked[strategy] += 1
-        return next_goal(state, strategy, rng, planner, *args)
+        return next_goal(state, strategy, planner, *args)
 
     monkeypatch.setattr(harness, "_next_goal", spy)
     for strategy in harness.STRATEGIES:

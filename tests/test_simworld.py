@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -106,12 +107,23 @@ class TestWorldConfig:
         assert "error:" in err and "Traceback" not in err
 
     def test_bad_surrogate_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown surrogate key"):
             WorldConfig.from_dict({"surrogate": {"nope": 1.0}})
+        with pytest.raises(ConfigError, match=r"surrogate must be a JSON object, got \[1\]"):
+            WorldConfig.from_dict({"surrogate": [1]})
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ConfigError):
             WorldConfig.from_dict({"size_m": -5.0})
+
+    # Cases whose error must name the JSON key and show the value as written.
+    KEY_NAMED = {
+        "fov-above-360": r"sensors\.fov_deg .*got 360\.5$",
+        "ray-step-zero": r"sensors\.ray_step_deg .*got 0$",
+        "lidar-radius-list": r"sensors\.lidar_radius_m .*got \[1, 2\]$",
+        "speed-list": r"robot\.speed .*got \[1\]$",
+        "start-not-a-list": r"robot\.start_xy_theta .*got 5$",
+    }
 
     @pytest.mark.parametrize("override", [
         {"sensor": {"fov_deg": 60.0}},                        # typo of "sensors"
@@ -166,6 +178,11 @@ class TestWorldConfig:
         {"size_m": 4.0, "resolution": 1e-5},
         {"resolution": 5e-324},  # size_m / resolution overflows to inf
         {"sensors": {"ray_step_deg": 1e-9}},
+        {"sensors": {"ray_step_deg": 0}},
+        # A list where a number belongs, and a number where a list does.
+        {"sensors": {"lidar_radius_m": [1, 2]}},
+        {"robot": {"start_xy_theta": [2.0, 2.0, 0.0], "speed": [1]}},
+        {"robot": {"start_xy_theta": 5}},
         {"sensors": {"max_depth_m": 1e12}},
         # Past 10^3 x size_m; at 1e308 the lidar window's cell bounds overflow.
         {"sensors": {"lidar_radius_m": 8001.0}},
@@ -205,18 +222,19 @@ class TestWorldConfig:
             "n-bumps-negative", "count-negative", "clusters-zero", "l-min-zero",
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
             "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
-            "resolution-subnormal", "ray-step-tiny", "max-depth-huge",
+            "resolution-subnormal", "ray-step-tiny", "ray-step-zero", "lidar-radius-list",
+            "speed-list", "start-not-a-list", "max-depth-huge",
             "lidar-radius-past-limit", "lidar-radius-huge", "landmark-point-past-limit",
             "landmark-point-huge", "fov-zero", "fov-above-360",
             "max-depth-negative", "count-huge",
             "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300", "grade-huge",
             "bump-amp-huge", "obstacle-height-huge", "wedge-two-rays-past-limit"])
-    def test_bad_world_rejected(self, override, tmp_path, capsys):
+    def test_bad_world_rejected(self, override, tmp_path, capsys, request):
         raw = {"seed": 42, "size_m": 8.0, "resolution": 0.2,
                "landmarks": {"count": 12, "clusters": 2},
                "robot": {"start_xy_theta": [2.0, 2.0, 0.0], "speed": 0.4}}
         raw.update(override)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=self.KEY_NAMED.get(request.node.callspec.id)):
             WorldConfig.from_dict(raw)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
@@ -980,6 +998,59 @@ class TestRevealInvariant:
         log = run_mission(cfg, strategy, 1)
         assert len(looks) > 300 and looks[-1] < looks[0]
         assert log.final.pct_unexplored == 100.0 * looks[-1] / cfg.grid_spec().n_cells
+
+
+def state_arrays(state):
+    """(name, array) of every array a mission state holds outside its world: its
+    array fields and the arrays of its object fields, one level down."""
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif f.name != "world" and hasattr(value, "__dict__"):
+            yield from ((f"{f.name}.{k}", v) for k, v in vars(value).items()
+                        if isinstance(v, np.ndarray))
+
+
+def state_values(state):
+    """Every field of a mission state as a comparable value: arrays as their dtype,
+    shape and bytes, the draw stream as its bit generator's state."""
+    values = {name: (arr.dtype, arr.shape, arr.tobytes()) for name, arr in state_arrays(state)}
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        if f.name == "rng":
+            values[f.name] = value.bit_generator.state
+        elif not any(name.split(".")[0] == f.name for name in values):
+            values[f.name] = value
+    return values
+
+
+class TestMissionState:
+    """Two missions may start from one `World`: each state owns its memory."""
+
+    def test_states_of_one_world_share_nothing_writable(self):
+        world = generate_world(tiny_config())
+        a, b = MissionState.initial(world), MissionState.initial(world)
+        arrays = dict(state_arrays(a))
+        assert {"occ.p", "sensed", "cov", "first_seen", "blacklist", "score_memo.data",
+                "score_memo.score", "graph_memo.free", "graph_memo.cols"} <= set(arrays)
+        for name, arr in state_arrays(b):
+            assert arr.flags.writeable, name
+            assert not any(np.shares_memory(arr, other) for other in arrays.values()), name
+        assert a.scan_memo is None and b.scan_memo is None
+        assert a.rng is not b.rng
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    def test_driving_one_state_leaves_the_other_fresh(self):
+        world = generate_world(tiny_config())
+        a, b = MissionState.initial(world), MissionState.initial(world)
+        initial_spin(a)
+        i, j = world.spec.world_to_cell(*a.pose[:2])
+        execute_path(a, linear_array([(i, j), (i + 1, j), (i + 2, j + 1)], world.spec), 1.0,
+                     nav=free_nav(world))
+        a.rng.integers(10)
+        assert state_values(a) != state_values(MissionState.initial(world))
+        assert state_values(b) == state_values(MissionState.initial(world))
 
 
 class TestExecutePath:
