@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "world":
             return _cmd_preview(args)
-    except (ConfigError, OSError, IOError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

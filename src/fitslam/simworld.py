@@ -33,9 +33,11 @@ MAX_GRID_CELLS = 10 ** 7
 MAX_RAY_SAMPLES = 10 ** 6  # rays x samples of one look, sensing wedge or orientation scan
 MAX_LANDMARKS = 10 ** 4    # bounds landmarks.count and landmarks.clusters
 MAX_BUMPS = 10 ** 3
-# Bounds sensors.lidar_radius and each |coordinate| of landmarks.points as a multiple
-# of size_m: a length past the grid's extent adds nothing, and one near the float
-# maximum overflows the lidar window's cell bounds or a landmark's norms and voxel key.
+# Bounds sensors.lidar_radius_m, each |coordinate| of landmarks.points and terrain.bump_sigma
+# as a multiple of size_m: a length past the grid's extent adds nothing, and one near the
+# float maximum overflows the lidar window's cell bounds, a landmark's norms and voxel key,
+# or a bump's variance. bump_sigma is also >= resolution / MAX_REACH: a bump far narrower
+# than a cell falls between the terrain samples, and near 0 its variance underflows.
 MAX_REACH = 10 ** 3
 # Bounds |grade| x size_m, |bump_amp| x n_bumps and each obstacle |height|, in m;
 # the tallest preset terrain is 3.8 m. Far taller terrain overflows the plane fit.
@@ -50,11 +52,12 @@ class PathBlockedError(RuntimeError):
     """A path cell is not traversable in the grid the path is driven on."""
 
 
+# Each section's fields are its JSON keys, in their units; WorldConfig checks every value.
 @dataclass
 class SensorConfig:
-    camera: Camera = Camera()
-    lidar_radius: float = 8.0
-    ray_step: float = math.radians(1.5)  # angular spacing of sensing rays
+    camera: Camera = Camera()    # filled from the _CAMERA_KEYS
+    lidar_radius_m: float = 8.0  # terrain sensing radius
+    ray_step_deg: float = 1.5    # angular spacing of sensing rays
 
 
 @dataclass
@@ -67,21 +70,21 @@ class SurrogateConfig:
 
 @dataclass
 class RobotConfig:
-    start: tuple = (2.0, 2.0, 0.0)  # x, y, theta
-    speed: float = 0.4              # m/s
+    start_xy_theta: tuple = (2.0, 2.0, 0.0)  # m, m, rad
+    speed: float = 0.4                       # m/s
 
 
-# Top-level world JSON keys, and per key of the sections whose keys carry
-# units, its (dataclass field, conversion). WorldConfig checks every value;
-# the _CAMERA_FIELDS fill the sensors' Camera, which checks its own. Every
-# number of these sections must be > 0, which `_fields` checks in the key's unit.
+# The least fov and ray step in rad, the smallest normal float, and in deg, rounded up.
+MIN_ANGLE = float(np.finfo(float).tiny)
+_MIN_DEG = f"{math.degrees(MIN_ANGLE):.4g}"
+
 _TOP_KEYS = ("seed", "size_m", "resolution", "terrain", "obstacles", "landmarks")
-_SENSOR_KEYS = {"fov_deg": ("fov", math.radians), "max_depth_m": ("max_depth", float),
-                "lidar_radius_m": ("lidar_radius", float),
-                "ray_step_deg": ("ray_step", math.radians)}
-_CAMERA_FIELDS = ("fov", "max_depth")
-_ROBOT_KEYS = {"start_xy_theta": ("start", tuple), "speed": ("speed", float)}
-_TERRAIN_KEYS = ("type", "grade", "n_bumps", "bump_amp", "bump_sigma")
+# The sensors keys that fill its Camera: per key, the Camera field, the conversion, and
+# the Camera's bound in the key's unit, checked before converting so the Camera never raises.
+_CAMERA_KEYS = {"fov_deg": ("fov", math.radians,
+                            lambda v: math.radians(v) >= MIN_ANGLE and v <= 360,
+                            f"in [{_MIN_DEG}, 360] deg"),
+                "max_depth_m": ("max_depth", float, lambda v: v > 0, "> 0")}
 _TERRAIN_TYPES = ("flat", "ramp", "bumps", "ramp_bumps")
 _TERRAIN_DEFAULTS = {"type": "flat", "grade": 0.05, "n_bumps": 5, "bump_amp": 0.3,
                      "bump_sigma": 2.5}
@@ -111,10 +114,12 @@ class WorldConfig:
         cam = s.camera
         check_int("seed", self.seed, 0)
         for name, value in (("size_m", self.size_m), ("resolution", self.resolution),
-                            ("sensors.ray_step", s.ray_step), ("robot.speed", self.robot.speed)):
+                            ("robot.speed", self.robot.speed)):
             check_number(name, value, lambda v: v > 0, "> 0")
-        check_number("sensors.lidar_radius_m", s.lidar_radius,
-                     lambda v: 0 < v <= MAX_REACH * self.size_m,
+        check_number("sensors.ray_step_deg", s.ray_step_deg,
+                     lambda v: math.radians(v) >= MIN_ANGLE, f">= {_MIN_DEG} deg")
+        reach = MAX_REACH * self.size_m
+        check_number("sensors.lidar_radius_m", s.lidar_radius_m, lambda v: 0 < v <= reach,
                      f"> 0 and at most {MAX_REACH} x size_m")
         # Occupancy rays sample every half cell, the first one half a cell out.
         if cam.max_depth < self.resolution / 2:
@@ -126,21 +131,22 @@ class WorldConfig:
                               f"cells; at most {MAX_GRID_CELLS} cells fit")
         if round(side) < 1:
             raise ConfigError("size_m must hold at least one cell of the resolution")
-        check_ray_samples(f"the sensing wedge ({math.degrees(s.ray_step):g} deg ray step)",
+        check_ray_samples(f"the sensing wedge ({s.ray_step_deg:g} deg ray step)",
                           *wedge_size(s, self.resolution))
-        _check_keys(self.terrain, _TERRAIN_KEYS, "terrain")
+        _check_keys(self.terrain, _TERRAIN_DEFAULTS, "terrain")
         self.terrain = t = {**_TERRAIN_DEFAULTS, **self.terrain}
         if t["type"] not in _TERRAIN_TYPES:
             raise ConfigError(f"unknown terrain type {t['type']!r}")
         shape = [v for k, v in t.items() if k != "type"]
         _check_numbers(shape, len(shape), "terrain")
         check_int("terrain.n_bumps", t["n_bumps"], 0, MAX_BUMPS)
-        check_number("terrain.bump_sigma", t["bump_sigma"], lambda v: v > 0, "> 0")
+        check_number("terrain.bump_sigma", t["bump_sigma"],
+                     lambda v: self.resolution / MAX_REACH <= v <= reach,
+                     f"in [resolution / {MAX_REACH}, {MAX_REACH} x size_m]")
         _check_keys(self.landmarks, _LANDMARK_KEYS, "landmarks")
         self.landmarks = {**_LANDMARK_DEFAULTS, **self.landmarks}
         for key, lo in (("count", 0), ("clusters", 1)):
             check_int(f"landmarks.{key}", self.landmarks[key], lo, MAX_LANDMARKS)
-        reach = MAX_REACH * self.size_m
         for p in _check_list(self.landmarks.get("points", []), "landmarks.points"):
             _check_numbers(p, 3, "landmark point")
             if max(map(abs, p)) > reach:
@@ -168,8 +174,8 @@ class WorldConfig:
         check_number("surrogate.kappa", sur.kappa, lambda v: 0 < v <= 1, "in (0, 1]")
         check_number("surrogate.t_lc", sur.t_lc, lambda v: v >= 0, ">= 0")
         check_int("surrogate.l_min", sur.l_min, 1)
-        _check_numbers(self.robot.start, 3, "robot.start_xy_theta")
-        sx, sy, _ = self.robot.start
+        _check_numbers(self.robot.start_xy_theta, 3, "robot.start_xy_theta")
+        sx, sy, _ = self.robot.start_xy_theta
         if not self.grid_spec().point_in_bounds(sx, sy):
             raise ConfigError("robot start must lie inside the grid")
         if any(_footprint(ob, sx, sy) for ob in self.obstacles):
@@ -185,21 +191,20 @@ class WorldConfig:
 
         Keys left out take the dataclass defaults.
         """
-        try:
-            _check_keys(raw, (*_TOP_KEYS, "sensors", "robot", "surrogate"), "world")
-            kwargs = {k: raw[k] for k in _TOP_KEYS if k in raw}
-            sensors = _fields(raw.get("sensors", {}), _SENSOR_KEYS, "sensors")
-            try:
-                camera = Camera(**{k: sensors.pop(k) for k in _CAMERA_FIELDS if k in sensors})
-            except ConfigError as exc:  # the only bound `_fields` leaves to the camera
-                raise ConfigError(f"sensors.fov_deg must be in (0, 360], "
-                                  f"got {raw['sensors']['fov_deg']!r}") from exc
-            kwargs["sensors"] = SensorConfig(camera, **sensors)
-            kwargs["robot"] = RobotConfig(**_fields(raw.get("robot", {}), _ROBOT_KEYS, "robot"))
-            _check_keys(raw.get("surrogate", {}), vars(SurrogateConfig()), "surrogate")
-            kwargs["surrogate"] = SurrogateConfig(**raw.get("surrogate", {}))
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad world config: {exc}") from exc
+        sections = {"sensors": SensorConfig, "robot": RobotConfig, "surrogate": SurrogateConfig}
+        _check_keys(raw, (*_TOP_KEYS, *sections), "world")
+        kwargs = {k: raw[k] for k in _TOP_KEYS if k in raw}
+        for name, section in sections.items():
+            given = raw.get(name, {})
+            keys = [k for k in vars(section()) if k != "camera"]
+            _check_keys(given, [*_CAMERA_KEYS, *keys] if name == "sensors" else keys, name)
+            kwargs[name] = section(**{k: v for k, v in given.items() if k in keys})
+        camera, sensors = {}, raw.get("sensors", {})
+        for key, (fld, convert, ok, need) in _CAMERA_KEYS.items():
+            if key in sensors:
+                check_number(f"sensors.{key}", sensors[key], ok, need)
+                camera[fld] = convert(sensors[key])
+        kwargs["sensors"].camera = Camera(**camera)
         return cls(**kwargs)
 
     @classmethod
@@ -207,7 +212,7 @@ class WorldConfig:
         with open(path) as fh:
             try:
                 raw = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # bad syntax, not UTF-8, a huge integer
                 raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -220,29 +225,14 @@ def _check_keys(raw, allowed, where: str) -> None:
         raise ConfigError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
 
 
-def _fields(raw, keys: dict, where: str) -> dict:
-    """Dataclass keyword arguments from a JSON section whose keys carry units.
-
-    Before it is converted, a value must be a list where its key converts to a
-    tuple, and else a JSON number > 0; ConfigError names the key otherwise.
-    """
-    _check_keys(raw, keys, where)
-    for k, v in raw.items():
-        if keys[k][1] is tuple:
-            _check_list(v, f"{where}.{k}")
-        else:
-            check_number(f"{where}.{k}", v, lambda v: v > 0, "a number > 0")
-    return {keys[k][0]: keys[k][1](v) for k, v in raw.items()}
-
-
 def wedge_size(sensors: SensorConfig, resolution: float) -> tuple:
     """(rays, samples per ray) of the sensing wedge, as floats that overflow to inf
-    rather than raise. Rays run every ray_step across the field of view, at least
+    rather than raise. Rays run every ray_step_deg across the field of view, at least
     two; each is sampled every half cell, from half a cell out to max_depth, as
     `World.wedge`'s np.arange counts the samples."""
     cam = sensors.camera
     dr = resolution / 2
-    return (max(2.0, float(np.round(cam.fov / sensors.ray_step)) + 1),
+    return (max(2.0, float(np.round(cam.fov / math.radians(sensors.ray_step_deg))) + 1),
             float(np.ceil((cam.max_depth + dr / 2 - dr) / dr)))
 
 
@@ -437,7 +427,7 @@ class MissionState:
             occ=OccupancyGrid.unknown(world.spec),
             sensed=np.zeros((world.spec.height, world.spec.width), dtype=bool),
             unknown_inside=world.spec.n_cells,
-            pose=tuple(world.config.robot.start),
+            pose=tuple(world.config.robot.start_xy_theta),
             cov=1e-4 * np.eye(6),
             first_seen=np.full(len(world.landmark_positions), np.inf),
             score_memo=ScoreMemo(world.spec),
@@ -478,7 +468,7 @@ def landmark_looks(world: World, poses) -> list:
 def _sense_terrain(state: MissionState) -> None:
     spec = state.world.spec
     px, py, _ = state.pose
-    r = state.world.config.sensors.lidar_radius
+    r = float(state.world.config.sensors.lidar_radius_m)
     i0 = max(0, int((px - r) / spec.resolution))
     i1 = min(spec.width, int((px + r) / spec.resolution) + 2)
     j0 = max(0, int((py - r) / spec.resolution))

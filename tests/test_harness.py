@@ -566,6 +566,15 @@ class TestCli:
         assert "error:" in err and flag in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
 
+    def test_program_fault_propagates(self, tmp_path, monkeypatch):
+        # Bad input arrives as ConfigError or OSError; any other ValueError is a
+        # fault of the program, which must not exit 1 as if the input were bad.
+        def faulty(cfg):
+            raise ValueError("path must start at the robot's cell (0, 0)")
+        monkeypatch.setattr(cli, "run_experiment", faulty)
+        with pytest.raises(ValueError, match="robot's cell"):
+            main(["run", "--config", "flat_office", "--out", str(tmp_path)])
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

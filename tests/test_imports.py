@@ -122,9 +122,9 @@ DEFAULTED = {
                                             "obstacles", "landmarks", "sensors", "robot",
                                             "surrogate")),
     "fisher.Camera.fov", "fisher.Camera.max_depth",
-    "simworld.SensorConfig.camera", "simworld.SensorConfig.lidar_radius",
-    "simworld.SensorConfig.ray_step",
-    "simworld.RobotConfig.start", "simworld.RobotConfig.speed",
+    "simworld.SensorConfig.camera", "simworld.SensorConfig.lidar_radius_m",
+    "simworld.SensorConfig.ray_step_deg",
+    "simworld.RobotConfig.start_xy_theta", "simworld.RobotConfig.speed",
     *(f"simworld.SurrogateConfig.{f}" for f in ("q", "kappa", "t_lc", "l_min")),
     # What the command line sets, and run_mission's share of it.
     "cli.main.argv",

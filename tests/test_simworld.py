@@ -97,6 +97,27 @@ class TestWorldConfig:
         with pytest.raises(ConfigError):
             WorldConfig.from_json(path)
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00\x7b", b'{"seed": ' + b"1" * 5000 + b"}"],
+                             ids=["not-utf8", "int-past-digit-limit"])
+    def test_undecodable_json_rejected(self, content, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=r"invalid JSON in .*w\.json"):
+            WorldConfig.from_json(path)
+        assert main(["world", "preview", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    # A setting has one name: each field of a section's dataclass, but the sensors'
+    # camera, is a JSON key of its section, so its default written under that key
+    # reads back as the default world.
+    @pytest.mark.parametrize("section, name", [
+        (section, f.name) for section in ("sensors", "robot", "surrogate")
+        for f in dataclasses.fields(getattr(WorldConfig(), section)) if f.name != "camera"])
+    def test_every_section_field_is_a_json_key(self, section, name):
+        default = getattr(getattr(WorldConfig(), section), name)
+        assert WorldConfig.from_dict({section: {name: default}}) == WorldConfig()
+
     def test_deeply_nested_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100_000)
@@ -123,6 +144,12 @@ class TestWorldConfig:
         "lidar-radius-list": r"sensors\.lidar_radius_m .*got \[1, 2\]$",
         "speed-list": r"robot\.speed .*got \[1\]$",
         "start-not-a-list": r"robot\.start_xy_theta .*got 5$",
+        # Angles whose value in rad is not a normal float; the bound is stated in deg.
+        "fov-subnormal": r"sensors\.fov_deg must be in \[1\.275e-306, 360\] deg, got 1e-320$",
+        "fov-rounds-to-zero": r"sensors\.fov_deg must be in \[1\.275e-306, 360\] deg, got 5e-324$",
+        "ray-step-rounds-to-zero": r"sensors\.ray_step_deg must be >= 1\.275e-306 deg, got 5e-324$",
+        "bump-sigma-subnormal": r"terrain\.bump_sigma must be in \[resolution / 1000,.*got 5e-324$",
+        "bump-sigma-huge": r"terrain\.bump_sigma must be in \[.*, 1000 x size_m\], got 1e\+308$",
     }
 
     @pytest.mark.parametrize("override", [
@@ -174,6 +201,10 @@ class TestWorldConfig:
         {"surrogate": {"t_lc": -60}},
         {"terrain": {"type": "bumps", "bump_sigma": 0.0}},  # numpy divides by zero
         {"terrain": {"type": "bumps", "bump_sigma": -3.0}},  # acts as 3.0
+        # Under resolution / 10^3 or past 10^3 x size_m: the bump's variance underflows
+        # to a division by zero, or overflows.
+        {"terrain": {"type": "bumps", "bump_sigma": 5e-324}},
+        {"terrain": {"type": "bumps", "bump_sigma": 1e308}},
         # Sizes no machine can hold, rejected before anything is allocated.
         {"size_m": 4.0, "resolution": 1e-5},
         {"resolution": 5e-324},  # size_m / resolution overflows to inf
@@ -195,6 +226,10 @@ class TestWorldConfig:
         {"sensors": {"fov_deg": 0.0}},
         {"sensors": {"fov_deg": 360.5}},
         {"sensors": {"max_depth_m": -1.0}},
+        # Angles in deg that are not a normal float in rad, or round to 0 rad.
+        {"sensors": {"fov_deg": 1e-320}},
+        {"sensors": {"fov_deg": 5e-324}},
+        {"sensors": {"ray_step_deg": 5e-324}},
         {"landmarks": {"count": 10 ** 11, "clusters": 2}},
         {"landmarks": {"count": 12, "clusters": 10 ** 11}},
         {"terrain": {"type": "bumps", "n_bumps": 10 ** 11}},
@@ -221,12 +256,14 @@ class TestWorldConfig:
             "obstacle-height-bool", "size-huge-int", "seed-negative",
             "n-bumps-negative", "count-negative", "clusters-zero", "l-min-zero",
             "kappa-negative", "kappa-zero", "kappa-above-one", "q-negative",
-            "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "grid-cells-huge",
+            "t-lc-negative", "bump-sigma-zero", "bump-sigma-negative", "bump-sigma-subnormal",
+            "bump-sigma-huge", "grid-cells-huge",
             "resolution-subnormal", "ray-step-tiny", "ray-step-zero", "lidar-radius-list",
             "speed-list", "start-not-a-list", "max-depth-huge",
             "lidar-radius-past-limit", "lidar-radius-huge", "landmark-point-past-limit",
             "landmark-point-huge", "fov-zero", "fov-above-360",
-            "max-depth-negative", "count-huge",
+            "max-depth-negative", "fov-subnormal", "fov-rounds-to-zero",
+            "ray-step-rounds-to-zero", "count-huge",
             "clusters-huge", "n-bumps-huge", "q-1e50", "q-1e300", "grade-huge",
             "bump-amp-huge", "obstacle-height-huge", "wedge-two-rays-past-limit"])
     def test_bad_world_rejected(self, override, tmp_path, capsys, request):
@@ -252,9 +289,15 @@ class TestWorldConfig:
         assert generate_world(cfg).landmark_positions.shape == (0, 3)
         assert generate_world(tiny_config(seed=np.int64(3))).config.seed == 3
 
+    def test_bump_sigma_limits_accepted(self):
+        for sigma in (0.2 / simworld.MAX_REACH, simworld.MAX_REACH * 8.0):
+            world = generate_world(tiny_config(terrain={"type": "bumps", "bump_sigma": sigma}))
+            xs, ys = world.centers
+            assert np.isfinite(world.terrain_z(xs, ys[:, None])).all()
+
     def test_lidar_radius_limit_accepted(self):
         cfg = tiny_config(sensors={"lidar_radius_m": simworld.MAX_REACH * 8.0})
-        assert cfg.sensors.lidar_radius == 8000.0
+        assert cfg.sensors.lidar_radius_m == 8000.0
 
     @pytest.mark.parametrize("sensors, resolution", [
         ({}, 0.2),
@@ -274,7 +317,7 @@ class TestWorldConfig:
         offsets, ranges, sample = world.wedge
         dr = resolution / 2
         assert simworld.wedge_size(cfg, resolution) == (offsets.size, ranges.size)
-        assert offsets.size == max(2, int(round(cam.fov / cfg.ray_step)) + 1)
+        assert offsets.size == max(2, int(round(cam.fov / math.radians(cfg.ray_step_deg))) + 1)
         assert np.array_equal(ranges, np.arange(dr, cam.max_depth + dr / 2, dr))
         assert np.array_equal(sample, np.arange(ranges.size))
 
@@ -567,7 +610,7 @@ def sense_occupancy_sorted(world, pose, ref):
     cfg = world.config.sensors
     cam = cfg.camera
     px, py, theta = pose
-    n_rays = max(2, int(round(cam.fov / cfg.ray_step)) + 1)
+    n_rays = max(2, int(round(cam.fov / math.radians(cfg.ray_step_deg))) + 1)
     angles = theta + np.linspace(-cam.fov / 2, cam.fov / 2, n_rays)
     dr = spec.resolution / 2
     ranges = np.arange(dr, cam.max_depth + dr / 2, dr)
@@ -612,7 +655,7 @@ STEP_HEADINGS = [math.atan2(dj, di) for di in (-1, 0, 1) for dj in (-1, 0, 1)
 def occupancy_oracle_poses(world, rng, n_random=200):
     """Random cell-centre poses plus the start, grid-edge and wall-facing ones."""
     spec = world.spec
-    poses = [tuple(world.config.robot.start)]
+    poses = [tuple(world.config.robot.start_xy_theta)]
     for k in range(n_random):
         i, j = int(rng.integers(spec.width)), int(rng.integers(spec.height))
         x, y = spec.cell_to_world(i, j)
@@ -651,7 +694,7 @@ def lidar_window(world, pose):
     """The (j0, j1, i0, i1) bounds of the cells a look at `pose` may sense."""
     spec = world.spec
     px, py, _ = pose
-    r = world.config.sensors.lidar_radius
+    r = world.config.sensors.lidar_radius_m
     i0 = max(0, int((px - r) / spec.resolution))
     i1 = min(spec.width, int((px + r) / spec.resolution) + 2)
     j0 = max(0, int((py - r) / spec.resolution))
@@ -663,7 +706,7 @@ def lidar_disk(world, pose):
     """The (H, W) mask of the cells whose centre lies within the lidar radius of
     `pose`, over the whole grid."""
     px, py, _ = pose
-    r = world.config.sensors.lidar_radius
+    r = world.config.sensors.lidar_radius_m
     xs, ys = world.centers
     return (xs - px) ** 2 + (ys[:, None] - py) ** 2 <= r * r
 
